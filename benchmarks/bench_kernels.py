@@ -1,19 +1,23 @@
-"""Benchmark the JIT-compiled kernels against the pure-Python/numpy path.
+"""Time each kernel in ``geadim._kernels`` on fixed small inputs.
 
-Run after installing the package::
+Run from the repository root after installing the package::
 
     python benchmarks/bench_kernels.py
 
-The same workloads drive both variants of every kernel, so the table at
-the end shows the speedup the ``GEADIM_USE_NUMBA`` flag is buying.
+Every kernel runs ``repeat`` times per round over several rounds; the
+table gives the fastest round's time per call, which is the least
+disturbed by other load on the machine.
 """
 
+import platform
 import time
 
 import numpy as np
 
 from geadim import _kernels as K
 from geadim import core
+
+ROUNDS = 5
 
 
 def _chain(n):
@@ -23,73 +27,37 @@ def _chain(n):
         for j in range(n):
             if i + j < n:
                 table[i, j] = i + j
-    return table
+    return core.GeaTable([str(i) for i in range(n)], table)
 
 
-def _leq(table):
-    n = table.shape[0]
-    leq = np.zeros((n, n), dtype=np.bool_)
-    for e in range(n):
-        for d in range(n):
-            if table[e, d] >= 0:
-                leq[e, table[e, d]] = True
-    return leq
-
-
-def _diff(table):
-    n = table.shape[0]
-    diff = np.full((n, n), -1, dtype=np.int8)
-    for e in range(n):
-        for d in range(n):
-            v = table[e, d]
-            if v >= 0:
-                diff[v, e] = d
-    return diff
-
-
-def bench(label, fn_py, fn_jit, args, repeat):
-    if fn_jit is not None:
-        fn_jit(*args)  # compile outside the timed region
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        ref = fn_py(*args)
-    t_py = (time.perf_counter() - t0) / repeat
-    if fn_jit is None:
-        print(f"{label:26s} python {t_py * 1e3:9.3f} ms   (numba unavailable)")
-        return
-    t0 = time.perf_counter()
-    for _ in range(repeat):
-        out = fn_jit(*args)
-    t_jit = (time.perf_counter() - t0) / repeat
-    assert np.array_equal(np.asarray(ref), np.asarray(out)), label
-    print(
-        f"{label:26s} python {t_py * 1e3:9.3f} ms   numba {t_jit * 1e3:9.3f} ms"
-        f"   x{t_py / t_jit:7.1f}"
-    )
+def bench(label, fn, args, repeat):
+    best = float("inf")
+    for _ in range(ROUNDS):
+        t0 = time.perf_counter()
+        for _ in range(repeat):
+            fn(*args)
+        best = min(best, (time.perf_counter() - t0) / repeat)
+    print(f"{label:26s} {best * 1e3:10.3f} ms")
 
 
 def main():
-    print(f"numba available: {K.HAVE_NUMBA}; active path: "
-          f"{'numba' if K.USE_NUMBA else 'python'}")
-    c6 = _chain(6)
-    bench("axiom_violation n=6", K.axiom_violation_py, K.axiom_violation_jit,
-          (c6,), repeat=200)
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"{platform.machine()}")
+    c5, c6 = _chain(5), _chain(6)
+    bench("axiom_violation n=6", K.axiom_violation, (c6.sum,), repeat=200)
     empty = np.empty(0, dtype=np.int8)
-    bench("enumerate_tables n=5", K.enumerate_tables_py, K.enumerate_tables_jit,
-          (5, empty), repeat=3)
-    bench("enumerate_tables n=6", K.enumerate_tables_py, K.enumerate_tables_jit,
-          (6, empty), repeat=1)
-    c5 = _chain(5)
-    bench("brute_exomaps n=5", K.brute_exomaps_py, K.brute_exomaps_jit,
-          (c5, _leq(c5)), repeat=3)
+    bench("enumerate_tables n=5", K.enumerate_tables, (5, empty), repeat=3)
+    bench("enumerate_tables n=6", K.enumerate_tables, (6, empty), repeat=1)
+    bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
+    bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
     cls = np.array([0, 1, 1, 2, 2, 3], dtype=np.int8)
-    bench("sk_witnesses n=6", K.sk_witnesses_py, K.sk_witnesses_jit,
-          (c6, _diff(c6), _leq(c6), cls), repeat=20)
+    bench("sk_witnesses n=6", K.sk_witnesses, (c6.sum, c6.diff, c6.leq, cls),
+          repeat=20)
     B4 = core.b4()
     perms = core._candidate_perms(B4)
     flat = np.ascontiguousarray(B4.sum.reshape(16))
-    bench("min_relabel n=4", K.min_relabel_py, K.min_relabel_jit,
-          (flat, 4, perms), repeat=500)
+    bench("min_relabel n=4", K.min_relabel, (flat, 4, perms), repeat=500)
+    bench("is_min_relabel n=4", K.is_min_relabel, (flat, 4, perms), repeat=500)
 
 
 if __name__ == "__main__":

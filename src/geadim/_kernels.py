@@ -1,29 +1,21 @@
 """Hot inner loops shared by the core, catalog, and congruence layers.
 
-Every kernel operates on plain numpy arrays so the same source can run
-either JIT-compiled through numba or as ordinary Python.  The active path
-is selected once at import time:
-
-* ``GEADIM_USE_NUMBA=0`` (or ``false``/``no``) forces the pure fallback;
-* ``GEADIM_USE_NUMBA=1`` requires numba and fails loudly if it is missing;
-* unset/``auto`` uses numba when it imports, the fallback otherwise.
-
-Both variants of each kernel stay importable (``<name>_py`` and
-``<name>_jit``) so tests and ``benchmarks/bench_kernels.py`` can compare
-them directly.
+Every kernel is a module-level function taking and returning numpy
+arrays.  The three heaviest ones (``enumerate_tables``, ``brute_exomaps``
+and ``sk_witnesses``) convert their inputs once with ``.tolist()`` and
+loop over plain Python lists, which index several times faster than
+numpy scalars.
 
 Table encoding: an n-element model is an ``int8`` n-by-n array where entry
 ``[i, j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
 During enumeration a third sentinel ``-2`` marks "not yet assigned".
 """
 
-import os
+import itertools
 
 import numpy as np
 
 __all__ = [
-    "USE_NUMBA",
-    "HAVE_NUMBA",
     "axiom_violation",
     "enumerate_tables",
     "min_relabel",
@@ -35,14 +27,8 @@ __all__ = [
 OK = 0
 GEA1, GEA2, GEA3, GEA4, GEA5 = 1, 2, 3, 4, 5
 
-SK1, SK2, SK3D, SK3E, SK4A, SK4B = 0, 1, 2, 3, 4, 5
 
-
-# ---------------------------------------------------------------------------
-# kernel sources (numba-compatible subset of Python)
-# ---------------------------------------------------------------------------
-
-def _axiom_violation(table):
+def axiom_violation(table):
     """Check GEA1-GEA5 on a complete table.
 
     Returns ``[code, i, j, k]`` where code 0 means every axiom holds and
@@ -113,142 +99,7 @@ def _axiom_violation(table):
     return out
 
 
-def _enumerate_tables(n, prefix):
-    """All valid sum tables on n elements extending a cell prefix.
-
-    Cells are the pairs (i, j) with 1 <= i <= j < n in row-major order;
-    ``prefix`` assigns values (-1 for undefined) to the first ``len(prefix)``
-    cells.  Zero row/column are forced by neutrality.  Candidate values per
-    cell (i, j) are -1 then v in 1..n-1 with v not in {i, j} (v = i or j
-    would force the other summand to 0 by cancellation, v = 0 would break
-    positivity).  Returns an array of shape (count, n*n) of flattened
-    tables, in DFS order.
-    """
-    nc = (n - 1) * n // 2
-    cell_i = np.zeros(nc, dtype=np.int64)
-    cell_j = np.zeros(nc, dtype=np.int64)
-    k = 0
-    for i in range(1, n):
-        for j in range(i, n):
-            cell_i[k] = i
-            cell_j[k] = j
-            k += 1
-
-    table = np.full((n, n), -2, dtype=np.int8)
-    for e in range(n):
-        table[e, 0] = e
-        table[0, e] = e
-
-    cap = 256
-    out = np.empty((cap, n * n), dtype=np.int8)
-    count = 0
-
-    def row_conflict(i, j, v):
-        for c in range(n):
-            if table[i, c] == v:
-                return True
-        if j != i:
-            for c in range(n):
-                if table[j, c] == v:
-                    return True
-        return False
-
-    def assoc_ok():
-        # Associativity screen tolerant of -2 (unassigned) entries.  It
-        # only rejects when every lookup a triple needs is decided, so a
-        # completable branch is never pruned; on complete tables (no -2
-        # left) this is the full GEA2 check.
-        for d in range(n):
-            for e in range(n):
-                for f in range(n):
-                    g = table[e, f]
-                    if g <= -2 or g == -1:
-                        continue
-                    h = table[d, g]
-                    if h <= -2 or h == -1:
-                        continue
-                    de = table[d, e]
-                    if de <= -2:
-                        continue
-                    if de == -1:
-                        return False
-                    df = table[de, f]
-                    if df <= -2:
-                        continue
-                    if df != h:
-                        return False
-        return True
-
-    # apply the prefix through the same checks the DFS uses
-    np_ = len(prefix)
-    for d in range(np_):
-        i = cell_i[d]
-        j = cell_j[d]
-        v = prefix[d]
-        if v != -1:
-            if v <= 0 or v == i or v == j or v >= n:
-                return out[:0]
-            if row_conflict(i, j, v):
-                return out[:0]
-        table[i, j] = v
-        table[j, i] = v
-        if not assoc_ok():
-            return out[:0]
-
-    if np_ == nc:
-        for a in range(n):
-            for b in range(n):
-                out[0, a * n + b] = table[a, b]
-        return out[:1]
-
-    # iterative DFS over the remaining cells
-    val = np.full(nc, -3, dtype=np.int64)  # -3 fresh, -1/v assigned
-    depth = np_
-    while depth >= np_:
-        i = cell_i[depth]
-        j = cell_j[depth]
-        cur = val[depth]
-        if cur > -3:
-            table[i, j] = -2
-            table[j, i] = -2
-        # next candidate after cur: -1, then 1..n-1 skipping i and j
-        nxt = -4
-        if cur == -3:
-            nxt = -1
-        else:
-            v = 1 if cur == -1 else cur + 1
-            while v < n:
-                if v != i and v != j:
-                    nxt = v
-                    break
-                v += 1
-        if nxt == -4:
-            val[depth] = -3
-            depth -= 1
-            continue
-        val[depth] = nxt
-        if nxt != -1 and row_conflict(i, j, nxt):
-            continue
-        table[i, j] = nxt
-        table[j, i] = nxt
-        if not assoc_ok():
-            continue
-        if depth == nc - 1:
-            if count == cap:
-                grown = np.empty((cap * 2, n * n), dtype=np.int8)
-                grown[:cap] = out
-                out = grown
-                cap *= 2
-            for a in range(n):
-                for b in range(n):
-                    out[count, a * n + b] = table[a, b]
-            count += 1
-            continue
-        depth += 1
-    return out[:count]
-
-
-def _min_relabel(flat, n, perms):
+def min_relabel(flat, n, perms):
     """Lexicographically least relabeling of a flattened table.
 
     ``perms`` is a (P, n) array of permutations sending old index to new
@@ -285,7 +136,7 @@ def _min_relabel(flat, n, perms):
     return best
 
 
-def _is_min_relabel(flat, n, perms):
+def is_min_relabel(flat, n, perms):
     """True when the table equals the least relabeling over ``perms``.
 
     Requires both that no permutation produces a strictly smaller table
@@ -313,303 +164,255 @@ def _is_min_relabel(flat, n, perms):
     return achieved
 
 
-def _brute_exomaps(table, leq):
-    """Filter all n**n self-maps by the four exocenter conditions.
+def enumerate_tables(n, prefix):
+    """All valid sum tables on n elements extending a cell prefix.
+
+    Cells are the pairs (i, j) with 1 <= i <= j < n in row-major order;
+    ``prefix`` assigns values (-1 for undefined) to the first ``len(prefix)``
+    cells.  Zero row/column are forced by neutrality.  Candidate values per
+    cell (i, j) are -1 then v in 1..n-1 with v not in {i, j} (v = i or j
+    would force the other summand to 0 by cancellation, v = 0 would break
+    positivity).  Returns an int8 array of shape (count, n*n) of flattened
+    tables, in DFS order.
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    nc = len(cells)
+    rng = range(n)
+    table = [[-2] * n for _ in rng]
+    for e in rng:
+        table[e][0] = e
+        table[0][e] = e
+    out = []
+
+    def rejects(d, e, f):
+        # Associativity screen for one triple, tolerant of -2 (unassigned)
+        # entries: it only rejects when every lookup the triple needs is
+        # decided, so a completable branch is never pruned.
+        g = table[e][f]
+        if g < 0:
+            return False
+        h = table[d][g]
+        if h < 0:
+            return False
+        de = table[d][e]
+        if de == -2:
+            return False
+        if de == -1:
+            return True
+        df = table[de][f]
+        return df != -2 and df != h
+
+    def assoc_ok(i, j):
+        # The screen of (d, e, f) reads (e, f), (d, e+f), (d, e) and
+        # (d+e, f).  Every triple passed before cell (i, j) was assigned, so
+        # only the triples reading (i, j) or (j, i) can fail now: rechecking
+        # them gives the verdict of the full n**3 screen.  Rows hold each
+        # value at most once (the row-conflict check), so row.index finds
+        # the only x + f = b and the only x + e = a.
+        for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
+            for x in rng:
+                if rejects(x, a, b) or rejects(a, b, x):  # (e,f), (d,e)
+                    return False
+            for x in rng:
+                row = table[x]
+                if b in row and rejects(a, x, row.index(b)):  # (d, e+f)
+                    return False
+                if a in row and rejects(x, row.index(a), b):  # (d+e, f)
+                    return False
+        return True
+
+    def empty():
+        return np.empty((0, n * n), dtype=np.int8)
+
+    # apply the prefix through the same checks the DFS uses
+    start = len(prefix)
+    for k, v in enumerate(prefix.tolist()):
+        i, j = cells[k]
+        if v != -1:
+            if v <= 0 or v == i or v == j or v >= n:
+                return empty()
+            if v in table[i] or v in table[j]:
+                return empty()
+        table[i][j] = table[j][i] = v
+        if not assoc_ok(i, j):
+            return empty()
+
+    if start == nc:
+        return np.array(table, dtype=np.int8).reshape(1, n * n)
+
+    # iterative DFS over the remaining cells
+    cands = [[-1] + [v for v in range(1, n) if v != i and v != j]
+             for i, j in cells]
+    nxt = [0] * nc  # index of the next candidate to try per cell
+    depth = start
+    while depth >= start:
+        i, j = cells[depth]
+        row_i, row_j = table[i], table[j]
+        row_i[j] = row_j[i] = -2
+        k = nxt[depth]
+        if k == len(cands[depth]):
+            nxt[depth] = 0
+            depth -= 1
+            continue
+        nxt[depth] = k + 1
+        v = cands[depth][k]
+        if v != -1 and (v in row_i or v in row_j):
+            continue
+        row_i[j] = row_j[i] = v
+        if not assoc_ok(i, j):
+            continue
+        if depth == nc - 1:
+            out.append(list(itertools.chain.from_iterable(table)))
+            continue
+        depth += 1
+    return np.array(out, dtype=np.int8).reshape(len(out), n * n)
+
+
+def brute_exomaps(table, leq):
+    """Filter the self-maps m with m(e) <= e by the exocenter conditions.
 
     EXC1: preserves orthogonality and sums; EXC2: idempotent;
     EXC3: decreasing; EXC4: pe = e and pf = 0 imply e + f defined.
-    Returns the surviving maps as rows, in odometer (lexicographic) order.
+    EXC3 is applied by letting each digit m(e) range over the elements
+    below e only; the surviving maps are still found by filtering, never
+    constructed.  The odometer moves digit e = 0 fastest, so the rows come
+    out in the lexicographic order of the full n**n counter.
     """
-    n = table.shape[0]
-    cap = 1024
-    out = np.empty((cap, n), dtype=np.int8)
-    count = 0
-    m = np.zeros(n, dtype=np.int8)
-    total = 1
-    for _ in range(n):
-        total *= n
-    for it in range(total):
-        x = it
-        for e in range(n):
-            m[e] = x % n
-            x //= n
-        ok = True
-        for e in range(n):
-            if not leq[m[e], e]:  # EXC3
-                ok = False
-                break
-            if m[m[e]] != m[e]:  # EXC2
-                ok = False
-                break
-        if ok:
-            for e in range(n):
-                for f in range(n):
-                    s = table[e, f]
-                    if s >= 0:  # EXC1
-                        ms = table[m[e], m[f]]
-                        if ms < 0 or ms != m[s]:
-                            ok = False
-                            break
-                    else:  # EXC4
-                        if m[e] == e and m[f] == 0:
-                            ok = False
-                            break
-                if not ok:
-                    break
-        if ok:
-            if count == cap:
-                return out[:0]  # cannot happen for valid tables
-            for e in range(n):
-                out[count, e] = m[e]
-            count += 1
-    return out[:count]
+    sums = table.tolist()
+    order = leq.tolist()
+    n = len(sums)
+    rng = range(n)
+    below = [[x for x in rng if order[x][e]] for e in rng]
+    rows = []
+    for digits in itertools.product(*reversed(below)):
+        m = digits[::-1]
+        if any(m[x] != x for x in m):  # EXC2
+            continue
+        if _exc1_exc4(sums, m, rng):
+            rows.append(m)
+    return np.array(rows, dtype=np.int8).reshape(len(rows), n)
 
 
-def _sk_witnesses(table, diff, leq, cls):
+def _exc1_exc4(sums, m, rng):
+    """EXC1 and EXC4 for the map m (a tuple of images)."""
+    for e in rng:
+        me = m[e]
+        row = sums[e]
+        mrow = sums[me]
+        for f in rng:
+            s = row[f]
+            if s >= 0:  # EXC1
+                if mrow[m[f]] != m[s]:
+                    return False
+            elif me == e and m[f] == 0:  # EXC4
+                return False
+    return True
+
+
+def sk_witnesses(table, diff, leq, cls):
     """First failing witness for each congruence axiom.
 
-    ``cls`` maps element index to class id.  Returns a (6, 5) array; row k
-    is [violated, w0, w1, w2, w3] for SK1, SK2, SK3d, SK3e, SK4a, SK4b in
-    that order.  Loops run in lexicographic element order so witnesses are
-    the least failing tuples.  SK2 is checked in its pair (finite
-    additivity) form, which extends to all finite families by induction.
+    ``cls`` maps element index to class id.  Returns a (6, 5) int64 array;
+    row k is [violated, w0, w1, w2, w3] for SK1, SK2, SK3d, SK3e, SK4a,
+    SK4b in that order.  Loops run in lexicographic element order so
+    witnesses are the least failing tuples.  SK2 is checked in its pair
+    (finite additivity) form, which extends to all finite families by
+    induction.  ``table`` must satisfy cancellation, so each row holds a
+    value at most once.
     """
-    n = table.shape[0]
-    out = np.full((6, 5), -1, dtype=np.int64)
-    for k in range(6):
-        out[k, 0] = 0
+    sums = table.tolist()
+    diffs = diff.tolist()
+    order = leq.tolist()
+    cls = cls.tolist()
+    n = len(sums)
+    rng = range(n)
+    below = [[x for x in rng if order[x][e]] for e in rng]
+    members = {}
+    for e in rng:
+        members.setdefault(cls[e], []).append(e)
+    # classes met by the nonzero elements below e
+    below_cls = [{cls[x] for x in below[e] if x} for e in rng]
 
-    # related[e, f]: some nonzero e1 <= e is equivalent to some f1 <= f
-    related = np.zeros((n, n), dtype=np.bool_)
-    for e in range(n):
-        for f in range(n):
-            hit = False
-            for e1 in range(1, n):
-                if not leq[e1, e]:
+    def sk1():
+        for e in range(1, n):
+            if cls[e] == cls[0]:
+                yield (e,)
+
+    def sk2():
+        # pair form
+        for e1 in rng:
+            for e2 in rng:
+                se = sums[e1][e2]
+                if se < 0:
                     continue
-                for f1 in range(1, n):
-                    if leq[f1, f] and cls[e1] == cls[f1]:
-                        hit = True
-                        break
-                if hit:
-                    break
-            related[e, f] = hit
+                for f1 in members[cls[e1]]:
+                    row = sums[f1]
+                    for f2 in members[cls[e2]]:
+                        sf = row[f2]
+                        if sf >= 0 and cls[sf] != cls[se]:
+                            yield (e1, e2, f1, f2)
 
-    # SK1
-    for e in range(1, n):
-        if cls[e] == cls[0]:
-            out[SK1, 0] = 1
-            out[SK1, 1] = e
-            break
+    def sk3d():
+        # p ~ s+t splits as p = e+f with e ~ s, f ~ t
+        for p in rng:
+            # class pairs (e, p - e) over the splittings of p
+            splits = {(cls[e], cls[diffs[p][e]])
+                      for e in below[p] if diffs[p][e] >= 0}
+            for s in rng:
+                row = sums[s]
+                for t in rng:
+                    st = row[t]
+                    if st < 0 or cls[p] != cls[st]:
+                        continue
+                    if (cls[s], cls[t]) not in splits:
+                        yield (p, s, t)
 
-    # SK2 (pair form)
-    done = False
-    for e1 in range(n):
-        for e2 in range(n):
-            se = table[e1, e2]
-            if se < 0:
-                continue
-            for f1 in range(n):
-                if cls[f1] != cls[e1]:
+    def sk3e():
+        # e+f = s+t refines into a 2x2 grid
+        for e in rng:
+            for f in rng:
+                ef = sums[e][f]
+                if ef < 0:
                     continue
-                for f2 in range(n):
-                    if cls[f2] != cls[e2]:
-                        continue
-                    sf = table[f1, f2]
-                    if sf < 0:
-                        continue
-                    if cls[se] != cls[sf]:
-                        out[SK2, 0] = 1
-                        out[SK2, 1] = e1
-                        out[SK2, 2] = e2
-                        out[SK2, 3] = f1
-                        out[SK2, 4] = f2
-                        done = True
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    # SK3d: p ~ s+t splits as p = e+f with e ~ s, f ~ t
-    done = False
-    for p in range(n):
-        for s in range(n):
-            for t in range(n):
-                st = table[s, t]
-                if st < 0 or cls[p] != cls[st]:
-                    continue
-                found = False
-                for e in range(n):
-                    if not leq[e, p]:
-                        continue
-                    if cls[e] != cls[s]:
-                        continue
-                    f = diff[p, e]
-                    if f >= 0 and cls[f] == cls[t]:
-                        found = True
-                        break
-                if not found:
-                    out[SK3D, 0] = 1
-                    out[SK3D, 1] = p
-                    out[SK3D, 2] = s
-                    out[SK3D, 3] = t
-                    done = True
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    # SK3e: e+f = s+t refines into a 2x2 grid
-    done = False
-    for e in range(n):
-        for f in range(n):
-            ef = table[e, f]
-            if ef < 0:
-                continue
-            for s in range(n):
-                for t in range(n):
-                    if table[s, t] != ef:
-                        continue
-                    found = False
-                    for e1 in range(n):
-                        if not leq[e1, e]:
+                # class pairs (e1 + f1, e2 + f2) over the refinements
+                grids = set()
+                for e1 in below[e]:
+                    e2 = diffs[e][e1]
+                    for f1 in below[f]:
+                        a = sums[e1][f1]
+                        if a < 0:
                             continue
-                        e2 = diff[e, e1]
-                        for f1 in range(n):
-                            if not leq[f1, f]:
-                                continue
-                            f2 = diff[f, f1]
-                            a = table[e1, f1]
-                            if a < 0 or cls[a] != cls[s]:
-                                continue
-                            b = table[e2, f2]
-                            if b >= 0 and cls[b] == cls[t]:
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
-                        out[SK3E, 0] = 1
-                        out[SK3E, 1] = e
-                        out[SK3E, 2] = f
-                        out[SK3E, 3] = s
-                        out[SK3E, 4] = t
-                        done = True
-                    if done:
-                        break
-                if done:
-                    break
-            if done:
-                break
-        if done:
-            break
+                        b = sums[e2][diffs[f][f1]]
+                        if b >= 0:
+                            grids.add((cls[a], cls[b]))
+                for s in rng:
+                    row = sums[s]
+                    if ef in row:
+                        t = row.index(ef)
+                        if (cls[s], cls[t]) not in grids:
+                            yield (e, f, s, t)
 
-    # SK4a: non-orthogonal elements are related
-    done = False
-    for e in range(n):
-        for f in range(n):
-            if table[e, f] >= 0:
-                continue
-            if not related[e, f]:
-                out[SK4A, 0] = 1
-                out[SK4A, 1] = e
-                out[SK4A, 2] = f
-                done = True
-            if done:
-                break
-        if done:
-            break
+    def sk4a():
+        # non-orthogonal elements are related
+        for e in rng:
+            for f in rng:
+                if sums[e][f] < 0 and below_cls[e].isdisjoint(below_cls[f]):
+                    yield (e, f)
 
-    # SK4b: e not below f gives nonzero e1 <= e equivalent to some d1 _|_ f
-    done = False
-    for e in range(n):
-        for f in range(n):
-            if leq[e, f]:
-                continue
-            found = False
-            for e1 in range(1, n):
-                if not leq[e1, e]:
-                    continue
-                for d1 in range(1, n):
-                    if cls[d1] == cls[e1] and table[d1, f] >= 0:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                out[SK4B, 0] = 1
-                out[SK4B, 1] = e
-                out[SK4B, 2] = f
-                done = True
-            if done:
-                break
-        if done:
-            break
+    def sk4b():
+        # e not below f gives nonzero e1 <= e equivalent to some d1 _|_ f
+        orth_cls = [{cls[d] for d in range(1, n) if sums[d][f] >= 0}
+                    for f in rng]
+        for e in rng:
+            for f in rng:
+                if not order[e][f] and below_cls[e].isdisjoint(orth_cls[f]):
+                    yield (e, f)
 
+    out = np.full((6, 5), -1, dtype=np.int64)
+    out[:, 0] = 0
+    for k, axiom in enumerate((sk1, sk2, sk3d, sk3e, sk4a, sk4b)):
+        witness = next(axiom(), None)
+        if witness is not None:
+            out[k, 0] = 1
+            out[k, 1:1 + len(witness)] = witness
     return out
-
-
-# ---------------------------------------------------------------------------
-# path selection
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-_flag = os.environ.get("GEADIM_USE_NUMBA", "auto").strip().lower()
-if _flag in ("0", "false", "no", "off"):
-    USE_NUMBA = False
-elif _flag in ("1", "true", "yes", "on"):
-    if not HAVE_NUMBA:
-        raise ImportError("GEADIM_USE_NUMBA=1 but numba is not importable")
-    USE_NUMBA = True
-else:
-    USE_NUMBA = HAVE_NUMBA
-
-axiom_violation_py = _axiom_violation
-enumerate_tables_py = _enumerate_tables
-min_relabel_py = _min_relabel
-is_min_relabel_py = _is_min_relabel
-brute_exomaps_py = _brute_exomaps
-sk_witnesses_py = _sk_witnesses
-
-if HAVE_NUMBA:
-    axiom_violation_jit = njit(cache=True)(_axiom_violation)
-    min_relabel_jit = njit(cache=True)(_min_relabel)
-    is_min_relabel_jit = njit(cache=True)(_is_min_relabel)
-    brute_exomaps_jit = njit(cache=True)(_brute_exomaps)
-    sk_witnesses_jit = njit(cache=True)(_sk_witnesses)
-    enumerate_tables_jit = njit(cache=True)(_enumerate_tables)
-else:  # pragma: no cover
-    axiom_violation_jit = None
-    min_relabel_jit = None
-    is_min_relabel_jit = None
-    brute_exomaps_jit = None
-    sk_witnesses_jit = None
-    enumerate_tables_jit = None
-
-if USE_NUMBA:
-    axiom_violation = axiom_violation_jit
-    enumerate_tables = enumerate_tables_jit
-    min_relabel = min_relabel_jit
-    is_min_relabel = is_min_relabel_jit
-    brute_exomaps = brute_exomaps_jit
-    sk_witnesses = sk_witnesses_jit
-else:
-    axiom_violation = axiom_violation_py
-    enumerate_tables = enumerate_tables_py
-    min_relabel = min_relabel_py
-    is_min_relabel = is_min_relabel_py
-    brute_exomaps = brute_exomaps_py
-    sk_witnesses = sk_witnesses_py

@@ -16,7 +16,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from . import _kernels, congruence as cg, core, dimension as dm
-from .errors import LimitExceeded, UnknownPredicate
+from .errors import CorruptCatalog, LimitExceeded, UnknownPredicate
 
 FORMAT_VERSION = 1
 GENERATOR_VERSION = "0.1.0"
@@ -244,18 +244,9 @@ def write_catalog(path, max_n, jobs=1, resume=False):
         "max_n": max_n,
         "generator_version": GENERATOR_VERSION,
     }
-    existing = []
-    if resume:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-            if lines and json.loads(lines[0]) != header:
-                raise LimitExceeded("existing catalog has different parameters")
-            existing = [json.loads(x)["key"] for x in lines[1:] if x]
-        except FileNotFoundError:
-            pass
+    existing = _resumable_keys(path, header) if resume else []
     count = 0
-    mode = "a" if (resume and existing) else "w"
+    mode = "a" if existing else "w"
     with open(path, mode, encoding="utf-8") as fh:
         if mode == "w":
             fh.write(_dump(header) + "\n")
@@ -269,6 +260,45 @@ def write_catalog(path, max_n, jobs=1, resume=False):
                 continue
             fh.write(_dump(entry.record()) + "\n")
     return count
+
+
+def _resumable_keys(path, header):
+    """Keys of the records already in a catalog file, in file order.
+
+    A missing or zero-byte file has none.  Raises ``LimitExceeded`` when the
+    header names other parameters and ``CorruptCatalog`` when the file is
+    not complete lines of catalog JSON, so a damaged file is never appended
+    to.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return []
+    except UnicodeDecodeError:
+        raise CorruptCatalog(f"{path} is not a catalog file") from None
+    if not text:
+        return []
+    if not text.endswith("\n"):
+        raise CorruptCatalog(f"{path} ends in the middle of a line")
+    keys = []
+    for number, line in enumerate(text.splitlines(), 1):
+        if number > 1 and not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            raise CorruptCatalog(
+                f"{path} line {number} is not a JSON record"
+            ) from None
+        if number == 1:
+            if obj != header:
+                raise LimitExceeded("existing catalog has different parameters")
+        elif isinstance(obj, dict) and isinstance(obj.get("key"), str):
+            keys.append(obj["key"])
+        else:
+            raise CorruptCatalog(f"{path} line {number} is not a model record")
+    return keys
 
 
 def read_catalog(path):

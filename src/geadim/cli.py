@@ -520,6 +520,15 @@ def make_parser():
     return p
 
 
+def _check_counts(args):
+    """``--max-size`` and ``--jobs``, where a command takes them, are >= 1."""
+    for option in ("max_size", "jobs"):
+        value = getattr(args, option, None)
+        if value is not None and value < 1:
+            flag = "--" + option.replace("_", "-")
+            raise GeadimError(f"{flag} must be at least 1, got {value}")
+
+
 def run_command(argv, out=None):
     """Dispatch a command line; returns the exit code."""
     out = out if out is not None else sys.stdout
@@ -529,6 +538,7 @@ def run_command(argv, out=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_counts(args)
         return args.fn(args, out)
     except (GeadimError, OSError) as exc:
         out.write(f"error: {exc}\n")

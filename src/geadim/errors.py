@@ -83,6 +83,10 @@ class LimitExceeded(GeadimError):
     pass
 
 
+class CorruptCatalog(GeadimError):
+    """A catalog file to resume is cut short, blank or not a catalog."""
+
+
 class UnknownPredicate(GeadimError):
     pass
 

@@ -179,3 +179,47 @@ def test_search_command():
     assert code == 1
     code, _ = run(["search", "--property", "bogus", "--max-size", "3"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-size", "0"],
+    ["verify", "--max-size", "3", "--jobs", "0"],
+    ["verify", "--max-size", "3", "--jobs", "-1"],
+    ["catalog", "--max-size", "0", "--out", "unused.jsonl"],
+    ["catalog", "--max-size", "3", "--out", "unused.jsonl", "--jobs", "0"],
+    ["search", "--property", "trivially-false", "--max-size", "-2"],
+])
+def test_counts_below_one_are_input_errors(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, text = run(argv)
+    assert code == 2
+    assert text.count("\n") == 1 and text.startswith("error: --")
+    assert "must be at least 1" in text
+    assert not (tmp_path / "unused.jsonl").exists()
+
+
+def _cut(data):
+    return data[:-40]
+
+
+def _foreign(data):
+    return b"just some notes\nnot a catalog\n"
+
+
+def _empty(data):
+    return b"\n"
+
+
+@pytest.mark.parametrize("damage", [_cut, _foreign, _empty])
+def test_catalog_resume_rejects_damaged_file(damage, tmp_path):
+    out = tmp_path / "cat.jsonl"
+    code, _ = run(["catalog", "--max-size", "4", "--out", str(out)])
+    assert code == 0
+    out.write_bytes(damage(out.read_bytes()))
+    before = out.read_bytes()
+    code, text = run(
+        ["catalog", "--max-size", "4", "--out", str(out), "--resume"]
+    )
+    assert code == 2
+    assert text.count("\n") == 1 and text.startswith("error: ")
+    assert out.read_bytes() == before  # never appended to
