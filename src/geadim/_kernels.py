@@ -12,6 +12,7 @@ During enumeration a third sentinel ``-2`` marks "not yet assigned".
 """
 
 import itertools
+from array import array
 
 import numpy as np
 
@@ -182,7 +183,7 @@ def enumerate_tables(n, prefix):
     for e in rng:
         table[e][0] = e
         table[0][e] = e
-    out = []
+    out = array("b")  # emitted tables, flattened back to back
 
     def rejects(d, e, f):
         # Associativity screen for one triple, tolerant of -2 (unassigned)
@@ -262,10 +263,11 @@ def enumerate_tables(n, prefix):
         if not assoc_ok(i, j):
             continue
         if depth == nc - 1:
-            out.append(list(itertools.chain.from_iterable(table)))
+            for row in table:
+                out.extend(row)
             continue
         depth += 1
-    return np.array(out, dtype=np.int8).reshape(len(out), n * n)
+    return np.frombuffer(out, dtype=np.int8).reshape(-1, n * n)
 
 
 def brute_exomaps(table, leq):
