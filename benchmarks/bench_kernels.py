@@ -1,4 +1,5 @@
-"""Time each kernel in ``geadim._kernels`` on fixed small inputs.
+"""Time each kernel in ``geadim._kernels`` on fixed small inputs, and the
+property suite over the models up to size 5.
 
 Run from the repository root after installing the package::
 
@@ -6,7 +7,8 @@ Run from the repository root after installing the package::
 
 Every kernel runs ``repeat`` times per round over several rounds; the
 table gives the fastest round's time per call, which is the least
-disturbed by other load on the machine.
+disturbed by other load on the machine.  The suite row times
+``run_theorem_suite(5)`` alone: the catalog is built before the rounds.
 """
 
 import platform
@@ -15,7 +17,7 @@ import time
 import numpy as np
 
 from geadim import _kernels as K
-from geadim import core
+from geadim import catalog, core, theorems
 
 ROUNDS = 5
 
@@ -58,6 +60,8 @@ def main():
     flat = np.ascontiguousarray(B4.sum.reshape(16))
     bench("min_relabel n=4", K.min_relabel, (flat, 4, perms), repeat=500)
     bench("is_min_relabel n=4", K.is_min_relabel, (flat, 4, perms), repeat=500)
+    catalog.cached_entries(5)
+    bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ each isomorphism class appears once, the stream is independent of how the
 work is partitioned, and re-runs are bit-identical.
 """
 
+import contextlib
 import itertools
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -17,6 +19,7 @@ import numpy as np
 
 from . import _kernels, congruence as cg, core, dimension as dm
 from .errors import CorruptCatalog, LimitExceeded, UnknownPredicate
+from .exocenter import exocenter
 
 FORMAT_VERSION = 1
 GENERATOR_VERSION = "0.1.0"
@@ -143,8 +146,6 @@ def build_entry(n, flat_bytes):
 
 
 def _structure_flags(E):
-    from .exocenter import exocenter
-
     s = core.structure_predicates(E)
     gex = exocenter(E)
     cen = dm._center_pairs(E)
@@ -194,7 +195,7 @@ def enumerate_relations(E):
         der = None
         summary = None
         if report.sk:
-            sigma = cg.sigma_sim(E, R, _exocenter(E))
+            sigma = cg.sigma_sim(E, R, exocenter(E))
             report = cg.check_der(E, R, sigma)
             der = report.der
             if der:
@@ -207,12 +208,6 @@ def enumerate_relations(E):
             der=der,
             decomposition=summary,
         )
-
-
-def _exocenter(E):
-    from .exocenter import exocenter
-
-    return exocenter(E)
 
 
 def _decomposition_summary(E, R):
@@ -238,50 +233,65 @@ def _dump(obj):
 
 
 def write_catalog(path, max_n, jobs=1, resume=False):
-    """Write (or resume) the catalog file; returns the number of entries."""
+    """Write (or resume) the catalog file; returns the number of entries.
+
+    A fresh catalog is written to a temporary file beside ``path`` and
+    moved onto it only when complete, so a failed run leaves no partial
+    file behind.  A resumed catalog is appended to in place.
+    """
     header = {
         "format_version": FORMAT_VERSION,
         "max_n": max_n,
         "generator_version": GENERATOR_VERSION,
     }
     existing = _resumable_keys(path, header) if resume else []
-    count = 0
-    mode = "a" if existing else "w"
-    with open(path, mode, encoding="utf-8") as fh:
-        if mode == "w":
+    if existing:
+        with open(path, "a", encoding="utf-8") as fh:
+            return _write_entries(fh, max_n, jobs, existing)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(_dump(header) + "\n")
-        for i, entry in enumerate(enumerate_geas(max_n, limit=max_n, jobs=jobs)):
-            count += 1
-            if i < len(existing):
-                if existing[i] != entry.key:
-                    raise LimitExceeded(
-                        "existing catalog is not a prefix of this enumeration"
-                    )
-                continue
-            fh.write(_dump(entry.record()) + "\n")
+            count = _write_entries(fh, max_n, jobs, [])
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return count
 
 
-def _resumable_keys(path, header):
-    """Keys of the records already in a catalog file, in file order.
+def _write_entries(fh, max_n, jobs, existing):
+    """Write every record after the ``existing`` keys, which must be a
+    prefix of the enumeration; returns the number of entries."""
+    count = 0
+    for i, entry in enumerate(enumerate_geas(max_n, limit=max_n, jobs=jobs)):
+        count += 1
+        if i < len(existing):
+            if existing[i] != entry.key:
+                raise LimitExceeded(
+                    "existing catalog is not a prefix of this enumeration"
+                )
+            continue
+        fh.write(_dump(entry.record()) + "\n")
+    return count
 
-    A missing or zero-byte file has none.  Raises ``LimitExceeded`` when the
-    header names other parameters and ``CorruptCatalog`` when the file is
-    not complete lines of catalog JSON, so a damaged file is never appended
-    to.
+
+def _catalog_lines(path):
+    """The JSON objects of a catalog file in file order: the header, then
+    one per model record.  A zero-byte file has none.
+
+    Raises ``CorruptCatalog`` as soon as the file turns out not to be
+    complete lines of catalog JSON: bytes that are not UTF-8, a last line
+    cut short, a line that is not JSON, or a record without a key.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except FileNotFoundError:
-        return []
     except UnicodeDecodeError:
         raise CorruptCatalog(f"{path} is not a catalog file") from None
-    if not text:
-        return []
-    if not text.endswith("\n"):
+    if text and not text.endswith("\n"):
         raise CorruptCatalog(f"{path} ends in the middle of a line")
-    keys = []
     for number, line in enumerate(text.splitlines(), 1):
         if number > 1 and not line:
             continue
@@ -291,22 +301,43 @@ def _resumable_keys(path, header):
             raise CorruptCatalog(
                 f"{path} line {number} is not a JSON record"
             ) from None
-        if number == 1:
-            if obj != header:
-                raise LimitExceeded("existing catalog has different parameters")
-        elif isinstance(obj, dict) and isinstance(obj.get("key"), str):
-            keys.append(obj["key"])
-        else:
+        if number > 1 and not (
+            isinstance(obj, dict) and isinstance(obj.get("key"), str)
+        ):
             raise CorruptCatalog(f"{path} line {number} is not a model record")
-    return keys
+        yield obj
+
+
+def _resumable_keys(path, header):
+    """Keys of the records already in a catalog file, in file order.
+
+    A missing or zero-byte file has none.  Raises ``LimitExceeded`` when the
+    header names other parameters and ``CorruptCatalog`` when the file is
+    damaged (see ``_catalog_lines``), so a damaged file is never appended
+    to.
+    """
+    lines = _catalog_lines(path)
+    try:
+        first = next(lines, None)
+    except FileNotFoundError:
+        return []
+    if first is None:
+        return []
+    if first != header:
+        raise LimitExceeded("existing catalog has different parameters")
+    return [obj["key"] for obj in lines]
 
 
 def read_catalog(path):
-    """Entries from a catalog file; returns (header, records)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [x for x in fh.read().splitlines() if x]
-    header = json.loads(lines[0])
-    return header, [json.loads(x) for x in lines[1:]]
+    """Entries from a catalog file; returns (header, records).
+
+    Raises ``CorruptCatalog`` when the file is empty, damaged or not a
+    catalog.
+    """
+    lines = list(_catalog_lines(path))
+    if not lines or not (isinstance(lines[0], dict) and "format_version" in lines[0]):
+        raise CorruptCatalog(f"{path} has no catalog header")
+    return lines[0], lines[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +363,6 @@ def _search_non_type_i(entry):
 
 def _search_divisible_with_monads(entry):
     from . import hull as hull_mod
-    from .exocenter import exocenter
 
     E = entry.table
     S = exocenter(E)

@@ -61,13 +61,30 @@ class GeaTable:
 
     # -- basic queries ------------------------------------------------
 
+    # The hot queries read plain-list copies of the arrays, built on first
+    # use: indexing a list is several times cheaper than a numpy scalar.
+
+    @cached_property
+    def _sum_rows(self):
+        return self.sum.tolist()
+
+    @cached_property
+    def _diff_rows(self):
+        return self.diff.tolist()
+
+    @cached_property
+    def _below(self):
+        return tuple(
+            tuple(e for e in range(self.n) if self.leq[e, p]) for p in range(self.n)
+        )
+
     def sum_of(self, e, f):
-        v = int(self.sum[e, f])
+        v = self._sum_rows[e][f]
         return None if v < 0 else v
 
     def sub(self, f, e):
         """f - e for e <= f, else None."""
-        v = int(self.diff[f, e])
+        v = self._diff_rows[f][e]
         return None if v < 0 else v
 
     def perp(self, e, f):
@@ -77,7 +94,7 @@ class GeaTable:
         return bool(self.leq[e, f])
 
     def below(self, p):
-        return [e for e in range(self.n) if self.leq[e, p]]
+        return list(self._below[p])
 
     def index(self, name):
         return self.names.index(name)
@@ -228,11 +245,6 @@ def build_gea(names, zero, equations):
         put(idx[a], idx[b], idx[c])
 
     return GeaTable(ordered, table)
-
-
-def from_sum_table(names, table):
-    """Wrap a raw (already symmetric, zero-rowed) table, validating axioms."""
-    return GeaTable(names, table)
 
 
 def t3():

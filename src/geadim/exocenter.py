@@ -19,7 +19,7 @@ from .errors import InternalInvariant, NotInExocenter
 class ExoMap:
     """A decreasing idempotent endomorphism, stored as its image vector."""
 
-    __slots__ = ("image", "n", "_key")
+    __slots__ = ("image", "n", "_key", "_img")
 
     def __init__(self, image):
         arr = np.asarray(image, dtype=np.int8).copy()
@@ -27,22 +27,23 @@ class ExoMap:
         self.image = arr
         self.n = len(arr)
         self._key = arr.tobytes()
+        self._img = tuple(arr.tolist())
 
     def __call__(self, e):
-        return int(self.image[e])
+        return self._img[e]
 
     @property
     def summand(self):
         """The direct summand pi(E), i.e. the fixed points."""
-        return tuple(e for e in range(self.n) if self.image[e] == e)
+        return tuple(e for e, v in enumerate(self._img) if v == e)
 
     @property
     def is_zero(self):
-        return not self.image.any()
+        return not any(self._img)
 
     @property
     def is_identity(self):
-        return all(self.image[e] == e for e in range(self.n))
+        return all(v == e for e, v in enumerate(self._img))
 
     def __eq__(self, other):
         return isinstance(other, ExoMap) and self._key == other._key
@@ -63,7 +64,9 @@ class ExoSet:
     Order: pi <= xi iff pi o xi = pi.  Meet is composition, complement is
     pointwise difference, join is by De Morgan.  Operations assert that
     their results stay inside the set (they do for the full exocenter and
-    for any boolean subalgebra of it).
+    for any boolean subalgebra of it).  Meets and complements are
+    remembered per set once they succeed; a failing operation is never
+    remembered, so it raises again on every call.
     """
 
     def __init__(self, E, maps):
@@ -72,6 +75,8 @@ class ExoSet:
         self._pos = {m._key: i for i, m in enumerate(self.maps)}
         self.zero = ExoMap(np.zeros(E.n, dtype=np.int8))
         self.one = ExoMap(np.arange(E.n, dtype=np.int8))
+        self._meets = {}
+        self._complements = {}
 
     def __iter__(self):
         return iter(self.maps)
@@ -93,28 +98,39 @@ class ExoSet:
             raise NotInExocenter(f"{m!r} is not a member")
 
     def _member(self, image):
-        m = ExoMap(image)
-        if m not in self:
-            raise InternalInvariant(f"operation left the set: {m!r}")
-        return m
+        """The member whose image is ``image`` (a list of element indices)."""
+        i = self._pos.get(bytes(image))
+        if i is None:
+            raise InternalInvariant(f"operation left the set: {ExoMap(image)!r}")
+        return self.maps[i]
 
     def complement(self, p):
-        E = self.E
-        img = [E.sub(e, p(e)) for e in range(E.n)]
-        return self._member(img)
+        out = self._complements.get(p._key)
+        if out is None:
+            sub = self.E.sub
+            out = self._member([sub(e, v) for e, v in enumerate(p._img)])
+            self._complements[p._key] = out
+        return out
 
     def meet(self, p, q):
-        a = [p(q(e)) for e in range(self.E.n)]
-        b = [q(p(e)) for e in range(self.E.n)]
-        if a != b:
-            raise InternalInvariant("composition of exocenter maps is not commutative")
-        return self._member(a)
+        key = (p._key, q._key)
+        out = self._meets.get(key)
+        if out is None:
+            pi, qi = p._img, q._img
+            a = [pi[x] for x in qi]
+            if a != [qi[x] for x in pi]:
+                raise InternalInvariant("composition of exocenter maps is not commutative")
+            out = self._member(a)
+            self._meets[key] = out
+            self._meets[(q._key, p._key)] = out
+        return out
 
     def join(self, p, q):
         return self.complement(self.meet(self.complement(p), self.complement(q)))
 
     def leq(self, p, q):
-        return all(p(q(e)) == p(e) for e in range(self.E.n))
+        pi = p._img
+        return all(pi[x] == y for x, y in zip(q._img, pi))
 
     def disjoint(self, p, q):
         return self.meet(p, q).is_zero

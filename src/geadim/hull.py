@@ -205,7 +205,7 @@ def is_divisible(E, H):
             for t in range(E.n):
                 if E.sum_of(s, t) is None:
                     continue
-                if not sim_eta_elements(H, p, E.sum_of(s, t)):
+                if not sim_eta(H, p, E.sum_of(s, t)):
                     continue
                 direct = any(
                     E.sum_of(e, f) == p
@@ -225,10 +225,6 @@ def is_divisible(E, H):
                     divisible = False
                     witness = (p, s, t)
     return DivisibilityReport(divisible, witness, True)
-
-
-def sim_eta_elements(H, e, f):
-    return H.eta(e) == H.eta(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1143,19 +1143,21 @@ class SuiteReport:
 def _evaluate_entry(args):
     entry, names, invert = args
     mctx = ModelCtx(entry)
+    # one context per congruence, shared by every property so that its
+    # splitting algebra, hull and decomposition are derived once
+    rctxs = [RelCtx(mctx, rec) for rec in entry.relations if rec.sk]
+    scoped = {
+        "model": [mctx],
+        "relation": rctxs,
+        "der": [ctx for ctx in rctxs if ctx.rec.der],
+    }
     out = {}
     review = []
     for name in names:
         p = REGISTRY[name]
         instances = 0
         violations = []
-        if p.scope == "model":
-            ctxs = [mctx]
-        elif p.scope == "relation":
-            ctxs = [RelCtx(mctx, rec) for rec in entry.relations if rec.sk]
-        else:
-            ctxs = [RelCtx(mctx, rec) for rec in entry.relations if rec.der]
-        for ctx in ctxs:
+        for ctx in scoped[p.scope]:
             instances += 1
             try:
                 details = p.fn(ctx)

@@ -3,6 +3,7 @@ tolerance (exact unless noted).  A summary line per criterion is printed
 in the terminal summary section.
 """
 
+import hashlib
 import io
 import json
 import time
@@ -159,8 +160,14 @@ def test_criterion_5_type_distribution():
     _record(5, ok, f"type distribution {dist}, review entries: {len(rep.review)}")
 
 
+# sha256 of ``verify --max-size 5 --json``, recorded before the suite
+# shared one context per relation and memoized the exocenter operations
+VERIFY_5_SHA256 = "412bd63ebf8932e4432d44e0fdda43affcb8797f31fcf041a6b8d96e089c5a42"
+
+
 def test_criterion_6_determinism():
-    """Byte-identical machine reports: run-to-run and serial-vs-parallel."""
+    """Byte-identical machine reports: run-to-run, serial-vs-parallel, and
+    against the recorded digest."""
 
     def capture(argv):
         buf = io.StringIO()
@@ -169,10 +176,38 @@ def test_criterion_6_determinism():
 
     c1, t1 = capture(["verify", "--max-size", "5", "--json"])
     c2, t2 = capture(["verify", "--max-size", "5", "--json"])
-    c3_, t3 = capture(["verify", "--max-size", "5", "--jobs", "4", "--json"])
-    ok = c1 == c2 == c3_ == 0 and t1 == t2 == t3
+    c3_, t3 = capture(["verify", "--max-size", "5", "--jobs", "2", "--json"])
+    c4, t4 = capture(["verify", "--max-size", "5", "--jobs", "4", "--json"])
+    digest = hashlib.sha256(t1.encode("utf-8")).hexdigest()
+    ok = (
+        c1 == c2 == c3_ == c4 == 0
+        and t1 == t2 == t3 == t4
+        and digest == VERIFY_5_SHA256
+    )
     json.loads(t1)  # well-formed
-    _record(6, ok, f"report bytes: {len(t1)}, identical across runs and workers")
+    _record(
+        6, ok,
+        f"report bytes: {len(t1)}, sha256 {digest[:12]}, "
+        "identical across runs and workers",
+    )
+
+
+def test_one_decomposition_per_dimension_relation(monkeypatch):
+    """The suite derives each dimension relation's type decomposition once,
+    however many properties read it."""
+    entries = catalog.cached_entries(5)  # built here, outside the count
+    calls = []
+    real = dm.decompose_types
+
+    def counted(E, R):
+        calls.append(R.classes)
+        return real(E, R)
+
+    monkeypatch.setattr(dm, "decompose_types", counted)
+    rep = theorems.run_theorem_suite(5)
+    assert rep.status == "ok"
+    der = [r.classes for e in entries for r in e.relations if r.der]
+    assert der and calls == der
 
 
 def test_criterion_7_negative_controls():

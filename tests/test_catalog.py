@@ -5,7 +5,7 @@ import json
 import pytest
 
 from geadim import catalog, core
-from geadim.errors import LimitExceeded, UnknownPredicate
+from geadim.errors import CorruptCatalog, LimitExceeded, UnknownPredicate
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (3, 2)])
@@ -145,6 +145,37 @@ def test_persistence_resume(tmp_path):
     path.write_text("".join(lines[:3]), encoding="utf-8")
     catalog.write_catalog(str(path), 4, resume=True)
     assert path.read_bytes() == full
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda data: data[:-40], id="cut"),
+    pytest.param(lambda data: b"\n" + data.split(b"\n", 1)[1], id="blank-header"),
+    pytest.param(lambda data: b"just some notes\nnot a catalog\n", id="foreign"),
+    pytest.param(lambda data: data[:-1] + b"\xff\n", id="not-utf8"),
+])
+def test_read_catalog_rejects_damaged_file(damage, tmp_path):
+    path = tmp_path / "models.cat"
+    catalog.write_catalog(str(path), 4)
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(CorruptCatalog):
+        catalog.read_catalog(str(path))
+
+
+def test_failed_fresh_write_leaves_no_file(tmp_path, monkeypatch):
+    real = catalog.enumerate_geas
+
+    def two_then_fail(*args, **kwargs):
+        for i, entry in enumerate(real(*args, **kwargs)):
+            if i == 2:
+                raise RuntimeError("enumeration failed")
+            yield entry
+
+    monkeypatch.setattr(catalog, "enumerate_geas", two_then_fail)
+    path = tmp_path / "models.cat"
+    with pytest.raises(RuntimeError):
+        catalog.write_catalog(str(path), 4)
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_entry_records_are_json_stable():

@@ -7,9 +7,11 @@ oracle for the ideal-pair construction throughout.
 
 import pytest
 
-from geadim import core
-from geadim.errors import NotInExocenter
+from geadim import catalog, congruence as cg, core
+from geadim.errors import InternalInvariant, NotInExocenter
 from geadim.exocenter import (
+    ExoMap,
+    ExoSet,
     brute_force_exomaps,
     center,
     cogea_check,
@@ -90,3 +92,56 @@ def test_pointwise_lattice_ops():
             for e in range(B4.n):
                 assert m(e) == B4.meet(p(e), q(e))
                 assert j(e) == B4.join(p(e), q(e))
+
+
+def _oracle_ops(E, p, q):
+    """Complement, meet and join composed from the image vectors and the
+    difference table, independently of ExoSet."""
+    diff = E.diff.tolist()
+
+    def comp(x):
+        return [diff[e][x[e]] for e in range(E.n)]
+
+    def meet(x, y):
+        return [x[y[e]] for e in range(E.n)]
+
+    a, b = p.image.tolist(), q.image.tolist()
+    return comp(a), meet(a, b), comp(meet(comp(a), comp(b)))
+
+
+def test_memoized_operations_match_composition():
+    """Every meet, complement and join on the exocenter and on every
+    splitting algebra of the models up to size 5, each asked twice so that
+    the second answer comes from the set's memo."""
+    checked = 0
+    for entry in catalog.cached_entries(5):
+        E = entry.table
+        gex = exocenter(E)
+        sets = [gex] + [
+            cg.sigma_sim(E, rec.rel, gex) for rec in entry.relations if rec.sk
+        ]
+        for S in sets:
+            for p in S:
+                for q in S:
+                    want = _oracle_ops(E, p, q)
+                    for _ in range(2):
+                        got = (S.complement(p), S.meet(p, q), S.join(p, q))
+                        assert [m.image.tolist() for m in got] == list(want)
+                        checked += 1
+    assert checked
+
+
+def test_failed_operations_raise_every_time():
+    C3 = core.c3()
+    p, q = ExoMap([0, 1, 1]), ExoMap([0, 0, 2])  # decreasing, not commuting
+    S = ExoSet(C3, [p, q])
+    for _ in range(2):
+        with pytest.raises(InternalInvariant, match="not commutative"):
+            S.meet(p, q)
+    B4 = core.b4()
+    pa = next(m for m in exocenter(B4) if m.summand == (0, 1))
+    pb = next(m for m in exocenter(B4) if m.summand == (0, 2))
+    atoms_only = ExoSet(B4, [pa, pb])  # their meet, the zero map, is missing
+    for _ in range(2):
+        with pytest.raises(InternalInvariant, match="left the set"):
+            atoms_only.meet(pa, pb)
