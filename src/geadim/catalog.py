@@ -6,7 +6,6 @@ each isomorphism class appears once, the stream is independent of how the
 work is partitioned, and re-runs are bit-identical.
 """
 
-import contextlib
 import itertools
 import json
 import os
@@ -235,29 +234,31 @@ def _dump(obj):
 def write_catalog(path, max_n, jobs=1, resume=False):
     """Write (or resume) the catalog file; returns the number of entries.
 
-    A fresh catalog is written to a temporary file beside ``path`` and
-    moved onto it only when complete, so a failed run leaves no partial
-    file behind.  A resumed catalog is appended to in place.
+    Records go to ``<path>.part``, one flushed line each, and the file is
+    moved onto ``path`` only when complete, so ``path`` never holds a
+    partial catalog written here.  A run that fails or is killed leaves
+    ``<path>.part`` behind; ``resume`` continues it, or, when there is
+    none, a partial ``path`` in place, after checking that it is a prefix
+    of the enumeration.
     """
     header = {
         "format_version": FORMAT_VERSION,
         "max_n": max_n,
         "generator_version": GENERATOR_VERSION,
     }
-    existing = _resumable_keys(path, header) if resume else []
-    if existing:
-        with open(path, "a", encoding="utf-8") as fh:
-            return _write_entries(fh, max_n, jobs, existing)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+    part = f"{path}.part"
+    existing = []
+    if resume:
+        source = part if os.path.exists(part) else path
+        existing = _resumable_keys(source, header)
+        if existing and source == path:
+            with open(path, "a", encoding="utf-8", buffering=1) as fh:
+                return _write_entries(fh, max_n, jobs, existing)
+    with open(part, "a" if existing else "w", encoding="utf-8", buffering=1) as fh:
+        if not existing:
             fh.write(_dump(header) + "\n")
-            count = _write_entries(fh, max_n, jobs, [])
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        count = _write_entries(fh, max_n, jobs, existing)
+    os.replace(part, path)
     return count
 
 

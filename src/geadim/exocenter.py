@@ -99,6 +99,7 @@ class ExoSet:
 
     def _member(self, image):
         """The member whose image is ``image`` (a list of element indices)."""
+        # element indices are 0..127, so bytes() of the list is the int8 _key
         i = self._pos.get(bytes(image))
         if i is None:
             raise InternalInvariant(f"operation left the set: {ExoMap(image)!r}")

@@ -1143,21 +1143,32 @@ class SuiteReport:
 def _evaluate_entry(args):
     entry, names, invert = args
     mctx = ModelCtx(entry)
-    # one context per congruence, shared by every property so that its
-    # splitting algebra, hull and decomposition are derived once
-    rctxs = [RelCtx(mctx, rec) for rec in entry.relations if rec.sk]
-    scoped = {
-        "model": [mctx],
-        "relation": rctxs,
-        "der": [ctx for ctx in rctxs if ctx.rec.der],
-    }
+    # one context per congruence, built when a property first needs it and
+    # shared by every later one, so that its splitting algebra, hull and
+    # decomposition are derived once
+    rctxs = {}
+
+    def rel_ctx(i):
+        if i not in rctxs:
+            rctxs[i] = RelCtx(mctx, entry.relations[i])
+        return rctxs[i]
+
     out = {}
     review = []
     for name in names:
         p = REGISTRY[name]
         instances = 0
         violations = []
-        for ctx in scoped[p.scope]:
+        if p.scope == "model":
+            ctxs = [mctx]
+        else:
+            flag = "sk" if p.scope == "relation" else "der"
+            ctxs = [
+                rel_ctx(i)
+                for i, rec in enumerate(entry.relations)
+                if getattr(rec, flag)
+            ]
+        for ctx in ctxs:
             instances += 1
             try:
                 details = p.fn(ctx)

@@ -210,6 +210,24 @@ def test_one_decomposition_per_dimension_relation(monkeypatch):
     assert der and calls == der
 
 
+def test_model_properties_build_no_relation_context(monkeypatch):
+    """A selection of model-scope properties checks no congruence."""
+    catalog.cached_entries(4)
+    built = []
+    real = theorems.RelCtx.__init__
+
+    def counted(self, model, rec):
+        built.append(rec)
+        real(self, model, rec)
+
+    monkeypatch.setattr(theorems.RelCtx, "__init__", counted)
+    model = [n for n, p in theorems.REGISTRY.items() if p.scope == "model"]
+    assert theorems.run_theorem_suite(4, theorems=model).status == "ok"
+    assert built == []
+    theorems.run_theorem_suite(4)
+    assert built and len(built) == len({id(rec) for rec in built})
+
+
 def test_criterion_7_negative_controls():
     """Inverting any single registered property produces at least one
     violation at n <= 4."""

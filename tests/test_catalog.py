@@ -161,21 +161,92 @@ def test_read_catalog_rejects_damaged_file(damage, tmp_path):
         catalog.read_catalog(str(path))
 
 
-def test_failed_fresh_write_leaves_no_file(tmp_path, monkeypatch):
-    real = catalog.enumerate_geas
-
-    def two_then_fail(*args, **kwargs):
+def _stop_after_two(real, stop):
+    def two_then_stop(*args, **kwargs):
         for i, entry in enumerate(real(*args, **kwargs)):
             if i == 2:
-                raise RuntimeError("enumeration failed")
+                stop()
             yield entry
 
-    monkeypatch.setattr(catalog, "enumerate_geas", two_then_fail)
+    return two_then_stop
+
+
+def _fail():
+    raise RuntimeError("enumeration failed")
+
+
+def test_failed_fresh_write_resumes(tmp_path, monkeypatch):
+    full = tmp_path / "full.cat"
+    catalog.write_catalog(str(full), 4)
     path = tmp_path / "models.cat"
-    with pytest.raises(RuntimeError):
-        catalog.write_catalog(str(path), 4)
+    part = tmp_path / "models.cat.part"
+    with monkeypatch.context() as m:
+        m.setattr(
+            catalog, "enumerate_geas",
+            _stop_after_two(catalog.enumerate_geas, _fail),
+        )
+        with pytest.raises(RuntimeError):
+            catalog.write_catalog(str(path), 4)
     assert not path.exists()
-    assert list(tmp_path.iterdir()) == []
+    assert part.read_bytes().count(b"\n") == 3  # header and two records
+    catalog.write_catalog(str(path), 4, resume=True)
+    assert path.read_bytes() == full.read_bytes()
+    assert not part.exists()
+
+
+_KILL_AFTER_TWO = """
+import os, signal, sys
+from geadim import catalog
+real = catalog.enumerate_geas
+def two_then_kill(*args, **kwargs):
+    for i, entry in enumerate(real(*args, **kwargs)):
+        if i == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield entry
+catalog.enumerate_geas = two_then_kill
+catalog.write_catalog(sys.argv[1], 4)
+"""
+
+
+def test_killed_fresh_write_resumes(tmp_path):
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    full = tmp_path / "full.cat"
+    catalog.write_catalog(str(full), 4)
+    path = tmp_path / "models.cat"
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILL_AFTER_TWO, str(path)], env=env
+    )
+    assert proc.returncode == -signal.SIGKILL
+    assert not path.exists()
+    part = tmp_path / "models.cat.part"
+    assert part.read_bytes().count(b"\n") == 3  # every line reached the file
+    catalog.write_catalog(str(path), 4, resume=True)
+    assert path.read_bytes() == full.read_bytes()
+    assert not part.exists()
+
+
+def test_resume_prefers_the_partial_file(tmp_path, monkeypatch):
+    path = tmp_path / "models.cat"
+    catalog.write_catalog(str(path), 3)
+    older = path.read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(
+            catalog, "enumerate_geas",
+            _stop_after_two(catalog.enumerate_geas, _fail),
+        )
+        with pytest.raises(RuntimeError):
+            catalog.write_catalog(str(path), 4)
+    assert path.read_bytes() == older  # the complete file stays in place
+    catalog.write_catalog(str(path), 4, resume=True)
+    full = tmp_path / "full.cat"
+    catalog.write_catalog(str(full), 4)
+    assert path.read_bytes() == full.read_bytes()
 
 
 def test_entry_records_are_json_stable():
