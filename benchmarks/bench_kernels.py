@@ -53,8 +53,9 @@ def main():
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
     cls = np.array([0, 1, 1, 2, 2, 3], dtype=np.int8)
-    bench("sk_witnesses n=6", K.sk_witnesses, (c6.sum, c6.diff, c6.leq, cls),
-          repeat=20)
+    bench("sk_plan n=6", K.sk_plan, (c6.sum, c6.diff, c6.leq), repeat=20)
+    plan = K.sk_plan(c6.sum, c6.diff, c6.leq)
+    bench("sk_witnesses n=6", K.sk_witnesses, (plan, cls), repeat=200)
     B4 = core.b4()
     perms = core._candidate_perms(B4)
     flat = np.ascontiguousarray(B4.sum.reshape(16))

@@ -1,10 +1,11 @@
 """Hot inner loops shared by the core, catalog, and congruence layers.
 
 Every kernel is a module-level function taking and returning numpy
-arrays.  The three heaviest ones (``enumerate_tables``, ``brute_exomaps``
-and ``sk_witnesses``) convert their inputs once with ``.tolist()`` and
-loop over plain Python lists, which index several times faster than
-numpy scalars.
+arrays, except that ``sk_witnesses`` reads the per-model ``SkPlan`` that
+``sk_plan`` builds.  The heaviest ones (``enumerate_tables``,
+``brute_exomaps`` and ``sk_plan``) convert their inputs once with
+``.tolist()`` and loop over plain Python lists, which index several
+times faster than numpy scalars.
 
 Table encoding: an n-element model is an ``int8`` n-by-n array where entry
 ``[i, j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
@@ -13,6 +14,7 @@ During enumeration a third sentinel ``-2`` marks "not yet assigned".
 
 import itertools
 from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "min_relabel",
     "is_min_relabel",
     "brute_exomaps",
+    "sk_plan",
     "sk_witnesses",
 ]
 
@@ -311,110 +314,185 @@ def _exc1_exc4(sums, m, rng):
     return True
 
 
-def sk_witnesses(table, diff, leq, cls):
-    """First failing witness for each congruence axiom.
+class SkPlan(NamedTuple):
+    """The partition-independent part of the congruence check of a model.
 
-    ``cls`` maps element index to class id.  Returns a (6, 5) int64 array;
-    row k is [violated, w0, w1, w2, w3] for SK1, SK2, SK3d, SK3e, SK4a,
-    SK4b in that order.  Loops run in lexicographic element order so
-    witnesses are the least failing tuples.  SK2 is checked in its pair
-    (finite additivity) form, which extends to all finite families by
-    induction.  ``table`` must satisfy cancellation, so each row holds a
-    value at most once.
+    Built once per model by ``sk_plan`` and read by every
+    ``sk_witnesses`` call on that model.
+    """
+
+    n: int
+    sums: list  # sum table rows
+    pairs: tuple  # (s, t, s + t) for every defined sum, in lex order
+    splits: tuple  # splits[p]: the pairs (e, p - e) for e <= p, in e order
+    grids: tuple  # (e, f, grid, cands) for the SK3e entries that can fail
+    below: tuple  # below[e]: the nonzero elements below e
+    orth: tuple  # orth[f]: the nonzero elements orthogonal to f
+    nonorth: tuple  # (e, f) with e + f undefined, in lex order
+    notleq: tuple  # (e, f) with e not below f, in lex order
+
+
+def sk_plan(table, diff, leq):
+    """Everything ``sk_witnesses`` needs that does not depend on the classes.
+
+    An SK3e entry is a defined e + f with its refinement grid: the element
+    pairs (e1 + f1, e2 + f2) over e = e1 + e2 and f = f1 + f2, at most one
+    per summand of e + f.  Its candidates are the decompositions s + t of
+    e + f that are not themselves in the grid, in s order; a grid pair's
+    classes are in the grid's class pairs under every partition.  Two
+    kinds of entry are dropped, neither of which can be the first to fail:
+    one without candidates never fails, and one whose (e + f, grid)
+    repeats an earlier entry fails exactly when that entry does.
+    ``diff`` and ``leq`` must be derived from ``table``, which satisfies
+    cancellation, so the decompositions s + t of g are the splittings
+    (s, g - s) for s <= g.
     """
     sums = table.tolist()
     diffs = diff.tolist()
     order = leq.tolist()
-    cls = cls.tolist()
     n = len(sums)
     rng = range(n)
     below = [[x for x in rng if order[x][e]] for e in rng]
-    members = {}
-    for e in rng:
-        members.setdefault(cls[e], []).append(e)
-    # classes met by the nonzero elements below e
-    below_cls = [{cls[x] for x in below[e] if x} for e in rng]
-
-    def sk1():
-        for e in range(1, n):
-            if cls[e] == cls[0]:
-                yield (e,)
-
-    def sk2():
-        # pair form
-        for e1 in rng:
-            for e2 in rng:
-                se = sums[e1][e2]
-                if se < 0:
+    pairs = tuple((s, t, sums[s][t]) for s in rng for t in rng
+                  if sums[s][t] >= 0)
+    splits = tuple(tuple((e, diffs[p][e]) for e in below[p]) for p in rng)
+    grids = []
+    seen = set()
+    for e, f, ef in pairs:
+        grid = set()
+        for e1 in below[e]:
+            e2 = diffs[e][e1]
+            for f1 in below[f]:
+                a = sums[e1][f1]
+                if a < 0:
                     continue
-                for f1 in members[cls[e1]]:
-                    row = sums[f1]
-                    for f2 in members[cls[e2]]:
-                        sf = row[f2]
-                        if sf >= 0 and cls[sf] != cls[se]:
-                            yield (e1, e2, f1, f2)
+                b = sums[e2][diffs[f][f1]]
+                if b >= 0:
+                    grid.add((a, b))
+        cands = tuple(st for st in splits[ef] if st not in grid)
+        key = (ef, frozenset(grid))
+        if cands and key not in seen:
+            seen.add(key)
+            grids.append((e, f, tuple(sorted(grid)), cands))
+    return SkPlan(
+        n=n,
+        sums=sums,
+        pairs=pairs,
+        splits=splits,
+        grids=tuple(grids),
+        below=tuple(tuple(x for x in below[e] if x) for e in rng),
+        orth=tuple(tuple(d for d in range(1, n) if sums[d][f] >= 0)
+                   for f in rng),
+        nonorth=tuple((e, f) for e in rng for f in rng if sums[e][f] < 0),
+        notleq=tuple((e, f) for e in rng for f in rng if not order[e][f]),
+    )
 
-    def sk3d():
-        # p ~ s+t splits as p = e+f with e ~ s, f ~ t
-        for p in rng:
-            # class pairs (e, p - e) over the splittings of p
-            splits = {(cls[e], cls[diffs[p][e]])
-                      for e in below[p] if diffs[p][e] >= 0}
-            for s in rng:
-                row = sums[s]
-                for t in rng:
-                    st = row[t]
-                    if st < 0 or cls[p] != cls[st]:
-                        continue
-                    if (cls[s], cls[t]) not in splits:
-                        yield (p, s, t)
 
-    def sk3e():
-        # e+f = s+t refines into a 2x2 grid
-        for e in rng:
-            for f in rng:
-                ef = sums[e][f]
-                if ef < 0:
-                    continue
-                # class pairs (e1 + f1, e2 + f2) over the refinements
-                grids = set()
-                for e1 in below[e]:
-                    e2 = diffs[e][e1]
-                    for f1 in below[f]:
-                        a = sums[e1][f1]
-                        if a < 0:
-                            continue
-                        b = sums[e2][diffs[f][f1]]
-                        if b >= 0:
-                            grids.add((cls[a], cls[b]))
-                for s in rng:
-                    row = sums[s]
-                    if ef in row:
-                        t = row.index(ef)
-                        if (cls[s], cls[t]) not in grids:
-                            yield (e, f, s, t)
+def sk_witnesses(plan, cls):
+    """First failing witness for each congruence axiom.
 
-    def sk4a():
-        # non-orthogonal elements are related
-        for e in rng:
-            for f in rng:
-                if sums[e][f] < 0 and below_cls[e].isdisjoint(below_cls[f]):
-                    yield (e, f)
+    ``plan`` is the model's ``sk_plan`` and ``cls`` maps element index to
+    class id.  Returns a (6, 5) int64 array; row k is
+    [violated, w0, w1, w2, w3] for SK1, SK2, SK3d, SK3e, SK4a, SK4b in
+    that order.  Each witness is the lexicographically least failing
+    tuple.  SK2 is checked in its pair (finite additivity) form, which
+    extends to all finite families by induction.  Class pairs are
+    encoded as ``c1 * n + c2``.
+    """
+    cls = cls.tolist()
+    below_cls = [{cls[x] for x in b} for b in plan.below]
+    found = (
+        _sk1(plan, cls),
+        _sk2(plan, cls),
+        _sk3d(plan, cls),
+        _sk3e(plan, cls),
+        _sk4a(plan, below_cls),
+        _sk4b(plan, cls, below_cls),
+    )
+    rows = [(0, -1, -1, -1, -1) if w is None
+            else (1, *w) + (-1,) * (4 - len(w)) for w in found]
+    return np.array(rows, dtype=np.int64)
 
-    def sk4b():
-        # e not below f gives nonzero e1 <= e equivalent to some d1 _|_ f
-        orth_cls = [{cls[d] for d in range(1, n) if sums[d][f] >= 0}
-                    for f in rng]
-        for e in rng:
-            for f in rng:
-                if not order[e][f] and below_cls[e].isdisjoint(orth_cls[f]):
-                    yield (e, f)
 
-    out = np.full((6, 5), -1, dtype=np.int64)
-    out[:, 0] = 0
-    for k, axiom in enumerate((sk1, sk2, sk3d, sk3e, sk4a, sk4b)):
-        witness = next(axiom(), None)
-        if witness is not None:
-            out[k, 0] = 1
-            out[k, 1:1 + len(witness)] = witness
-    return out
+def _sk1(plan, cls):
+    # zero is alone in its class
+    for e in range(1, plan.n):
+        if cls[e] == cls[0]:
+            return (e,)
+    return None
+
+
+def _sk2(plan, cls):
+    # pair form: equivalent orthogonal pairs have equivalent sums.  A class
+    # pair whose defined sums fall in two classes is bad; the least (e1, e2)
+    # with a bad class pair pairs with some (f1, f2) into a witness.
+    n = plan.n
+    sum_cls = {}
+    bad = set()
+    for s, t, st in plan.pairs:
+        key = cls[s] * n + cls[t]
+        if sum_cls.setdefault(key, cls[st]) != cls[st]:
+            bad.add(key)
+    if not bad:
+        return None
+    for e1, e2, se in plan.pairs:
+        c1, c2 = cls[e1], cls[e2]
+        if c1 * n + c2 not in bad:
+            continue
+        for f1 in range(n):
+            if cls[f1] != c1:
+                continue
+            row = plan.sums[f1]
+            for f2 in range(n):
+                sf = row[f2]
+                if cls[f2] == c2 and sf >= 0 and cls[sf] != cls[se]:
+                    return (e1, e2, f1, f2)
+    return None
+
+
+def _sk3d(plan, cls):
+    # p ~ s+t splits as p = e+f with e ~ s, f ~ t
+    n = plan.n
+    made = {}  # class -> class pairs of the defined sums in it
+    for s, t, st in plan.pairs:
+        made.setdefault(cls[st], set()).add(cls[s] * n + cls[t])
+    for p, split in enumerate(plan.splits):
+        c = cls[p]
+        need = made.get(c)
+        if need is None:
+            continue
+        have = {cls[e] * n + cls[d] for e, d in split}
+        if need <= have:
+            continue
+        for s, t, st in plan.pairs:
+            if cls[st] == c and cls[s] * n + cls[t] not in have:
+                return (p, s, t)
+    return None
+
+
+def _sk3e(plan, cls):
+    # e+f = s+t refines into a 2x2 grid
+    n = plan.n
+    for e, f, grid, cands in plan.grids:
+        have = {cls[a] * n + cls[b] for a, b in grid}
+        for s, t in cands:
+            if cls[s] * n + cls[t] not in have:
+                return (e, f, s, t)
+    return None
+
+
+def _sk4a(plan, below_cls):
+    # non-orthogonal elements are related
+    for e, f in plan.nonorth:
+        if below_cls[e].isdisjoint(below_cls[f]):
+            return (e, f)
+    return None
+
+
+def _sk4b(plan, cls, below_cls):
+    # e not below f gives nonzero e1 <= e equivalent to some d1 _|_ f
+    orth_cls = [{cls[d] for d in o} for o in plan.orth]
+    for e, f in plan.notleq:
+        if below_cls[e].isdisjoint(orth_cls[f]):
+            return (e, f)
+    return None

@@ -34,6 +34,9 @@ class RelationRecord:
     sk: bool
     der: object  # bool once computed, None when sk fails
     decomposition: object  # summary dict or None
+    # the dm.Decomposition the summary was made from, for the suite;
+    # never persisted
+    type_decomposition: object = field(default=None, repr=False, compare=False)
 
     def summary(self, names):
         rec = {
@@ -192,25 +195,25 @@ def enumerate_relations(E):
         R = cg.EquivRel(E, class_of)
         report = cg.check_sk(E, R)
         der = None
-        summary = None
+        dec = None
         if report.sk:
             sigma = cg.sigma_sim(E, R, exocenter(E))
             report = cg.check_der(E, R, sigma)
             der = report.der
             if der:
-                summary = _decomposition_summary(E, R)
+                dec = dm.decompose_types(E, R)
         yield RelationRecord(
             classes=R.classes,
             rel=R,
             report=report,
             sk=report.sk,
             der=der,
-            decomposition=summary,
+            decomposition=None if dec is None else _decomposition_summary(E, dec),
+            type_decomposition=dec,
         )
 
 
-def _decomposition_summary(E, R):
-    dec = dm.decompose_types(E, R)
+def _decomposition_summary(E, dec):
     out = {
         "type": dec.type_verdict,
         "finite_type": dec.finite_type,

@@ -140,8 +140,16 @@ def _emit(out, payload, as_json):
 
 
 def _load(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gea_file(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, exc.start - line_start + 1,
+                         "not valid UTF-8") from None
+    return parse_gea_file(text)
 
 
 def _relation_or_fail(doc, rels, name):

@@ -176,7 +176,7 @@ def check_sk(E, R):
     """
     if "sk_report" in R._cache:
         return R._cache["sk_report"]
-    rows = _kernels.sk_witnesses(E.sum, E.diff, E.leq, R.class_of)
+    rows = _kernels.sk_witnesses(E._sk_plan, R.class_of)
     verdicts = []
     widths = (1, 4, 3, 4, 2, 2)
     for k in range(6):

@@ -73,6 +73,10 @@ class GeaTable:
         return self.diff.tolist()
 
     @cached_property
+    def _sk_plan(self):
+        return _kernels.sk_plan(self.sum, self.diff, self.leq)
+
+    @cached_property
     def _below(self):
         return tuple(
             tuple(e for e in range(self.n) if self.leq[e, p]) for p in range(self.n)

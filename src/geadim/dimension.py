@@ -71,7 +71,6 @@ class Dgea:
 class InvariantReport:
     gamma_sim: tuple
     gamma_eta: tuple
-    agreement: bool
     cross_checks: tuple
 
 
@@ -123,7 +122,7 @@ def invariant_sets(E, R, sigma, H):
         "equivalents-stay-below",
         "hereditary-orthogonal-set",
     )
-    return InvariantReport(tuple(gamma_sim), tuple(gamma_eta), True, checks)
+    return InvariantReport(tuple(gamma_sim), tuple(gamma_eta), checks)
 
 
 def _center_pairs(E):
@@ -325,7 +324,6 @@ def _verify_restriction(E, R, pi, sigma, sub, subrel, members, pos):
 @dataclass(frozen=True)
 class HereditarySupReport:
     c: int
-    is_sup: bool
     sharp: bool
     interval_hereditary: bool
     central_if_directed: object  # bool, or None when neither hypothesis holds
@@ -370,7 +368,6 @@ def hereditary_sup(E, R, S):
         central = c in invariant_sets(E, R, sigma, H).gamma_sim
     return HereditarySupReport(
         c=c,
-        is_sup=True,
         sharp=core.is_sharp(E, c),
         interval_hereditary=cg.is_hereditary(E, R, E.below(c)),
         central_if_directed=central,

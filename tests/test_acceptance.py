@@ -193,8 +193,8 @@ def test_criterion_6_determinism():
 
 
 def test_one_decomposition_per_dimension_relation(monkeypatch):
-    """The suite derives each dimension relation's type decomposition once,
-    however many properties read it."""
+    """The suite reads each dimension relation's type decomposition from
+    the catalog and derives none of its own."""
     entries = catalog.cached_entries(5)  # built here, outside the count
     calls = []
     real = dm.decompose_types
@@ -206,8 +206,8 @@ def test_one_decomposition_per_dimension_relation(monkeypatch):
     monkeypatch.setattr(dm, "decompose_types", counted)
     rep = theorems.run_theorem_suite(5)
     assert rep.status == "ok"
-    der = [r.classes for e in entries for r in e.relations if r.der]
-    assert der and calls == der
+    assert any(r.der for e in entries for r in e.relations)
+    assert calls == []
 
 
 def test_model_properties_build_no_relation_context(monkeypatch):

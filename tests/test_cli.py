@@ -87,6 +87,21 @@ def test_check_invalid_model(tmp_path):
     assert code == 1 and "GEA4" in text
 
 
+@pytest.mark.parametrize("command", [
+    ["check"],
+    ["exocenter"],
+    ["hull", "--relation", "eq"],
+    ["sk", "--relation", "eq"],
+    ["decompose", "--relation", "eq"],
+])
+def test_non_utf8_file_is_a_parse_error(command, tmp_path):
+    p = tmp_path / "bad.gea"
+    p.write_bytes(b"elements: 0 a\nzero: 0\n\xff\xfe\n")
+    code, text = run(command + [str(p)])
+    assert code == 2
+    assert text == "error: line 3, col 1: not valid UTF-8\n"
+
+
 def test_sk_command(docs):
     code, text = run(["sk", docs["t3"], "--relation", "eq"])
     assert code == 1

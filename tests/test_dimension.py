@@ -130,7 +130,7 @@ def test_hereditary_sup():
     B4 = core.b4()
     _, eq = _dgea(B4)
     rep = dm.hereditary_sup(B4, eq, {0, 1})
-    assert rep.c == 1 and rep.is_sup and rep.sharp and rep.interval_hereditary
+    assert rep.c == 1 and rep.sharp and rep.interval_hereditary
     assert rep.central_if_directed
     assert dm.hereditary_sup(B4, eq, {0}).c == 0
     C3 = core.c3()

@@ -102,7 +102,6 @@ def test_divisibility():
     rep = hull.is_divisible(E, hull.indiscrete_hull(E, S))
     assert not rep.divisible
     assert rep.witness == (1, 1, 2)  # the atom cannot split the top's class
-    assert rep.dyad_criterion_agrees
     T3 = core.t3()
     ST = exocenter(T3)
     assert hull.is_divisible(T3, hull.indiscrete_hull(T3, ST)).divisible

@@ -1,12 +1,15 @@
 """The list-based kernels against fixed digests and definitional oracles."""
 
+import functools
 import hashlib
 import itertools
+import random
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from geadim import _kernels as K
-from geadim import catalog, core
+from geadim import catalog, congruence as cg, core
 
 EMPTY = np.empty(0, dtype=np.int8)
 
@@ -29,13 +32,16 @@ def _all_small_tables():
     return tables
 
 
+@functools.lru_cache(maxsize=None)
 def _catalog_models(max_n):
     """One GeaTable per isomorphism class, in catalog order."""
+    out = []
     for n in range(1, max_n + 1):
         for flat in catalog._canonical_tables(n):
             table = np.frombuffer(flat, dtype=np.int8).reshape(n, n)
-            yield core.GeaTable([str(i) for i in range(n)], table,
-                                _validated=True)
+            out.append(core.GeaTable([str(i) for i in range(n)], table,
+                                     _validated=True))
+    return tuple(out)
 
 
 def test_enumeration_stream_digest():
@@ -106,10 +112,116 @@ def test_sk_witnesses_digest():
     for E in _catalog_models(5):
         for class_of in catalog.partitions_with_zero_singleton(E.n):
             cls = np.array(class_of, dtype=np.int8)
-            rows = K.sk_witnesses(E.sum, E.diff, E.leq, cls)
+            rows = K.sk_witnesses(K.sk_plan(E.sum, E.diff, E.leq), cls)
             assert rows.dtype == np.int64 and rows.shape == (6, 5)
             h.update(rows.tobytes())
     assert h.hexdigest() == SK_WITNESSES_SHA256
+
+
+def _literal_sk_axioms(E, cls):
+    """(arity, holds) for SK1, SK2, SK3d, SK3e, SK4a, SK4b in that order:
+    holds(*w) says whether the axiom holds at the tuple w, by plain loops
+    over the elements and the class list ``cls``."""
+    rng = range(E.n)
+    add = E.sum_of
+
+    def sim(x, y):
+        return x is not None and y is not None and cls[x] == cls[y]
+
+    def sk1(e):  # e ~ 0 implies e = 0
+        return e == 0 or not sim(e, 0)
+
+    def sk2(e1, e2, f1, f2):  # e1 ~ f1 and e2 ~ f2 give e1+e2 ~ f1+f2
+        se, sf = add(e1, e2), add(f1, f2)
+        return (se is None or sf is None or not sim(e1, f1)
+                or not sim(e2, f2) or sim(se, sf))
+
+    def sk3d(p, s, t):  # p ~ s+t gives p = e+f with e ~ s, f ~ t
+        return not sim(p, add(s, t)) or any(
+            add(e, f) == p and sim(e, s) and sim(f, t)
+            for e in rng for f in rng
+        )
+
+    def sk3e(e, f, s, t):  # e+f = s+t refines into a 2x2 grid
+        ef = add(e, f)
+        return ef is None or add(s, t) != ef or any(
+            sim(s, add(e1, f1)) and sim(t, add(e2, f2))
+            for e1 in rng for e2 in rng if add(e1, e2) == e
+            for f1 in rng for f2 in rng if add(f1, f2) == f
+        )
+
+    def sk4a(e, f):  # e+f undefined gives nonzero e1 <= e, f1 <= f, e1 ~ f1
+        return add(e, f) is not None or any(
+            sim(e1, f1)
+            for e1 in rng if e1 and E.le(e1, e)
+            for f1 in rng if f1 and E.le(f1, f)
+        )
+
+    def sk4b(e, f):  # e not below f gives nonzero e1 <= e, d ~ e1, d _|_ f
+        return E.le(e, f) or any(
+            sim(e1, d)
+            for e1 in rng if e1 and E.le(e1, e)
+            for d in rng if d and add(d, f) is not None
+        )
+
+    return ((1, sk1), (4, sk2), (3, sk3d), (4, sk3e), (2, sk4a), (2, sk4b))
+
+
+def _literal_sk_witnesses(E, cls):
+    """The lexicographically least failing tuple of each axiom, or None."""
+    return [
+        next((w for w in itertools.product(range(E.n), repeat=arity)
+              if not holds(*w)), None)
+        for arity, holds in _literal_sk_axioms(E, cls)
+    ]
+
+
+def test_sk_witnesses_match_the_literal_sk_axioms():
+    # every swept partition of every model with n <= 5, as catalogued and
+    # relabeled, plus partitions that put zero in a larger class
+    rand = random.Random(7)
+    models = []
+    for E in _catalog_models(5):
+        models.append(E)
+        models.append(E.relabel([0, *rand.sample(range(1, E.n), E.n - 1)]))
+    failures = [0] * 6
+    for E in models:
+        plan = K.sk_plan(E.sum, E.diff, E.leq)
+        partitions = list(catalog.partitions_with_zero_singleton(E.n))
+        if E.n > 1:
+            partitions += [[0] * E.n, [0, 0, *range(1, E.n - 1)]]
+        for cls in partitions:
+            rows = K.sk_witnesses(plan, np.array(cls, dtype=np.int8))
+            want = [
+                [0, -1, -1, -1, -1] if w is None
+                else [1, *w] + [-1] * (4 - len(w))
+                for w in _literal_sk_witnesses(E, cls)
+            ]
+            assert rows.tolist() == want, (E.sum.tolist(), cls)
+            for k in range(6):
+                failures[k] += rows[k, 0]
+    assert all(failures)  # every axiom fails somewhere
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_check_sk_witnesses_violate_their_axioms(data):
+    E = data.draw(st.sampled_from(_catalog_models(6)))
+    perm = data.draw(st.permutations(range(1, E.n)))
+    E = E.relabel([0, *perm])
+    ids = data.draw(st.lists(st.integers(0, E.n - 1),
+                             min_size=E.n, max_size=E.n))
+    R = cg.EquivRel(E, ids)
+    report = cg.check_sk(E, R)
+    verdicts = (report.sk1, report.sk2, report.sk3d, report.sk3e,
+                report.sk4a, report.sk4b)
+    cls = R.class_of.tolist()
+    axioms = _literal_sk_axioms(E, cls)
+    for v, w, (arity, holds) in zip(verdicts, _literal_sk_witnesses(E, cls),
+                                    axioms):
+        assert v.ok == (w is None) and v.witness == w
+        if not v.ok:
+            assert len(v.witness) == arity and not holds(*v.witness)
 
 
 def test_canonical_key_stable_under_full_relabeling():
