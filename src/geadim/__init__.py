@@ -34,16 +34,15 @@ from .congruence import (
     build_equiv,
     check_der,
     check_sk,
-    comparability,
     decompose_pair,
     induced_hull,
-    relation_queries,
     sigma_sim,
 )
 from .dimension import (
     Decomposition,
+    Dgea,
+    comparability,
     decompose_types,
-    f_tilde,
     finite_elements,
     hereditary_sup,
     invariant_sets,

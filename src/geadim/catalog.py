@@ -34,9 +34,9 @@ class RelationRecord:
     sk: bool
     der: object  # bool once computed, None when sk fails
     decomposition: object  # summary dict or None
-    # the dm.Decomposition the summary was made from, for the suite;
-    # never persisted
-    type_decomposition: object = field(default=None, repr=False, compare=False)
+    # the relation's dm.Dgea when it is a congruence, for the suite; never
+    # persisted
+    dgea: object = field(default=None, repr=False, compare=False)
 
     def summary(self, names):
         rec = {
@@ -188,28 +188,28 @@ def partitions_with_zero_singleton(n):
 def enumerate_relations(E):
     """Every partition with zero alone, with its axiom report.
 
-    Relations that pass the congruence axioms get the separation check and,
-    when it passes, a decomposition summary.
+    Each relation that passes the congruence axioms gets its ``dm.Dgea``,
+    which checks the separation axiom, and, when that passes, a summary of
+    its type decomposition.
     """
     for class_of in partitions_with_zero_singleton(E.n):
         R = cg.EquivRel(E, class_of)
         report = cg.check_sk(E, R)
-        der = None
-        dec = None
+        d = None
         if report.sk:
-            sigma = cg.sigma_sim(E, R, exocenter(E))
-            report = cg.check_der(E, R, sigma)
-            der = report.der
-            if der:
-                dec = dm.decompose_types(E, R)
+            d = dm.Dgea(E, R)
+            report = d.report
         yield RelationRecord(
             classes=R.classes,
             rel=R,
             report=report,
             sk=report.sk,
-            der=der,
-            decomposition=None if dec is None else _decomposition_summary(E, dec),
-            type_decomposition=dec,
+            der=None if d is None else d.der,
+            decomposition=(
+                _decomposition_summary(E, d.decomposition)
+                if d is not None and d.der else None
+            ),
+            dgea=d,
         )
 
 

@@ -231,12 +231,10 @@ def cmd_exocenter(args, out):
 
 def _sk_payload(E, R):
     report = cg.check_sk(E, R)
-    sigma = None
+    d = None
     if report.sk:
-        from .exocenter import exocenter
-
-        sigma = cg.sigma_sim(E, R, exocenter(E))
-        report = cg.check_der(E, R, sigma)
+        d = dm.Dgea(E, R)
+        report = d.report
     axioms = {}
     for name, v in zip(
         ("SK1", "SK2", "SK3d", "SK3e", "SK4a", "SK4b", "SK4a'"),
@@ -250,14 +248,14 @@ def _sk_payload(E, R):
                 "holds": v.ok,
                 "witness": None if v.witness is None else [E.names[w] for w in v.witness],
             }
-    return report, sigma, axioms
+    return report, d, axioms
 
 
 def cmd_sk(args, out):
     doc = _load(args.file)
     E, rels = doc.build()
     R = _relation_or_fail(doc, rels, args.relation)
-    report, sigma, axioms = _sk_payload(E, R)
+    report, _, axioms = _sk_payload(E, R)
     results = {
         "relation": args.relation,
         "classes": [[E.names[e] for e in c] for c in R.classes],
@@ -296,7 +294,7 @@ def cmd_hull(args, out):
     doc = _load(args.file)
     E, rels = doc.build()
     R = _relation_or_fail(doc, rels, args.relation)
-    report, sigma, axioms = _sk_payload(E, R)
+    report, d, axioms = _sk_payload(E, R)
     if not report.sk:
         name, witness = report.first_failure()
         payload = {
@@ -309,7 +307,7 @@ def cmd_hull(args, out):
         }
         _emit(out, payload, args.json)
         return 1
-    H = cg.induced_hull(E, R, sigma)
+    sigma, H = d.sigma, d.hull
     results = {
         "relation": args.relation,
         "splitting_maps": [_map_repr(E, m) for m in sigma],
@@ -346,7 +344,7 @@ def cmd_decompose(args, out):
     doc = _load(args.file)
     E, rels = doc.build()
     R = _relation_or_fail(doc, rels, args.relation)
-    report, sigma, axioms = _sk_payload(E, R)
+    report, d, _ = _sk_payload(E, R)
     if not report.sk or not report.der:
         name, witness = report.first_failure()
         payload = {
@@ -364,7 +362,7 @@ def cmd_decompose(args, out):
         }
         _emit(out, payload, args.json)
         return 1
-    dec = dm.decompose_types(E, R)
+    dec = d.decomposition
     type_label = dec.type_verdict
     if dec.type_verdict in ("I", "II") and dec.finite_type:
         type_label = dec.type_verdict + "_F"

@@ -1,19 +1,18 @@
 """Equivalence relations on a model: congruence axioms, splitting maps,
-the induced hull system, pair decomposition, and comparability.
+the induced hull system, and pair decomposition.
 
 The congruence axioms are the Sherstnev-Kalinin conditions SK1-SK4b; a
 relation additionally satisfying SK4a' (unrelated elements are separated
 by a splitting map) is a dimension equivalence relation (DER).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, hull as hull_mod
 from .errors import (
     InternalInvariant,
-    NotDer,
     NotSkCongruence,
     OverlappingClasses,
     UnknownElement,
@@ -28,58 +27,26 @@ class EquivRel:
     __slots__ = ("E", "class_of", "classes", "_cache")
 
     def __init__(self, E, class_of):
+        # relabeling by first occurrence numbers the classes by their least
+        # members, so zero's class comes first
+        ids = _dense(class_of)
+        classes = [[] for _ in range(max(ids) + 1)]
+        for e, c in enumerate(ids):
+            classes[c].append(e)
         self.E = E
-        arr = np.asarray(class_of, dtype=np.int8).copy()
-        groups = {}
-        for e in range(E.n):
-            groups.setdefault(int(arr[e]), []).append(e)
-        ordered = sorted(groups.values())
-        relabeled = np.zeros(E.n, dtype=np.int8)
-        for cid, members in enumerate(ordered):
-            for e in members:
-                relabeled[e] = cid
-        relabeled.flags.writeable = False
-        self.class_of = relabeled
-        self.classes = tuple(tuple(m) for m in ordered)
+        self.class_of = np.array(ids, dtype=np.int8)
+        self.class_of.flags.writeable = False
+        self.classes = tuple(map(tuple, classes))
         self._cache = {}
 
     def sim(self, e, f):
         return self.class_of[e] == self.class_of[f]
-
-    @property
-    def sk(self):
-        """Verified congruence status: True/False once checked, else None."""
-        rep = self._cache.get("der_report") or self._cache.get("sk_report")
-        return None if rep is None else rep.sk
-
-    @property
-    def der(self):
-        """Verified dimension-relation status, None until check_der runs."""
-        rep = self._cache.get("der_report")
-        if rep is not None:
-            return rep.der
-        base = self._cache.get("sk_report")
-        if base is not None and not base.sk:
-            return False
-        return None
 
     def __eq__(self, other):
         return isinstance(other, EquivRel) and self.classes == other.classes
 
     def __hash__(self):
         return hash(self.classes)
-
-    def __getstate__(self):
-        return {"classes": self.classes, "E": self.E}
-
-    def __setstate__(self, state):
-        # rebuilt without the derived cache; recomputed on demand
-        E = state["E"]
-        arr = np.zeros(E.n, dtype=np.int8)
-        for cid, members in enumerate(state["classes"]):
-            for e in members:
-                arr[e] = cid
-        self.__init__(E, arr)
 
     def __repr__(self):
         named = [[self.E.names[e] for e in c] for c in self.classes]
@@ -108,7 +75,7 @@ def build_equiv(E, classes):
         for i in ids:
             class_of[i] = nxt
         nxt += 1
-    return EquivRel(E, _dense(class_of))
+    return EquivRel(E, class_of)
 
 
 def _dense(ids):
@@ -216,23 +183,6 @@ def is_descendent(E, R, d, e):
     return all(related(E, R, x, e) for x in E.below(d) if x != 0)
 
 
-@dataclass(frozen=True)
-class RelationQueries:
-    subequiv: object
-    related: object
-    is_hereditary: object
-    is_descendent: object
-
-
-def relation_queries(E, R):
-    return RelationQueries(
-        subequiv=lambda e, f: subequiv(E, R, e, f),
-        related=lambda e, f: related(E, R, e, f),
-        is_hereditary=lambda S: is_hereditary(E, R, S),
-        is_descendent=lambda d, e: is_descendent(E, R, d, e),
-    )
-
-
 # ---------------------------------------------------------------------------
 # splitting maps and the induced hull system
 # ---------------------------------------------------------------------------
@@ -247,17 +197,15 @@ def splits(E, R, pi):
     )
 
 
-def sigma_sim(E, R, S, verify=None):
+def sigma_sim(E, R, S):
     """The splitting members of the exocenter, as a boolean subalgebra.
 
-    When the relation is a verified congruence (``verify`` defaults to its
-    cached status), the four equivalent characterizations of splitting are
-    evaluated per map and asserted to agree, and the result is checked to
-    be a boolean subalgebra containing 0 and 1.
+    When the relation is a congruence, the four equivalent
+    characterizations of splitting are evaluated per map and asserted to
+    agree, and the result is checked to be a boolean subalgebra containing
+    0 and 1.
     """
-    if verify is None:
-        rep = R._cache.get("sk_report")
-        verify = rep.sk if rep is not None else False
+    verify = check_sk(E, R).sk
     chosen = []
     for pi in S:
         a = splits(E, R, pi)
@@ -295,9 +243,6 @@ def sigma_sim(E, R, S, verify=None):
 
 def induced_hull(E, R, sigma):
     """Hull system eta_e = meet of splitting maps fixing e, validated."""
-    key = ("induced_hull", sigma.maps)
-    if key in R._cache:
-        return R._cache[key]
     maps = []
     for e in range(E.n):
         fixing = [pi for pi in sigma if pi(e) == e]
@@ -312,12 +257,12 @@ def induced_hull(E, R, sigma):
         for e in range(E.n):
             if (pi(e) == 0) != sigma.meet(pi, H.eta(e)).is_zero:
                 raise InternalInvariant("kill/disjointness equivalence fails")
-    R._cache[key] = H
     return H
 
 
-def check_der(E, R, sigma):
-    """Augment a congruence report with the separation axiom SK4a'.
+def check_der(E, R, sigma, H):
+    """Augment a congruence report with the separation axiom SK4a', given
+    the relation's splitting algebra and induced hull system.
 
     Separation by a splitting map is computed directly and through the
     equivalent hull-meet form; the two must agree pairwise.
@@ -325,9 +270,6 @@ def check_der(E, R, sigma):
     base = check_sk(E, R)
     if not base.sk:
         raise NotSkCongruence(str(base.first_failure()))
-    if "der_report" in R._cache:
-        return R._cache["der_report"]
-    H = induced_hull(E, R, sigma)
     ok = True
     witness = None
     for e in range(E.n):
@@ -344,16 +286,14 @@ def check_der(E, R, sigma):
             if not direct and ok:
                 ok = False
                 witness = (e, f)
-    report = SkReport(
+    return SkReport(
         base.sk1, base.sk2, base.sk3d, base.sk3e, base.sk4a, base.sk4b,
         sk4a_prime=Verdict(ok, witness),
     )
-    R._cache["der_report"] = report
-    return report
 
 
 # ---------------------------------------------------------------------------
-# pair decomposition and comparability
+# pair decomposition
 # ---------------------------------------------------------------------------
 
 def decompose_pair(E, R, p, q):
@@ -391,19 +331,3 @@ def decompose_pair(E, R, p, q):
             f"pair decomposition contract fails for ({E.names[p]}, {E.names[q]})"
         )
     return p1, p2, q1, q2
-
-
-def comparability(E, R, sigma, e, f):
-    """A splitting direction d with eta_d e below-equivalent to eta_d f
-    and the complement the other way around."""
-    rep = R._cache.get("der_report")
-    if rep is None or not rep.der:
-        raise NotDer("comparability needs a verified dimension relation")
-    H = induced_hull(E, R, sigma)
-    e1, e2, f1, f2 = decompose_pair(E, R, e, f)
-    d = f2
-    pi = H.eta(d)
-    pic = sigma.complement(pi)
-    if not subequiv(E, R, pi(e), pi(f)) or not subequiv(E, R, pic(f), pic(e)):
-        raise InternalInvariant("comparability contract fails")
-    return d

@@ -173,13 +173,6 @@ class GeaTable:
     def __hash__(self):
         return hash((self.names, self.sum.tobytes()))
 
-    def __getstate__(self):
-        # derived caches are rebuilt on demand after unpickling
-        return {"names": self.names, "sum": np.asarray(self.sum)}
-
-    def __setstate__(self, state):
-        self.__init__(state["names"], state["sum"], _validated=True)
-
     def __repr__(self):
         return f"GeaTable({list(self.names)}, n={self.n})"
 

@@ -27,11 +27,15 @@ from .errors import (
 
 
 class Dgea:
-    """A model paired with a verified dimension equivalence relation.
+    """A model paired with a congruence, and everything derived from the
+    pair.
 
-    Bundles the splitting algebra, induced hull system, and the derived
-    element sets with caching, for use by the decomposition and the
-    theorem suite.
+    The constructor checks SK1-SK4b (``NotDer`` when they fail), then
+    builds the splitting algebra and the induced hull system and checks
+    the separation axiom SK4a', each once; ``der`` says whether SK4a'
+    holds.  The element sets and the type decomposition are derived on
+    first use and raise ``NotDer`` unless the relation is a dimension
+    relation.
     """
 
     def __init__(self, E, R):
@@ -41,26 +45,185 @@ class Dgea:
         if not report.sk:
             raise NotDer(f"relation fails {report.first_failure()[0]}")
         self.sigma = cg.sigma_sim(E, R, exocenter(E))
-        self.report = cg.check_der(E, R, self.sigma)
-        if not self.report.der:
-            raise NotDer("relation fails SK4a'")
         self.hull = cg.induced_hull(E, R, self.sigma)
+        self.report = cg.check_der(E, R, self.sigma, self.hull)
+        self.der = self.report.der
+
+    def _require_der(self):
+        if not self.der:
+            raise NotDer("relation fails SK4a'")
 
     @cached_property
     def simple(self):
+        self._require_der()
         return simple_elements(self.E, self.R, self.hull)
 
     @cached_property
     def finite(self):
+        self._require_der()
         return finite_elements(self.E, self.R, self.hull)
 
     @cached_property
     def invariants(self):
+        self._require_der()
         return invariant_sets(self.E, self.R, self.sigma, self.hull)
 
     @cached_property
     def finite_invariant(self):
-        return f_tilde(self.E, self.R, self.sigma, self.hull)
+        """Largest finite invariant element, with the set it tops."""
+        E, H = self.E, self.hull
+        ftset = sorted(set(self.finite) & set(self.invariants.gamma_sim))
+        tops = [m for m in ftset if all(E.leq[x, m] for x in ftset)]
+        if not tops:
+            raise InternalInvariant("finite invariant elements have no largest member")
+        ft = tops[0]
+        if not hull_mod.td_sets(E, H, ftset).eta_td:
+            raise InternalInvariant("finite invariant set is not type-determining")
+        if set(H.eta(ft).summand) != set(E.below(ft)):
+            raise InternalInvariant("largest finite invariant element is not eta-invariant")
+        return ft, tuple(ftset)
+
+    @cached_property
+    def decomposition(self):
+        """The unique splitting of the model into type I, II, and III
+        summands.
+
+        Builds the three projections (and their finite refinements) from
+        the closed formulas, then verifies: the hull-map joins against the
+        largest-map elements of the corresponding type-determining sets,
+        the membership of each projection in the hull family, heredity of
+        every summand, the direct type classification of each restricted
+        summand, uniqueness of the triple by exhaustive search over the
+        splitting algebra, and the unit elements of the finite-type parts.
+        """
+        E, R, sigma, H = self.E, self.R, self.sigma, self.hull
+        K, F = self.simple, self.finite
+        if not set(K) <= set(F):
+            raise InternalInvariant("simple elements are not all finite")
+        ft, ftset = self.finite_invariant
+
+        eta_k = sigma.join_all([H.eta(k) for k in K])
+        eta_f = sigma.join_all([H.eta(f) for f in F])
+        eta_ft = H.eta(ft)
+        checks = ["simple-set-three-way", "invariant-six-way", "finite-hereditary-ideal"]
+
+        # cross-check the joins against the largest-map elements
+        td_k = hull_mod.td_sets(E, H, K)
+        td_f = hull_mod.td_sets(E, H, F)
+        if not td_k.eta_std or H.eta(td_k.t_star) != eta_k:
+            raise InternalInvariant("simple-set join disagrees with its largest map")
+        if not td_f.eta_std or H.eta(td_f.t_star) != eta_f:
+            raise InternalInvariant("finite-set join disagrees with its largest map")
+        td_ft = hull_mod.td_sets(E, H, ftset)
+        if H.eta(td_ft.t_star) != eta_ft:
+            raise InternalInvariant("finite-invariant join disagrees with its largest map")
+        checks.append("hull-joins-vs-largest-maps")
+
+        comp = sigma.complement
+        meet = sigma.meet
+        pi_i = eta_k
+        pi_ii = meet(eta_f, comp(eta_k))
+        pi_iii = comp(eta_f)
+        pi_i_f = meet(eta_k, eta_ft)
+        pi_i_nf = meet(eta_k, comp(eta_ft))
+        pi_ii_f = meet(pi_ii, eta_ft)
+        pi_ii_nf = meet(pi_ii, comp(eta_ft))
+
+        theta = set(H.maps)
+        for m in (pi_i, pi_ii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
+            if m not in theta:
+                raise InternalInvariant("projection escapes the hull family")
+        checks.append("projections-in-hull-family")
+
+        triple = (pi_i, pi_ii, pi_iii)
+        for a, b in itertools.combinations(triple, 2):
+            if not sigma.disjoint(a, b):
+                raise InternalInvariant("type projections are not pairwise disjoint")
+        if not sigma.join_all(triple).is_identity:
+            raise InternalInvariant("type projections do not cover the identity")
+        if sigma.join(pi_i_f, pi_i_nf) != pi_i or sigma.join(pi_ii_f, pi_ii_nf) != pi_ii:
+            raise InternalInvariant("finite refinements do not cover their types")
+        checks.append("disjoint-cover")
+
+        for m in (pi_i, pi_ii, pi_iii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
+            s = set(m.summand)
+            if not cg.is_hereditary(E, R, s) or not core._ideal_flags(E, frozenset(s)):
+                raise InternalInvariant("summand is not a hereditary ideal")
+        checks.append("summands-hereditary-ideals")
+
+        flags = {m._key: summand_type_flags(self, m) for m in set(sigma.maps)}
+        if not flags[pi_i._key].type_i:
+            raise InternalInvariant("first summand is not of its type")
+        if not flags[pi_ii._key].type_ii:
+            raise InternalInvariant("second summand is not of its type")
+        if not flags[pi_iii._key].type_iii:
+            raise InternalInvariant("third summand is not of its type")
+        checks.append("summand-types-direct")
+
+        for s1 in sigma:
+            for s2 in sigma:
+                if not sigma.disjoint(s1, s2):
+                    continue
+                for s3 in sigma:
+                    if not (sigma.disjoint(s1, s3) and sigma.disjoint(s2, s3)):
+                        continue
+                    if not sigma.join_all((s1, s2, s3)).is_identity:
+                        continue
+                    if (
+                        flags[s1._key].type_i
+                        and flags[s2._key].type_ii
+                        and flags[s3._key].type_iii
+                    ):
+                        if (s1, s2, s3) != triple:
+                            raise InternalInvariant(
+                                "alternative type triple found; decomposition not unique"
+                            )
+        checks.append("unique-type-triple")
+
+        for m, unit in ((pi_i_f, pi_i(ft)), (pi_ii_f, comp(pi_i)(ft))):
+            sub, _, members = restrict_summand(self, m, verify=False)
+            top = sub.greatest()
+            if top is None or members[top] != unit:
+                raise InternalInvariant("finite-type summand unit mismatch")
+        checks.append("finite-part-units")
+
+        if pi_i.is_identity:
+            verdict = "I"
+        elif pi_ii.is_identity:
+            verdict = "II"
+        elif pi_iii.is_identity:
+            verdict = "III"
+        else:
+            verdict = "mixed"
+        finite_type = eta_ft.is_identity
+        summands = {
+            "I": pi_i.summand,
+            "II": pi_ii.summand,
+            "III": pi_iii.summand,
+            "I_F": pi_i_f.summand,
+            "I_notF": pi_i_nf.summand,
+            "II_F": pi_ii_f.summand,
+            "II_notF": pi_ii_nf.summand,
+        }
+        return Decomposition(
+            pi_i=pi_i,
+            pi_ii=pi_ii,
+            pi_iii=pi_iii,
+            pi_i_f=pi_i_f,
+            pi_i_nf=pi_i_nf,
+            pi_ii_f=pi_ii_f,
+            pi_ii_nf=pi_ii_nf,
+            summands=summands,
+            eta_k=eta_k,
+            eta_f=eta_f,
+            eta_ftilde=eta_ft,
+            f_tilde=ft,
+            type_verdict=verdict,
+            finite_type=finite_type,
+            properly_non_finite=ft == 0,
+            unit=ft if finite_type else None,
+            cross_checks=tuple(checks),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +325,11 @@ def simple_elements(E, R, H):
     return tuple(direct)
 
 
-def finite_elements(E, R, H=None):
+def finite_elements(E, R, H):
     """Elements not equivalent to any proper subelement.
 
-    Verified to form a hereditary ideal; when a hull system is supplied
-    the set is additionally checked to be strongly type-determining.
+    Verified to form a hereditary ideal that is strongly type-determining
+    for the hull system.
     """
     F = tuple(
         f
@@ -175,25 +338,9 @@ def finite_elements(E, R, H=None):
     )
     if not cg.is_hereditary(E, R, F) or not core._ideal_flags(E, frozenset(F)):
         raise InternalInvariant("finite elements do not form a hereditary ideal")
-    if H is not None and not hull_mod.td_sets(E, H, F).eta_std:
+    if not hull_mod.td_sets(E, H, F).eta_std:
         raise InternalInvariant("finite elements are not strongly type-determining")
     return F
-
-
-def f_tilde(E, R, sigma, H):
-    """Largest finite invariant element, with the set it tops."""
-    F = set(finite_elements(E, R, H))
-    inv = set(invariant_sets(E, R, sigma, H).gamma_sim)
-    ftset = sorted(F & inv)
-    tops = [m for m in ftset if all(E.leq[x, m] for x in ftset)]
-    if not tops:
-        raise InternalInvariant("finite invariant elements have no largest member")
-    ft = tops[0]
-    if not hull_mod.td_sets(E, H, ftset).eta_td:
-        raise InternalInvariant("finite invariant set is not type-determining")
-    if set(H.eta(ft).summand) != set(E.below(ft)):
-        raise InternalInvariant("largest finite invariant element is not eta-invariant")
-    return ft, tuple(ftset)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +353,11 @@ class FactorReport:
     cross_checks: tuple
 
 
-def is_factor(E, R, sigma):
+def is_factor(dgea):
     """Trivial splitting algebra, checked four equivalent ways."""
-    rep = R._cache.get("der_report")
-    if rep is None or not rep.der:
+    if not dgea.der:
         raise NotDer("factor test needs a verified dimension relation")
-    H = cg.induced_hull(E, R, sigma)
+    E, R, sigma, H = dgea.E, dgea.R, dgea.sigma, dgea.hull
     trivial = set(sigma.maps) == {sigma.zero, sigma.one}
     hull_full = all(H.eta(d).is_identity for d in range(1, E.n))
     comparable = all(
@@ -246,21 +392,36 @@ def is_factor(E, R, sigma):
     )
 
 
+def comparability(dgea, e, f):
+    """A splitting direction d with eta_d e below-equivalent to eta_d f
+    and the complement the other way around."""
+    if not dgea.der:
+        raise NotDer("comparability needs a verified dimension relation")
+    E, R = dgea.E, dgea.R
+    e1, e2, f1, f2 = cg.decompose_pair(E, R, e, f)
+    d = f2
+    pi = dgea.hull.eta(d)
+    pic = dgea.sigma.complement(pi)
+    if not cg.subequiv(E, R, pi(e), pi(f)) or not cg.subequiv(E, R, pic(f), pic(e)):
+        raise InternalInvariant("comparability contract fails")
+    return d
+
+
 # ---------------------------------------------------------------------------
 # summand restriction
 # ---------------------------------------------------------------------------
 
-def restrict_summand(E, R, pi, sigma=None, verify=True):
-    """The summand of a splitting map as a standalone model with the
-    restricted relation; returns (table, relation, index mapping).
+def restrict_summand(dgea, pi, verify=True):
+    """The summand of a splitting map of ``dgea`` as a standalone model
+    with the restricted relation; returns (table, relation, index mapping).
 
-    With ``verify`` the restriction is checked to be a model with a
-    dimension relation whose splitting algebra, simple set, finite set,
-    and largest finite invariant element are exactly the restrictions of
-    the parent's.
+    With ``verify``, and when ``dgea`` holds a dimension relation, the
+    restriction is checked to be a model with a dimension relation whose
+    splitting algebra, simple set, finite set, and largest finite
+    invariant element are exactly the restrictions of the parent's.
     """
-    sigma = sigma if sigma is not None else cg.sigma_sim(E, R, exocenter(E))
-    if pi not in sigma or not cg.splits(E, R, pi):
+    E, R = dgea.E, dgea.R
+    if pi not in dgea.sigma or not cg.splits(E, R, pi):
         raise NotSplitting(f"{pi!r} does not split the relation")
     members = sorted(pi.summand)
     pos = {e: i for i, e in enumerate(members)}
@@ -275,8 +436,8 @@ def restrict_summand(E, R, pi, sigma=None, verify=True):
                 table[pos[a], pos[b]] = pos[v]
     sub = core.GeaTable([E.names[e] for e in members], table)
     subrel = cg.EquivRel(sub, [R.class_of[e] for e in members])
-    if verify and R._cache.get("der_report") is not None and R._cache["der_report"].der:
-        _verify_restriction(E, R, pi, sigma, sub, subrel, members, pos)
+    if verify and dgea.der:
+        _verify_restriction(dgea, pi, sub, subrel, members, pos)
     return sub, subrel, tuple(members)
 
 
@@ -284,7 +445,8 @@ def _restrict_map(xi, members, pos):
     return ExoMap([pos[xi(e)] for e in members])
 
 
-def _verify_restriction(E, R, pi, sigma, sub, subrel, members, pos):
+def _verify_restriction(dgea, pi, sub, subrel, members, pos):
+    E = dgea.E
     gex_sub = exocenter(sub)
     restricted = {_restrict_map(xi, members, pos) for xi in exocenter(E)}
     if restricted != set(gex_sub.maps):
@@ -298,18 +460,16 @@ def _verify_restriction(E, R, pi, sigma, sub, subrel, members, pos):
                 ra, _restrict_map(b, members, pos)
             ):
                 raise InternalInvariant("restriction does not preserve meets")
-    sub_dgea = Dgea(sub, subrel)  # raises NotDer if the restriction fails
-    expect_sigma = {_restrict_map(xi, members, pos) for xi in sigma}
+    sub_dgea = Dgea(sub, subrel)
+    sub_dgea._require_der()  # the restriction is a dimension relation
+    expect_sigma = {_restrict_map(xi, members, pos) for xi in dgea.sigma}
     if expect_sigma != set(sub_dgea.sigma.maps):
         raise InternalInvariant("splitting algebra does not restrict correctly")
-    H = cg.induced_hull(E, R, sigma)
-    K = simple_elements(E, R, H)
-    F = finite_elements(E, R, H)
-    if set(sub_dgea.simple) != {pos[pi(k)] for k in K}:
+    if set(sub_dgea.simple) != {pos[pi(k)] for k in dgea.simple}:
         raise InternalInvariant("simple elements do not restrict correctly")
-    if set(sub_dgea.finite) != {pos[pi(f)] for f in F}:
+    if set(sub_dgea.finite) != {pos[pi(f)] for f in dgea.finite}:
         raise InternalInvariant("finite elements do not restrict correctly")
-    ft, _ = f_tilde(E, R, sigma, H)
+    ft, _ = dgea.finite_invariant
     ft_sub, _ = sub_dgea.finite_invariant
     if ft_sub != pos[pi(ft)]:
         raise InternalInvariant(
@@ -387,9 +547,9 @@ class TypeFlags:
     properly_non_finite: bool
 
 
-def summand_type_flags(E, R, pi, sigma):
+def summand_type_flags(dgea, pi):
     """Direct type classification of a summand, on the restricted model."""
-    sub, subrel, members = restrict_summand(E, R, pi, sigma=sigma, verify=False)
+    sub, subrel, _ = restrict_summand(dgea, pi, verify=False)
     d = Dgea(sub, subrel)
     ft, ftset = d.finite_invariant
     faithful = lambda e: d.hull.eta(e).is_identity
@@ -424,142 +584,6 @@ class Decomposition:
 
 
 def decompose_types(E, R):
-    """The unique splitting of a model into type I, II, and III summands.
-
-    Builds the three projections (and their finite refinements) from the
-    closed formulas, then verifies: the hull-map joins against the
-    largest-map elements of the corresponding type-determining sets, the
-    membership of each projection in the hull family, heredity of every
-    summand, the direct type classification of each restricted summand,
-    uniqueness of the triple by exhaustive search over the splitting
-    algebra, and the unit elements of the finite-type parts.
-    """
-    d = Dgea(E, R)  # NotDer when the relation is not a dimension relation
-    sigma, H = d.sigma, d.hull
-    K, F = d.simple, d.finite
-    if not set(K) <= set(F):
-        raise InternalInvariant("simple elements are not all finite")
-    ft, ftset = d.finite_invariant
-
-    eta_k = sigma.join_all([H.eta(k) for k in K])
-    eta_f = sigma.join_all([H.eta(f) for f in F])
-    eta_ft = H.eta(ft)
-    checks = ["simple-set-three-way", "invariant-six-way", "finite-hereditary-ideal"]
-
-    # cross-check the joins against the largest-map elements
-    td_k = hull_mod.td_sets(E, H, K)
-    td_f = hull_mod.td_sets(E, H, F)
-    if not td_k.eta_std or H.eta(td_k.t_star) != eta_k:
-        raise InternalInvariant("simple-set join disagrees with its largest map")
-    if not td_f.eta_std or H.eta(td_f.t_star) != eta_f:
-        raise InternalInvariant("finite-set join disagrees with its largest map")
-    td_ft = hull_mod.td_sets(E, H, ftset)
-    if H.eta(td_ft.t_star) != eta_ft:
-        raise InternalInvariant("finite-invariant join disagrees with its largest map")
-    checks.append("hull-joins-vs-largest-maps")
-
-    comp = sigma.complement
-    meet = sigma.meet
-    pi_i = eta_k
-    pi_ii = meet(eta_f, comp(eta_k))
-    pi_iii = comp(eta_f)
-    pi_i_f = meet(eta_k, eta_ft)
-    pi_i_nf = meet(eta_k, comp(eta_ft))
-    pi_ii_f = meet(pi_ii, eta_ft)
-    pi_ii_nf = meet(pi_ii, comp(eta_ft))
-
-    theta = set(H.maps)
-    for m in (pi_i, pi_ii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
-        if m not in theta:
-            raise InternalInvariant("projection escapes the hull family")
-    checks.append("projections-in-hull-family")
-
-    triple = (pi_i, pi_ii, pi_iii)
-    for a, b in itertools.combinations(triple, 2):
-        if not sigma.disjoint(a, b):
-            raise InternalInvariant("type projections are not pairwise disjoint")
-    if not sigma.join_all(triple).is_identity:
-        raise InternalInvariant("type projections do not cover the identity")
-    if sigma.join(pi_i_f, pi_i_nf) != pi_i or sigma.join(pi_ii_f, pi_ii_nf) != pi_ii:
-        raise InternalInvariant("finite refinements do not cover their types")
-    checks.append("disjoint-cover")
-
-    for m in (pi_i, pi_ii, pi_iii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
-        s = set(m.summand)
-        if not cg.is_hereditary(E, R, s) or not core._ideal_flags(E, frozenset(s)):
-            raise InternalInvariant("summand is not a hereditary ideal")
-    checks.append("summands-hereditary-ideals")
-
-    flags = {m._key: summand_type_flags(E, R, m, sigma) for m in set(sigma.maps)}
-    if not flags[pi_i._key].type_i:
-        raise InternalInvariant("first summand is not of its type")
-    if not flags[pi_ii._key].type_ii:
-        raise InternalInvariant("second summand is not of its type")
-    if not flags[pi_iii._key].type_iii:
-        raise InternalInvariant("third summand is not of its type")
-    checks.append("summand-types-direct")
-
-    for s1 in sigma:
-        for s2 in sigma:
-            if not sigma.disjoint(s1, s2):
-                continue
-            for s3 in sigma:
-                if not (sigma.disjoint(s1, s3) and sigma.disjoint(s2, s3)):
-                    continue
-                if not sigma.join_all((s1, s2, s3)).is_identity:
-                    continue
-                if (
-                    flags[s1._key].type_i
-                    and flags[s2._key].type_ii
-                    and flags[s3._key].type_iii
-                ):
-                    if (s1, s2, s3) != triple:
-                        raise InternalInvariant(
-                            "alternative type triple found; decomposition not unique"
-                        )
-    checks.append("unique-type-triple")
-
-    for m, unit in ((pi_i_f, pi_i(ft)), (pi_ii_f, comp(pi_i)(ft))):
-        sub, _, members = restrict_summand(E, R, m, sigma=sigma, verify=False)
-        top = sub.greatest()
-        if top is None or members[top] != unit:
-            raise InternalInvariant("finite-type summand unit mismatch")
-    checks.append("finite-part-units")
-
-    if pi_i.is_identity:
-        verdict = "I"
-    elif pi_ii.is_identity:
-        verdict = "II"
-    elif pi_iii.is_identity:
-        verdict = "III"
-    else:
-        verdict = "mixed"
-    finite_type = eta_ft.is_identity
-    summands = {
-        "I": pi_i.summand,
-        "II": pi_ii.summand,
-        "III": pi_iii.summand,
-        "I_F": pi_i_f.summand,
-        "I_notF": pi_i_nf.summand,
-        "II_F": pi_ii_f.summand,
-        "II_notF": pi_ii_nf.summand,
-    }
-    return Decomposition(
-        pi_i=pi_i,
-        pi_ii=pi_ii,
-        pi_iii=pi_iii,
-        pi_i_f=pi_i_f,
-        pi_i_nf=pi_i_nf,
-        pi_ii_f=pi_ii_f,
-        pi_ii_nf=pi_ii_nf,
-        summands=summands,
-        eta_k=eta_k,
-        eta_f=eta_f,
-        eta_ftilde=eta_ft,
-        f_tilde=ft,
-        type_verdict=verdict,
-        finite_type=finite_type,
-        properly_non_finite=ft == 0,
-        unit=ft if finite_type else None,
-        cross_checks=tuple(checks),
-    )
+    """The type decomposition of a model under a dimension relation;
+    ``NotDer`` when the relation is not one."""
+    return Dgea(E, R).decomposition

@@ -68,34 +68,17 @@ class ModelCtx:
 
 
 class RelCtx:
+    """One congruence of a model, read from the catalog's ``dm.Dgea``."""
+
     def __init__(self, model, rec):
+        d = rec.dgea
         self.model = model
         self.E = model.E
-        self.rec = rec
         self.R = rec.rel
-        # reports are re-derived here because worker processes receive the
-        # relation without its cached verdicts
-        self.report = cg.check_sk(self.E, self.R)
-
-    @cached_property
-    def sigma(self):
-        s = cg.sigma_sim(self.E, self.R, self.model.gex)
-        if self.report.sk:
-            cg.check_der(self.E, self.R, s)
-        return s
-
-    @cached_property
-    def hull(self):
-        return cg.induced_hull(self.E, self.R, self.sigma)
-
-    @cached_property
-    def dgea(self):
-        return dm.Dgea(self.E, self.R)
-
-    @property
-    def decomposition(self):
-        # the catalog decomposed every dimension relation it recorded
-        return self.rec.type_decomposition
+        self.dgea = d
+        self.sigma = d.sigma
+        self.hull = d.hull
+        self.decomposition = d.decomposition if d.der else None
 
 
 def _names(E, xs):
@@ -387,10 +370,9 @@ def _eta_sigma_roundtrip(ctx):
 
 @prop("splitting-algebra", "relation")
 def _splitting_algebra(ctx):
-    try:
-        cg.sigma_sim(ctx.E, ctx.R, ctx.model.gex, verify=True)
-    except InternalInvariant as exc:
-        return [str(exc)]
+    # sigma_sim checks the splitting characterizations and the boolean
+    # subalgebra when the catalog builds the relation's Dgea; a failure
+    # there ends the run before the suite starts
     return []
 
 
@@ -411,10 +393,8 @@ def _split_coordinatewise(ctx):
 
 @prop("induced-hull-contract", "relation")
 def _induced_hull_contract(ctx):
-    try:
-        ctx.hull
-    except InternalInvariant as exc:
-        return [str(exc)]
+    # induced_hull checks its contract when the catalog builds the
+    # relation's Dgea; a failure there ends the run before the suite starts
     return []
 
 
@@ -679,12 +659,12 @@ def _hereditary_sup_prop(ctx):
 
 @prop("general-comparability", "der")
 def _comparability(ctx):
-    E, R = ctx.E, ctx.R
+    E = ctx.E
     out = []
     for e in range(E.n):
         for f in range(E.n):
             try:
-                cg.comparability(E, R, ctx.sigma, e, f)
+                dm.comparability(ctx.dgea, e, f)
             except InternalInvariant as exc:
                 out.append(str(exc))
     return out
@@ -693,7 +673,7 @@ def _comparability(ctx):
 @prop("factor-characterizations", "der")
 def _factor(ctx):
     try:
-        dm.is_factor(ctx.E, ctx.R, ctx.sigma)
+        dm.is_factor(ctx.dgea)
     except InternalInvariant as exc:
         return [str(exc)]
     return []
@@ -827,11 +807,10 @@ def _faithful_restriction(ctx):
 
 @prop("summand-restriction-contract", "der")
 def _summand_restriction(ctx):
-    E, R = ctx.E, ctx.R
     out = []
     for pi in ctx.sigma:
         try:
-            dm.restrict_summand(E, R, pi, sigma=ctx.sigma, verify=True)
+            dm.restrict_summand(ctx.dgea, pi, verify=True)
         except InternalInvariant as exc:
             out.append(f"{exc} for {pi!r}")
     return out
@@ -993,10 +972,10 @@ def _finite_invariant_faithful(ctx):
 
 @prop("type-criteria-global", "der")
 def _type_criteria_global(ctx):
-    E, R = ctx.E, ctx.R
+    E = ctx.E
     out = []
     dec = ctx.decomposition
-    flags = dm.summand_type_flags(E, R, ctx.sigma.one, ctx.sigma)
+    flags = dm.summand_type_flags(ctx.dgea, ctx.sigma.one)
     if flags.type_i != dec.eta_k.is_identity:
         out.append("global type-I criterion disagrees")
     if flags.type_i and not core.is_orthodense(E, set(ctx.dgea.simple), set(range(E.n))):
@@ -1016,14 +995,13 @@ def _type_criteria_global(ctx):
 
 @prop("type-criteria-summands", "der")
 def _type_criteria_summands(ctx):
-    E, R = ctx.E, ctx.R
     S = ctx.sigma
     out = []
     dec = ctx.decomposition
     theta = set(ctx.hull.maps)
     comp = S.complement
     for pi in S:
-        flags = dm.summand_type_flags(E, R, pi, S)
+        flags = dm.summand_type_flags(ctx.dgea, pi)
         in_theta = pi in theta
         if flags.type_i != (in_theta and S.leq(pi, dec.eta_k)):
             out.append(f"summand type-I criterion disagrees for {pi!r}")
@@ -1042,10 +1020,8 @@ def _type_criteria_summands(ctx):
 
 @prop("type-decomposition", "der")
 def _type_decomposition(ctx):
-    try:
-        ctx.decomposition
-    except InternalInvariant as exc:
-        return [str(exc)]
+    # the decomposition runs its cross-checks when the catalog summarizes
+    # the relation; a failure there ends the run before the suite starts
     return []
 
 
@@ -1138,19 +1114,12 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _evaluate_entry(args):
-    entry, names, invert = args
+def _evaluate_entry(max_n, index, names, invert):
+    # workers are forked after the catalog is built, so they look the
+    # entry up instead of receiving it
+    entry = catalog.cached_entries(max_n)[index]
     mctx = ModelCtx(entry)
-    # one context per congruence, built when a property first needs it and
-    # shared by every later one, so that its splitting algebra, hull and
-    # Dgea are derived once
-    rctxs = {}
-
-    def rel_ctx(i):
-        if i not in rctxs:
-            rctxs[i] = RelCtx(mctx, entry.relations[i])
-        return rctxs[i]
-
+    rctxs = [RelCtx(mctx, rec) for rec in entry.relations if rec.sk]
     out = {}
     review = []
     for name in names:
@@ -1159,13 +1128,10 @@ def _evaluate_entry(args):
         violations = []
         if p.scope == "model":
             ctxs = [mctx]
+        elif p.scope == "relation":
+            ctxs = rctxs
         else:
-            flag = "sk" if p.scope == "relation" else "der"
-            ctxs = [
-                rel_ctx(i)
-                for i, rec in enumerate(entry.relations)
-                if getattr(rec, flag)
-            ]
+            ctxs = [c for c in rctxs if c.dgea.der]
         for ctx in ctxs:
             instances += 1
             try:
@@ -1210,14 +1176,14 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
     if invert is not None and invert not in REGISTRY:
         raise UnknownPredicate(f"unknown theorem: {invert}")
     entries = catalog.cached_entries(max_n)
-    args = [(entry, names, invert) for entry in entries]
+    args = [(max_n, i, names, invert) for i in range(len(entries))]
     if jobs > 1 and len(entries) > 1:
         ctx = get_context("fork")
         with ctx.Pool(jobs) as pool:
-            raw = pool.map(_evaluate_entry, args)
+            raw = pool.starmap(_evaluate_entry, args)
         raw.sort(key=lambda item: (len(bytes.fromhex(item[0])), item[0]))
     else:
-        raw = [_evaluate_entry(a) for a in args]
+        raw = [_evaluate_entry(*a) for a in args]
     results = {name: PropertyResult() for name in names}
     review = []
     for _, per_prop, rev in raw:

@@ -6,6 +6,7 @@ in the terminal summary section.
 import hashlib
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -114,9 +115,9 @@ def test_criterion_3_decomposition_goldens():
                         and d.sigma.join_all((s1, s2, s3)).is_identity
                     ):
                         continue
-                    f1 = dm.summand_type_flags(E, R, s1, d.sigma)
-                    f2 = dm.summand_type_flags(E, R, s2, d.sigma)
-                    f3 = dm.summand_type_flags(E, R, s3, d.sigma)
+                    f1 = dm.summand_type_flags(d, s1)
+                    f2 = dm.summand_type_flags(d, s2)
+                    f3 = dm.summand_type_flags(d, s3)
                     if f1.type_i and f2.type_ii and f3.type_iii:
                         if (s1, s2, s3) != triple:
                             failures.append("alternative triple found")
@@ -210,22 +211,56 @@ def test_one_decomposition_per_dimension_relation(monkeypatch):
     assert calls == []
 
 
-def test_model_properties_build_no_relation_context(monkeypatch):
-    """A selection of model-scope properties checks no congruence."""
-    catalog.cached_entries(4)
-    built = []
-    real = theorems.RelCtx.__init__
+# sha256 of ``verify --max-size 6 --json`` and of the size-6 catalog
+# file, the digests the benchmark checks its operations against
+VERIFY_6_SHA256 = "ffb1c993cc8afcec8caeb5d9af103f225b8bcb809404e1f48327f9e027e17a9b"
+CATALOG_6_SHA256 = "a85ebe0d394b916f8c7a09b722c61be3db08cafe0d5b1a5e6fa484391acbfbf4"
 
-    def counted(self, model, rec):
-        built.append(rec)
-        real(self, model, rec)
 
-    monkeypatch.setattr(theorems.RelCtx, "__init__", counted)
-    model = [n for n, p in theorems.REGISTRY.items() if p.scope == "model"]
-    assert theorems.run_theorem_suite(4, theorems=model).status == "ok"
-    assert built == []
-    theorems.run_theorem_suite(4)
-    assert built and len(built) == len({id(rec) for rec in built})
+def test_size_6_outputs_keep_their_digests(tmp_path):
+    buf = io.StringIO()
+    assert cli.run_command(["verify", "--max-size", "6", "--json"], out=buf) == 0
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == VERIFY_6_SHA256
+    path = tmp_path / "catalog-6.jsonl"
+    argv = ["catalog", "--max-size", "6", "--out", str(path)]
+    assert cli.run_command(argv, out=io.StringIO()) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_6_SHA256
+
+
+def test_one_splitting_algebra_per_congruence(monkeypatch):
+    """Building the size-6 catalog derives the splitting algebra and the
+    induced hull of each congruence once; the suite derives them again
+    only inside ``hereditary_sup``, which takes a bare relation."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(E, R, *args):
+            calls.append((fn.__name__, R, sys._getframe(1).f_code.co_name))
+            return fn(E, R, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(cg, "sigma_sim", counted(cg.sigma_sim))
+    monkeypatch.setattr(cg, "induced_hull", counted(cg.induced_hull))
+    entries = tuple(catalog.enumerate_geas(6))
+    congruences = {id(r.rel) for e in entries for r in e.relations if r.sk}
+    assert len(congruences) == 18
+
+    def on_congruences(name):
+        return [(R, caller) for fn, R, caller in calls
+                if fn == name and id(R) in congruences]
+
+    for name in ("sigma_sim", "induced_hull"):
+        built = on_congruences(name)
+        assert len(built) == 18
+        assert {id(R) for R, _ in built} == congruences
+    calls.clear()
+    monkeypatch.setattr(catalog, "cached_entries", lambda max_n: entries)
+    assert theorems.run_theorem_suite(6).status == "ok"
+    for name in ("sigma_sim", "induced_hull"):
+        suite = on_congruences(name)
+        assert len(suite) == 39
+        assert {caller for _, caller in suite} == {"hereditary_sup"}
 
 
 def test_criterion_7_negative_controls():

@@ -5,8 +5,13 @@ import json
 
 import pytest
 
-from geadim import cli
-from geadim.errors import ConflictingEquation, ParseError, UnknownElement
+from geadim import catalog, cli, congruence as cg
+from geadim.errors import (
+    ConflictingEquation,
+    InternalInvariant,
+    ParseError,
+    UnknownElement,
+)
 
 B4_DOC = """\
 # boolean 2x2
@@ -238,3 +243,27 @@ def test_catalog_resume_rejects_damaged_file(damage, tmp_path):
     assert code == 2
     assert text.count("\n") == 1 and text.startswith("error: ")
     assert out.read_bytes() == before  # never appended to
+
+
+def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
+    """The catalog build runs the checks of the splitting-algebra,
+    induced-hull-contract and type-decomposition properties, so a failure
+    there must end ``verify`` with an error rather than pass unseen."""
+    real = cg.induced_hull
+
+    def failing(E, R, sigma):
+        if any(len(c) > 1 for c in R.classes):  # the first merging relation
+            raise InternalInvariant("induced hull broken for the test")
+        return real(E, R, sigma)
+
+    monkeypatch.setattr(cg, "induced_hull", failing)
+    monkeypatch.setattr(
+        catalog, "cached_entries", lambda n: tuple(catalog.enumerate_geas(n))
+    )
+    buf = io.StringIO()
+    code = cli.run_command(["verify", "--max-size", "4", "--json"], out=buf)
+    lines = buf.getvalue().splitlines()
+    assert code != 0
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "induced hull broken" in lines[0]
+    assert "Traceback" not in buf.getvalue()

@@ -1,9 +1,12 @@
 """Congruence axioms, splitting algebras, induced hulls, pair
 decomposition, and comparability, against hand-checked fixtures."""
 
+import random
+
+import numpy as np
 import pytest
 
-from geadim import congruence as cg, core, hull
+from geadim import congruence as cg, core, dimension as dm, hull
 from geadim.errors import NotDer, NotSkCongruence, OverlappingClasses, UnknownElement
 from geadim.exocenter import exocenter
 
@@ -22,6 +25,29 @@ def test_build_equiv():
         cg.build_equiv(E, [["a", "b"], ["b", "1"]])
     with pytest.raises(UnknownElement):
         cg.build_equiv(E, [["a", "nope"]])
+
+
+def test_relabeling_matches_sorted_groups():
+    """Classes and ids agree with grouping the labels, sorting the groups
+    and numbering them in that order, on labelings that are not dense."""
+    rng = random.Random(7)
+    E = core.b4()
+    for _ in range(200):
+        labels = [rng.randrange(-60, 120) for _ in range(E.n)]
+        if rng.random() < 0.5:
+            labels = [rng.choice(labels[:2]) for _ in range(E.n)]
+        groups = {}
+        for e, c in enumerate(labels):
+            groups.setdefault(c, []).append(e)
+        ordered = sorted(groups.values())
+        class_of = [0] * E.n
+        for cid, members in enumerate(ordered):
+            for e in members:
+                class_of[e] = cid
+        for given in (labels, np.array(labels, dtype=np.int8)):
+            R = cg.EquivRel(E, given)
+            assert R.classes == tuple(map(tuple, ordered))
+            assert R.class_of.tolist() == class_of
 
 
 def test_check_sk_passes_on_b4_merge():
@@ -64,22 +90,18 @@ def test_b4_sk_congruence_count():
 def test_relation_queries():
     C3 = core.c3()
     eq = cg.equality_relation(C3)
-    q = cg.relation_queries(C3, eq)
-    assert q.subequiv(1, 2) and not q.subequiv(2, 1)
-    assert all(not q.related(0, f) for f in range(3))
+    assert cg.subequiv(C3, eq, 1, 2) and not cg.subequiv(C3, eq, 2, 1)
+    assert all(not cg.related(C3, eq, 0, f) for f in range(3))
     E, merge = _b4_merge()
-    qm = cg.relation_queries(E, merge)
-    assert not qm.is_hereditary({0, 1})  # b ~ a escapes the set
-    assert qm.is_hereditary({0, 1, 2})
-    assert qm.is_descendent(3, 1)
+    assert not cg.is_hereditary(E, merge, {0, 1})  # b ~ a escapes the set
+    assert cg.is_hereditary(E, merge, {0, 1, 2})
+    assert cg.is_descendent(E, merge, 3, 1)
 
 
 def test_sigma_sim():
     E, merge = _b4_merge()
     S = exocenter(E)
     eq = cg.equality_relation(E)
-    cg.check_sk(E, eq)
-    cg.check_sk(E, merge)
     assert len(cg.sigma_sim(E, eq, S)) == 4
     sig = cg.sigma_sim(E, merge, S)
     assert set(sig.maps) == {S.zero, S.one}
@@ -89,8 +111,6 @@ def test_induced_hull():
     E, merge = _b4_merge()
     S = exocenter(E)
     eq = cg.equality_relation(E)
-    cg.check_sk(E, eq)
-    cg.check_sk(E, merge)
     h_eq = cg.induced_hull(E, eq, cg.sigma_sim(E, eq, S))
     assert h_eq.maps == hull.gamma_hull(E, S).maps
     h_merge = cg.induced_hull(E, merge, cg.sigma_sim(E, merge, S))
@@ -102,22 +122,22 @@ def test_check_der():
     E, merge = _b4_merge()
     S = exocenter(E)
     for R in (cg.equality_relation(E), merge):
-        cg.check_sk(E, R)
-        rep = cg.check_der(E, R, cg.sigma_sim(E, R, S))
+        sig = cg.sigma_sim(E, R, S)
+        rep = cg.check_der(E, R, sig, cg.induced_hull(E, R, sig))
         assert rep.der
     C3 = core.c3()
     eq = cg.equality_relation(C3)
-    cg.check_sk(C3, eq)
-    rep = cg.check_der(C3, eq, cg.sigma_sim(C3, eq, exocenter(C3)))
+    sig = cg.sigma_sim(C3, eq, exocenter(C3))
+    rep = cg.check_der(C3, eq, sig, cg.induced_hull(C3, eq, sig))
     assert rep.der
 
 
 def test_check_der_requires_congruence():
     T3 = core.t3()
     eq = cg.equality_relation(T3)
-    cg.check_sk(T3, eq)
+    sig = cg.sigma_sim(T3, eq, exocenter(T3))
     with pytest.raises(NotSkCongruence):
-        cg.check_der(T3, eq, cg.sigma_sim(T3, eq, exocenter(T3)))
+        cg.check_der(T3, eq, sig, cg.induced_hull(T3, eq, sig))
 
 
 def test_decompose_pair():
@@ -133,26 +153,22 @@ def test_decompose_pair():
 
 def test_comparability():
     C3 = core.c3()
-    eq = cg.equality_relation(C3)
-    cg.check_sk(C3, eq)
-    sig = cg.sigma_sim(C3, eq, exocenter(C3))
-    cg.check_der(C3, eq, sig)
-    d = cg.comparability(C3, eq, sig, 1, 2)
-    H = cg.induced_hull(C3, eq, sig)
-    assert H.eta(d).is_identity
-    assert cg.comparability(C3, eq, sig, 1, 1) == 0
+    dc = dm.Dgea(C3, cg.equality_relation(C3))
+    d = dm.comparability(dc, 1, 2)
+    assert dc.hull.eta(d).is_identity
+    assert dm.comparability(dc, 1, 1) == 0
     E, merge = _b4_merge()
-    cg.check_sk(E, merge)
-    sigm = cg.sigma_sim(E, merge, exocenter(E))
-    cg.check_der(E, merge, sigm)
-    db = cg.comparability(E, merge, sigm, 1, 3)
-    Hm = cg.induced_hull(E, merge, sigm)
-    assert Hm.eta(db).is_identity
+    dmerge = dm.Dgea(E, merge)
+    db = dm.comparability(dmerge, 1, 3)
+    assert dmerge.hull.eta(db).is_identity
 
 
 def test_comparability_requires_der():
     E = core.b4()
     raw = cg.build_equiv(E, [["a", "1"]])  # not a congruence
-    S = exocenter(E)
     with pytest.raises(NotDer):
-        cg.comparability(E, raw, cg.sigma_sim(E, raw, S), 1, 2)
+        dm.comparability(dm.Dgea(E, raw), 1, 2)
+    d = dm.Dgea(*_b4_merge())
+    d.der = False  # as for a congruence that fails SK4a'
+    with pytest.raises(NotDer):
+        dm.comparability(d, 1, 2)

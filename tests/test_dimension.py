@@ -58,13 +58,13 @@ def test_f_tilde():
 
 def test_is_factor():
     B4 = core.b4()
-    d_merge, merge = _dgea(B4, [["a", "b"]])
-    assert dm.is_factor(B4, merge, d_merge.sigma).factor
-    d_eq, eq = _dgea(B4)
-    assert not dm.is_factor(B4, eq, d_eq.sigma).factor
+    d_merge, _ = _dgea(B4, [["a", "b"]])
+    assert dm.is_factor(d_merge).factor
+    d_eq, _ = _dgea(B4)
+    assert not dm.is_factor(d_eq).factor
     one = core.build_gea(["0"], "0", [])
-    d1, r1 = _dgea(one)
-    assert dm.is_factor(one, r1, d1.sigma).factor
+    d1, _ = _dgea(one)
+    assert dm.is_factor(d1).factor
 
 
 def test_decompose_types_c3():
@@ -105,25 +105,25 @@ def test_decompose_requires_der():
 
 def test_restrict_summand():
     B4 = core.b4()
-    d_eq, eq = _dgea(B4)
+    d_eq, _ = _dgea(B4)
     pa = next(m for m in d_eq.sigma if m.summand == (0, 1))
-    sub, subrel, mapping = dm.restrict_summand(B4, eq, pa)
+    sub, subrel, mapping = dm.restrict_summand(d_eq, pa)
     assert sub.names == ("0", "a") and mapping == (0, 1)
     assert subrel.classes == ((0,), (1,))
-    full, _, _ = dm.restrict_summand(B4, eq, d_eq.sigma.one)
+    full, _, _ = dm.restrict_summand(d_eq, d_eq.sigma.one)
     assert core.canonical_form(full) == core.canonical_form(B4)
     pb = next(m for m in d_eq.sigma if m.summand == (0, 2))
-    sb, _, mb = dm.restrict_summand(B4, eq, pb)
+    sb, _, mb = dm.restrict_summand(d_eq, pb)
     assert sb.names == ("0", "b")
 
 
 def test_restrict_summand_rejects_non_splitting():
     B4 = core.b4()
-    d_merge, merge = _dgea(B4, [["a", "b"]])
+    d_merge, _ = _dgea(B4, [["a", "b"]])
     S = exocenter(B4)
     pa = next(m for m in S if m.summand == (0, 1))
     with pytest.raises(NotSplitting):
-        dm.restrict_summand(B4, merge, pa, sigma=d_merge.sigma)
+        dm.restrict_summand(d_merge, pa)
 
 
 def test_hereditary_sup():
@@ -164,7 +164,7 @@ def test_hereditary_sup_rejects_unbounded():
 
 def test_summand_type_flags_identity():
     C3 = core.c3()
-    d, eq = _dgea(C3)
-    flags = dm.summand_type_flags(C3, eq, d.sigma.one, d.sigma)
+    d, _ = _dgea(C3)
+    flags = dm.summand_type_flags(d, d.sigma.one)
     assert flags.type_i and not flags.type_ii and not flags.type_iii
     assert flags.finite_type and not flags.properly_non_finite
