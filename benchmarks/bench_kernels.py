@@ -46,7 +46,8 @@ def main():
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}")
     c5, c6 = _chain(5), _chain(6)
-    bench("axiom_violation n=6", K.axiom_violation, (c6.sum,), repeat=200)
+    bench("axiom_violation n=6", K.axiom_violation, (c6.sum.tolist(),),
+          repeat=200)
     empty = np.empty(0, dtype=np.int8)
     bench("enumerate_tables n=5", K.enumerate_tables, (5, empty), repeat=3)
     bench("enumerate_tables n=6", K.enumerate_tables, (6, empty), repeat=1)
@@ -56,11 +57,10 @@ def main():
     bench("sk_plan n=6", K.sk_plan, (c6.sum, c6.diff, c6.leq), repeat=20)
     plan = K.sk_plan(c6.sum, c6.diff, c6.leq)
     bench("sk_witnesses n=6", K.sk_witnesses, (plan, cls), repeat=200)
-    B4 = core.b4()
-    perms = core._candidate_perms(B4)
-    flat = np.ascontiguousarray(B4.sum.reshape(16))
-    bench("min_relabel n=4", K.min_relabel, (flat, 4, perms), repeat=500)
-    bench("is_min_relabel n=4", K.is_min_relabel, (flat, 4, perms), repeat=500)
+    rows = core.b4().sum.tolist()
+    perms = list(core._candidate_perms(core._refine_colors(rows)))
+    bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)
+    bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)
     catalog.cached_entries(5)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 

@@ -1,14 +1,15 @@
 """Hot inner loops shared by the core, catalog, and congruence layers.
 
-Every kernel is a module-level function taking and returning numpy
-arrays, except that ``sk_witnesses`` reads the per-model ``SkPlan`` that
-``sk_plan`` builds.  The heaviest ones (``enumerate_tables``,
-``brute_exomaps`` and ``sk_plan``) convert their inputs once with
-``.tolist()`` and loop over plain Python lists, which index several
-times faster than numpy scalars.
+Every kernel loops over plain Python lists, which index several times
+faster than numpy scalars.  ``axiom_violation``, ``relabeled``,
+``min_relabel`` and ``is_min_relabel`` take a table as list rows and
+return lists or tuples.  ``enumerate_tables`` returns its tables as one
+``int8`` array, ``brute_exomaps`` and ``sk_plan`` take the model's arrays
+and convert them once with ``.tolist()``, and ``sk_witnesses`` reads the
+per-model ``SkPlan`` that ``sk_plan`` builds and returns tuples.
 
-Table encoding: an n-element model is an ``int8`` n-by-n array where entry
-``[i, j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
+Table encoding: an n-element model is an n-by-n table where entry
+``[i][j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
 During enumeration a third sentinel ``-2`` marks "not yet assigned".
 """
 
@@ -21,6 +22,7 @@ import numpy as np
 __all__ = [
     "axiom_violation",
     "enumerate_tables",
+    "relabeled",
     "min_relabel",
     "is_min_relabel",
     "brute_exomaps",
@@ -28,143 +30,74 @@ __all__ = [
     "sk_witnesses",
 ]
 
-OK = 0
-GEA1, GEA2, GEA3, GEA4, GEA5 = 1, 2, 3, 4, 5
+def axiom_violation(rows):
+    """First violated axiom of GEA1-GEA5 on a complete table of list rows.
 
-
-def axiom_violation(table):
-    """Check GEA1-GEA5 on a complete table.
-
-    Returns ``[code, i, j, k]`` where code 0 means every axiom holds and
-    codes 1..5 name the first violated axiom together with a witness
-    triple (unused slots are -1).  Witnesses are the lexicographically
-    least offending tuples because the loops run in index order.
+    Returns None when every axiom holds, else ``(tag, witness)``: the
+    axiom's name (``"GEA1"`` .. ``"GEA5"``) and the lexicographically
+    least offending index tuple, as the loops run in index order.  The
+    axioms are tried in the order GEA1, GEA3, GEA5, GEA4, GEA2.
     """
-    n = table.shape[0]
-    out = np.full(4, -1, dtype=np.int64)
-    # GEA1: symmetric definedness and value
-    for i in range(n):
-        for j in range(n):
-            if table[i, j] != table[j, i]:
-                out[0] = GEA1
-                out[1] = i
-                out[2] = j
-                return out
-    # GEA3: zero is neutral
-    for i in range(n):
-        if table[i, 0] != i:
-            out[0] = GEA3
-            out[1] = i
-            return out
-    # GEA5: positivity
-    for i in range(n):
-        for j in range(n):
-            if table[i, j] == 0 and (i != 0 or j != 0):
-                out[0] = GEA5
-                out[1] = i
-                out[2] = j
-                return out
-    # GEA4: cancellation (rows are injective where defined)
-    for d in range(n):
-        for e in range(n):
-            if table[d, e] < 0:
-                continue
-            for f in range(e + 1, n):
-                if table[d, f] == table[d, e]:
-                    out[0] = GEA4
-                    out[1] = d
-                    out[2] = e
-                    out[3] = f
-                    return out
-    # GEA2: d+(e+f) defined implies (d+e)+f defined and equal
-    for d in range(n):
-        for e in range(n):
-            for f in range(n):
-                g = table[e, f]
-                if g < 0:
+    rng = range(len(rows))
+    for i in rng:  # symmetric definedness and value
+        for j in rng:
+            if rows[i][j] != rows[j][i]:
+                return "GEA1", (i, j)
+    for i in rng:  # zero is neutral
+        if rows[i][0] != i:
+            return "GEA3", (i,)
+    for i in rng:  # positivity
+        for j in rng:
+            if rows[i][j] == 0 and (i or j):
+                return "GEA5", (i, j)
+    for d, row in enumerate(rows):  # cancellation: rows injective where defined
+        for e in rng:
+            v = row[e]
+            if v >= 0 and v in row[e + 1:]:
+                return "GEA4", (d, e, row.index(v, e + 1))
+    for d, row in enumerate(rows):  # d+(e+f) defined gives (d+e)+f, equal
+        for e in rng:
+            de = row[e]
+            for f in rng:
+                g = rows[e][f]
+                if g < 0 or row[g] < 0:
                     continue
-                h = table[d, g]
-                if h < 0:
-                    continue
-                de = table[d, e]
-                if de < 0:
-                    out[0] = GEA2
-                    out[1] = d
-                    out[2] = e
-                    out[3] = f
-                    return out
-                if table[de, f] != h:
-                    out[0] = GEA2
-                    out[1] = d
-                    out[2] = e
-                    out[3] = f
-                    return out
-    out[0] = OK
-    return out
+                if de < 0 or rows[de][f] != row[g]:
+                    return "GEA2", (d, e, f)
+    return None
 
 
-def min_relabel(flat, n, perms):
-    """Lexicographically least relabeling of a flattened table.
+def relabeled(rows, perm):
+    """The table with element i renamed to ``perm[i]``, as list rows."""
+    inv = [0] * len(perm)
+    for a, p in enumerate(perm):
+        inv[p] = a
+    return [[-1 if rows[a][b] < 0 else perm[rows[a][b]] for b in inv]
+            for a in inv]
 
-    ``perms`` is a (P, n) array of permutations sending old index to new
-    index; each must fix 0.  The minimum ranges over the given
-    permutations only (the identity participates only when listed), with
-    -1 (undefined) sorting below every defined value in the row-major
-    comparison over new indices.
+
+def min_relabel(rows, perms):
+    """Least relabeling of a table over ``perms``, as list rows.
+
+    Each permutation sends old index to new index and must fix 0; the
+    identity takes part only when listed.  Tables compare row-major, with
+    -1 (undefined) below every defined value.
     """
-    nperms = perms.shape[0]
-    best = np.empty(n * n, dtype=np.int8)
-    inv = np.zeros(n, dtype=np.int64)
-    cand = np.zeros(n * n, dtype=np.int8)
-    for p in range(nperms):
-        for a in range(n):
-            inv[perms[p, a]] = a
-        smaller = p == 0
-        equal = True
-        for t in range(n * n):
-            a = t // n
-            b = t - a * n
-            v = flat[inv[a] * n + inv[b]]
-            m = v if v < 0 else perms[p, v]
-            cand[t] = m
-            if p > 0 and equal:
-                if m < best[t]:
-                    smaller = True
-                    equal = False
-                elif m > best[t]:
-                    equal = False
-                    break
-        if smaller:
-            for t in range(n * n):
-                best[t] = cand[t]
-    return best
+    return min(relabeled(rows, p) for p in perms)
 
 
-def is_min_relabel(flat, n, perms):
-    """True when the table equals the least relabeling over ``perms``.
+def is_min_relabel(rows, perms):
+    """True when the table equals its least relabeling over ``perms``.
 
-    Requires both that no permutation produces a strictly smaller table
-    and that some permutation reproduces the table itself.
+    Requires both that no permutation produces a smaller table and that
+    some permutation reproduces the table itself.
     """
-    nperms = perms.shape[0]
-    inv = np.zeros(n, dtype=np.int64)
     achieved = False
-    for p in range(nperms):
-        for a in range(n):
-            inv[perms[p, a]] = a
-        equal = True
-        for t in range(n * n):
-            a = t // n
-            b = t - a * n
-            v = flat[inv[a] * n + inv[b]]
-            m = v if v < 0 else perms[p, v]
-            if m < flat[t]:
-                return False
-            if m > flat[t]:
-                equal = False
-                break
-        if equal:
-            achieved = True
+    for p in perms:
+        other = relabeled(rows, p)
+        if other < rows:
+            return False
+        achieved = achieved or other == rows
     return achieved
 
 
@@ -392,16 +325,15 @@ def sk_witnesses(plan, cls):
     """First failing witness for each congruence axiom.
 
     ``plan`` is the model's ``sk_plan`` and ``cls`` maps element index to
-    class id.  Returns a (6, 5) int64 array; row k is
-    [violated, w0, w1, w2, w3] for SK1, SK2, SK3d, SK3e, SK4a, SK4b in
-    that order.  Each witness is the lexicographically least failing
-    tuple.  SK2 is checked in its pair (finite additivity) form, which
-    extends to all finite families by induction.  Class pairs are
-    encoded as ``c1 * n + c2``.
+    class id.  Returns six witnesses for SK1, SK2, SK3d, SK3e, SK4a, SK4b
+    in that order, each None where the axiom holds and otherwise the
+    lexicographically least failing tuple.  SK2 is checked in its pair
+    (finite additivity) form, which extends to all finite families by
+    induction.  Class pairs are encoded as ``c1 * n + c2``.
     """
     cls = cls.tolist()
     below_cls = [{cls[x] for x in b} for b in plan.below]
-    found = (
+    return (
         _sk1(plan, cls),
         _sk2(plan, cls),
         _sk3d(plan, cls),
@@ -409,9 +341,6 @@ def sk_witnesses(plan, cls):
         _sk4a(plan, below_cls),
         _sk4b(plan, cls, below_cls),
     )
-    rows = [(0, -1, -1, -1, -1) if w is None
-            else (1, *w) + (-1,) * (4 - len(w)) for w in found]
-    return np.array(rows, dtype=np.int64)
 
 
 def _sk1(plan, cls):

@@ -102,9 +102,7 @@ def _canonical_from_prefix(n, prefix):
     tables = _kernels.enumerate_tables(n, prefix)
     keep = []
     for flat in tables:
-        E = core.GeaTable([str(i) for i in range(n)], flat.reshape(n, n),
-                          _validated=True)
-        if core.is_canonical_table(E):
+        if core.is_canonical_table(flat.reshape(n, n).tolist()):
             keep.append(flat.tobytes())
     return keep
 
@@ -431,7 +429,7 @@ def naive_class_count(n):
         for (i, j), v in zip(cells, choice):
             table[i, j] = v
             table[j, i] = v
-        if _kernels.axiom_violation(table)[0] != _kernels.OK:
+        if _kernels.axiom_violation(table.tolist()) is not None:
             continue
         orbit_min = None
         for p in perms:

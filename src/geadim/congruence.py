@@ -143,14 +143,10 @@ def check_sk(E, R):
     """
     if "sk_report" in R._cache:
         return R._cache["sk_report"]
-    rows = _kernels.sk_witnesses(E._sk_plan, R.class_of)
-    verdicts = []
-    widths = (1, 4, 3, 4, 2, 2)
-    for k in range(6):
-        bad = bool(rows[k, 0])
-        witness = tuple(int(x) for x in rows[k, 1 : 1 + widths[k]]) if bad else None
-        verdicts.append(Verdict(not bad, witness))
-    report = SkReport(*verdicts)
+    report = SkReport(*(
+        Verdict(w is None, w)
+        for w in _kernels.sk_witnesses(E._sk_plan, R.class_of)
+    ))
     R._cache["sk_report"] = report
     return report
 

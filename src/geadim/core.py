@@ -18,9 +18,6 @@ import numpy as np
 from . import _kernels
 from .errors import AxiomViolation, ConflictingEquation, InternalInvariant
 
-AXIOM_NAMES = {1: "GEA1", 2: "GEA2", 3: "GEA3", 4: "GEA4", 5: "GEA5"}
-
-
 class GeaTable:
     """A validated finite GEA over named elements (zero at index 0)."""
 
@@ -32,11 +29,10 @@ class GeaTable:
         if table.shape != (self.n, self.n):
             raise ValueError("sum table shape does not match element count")
         if not _validated:
-            code = _kernels.axiom_violation(table)
-            if code[0] != _kernels.OK:
-                tag = AXIOM_NAMES[int(code[0])]
-                witness = tuple(self.names[w] for w in code[1:] if w >= 0)
-                raise AxiomViolation(tag, witness)
+            violation = _kernels.axiom_violation(table.tolist())
+            if violation is not None:
+                tag, witness = violation
+                raise AxiomViolation(tag, tuple(self.names[w] for w in witness))
         self.sum = table
         self.leq = _derive_leq(table)
         self.diff = _derive_diff(table, self.leq)
@@ -153,11 +149,7 @@ class GeaTable:
         n = self.n
         if sorted(perm) != list(range(n)) or perm[0] != 0:
             raise ValueError("perm must be a permutation fixing 0")
-        new = np.full((n, n), -1, dtype=np.int8)
-        for i in range(n):
-            for j in range(n):
-                v = self.sum[i, j]
-                new[perm[i], perm[j]] = -1 if v < 0 else perm[v]
+        new = _kernels.relabeled(self._sum_rows, perm)
         names = [""] * n
         for i in range(n):
             names[perm[i]] = self.names[i]
@@ -629,20 +621,26 @@ def interval_ea(E, p):
 # canonical forms
 # ---------------------------------------------------------------------------
 
-def _refine_colors(E):
-    """Iterated structural coloring; color ids are label-invariant ranks."""
-    n = E.n
-    colors = [0 if e == 0 else 1 for e in range(n)]
-    for _ in range(n):
-        sigs = []
-        for e in range(n):
-            pairs = sorted(
-                (colors[f], colors[int(E.sum[e, f])])
-                for f in range(n)
-                if E.sum[e, f] >= 0
-            )
-            belows = sorted(colors[f] for f in range(n) if E.leq[f, e])
-            sigs.append((colors[e], tuple(pairs), tuple(belows)))
+def _refine_colors(rows):
+    """Iterated structural coloring of a table given as list rows.
+
+    Color ids are ranks of label-invariant signatures, so relabeling the
+    table permutes the colors the same way.  The order is read off the
+    rows: f <= e iff e is in row f.  This is the partition-refinement
+    scheme of McKay and Piperno, "Practical graph isomorphism, II",
+    J. Symbolic Comput. 60 (2014).
+    """
+    rng = range(len(rows))
+    sums = [[(f, v) for f, v in enumerate(row) if v >= 0] for row in rows]
+    below = [[f for f in rng if e in rows[f]] for e in rng]
+    colors = [0 if e == 0 else 1 for e in rng]
+    for _ in rng:
+        sigs = [
+            (colors[e],
+             tuple(sorted((colors[f], colors[v]) for f, v in sums[e])),
+             tuple(sorted(colors[f] for f in below[e])))
+            for e in rng
+        ]
         ranking = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
         if new == colors:
@@ -651,33 +649,27 @@ def _refine_colors(E):
     return colors
 
 
-def _candidate_perms(E):
-    """Permutations compatible with the refined coloring, as an array.
+def _candidate_perms(colors):
+    """Permutations compatible with a refined coloring, as lists, lazily.
 
     Elements of each color class may only move within the class's slot
     range; classes are laid out in color order (zero's class first).
     """
-    n = E.n
-    colors = _refine_colors(E)
     classes = {}
-    for e in range(n):
-        classes.setdefault(colors[e], []).append(e)
+    for e, c in enumerate(colors):
+        classes.setdefault(c, []).append(e)
     ordered = [classes[c] for c in sorted(classes)]
     slots = []
     base = 0
     for cls in ordered:
-        slots.append(list(range(base, base + len(cls))))
+        slots.append(range(base, base + len(cls)))
         base += len(cls)
-    perms = []
-    for arrangement in itertools.product(
-        *[itertools.permutations(slot) for slot in slots]
-    ):
-        p = [0] * n
-        for cls, slot_perm in zip(ordered, arrangement):
-            for e, target in zip(cls, slot_perm):
+    for arrangement in itertools.product(*map(itertools.permutations, slots)):
+        p = [0] * len(colors)
+        for cls, targets in zip(ordered, arrangement):
+            for e, target in zip(cls, targets):
                 p[e] = target
-        perms.append(p)
-    return np.array(perms, dtype=np.int8)
+        yield p
 
 
 def canonical_form(E):
@@ -686,14 +678,24 @@ def canonical_form(E):
     Two models get equal byte strings exactly when some relabeling that
     fixes zero carries one sum table onto the other.
     """
-    perms = _candidate_perms(E)
-    flat = np.ascontiguousarray(E.sum.reshape(E.n * E.n))
-    best = _kernels.min_relabel(flat, E.n, perms)
-    return bytes([E.n]) + best.tobytes()
+    rows = E._sum_rows
+    best = _kernels.min_relabel(rows, _candidate_perms(_refine_colors(rows)))
+    return bytes([E.n]) + np.array(best, dtype=np.int8).tobytes()
 
 
-def is_canonical_table(E):
-    """True when this labeling is its own canonical representative."""
-    perms = _candidate_perms(E)
-    flat = np.ascontiguousarray(E.sum.reshape(E.n * E.n))
-    return bool(_kernels.is_min_relabel(flat, E.n, perms))
+def is_canonical_table(rows):
+    """True when the table, given as list rows, is its own canonical
+    representative: the least relabeling over the candidate permutations.
+
+    A table whose refined colors are not sorted in label order is never
+    canonical, and is rejected before any permutation is built.  Colors
+    are invariant under isomorphism, so a candidate permutation that
+    reproduces the table maps each color class onto itself; being a
+    candidate, it also maps the class into the class's slot range, so
+    every class sits on its own slots.  Then the colors are sorted, which
+    holds exactly when the identity is a candidate.
+    """
+    colors = _refine_colors(rows)
+    if colors != sorted(colors):
+        return False
+    return _kernels.is_min_relabel(rows, _candidate_perms(colors))

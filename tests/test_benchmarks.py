@@ -1,0 +1,54 @@
+"""The benchmark scripts against the current module layout.
+
+``perfbench/spans.py`` rebinds geadim's functions by name and
+``benchmarks/bench_kernels.py`` calls the kernels directly; both are
+loaded from their files here and only read.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import geadim.cli  # noqa: F401  (loads every module the tracer targets)
+from geadim import core
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(relpath):
+    path = ROOT / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_binds_every_target_and_restores_it():
+    spans = _load("perfbench/spans.py")
+    originals = {
+        (module, fn): getattr(sys.modules[f"geadim.{module}"], fn)
+        for module, fns in spans.TARGETS.items() for fn in fns
+    }
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for (module, fn), orig in originals.items():
+            name = spans.span_name(module, fn)
+            assert f"geadim.{module}.{fn}" in tracer.bindings[name], name
+            assert getattr(sys.modules[f"geadim.{module}"], fn) is not orig
+        assert core.is_canonical_table([[0]])
+        assert tracer.calls["core.is_canonical_table"] == 1
+    finally:
+        tracer.uninstall()
+    for (module, fn), orig in originals.items():
+        assert getattr(sys.modules[f"geadim.{module}"], fn) is orig
+
+
+def test_bench_kernels_runs(capsys):
+    bench = _load("benchmarks/bench_kernels.py")
+    bench.ROUNDS = 1
+    bench.main()
+    out = capsys.readouterr().out
+    for label in ("axiom_violation n=6", "min_relabel n=4",
+                  "is_min_relabel n=4", "run_theorem_suite n<=5"):
+        assert label in out

@@ -1,10 +1,12 @@
 """Enumeration counts, determinism, persistence, relations, and searches."""
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from geadim import catalog, core
+from geadim import _kernels, catalog, core
 from geadim.errors import CorruptCatalog, LimitExceeded, UnknownPredicate
 
 
@@ -20,49 +22,68 @@ def test_counts_match_naive_oracle():
         assert fast == catalog.naive_class_count(n)
 
 
-def _orbit_min(table, n):
-    import itertools
+def _zero_fixing_perms(n):
+    return [(0,) + rest for rest in itertools.permutations(range(1, n))]
 
-    best = None
-    for rest in itertools.permutations(range(1, n)):
-        p = (0,) + rest
-        relab = [[-1] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                v = int(table[a, b])
-                relab[p[a]][p[b]] = -1 if v < 0 else p[v]
-        key = bytes(x + 1 for row in relab for x in row)
-        if best is None or key < best:
-            best = key
-    return best
+
+def _relabel_rows(rows, p):
+    n = len(rows)
+    relab = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            v = rows[a][b]
+            relab[p[a]][p[b]] = -1 if v < 0 else p[v]
+    return relab
+
+
+def _orbit_min(rows):
+    return min(
+        bytes(x + 1 for row in _relabel_rows(rows, p) for x in row)
+        for p in _zero_fixing_perms(len(rows))
+    )
+
+
+def _labeled_tables(n):
+    flat = _kernels.enumerate_tables(n, np.empty(0, dtype=np.int8))
+    return flat.reshape(-1, n, n).tolist()
 
 
 def test_class_counts_by_raw_orbits_n5_n6():
     # dedupe the enumerated labeled tables by raw full-permutation orbits,
-    # independently of the color-refined canonical form
-    import numpy as np
-
-    from geadim import _kernels
-
+    # independently of the color-refined canonical form; the canonical
+    # filter keeps exactly one table of each orbit
     for n, expected in ((5, 12), (6, 35)):
-        tables = _kernels.enumerate_tables(n, np.empty(0, dtype=np.int8))
-        orbits = {_orbit_min(flat.reshape(n, n), n) for flat in tables}
-        assert len(orbits) == expected
+        kept = {}
+        for rows in _labeled_tables(n):
+            orbit = _orbit_min(rows)
+            kept[orbit] = kept.get(orbit, 0) + core.is_canonical_table(rows)
+        assert len(kept) == expected
+        assert set(kept.values()) == {1}
         assert len([e for e in catalog.cached_entries(n) if e.n == n]) == expected
+
+
+def test_orbit_stabilizer_counts_every_labeled_table():
+    # each class E has (n-1)!/|Aut(E)| labelings, with |Aut(E)| counted by
+    # brute force over the zero-fixing permutations; over one table per
+    # class they add up to the labeled count, so a class the filter keeps
+    # twice or misses shows as a wrong total
+    for n in range(1, 7):
+        perms = _zero_fixing_perms(n)
+        total = 0
+        for flat in catalog._canonical_tables(n):
+            rows = np.frombuffer(flat, dtype=np.int8).reshape(n, n).tolist()
+            aut = sum(_relabel_rows(rows, p) == rows for p in perms)
+            assert len(perms) % aut == 0
+            total += len(perms) // aut
+        assert total == len(_labeled_tables(n))
 
 
 def test_enumeration_finds_every_valid_labeled_table_n4():
     # the pruned DFS must produce exactly the tables the unpruned filter keeps
-    import itertools as it
-
-    import numpy as np
-
-    from geadim import _kernels
-
     n = 4
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     naive = set()
-    for choice in it.product(range(-1, n), repeat=len(cells)):
+    for choice in itertools.product(range(-1, n), repeat=len(cells)):
         table = np.full((n, n), -1, dtype=np.int8)
         for e in range(n):
             table[e, 0] = e
@@ -70,7 +91,7 @@ def test_enumeration_finds_every_valid_labeled_table_n4():
         for (i, j), v in zip(cells, choice):
             table[i, j] = v
             table[j, i] = v
-        if _kernels.axiom_violation(table)[0] == _kernels.OK:
+        if _kernels.axiom_violation(table.tolist()) is None:
             naive.add(table.tobytes())
     dfs = {
         flat.tobytes()

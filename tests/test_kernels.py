@@ -108,13 +108,16 @@ def test_brute_exomaps_matches_literal_filter():
 
 
 def test_sk_witnesses_digest():
+    # each witness is packed as [violated, w0, w1, w2, w3] (unused slots
+    # -1) into one int64 row per axiom, the layout the digest was taken in
     h = hashlib.sha256()
     for E in _catalog_models(5):
         for class_of in catalog.partitions_with_zero_singleton(E.n):
             cls = np.array(class_of, dtype=np.int8)
-            rows = K.sk_witnesses(K.sk_plan(E.sum, E.diff, E.leq), cls)
-            assert rows.dtype == np.int64 and rows.shape == (6, 5)
-            h.update(rows.tobytes())
+            found = K.sk_witnesses(K.sk_plan(E.sum, E.diff, E.leq), cls)
+            rows = [[0, -1, -1, -1, -1] if w is None
+                    else [1, *w] + [-1] * (4 - len(w)) for w in found]
+            h.update(np.array(rows, dtype=np.int64).tobytes())
     assert h.hexdigest() == SK_WITNESSES_SHA256
 
 
@@ -191,15 +194,11 @@ def test_sk_witnesses_match_the_literal_sk_axioms():
         if E.n > 1:
             partitions += [[0] * E.n, [0, 0, *range(1, E.n - 1)]]
         for cls in partitions:
-            rows = K.sk_witnesses(plan, np.array(cls, dtype=np.int8))
-            want = [
-                [0, -1, -1, -1, -1] if w is None
-                else [1, *w] + [-1] * (4 - len(w))
-                for w in _literal_sk_witnesses(E, cls)
-            ]
-            assert rows.tolist() == want, (E.sum.tolist(), cls)
-            for k in range(6):
-                failures[k] += rows[k, 0]
+            found = K.sk_witnesses(plan, np.array(cls, dtype=np.int8))
+            assert list(found) == _literal_sk_witnesses(E, cls), (
+                E.sum.tolist(), cls)
+            for k, w in enumerate(found):
+                failures[k] += w is not None
     assert all(failures)  # every axiom fails somewhere
 
 
@@ -235,3 +234,15 @@ def test_canonical_key_stable_under_full_relabeling():
         for perm in itertools.permutations(range(1, n)):
             other = E.relabel([0, *perm])
             assert core.canonical_form(other) == key
+
+
+def test_sorted_colors_shortcut_is_exact():
+    # is_canonical_table rejects unsorted colors before building any
+    # permutation; on every labeled table it must agree with the full
+    # comparison over all candidate permutations
+    for n in range(1, 7):
+        for flat in K.enumerate_tables(n, EMPTY):
+            rows = flat.reshape(n, n).tolist()
+            perms = core._candidate_perms(core._refine_colors(rows))
+            assert core.is_canonical_table(rows) == (
+                K.min_relabel(rows, perms) == rows), rows
