@@ -51,6 +51,7 @@ def main():
     empty = np.empty(0, dtype=np.int8)
     bench("enumerate_tables n=5", K.enumerate_tables, (5, empty), repeat=3)
     bench("enumerate_tables n=6", K.enumerate_tables, (6, empty), repeat=1)
+    bench("enumerate_tables n=7", K.enumerate_tables, (7, empty), repeat=1)
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
     cls = np.array([0, 1, 1, 2, 2, 3], dtype=np.int8)

@@ -102,7 +102,8 @@ def is_min_relabel(rows, perms):
 
 
 def enumerate_tables(n, prefix):
-    """All valid sum tables on n elements extending a cell prefix.
+    """The valid sum tables on n elements extending a cell prefix whose
+    row degrees are non-decreasing.
 
     Cells are the pairs (i, j) with 1 <= i <= j < n in row-major order;
     ``prefix`` assigns values (-1 for undefined) to the first ``len(prefix)``
@@ -111,6 +112,30 @@ def enumerate_tables(n, prefix):
     would force the other summand to 0 by cancellation, v = 0 would break
     positivity).  Returns an int8 array of shape (count, n*n) of flattened
     tables, in DFS order.
+
+    The row degree k_e of e is the number of nonzero f with e + f
+    defined, and only tables with k_1 <= k_2 <= ... <= k_(n-1) are
+    emitted: the others can never be canonical (orderly generation,
+    R. C. Read, "Every one a winner", Ann. Discrete Math. 2 (1978)).
+
+    * The first round of ``core._refine_colors`` colors e != 0 by the
+      signature (1, ((0,1), (1,1) * k_e), (0, 1 * (b_e - 1))), where b_e
+      is the number of elements below e, so the ranks of these
+      signatures order the elements by (k_e, b_e), lexicographically.
+    * Every later signature starts with the previous color, so the final
+      colors keep the order of the first-round colors.
+    * ``core.is_canonical_table`` returns False unless the final colors
+      are sorted in label order; then the first-round colors are sorted
+      too, and so k is non-decreasing.
+    * A finite model has a maximal element m, and k_m = 0, since a
+      defined m + f with f != 0 lies strictly above m.  So k_1 = 0 in
+      every emitted table: row 1 holds no defined cell.
+    * A branch is rejected only when it defines a cell of row 1, or when
+      some rows a < b already have lo(a) > lo(b) + open(b), where lo
+      counts a row's defined nonzero cells and open its unassigned ones:
+      no completion can repair either.
+
+    A full prefix of a table that is not degree-sorted gives no table.
     """
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     nc = len(cells)
@@ -158,6 +183,37 @@ def enumerate_tables(n, prefix):
                     return False
         return True
 
+    # row degree bounds of the nonzero rows: lo counts the defined nonzero
+    # cells, hi = lo + the unassigned cells is the most the row can reach
+    lo = [0] * n
+    hi = [n - 1] * n
+    touched = [(i,) if i == j else (i, j) for i, j in cells]
+
+    def place(k, v):
+        # Assign cell k and say whether the branch survives.  Rows a < b
+        # with lo[a] > hi[b] can never be degree-sorted; only pairs with a
+        # row of cell k can have become such a pair: its lo grew when v is
+        # defined, its hi shrank when v is -1.
+        i, j = cells[k]
+        if v >= 0 and i == 1:  # row 1 has the least degree, which is 0
+            return False
+        table[i][j] = table[j][i] = v
+        if v >= 0:
+            for r in touched[k]:
+                lo[r] += 1
+            for r in touched[k]:
+                for b in range(r + 1, n):
+                    if lo[r] > hi[b]:
+                        return False
+        else:
+            for r in touched[k]:
+                hi[r] -= 1
+            for r in touched[k]:
+                for a in range(1, r):
+                    if lo[a] > hi[r]:
+                        return False
+        return assoc_ok(i, j)
+
     def empty():
         return np.empty((0, n * n), dtype=np.int8)
 
@@ -170,8 +226,7 @@ def enumerate_tables(n, prefix):
                 return empty()
             if v in table[i] or v in table[j]:
                 return empty()
-        table[i][j] = table[j][i] = v
-        if not assoc_ok(i, j):
+        if not place(k, v):
             return empty()
 
     if start == nc:
@@ -185,7 +240,14 @@ def enumerate_tables(n, prefix):
     while depth >= start:
         i, j = cells[depth]
         row_i, row_j = table[i], table[j]
-        row_i[j] = row_j[i] = -2
+        old = row_i[j]
+        if old != -2:  # unassign, undoing place's count
+            for r in touched[depth]:
+                if old >= 0:
+                    lo[r] -= 1
+                else:
+                    hi[r] += 1
+            row_i[j] = row_j[i] = -2
         k = nxt[depth]
         if k == len(cands[depth]):
             nxt[depth] = 0
@@ -195,8 +257,7 @@ def enumerate_tables(n, prefix):
         v = cands[depth][k]
         if v != -1 and (v in row_i or v in row_j):
             continue
-        row_i[j] = row_j[i] = v
-        if not assoc_ok(i, j):
+        if not place(depth, v):
             continue
         if depth == nc - 1:
             for row in table:

@@ -22,7 +22,7 @@ from .exocenter import exocenter
 
 FORMAT_VERSION = 1
 GENERATOR_VERSION = "0.1.0"
-DEFAULT_MAX_N = 6
+DEFAULT_MAX_N = 7
 HARD_MAX_N = 8
 
 
@@ -91,11 +91,20 @@ def _canonical_tables(n, jobs=1):
 
 
 def _branch_prefixes(n):
-    """Assignments of the first table cell, one DFS branch per worker task."""
-    out = []
-    for v in [-1] + [v for v in range(1, n) if v != 1]:
-        out.append(np.array([v], dtype=np.int8))
-    return out
+    """Cell prefixes that split the DFS into worker tasks, in DFS order.
+
+    Row 1 of every table ``enumerate_tables`` emits is undefined, so each
+    prefix leaves it undefined and splits on row 2: first the branch with
+    all of row 2 undefined, which holds most tables, then, from the last
+    cell (2, j) back to the first, one branch per defined value of that
+    cell with the cells before it undefined.
+    """
+    spine = [-1] * (2 * n - 3)  # rows 1 and 2 undefined
+    out = [spine]
+    for j in range(n - 1, 1, -1):
+        d = n + j - 3  # index of cell (2, j)
+        out += [spine[:d] + [v] for v in range(1, n) if v not in (2, j)]
+    return [np.array(p, dtype=np.int8) for p in out]
 
 
 def _canonical_from_prefix(n, prefix):

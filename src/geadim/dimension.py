@@ -489,14 +489,16 @@ class HereditarySupReport:
     central_if_directed: object  # bool, or None when neither hypothesis holds
 
 
-def hereditary_sup(E, R, S):
+def hereditary_sup(dgea, S):
     """Supremum of a bounded hereditary ideal via a maximal orthogonal family.
 
     Greedily accumulates elements of the ideal while the running sum stays
     defined; the result is asserted to be the supremum, and the theorem's
     conclusions (sharpness, hereditary interval, invariance under a
-    directedness hypothesis) are reported.
+    directedness hypothesis) are reported.  The hull maps and the
+    invariant elements are read from ``dgea``.
     """
+    E, R = dgea.E, dgea.R
     S = frozenset(int(x) for x in S)
     if not cg.is_hereditary(E, R, S) or not core._ideal_flags(E, S):
         raise NotHereditary(f"{sorted(S)}")
@@ -517,15 +519,14 @@ def hereditary_sup(E, R, S):
         raise InternalInvariant(
             f"orthosum of maximal family ({E.names[c]}) is not the supremum"
         )
-    sigma = cg.sigma_sim(E, R, exocenter(E))
-    H = cg.induced_hull(E, R, sigma)
-    eta_join = sigma.join_all([H.eta(h) for h in S])
+    H = dgea.hull
+    eta_join = dgea.sigma.join_all([H.eta(h) for h in S])
     if eta_join != H.eta(c):
         raise InternalInvariant("hull map of the supremum is not the join")
     flags = core.structure_predicates(E)
     central = None
     if flags.directed or flags.orthogonally_ordered:
-        central = c in invariant_sets(E, R, sigma, H).gamma_sim
+        central = c in dgea.invariants.gamma_sim
     return HereditarySupReport(
         c=c,
         sharp=core.is_sharp(E, c),

@@ -646,7 +646,7 @@ def _hereditary_sup_prop(ctx):
         if not any(all(E.leq[h, u] for h in S) for u in range(E.n)):
             continue
         try:
-            rep = dm.hereditary_sup(E, R, S)
+            rep = dm.hereditary_sup(ctx.dgea, S)
         except InternalInvariant as exc:
             out.append(str(exc))
             continue

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import LABELED_COUNTS, degree_sorted
 from geadim import _kernels, catalog, core
 from geadim.errors import CorruptCatalog, LimitExceeded, UnknownPredicate
 
@@ -43,18 +44,19 @@ def _orbit_min(rows):
     )
 
 
-def _labeled_tables(n):
+def _enumerated_tables(n):
     flat = _kernels.enumerate_tables(n, np.empty(0, dtype=np.int8))
     return flat.reshape(-1, n, n).tolist()
 
 
 def test_class_counts_by_raw_orbits_n5_n6():
-    # dedupe the enumerated labeled tables by raw full-permutation orbits,
-    # independently of the color-refined canonical form; the canonical
-    # filter keeps exactly one table of each orbit
+    # dedupe the enumerated tables by raw full-permutation orbits,
+    # independently of the color-refined canonical form: the degree-sorted
+    # stream meets every orbit, and the canonical filter keeps exactly one
+    # table of each
     for n, expected in ((5, 12), (6, 35)):
         kept = {}
-        for rows in _labeled_tables(n):
+        for rows in _enumerated_tables(n):
             orbit = _orbit_min(rows)
             kept[orbit] = kept.get(orbit, 0) + core.is_canonical_table(rows)
         assert len(kept) == expected
@@ -62,24 +64,35 @@ def test_class_counts_by_raw_orbits_n5_n6():
         assert len([e for e in catalog.cached_entries(n) if e.n == n]) == expected
 
 
-def test_orbit_stabilizer_counts_every_labeled_table():
+def _orbit_stabilizer_total(n):
     # each class E has (n-1)!/|Aut(E)| labelings, with |Aut(E)| counted by
     # brute force over the zero-fixing permutations; over one table per
     # class they add up to the labeled count, so a class the filter keeps
     # twice or misses shows as a wrong total
-    for n in range(1, 7):
-        perms = _zero_fixing_perms(n)
-        total = 0
-        for flat in catalog._canonical_tables(n):
-            rows = np.frombuffer(flat, dtype=np.int8).reshape(n, n).tolist()
-            aut = sum(_relabel_rows(rows, p) == rows for p in perms)
-            assert len(perms) % aut == 0
-            total += len(perms) // aut
-        assert total == len(_labeled_tables(n))
+    perms = _zero_fixing_perms(n)
+    total = 0
+    for flat in catalog._canonical_tables(n):
+        rows = np.frombuffer(flat, dtype=np.int8).reshape(n, n).tolist()
+        aut = sum(_relabel_rows(rows, p) == rows for p in perms)
+        assert len(perms) % aut == 0
+        total += len(perms) // aut
+    return total
+
+
+def test_orbit_stabilizer_counts_every_labeled_table():
+    for n in range(1, 8):
+        assert _orbit_stabilizer_total(n) == LABELED_COUNTS[n - 1]
+
+
+@pytest.mark.slow
+def test_orbit_stabilizer_counts_every_labeled_table_n8():
+    assert _orbit_stabilizer_total(8) == LABELED_COUNTS[7]
 
 
 def test_enumeration_finds_every_valid_labeled_table_n4():
-    # the pruned DFS must produce exactly the tables the unpruned filter keeps
+    # the pruned DFS must produce exactly the degree-sorted tables the
+    # unpruned filter keeps, and every valid table must be a relabeling
+    # of one it produces
     n = 4
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     naive = set()
@@ -97,7 +110,17 @@ def test_enumeration_finds_every_valid_labeled_table_n4():
         flat.tobytes()
         for flat in _kernels.enumerate_tables(n, np.empty(0, dtype=np.int8))
     }
-    assert dfs == naive
+    assert len(naive) == LABELED_COUNTS[n - 1]
+    assert dfs == {
+        t for t in naive
+        if degree_sorted(np.frombuffer(t, dtype=np.int8).reshape(n, n).tolist())
+    }
+    reached = set()
+    for t in dfs:
+        rows = np.frombuffer(t, dtype=np.int8).reshape(n, n).tolist()
+        for p in _zero_fixing_perms(n):
+            reached.add(np.array(_relabel_rows(rows, p), dtype=np.int8).tobytes())
+    assert reached == naive
 
 
 def test_fixtures_appear_in_catalog():
@@ -120,7 +143,7 @@ def test_parallel_enumeration_matches_serial():
 
 def test_limit_guard():
     with pytest.raises(LimitExceeded):
-        list(catalog.enumerate_geas(7))
+        list(catalog.enumerate_geas(8))
     with pytest.raises(LimitExceeded):
         list(catalog.enumerate_geas(9, limit=9))
 

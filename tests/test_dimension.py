@@ -1,6 +1,8 @@
 """Invariant/simple/finite elements, factors, restriction, suprema of
 hereditary ideals, and the type decomposition."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from geadim import congruence as cg, core, dimension as dm
@@ -128,14 +130,14 @@ def test_restrict_summand_rejects_non_splitting():
 
 def test_hereditary_sup():
     B4 = core.b4()
-    _, eq = _dgea(B4)
-    rep = dm.hereditary_sup(B4, eq, {0, 1})
+    d, _ = _dgea(B4)
+    rep = dm.hereditary_sup(d, {0, 1})
     assert rep.c == 1 and rep.sharp and rep.interval_hereditary
     assert rep.central_if_directed
-    assert dm.hereditary_sup(B4, eq, {0}).c == 0
+    assert dm.hereditary_sup(d, {0}).c == 0
     C3 = core.c3()
-    _, eqc = _dgea(C3)
-    rep = dm.hereditary_sup(C3, eqc, {0, 1, 2})
+    dc, _ = _dgea(C3)
+    rep = dm.hereditary_sup(dc, {0, 1, 2})
     assert rep.c == 2 and rep.sharp
 
 
@@ -143,23 +145,27 @@ def test_hereditary_sup_rejects_non_ideal():
     # {0, 1} in the chain is hereditary but not sum-closed (1+1 escapes),
     # so the supremum construction does not apply to it
     C3 = core.c3()
-    _, eq = _dgea(C3)
+    d, _ = _dgea(C3)
     with pytest.raises(NotHereditary):
-        dm.hereditary_sup(C3, eq, {0, 1})
+        dm.hereditary_sup(d, {0, 1})
 
 
 def test_hereditary_sup_rejects_non_hereditary():
     B4 = core.b4()
-    _, merge = _dgea(B4, [["a", "b"]])
+    d_merge, _ = _dgea(B4, [["a", "b"]])
     with pytest.raises(NotHereditary):
-        dm.hereditary_sup(B4, merge, {0, 1})  # b ~ a escapes the set
+        dm.hereditary_sup(d_merge, {0, 1})  # b ~ a escapes the set
 
 
 def test_hereditary_sup_rejects_unbounded():
+    # T3 carries no congruence, so there is no Dgea to pass; the checks
+    # up to the bound read only the model and the relation
     T3 = core.t3()
     eq = cg.equality_relation(T3)
+    with pytest.raises(NotDer):
+        dm.Dgea(T3, eq)
     with pytest.raises(Unbounded):
-        dm.hereditary_sup(T3, eq, {0, 1, 2})
+        dm.hereditary_sup(SimpleNamespace(E=T3, R=eq), {0, 1, 2})
 
 
 def test_summand_type_flags_identity():

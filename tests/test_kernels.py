@@ -8,14 +8,16 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import LABELED_COUNTS, degree_sorted
 from geadim import _kernels as K
 from geadim import catalog, congruence as cg, core
 
 EMPTY = np.empty(0, dtype=np.int8)
 
-# sha256 of the enumerate_tables streams for n = 1..6, concatenated
+# sha256 of the n = 1..6 streams of the unpruned enumerator, each filtered
+# in order by conftest.degree_sorted, concatenated
 ENUMERATION_SHA256 = (
-    "d89ed23a1d2b58ae84a9e349e8c0ff1e59f5b3441a85fccf09eedaca5290fb9d"
+    "ec773f1aaa85c9228b73463cfb184c93e5cb33270a4dd98f6d740dd48c82f203"
 )
 # sha256 of sk_witnesses over every partition (zero alone) of every
 # catalog model with n <= 5, in catalog and partition order
@@ -24,12 +26,28 @@ SK_WITNESSES_SHA256 = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _labeled_tables(n):
+    """Every labeled table of size n, as list rows in sorted order: the
+    zero-fixing relabelings of the catalog tables."""
+    out = set()
+    for flat in catalog._canonical_tables(n):
+        rows = np.frombuffer(flat, dtype=np.int8).reshape(n, n).tolist()
+        for rest in itertools.permutations(range(1, n)):
+            p = (0, *rest)
+            relab = [[-1] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    v = rows[a][b]
+                    relab[p[a]][p[b]] = -1 if v < 0 else p[v]
+            out.add(tuple(map(tuple, relab)))
+    assert len(out) == LABELED_COUNTS[n - 1]
+    return [list(map(list, t)) for t in sorted(out)]
+
+
 def _all_small_tables():
-    tables = []
-    for n in (2, 3, 4):
-        for flat in K.enumerate_tables(n, EMPTY):
-            tables.append(flat.reshape(n, n).copy())
-    return tables
+    return [np.array(rows, dtype=np.int8)
+            for n in (2, 3, 4) for rows in _labeled_tables(n)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -49,14 +67,15 @@ def test_enumeration_stream_digest():
     for n in range(1, 7):
         tables = K.enumerate_tables(n, EMPTY)
         assert tables.dtype == np.int8 and tables.shape[1] == n * n
+        assert all(degree_sorted(t.reshape(n, n).tolist()) for t in tables)
         h.update(tables.tobytes())
     assert h.hexdigest() == ENUMERATION_SHA256
 
 
 def test_prefix_partition_is_exact():
-    # branches by first-cell value, in candidate order, concatenate to the
-    # full DFS stream; values the DFS never tries give nothing
-    for n in (4, 5):
+    # the worker branches, in order, concatenate to the full DFS stream;
+    # first-cell values the DFS never tries give nothing
+    for n in (4, 5, 6):
         full = K.enumerate_tables(n, EMPTY).tolist()
         pieces = []
         for prefix in catalog._branch_prefixes(n):
@@ -68,12 +87,17 @@ def test_prefix_partition_is_exact():
 
 
 def test_full_prefix_returns_the_table():
+    # a full prefix gives back its table when the row degrees are sorted,
+    # and nothing otherwise
     for t in _all_small_tables():
         n = t.shape[0]
         prefix = np.array([t[i, j] for i in range(1, n) for j in range(i, n)],
                           dtype=np.int8)
         out = K.enumerate_tables(n, prefix)
-        assert out.tolist() == [t.reshape(n * n).tolist()]
+        if degree_sorted(t.tolist()):
+            assert out.tolist() == [t.reshape(n * n).tolist()]
+        else:
+            assert out.shape == (0, n * n)
 
 
 def _literal_exomaps(E):
@@ -241,8 +265,7 @@ def test_sorted_colors_shortcut_is_exact():
     # permutation; on every labeled table it must agree with the full
     # comparison over all candidate permutations
     for n in range(1, 7):
-        for flat in K.enumerate_tables(n, EMPTY):
-            rows = flat.reshape(n, n).tolist()
+        for rows in _labeled_tables(n):
             perms = core._candidate_perms(core._refine_colors(rows))
             assert core.is_canonical_table(rows) == (
                 K.min_relabel(rows, perms) == rows), rows
