@@ -14,8 +14,6 @@ disturbed by other load on the machine.  The suite row times
 import platform
 import time
 
-import numpy as np
-
 from geadim import _kernels as K
 from geadim import catalog, core, theorems
 
@@ -24,11 +22,7 @@ ROUNDS = 5
 
 def _chain(n):
     """The n-chain: i + j = i + j when the total stays below n."""
-    table = np.full((n, n), -1, dtype=np.int8)
-    for i in range(n):
-        for j in range(n):
-            if i + j < n:
-                table[i, j] = i + j
+    table = [[i + j if i + j < n else -1 for j in range(n)] for i in range(n)]
     return core.GeaTable([str(i) for i in range(n)], table)
 
 
@@ -43,22 +37,20 @@ def bench(label, fn, args, repeat):
 
 
 def main():
-    print(f"python {platform.python_version()}, numpy {np.__version__}, "
-          f"{platform.machine()}")
+    print(f"python {platform.python_version()}, {platform.machine()}")
     c5, c6 = _chain(5), _chain(6)
-    bench("axiom_violation n=6", K.axiom_violation, (c6.sum.tolist(),),
+    bench("axiom_violation n=6", K.axiom_violation, (c6.sum,),
           repeat=200)
-    empty = np.empty(0, dtype=np.int8)
-    bench("enumerate_tables n=5", K.enumerate_tables, (5, empty), repeat=3)
-    bench("enumerate_tables n=6", K.enumerate_tables, (6, empty), repeat=1)
-    bench("enumerate_tables n=7", K.enumerate_tables, (7, empty), repeat=1)
+    bench("enumerate_tables n=5", K.enumerate_tables, (5, []), repeat=3)
+    bench("enumerate_tables n=6", K.enumerate_tables, (6, []), repeat=1)
+    bench("enumerate_tables n=7", K.enumerate_tables, (7, []), repeat=1)
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
-    cls = np.array([0, 1, 1, 2, 2, 3], dtype=np.int8)
+    cls = [0, 1, 1, 2, 2, 3]
     bench("sk_plan n=6", K.sk_plan, (c6.sum, c6.diff, c6.leq), repeat=20)
     plan = K.sk_plan(c6.sum, c6.diff, c6.leq)
     bench("sk_witnesses n=6", K.sk_witnesses, (plan, cls), repeat=200)
-    rows = core.b4().sum.tolist()
+    rows = [list(row) for row in core.b4().sum]
     perms = list(core._candidate_perms(core._refine_colors(rows)))
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)
     bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)

@@ -1,12 +1,11 @@
 """Hot inner loops shared by the core, catalog, and congruence layers.
 
-Every kernel loops over plain Python lists, which index several times
-faster than numpy scalars.  ``axiom_violation``, ``relabeled``,
-``min_relabel`` and ``is_min_relabel`` take a table as list rows and
-return lists or tuples.  ``enumerate_tables`` returns its tables as one
-``int8`` array, ``brute_exomaps`` and ``sk_plan`` take the model's arrays
-and convert them once with ``.tolist()``, and ``sk_witnesses`` reads the
-per-model ``SkPlan`` that ``sk_plan`` builds and returns tuples.
+Every kernel loops over plain Python sequences.  ``axiom_violation``,
+``relabeled`` and ``min_relabel`` take a table as rows, list or tuple,
+and ``is_min_relabel`` takes list rows; they return lists or tuples.
+``enumerate_tables`` returns its tables as list rows, ``brute_exomaps``
+and ``sk_plan`` read the model's tuple rows, and ``sk_witnesses`` reads
+the per-model ``SkPlan`` that ``sk_plan`` builds and returns tuples.
 
 Table encoding: an n-element model is an n-by-n table where entry
 ``[i][j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
@@ -14,10 +13,7 @@ During enumeration a third sentinel ``-2`` marks "not yet assigned".
 """
 
 import itertools
-from array import array
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "axiom_violation",
@@ -31,7 +27,7 @@ __all__ = [
 ]
 
 def axiom_violation(rows):
-    """First violated axiom of GEA1-GEA5 on a complete table of list rows.
+    """First violated axiom of GEA1-GEA5 on a complete table of rows.
 
     Returns None when every axiom holds, else ``(tag, witness)``: the
     axiom's name (``"GEA1"`` .. ``"GEA5"``) and the lexicographically
@@ -87,7 +83,8 @@ def min_relabel(rows, perms):
 
 
 def is_min_relabel(rows, perms):
-    """True when the table equals its least relabeling over ``perms``.
+    """True when the table, given as list rows, equals its least
+    relabeling over ``perms``.
 
     Requires both that no permutation produces a smaller table and that
     some permutation reproduces the table itself.
@@ -110,8 +107,8 @@ def enumerate_tables(n, prefix):
     cells.  Zero row/column are forced by neutrality.  Candidate values per
     cell (i, j) are -1 then v in 1..n-1 with v not in {i, j} (v = i or j
     would force the other summand to 0 by cancellation, v = 0 would break
-    positivity).  Returns an int8 array of shape (count, n*n) of flattened
-    tables, in DFS order.
+    positivity).  Returns a list of the tables, each as list rows, in DFS
+    order.
 
     The row degree k_e of e is the number of nonzero f with e + f
     defined, and only tables with k_1 <= k_2 <= ... <= k_(n-1) are
@@ -144,7 +141,7 @@ def enumerate_tables(n, prefix):
     for e in rng:
         table[e][0] = e
         table[0][e] = e
-    out = array("b")  # emitted tables, flattened back to back
+    out = []  # emitted tables
 
     def rejects(d, e, f):
         # Associativity screen for one triple, tolerant of -2 (unassigned)
@@ -214,23 +211,20 @@ def enumerate_tables(n, prefix):
                         return False
         return assoc_ok(i, j)
 
-    def empty():
-        return np.empty((0, n * n), dtype=np.int8)
-
     # apply the prefix through the same checks the DFS uses
     start = len(prefix)
-    for k, v in enumerate(prefix.tolist()):
+    for k, v in enumerate(prefix):
         i, j = cells[k]
         if v != -1:
             if v <= 0 or v == i or v == j or v >= n:
-                return empty()
+                return []
             if v in table[i] or v in table[j]:
-                return empty()
+                return []
         if not place(k, v):
-            return empty()
+            return []
 
     if start == nc:
-        return np.array(table, dtype=np.int8).reshape(1, n * n)
+        return [table]
 
     # iterative DFS over the remaining cells
     cands = [[-1] + [v for v in range(1, n) if v != i and v != j]
@@ -260,11 +254,10 @@ def enumerate_tables(n, prefix):
         if not place(depth, v):
             continue
         if depth == nc - 1:
-            for row in table:
-                out.extend(row)
+            out.append([row[:] for row in table])
             continue
         depth += 1
-    return np.frombuffer(out, dtype=np.int8).reshape(-1, n * n)
+    return out
 
 
 def brute_exomaps(table, leq):
@@ -275,21 +268,20 @@ def brute_exomaps(table, leq):
     EXC3 is applied by letting each digit m(e) range over the elements
     below e only; the surviving maps are still found by filtering, never
     constructed.  The odometer moves digit e = 0 fastest, so the rows come
-    out in the lexicographic order of the full n**n counter.
+    out in the lexicographic order of the full n**n counter.  Returns the
+    maps as a list of image tuples.
     """
-    sums = table.tolist()
-    order = leq.tolist()
-    n = len(sums)
+    n = len(table)
     rng = range(n)
-    below = [[x for x in rng if order[x][e]] for e in rng]
+    below = [[x for x in rng if leq[x][e]] for e in rng]
     rows = []
     for digits in itertools.product(*reversed(below)):
         m = digits[::-1]
         if any(m[x] != x for x in m):  # EXC2
             continue
-        if _exc1_exc4(sums, m, rng):
+        if _exc1_exc4(table, m, rng):
             rows.append(m)
-    return np.array(rows, dtype=np.int8).reshape(len(rows), n)
+    return rows
 
 
 def _exc1_exc4(sums, m, rng):
@@ -316,7 +308,7 @@ class SkPlan(NamedTuple):
     """
 
     n: int
-    sums: list  # sum table rows
+    sums: tuple  # sum table rows
     pairs: tuple  # (s, t, s + t) for every defined sum, in lex order
     splits: tuple  # splits[p]: the pairs (e, p - e) for e <= p, in e order
     grids: tuple  # (e, f, grid, cands) for the SK3e entries that can fail
@@ -341,26 +333,23 @@ def sk_plan(table, diff, leq):
     cancellation, so the decompositions s + t of g are the splittings
     (s, g - s) for s <= g.
     """
-    sums = table.tolist()
-    diffs = diff.tolist()
-    order = leq.tolist()
-    n = len(sums)
+    n = len(table)
     rng = range(n)
-    below = [[x for x in rng if order[x][e]] for e in rng]
-    pairs = tuple((s, t, sums[s][t]) for s in rng for t in rng
-                  if sums[s][t] >= 0)
-    splits = tuple(tuple((e, diffs[p][e]) for e in below[p]) for p in rng)
+    below = [[x for x in rng if leq[x][e]] for e in rng]
+    pairs = tuple((s, t, table[s][t]) for s in rng for t in rng
+                  if table[s][t] >= 0)
+    splits = tuple(tuple((e, diff[p][e]) for e in below[p]) for p in rng)
     grids = []
     seen = set()
     for e, f, ef in pairs:
         grid = set()
         for e1 in below[e]:
-            e2 = diffs[e][e1]
+            e2 = diff[e][e1]
             for f1 in below[f]:
-                a = sums[e1][f1]
+                a = table[e1][f1]
                 if a < 0:
                     continue
-                b = sums[e2][diffs[f][f1]]
+                b = table[e2][diff[f][f1]]
                 if b >= 0:
                     grid.add((a, b))
         cands = tuple(st for st in splits[ef] if st not in grid)
@@ -370,15 +359,15 @@ def sk_plan(table, diff, leq):
             grids.append((e, f, tuple(sorted(grid)), cands))
     return SkPlan(
         n=n,
-        sums=sums,
+        sums=table,
         pairs=pairs,
         splits=splits,
         grids=tuple(grids),
         below=tuple(tuple(x for x in below[e] if x) for e in rng),
-        orth=tuple(tuple(d for d in range(1, n) if sums[d][f] >= 0)
+        orth=tuple(tuple(d for d in range(1, n) if table[d][f] >= 0)
                    for f in rng),
-        nonorth=tuple((e, f) for e in rng for f in rng if sums[e][f] < 0),
-        notleq=tuple((e, f) for e in rng for f in rng if not order[e][f]),
+        nonorth=tuple((e, f) for e in rng for f in rng if table[e][f] < 0),
+        notleq=tuple((e, f) for e in rng for f in rng if not leq[e][f]),
     )
 
 
@@ -392,7 +381,6 @@ def sk_witnesses(plan, cls):
     (finite additivity) form, which extends to all finite families by
     induction.  Class pairs are encoded as ``c1 * n + c2``.
     """
-    cls = cls.tolist()
     below_cls = [{cls[x] for x in b} for b in plan.below]
     return (
         _sk1(plan, cls),

@@ -10,11 +10,10 @@ import itertools
 import json
 import os
 import time
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 from multiprocessing import get_context
-
-import numpy as np
 
 from . import _kernels, congruence as cg, core, dimension as dm
 from .errors import CorruptCatalog, LimitExceeded, UnknownPredicate
@@ -69,14 +68,14 @@ class CatalogEntry:
         return {
             "key": self.key,
             "n": self.n,
-            "sum_table": [[int(v) for v in row] for row in self.table.sum],
+            "sum_table": [list(row) for row in self.table.sum],
             "flags": self.flags,
             "relations": [r.summary(self.table.names) for r in self.relations],
         }
 
 
 def _canonical_tables(n, jobs=1):
-    """Flattened canonical sum tables for size n, sorted."""
+    """Canonical sum tables for size n, as ``core.table_bytes``, sorted."""
     if jobs > 1 and n >= 4:
         prefixes = _branch_prefixes(n)
         ctx = get_context("fork")
@@ -84,9 +83,7 @@ def _canonical_tables(n, jobs=1):
             chunks = pool.starmap(_canonical_from_prefix, [(n, p) for p in prefixes])
         found = sorted(set(t for chunk in chunks for t in chunk))
     else:
-        found = sorted(
-            set(_canonical_from_prefix(n, np.empty(0, dtype=np.int8)))
-        )
+        found = sorted(set(_canonical_from_prefix(n, [])))
     return found
 
 
@@ -104,16 +101,15 @@ def _branch_prefixes(n):
     for j in range(n - 1, 1, -1):
         d = n + j - 3  # index of cell (2, j)
         out += [spine[:d] + [v] for v in range(1, n) if v not in (2, j)]
-    return [np.array(p, dtype=np.int8) for p in out]
+    return out
 
 
 def _canonical_from_prefix(n, prefix):
-    tables = _kernels.enumerate_tables(n, prefix)
-    keep = []
-    for flat in tables:
-        if core.is_canonical_table(flat.reshape(n, n).tolist()):
-            keep.append(flat.tobytes())
-    return keep
+    return [
+        core.table_bytes(rows)
+        for rows in _kernels.enumerate_tables(n, prefix)
+        if core.is_canonical_table(rows)
+    ]
 
 
 def enumerate_geas(max_n, limit=DEFAULT_MAX_N, jobs=1):
@@ -136,8 +132,9 @@ def build_entry(n, flat_bytes):
     from .errors import InternalInvariant
 
     t0 = time.perf_counter()
-    flat = np.frombuffer(flat_bytes, dtype=np.int8)
-    E = core.GeaTable([str(i) for i in range(n)], flat.reshape(n, n),
+    flat = array("b", flat_bytes)
+    E = core.GeaTable([str(i) for i in range(n)],
+                      [flat[i:i + n] for i in range(0, n * n, n)],
                       _validated=True)
     key = core.canonical_form(E).hex()
     if key != (bytes([n]) + flat_bytes).hex():
@@ -385,7 +382,7 @@ def _search_divisible_with_monads(entry):
         ]
         if monads:
             return {
-                "hull": [m.image.tolist() for m in H.maps],
+                "hull": [list(m.image) for m in H.maps],
                 "monads": [E.names[e] for e in monads],
             }
     return None
@@ -431,21 +428,21 @@ def naive_class_count(n):
     ]
     keys = set()
     for choice in itertools.product(range(-1, n), repeat=len(cells)):
-        table = np.full((n, n), -1, dtype=np.int8)
+        table = [[-1] * n for _ in range(n)]
         for e in range(n):
-            table[e, 0] = e
-            table[0, e] = e
+            table[e][0] = e
+            table[0][e] = e
         for (i, j), v in zip(cells, choice):
-            table[i, j] = v
-            table[j, i] = v
-        if _kernels.axiom_violation(table.tolist()) is not None:
+            table[i][j] = v
+            table[j][i] = v
+        if _kernels.axiom_violation(table) is not None:
             continue
         orbit_min = None
         for p in perms:
             relab = [[-1] * n for _ in range(n)]
             for a in range(n):
                 for b in range(n):
-                    v = int(table[a, b])
+                    v = table[a][b]
                     relab[p[a]][p[b]] = -1 if v < 0 else p[v]
             key = bytes(x + 1 for row in relab for x in row)
             if orbit_min is None or key < orbit_min:

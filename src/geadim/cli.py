@@ -77,6 +77,10 @@ def parse_gea_file(text):
                     raise ParseError(lineno, col, f"bad identifier {name!r}")
             if len(set(names)) != len(names):
                 raise ParseError(lineno, col, "duplicate element names")
+            if len(names) > core.MAX_ELEMENTS:
+                raise ParseError(
+                    lineno, col, f"more than {core.MAX_ELEMENTS} elements"
+                )
             elements = names
         elif head == "zero":
             zero = rest.strip()

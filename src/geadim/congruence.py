@@ -8,8 +8,6 @@ by a splitting map) is a dimension equivalence relation (DER).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels, hull as hull_mod
 from .errors import (
     InternalInvariant,
@@ -34,8 +32,7 @@ class EquivRel:
         for e, c in enumerate(ids):
             classes[c].append(e)
         self.E = E
-        self.class_of = np.array(ids, dtype=np.int8)
-        self.class_of.flags.writeable = False
+        self.class_of = tuple(ids)
         self.classes = tuple(map(tuple, classes))
         self._cache = {}
 
@@ -169,7 +166,7 @@ def subequiv(E, R, e, f):
 
 def is_hereditary(E, R, S):
     """Order ideal closed under taking sub-equivalent elements."""
-    S = frozenset(int(x) for x in S)
+    S = frozenset(S)
     return all(
         (e in S) for h in S for e in range(E.n) if subequiv(E, R, e, h)
     ) and all(t in S for h in S for t in E.below(h))
@@ -307,13 +304,13 @@ def decompose_pair(E, R, p, q):
         grown = False
         for x in range(1, E.n):
             ax = E.sum_of(a, x)
-            if ax is None or not E.leq[ax, p]:
+            if ax is None or not E.leq[ax][p]:
                 continue
             for y in range(1, E.n):
                 if not R.sim(x, y):
                     continue
                 by = E.sum_of(b, y)
-                if by is None or not E.leq[by, q]:
+                if by is None or not E.leq[by][q]:
                     continue
                 a, b = ax, by
                 grown = True

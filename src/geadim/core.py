@@ -1,22 +1,27 @@
 """Finite generalized effect algebras as validated partial-sum tables.
 
-An n-element model is stored as an ``int8`` n-by-n table of the partial
-orthosummation (entry -1 means the sum is undefined), together with the
-derived order ``leq`` (e <= f iff e + d = f for some d) and difference
-table ``diff`` (``diff[f, e]`` is f - e when e <= f).  Element 0 is always
-the zero element; the builders reorder inputs so this holds.
+An n-element model is stored as an n-by-n table of the partial
+orthosummation, a tuple of row tuples whose entry -1 means the sum is
+undefined, together with the derived order ``leq`` (e <= f iff e + d = f
+for some d) and difference table ``diff`` (``diff[f][e]`` is f - e when
+e <= f), in the same form.  Element 0 is always the zero element; the
+builders reorder inputs so this holds.
 
 Everything here is immutable after construction and safe to share.
 """
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import _kernels
 from .errors import AxiomViolation, ConflictingEquation, InternalInvariant
+
+# the most elements a model may have: ``table_bytes`` stores every element
+# index in one signed byte
+MAX_ELEMENTS = 128
+
 
 class GeaTable:
     """A validated finite GEA over named elements (zero at index 0)."""
@@ -25,48 +30,35 @@ class GeaTable:
         self.names = tuple(names)
         self.n = len(self.names)
         self.zero = 0
-        table = np.asarray(sum_table, dtype=np.int8).copy()
-        if table.shape != (self.n, self.n):
+        table = tuple(map(tuple, sum_table))
+        if len(table) != self.n or any(len(row) != self.n for row in table):
             raise ValueError("sum table shape does not match element count")
         if not _validated:
-            violation = _kernels.axiom_violation(table.tolist())
+            violation = _kernels.axiom_violation(table)
             if violation is not None:
                 tag, witness = violation
                 raise AxiomViolation(tag, tuple(self.names[w] for w in witness))
         self.sum = table
         self.leq = _derive_leq(table)
-        self.diff = _derive_diff(table, self.leq)
-        for a in (self.sum, self.leq, self.diff):
-            a.flags.writeable = False
+        self.diff = _derive_diff(table)
         self._cache = {}
         self._check_order()
 
     def _check_order(self):
         n, leq = self.n, self.leq
         for e in range(n):
-            if not leq[0, e] or not leq[e, e]:
+            if not leq[0][e] or not leq[e][e]:
                 raise InternalInvariant("derived order is not reflexive with least 0")
         for e in range(n):
             for f in range(n):
-                if e != f and leq[e, f] and leq[f, e]:
+                if e != f and leq[e][f] and leq[f][e]:
                     raise InternalInvariant("derived order is not antisymmetric")
-                if leq[e, f]:
-                    d = self.diff[f, e]
-                    if d < 0 or self.sum[e, d] != f:
+                if leq[e][f]:
+                    d = self.diff[f][e]
+                    if d < 0 or self.sum[e][d] != f:
                         raise InternalInvariant("difference disagrees with sum")
 
     # -- basic queries ------------------------------------------------
-
-    # The hot queries read plain-list copies of the arrays, built on first
-    # use: indexing a list is several times cheaper than a numpy scalar.
-
-    @cached_property
-    def _sum_rows(self):
-        return self.sum.tolist()
-
-    @cached_property
-    def _diff_rows(self):
-        return self.diff.tolist()
 
     @cached_property
     def _sk_plan(self):
@@ -75,23 +67,23 @@ class GeaTable:
     @cached_property
     def _below(self):
         return tuple(
-            tuple(e for e in range(self.n) if self.leq[e, p]) for p in range(self.n)
+            tuple(e for e in range(self.n) if self.leq[e][p]) for p in range(self.n)
         )
 
     def sum_of(self, e, f):
-        v = self._sum_rows[e][f]
+        v = self.sum[e][f]
         return None if v < 0 else v
 
     def sub(self, f, e):
         """f - e for e <= f, else None."""
-        v = self._diff_rows[f][e]
+        v = self.diff[f][e]
         return None if v < 0 else v
 
     def perp(self, e, f):
-        return self.sum[e, f] >= 0
+        return self.sum[e][f] >= 0
 
     def le(self, e, f):
-        return bool(self.leq[e, f])
+        return self.leq[e][f]
 
     def below(self, p):
         return list(self._below[p])
@@ -104,7 +96,7 @@ class GeaTable:
         """Minimal nonzero elements."""
         out = []
         for a in range(1, self.n):
-            if not any(self.leq[e, a] for e in range(1, self.n) if e != a):
+            if not any(self.leq[e][a] for e in range(1, self.n) if e != a):
                 out.append(a)
         return tuple(out)
 
@@ -112,24 +104,24 @@ class GeaTable:
     def maximal(self):
         out = []
         for a in range(self.n):
-            if not any(self.leq[a, e] for e in range(self.n) if e != a):
+            if not any(self.leq[a][e] for e in range(self.n) if e != a):
                 out.append(a)
         return tuple(out)
 
     def greatest(self):
         for t in range(self.n):
-            if all(self.leq[e, t] for e in range(self.n)):
+            if all(self.leq[e][t] for e in range(self.n)):
                 return t
         return None
 
     def meet(self, e, f):
-        lower = [d for d in range(self.n) if self.leq[d, e] and self.leq[d, f]]
-        tops = [d for d in lower if all(self.leq[x, d] for x in lower)]
+        lower = [d for d in range(self.n) if self.leq[d][e] and self.leq[d][f]]
+        tops = [d for d in lower if all(self.leq[x][d] for x in lower)]
         return tops[0] if tops else None
 
     def join(self, e, f):
-        upper = [d for d in range(self.n) if self.leq[e, d] and self.leq[f, d]]
-        bots = [d for d in upper if all(self.leq[d, x] for x in upper)]
+        upper = [d for d in range(self.n) if self.leq[e][d] and self.leq[f][d]]
+        bots = [d for d in upper if all(self.leq[d][x] for x in upper)]
         return bots[0] if bots else None
 
     @cached_property
@@ -137,10 +129,10 @@ class GeaTable:
         """Length of a longest chain (number of elements)."""
         n = self.n
         depth = [1] * n
-        order = sorted(range(n), key=lambda e: int(self.leq[:, e].sum()))
+        order = sorted(range(n), key=lambda e: len(self._below[e]))
         for e in order:
             for f in range(n):
-                if f != e and self.leq[f, e]:
+                if f != e and self.leq[f][e]:
                     depth[e] = max(depth[e], depth[f] + 1)
         return max(depth)
 
@@ -149,7 +141,7 @@ class GeaTable:
         n = self.n
         if sorted(perm) != list(range(n)) or perm[0] != 0:
             raise ValueError("perm must be a permutation fixing 0")
-        new = _kernels.relabeled(self._sum_rows, perm)
+        new = _kernels.relabeled(self.sum, perm)
         names = [""] * n
         for i in range(n):
             names[perm[i]] = self.names[i]
@@ -159,38 +151,36 @@ class GeaTable:
         return (
             isinstance(other, GeaTable)
             and self.names == other.names
-            and self.sum.tobytes() == other.sum.tobytes()
+            and self.sum == other.sum
         )
 
     def __hash__(self):
-        return hash((self.names, self.sum.tobytes()))
+        return hash((self.names, self.sum))
 
     def __repr__(self):
         return f"GeaTable({list(self.names)}, n={self.n})"
 
 
 def _derive_leq(table):
-    n = table.shape[0]
-    leq = np.zeros((n, n), dtype=np.bool_)
-    for e in range(n):
-        for d in range(n):
-            v = table[e, d]
+    n = len(table)
+    leq = [[False] * n for _ in range(n)]
+    for e, row in enumerate(table):
+        for v in row:
             if v >= 0:
-                leq[e, v] = True
-    return leq
+                leq[e][v] = True
+    return tuple(map(tuple, leq))
 
 
-def _derive_diff(table, leq):
-    n = table.shape[0]
-    diff = np.full((n, n), -1, dtype=np.int8)
-    for e in range(n):
-        for d in range(n):
-            v = table[e, d]
+def _derive_diff(table):
+    n = len(table)
+    diff = [[-1] * n for _ in range(n)]
+    for e, row in enumerate(table):
+        for d, v in enumerate(row):
             if v >= 0:
-                if diff[v, e] >= 0 and diff[v, e] != d:
+                if diff[v][e] >= 0 and diff[v][e] != d:
                     raise InternalInvariant("difference is not unique")
-                diff[v, e] = d
-    return diff
+                diff[v][e] = d
+    return tuple(map(tuple, diff))
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +203,19 @@ def build_gea(names, zero, equations):
     ordered = [zero] + [x for x in names if x != zero]
     idx = {x: i for i, x in enumerate(ordered)}
     n = len(ordered)
-    table = np.full((n, n), -1, dtype=np.int8)
+    table = [[-1] * n for _ in range(n)]
     for e in range(n):
-        table[e, 0] = e
-        table[0, e] = e
+        table[e][0] = e
+        table[0][e] = e
 
     def put(i, j, k):
-        if table[i, j] >= 0 and table[i, j] != k:
+        if table[i][j] >= 0 and table[i][j] != k:
             raise ConflictingEquation(
                 f"{ordered[i]} + {ordered[j]} given as both "
-                f"{ordered[int(table[i, j])]} and {ordered[k]}"
+                f"{ordered[table[i][j]]} and {ordered[k]}"
             )
-        table[i, j] = k
-        table[j, i] = k
+        table[i][j] = k
+        table[j][i] = k
 
     for a, b, c in equations:
         for x in (a, b, c):
@@ -257,31 +247,30 @@ def b4():
 
 @dataclass(frozen=True)
 class OrderInfo:
-    leq: np.ndarray
-    diff: np.ndarray
-    perp: np.ndarray
+    leq: tuple
+    diff: tuple
+    perp: tuple
     atoms: tuple
     maximal: tuple
-    meet: np.ndarray  # -1 where no meet exists
-    join: np.ndarray
+    meet: tuple  # -1 where no meet exists
+    join: tuple
 
 
 def order_queries(E):
     n = E.n
-    perp = (E.sum >= 0).copy()
-    meet = np.full((n, n), -1, dtype=np.int8)
-    join = np.full((n, n), -1, dtype=np.int8)
+    perp = tuple(tuple(v >= 0 for v in row) for row in E.sum)
+    meet = [[-1] * n for _ in range(n)]
+    join = [[-1] * n for _ in range(n)]
     for e in range(n):
         for f in range(n):
             m = E.meet(e, f)
             j = E.join(e, f)
             if m is not None:
-                meet[e, f] = m
+                meet[e][f] = m
             if j is not None:
-                join[e, f] = j
-    for a in (perp, meet, join):
-        a.flags.writeable = False
-    return OrderInfo(E.leq, E.diff, perp, E.atoms, E.maximal, meet, join)
+                join[e][f] = j
+    return OrderInfo(E.leq, E.diff, perp, E.atoms, E.maximal,
+                     tuple(map(tuple, meet)), tuple(map(tuple, join)))
 
 
 def orthosum_family(E, family):
@@ -314,7 +303,7 @@ def orthosum_family(E, family):
         memo[ms] = out
         return out
 
-    return rec(tuple(sorted(int(e) for e in family)))
+    return rec(tuple(sorted(family)))
 
 
 def orthogonal_multisets(E, within=None, max_mult=None):
@@ -364,7 +353,7 @@ def element_predicates(E, p):
         principal=principal,
         sharp=sharp,
         atom=p in E.atoms,
-        greatest=all(E.leq[e, p] for e in range(E.n)),
+        greatest=all(E.leq[e][p] for e in range(E.n)),
     )
 
 
@@ -372,7 +361,7 @@ def is_principal(E, p):
     for e in E.below(p):
         for f in E.below(p):
             s = E.sum_of(e, f)
-            if s is not None and not E.leq[s, p]:
+            if s is not None and not E.leq[s][p]:
                 return False
     return True
 
@@ -393,14 +382,14 @@ class SubsetFlags:
 
 
 def subset_predicates(E, S):
-    S = frozenset(int(x) for x in S)
+    S = frozenset(S)
     order_ideal = all(t in S for s in S for t in E.below(s))
     closed_sum = all(
         E.sum_of(s, t) is None or E.sum_of(s, t) in S for s in S for t in S
     )
     ideal = order_ideal and closed_sum
     sub = bool(S) and closed_sum and all(
-        E.sub(t, s) in S for s in S for t in S if E.leq[s, t]
+        E.sub(t, s) in S for s in S for t in S if E.leq[s][t]
     )
     sup_inf = True
     members = sorted(S)
@@ -418,14 +407,14 @@ def subset_predicates(E, S):
 
 
 def _sup_of(E, fam):
-    ub = [d for d in range(E.n) if all(E.leq[x, d] for x in fam)]
-    least = [d for d in ub if all(E.leq[d, x] for x in ub)]
+    ub = [d for d in range(E.n) if all(E.leq[x][d] for x in fam)]
+    least = [d for d in ub if all(E.leq[d][x] for x in ub)]
     return least[0] if least else None
 
 
 def _inf_of(E, fam):
-    lb = [d for d in range(E.n) if all(E.leq[d, x] for x in fam)]
-    greatest = [d for d in lb if all(E.leq[x, d] for x in lb)]
+    lb = [d for d in range(E.n) if all(E.leq[d][x] for x in fam)]
+    greatest = [d for d in lb if all(E.leq[x][d] for x in lb)]
     return greatest[0] if greatest else None
 
 
@@ -447,7 +436,7 @@ class StructureFlags:
 def structure_predicates(E):
     n = E.n
     directed = all(
-        any(E.leq[e, d] and E.leq[f, d] for d in range(n))
+        any(E.leq[e][d] and E.leq[f][d] for d in range(n))
         for e in range(n)
         for f in range(n)
     )
@@ -455,7 +444,7 @@ def structure_predicates(E):
     for e in range(n):
         for f in range(n):
             if all(E.perp(d, e) for d in range(n) if E.perp(d, f)):
-                if not E.leq[e, f]:
+                if not E.leq[e][f]:
                     oo = False
     lattice = all(
         E.meet(e, f) is not None and E.join(e, f) is not None
@@ -481,10 +470,10 @@ def structure_predicates(E):
     dedekind = True
     for ms, total in orthogonal_multisets(E):
         partials = _partial_sums(E, ms)
-        if any(not E.leq[p, total] for p in partials):
+        if any(not E.leq[p][total] for p in partials):
             ortho = False
-        bounded = any(all(E.leq[p, u] for p in partials) for u in range(n))
-        if bounded and any(not E.leq[p, total] for p in partials):
+        bounded = any(all(E.leq[p][u] for p in partials) for u in range(n))
+        if bounded and any(not E.leq[p][total] for p in partials):
             dedekind = False
     return StructureFlags(
         directed=directed,
@@ -542,7 +531,7 @@ def direct_sum_check(E, ideals):
     """Is E the direct sum of the given ideals?  Returns (bool, witness)."""
     from .errors import NotAnIdeal
 
-    sets = [frozenset(int(x) for x in S) for S in ideals]
+    sets = [frozenset(S) for S in ideals]
     for S in sets:
         if 0 not in S or not _ideal_flags(E, S):
             raise NotAnIdeal(f"{sorted(S)} is not an ideal")
@@ -561,8 +550,8 @@ def direct_sum_check(E, ideals):
 
 def is_orthodense(E, D, P):
     """Every element of P is an orthosum of a multiset drawn from D."""
-    D = frozenset(int(x) for x in D)
-    P = frozenset(int(x) for x in P)
+    D = frozenset(D)
+    P = frozenset(P)
     if not D <= P:
         raise ValueError("D must be a subset of P")
     reach = {0}
@@ -598,12 +587,12 @@ def interval_ea(E, p):
     embed = tuple(members)
     pos = {e: i for i, e in enumerate(members)}
     k = len(members)
-    table = np.full((k, k), -1, dtype=np.int8)
+    table = [[-1] * k for _ in range(k)]
     for a in members:
         for b in members:
             v = E.sum_of(a, b)
-            if v is not None and E.leq[v, p]:
-                table[pos[a], pos[b]] = pos[v]
+            if v is not None and E.leq[v][p]:
+                table[pos[a]][pos[b]] = pos[v]
     try:
         sub = GeaTable([E.names[e] for e in members], table)
     except AxiomViolation as exc:
@@ -612,7 +601,7 @@ def interval_ea(E, p):
         raise InternalInvariant("interval does not have its top as greatest element")
     for a in members:
         for b in members:
-            if bool(sub.leq[pos[a], pos[b]]) != bool(E.leq[a, b]):
+            if sub.leq[pos[a]][pos[b]] != E.leq[a][b]:
                 raise InternalInvariant("interval order is not the restricted order")
     return IntervalEa(E, p, embed, sub)
 
@@ -678,9 +667,14 @@ def canonical_form(E):
     Two models get equal byte strings exactly when some relabeling that
     fixes zero carries one sum table onto the other.
     """
-    rows = E._sum_rows
+    rows = E.sum
     best = _kernels.min_relabel(rows, _candidate_perms(_refine_colors(rows)))
-    return bytes([E.n]) + np.array(best, dtype=np.int8).tobytes()
+    return bytes([E.n]) + table_bytes(best)
+
+
+def table_bytes(rows):
+    """The table's entries row-major as signed bytes, -1 as ``0xff``."""
+    return array("b", itertools.chain.from_iterable(rows)).tobytes()
 
 
 def is_canonical_table(rows):

@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from . import congruence as cg
 from . import core
 from . import hull as hull_mod
@@ -73,7 +71,7 @@ class Dgea:
         """Largest finite invariant element, with the set it tops."""
         E, H = self.E, self.hull
         ftset = sorted(set(self.finite) & set(self.invariants.gamma_sim))
-        tops = [m for m in ftset if all(E.leq[x, m] for x in ftset)]
+        tops = [m for m in ftset if all(E.leq[x][m] for x in ftset)]
         if not tops:
             raise InternalInvariant("finite invariant elements have no largest member")
         ft = tops[0]
@@ -151,12 +149,12 @@ class Dgea:
                 raise InternalInvariant("summand is not a hereditary ideal")
         checks.append("summands-hereditary-ideals")
 
-        flags = {m._key: summand_type_flags(self, m) for m in set(sigma.maps)}
-        if not flags[pi_i._key].type_i:
+        flags = {m: summand_type_flags(self, m) for m in sigma}
+        if not flags[pi_i].type_i:
             raise InternalInvariant("first summand is not of its type")
-        if not flags[pi_ii._key].type_ii:
+        if not flags[pi_ii].type_ii:
             raise InternalInvariant("second summand is not of its type")
-        if not flags[pi_iii._key].type_iii:
+        if not flags[pi_iii].type_iii:
             raise InternalInvariant("third summand is not of its type")
         checks.append("summand-types-direct")
 
@@ -170,9 +168,9 @@ class Dgea:
                     if not sigma.join_all((s1, s2, s3)).is_identity:
                         continue
                     if (
-                        flags[s1._key].type_i
-                        and flags[s2._key].type_ii
-                        and flags[s3._key].type_iii
+                        flags[s1].type_i
+                        and flags[s2].type_ii
+                        and flags[s3].type_iii
                     ):
                         if (s1, s2, s3) != triple:
                             raise InternalInvariant(
@@ -262,7 +260,7 @@ def invariant_sets(E, R, sigma, H):
         heredi = principal and cg.is_hereditary(E, R, E.below(c))
         # (5) principal and equivalents stay below
         below_only = principal and all(
-            E.leq[e, c] for e in range(E.n) if R.sim(e, c)
+            E.leq[e][c] for e in range(E.n) if R.sim(e, c)
         )
         # (6) principal with hereditary orthogonal complement set
         perp_hered = principal and cg.is_hereditary(
@@ -426,14 +424,14 @@ def restrict_summand(dgea, pi, verify=True):
     members = sorted(pi.summand)
     pos = {e: i for i, e in enumerate(members)}
     k = len(members)
-    table = np.full((k, k), -1, dtype=np.int8)
+    table = [[-1] * k for _ in range(k)]
     for a in members:
         for b in members:
             v = E.sum_of(a, b)
             if v is not None:
                 if v not in pos:
                     raise InternalInvariant("summand is not closed under sums")
-                table[pos[a], pos[b]] = pos[v]
+                table[pos[a]][pos[b]] = pos[v]
     sub = core.GeaTable([E.names[e] for e in members], table)
     subrel = cg.EquivRel(sub, [R.class_of[e] for e in members])
     if verify and dgea.der:
@@ -499,10 +497,10 @@ def hereditary_sup(dgea, S):
     invariant elements are read from ``dgea``.
     """
     E, R = dgea.E, dgea.R
-    S = frozenset(int(x) for x in S)
+    S = frozenset(S)
     if not cg.is_hereditary(E, R, S) or not core._ideal_flags(E, S):
         raise NotHereditary(f"{sorted(S)}")
-    if not any(all(E.leq[h, u] for h in S) for u in range(E.n)):
+    if not any(all(E.leq[h][u] for h in S) for u in range(E.n)):
         raise Unbounded(f"{sorted(S)}")
     total = 0
     while True:

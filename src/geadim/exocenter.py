@@ -10,52 +10,46 @@ oracle and must agree.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels, core
 from .errors import InternalInvariant, NotInExocenter
 
 
 class ExoMap:
-    """A decreasing idempotent endomorphism, stored as its image vector."""
+    """A decreasing idempotent endomorphism, stored as its image tuple."""
 
-    __slots__ = ("image", "n", "_key", "_img")
+    __slots__ = ("image", "n")
 
     def __init__(self, image):
-        arr = np.asarray(image, dtype=np.int8).copy()
-        arr.flags.writeable = False
-        self.image = arr
-        self.n = len(arr)
-        self._key = arr.tobytes()
-        self._img = tuple(arr.tolist())
+        self.image = tuple(image)
+        self.n = len(self.image)
 
     def __call__(self, e):
-        return self._img[e]
+        return self.image[e]
 
     @property
     def summand(self):
         """The direct summand pi(E), i.e. the fixed points."""
-        return tuple(e for e, v in enumerate(self._img) if v == e)
+        return tuple(e for e, v in enumerate(self.image) if v == e)
 
     @property
     def is_zero(self):
-        return not any(self._img)
+        return not any(self.image)
 
     @property
     def is_identity(self):
-        return all(v == e for e, v in enumerate(self._img))
+        return all(v == e for e, v in enumerate(self.image))
 
     def __eq__(self, other):
-        return isinstance(other, ExoMap) and self._key == other._key
+        return isinstance(other, ExoMap) and self.image == other.image
 
     def __lt__(self, other):
-        return self._key < other._key
+        return self.image < other.image
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.image)
 
     def __repr__(self):
-        return f"ExoMap({self.image.tolist()})"
+        return f"ExoMap({list(self.image)})"
 
 
 class ExoSet:
@@ -72,9 +66,9 @@ class ExoSet:
     def __init__(self, E, maps):
         self.E = E
         self.maps = tuple(sorted(set(maps)))
-        self._pos = {m._key: i for i, m in enumerate(self.maps)}
-        self.zero = ExoMap(np.zeros(E.n, dtype=np.int8))
-        self.one = ExoMap(np.arange(E.n, dtype=np.int8))
+        self._pos = {m.image: i for i, m in enumerate(self.maps)}
+        self.zero = ExoMap((0,) * E.n)
+        self.one = ExoMap(range(E.n))
         self._meets = {}
         self._complements = {}
 
@@ -85,7 +79,7 @@ class ExoSet:
         return len(self.maps)
 
     def __contains__(self, m):
-        return isinstance(m, ExoMap) and m._key in self._pos
+        return isinstance(m, ExoMap) and m.image in self._pos
 
     def __eq__(self, other):
         return isinstance(other, ExoSet) and self.maps == other.maps
@@ -99,39 +93,37 @@ class ExoSet:
 
     def _member(self, image):
         """The member whose image is ``image`` (a list of element indices)."""
-        # element indices are 0..127, so bytes() of the list is the int8 _key
-        i = self._pos.get(bytes(image))
+        i = self._pos.get(tuple(image))
         if i is None:
             raise InternalInvariant(f"operation left the set: {ExoMap(image)!r}")
         return self.maps[i]
 
     def complement(self, p):
-        out = self._complements.get(p._key)
+        out = self._complements.get(p.image)
         if out is None:
             sub = self.E.sub
-            out = self._member([sub(e, v) for e, v in enumerate(p._img)])
-            self._complements[p._key] = out
+            out = self._member([sub(e, v) for e, v in enumerate(p.image)])
+            self._complements[p.image] = out
         return out
 
     def meet(self, p, q):
-        key = (p._key, q._key)
-        out = self._meets.get(key)
+        pi, qi = p.image, q.image
+        out = self._meets.get((pi, qi))
         if out is None:
-            pi, qi = p._img, q._img
             a = [pi[x] for x in qi]
             if a != [qi[x] for x in pi]:
                 raise InternalInvariant("composition of exocenter maps is not commutative")
             out = self._member(a)
-            self._meets[key] = out
-            self._meets[(q._key, p._key)] = out
+            self._meets[(pi, qi)] = out
+            self._meets[(qi, pi)] = out
         return out
 
     def join(self, p, q):
         return self.complement(self.meet(self.complement(p), self.complement(q)))
 
     def leq(self, p, q):
-        pi = p._img
-        return all(pi[x] == y for x, y in zip(q._img, pi))
+        pi = p.image
+        return all(pi[x] == y for x, y in zip(q.image, pi))
 
     def disjoint(self, p, q):
         return self.meet(p, q).is_zero
@@ -154,13 +146,13 @@ def exocenter(E):
     if "exocenter" in E._cache:
         return E._cache["exocenter"]
     ideals = core.all_ideals(E)
-    seen = {}
+    maps = set()
     for H in ideals:
         for K in ideals:
             pi = _projection(E, H, K)
             if pi is not None:
-                seen[pi._key] = pi
-    out = ExoSet(E, seen.values())
+                maps.add(pi)
+    out = ExoSet(E, maps)
     if out.zero not in out or out.one not in out:
         raise InternalInvariant("exocenter is missing zero or identity")
     E._cache["exocenter"] = out
@@ -171,7 +163,7 @@ def _projection(E, H, K):
     """Coordinate projection onto H when E = H + K, else None."""
     if H & K != {0}:
         return None
-    img = np.full(E.n, -1, dtype=np.int8)
+    img = [-1] * E.n
     for h in H:
         for k in K:
             v = E.sum_of(h, k)
@@ -180,7 +172,7 @@ def _projection(E, H, K):
             if img[v] >= 0:
                 return None  # decomposition not unique
             img[v] = h
-    if (img < 0).any():
+    if -1 in img:
         return None
     return ExoMap(img)
 
@@ -188,8 +180,8 @@ def _projection(E, H, K):
 def brute_force_exomaps(E):
     """Oracle: filter all n**n self-maps by EXC1-EXC4."""
     rows = _kernels.brute_exomaps(E.sum, E.leq)
-    if rows.shape[0] == 0 and E.n >= 1:
-        raise InternalInvariant("brute-force exocenter filter overflowed or found nothing")
+    if not rows and E.n >= 1:
+        raise InternalInvariant("brute-force exocenter filter found nothing")
     return ExoSet(E, (ExoMap(r) for r in rows))
 
 
@@ -226,7 +218,7 @@ def center(E, S=None):
     via_gex = {}
     for pi in S:
         M = set(pi.summand)
-        tops = [c for c in M if all(E.leq[m, c] for m in M)]
+        tops = [c for c in M if all(E.leq[m][c] for m in M)]
         if tops and M == set(E.below(tops[0])):
             via_gex[tops[0]] = pi
     via_def = set()

@@ -40,7 +40,7 @@ class HullSystem:
         return hash(self.maps)
 
     def __repr__(self):
-        return f"HullSystem({[m.image.tolist() for m in self.maps]})"
+        return f"HullSystem({[list(m.image) for m in self.maps]})"
 
 
 def check_hull_system(E, S, maps):
@@ -57,9 +57,9 @@ def check_hull_system(E, S, maps):
     for e in range(E.n):
         for f in range(E.n):
             lhs = maps[maps[e](f)]
-            m1 = [maps[e](maps[f](x)) for x in range(E.n)]
-            m2 = [maps[f](maps[e](x)) for x in range(E.n)]
-            if m1 != m2 or lhs.image.tolist() != m1:
+            m1 = tuple(maps[e](maps[f](x)) for x in range(E.n))
+            m2 = tuple(maps[f](maps[e](x)) for x in range(E.n))
+            if m1 != m2 or lhs.image != m1:
                 return False, f"HS3 fails at ({E.names[e]}, {E.names[f]})"
     return True, None
 
@@ -122,7 +122,7 @@ def enumerate_hull_systems(E, S):
     that are already placed.
     """
     n = E.n
-    order = sorted(range(n), key=lambda e: (int(E.leq[:, e].sum()), e))
+    order = sorted(range(n), key=lambda e: (len(E.below(e)), e))
     assert order[0] == 0
     fixing = {e: [m for m in S if m(e) == e] for e in range(n)}
     maps = [None] * n
@@ -139,8 +139,8 @@ def enumerate_hull_systems(E, S):
                 meet = S.meet(maps[e], maps[f])
                 if maps[g] != meet:
                     return False
-                comp = [maps[e](maps[f](x)) for x in range(n)]
-                if comp != meet.image.tolist():
+                comp = tuple(maps[e](maps[f](x)) for x in range(n))
+                if comp != meet.image:
                     return False
         return True
 
@@ -156,7 +156,7 @@ def enumerate_hull_systems(E, S):
         maps[e] = None
 
     rec(1)
-    found.sort(key=lambda h: tuple(m._key for m in h.maps))
+    found.sort(key=lambda h: tuple(m.image for m in h.maps))
     return tuple(found)
 
 
@@ -240,7 +240,7 @@ class TdReport:
 
 
 def td_sets(E, H, T):
-    T = sorted(set(int(x) for x in T))
+    T = sorted(set(T))
     S = H.exoset
     closure = {0}
     nonzero = [t for t in T if t != 0]
@@ -302,5 +302,5 @@ def eta_partition(E, H):
     """Partition of the elements by equal hull maps (the relation classes)."""
     groups = {}
     for e in range(E.n):
-        groups.setdefault(H.eta(e)._key, []).append(e)
+        groups.setdefault(H.eta(e), []).append(e)
     return sorted(groups.values())

@@ -82,7 +82,7 @@ class RelCtx:
 
 
 def _names(E, xs):
-    return "(" + ", ".join(E.names[int(x)] for x in xs) + ")"
+    return "(" + ", ".join(E.names[x] for x in xs) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -95,14 +95,14 @@ def _core_order_laws(ctx):
     out = []
     for e in range(E.n):
         for f in range(E.n):
-            if E.leq[e, f] and E.sum_of(e, E.sub(f, e)) != f:
+            if E.leq[e][f] and E.sum_of(e, E.sub(f, e)) != f:
                 out.append(f"difference law fails at {_names(E, (e, f))}")
     for d in range(E.n):
         for e in range(E.n):
             for f in range(E.n):
                 de, df = E.sum_of(d, e), E.sum_of(d, f)
-                if de is not None and df is not None and E.leq[de, df]:
-                    if not E.leq[e, f]:
+                if de is not None and df is not None and E.leq[de][df]:
+                    if not E.leq[e][f]:
                         out.append(f"order cancellation fails at {_names(E, (d, e, f))}")
     for p in range(E.n):
         flags = core.element_predicates(E, p)
@@ -114,7 +114,7 @@ def _core_order_laws(ctx):
     top = E.greatest()
     if top is not None:
         iv = core.interval_ea(E, top)
-        if iv.table.sum.tolist() != E.sum.tolist():
+        if iv.table.sum != E.sum:
             out.append("interval at the greatest element differs from the model")
     return out
 
@@ -507,7 +507,7 @@ def _hered_interval_disjoint(ctx):
         if not cg.is_hereditary(E, R, E.below(c)):
             continue
         for d in range(E.n):
-            common = [x for x in range(1, E.n) if E.leq[x, d] and E.leq[x, c]]
+            common = [x for x in range(1, E.n) if E.leq[x][d] and E.leq[x][c]]
             if not common and not E.perp(d, c):
                 out.append(f"disjoint element not orthogonal at {_names(E, (c, d))}")
     return out
@@ -515,13 +515,13 @@ def _hered_interval_disjoint(ctx):
 
 def _invariance_four_way(E, R, c):
     a = all(
-        not (E.leq[c1, c] and R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0))
+        not (E.leq[c1][c] and R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0))
         for c1 in range(E.n)
         for f in range(E.n)
     )
     sharp = core.is_sharp(E, c)
     b = sharp and cg.is_hereditary(E, R, E.below(c))
-    cc = sharp and all(E.leq[e, c] for e in range(E.n) if R.sim(e, c))
+    cc = sharp and all(E.leq[e][c] for e in range(E.n) if R.sim(e, c))
     dd = sharp and cg.is_hereditary(E, R, [f for f in range(E.n) if E.perp(f, c)])
     return a, b, cc, dd
 
@@ -579,7 +579,7 @@ def _invariant_lattice(ctx):
                 out.append(f"infimum missing or not invariant for {_names(E, fam)}")
             elif ctx.sigma.meet_all([H.eta(c) for c in fam]) != H.eta(i):
                 out.append(f"hull map of infimum is not the meet for {_names(E, fam)}")
-            if any(all(E.leq[c, u] for c in fam) for u in range(E.n)):
+            if any(all(E.leq[c][u] for c in fam) for u in range(E.n)):
                 s = core._sup_of(E, fam)
                 if s is None or s not in ge:
                     out.append(f"supremum missing or not invariant for {_names(E, fam)}")
@@ -643,7 +643,7 @@ def _hereditary_sup_prop(ctx):
     for S in core.all_ideals(E):
         if not cg.is_hereditary(E, R, S):
             continue
-        if not any(all(E.leq[h, u] for h in S) for u in range(E.n)):
+        if not any(all(E.leq[h][u] for h in S) for u in range(E.n)):
             continue
         try:
             rep = dm.hereditary_sup(ctx.dgea, S)
@@ -704,7 +704,7 @@ def _hereditary_std_largest(ctx):
             for e in range(E.n):
                 he = H.eta(h)(e)
                 if he != 0 and not any(
-                    x != 0 and E.leq[x, he] for x in hset
+                    x != 0 and E.leq[x][he] for x in hset
                 ):
                     out.append(f"{label} set misses a nonzero piece under {_names(E, (h, e))}")
         has_faithful = any(H.eta(h).is_identity for h in hset)

@@ -1,4 +1,5 @@
 import sys
+from array import array
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -16,6 +17,13 @@ def degree_sorted(rows):
     n = len(rows)
     k = [sum(v >= 0 for v in rows[e][1:]) for e in range(1, n)]
     return k == sorted(k)
+
+
+def table_rows(flat, n):
+    """The n-element table whose ``core.table_bytes`` are ``flat``, as
+    list rows."""
+    entries = array("b", flat)
+    return [list(entries[i:i + n]) for i in range(0, n * n, n)]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

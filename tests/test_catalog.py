@@ -3,10 +3,9 @@
 import itertools
 import json
 
-import numpy as np
 import pytest
 
-from conftest import LABELED_COUNTS, degree_sorted
+from conftest import LABELED_COUNTS, degree_sorted, table_rows
 from geadim import _kernels, catalog, core
 from geadim.errors import CorruptCatalog, LimitExceeded, UnknownPredicate
 
@@ -44,11 +43,6 @@ def _orbit_min(rows):
     )
 
 
-def _enumerated_tables(n):
-    flat = _kernels.enumerate_tables(n, np.empty(0, dtype=np.int8))
-    return flat.reshape(-1, n, n).tolist()
-
-
 def test_class_counts_by_raw_orbits_n5_n6():
     # dedupe the enumerated tables by raw full-permutation orbits,
     # independently of the color-refined canonical form: the degree-sorted
@@ -56,7 +50,7 @@ def test_class_counts_by_raw_orbits_n5_n6():
     # table of each
     for n, expected in ((5, 12), (6, 35)):
         kept = {}
-        for rows in _enumerated_tables(n):
+        for rows in _kernels.enumerate_tables(n, []):
             orbit = _orbit_min(rows)
             kept[orbit] = kept.get(orbit, 0) + core.is_canonical_table(rows)
         assert len(kept) == expected
@@ -72,7 +66,7 @@ def _orbit_stabilizer_total(n):
     perms = _zero_fixing_perms(n)
     total = 0
     for flat in catalog._canonical_tables(n):
-        rows = np.frombuffer(flat, dtype=np.int8).reshape(n, n).tolist()
+        rows = table_rows(flat, n)
         aut = sum(_relabel_rows(rows, p) == rows for p in perms)
         assert len(perms) % aut == 0
         total += len(perms) // aut
@@ -97,29 +91,23 @@ def test_enumeration_finds_every_valid_labeled_table_n4():
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     naive = set()
     for choice in itertools.product(range(-1, n), repeat=len(cells)):
-        table = np.full((n, n), -1, dtype=np.int8)
+        table = [[-1] * n for _ in range(n)]
         for e in range(n):
-            table[e, 0] = e
-            table[0, e] = e
+            table[e][0] = e
+            table[0][e] = e
         for (i, j), v in zip(cells, choice):
-            table[i, j] = v
-            table[j, i] = v
-        if _kernels.axiom_violation(table.tolist()) is None:
-            naive.add(table.tobytes())
-    dfs = {
-        flat.tobytes()
-        for flat in _kernels.enumerate_tables(n, np.empty(0, dtype=np.int8))
-    }
+            table[i][j] = v
+            table[j][i] = v
+        if _kernels.axiom_violation(table) is None:
+            naive.add(core.table_bytes(table))
+    dfs = {core.table_bytes(t) for t in _kernels.enumerate_tables(n, [])}
     assert len(naive) == LABELED_COUNTS[n - 1]
-    assert dfs == {
-        t for t in naive
-        if degree_sorted(np.frombuffer(t, dtype=np.int8).reshape(n, n).tolist())
-    }
+    assert dfs == {t for t in naive if degree_sorted(table_rows(t, n))}
     reached = set()
     for t in dfs:
-        rows = np.frombuffer(t, dtype=np.int8).reshape(n, n).tolist()
+        rows = table_rows(t, n)
         for p in _zero_fixing_perms(n):
-            reached.add(np.array(_relabel_rows(rows, p), dtype=np.int8).tobytes())
+            reached.add(core.table_bytes(_relabel_rows(rows, p)))
     assert reached == naive
 
 

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from geadim import catalog, cli, congruence as cg
+from geadim import catalog, cli, congruence as cg, core
 from geadim.errors import (
     ConflictingEquation,
     InternalInvariant,
@@ -76,6 +80,29 @@ def test_parse_errors():
         cli.parse_gea_file(
             "elements: 0 a b c d\nzero: 0\nsum: a + b = c\nsum: a + b = d\n"
         )
+
+
+def test_element_count_is_bounded(tmp_path):
+    names = ["0"] + [f"e{i}" for i in range(1, core.MAX_ELEMENTS)]
+    doc = cli.parse_gea_file(f"elements: {' '.join(names)}\nzero: 0\n")
+    assert len(doc.elements) == core.MAX_ELEMENTS
+    p = tmp_path / "big.gea"
+    p.write_text(f"zero: 0\nelements: {' '.join(names)} extra\n",
+                 encoding="utf-8")
+    code, text = run(["check", str(p)])
+    assert code == 2
+    assert text == f"error: line 2, col 1: more than {core.MAX_ELEMENTS} elements\n"
+
+
+def test_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, geadim.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout == "False\n"
 
 
 def test_check_command(docs):

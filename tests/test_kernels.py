@@ -4,15 +4,13 @@ import functools
 import hashlib
 import itertools
 import random
+from array import array
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import LABELED_COUNTS, degree_sorted
+from conftest import LABELED_COUNTS, degree_sorted, table_rows
 from geadim import _kernels as K
 from geadim import catalog, congruence as cg, core
-
-EMPTY = np.empty(0, dtype=np.int8)
 
 # sha256 of the n = 1..6 streams of the unpruned enumerator, each filtered
 # in order by conftest.degree_sorted, concatenated
@@ -32,7 +30,7 @@ def _labeled_tables(n):
     zero-fixing relabelings of the catalog tables."""
     out = set()
     for flat in catalog._canonical_tables(n):
-        rows = np.frombuffer(flat, dtype=np.int8).reshape(n, n).tolist()
+        rows = table_rows(flat, n)
         for rest in itertools.permutations(range(1, n)):
             p = (0, *rest)
             relab = [[-1] * n for _ in range(n)]
@@ -46,8 +44,7 @@ def _labeled_tables(n):
 
 
 def _all_small_tables():
-    return [np.array(rows, dtype=np.int8)
-            for n in (2, 3, 4) for rows in _labeled_tables(n)]
+    return [rows for n in (2, 3, 4) for rows in _labeled_tables(n)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,19 +53,18 @@ def _catalog_models(max_n):
     out = []
     for n in range(1, max_n + 1):
         for flat in catalog._canonical_tables(n):
-            table = np.frombuffer(flat, dtype=np.int8).reshape(n, n)
-            out.append(core.GeaTable([str(i) for i in range(n)], table,
-                                     _validated=True))
+            out.append(core.GeaTable([str(i) for i in range(n)],
+                                     table_rows(flat, n), _validated=True))
     return tuple(out)
 
 
 def test_enumeration_stream_digest():
     h = hashlib.sha256()
     for n in range(1, 7):
-        tables = K.enumerate_tables(n, EMPTY)
-        assert tables.dtype == np.int8 and tables.shape[1] == n * n
-        assert all(degree_sorted(t.reshape(n, n).tolist()) for t in tables)
-        h.update(tables.tobytes())
+        tables = K.enumerate_tables(n, [])
+        assert all(degree_sorted(t) for t in tables)
+        for t in tables:
+            h.update(core.table_bytes(t))
     assert h.hexdigest() == ENUMERATION_SHA256
 
 
@@ -76,28 +72,26 @@ def test_prefix_partition_is_exact():
     # the worker branches, in order, concatenate to the full DFS stream;
     # first-cell values the DFS never tries give nothing
     for n in (4, 5, 6):
-        full = K.enumerate_tables(n, EMPTY).tolist()
+        full = K.enumerate_tables(n, [])
         pieces = []
         for prefix in catalog._branch_prefixes(n):
-            pieces += K.enumerate_tables(n, prefix).tolist()
+            pieces += K.enumerate_tables(n, prefix)
         assert pieces == full
         for v in (0, 1, n):
-            out = K.enumerate_tables(n, np.array([v], dtype=np.int8))
-            assert out.shape == (0, n * n)
+            assert K.enumerate_tables(n, [v]) == []
 
 
 def test_full_prefix_returns_the_table():
     # a full prefix gives back its table when the row degrees are sorted,
     # and nothing otherwise
     for t in _all_small_tables():
-        n = t.shape[0]
-        prefix = np.array([t[i, j] for i in range(1, n) for j in range(i, n)],
-                          dtype=np.int8)
+        n = len(t)
+        prefix = [t[i][j] for i in range(1, n) for j in range(i, n)]
         out = K.enumerate_tables(n, prefix)
-        if degree_sorted(t.tolist()):
-            assert out.tolist() == [t.reshape(n * n).tolist()]
+        if degree_sorted(t):
+            assert out == [t]
         else:
-            assert out.shape == (0, n * n)
+            assert out == []
 
 
 def _literal_exomaps(E):
@@ -113,22 +107,20 @@ def _literal_exomaps(E):
             if E.sum_of(e, f) is not None
         )
         exc2 = all(m[m[e]] == m[e] for e in range(n))
-        exc3 = all(E.leq[m[e], e] for e in range(n))
+        exc3 = all(E.leq[m[e]][e] for e in range(n))
         exc4 = all(
             E.sum_of(e, f) is not None
             for e in range(n) for f in range(n)
             if m[e] == e and m[f] == 0
         )
         if exc1 and exc2 and exc3 and exc4:
-            rows.append(list(m))
+            rows.append(m)
     return rows
 
 
 def test_brute_exomaps_matches_literal_filter():
     for E in _catalog_models(5):
-        rows = K.brute_exomaps(E.sum, E.leq)
-        assert rows.dtype == np.int8 and rows.shape[1] == E.n
-        assert rows.tolist() == _literal_exomaps(E)
+        assert K.brute_exomaps(E.sum, E.leq) == _literal_exomaps(E)
 
 
 def test_sk_witnesses_digest():
@@ -137,11 +129,10 @@ def test_sk_witnesses_digest():
     h = hashlib.sha256()
     for E in _catalog_models(5):
         for class_of in catalog.partitions_with_zero_singleton(E.n):
-            cls = np.array(class_of, dtype=np.int8)
-            found = K.sk_witnesses(K.sk_plan(E.sum, E.diff, E.leq), cls)
+            found = K.sk_witnesses(K.sk_plan(E.sum, E.diff, E.leq), class_of)
             rows = [[0, -1, -1, -1, -1] if w is None
                     else [1, *w] + [-1] * (4 - len(w)) for w in found]
-            h.update(np.array(rows, dtype=np.int64).tobytes())
+            h.update(array("q", itertools.chain(*rows)).tobytes())
     assert h.hexdigest() == SK_WITNESSES_SHA256
 
 
@@ -218,9 +209,8 @@ def test_sk_witnesses_match_the_literal_sk_axioms():
         if E.n > 1:
             partitions += [[0] * E.n, [0, 0, *range(1, E.n - 1)]]
         for cls in partitions:
-            found = K.sk_witnesses(plan, np.array(cls, dtype=np.int8))
-            assert list(found) == _literal_sk_witnesses(E, cls), (
-                E.sum.tolist(), cls)
+            found = K.sk_witnesses(plan, cls)
+            assert list(found) == _literal_sk_witnesses(E, cls), (E.sum, cls)
             for k, w in enumerate(found):
                 failures[k] += w is not None
     assert all(failures)  # every axiom fails somewhere
@@ -238,7 +228,7 @@ def test_check_sk_witnesses_violate_their_axioms(data):
     report = cg.check_sk(E, R)
     verdicts = (report.sk1, report.sk2, report.sk3d, report.sk3e,
                 report.sk4a, report.sk4b)
-    cls = R.class_of.tolist()
+    cls = R.class_of
     axioms = _literal_sk_axioms(E, cls)
     for v, w, (arity, holds) in zip(verdicts, _literal_sk_witnesses(E, cls),
                                     axioms):
@@ -250,7 +240,7 @@ def test_check_sk_witnesses_violate_their_axioms(data):
 def test_canonical_key_stable_under_full_relabeling():
     # the candidate-permutation pruning must not change the canonical key
     for t in _all_small_tables():
-        n = t.shape[0]
+        n = len(t)
         if n > 4:
             continue
         E = core.GeaTable([str(i) for i in range(n)], t, _validated=True)
