@@ -41,16 +41,16 @@ def main():
     c5, c6 = _chain(5), _chain(6)
     bench("axiom_violation n=6", K.axiom_violation, (c6.sum,),
           repeat=200)
-    bench("enumerate_tables n=5", K.enumerate_tables, (5, []), repeat=3)
-    bench("enumerate_tables n=6", K.enumerate_tables, (6, []), repeat=1)
-    bench("enumerate_tables n=7", K.enumerate_tables, (7, []), repeat=1)
+    bench("enumerate_tables n=5", K.enumerate_tables, (5,), repeat=3)
+    bench("enumerate_tables n=6", K.enumerate_tables, (6,), repeat=1)
+    bench("enumerate_tables n=7", K.enumerate_tables, (7,), repeat=1)
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
     cls = [0, 1, 1, 2, 2, 3]
     bench("sk_plan n=6", K.sk_plan, (c6.sum, c6.diff, c6.leq), repeat=20)
     plan = K.sk_plan(c6.sum, c6.diff, c6.leq)
     bench("sk_witnesses n=6", K.sk_witnesses, (plan, cls), repeat=200)
-    rows = [list(row) for row in core.b4().sum]
+    rows = core.b4().sum
     perms = list(core._candidate_perms(core._refine_colors(rows)))
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)
     bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)

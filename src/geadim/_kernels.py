@@ -1,11 +1,12 @@
 """Hot inner loops shared by the core, catalog, and congruence layers.
 
-Every kernel loops over plain Python sequences.  ``axiom_violation``,
-``relabeled`` and ``min_relabel`` take a table as rows, list or tuple,
-and ``is_min_relabel`` takes list rows; they return lists or tuples.
-``enumerate_tables`` returns its tables as list rows, ``brute_exomaps``
-and ``sk_plan`` read the model's tuple rows, and ``sk_witnesses`` reads
-the per-model ``SkPlan`` that ``sk_plan`` builds and returns tuples.
+Every kernel loops over plain Python sequences.  A table is a tuple of
+row tuples, the form of a model's ``sum``: ``enumerate_tables`` emits
+its tables so, ``relabeled`` and ``min_relabel`` return them so, and
+``is_min_relabel`` compares against them.  ``axiom_violation`` also
+reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
+tuples, and ``sk_witnesses`` reads the per-model ``SkPlan`` that
+``sk_plan`` builds and returns tuples.
 
 Table encoding: an n-element model is an n-by-n table where entry
 ``[i][j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
@@ -64,16 +65,19 @@ def axiom_violation(rows):
 
 
 def relabeled(rows, perm):
-    """The table with element i renamed to ``perm[i]``, as list rows."""
+    """The table with element i renamed to ``perm[i]``, as tuple rows."""
     inv = [0] * len(perm)
     for a, p in enumerate(perm):
         inv[p] = a
-    return [[-1 if rows[a][b] < 0 else perm[rows[a][b]] for b in inv]
-            for a in inv]
+    out = []
+    for a in inv:
+        row = rows[a]
+        out.append(tuple([-1 if row[b] < 0 else perm[row[b]] for b in inv]))
+    return tuple(out)
 
 
 def min_relabel(rows, perms):
-    """Least relabeling of a table over ``perms``, as list rows.
+    """Least relabeling of a table over ``perms``, as tuple rows.
 
     Each permutation sends old index to new index and must fix 0; the
     identity takes part only when listed.  Tables compare row-major, with
@@ -83,7 +87,7 @@ def min_relabel(rows, perms):
 
 
 def is_min_relabel(rows, perms):
-    """True when the table, given as list rows, equals its least
+    """True when the table, given as tuple rows, equals its least
     relabeling over ``perms``.
 
     Requires both that no permutation produces a smaller table and that
@@ -98,16 +102,15 @@ def is_min_relabel(rows, perms):
     return achieved
 
 
-def enumerate_tables(n, prefix):
-    """The valid sum tables on n elements extending a cell prefix whose
-    row degrees are non-decreasing.
+def enumerate_tables(n):
+    """The valid sum tables on n elements whose row degrees are
+    non-decreasing.
 
-    Cells are the pairs (i, j) with 1 <= i <= j < n in row-major order;
-    ``prefix`` assigns values (-1 for undefined) to the first ``len(prefix)``
-    cells.  Zero row/column are forced by neutrality.  Candidate values per
+    The DFS assigns the cells (i, j) with 1 <= i <= j < n in row-major
+    order.  Zero row/column are forced by neutrality.  Candidate values per
     cell (i, j) are -1 then v in 1..n-1 with v not in {i, j} (v = i or j
     would force the other summand to 0 by cancellation, v = 0 would break
-    positivity).  Returns a list of the tables, each as list rows, in DFS
+    positivity).  Returns a list of the tables, each as tuple rows, in DFS
     order.
 
     The row degree k_e of e is the number of nonzero f with e + f
@@ -131,8 +134,6 @@ def enumerate_tables(n, prefix):
       some rows a < b already have lo(a) > lo(b) + open(b), where lo
       counts a row's defined nonzero cells and open its unassigned ones:
       no completion can repair either.
-
-    A full prefix of a table that is not degree-sorted gives no table.
     """
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     nc = len(cells)
@@ -211,27 +212,15 @@ def enumerate_tables(n, prefix):
                         return False
         return assoc_ok(i, j)
 
-    # apply the prefix through the same checks the DFS uses
-    start = len(prefix)
-    for k, v in enumerate(prefix):
-        i, j = cells[k]
-        if v != -1:
-            if v <= 0 or v == i or v == j or v >= n:
-                return []
-            if v in table[i] or v in table[j]:
-                return []
-        if not place(k, v):
-            return []
+    if nc == 0:  # n <= 1: the zero row is the whole table
+        return [tuple(map(tuple, table))]
 
-    if start == nc:
-        return [table]
-
-    # iterative DFS over the remaining cells
+    # iterative DFS over the cells
     cands = [[-1] + [v for v in range(1, n) if v != i and v != j]
              for i, j in cells]
     nxt = [0] * nc  # index of the next candidate to try per cell
-    depth = start
-    while depth >= start:
+    depth = 0
+    while depth >= 0:
         i, j = cells[depth]
         row_i, row_j = table[i], table[j]
         old = row_i[j]
@@ -254,7 +243,7 @@ def enumerate_tables(n, prefix):
         if not place(depth, v):
             continue
         if depth == nc - 1:
-            out.append([row[:] for row in table])
+            out.append(tuple(map(tuple, table)))
             continue
         depth += 1
     return out

@@ -13,7 +13,6 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from multiprocessing import get_context
 
 from . import _kernels, congruence as cg, core, dimension as dm
 from .errors import CorruptCatalog, LimitExceeded, UnknownPredicate
@@ -74,52 +73,47 @@ class CatalogEntry:
         }
 
 
-def _canonical_tables(n, jobs=1):
+def _canonical_tables(n):
     """Canonical sum tables for size n, as ``core.table_bytes``, sorted."""
-    if jobs > 1 and n >= 4:
-        prefixes = _branch_prefixes(n)
-        ctx = get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            chunks = pool.starmap(_canonical_from_prefix, [(n, p) for p in prefixes])
-        found = sorted(set(t for chunk in chunks for t in chunk))
-    else:
-        found = sorted(set(_canonical_from_prefix(n, [])))
-    return found
-
-
-def _branch_prefixes(n):
-    """Cell prefixes that split the DFS into worker tasks, in DFS order.
-
-    Row 1 of every table ``enumerate_tables`` emits is undefined, so each
-    prefix leaves it undefined and splits on row 2: first the branch with
-    all of row 2 undefined, which holds most tables, then, from the last
-    cell (2, j) back to the first, one branch per defined value of that
-    cell with the cells before it undefined.
-    """
-    spine = [-1] * (2 * n - 3)  # rows 1 and 2 undefined
-    out = [spine]
-    for j in range(n - 1, 1, -1):
-        d = n + j - 3  # index of cell (2, j)
-        out += [spine[:d] + [v] for v in range(1, n) if v not in (2, j)]
-    return out
-
-
-def _canonical_from_prefix(n, prefix):
-    return [
+    return sorted(
         core.table_bytes(rows)
-        for rows in _kernels.enumerate_tables(n, prefix)
+        for rows in _kernels.enumerate_tables(n)
         if core.is_canonical_table(rows)
-    ]
+    )
 
 
-def enumerate_geas(max_n, limit=DEFAULT_MAX_N, jobs=1):
-    """Stream of catalog entries for all models up to isomorphism,
-    ordered by (size, canonical key)."""
+def _catalog_tables(max_n, limit):
+    """(n, canonical table bytes) of every model up to size ``max_n``, in
+    catalog order, lazily; the size limit is checked at the call."""
     if max_n > limit or max_n > HARD_MAX_N:
         raise LimitExceeded(f"max_n={max_n} exceeds the configured limit")
-    for n in range(1, max_n + 1):
-        for flat in _canonical_tables(n, jobs=jobs):
-            yield build_entry(n, flat)
+    return ((n, flat) for n in range(1, max_n + 1)
+            for flat in _canonical_tables(n))
+
+
+def enumerate_geas(max_n, limit=DEFAULT_MAX_N):
+    """Stream of catalog entries for all models up to isomorphism,
+    ordered by (size, canonical key)."""
+    for n, flat in _catalog_tables(max_n, limit):
+        yield build_entry(n, flat)
+
+
+def ordered_map(fn, items, jobs):
+    """``fn`` over ``items``, lazily and in item order: in this process when
+    ``jobs`` is 1, else in ``jobs`` forked workers.
+
+    With workers, ``fn`` must pickle (a module-level function, or a
+    ``functools.partial`` of one), and ``items`` is drawn in a thread of
+    the pool.  The workers are forked when the pool starts, so they see
+    this process's memory as it is then, caches included.
+    """
+    if jobs == 1:
+        yield from map(fn, items)
+        return
+    from multiprocessing import get_context
+
+    with get_context("fork").Pool(jobs) as pool:
+        yield from pool.imap(fn, items)
 
 
 @lru_cache(maxsize=None)
@@ -246,8 +240,10 @@ def write_catalog(path, max_n, jobs=1, resume=False):
     partial catalog written here.  A run that fails or is killed leaves
     ``<path>.part`` behind; ``resume`` continues it, or, when there is
     none, a partial ``path`` in place, after checking that it is a prefix
-    of the enumeration.
+    of the enumeration.  A size over the limit raises before any file is
+    touched.
     """
+    tables = _catalog_tables(max_n, max_n)
     header = {
         "format_version": FORMAT_VERSION,
         "max_n": max_n,
@@ -260,29 +256,36 @@ def write_catalog(path, max_n, jobs=1, resume=False):
         existing = _resumable_keys(source, header)
         if existing and source == path:
             with open(path, "a", encoding="utf-8", buffering=1) as fh:
-                return _write_entries(fh, max_n, jobs, existing)
+                return _write_entries(fh, tables, jobs, existing)
     with open(part, "a" if existing else "w", encoding="utf-8", buffering=1) as fh:
         if not existing:
             fh.write(_dump(header) + "\n")
-        count = _write_entries(fh, max_n, jobs, existing)
+        count = _write_entries(fh, tables, jobs, existing)
     os.replace(part, path)
     return count
 
 
-def _write_entries(fh, max_n, jobs, existing):
-    """Write every record after the ``existing`` keys, which must be a
-    prefix of the enumeration; returns the number of entries."""
-    count = 0
-    for i, entry in enumerate(enumerate_geas(max_n, limit=max_n, jobs=jobs)):
+def _write_entries(fh, tables, jobs, existing):
+    """Write the record of every model of ``tables`` after the ``existing``
+    keys, which must be a prefix of them; returns the number of entries.
+
+    The models already written are checked by key and not built again.
+    """
+    keys = (bytes([n]) + flat for n, flat in tables)
+    for key in existing:
+        if next(keys, b"").hex() != key:
+            raise LimitExceeded(
+                "existing catalog is not a prefix of this enumeration"
+            )
+    count = len(existing)
+    for line in ordered_map(_record_line, keys, jobs):
+        fh.write(line + "\n")
         count += 1
-        if i < len(existing):
-            if existing[i] != entry.key:
-                raise LimitExceeded(
-                    "existing catalog is not a prefix of this enumeration"
-                )
-            continue
-        fh.write(_dump(entry.record()) + "\n")
     return count
+
+
+def _record_line(key):
+    return _dump(build_entry(key[0], key[1:]).record())
 
 
 def _catalog_lines(path):

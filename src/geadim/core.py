@@ -30,6 +30,8 @@ class GeaTable:
         self.names = tuple(names)
         self.n = len(self.names)
         self.zero = 0
+        if self.n > MAX_ELEMENTS:
+            raise ValueError(f"a model has at most {MAX_ELEMENTS} elements")
         table = tuple(map(tuple, sum_table))
         if len(table) != self.n or any(len(row) != self.n for row in table):
             raise ValueError("sum table shape does not match element count")
@@ -611,7 +613,7 @@ def interval_ea(E, p):
 # ---------------------------------------------------------------------------
 
 def _refine_colors(rows):
-    """Iterated structural coloring of a table given as list rows.
+    """Iterated structural coloring of a table given as rows.
 
     Color ids are ranks of label-invariant signatures, so relabeling the
     table permutes the colors the same way.  The order is read off the
@@ -678,8 +680,9 @@ def table_bytes(rows):
 
 
 def is_canonical_table(rows):
-    """True when the table, given as list rows, is its own canonical
-    representative: the least relabeling over the candidate permutations.
+    """True when the table, given as rows (a model's ``sum``, say), is its
+    own canonical representative: the least relabeling over the candidate
+    permutations.
 
     A table whose refined colors are not sorted in label order is never
     canonical, and is rejected before any permutation is built.  Colors
@@ -692,4 +695,5 @@ def is_canonical_table(rows):
     colors = _refine_colors(rows)
     if colors != sorted(colors):
         return False
+    rows = tuple(map(tuple, rows))  # the kernels' row type
     return _kernels.is_min_relabel(rows, _candidate_perms(colors))

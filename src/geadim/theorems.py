@@ -18,8 +18,7 @@ instance, as a sanity control that the harness can actually fail.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from multiprocessing import get_context
+from functools import cached_property, partial
 
 from . import catalog, congruence as cg, core, dimension as dm, hull as hull_mod
 from .errors import InternalInvariant, UnknownPredicate
@@ -1158,7 +1157,7 @@ def _evaluate_entry(max_n, index, names, invert):
                 else:
                     violations.append(rec)
         out[name] = (instances, violations)
-    return entry.key, out, review
+    return out, review
 
 
 def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
@@ -1176,17 +1175,10 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
     if invert is not None and invert not in REGISTRY:
         raise UnknownPredicate(f"unknown theorem: {invert}")
     entries = catalog.cached_entries(max_n)
-    args = [(max_n, i, names, invert) for i in range(len(entries))]
-    if jobs > 1 and len(entries) > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            raw = pool.starmap(_evaluate_entry, args)
-        raw.sort(key=lambda item: (len(bytes.fromhex(item[0])), item[0]))
-    else:
-        raw = [_evaluate_entry(*a) for a in args]
+    evaluate = partial(_evaluate_entry, max_n, names=names, invert=invert)
     results = {name: PropertyResult() for name in names}
     review = []
-    for _, per_prop, rev in raw:
+    for per_prop, rev in catalog.ordered_map(evaluate, range(len(entries)), jobs):
         for name, (instances, violations) in per_prop.items():
             results[name].instances += instances
             results[name].violations.extend(violations)

@@ -50,7 +50,7 @@ def test_class_counts_by_raw_orbits_n5_n6():
     # table of each
     for n, expected in ((5, 12), (6, 35)):
         kept = {}
-        for rows in _kernels.enumerate_tables(n, []):
+        for rows in _kernels.enumerate_tables(n):
             orbit = _orbit_min(rows)
             kept[orbit] = kept.get(orbit, 0) + core.is_canonical_table(rows)
         assert len(kept) == expected
@@ -100,7 +100,7 @@ def test_enumeration_finds_every_valid_labeled_table_n4():
             table[j][i] = v
         if _kernels.axiom_violation(table) is None:
             naive.add(core.table_bytes(table))
-    dfs = {core.table_bytes(t) for t in _kernels.enumerate_tables(n, [])}
+    dfs = {core.table_bytes(t) for t in _kernels.enumerate_tables(n)}
     assert len(naive) == LABELED_COUNTS[n - 1]
     assert dfs == {t for t in naive if degree_sorted(table_rows(t, n))}
     reached = set()
@@ -123,17 +123,30 @@ def test_stream_is_sorted_and_deterministic():
     assert a == b == sorted(a)
 
 
-def test_parallel_enumeration_matches_serial():
-    serial = [e.key for e in catalog.enumerate_geas(5)]
-    parallel = [e.key for e in catalog.enumerate_geas(5, jobs=3)]
-    assert serial == parallel
+def test_parallel_enumeration_matches_serial(tmp_path):
+    serial = tmp_path / "serial.cat"
+    catalog.write_catalog(str(serial), 5)
+    path = tmp_path / "parallel.cat"
+    catalog.write_catalog(str(path), 5, jobs=3)
+    assert path.read_bytes() == serial.read_bytes()
+    # resume with workers from a .part cut after the header and 3 records
+    lines = serial.read_bytes().splitlines(keepends=True)
+    path.unlink()
+    part = tmp_path / "parallel.cat.part"
+    part.write_bytes(b"".join(lines[:4]))
+    assert catalog.write_catalog(str(path), 5, jobs=2, resume=True) == 21
+    assert path.read_bytes() == serial.read_bytes()
+    assert not part.exists()
 
 
-def test_limit_guard():
+def test_limit_guard(tmp_path):
     with pytest.raises(LimitExceeded):
         list(catalog.enumerate_geas(8))
     with pytest.raises(LimitExceeded):
         list(catalog.enumerate_geas(9, limit=9))
+    with pytest.raises(LimitExceeded):
+        catalog.write_catalog(str(tmp_path / "models.cat"), 9)
+    assert list(tmp_path.iterdir()) == []  # not even a .part header
 
 
 def test_relation_counts():
@@ -194,11 +207,13 @@ def test_read_catalog_rejects_damaged_file(damage, tmp_path):
 
 
 def _stop_after_two(real, stop):
+    calls = []
+
     def two_then_stop(*args, **kwargs):
-        for i, entry in enumerate(real(*args, **kwargs)):
-            if i == 2:
-                stop()
-            yield entry
+        if len(calls) == 2:
+            stop()
+        calls.append(args)
+        return real(*args, **kwargs)
 
     return two_then_stop
 
@@ -214,8 +229,8 @@ def test_failed_fresh_write_resumes(tmp_path, monkeypatch):
     part = tmp_path / "models.cat.part"
     with monkeypatch.context() as m:
         m.setattr(
-            catalog, "enumerate_geas",
-            _stop_after_two(catalog.enumerate_geas, _fail),
+            catalog, "build_entry",
+            _stop_after_two(catalog.build_entry, _fail),
         )
         with pytest.raises(RuntimeError):
             catalog.write_catalog(str(path), 4)
@@ -229,13 +244,14 @@ def test_failed_fresh_write_resumes(tmp_path, monkeypatch):
 _KILL_AFTER_TWO = """
 import os, signal, sys
 from geadim import catalog
-real = catalog.enumerate_geas
+real = catalog.build_entry
+calls = []
 def two_then_kill(*args, **kwargs):
-    for i, entry in enumerate(real(*args, **kwargs)):
-        if i == 2:
-            os.kill(os.getpid(), signal.SIGKILL)
-        yield entry
-catalog.enumerate_geas = two_then_kill
+    if len(calls) == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    calls.append(args)
+    return real(*args, **kwargs)
+catalog.build_entry = two_then_kill
 catalog.write_catalog(sys.argv[1], 4)
 """
 
@@ -263,14 +279,33 @@ def test_killed_fresh_write_resumes(tmp_path):
     assert not part.exists()
 
 
+def test_resume_builds_only_the_missing_entries(tmp_path, monkeypatch):
+    path = tmp_path / "models.cat"
+    catalog.write_catalog(str(path), 4)
+    full = path.read_bytes()
+    lines = full.splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:3]))  # header and two records
+    built = []
+    real = catalog.build_entry
+
+    def counting(n, flat):
+        built.append((bytes([n]) + flat).hex())
+        return real(n, flat)
+
+    monkeypatch.setattr(catalog, "build_entry", counting)
+    assert catalog.write_catalog(str(path), 4, resume=True) == len(lines) - 1
+    assert path.read_bytes() == full
+    assert built == [json.loads(line)["key"] for line in lines[3:]]
+
+
 def test_resume_prefers_the_partial_file(tmp_path, monkeypatch):
     path = tmp_path / "models.cat"
     catalog.write_catalog(str(path), 3)
     older = path.read_bytes()
     with monkeypatch.context() as m:
         m.setattr(
-            catalog, "enumerate_geas",
-            _stop_after_two(catalog.enumerate_geas, _fail),
+            catalog, "build_entry",
+            _stop_after_two(catalog.build_entry, _fail),
         )
         with pytest.raises(RuntimeError):
             catalog.write_catalog(str(path), 4)

@@ -94,15 +94,26 @@ def test_element_count_is_bounded(tmp_path):
     assert text == f"error: line 2, col 1: more than {core.MAX_ELEMENTS} elements\n"
 
 
-def test_import_does_not_load_numpy():
+def _loaded_by_fresh_import(module):
+    """Whether a fresh ``import geadim.cli`` loads ``module``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = "import sys, geadim.cli; print('numpy' in sys.modules)"
+    probe = f"import sys, geadim.cli; print({module!r} in sys.modules)"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout == "False\n"
+    assert done.stdout in ("True\n", "False\n")
+    return done.stdout == "True\n"
+
+
+def test_import_does_not_load_numpy():
+    assert not _loaded_by_fresh_import("numpy")
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a command run with --jobs above 1 forks workers
+    assert not _loaded_by_fresh_import("multiprocessing")
 
 
 def test_check_command(docs):

@@ -174,3 +174,12 @@ def test_tables_are_immutable():
     for row in rows:
         with pytest.raises(TypeError):
             row[0] = 1
+
+
+def test_element_count_is_bounded():
+    # every element index fits the one-byte table key
+    names = ["0"] + [f"e{i}" for i in range(1, core.MAX_ELEMENTS)]
+    E = core.build_gea(names, "0", [])
+    assert len(core.table_bytes(E.sum)) == core.MAX_ELEMENTS ** 2
+    with pytest.raises(ValueError, match="at most"):
+        core.build_gea(names + ["extra"], "0", [])

@@ -1,4 +1,4 @@
-"""The list-based kernels against fixed digests and definitional oracles."""
+"""The plain-Python kernels against fixed digests and definitional oracles."""
 
 import functools
 import hashlib
@@ -26,7 +26,7 @@ SK_WITNESSES_SHA256 = (
 
 @functools.lru_cache(maxsize=None)
 def _labeled_tables(n):
-    """Every labeled table of size n, as list rows in sorted order: the
+    """Every labeled table of size n, as tuple rows in sorted order: the
     zero-fixing relabelings of the catalog tables."""
     out = set()
     for flat in catalog._canonical_tables(n):
@@ -40,7 +40,7 @@ def _labeled_tables(n):
                     relab[p[a]][p[b]] = -1 if v < 0 else p[v]
             out.add(tuple(map(tuple, relab)))
     assert len(out) == LABELED_COUNTS[n - 1]
-    return [list(map(list, t)) for t in sorted(out)]
+    return sorted(out)
 
 
 def _all_small_tables():
@@ -61,37 +61,11 @@ def _catalog_models(max_n):
 def test_enumeration_stream_digest():
     h = hashlib.sha256()
     for n in range(1, 7):
-        tables = K.enumerate_tables(n, [])
+        tables = K.enumerate_tables(n)
         assert all(degree_sorted(t) for t in tables)
         for t in tables:
             h.update(core.table_bytes(t))
     assert h.hexdigest() == ENUMERATION_SHA256
-
-
-def test_prefix_partition_is_exact():
-    # the worker branches, in order, concatenate to the full DFS stream;
-    # first-cell values the DFS never tries give nothing
-    for n in (4, 5, 6):
-        full = K.enumerate_tables(n, [])
-        pieces = []
-        for prefix in catalog._branch_prefixes(n):
-            pieces += K.enumerate_tables(n, prefix)
-        assert pieces == full
-        for v in (0, 1, n):
-            assert K.enumerate_tables(n, [v]) == []
-
-
-def test_full_prefix_returns_the_table():
-    # a full prefix gives back its table when the row degrees are sorted,
-    # and nothing otherwise
-    for t in _all_small_tables():
-        n = len(t)
-        prefix = [t[i][j] for i in range(1, n) for j in range(i, n)]
-        out = K.enumerate_tables(n, prefix)
-        if degree_sorted(t):
-            assert out == [t]
-        else:
-            assert out == []
 
 
 def _literal_exomaps(E):
@@ -248,6 +222,25 @@ def test_canonical_key_stable_under_full_relabeling():
         for perm in itertools.permutations(range(1, n)):
             other = E.relabel([0, *perm])
             assert core.canonical_form(other) == key
+
+
+def test_model_sum_is_a_canonical_table():
+    # a model's own sum rows go straight into the canonical filter: every
+    # catalog table passes, and every other labeling of a model without
+    # automorphisms fails
+    models = _catalog_models(6)
+    assert all(core.is_canonical_table(E.sum) for E in models)
+    rigid = 0
+    for E in models:
+        if E.n > 5:
+            continue
+        perms = [(0, *rest) for rest in itertools.permutations(range(1, E.n))]
+        relabelings = [K.relabeled(E.sum, p) for p in perms[1:]]
+        if E.sum in relabelings:
+            continue
+        rigid += 1
+        assert not any(core.is_canonical_table(t) for t in relabelings)
+    assert rigid > 0
 
 
 def test_sorted_colors_shortcut_is_exact():
