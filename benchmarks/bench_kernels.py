@@ -8,14 +8,15 @@ Run from the repository root after installing the package::
 Every kernel runs ``repeat`` times per round over several rounds; the
 table gives the fastest round's time per call, which is the least
 disturbed by other load on the machine.  The suite row times
-``run_theorem_suite(5)`` alone: the catalog is built before the rounds.
+``run_theorem_suite(5)``, which builds each catalog entry as it reaches
+it.
 """
 
 import platform
 import time
 
 from geadim import _kernels as K
-from geadim import catalog, core, theorems
+from geadim import core, theorems
 
 ROUNDS = 5
 
@@ -54,7 +55,6 @@ def main():
     perms = list(core._candidate_perms(core._refine_colors(rows)))
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)
     bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)
-    catalog.cached_entries(5)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 
 

@@ -11,13 +11,12 @@ from .core import (
     element_predicates,
     interval_ea,
     is_orthodense,
-    order_queries,
     orthosum_family,
     structure_predicates,
     subset_predicates,
     t3,
 )
-from .exocenter import ExoMap, ExoSet, center, cogea_check, exo_boolean_ops, exocenter, exocentral_cover
+from .exocenter import ExoMap, ExoSet, center, cogea_check, exocenter, exocentral_cover
 from .hull import (
     HullSystem,
     check_hull_system,

@@ -9,7 +9,6 @@ work is partitioned, and re-runs are bit-identical.
 import itertools
 import json
 import os
-import time
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,10 +59,9 @@ class CatalogEntry:
     table: object
     flags: dict
     relations: tuple
-    timing: float = field(default=None, compare=False)
 
     def record(self):
-        """Persistable form; excludes timing so records are bit-exact."""
+        """Persistable form, bit-exact across runs."""
         return {
             "key": self.key,
             "n": self.n,
@@ -118,14 +116,17 @@ def ordered_map(fn, items, jobs):
 
 @lru_cache(maxsize=None)
 def cached_entries(max_n):
-    """Materialized catalog for reuse across suite runs in one process."""
+    """Materialized catalog, kept for reuse in one process.
+
+    No command reads it: ``verify`` and ``search`` build each entry as
+    they reach it and drop it after.  Tests and benchmarks use it.
+    """
     return tuple(enumerate_geas(max_n))
 
 
 def build_entry(n, flat_bytes):
     from .errors import InternalInvariant
 
-    t0 = time.perf_counter()
     flat = array("b", flat_bytes)
     E = core.GeaTable([str(i) for i in range(n)],
                       [flat[i:i + n] for i in range(0, n * n, n)],
@@ -141,7 +142,6 @@ def build_entry(n, flat_bytes):
         table=E,
         flags=flags,
         relations=relations,
-        timing=time.perf_counter() - t0,
     )
 
 
@@ -339,18 +339,6 @@ def _resumable_keys(path, header):
     return [obj["key"] for obj in lines]
 
 
-def read_catalog(path):
-    """Entries from a catalog file; returns (header, records).
-
-    Raises ``CorruptCatalog`` when the file is empty, damaged or not a
-    catalog.
-    """
-    lines = list(_catalog_lines(path))
-    if not lines or not (isinstance(lines[0], dict) and "format_version" in lines[0]):
-        raise CorruptCatalog(f"{path} has no catalog header")
-    return lines[0], lines[1:]
-
-
 # ---------------------------------------------------------------------------
 # counterexample search
 # ---------------------------------------------------------------------------
@@ -410,7 +398,7 @@ def search_counterexample(name, max_n):
             f"{name!r}; known: {', '.join(sorted(SEARCH_PREDICATES))}"
         )
     pred = SEARCH_PREDICATES[name]
-    for entry in cached_entries(max_n):
+    for entry in enumerate_geas(max_n):
         hit = pred(entry)
         if hit is not None:
             return {"key": entry.key, "n": entry.n, "witness": hit}

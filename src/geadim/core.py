@@ -244,36 +244,8 @@ def b4():
 
 
 # ---------------------------------------------------------------------------
-# order and family queries
+# orthogonal families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OrderInfo:
-    leq: tuple
-    diff: tuple
-    perp: tuple
-    atoms: tuple
-    maximal: tuple
-    meet: tuple  # -1 where no meet exists
-    join: tuple
-
-
-def order_queries(E):
-    n = E.n
-    perp = tuple(tuple(v >= 0 for v in row) for row in E.sum)
-    meet = [[-1] * n for _ in range(n)]
-    join = [[-1] * n for _ in range(n)]
-    for e in range(n):
-        for f in range(n):
-            m = E.meet(e, f)
-            j = E.join(e, f)
-            if m is not None:
-                meet[e][f] = m
-            if j is not None:
-                join[e][f] = j
-    return OrderInfo(E.leq, E.diff, perp, E.atoms, E.maximal,
-                     tuple(map(tuple, meet)), tuple(map(tuple, join)))
-
 
 def orthosum_family(E, family):
     """Orthosum of a finite multiset of elements, or None when undefined.
@@ -436,6 +408,9 @@ class StructureFlags:
 
 
 def structure_predicates(E):
+    """The global structure flags of a model.  Cached per table."""
+    if "structure" in E._cache:
+        return E._cache["structure"]
     n = E.n
     directed = all(
         any(E.leq[e][d] and E.leq[f][d] for d in range(n))
@@ -477,7 +452,7 @@ def structure_predicates(E):
         bounded = any(all(E.leq[p][u] for p in partials) for u in range(n))
         if bounded and any(not E.leq[p][total] for p in partials):
             dedekind = False
-    return StructureFlags(
+    out = StructureFlags(
         directed=directed,
         orthogonally_ordered=oo,
         is_ea=E.greatest(),
@@ -486,6 +461,8 @@ def structure_predicates(E):
         dedekind_orthocomplete=dedekind,
         orthocomplete=ortho,
     )
+    E._cache["structure"] = out
+    return out
 
 
 def _partial_sums(E, ms):

@@ -34,10 +34,6 @@ class NotAnIdeal(GeadimError):
     pass
 
 
-class NotInExocenter(GeadimError):
-    pass
-
-
 class MapNotInExocenter(GeadimError):
     pass
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import _kernels, core
-from .errors import InternalInvariant, NotInExocenter
+from .errors import InternalInvariant
 
 
 class ExoMap:
@@ -86,10 +86,6 @@ class ExoSet:
 
     def __hash__(self):
         return hash(self.maps)
-
-    def require(self, m):
-        if m not in self:
-            raise NotInExocenter(f"{m!r} is not a member")
 
     def _member(self, image):
         """The member whose image is ``image`` (a list of element indices)."""
@@ -183,27 +179,6 @@ def brute_force_exomaps(E):
     if not rows and E.n >= 1:
         raise InternalInvariant("brute-force exocenter filter found nothing")
     return ExoSet(E, (ExoMap(r) for r in rows))
-
-
-@dataclass(frozen=True)
-class BooleanOps:
-    complement: ExoMap
-    meet: ExoMap
-    join: ExoMap
-    leq: bool
-    disjoint: bool
-
-
-def exo_boolean_ops(S, p, q):
-    S.require(p)
-    S.require(q)
-    return BooleanOps(
-        complement=S.complement(p),
-        meet=S.meet(p, q),
-        join=S.join(p, q),
-        leq=S.leq(p, q),
-        disjoint=S.disjoint(p, q),
-    )
 
 
 def center(E, S=None):

@@ -49,35 +49,16 @@ def prop(name, scope, review_only=False):
 # ---------------------------------------------------------------------------
 
 class ModelCtx:
-    def __init__(self, entry):
-        self.entry = entry
-        self.E = entry.table
+    """A model-scope context: the table and its hull systems, which no
+    other layer memoizes.  Relation and der scopes take each congruence's
+    ``dm.Dgea`` itself."""
 
-    @cached_property
-    def gex(self):
-        return exocenter(self.E)
+    def __init__(self, E):
+        self.E = E
 
     @cached_property
     def hulls(self):
-        return hull_mod.enumerate_hull_systems(self.E, self.gex)
-
-    @cached_property
-    def structure(self):
-        return core.structure_predicates(self.E)
-
-
-class RelCtx:
-    """One congruence of a model, read from the catalog's ``dm.Dgea``."""
-
-    def __init__(self, model, rec):
-        d = rec.dgea
-        self.model = model
-        self.E = model.E
-        self.R = rec.rel
-        self.dgea = d
-        self.sigma = d.sigma
-        self.hull = d.hull
-        self.decomposition = d.decomposition if d.der else None
+        return hull_mod.enumerate_hull_systems(self.E, exocenter(self.E))
 
 
 def _names(E, xs):
@@ -107,7 +88,7 @@ def _core_order_laws(ctx):
         flags = core.element_predicates(E, p)
         if flags.principal and not flags.sharp:
             out.append(f"principal but not sharp: {E.names[p]}")
-    s = ctx.structure
+    s = core.structure_predicates(E)
     if not (s.archimedean and s.dedekind_orthocomplete and s.orthocomplete):
         out.append("finite model fails an orthocompleteness flag")
     top = E.greatest()
@@ -120,7 +101,7 @@ def _core_order_laws(ctx):
 
 @prop("exocenter-oracle", "model")
 def _exocenter_oracle(ctx):
-    fast = ctx.gex
+    fast = exocenter(ctx.E)
     brute = brute_force_exomaps(ctx.E)
     if fast != brute:
         return ["ideal-pair exocenter differs from brute-force filter"]
@@ -129,7 +110,7 @@ def _exocenter_oracle(ctx):
 
 @prop("exocenter-summand-bijection", "model")
 def _exo_summand_bijection(ctx):
-    E, S = ctx.E, ctx.gex
+    E, S = ctx.E, exocenter(ctx.E)
     out = []
     summands = {}
     for pi in S:
@@ -156,7 +137,7 @@ def _exo_summand_bijection(ctx):
 
 @prop("exocenter-boolean-laws", "model")
 def _exo_boolean_laws(ctx):
-    E, S = ctx.E, ctx.gex
+    E, S = ctx.E, exocenter(ctx.E)
     out = []
     if not _is_boolean_algebra(S):
         out.append("exocenter is not a boolean algebra")
@@ -175,7 +156,7 @@ def _exo_boolean_laws(ctx):
 
 @prop("center-characterizations", "model")
 def _center_checks(ctx):
-    E, S = ctx.E, ctx.gex
+    E, S = ctx.E, exocenter(ctx.E)
     out = []
     try:
         pairs = center(E, S)
@@ -193,7 +174,7 @@ def _center_checks(ctx):
 
 @prop("cogea-conditions", "model")
 def _cogea(ctx):
-    rep = cogea_check(ctx.E, ctx.gex)
+    rep = cogea_check(ctx.E, exocenter(ctx.E))
     if rep.co1 and rep.co2 and rep.gex_complete_boolean:
         return []
     return [f"central orthocompleteness fails: {rep.witness}"]
@@ -201,7 +182,7 @@ def _cogea(ctx):
 
 @prop("hull-roundtrip", "model")
 def _hull_roundtrip(ctx):
-    E, S = ctx.E, ctx.gex
+    E, S = ctx.E, exocenter(ctx.E)
     out = []
     for H in ctx.hulls:
         try:
@@ -216,7 +197,7 @@ def _hull_roundtrip(ctx):
 
 @prop("hull-meet-projections", "model")
 def _hull_meet_projections(ctx):
-    E, S = ctx.E, ctx.gex
+    E, S = ctx.E, exocenter(ctx.E)
     out = []
     for H in ctx.hulls:
         for e in range(E.n):
@@ -297,7 +278,7 @@ def _td_largest(ctx):
 
 @prop("eta-orthosum-supremum", "model")
 def _eta_orthosum_sup(ctx):
-    E, S = ctx.E, ctx.gex
+    E, S = ctx.E, exocenter(ctx.E)
     out = []
     for H in ctx.hulls:
         for r in range(E.n):
@@ -318,8 +299,8 @@ def _eta_orthosum_sup(ctx):
 
 @prop("eta-relation-congruence-iff-divisible", "model")
 def _eta_rel_sk(ctx):
-    E = ctx.E
-    if not ctx.structure.orthogonally_ordered:
+    E, S = ctx.E, exocenter(ctx.E)
+    if not core.structure_predicates(E).orthogonally_ordered:
         return []
     out = []
     for H in ctx.hulls:
@@ -333,7 +314,7 @@ def _eta_rel_sk(ctx):
             for e in range(E.n):
                 for f in range(E.n):
                     rel = cg.related(E, R, e, f)
-                    meets = not ctx.gex.meet(H.eta(e), H.eta(f)).is_zero
+                    meets = not S.meet(H.eta(e), H.eta(f)).is_zero
                     if rel != meets:
                         out.append(f"relatedness vs hull meet fails at {_names(E, (e, f))}")
     return out
@@ -341,8 +322,8 @@ def _eta_rel_sk(ctx):
 
 @prop("eta-splitting-roundtrip", "model")
 def _eta_sigma_roundtrip(ctx):
-    E, S = ctx.E, ctx.gex
-    if not ctx.structure.orthogonally_ordered:
+    E, S = ctx.E, exocenter(ctx.E)
+    if not core.structure_predicates(E).orthogonally_ordered:
         return []
     out = []
     for H in ctx.hulls:
@@ -371,7 +352,7 @@ def _eta_sigma_roundtrip(ctx):
 def _splitting_algebra(ctx):
     # sigma_sim checks the splitting characterizations and the boolean
     # subalgebra when the catalog builds the relation's Dgea; a failure
-    # there ends the run before the suite starts
+    # there ends the run before the suite reaches the model
     return []
 
 
@@ -393,7 +374,8 @@ def _split_coordinatewise(ctx):
 @prop("induced-hull-contract", "relation")
 def _induced_hull_contract(ctx):
     # induced_hull checks its contract when the catalog builds the
-    # relation's Dgea; a failure there ends the run before the suite starts
+    # relation's Dgea; a failure there ends the run before the suite
+    # reaches the model
     return []
 
 
@@ -530,6 +512,7 @@ def _invariance(ctx):
     E, R = ctx.E, ctx.R
     out = []
     centrals = dict(dm._center_pairs(E))
+    flags = core.structure_predicates(E)
     for c in range(E.n):
         a, b, cc, dd = _invariance_four_way(E, R, c)
         if not (a == b == cc == dd):
@@ -550,9 +533,9 @@ def _invariance(ctx):
         rhs = c in centrals and cg.splits(E, R, centrals[c])
         if lhs != rhs:
             out.append(f"principal-hereditary vs central-splitting at {E.names[c]}")
-        if a and ctx.model.structure.directed and c not in centrals:
+        if a and flags.directed and c not in centrals:
             out.append(f"directed model: invariant candidate not central {E.names[c]}")
-        if a and ctx.model.structure.orthogonally_ordered and not principal:
+        if a and flags.orthogonally_ordered and not principal:
             out.append(f"orthogonally ordered: candidate not principal {E.names[c]}")
     try:
         dm.invariant_sets(E, R, ctx.sigma, ctx.hull)
@@ -645,7 +628,7 @@ def _hereditary_sup_prop(ctx):
         if not any(all(E.leq[h][u] for h in S) for u in range(E.n)):
             continue
         try:
-            rep = dm.hereditary_sup(ctx.dgea, S)
+            rep = dm.hereditary_sup(ctx, S)
         except InternalInvariant as exc:
             out.append(str(exc))
             continue
@@ -663,7 +646,7 @@ def _comparability(ctx):
     for e in range(E.n):
         for f in range(E.n):
             try:
-                dm.comparability(ctx.dgea, e, f)
+                dm.comparability(ctx, e, f)
             except InternalInvariant as exc:
                 out.append(str(exc))
     return out
@@ -672,15 +655,14 @@ def _comparability(ctx):
 @prop("factor-characterizations", "der")
 def _factor(ctx):
     try:
-        dm.is_factor(ctx.dgea)
+        dm.is_factor(ctx)
     except InternalInvariant as exc:
         return [str(exc)]
     return []
 
 
 def _kf_sets(ctx):
-    d = ctx.dgea
-    return {"simple": d.simple, "finite": d.finite}
+    return {"simple": ctx.simple, "finite": ctx.finite}
 
 
 @prop("hereditary-std-largest", "der")
@@ -711,7 +693,7 @@ def _hereditary_std_largest(ctx):
             out.append(f"{label} set: faithful member test disagrees")
         if not core.is_orthodense(E, set(hset), set(estar.summand)):
             out.append(f"{label} set is not orthodense in its summand")
-        for pi in ctx.model.gex:
+        for pi in exocenter(E):
             lhs = set(hset) & set(pi.summand)
             rhs = {pi(h) for h in hset}
             if lhs != rhs:
@@ -809,7 +791,7 @@ def _summand_restriction(ctx):
     out = []
     for pi in ctx.sigma:
         try:
-            dm.restrict_summand(ctx.dgea, pi, verify=True)
+            dm.restrict_summand(ctx, pi, verify=True)
         except InternalInvariant as exc:
             out.append(f"{exc} for {pi!r}")
     return out
@@ -821,7 +803,7 @@ def _simple_criteria(ctx):
     S, H = ctx.sigma, ctx.hull
     out = []
     try:
-        K = ctx.dgea.simple
+        K = ctx.simple
     except InternalInvariant as exc:
         return [str(exc)]
     for k in range(E.n):
@@ -847,7 +829,7 @@ def _simple_subequiv(ctx):
     E, R = ctx.E, ctx.R
     S, H = ctx.sigma, ctx.hull
     out = []
-    K = ctx.dgea.simple
+    K = ctx.simple
     for q in K:
         for k in K:
             if S.leq(H.eta(q), H.eta(k)) != cg.subequiv(E, R, q, k):
@@ -859,7 +841,7 @@ def _simple_subequiv(ctx):
 
 @prop("simple-implies-finite", "der")
 def _simple_finite(ctx):
-    K, F = ctx.dgea.simple, ctx.dgea.finite
+    K, F = ctx.simple, ctx.finite
     S, H = ctx.sigma, ctx.hull
     out = []
     if not set(K) <= set(F):
@@ -874,7 +856,7 @@ def _simple_finite(ctx):
 @prop("finite-subtraction", "der")
 def _finite_subtraction(ctx):
     E, R = ctx.E, ctx.R
-    F = ctx.dgea.finite
+    F = ctx.finite
     out = []
     for f in F:
         for e in E.below(f):
@@ -900,15 +882,14 @@ def _kf_std(ctx):
     E, R = ctx.E, ctx.R
     H = ctx.hull
     out = []
-    d = ctx.dgea
-    for label, hset in (("simple", d.simple), ("finite", d.finite)):
+    for label, hset in _kf_sets(ctx).items():
         if not cg.is_hereditary(E, R, hset):
             out.append(f"{label} set is not hereditary")
         if not hull_mod.td_sets(E, H, hset).eta_std:
             out.append(f"{label} set is not strongly type-determining")
-    if not core._ideal_flags(E, frozenset(d.finite)):
+    if not core._ideal_flags(E, frozenset(ctx.finite)):
         out.append("finite set is not an ideal")
-    ft, ftset = d.finite_invariant
+    ft, ftset = ctx.finite_invariant
     if not hull_mod.td_sets(E, H, ftset).eta_td:
         out.append("finite invariant set is not type-determining")
     return out
@@ -938,10 +919,10 @@ def _finite_invariant_largest(ctx):
     E = ctx.E
     out = []
     try:
-        ft, ftset = ctx.dgea.finite_invariant
+        ft, ftset = ctx.finite_invariant
     except InternalInvariant as exc:
         return [str(exc)]
-    F = set(ctx.dgea.finite)
+    F = set(ctx.finite)
     below = set(E.below(ft))
     if not set(ftset) <= below:
         out.append("finite invariant set escapes the interval of its largest member")
@@ -955,7 +936,7 @@ def _finite_invariant_faithful(ctx):
     E = ctx.E
     H = ctx.hull
     out = []
-    ft, ftset = ctx.dgea.finite_invariant
+    ft, ftset = ctx.finite_invariant
     a = any(H.eta(f).is_identity for f in ftset)
     b = H.eta(ft).is_identity
     c = set(E.below(ft)) == set(range(E.n))
@@ -964,7 +945,7 @@ def _finite_invariant_faithful(ctx):
     if b:
         if E.greatest() != ft:
             out.append("finite-type model is not an effect algebra with that unit")
-        if set(ctx.dgea.finite) != set(range(E.n)):
+        if set(ctx.finite) != set(range(E.n)):
             out.append("finite-type model has non-finite elements")
     return out
 
@@ -974,14 +955,14 @@ def _type_criteria_global(ctx):
     E = ctx.E
     out = []
     dec = ctx.decomposition
-    flags = dm.summand_type_flags(ctx.dgea, ctx.sigma.one)
+    flags = dm.summand_type_flags(ctx, ctx.sigma.one)
     if flags.type_i != dec.eta_k.is_identity:
         out.append("global type-I criterion disagrees")
-    if flags.type_i and not core.is_orthodense(E, set(ctx.dgea.simple), set(range(E.n))):
+    if flags.type_i and not core.is_orthodense(E, set(ctx.simple), set(range(E.n))):
         out.append("type-I model whose simples are not orthodense")
     if flags.type_ii != (dec.eta_f.is_identity and dec.eta_k.is_zero):
         out.append("global type-II criterion disagrees")
-    if flags.type_ii and not core.is_orthodense(E, set(ctx.dgea.finite), set(range(E.n))):
+    if flags.type_ii and not core.is_orthodense(E, set(ctx.finite), set(range(E.n))):
         out.append("type-II model whose finite elements are not orthodense")
     if flags.type_iii != dec.eta_f.is_zero:
         out.append("global type-III criterion disagrees")
@@ -1000,7 +981,7 @@ def _type_criteria_summands(ctx):
     theta = set(ctx.hull.maps)
     comp = S.complement
     for pi in S:
-        flags = dm.summand_type_flags(ctx.dgea, pi)
+        flags = dm.summand_type_flags(ctx, pi)
         in_theta = pi in theta
         if flags.type_i != (in_theta and S.leq(pi, dec.eta_k)):
             out.append(f"summand type-I criterion disagrees for {pi!r}")
@@ -1020,7 +1001,8 @@ def _type_criteria_summands(ctx):
 @prop("type-decomposition", "der")
 def _type_decomposition(ctx):
     # the decomposition runs its cross-checks when the catalog summarizes
-    # the relation; a failure there ends the run before the suite starts
+    # the relation; a failure there ends the run before the suite reaches
+    # the model
     return []
 
 
@@ -1113,25 +1095,26 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _evaluate_entry(max_n, index, names, invert):
-    # workers are forked after the catalog is built, so they look the
-    # entry up instead of receiving it
-    entry = catalog.cached_entries(max_n)[index]
-    mctx = ModelCtx(entry)
-    rctxs = [RelCtx(mctx, rec) for rec in entry.relations if rec.sk]
+def _evaluate_model(names, invert, table):
+    """Build the catalog entry of one model, given as (n, canonical table
+    bytes), and evaluate the properties ``names`` on it; returns the
+    per-property (instances, violations), the review entries and the
+    number of congruences."""
+    n, flat = table
+    entry = catalog.build_entry(n, flat)
+    congruences = [rec.dgea for rec in entry.relations if rec.sk]
+    scopes = {
+        "model": [ModelCtx(entry.table)],
+        "relation": congruences,
+        "der": [d for d in congruences if d.der],
+    }
     out = {}
     review = []
     for name in names:
         p = REGISTRY[name]
         instances = 0
         violations = []
-        if p.scope == "model":
-            ctxs = [mctx]
-        elif p.scope == "relation":
-            ctxs = rctxs
-        else:
-            ctxs = [c for c in rctxs if c.dgea.der]
-        for ctx in ctxs:
+        for ctx in scopes[p.scope]:
             instances += 1
             try:
                 details = p.fn(ctx)
@@ -1157,12 +1140,16 @@ def _evaluate_entry(max_n, index, names, invert):
                 else:
                     violations.append(rec)
         out[name] = (instances, violations)
-    return out, review
+    return out, review, len(congruences)
 
 
 def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
     """Evaluate the registered properties over the catalog; deterministic
-    regardless of worker count."""
+    regardless of worker count.
+
+    Each model's entry is built and evaluated in one call, in a worker
+    when ``jobs`` is above 1, and dropped once its results are in.
+    """
     if theorems:
         unknown = [t for t in theorems if t not in REGISTRY]
         if unknown:
@@ -1174,21 +1161,24 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
         names = tuple(REGISTRY)
     if invert is not None and invert not in REGISTRY:
         raise UnknownPredicate(f"unknown theorem: {invert}")
-    entries = catalog.cached_entries(max_n)
-    evaluate = partial(_evaluate_entry, max_n, names=names, invert=invert)
+    tables = catalog._catalog_tables(max_n, catalog.DEFAULT_MAX_N)
+    evaluate = partial(_evaluate_model, names, invert)
     results = {name: PropertyResult() for name in names}
     review = []
-    for per_prop, rev in catalog.ordered_map(evaluate, range(len(entries)), jobs):
+    models = relations = 0
+    for per_prop, rev, congruences in catalog.ordered_map(evaluate, tables, jobs):
         for name, (instances, violations) in per_prop.items():
             results[name].instances += instances
             results[name].violations.extend(violations)
         review.extend(rev)
+        models += 1
+        relations += congruences
     return SuiteReport(
         max_n=max_n,
         theorems=theorems,
         invert=invert,
-        models=len(entries),
-        relations=sum(1 for e in entries for r in e.relations if r.sk),
+        models=models,
+        relations=relations,
         results=results,
         review=review,
     )

@@ -6,7 +6,7 @@ in the terminal summary section.
 import hashlib
 import io
 import json
-import sys
+import os
 import time
 
 import pytest
@@ -195,8 +195,8 @@ def test_criterion_6_determinism():
 
 def test_one_decomposition_per_dimension_relation(monkeypatch):
     """The suite reads each dimension relation's type decomposition from
-    the catalog and derives none of its own."""
-    entries = catalog.cached_entries(5)  # built here, outside the count
+    its catalog ``Dgea`` and derives none of its own."""
+    entries = catalog.cached_entries(5)
     calls = []
     real = dm.decompose_types
 
@@ -234,9 +234,11 @@ CATALOG_7_SHA256 = "cf90216a2002db7e81c1538719cc35825be258eff58f94a5ebefb75d457a
 
 @pytest.mark.slow
 def test_size_7_outputs_keep_their_digests(tmp_path):
-    buf = io.StringIO()
-    assert cli.run_command(["verify", "--max-size", "7", "--json"], out=buf) == 0
-    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == VERIFY_7_SHA256
+    for jobs in ("1", "2"):
+        buf = io.StringIO()
+        argv = ["verify", "--max-size", "7", "--jobs", jobs, "--json"]
+        assert cli.run_command(argv, out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == VERIFY_7_SHA256
     path = tmp_path / "catalog-7.jsonl"
     argv = ["catalog", "--max-size", "7", "--out", str(path)]
     assert cli.run_command(argv, out=io.StringIO()) == 0
@@ -244,37 +246,62 @@ def test_size_7_outputs_keep_their_digests(tmp_path):
 
 
 def test_one_splitting_algebra_per_congruence(monkeypatch):
-    """Building the size-6 catalog derives the splitting algebra and the
-    induced hull of each congruence once; the suite reads them from the
-    catalog's ``Dgea`` and derives none of its own."""
-    calls = []
+    """A whole suite run derives the splitting algebra and the induced hull
+    of each catalog congruence once, in its ``Dgea``; no property derives
+    its own."""
+    calls = []  # (function, relation); holds every relation alive
 
     def counted(fn):
         def wrapper(E, R, *args):
-            calls.append((fn.__name__, R, sys._getframe(1).f_code.co_name))
+            calls.append((fn.__name__, R))
             return fn(E, R, *args)
 
         return wrapper
 
+    congruences = []
+    real_relations = catalog.enumerate_relations
+
+    def collecting(E):
+        for rec in real_relations(E):
+            if rec.sk:
+                congruences.append(rec.rel)
+            yield rec
+
     monkeypatch.setattr(cg, "sigma_sim", counted(cg.sigma_sim))
     monkeypatch.setattr(cg, "induced_hull", counted(cg.induced_hull))
-    entries = tuple(catalog.enumerate_geas(6))
-    congruences = {id(r.rel) for e in entries for r in e.relations if r.sk}
-    assert len(congruences) == 18
-
-    def on_congruences(name):
-        return [(R, caller) for fn, R, caller in calls
-                if fn == name and id(R) in congruences]
-
-    for name in ("sigma_sim", "induced_hull"):
-        built = on_congruences(name)
-        assert len(built) == 18
-        assert {id(R) for R, _ in built} == congruences
-    calls.clear()
-    monkeypatch.setattr(catalog, "cached_entries", lambda max_n: entries)
+    monkeypatch.setattr(catalog, "enumerate_relations", collecting)
     assert theorems.run_theorem_suite(6).status == "ok"
+    ids = {id(R) for R in congruences}
+    assert len(ids) == 18
     for name in ("sigma_sim", "induced_hull"):
-        assert on_congruences(name) == []
+        built = [R for fn, R in calls if fn == name and id(R) in ids]
+        assert len(built) == 18
+        assert {id(R) for R in built} == ids
+
+
+def test_parallel_suite_builds_models_only_in_workers(monkeypatch, tmp_path):
+    """With ``jobs`` above 1 every catalog entry is built in a worker and
+    none in the calling process."""
+    log = tmp_path / "builds.txt"
+    here = []
+    real = catalog.build_entry
+
+    def logged(n, flat):
+        here.append(os.getpid())
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(n, flat)
+
+    monkeypatch.setattr(catalog, "build_entry", logged)
+    serial = theorems.run_theorem_suite(5)
+    assert here == [os.getpid()] * serial.models == [os.getpid()] * 21
+    here.clear()
+    log.unlink()
+    parallel = theorems.run_theorem_suite(5, jobs=2)
+    assert here == []
+    workers = log.read_text().split()
+    assert len(workers) == 21 and str(os.getpid()) not in workers
+    assert parallel == serial
 
 
 def test_criterion_7_negative_controls():

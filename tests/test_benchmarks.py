@@ -1,11 +1,13 @@
 """The benchmark scripts against the current module layout.
 
-``perfbench/spans.py`` rebinds geadim's functions by name and
-``benchmarks/bench_kernels.py`` calls the kernels directly; both are
+``perfbench/spans.py`` rebinds geadim's functions by name,
+``perfbench/workloads.py`` runs one operation of each workload and
+``benchmarks/bench_kernels.py`` calls the kernels directly; all are
 loaded from their files here and only read.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -42,6 +44,20 @@ def test_tracer_binds_every_target_and_restores_it():
         tracer.uninstall()
     for (module, fn), orig in originals.items():
         assert getattr(sys.modules[f"geadim.{module}"], fn) is orig
+
+
+def test_each_workload_matches_its_expected_output(monkeypatch, tmp_path):
+    # one operation per workload, checked as the benchmark checks it: this
+    # guards every name perfbench reads, ``cached_entries.cache_clear`` and
+    # the relation records' fields included
+    monkeypatch.setitem(sys.modules, "models", _load("perfbench/models.py"))
+    workloads = _load("perfbench/workloads.py")
+    expected = json.loads((ROOT / "perfbench/expected.json").read_text())
+    assert set(expected) == set(workloads.WORKLOADS)
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(1, tmp_path)
+        got = workload.describe(workload.run())
+        assert workloads.check(got, expected[name], name) == []
 
 
 def test_bench_kernels_runs(capsys):

@@ -171,7 +171,7 @@ def test_partition_counts():
 def test_persistence_roundtrip(tmp_path):
     path = tmp_path / "models.cat"
     count = catalog.write_catalog(str(path), 4)
-    header, records = catalog.read_catalog(str(path))
+    header, *records = map(json.loads, path.read_text().splitlines())
     assert header["max_n"] == 4 and header["format_version"] == 1
     assert len(records) == count
     fresh = [e.record() for e in catalog.enumerate_geas(4)]
@@ -199,11 +199,15 @@ def test_persistence_resume(tmp_path):
     pytest.param(lambda data: data[:-1] + b"\xff\n", id="not-utf8"),
 ])
 def test_read_catalog_rejects_damaged_file(damage, tmp_path):
+    # ``--resume`` is the one reader of a catalog file
     path = tmp_path / "models.cat"
     catalog.write_catalog(str(path), 4)
     path.write_bytes(damage(path.read_bytes()))
+    before = path.read_bytes()
     with pytest.raises(CorruptCatalog):
-        catalog.read_catalog(str(path))
+        catalog.write_catalog(str(path), 4, resume=True)
+    assert path.read_bytes() == before
+    assert not (tmp_path / "models.cat.part").exists()
 
 
 def _stop_after_two(real, stop):
@@ -333,6 +337,20 @@ def test_search_predicates():
     assert catalog.search_counterexample("non-type-i-dgea", 4) is None
     with pytest.raises(UnknownPredicate):
         catalog.search_counterexample("nope", 3)
+
+
+def test_search_stops_at_the_first_hit(monkeypatch):
+    sizes = []
+    real = catalog.build_entry
+
+    def logged(n, flat):
+        sizes.append(n)
+        return real(n, flat)
+
+    monkeypatch.setattr(catalog, "build_entry", logged)
+    hit = catalog.search_counterexample("divisible-hull-with-monads", 5)
+    assert hit["n"] == 2
+    assert sizes == [1, 2]
 
 
 def test_type_distribution_all_type_one():

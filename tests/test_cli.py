@@ -286,7 +286,8 @@ def test_catalog_resume_rejects_damaged_file(damage, tmp_path):
 def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
     """The catalog build runs the checks of the splitting-algebra,
     induced-hull-contract and type-decomposition properties, so a failure
-    there must end ``verify`` with an error rather than pass unseen."""
+    there must end ``verify`` with an error rather than pass unseen, also
+    when the build runs in a worker."""
     real = cg.induced_hull
 
     def failing(E, R, sigma):
@@ -295,13 +296,23 @@ def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
         return real(E, R, sigma)
 
     monkeypatch.setattr(cg, "induced_hull", failing)
-    monkeypatch.setattr(
-        catalog, "cached_entries", lambda n: tuple(catalog.enumerate_geas(n))
-    )
-    buf = io.StringIO()
-    code = cli.run_command(["verify", "--max-size", "4", "--json"], out=buf)
-    lines = buf.getvalue().splitlines()
-    assert code != 0
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "induced hull broken" in lines[0]
-    assert "Traceback" not in buf.getvalue()
+    for jobs in ("1", "2"):
+        buf = io.StringIO()
+        code = cli.run_command(
+            ["verify", "--max-size", "4", "--jobs", jobs, "--json"], out=buf
+        )
+        lines = buf.getvalue().splitlines()
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "induced hull broken" in lines[0]
+        assert "Traceback" not in buf.getvalue()
+
+
+def test_verify_over_the_limit_builds_no_model(monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "build_entry", lambda *args: built.append(args))
+    code, text = run(["verify", "--max-size", "8", "--json"])
+    assert code == 2
+    assert text.count("\n") == 1 and text.startswith("error: ")
+    assert "exceeds the configured limit" in text
+    assert built == []

@@ -55,22 +55,21 @@ def test_zero_reordered_to_front():
 
 def test_order_queries_c3():
     C3 = core.c3()
-    info = core.order_queries(C3)
-    assert info.leq == (
+    assert C3.leq == (
         (True, True, True), (False, True, True), (False, False, True))
-    assert info.atoms == (1,)
-    assert info.maximal == (2,)
-    assert info.meet[1][2] == 1
-    assert info.join[1][2] == 2
+    assert C3.atoms == (1,)
+    assert C3.maximal == (2,)
+    assert C3.meet(1, 2) == 1
+    assert C3.join(1, 2) == 2
 
 
 def test_order_queries_t3():
     T3 = core.t3()
-    info = core.order_queries(T3)
     assert not T3.le(1, 2) and not T3.le(2, 1)
-    assert not info.perp[1][2]
-    assert info.atoms == (1, 2)
-    assert all(info.perp[e][0] for e in range(3))
+    assert not T3.perp(1, 2)
+    assert T3.atoms == (1, 2)
+    assert all(T3.perp(e, 0) for e in range(3))
+    assert T3.meet(1, 2) == 0 and T3.join(1, 2) is None
 
 
 def test_orthosum_family():

@@ -8,14 +8,13 @@ oracle for the ideal-pair construction throughout.
 import pytest
 
 from geadim import catalog, congruence as cg, core
-from geadim.errors import InternalInvariant, NotInExocenter
+from geadim.errors import InternalInvariant
 from geadim.exocenter import (
     ExoMap,
     ExoSet,
     brute_force_exomaps,
     center,
     cogea_check,
-    exo_boolean_ops,
     exocenter,
     exocentral_cover,
 )
@@ -39,21 +38,11 @@ def test_boolean_ops_b4():
     S = exocenter(B4)
     pa = next(m for m in S if m.summand == (0, 1))
     pb = next(m for m in S if m.summand == (0, 2))
-    ops = exo_boolean_ops(S, pa, pb)
-    assert ops.complement == pb
-    assert ops.meet.is_zero and ops.disjoint
-    assert ops.join.is_identity
-    assert not ops.leq
-    same = exo_boolean_ops(S, pa, pa)
-    assert same.meet == pa and same.leq
-
-
-def test_boolean_ops_membership_required():
-    B4, C3 = core.b4(), core.c3()
-    S = exocenter(B4)
-    alien = next(iter(exocenter(C3)))
-    with pytest.raises(NotInExocenter):
-        exo_boolean_ops(S, alien, S.zero)
+    assert S.complement(pa) == pb
+    assert S.meet(pa, pb).is_zero and S.disjoint(pa, pb)
+    assert S.join(pa, pb).is_identity
+    assert not S.leq(pa, pb)
+    assert S.meet(pa, pa) == pa and S.leq(pa, pa)
 
 
 @pytest.mark.parametrize(
