@@ -42,12 +42,8 @@ from .dimension import (
     Dgea,
     comparability,
     decompose_types,
-    finite_elements,
     hereditary_sup,
-    invariant_sets,
     is_factor,
-    restrict_summand,
-    simple_elements,
 )
 from .catalog import enumerate_geas, enumerate_relations, search_counterexample
 from .theorems import run_theorem_suite

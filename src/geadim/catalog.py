@@ -364,8 +364,7 @@ def _search_divisible_with_monads(entry):
     from . import hull as hull_mod
 
     E = entry.table
-    S = exocenter(E)
-    for H in hull_mod.enumerate_hull_systems(E, S):
+    for H in hull_mod.hull_systems(E):
         if not hull_mod.is_divisible(E, H).divisible:
             continue
         monads = [

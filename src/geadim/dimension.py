@@ -31,14 +31,17 @@ class Dgea:
     The constructor checks SK1-SK4b (``NotDer`` when they fail), then
     builds the splitting algebra and the induced hull system and checks
     the separation axiom SK4a', each once; ``der`` says whether SK4a'
-    holds.  The element sets and the type decomposition are derived on
-    first use and raise ``NotDer`` unless the relation is a dimension
-    relation.
+    holds.  The simple and finite elements and the type decomposition are
+    derived on first use and raise ``NotDer`` unless the relation is a
+    dimension relation.  ``members`` gives the index of each element in
+    the model this one is a summand of (the identity for a model of its
+    own); ``summand`` builds each summand once.
     """
 
-    def __init__(self, E, R):
+    def __init__(self, E, R, members=None):
         self.E = E
         self.R = R
+        self.members = tuple(range(E.n)) if members is None else members
         report = cg.check_sk(E, R)
         if not report.sk:
             raise NotDer(f"relation fails {report.first_failure()[0]}")
@@ -46,25 +49,135 @@ class Dgea:
         self.hull = cg.induced_hull(E, R, self.sigma)
         self.report = cg.check_der(E, R, self.sigma, self.hull)
         self.der = self.report.der
+        self._summands = {}
 
     def _require_der(self):
         if not self.der:
             raise NotDer("relation fails SK4a'")
 
+    def summand(self, pi):
+        """The summand of the splitting map ``pi`` as a model of its own
+        with the restricted relation, built on the first call for ``pi``;
+        ``NotSplitting`` when ``pi`` does not split the relation."""
+        if pi in self._summands:
+            return self._summands[pi]
+        E, R = self.E, self.R
+        if pi not in self.sigma or not cg.splits(E, R, pi):
+            raise NotSplitting(f"{pi!r} does not split the relation")
+        members = pi.summand
+        pos = {e: i for i, e in enumerate(members)}
+        k = len(members)
+        table = [[-1] * k for _ in range(k)]
+        for a in members:
+            for b in members:
+                v = E.sum_of(a, b)
+                if v is not None:
+                    if v not in pos:
+                        raise InternalInvariant("summand is not closed under sums")
+                    table[pos[a]][pos[b]] = pos[v]
+        sub = core.GeaTable([E.names[e] for e in members], table)
+        subrel = cg.EquivRel(sub, [R.class_of[e] for e in members])
+        self._summands[pi] = Dgea(sub, subrel, members)
+        return self._summands[pi]
+
     @cached_property
     def simple(self):
+        """Elements all of whose interval-splittings are unrelated.
+
+        Three independent characterizations (definitional, hull monads, and
+        e = eta_e k on the interval) must coincide.
+        """
         self._require_der()
-        return simple_elements(self.E, self.R, self.hull)
+        E, R, H = self.E, self.R, self.hull
+        direct, monads, crit = [], [], []
+        for k in range(E.n):
+            if all(
+                not cg.related(E, R, e, E.sub(k, e))
+                for e in E.below(k)
+            ):
+                direct.append(k)
+            if hull_mod.classify_eta(H, k).monad:
+                monads.append(k)
+            if all(H.eta(e)(k) == e for e in E.below(k)):
+                crit.append(k)
+        if not (direct == monads == crit):
+            raise InternalInvariant(
+                f"simple-element characterizations disagree: "
+                f"{direct} vs {monads} vs {crit}"
+            )
+        return tuple(direct)
 
     @cached_property
     def finite(self):
+        """Elements not equivalent to any proper subelement.
+
+        Verified to form a hereditary ideal that is strongly type-determining
+        for the hull system.
+        """
         self._require_der()
-        return finite_elements(self.E, self.R, self.hull)
+        E, R = self.E, self.R
+        F = tuple(
+            f
+            for f in range(E.n)
+            if all(e == f for e in E.below(f) if R.sim(e, f))
+        )
+        if not cg.is_hereditary(E, R, F) or not core._ideal_flags(E, frozenset(F)):
+            raise InternalInvariant("finite elements do not form a hereditary ideal")
+        if not hull_mod.td_sets(E, self.hull, F).eta_std:
+            raise InternalInvariant("finite elements are not strongly type-determining")
+        return F
 
     @cached_property
     def invariants(self):
-        self._require_der()
-        return invariant_sets(self.E, self.R, self.sigma, self.hull)
+        """Invariant elements, computed six equivalent ways and compared.
+
+        The definitional reading bounds the subelement by the candidate
+        itself: c is invariant iff c is principal and no nonzero subelement
+        of c is equivalent to anything orthogonal to c.
+        """
+        E, R, H = self.E, self.R, self.hull
+        cen = dict(_center_pairs(E))
+        gamma_sim, gamma_eta = [], []
+        for c in range(E.n):
+            principal = core.is_principal(E, c)
+            # (3) definitional
+            inv = principal and not any(
+                R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0)
+                for c1 in E.below(c)
+                for f in range(E.n)
+            )
+            # (2) hull image is the interval
+            eta_inv = set(H.eta(c).summand) == set(E.below(c))
+            # (1) central with splitting projection
+            central_split = c in cen and cg.splits(E, R, cen[c])
+            # (4) principal with hereditary interval
+            heredi = principal and cg.is_hereditary(E, R, E.below(c))
+            # (5) principal and equivalents stay below
+            below_only = principal and all(
+                E.leq[e][c] for e in range(E.n) if R.sim(e, c)
+            )
+            # (6) principal with hereditary orthogonal complement set
+            perp_hered = principal and cg.is_hereditary(
+                E, R, [f for f in range(E.n) if E.perp(f, c)]
+            )
+            if not (inv == eta_inv == central_split == heredi == below_only == perp_hered):
+                raise InternalInvariant(
+                    f"invariance characterizations disagree at {E.names[c]}: "
+                    f"{(central_split, eta_inv, inv, heredi, below_only, perp_hered)}"
+                )
+            if inv:
+                gamma_sim.append(c)
+            if eta_inv:
+                gamma_eta.append(c)
+        checks = (
+            "central-with-splitting-projection",
+            "hull-image-is-interval",
+            "no-equivalent-across-orthocomplement",
+            "hereditary-interval",
+            "equivalents-stay-below",
+            "hereditary-orthogonal-set",
+        )
+        return InvariantReport(tuple(gamma_sim), tuple(gamma_eta), checks)
 
     @cached_property
     def finite_invariant(self):
@@ -149,7 +262,7 @@ class Dgea:
                 raise InternalInvariant("summand is not a hereditary ideal")
         checks.append("summands-hereditary-ideals")
 
-        flags = {m: summand_type_flags(self, m) for m in sigma}
+        flags = {m: self.summand(m).type_flags for m in sigma}
         if not flags[pi_i].type_i:
             raise InternalInvariant("first summand is not of its type")
         if not flags[pi_ii].type_ii:
@@ -179,9 +292,9 @@ class Dgea:
         checks.append("unique-type-triple")
 
         for m, unit in ((pi_i_f, pi_i(ft)), (pi_ii_f, comp(pi_i)(ft))):
-            sub, _, members = restrict_summand(self, m, verify=False)
-            top = sub.greatest()
-            if top is None or members[top] != unit:
+            sub = self.summand(m)
+            top = sub.E.greatest()
+            if top is None or sub.members[top] != unit:
                 raise InternalInvariant("finite-type summand unit mismatch")
         checks.append("finite-part-units")
 
@@ -223,6 +336,19 @@ class Dgea:
             cross_checks=tuple(checks),
         )
 
+    @cached_property
+    def type_flags(self):
+        """Direct type classification of the model under the relation."""
+        ft, ftset = self.finite_invariant
+        faithful = lambda e: self.hull.eta(e).is_identity
+        return TypeFlags(
+            type_i=any(faithful(k) for k in self.simple),
+            type_ii=any(faithful(f) for f in self.finite) and set(self.simple) == {0},
+            type_iii=set(self.finite) == {0},
+            finite_type=any(faithful(f) for f in ftset),
+            properly_non_finite=ft == 0,
+        )
+
 
 # ---------------------------------------------------------------------------
 # invariant elements
@@ -235,110 +361,12 @@ class InvariantReport:
     cross_checks: tuple
 
 
-def invariant_sets(E, R, sigma, H):
-    """Invariant elements, computed six equivalent ways and compared.
-
-    The definitional reading bounds the subelement by the candidate
-    itself: c is invariant iff c is principal and no nonzero subelement
-    of c is equivalent to anything orthogonal to c.
-    """
-    cen = dict(_center_pairs(E))
-    gamma_sim, gamma_eta = [], []
-    for c in range(E.n):
-        principal = core.is_principal(E, c)
-        # (3) definitional
-        inv = principal and not any(
-            R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0)
-            for c1 in E.below(c)
-            for f in range(E.n)
-        )
-        # (2) hull image is the interval
-        eta_inv = set(H.eta(c).summand) == set(E.below(c))
-        # (1) central with splitting projection
-        central_split = c in cen and cg.splits(E, R, cen[c])
-        # (4) principal with hereditary interval
-        heredi = principal and cg.is_hereditary(E, R, E.below(c))
-        # (5) principal and equivalents stay below
-        below_only = principal and all(
-            E.leq[e][c] for e in range(E.n) if R.sim(e, c)
-        )
-        # (6) principal with hereditary orthogonal complement set
-        perp_hered = principal and cg.is_hereditary(
-            E, R, [f for f in range(E.n) if E.perp(f, c)]
-        )
-        if not (inv == eta_inv == central_split == heredi == below_only == perp_hered):
-            raise InternalInvariant(
-                f"invariance characterizations disagree at {E.names[c]}: "
-                f"{(central_split, eta_inv, inv, heredi, below_only, perp_hered)}"
-            )
-        if inv:
-            gamma_sim.append(c)
-        if eta_inv:
-            gamma_eta.append(c)
-    checks = (
-        "central-with-splitting-projection",
-        "hull-image-is-interval",
-        "no-equivalent-across-orthocomplement",
-        "hereditary-interval",
-        "equivalents-stay-below",
-        "hereditary-orthogonal-set",
-    )
-    return InvariantReport(tuple(gamma_sim), tuple(gamma_eta), checks)
-
-
 def _center_pairs(E):
     from .exocenter import center
 
     if "center" not in E._cache:
         E._cache["center"] = tuple(center(E, exocenter(E)))
     return E._cache["center"]
-
-
-# ---------------------------------------------------------------------------
-# simple and finite elements
-# ---------------------------------------------------------------------------
-
-def simple_elements(E, R, H):
-    """Elements all of whose interval-splittings are unrelated.
-
-    Three independent characterizations (definitional, hull monads, and
-    e = eta_e k on the interval) must coincide.
-    """
-    direct, monads, crit = [], [], []
-    for k in range(E.n):
-        if all(
-            not cg.related(E, R, e, E.sub(k, e))
-            for e in E.below(k)
-        ):
-            direct.append(k)
-        if hull_mod.classify_eta(H, k).monad:
-            monads.append(k)
-        if all(H.eta(e)(k) == e for e in E.below(k)):
-            crit.append(k)
-    if not (direct == monads == crit):
-        raise InternalInvariant(
-            f"simple-element characterizations disagree: "
-            f"{direct} vs {monads} vs {crit}"
-        )
-    return tuple(direct)
-
-
-def finite_elements(E, R, H):
-    """Elements not equivalent to any proper subelement.
-
-    Verified to form a hereditary ideal that is strongly type-determining
-    for the hull system.
-    """
-    F = tuple(
-        f
-        for f in range(E.n)
-        if all(e == f for e in E.below(f) if R.sim(e, f))
-    )
-    if not cg.is_hereditary(E, R, F) or not core._ideal_flags(E, frozenset(F)):
-        raise InternalInvariant("finite elements do not form a hereditary ideal")
-    if not hull_mod.td_sets(E, H, F).eta_std:
-        raise InternalInvariant("finite elements are not strongly type-determining")
-    return F
 
 
 # ---------------------------------------------------------------------------
@@ -409,66 +437,36 @@ def comparability(dgea, e, f):
 # summand restriction
 # ---------------------------------------------------------------------------
 
-def restrict_summand(dgea, pi, verify=True):
-    """The summand of a splitting map of ``dgea`` as a standalone model
-    with the restricted relation; returns (table, relation, index mapping).
+def check_restriction(dgea, pi):
+    """Check that the summand of the splitting map ``pi`` carries a
+    dimension relation, and that its exocenter, splitting algebra, simple
+    set, finite set and largest finite invariant element are exactly the
+    restrictions of the parent's."""
+    sub = dgea.summand(pi)
+    pos = {e: i for i, e in enumerate(sub.members)}
 
-    With ``verify``, and when ``dgea`` holds a dimension relation, the
-    restriction is checked to be a model with a dimension relation whose
-    splitting algebra, simple set, finite set, and largest finite
-    invariant element are exactly the restrictions of the parent's.
-    """
-    E, R = dgea.E, dgea.R
-    if pi not in dgea.sigma or not cg.splits(E, R, pi):
-        raise NotSplitting(f"{pi!r} does not split the relation")
-    members = sorted(pi.summand)
-    pos = {e: i for i, e in enumerate(members)}
-    k = len(members)
-    table = [[-1] * k for _ in range(k)]
-    for a in members:
-        for b in members:
-            v = E.sum_of(a, b)
-            if v is not None:
-                if v not in pos:
-                    raise InternalInvariant("summand is not closed under sums")
-                table[pos[a]][pos[b]] = pos[v]
-    sub = core.GeaTable([E.names[e] for e in members], table)
-    subrel = cg.EquivRel(sub, [R.class_of[e] for e in members])
-    if verify and dgea.der:
-        _verify_restriction(dgea, pi, sub, subrel, members, pos)
-    return sub, subrel, tuple(members)
+    def restrict(xi):
+        return ExoMap([pos[xi(e)] for e in sub.members])
 
-
-def _restrict_map(xi, members, pos):
-    return ExoMap([pos[xi(e)] for e in members])
-
-
-def _verify_restriction(dgea, pi, sub, subrel, members, pos):
-    E = dgea.E
-    gex_sub = exocenter(sub)
-    restricted = {_restrict_map(xi, members, pos) for xi in exocenter(E)}
-    if restricted != set(gex_sub.maps):
+    gex, gex_sub = exocenter(dgea.E), exocenter(sub.E)
+    if {restrict(xi) for xi in gex} != set(gex_sub.maps):
         raise InternalInvariant("restriction does not map onto the summand exocenter")
-    for a in exocenter(E):
-        ra = _restrict_map(a, members, pos)
-        if _restrict_map(exocenter(E).complement(a), members, pos) != gex_sub.complement(ra):
+    for a in gex:
+        ra = restrict(a)
+        if restrict(gex.complement(a)) != gex_sub.complement(ra):
             raise InternalInvariant("restriction does not preserve complement")
-        for b in exocenter(E):
-            if _restrict_map(exocenter(E).meet(a, b), members, pos) != gex_sub.meet(
-                ra, _restrict_map(b, members, pos)
-            ):
+        for b in gex:
+            if restrict(gex.meet(a, b)) != gex_sub.meet(ra, restrict(b)):
                 raise InternalInvariant("restriction does not preserve meets")
-    sub_dgea = Dgea(sub, subrel)
-    sub_dgea._require_der()  # the restriction is a dimension relation
-    expect_sigma = {_restrict_map(xi, members, pos) for xi in dgea.sigma}
-    if expect_sigma != set(sub_dgea.sigma.maps):
+    sub._require_der()  # the restriction is a dimension relation
+    if {restrict(xi) for xi in dgea.sigma} != set(sub.sigma.maps):
         raise InternalInvariant("splitting algebra does not restrict correctly")
-    if set(sub_dgea.simple) != {pos[pi(k)] for k in dgea.simple}:
+    if set(sub.simple) != {pos[pi(k)] for k in dgea.simple}:
         raise InternalInvariant("simple elements do not restrict correctly")
-    if set(sub_dgea.finite) != {pos[pi(f)] for f in dgea.finite}:
+    if set(sub.finite) != {pos[pi(f)] for f in dgea.finite}:
         raise InternalInvariant("finite elements do not restrict correctly")
     ft, _ = dgea.finite_invariant
-    ft_sub, _ = sub_dgea.finite_invariant
+    ft_sub, _ = sub.finite_invariant
     if ft_sub != pos[pi(ft)]:
         raise InternalInvariant(
             "largest finite invariant element does not restrict correctly"
@@ -544,21 +542,6 @@ class TypeFlags:
     type_iii: bool
     finite_type: bool
     properly_non_finite: bool
-
-
-def summand_type_flags(dgea, pi):
-    """Direct type classification of a summand, on the restricted model."""
-    sub, subrel, _ = restrict_summand(dgea, pi, verify=False)
-    d = Dgea(sub, subrel)
-    ft, ftset = d.finite_invariant
-    faithful = lambda e: d.hull.eta(e).is_identity
-    return TypeFlags(
-        type_i=any(faithful(k) for k in d.simple),
-        type_ii=any(faithful(f) for f in d.finite) and set(d.simple) == {0},
-        type_iii=set(d.finite) == {0},
-        finite_type=any(faithful(f) for f in ftset),
-        properly_non_finite=ft == 0,
-    )
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,16 @@ def enumerate_hull_systems(E, S):
     return tuple(found)
 
 
+def hull_systems(E):
+    """``enumerate_hull_systems`` over the model's exocenter, memoized on
+    the table."""
+    from .exocenter import exocenter
+
+    if "hull_systems" not in E._cache:
+        E._cache["hull_systems"] = enumerate_hull_systems(E, exocenter(E))
+    return E._cache["hull_systems"]
+
+
 # ---------------------------------------------------------------------------
 # the relation eta_e = eta_f and its classification
 # ---------------------------------------------------------------------------

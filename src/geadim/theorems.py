@@ -18,7 +18,7 @@ instance, as a sanity control that the harness can actually fail.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 from . import catalog, congruence as cg, core, dimension as dm, hull as hull_mod
 from .errors import InternalInvariant, UnknownPredicate
@@ -44,23 +44,6 @@ def prop(name, scope, review_only=False):
     return register
 
 
-# ---------------------------------------------------------------------------
-# evaluation contexts
-# ---------------------------------------------------------------------------
-
-class ModelCtx:
-    """A model-scope context: the table and its hull systems, which no
-    other layer memoizes.  Relation and der scopes take each congruence's
-    ``dm.Dgea`` itself."""
-
-    def __init__(self, E):
-        self.E = E
-
-    @cached_property
-    def hulls(self):
-        return hull_mod.enumerate_hull_systems(self.E, exocenter(self.E))
-
-
 def _names(E, xs):
     return "(" + ", ".join(E.names[x] for x in xs) + ")"
 
@@ -70,8 +53,7 @@ def _names(E, xs):
 # ---------------------------------------------------------------------------
 
 @prop("core-order-laws", "model")
-def _core_order_laws(ctx):
-    E = ctx.E
+def _core_order_laws(E):
     out = []
     for e in range(E.n):
         for f in range(E.n):
@@ -100,17 +82,17 @@ def _core_order_laws(ctx):
 
 
 @prop("exocenter-oracle", "model")
-def _exocenter_oracle(ctx):
-    fast = exocenter(ctx.E)
-    brute = brute_force_exomaps(ctx.E)
+def _exocenter_oracle(E):
+    fast = exocenter(E)
+    brute = brute_force_exomaps(E)
     if fast != brute:
         return ["ideal-pair exocenter differs from brute-force filter"]
     return []
 
 
 @prop("exocenter-summand-bijection", "model")
-def _exo_summand_bijection(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _exo_summand_bijection(E):
+    S = exocenter(E)
     out = []
     summands = {}
     for pi in S:
@@ -136,8 +118,8 @@ def _exo_summand_bijection(ctx):
 
 
 @prop("exocenter-boolean-laws", "model")
-def _exo_boolean_laws(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _exo_boolean_laws(E):
+    S = exocenter(E)
     out = []
     if not _is_boolean_algebra(S):
         out.append("exocenter is not a boolean algebra")
@@ -155,8 +137,8 @@ def _exo_boolean_laws(ctx):
 
 
 @prop("center-characterizations", "model")
-def _center_checks(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _center_checks(E):
+    S = exocenter(E)
     out = []
     try:
         pairs = center(E, S)
@@ -173,18 +155,18 @@ def _center_checks(ctx):
 
 
 @prop("cogea-conditions", "model")
-def _cogea(ctx):
-    rep = cogea_check(ctx.E, exocenter(ctx.E))
+def _cogea(E):
+    rep = cogea_check(E, exocenter(E))
     if rep.co1 and rep.co2 and rep.gex_complete_boolean:
         return []
     return [f"central orthocompleteness fails: {rep.witness}"]
 
 
 @prop("hull-roundtrip", "model")
-def _hull_roundtrip(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _hull_roundtrip(E):
+    S = exocenter(E)
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         try:
             again = hull_mod.hull_from_hd(E, S, H.theta)
         except Exception as exc:
@@ -196,10 +178,10 @@ def _hull_roundtrip(ctx):
 
 
 @prop("hull-meet-projections", "model")
-def _hull_meet_projections(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _hull_meet_projections(E):
+    S = exocenter(E)
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         for e in range(E.n):
             for f in range(E.n):
                 e1 = H.eta(f)(e)
@@ -215,21 +197,20 @@ def _hull_meet_projections(ctx):
 
 
 @prop("divisibility-dyad-criterion", "model")
-def _divisibility(ctx):
+def _divisibility(E):
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         try:
-            hull_mod.is_divisible(ctx.E, H)
+            hull_mod.is_divisible(E, H)
         except InternalInvariant as exc:
             out.append(str(exc))
     return out
 
 
 @prop("no-monads-implies-divisible", "model")
-def _no_monads_divisible(ctx):
-    E = ctx.E
+def _no_monads_divisible(E):
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         monads = [e for e in range(1, E.n) if hull_mod.classify_eta(H, e).monad]
         if not monads and not hull_mod.is_divisible(E, H).divisible:
             out.append("monad-free hull system is not divisible")
@@ -237,10 +218,9 @@ def _no_monads_divisible(ctx):
 
 
 @prop("hull-grid-refinement", "model")
-def _hull_grid(ctx):
-    E = ctx.E
+def _hull_grid(E):
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         for e in range(E.n):
             for f in range(E.n):
                 v = E.sum_of(e, f)
@@ -260,10 +240,9 @@ def _hull_grid(ctx):
 
 
 @prop("td-largest-map", "model")
-def _td_largest(ctx):
-    E = ctx.E
+def _td_largest(E):
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         for r in range(E.n + 1):
             for T in itertools.combinations(range(E.n), r):
                 try:
@@ -277,10 +256,10 @@ def _td_largest(ctx):
 
 
 @prop("eta-orthosum-supremum", "model")
-def _eta_orthosum_sup(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _eta_orthosum_sup(E):
+    S = exocenter(E)
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         for r in range(E.n):
             for pick in itertools.combinations(range(1, E.n), r):
                 if not all(
@@ -298,12 +277,12 @@ def _eta_orthosum_sup(ctx):
 
 
 @prop("eta-relation-congruence-iff-divisible", "model")
-def _eta_rel_sk(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _eta_rel_sk(E):
+    S = exocenter(E)
     if not core.structure_predicates(E).orthogonally_ordered:
         return []
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         classes = hull_mod.eta_partition(E, H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
         sk = cg.check_sk(E, R).sk
@@ -321,12 +300,12 @@ def _eta_rel_sk(ctx):
 
 
 @prop("eta-splitting-roundtrip", "model")
-def _eta_sigma_roundtrip(ctx):
-    E, S = ctx.E, exocenter(ctx.E)
+def _eta_sigma_roundtrip(E):
+    S = exocenter(E)
     if not core.structure_predicates(E).orthogonally_ordered:
         return []
     out = []
-    for H in ctx.hulls:
+    for H in hull_mod.hull_systems(E):
         if not hull_mod.is_divisible(E, H).divisible:
             continue
         classes = hull_mod.eta_partition(E, H)
@@ -538,7 +517,7 @@ def _invariance(ctx):
         if a and flags.orthogonally_ordered and not principal:
             out.append(f"orthogonally ordered: candidate not principal {E.names[c]}")
     try:
-        dm.invariant_sets(E, R, ctx.sigma, ctx.hull)
+        ctx.invariants
     except InternalInvariant as exc:
         out.append(str(exc))
     return out
@@ -548,7 +527,7 @@ def _invariance(ctx):
 def _invariant_lattice(ctx):
     E, R = ctx.E, ctx.R
     out = []
-    inv = dm.invariant_sets(E, R, ctx.sigma, ctx.hull)
+    inv = ctx.invariants
     H = ctx.hull
     centrals = dict(dm._center_pairs(E))
     ge = inv.gamma_eta
@@ -791,7 +770,7 @@ def _summand_restriction(ctx):
     out = []
     for pi in ctx.sigma:
         try:
-            dm.restrict_summand(ctx, pi, verify=True)
+            dm.check_restriction(ctx, pi)
         except InternalInvariant as exc:
             out.append(f"{exc} for {pi!r}")
     return out
@@ -955,7 +934,7 @@ def _type_criteria_global(ctx):
     E = ctx.E
     out = []
     dec = ctx.decomposition
-    flags = dm.summand_type_flags(ctx, ctx.sigma.one)
+    flags = ctx.summand(ctx.sigma.one).type_flags
     if flags.type_i != dec.eta_k.is_identity:
         out.append("global type-I criterion disagrees")
     if flags.type_i and not core.is_orthodense(E, set(ctx.simple), set(range(E.n))):
@@ -981,7 +960,7 @@ def _type_criteria_summands(ctx):
     theta = set(ctx.hull.maps)
     comp = S.complement
     for pi in S:
-        flags = dm.summand_type_flags(ctx, pi)
+        flags = ctx.summand(pi).type_flags
         in_theta = pi in theta
         if flags.type_i != (in_theta and S.leq(pi, dec.eta_k)):
             out.append(f"summand type-I criterion disagrees for {pi!r}")
@@ -1104,7 +1083,7 @@ def _evaluate_model(names, invert, table):
     entry = catalog.build_entry(n, flat)
     congruences = [rec.dgea for rec in entry.relations if rec.sk]
     scopes = {
-        "model": [ModelCtx(entry.table)],
+        "model": [entry.table],
         "relation": congruences,
         "der": [d for d in congruences if d.der],
     }

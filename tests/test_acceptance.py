@@ -115,9 +115,9 @@ def test_criterion_3_decomposition_goldens():
                         and d.sigma.join_all((s1, s2, s3)).is_identity
                     ):
                         continue
-                    f1 = dm.summand_type_flags(d, s1)
-                    f2 = dm.summand_type_flags(d, s2)
-                    f3 = dm.summand_type_flags(d, s3)
+                    f1 = d.summand(s1).type_flags
+                    f2 = d.summand(s2).type_flags
+                    f3 = d.summand(s3).type_flags
                     if f1.type_i and f2.type_ii and f3.type_iii:
                         if (s1, s2, s3) != triple:
                             failures.append("alternative triple found")
@@ -194,21 +194,47 @@ def test_criterion_6_determinism():
 
 
 def test_one_decomposition_per_dimension_relation(monkeypatch):
-    """The suite reads each dimension relation's type decomposition from
-    its catalog ``Dgea`` and derives none of its own."""
-    entries = catalog.cached_entries(5)
-    calls = []
-    real = dm.decompose_types
+    """A suite run builds the type decomposition of each dimension relation
+    once, in its catalog ``Dgea``, and no other."""
+    der = []
+    built = []
+    real_relations = catalog.enumerate_relations
+    real_decomposition = dm.Decomposition
 
-    def counted(E, R):
-        calls.append(R.classes)
-        return real(E, R)
+    def collecting(E):
+        for rec in real_relations(E):
+            if rec.der:
+                der.append(rec.rel)
+            yield rec
 
-    monkeypatch.setattr(dm, "decompose_types", counted)
-    rep = theorems.run_theorem_suite(5)
-    assert rep.status == "ok"
-    assert any(r.der for e in entries for r in e.relations)
-    assert calls == []
+    def counted(**fields):
+        built.append(fields)
+        return real_decomposition(**fields)
+
+    monkeypatch.setattr(catalog, "enumerate_relations", collecting)
+    monkeypatch.setattr(dm, "Decomposition", counted)
+    assert theorems.run_theorem_suite(5).status == "ok"
+    assert len(der) == 10
+    assert len(built) == len(der)
+
+
+def test_one_dgea_per_congruence_and_summand(monkeypatch):
+    """A suite run builds one ``Dgea`` per congruence and one per summand
+    of a splitting map of each dimension relation, and no other."""
+    records = [r for e in catalog.cached_entries(6) for r in e.relations]
+    congruences = sum(1 for r in records if r.sk)
+    summands = sum(len(r.dgea.sigma) for r in records if r.der)
+    assert (congruences, summands) == (18, 39)
+    built = []
+    real_init = dm.Dgea.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dm.Dgea, "__init__", counted)
+    assert theorems.run_theorem_suite(6).status == "ok"
+    assert len(built) == congruences + summands
 
 
 # sha256 of ``verify --max-size 6 --json`` and of the size-6 catalog

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from geadim import congruence as cg, core, dimension as dm
+from geadim import catalog, congruence as cg, core, dimension as dm
 from geadim.errors import NotDer, NotHereditary, NotSplitting, Unbounded
 from geadim.exocenter import exocenter
 
@@ -109,14 +109,13 @@ def test_restrict_summand():
     B4 = core.b4()
     d_eq, _ = _dgea(B4)
     pa = next(m for m in d_eq.sigma if m.summand == (0, 1))
-    sub, subrel, mapping = dm.restrict_summand(d_eq, pa)
-    assert sub.names == ("0", "a") and mapping == (0, 1)
-    assert subrel.classes == ((0,), (1,))
-    full, _, _ = dm.restrict_summand(d_eq, d_eq.sigma.one)
-    assert core.canonical_form(full) == core.canonical_form(B4)
+    sub = d_eq.summand(pa)
+    assert sub.E.names == ("0", "a") and sub.members == (0, 1)
+    assert sub.R.classes == ((0,), (1,))
+    full = d_eq.summand(d_eq.sigma.one)
+    assert core.canonical_form(full.E) == core.canonical_form(B4)
     pb = next(m for m in d_eq.sigma if m.summand == (0, 2))
-    sb, _, mb = dm.restrict_summand(d_eq, pb)
-    assert sb.names == ("0", "b")
+    assert d_eq.summand(pb).E.names == ("0", "b")
 
 
 def test_restrict_summand_rejects_non_splitting():
@@ -125,7 +124,48 @@ def test_restrict_summand_rejects_non_splitting():
     S = exocenter(B4)
     pa = next(m for m in S if m.summand == (0, 1))
     with pytest.raises(NotSplitting):
-        dm.restrict_summand(d_merge, pa)
+        d_merge.summand(pa)
+
+
+def _dimension_relations(max_n):
+    return [
+        rec.dgea
+        for entry in catalog.cached_entries(max_n)
+        for rec in entry.relations
+        if rec.der
+    ]
+
+
+def test_summands_are_the_intervals_at_their_tops():
+    # every summand of a dimension relation up to n=6 has a greatest
+    # element, and is then the interval below it, built by interval_ea
+    # with no code shared with the restriction
+    checked = 0
+    for d in _dimension_relations(6):
+        E = d.E
+        for pi in d.sigma:
+            sub = d.summand(pi)
+            assert d.summand(pi) is sub
+            tops = [t for t in pi.summand if all(E.leq[x][t] for x in pi.summand)]
+            assert len(tops) == 1
+            iv = core.interval_ea(E, tops[0])
+            assert sub.E == iv.table
+            assert sub.members == iv.embed
+            checked += 1
+        assert d.summand(d.sigma.one).E == E
+    assert checked == 39
+
+
+def test_summand_rejects_every_non_splitting_map():
+    rejected = 0
+    for d in _dimension_relations(6):
+        for pi in exocenter(d.E):
+            if pi in d.sigma:
+                continue
+            with pytest.raises(NotSplitting):
+                d.summand(pi)
+            rejected += 1
+    assert rejected > 0
 
 
 def test_hereditary_sup():
@@ -171,6 +211,6 @@ def test_hereditary_sup_rejects_unbounded():
 def test_summand_type_flags_identity():
     C3 = core.c3()
     d, _ = _dgea(C3)
-    flags = dm.summand_type_flags(d, d.sigma.one)
+    flags = d.summand(d.sigma.one).type_flags
     assert flags.type_i and not flags.type_ii and not flags.type_iii
     assert flags.finite_type and not flags.properly_non_finite
