@@ -47,10 +47,15 @@ def main():
     bench("enumerate_tables n=7", K.enumerate_tables, (7,), repeat=1)
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
-    cls = [0, 1, 1, 2, 2, 3]
+    cls = [0, 1, 1, 2, 2, 3]  # fails SK2 first
+    equality = list(range(6))  # a congruence
     bench("sk_plan n=6", K.sk_plan, (c6.sum, c6.diff, c6.leq), repeat=20)
     plan = K.sk_plan(c6.sum, c6.diff, c6.leq)
     bench("sk_witnesses n=6", K.sk_witnesses, (plan, cls), repeat=200)
+    bench("sk_first_failure n=6 SK2", K.sk_first_failure, (plan, cls),
+          repeat=200)
+    bench("sk_first_failure n=6 pass", K.sk_first_failure, (plan, equality),
+          repeat=200)
     rows = core.b4().sum
     perms = list(core._candidate_perms(core._refine_colors(rows)))
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)

@@ -5,8 +5,8 @@ row tuples, the form of a model's ``sum``: ``enumerate_tables`` emits
 its tables so, ``relabeled`` and ``min_relabel`` return them so, and
 ``is_min_relabel`` compares against them.  ``axiom_violation`` also
 reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
-tuples, and ``sk_witnesses`` reads the per-model ``SkPlan`` that
-``sk_plan`` builds and returns tuples.
+tuples, and ``sk_witnesses`` and ``sk_first_failure`` read the per-model
+``SkPlan`` that ``sk_plan`` builds and return tuples.
 
 Table encoding: an n-element model is an n-by-n table where entry
 ``[i][j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
@@ -25,6 +25,7 @@ __all__ = [
     "brute_exomaps",
     "sk_plan",
     "sk_witnesses",
+    "sk_first_failure",
 ]
 
 def axiom_violation(rows):
@@ -379,6 +380,28 @@ def sk_witnesses(plan, cls):
         _sk4a(plan, below_cls),
         _sk4b(plan, cls, below_cls),
     )
+
+
+def sk_first_failure(plan, cls):
+    """The first failing congruence axiom and its witness.
+
+    Runs the checks of ``sk_witnesses`` in the same order and stops at the
+    first failure.  Returns ``(k, witness)``, where ``k`` indexes SK1,
+    SK2, SK3d, SK3e, SK4a, SK4b and ``witness`` is the one
+    ``sk_witnesses`` gives for that axiom, or None when all six hold.
+    """
+    for k, check in enumerate((_sk1, _sk2, _sk3d, _sk3e)):
+        w = check(plan, cls)
+        if w is not None:
+            return k, w
+    below_cls = [{cls[x] for x in b} for b in plan.below]
+    w = _sk4a(plan, below_cls)
+    if w is not None:
+        return 4, w
+    w = _sk4b(plan, cls, below_cls)
+    if w is not None:
+        return 5, w
+    return None
 
 
 def _sk1(plan, cls):

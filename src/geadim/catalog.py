@@ -26,8 +26,8 @@ HARD_MAX_N = 8
 @dataclass
 class RelationRecord:
     classes: tuple  # tuple of tuples of element indices
-    rel: object
-    report: object
+    rel: object  # the cg.EquivRel of a congruence, else None
+    report: object  # a congruence's SkReport, else its cg.SkFailure
     sk: bool
     der: object  # bool once computed, None when sk fails
     decomposition: object  # summary dict or None
@@ -184,28 +184,38 @@ def partitions_with_zero_singleton(n):
 
 
 def enumerate_relations(E):
-    """Every partition with zero alone, with its axiom report.
+    """Every partition with zero alone, with its congruence verdict.
 
-    Each relation that passes the congruence axioms gets its ``dm.Dgea``,
-    which checks the separation axiom, and, when that passes, a summary of
-    its type decomposition.
+    A partition is checked only up to its first failing congruence axiom,
+    and its record keeps that axiom and witness as a ``cg.SkFailure``.
+    Each relation that passes the congruence axioms gets its
+    ``cg.EquivRel`` and ``dm.Dgea``, which checks the full report and the
+    separation axiom, and, when that passes, a summary of its type
+    decomposition.
     """
+    plan = E._sk_plan
     for class_of in partitions_with_zero_singleton(E.n):
-        R = cg.EquivRel(E, class_of)
-        report = cg.check_sk(E, R)
-        d = None
-        if report.sk:
-            d = dm.Dgea(E, R)
-            report = d.report
+        fail = _kernels.sk_first_failure(plan, class_of)
+        if fail is not None:
+            # restricted growth strings are dense class ids already
+            yield RelationRecord(
+                classes=cg.partition_classes(class_of),
+                rel=None,
+                report=cg.SkFailure(cg.AXES[fail[0]], fail[1]),
+                sk=False,
+                der=None,
+                decomposition=None,
+            )
+            continue
+        d = dm.Dgea(E, cg.EquivRel(E, class_of))
         yield RelationRecord(
-            classes=R.classes,
-            rel=R,
-            report=report,
-            sk=report.sk,
-            der=None if d is None else d.der,
+            classes=d.R.classes,
+            rel=d.R,
+            report=d.report,
+            sk=True,
+            der=d.der,
             decomposition=(
-                _decomposition_summary(E, d.decomposition)
-                if d is not None and d.der else None
+                _decomposition_summary(E, d.decomposition) if d.der else None
             ),
             dgea=d,
         )

@@ -7,6 +7,7 @@ by a splitting map) is a dimension equivalence relation (DER).
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels, hull as hull_mod
 from .errors import (
@@ -28,12 +29,9 @@ class EquivRel:
         # relabeling by first occurrence numbers the classes by their least
         # members, so zero's class comes first
         ids = _dense(class_of)
-        classes = [[] for _ in range(max(ids) + 1)]
-        for e, c in enumerate(ids):
-            classes[c].append(e)
         self.E = E
         self.class_of = tuple(ids)
-        self.classes = tuple(map(tuple, classes))
+        self.classes = partition_classes(ids)
         self._cache = {}
 
     def sim(self, e, f):
@@ -73,6 +71,15 @@ def build_equiv(E, classes):
             class_of[i] = nxt
         nxt += 1
     return EquivRel(E, class_of)
+
+
+def partition_classes(ids):
+    """The classes of dense class ids (every id below the largest is used),
+    in id order, each a tuple of element indices."""
+    classes = [[] for _ in range(max(ids) + 1)]
+    for e, c in enumerate(ids):
+        classes[c].append(e)
+    return tuple(map(tuple, classes))
 
 
 def _dense(ids):
@@ -130,6 +137,19 @@ class SkReport:
             if v is not None and not v.ok:
                 return name, v.witness
         return None
+
+
+class SkFailure(NamedTuple):
+    """The first failing congruence axiom of a relation and its witness,
+    without verdicts on the axioms after it: what the partition sweep
+    keeps of a relation that is no congruence."""
+
+    axiom: str
+    witness: tuple
+
+    def first_failure(self):
+        """(axiom name, witness), as ``SkReport.first_failure`` gives it."""
+        return self.axiom, self.witness
 
 
 def check_sk(E, R):

@@ -329,9 +329,19 @@ def _eta_sigma_roundtrip(E):
 
 @prop("splitting-algebra", "relation")
 def _splitting_algebra(ctx):
-    # sigma_sim checks the splitting characterizations and the boolean
-    # subalgebra when the catalog builds the relation's Dgea; a failure
-    # there ends the run before the suite reaches the model
+    # the literal definition over the brute-force exocenter: pi splits
+    # when no nonzero e ~ f has pi(e) = e and pi(f) = 0.  sigma_sim also
+    # checks its characterizations and the boolean subalgebra when the
+    # catalog builds the relation's Dgea.
+    E, R = ctx.E, ctx.R
+    nonzero = range(1, E.n)
+    literal = tuple(
+        pi for pi in brute_force_exomaps(E)
+        if not any(R.sim(e, f) and pi(e) == e and pi(f) == 0
+                   for e in nonzero for f in nonzero)
+    )
+    if literal != ctx.sigma.maps:
+        return ["splitting algebra differs from the literal splitting filter"]
     return []
 
 

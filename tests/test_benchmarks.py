@@ -66,5 +66,6 @@ def test_bench_kernels_runs(capsys):
     bench.main()
     out = capsys.readouterr().out
     for label in ("axiom_violation n=6", "min_relabel n=4",
-                  "is_min_relabel n=4", "run_theorem_suite n<=5"):
+                  "is_min_relabel n=4", "sk_first_failure n=6 SK2",
+                  "sk_first_failure n=6 pass", "run_theorem_suite n<=5"):
         assert label in out

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import LABELED_COUNTS, degree_sorted, table_rows
-from geadim import _kernels, catalog, core
+from geadim import _kernels, catalog, congruence as cg, core
 from geadim.errors import CorruptCatalog, LimitExceeded, UnknownPredicate
 
 
@@ -159,6 +159,47 @@ def test_relation_counts():
         recs = list(catalog.enumerate_relations(E))
         assert sum(1 for r in recs if r.sk) == sk, name
         assert sum(1 for r in recs if r.der) == der, name
+
+
+def test_full_sk_report_only_for_congruences(monkeypatch):
+    """The sweep checks a partition only up to its first failing axiom:
+    the full six-axiom report is built for the model's congruences alone,
+    once each, and every other record keeps just its first failure.  The
+    summands of a decomposition are models of their own, with their own
+    reports, and are not counted."""
+    witnessed = []  # (plan, class list) given to sk_witnesses
+    reported = []  # (model, relation) given to check_sk; holds them alive
+    real_witnesses, real_check = _kernels.sk_witnesses, cg.check_sk
+
+    def witnesses(plan, cls):
+        witnessed.append((plan, tuple(cls)))
+        return real_witnesses(plan, cls)
+
+    def check(E, R):
+        reported.append((E, R))
+        return real_check(E, R)
+
+    monkeypatch.setattr(_kernels, "sk_witnesses", witnesses)
+    monkeypatch.setattr(cg, "check_sk", check)
+    partitions = congruences = 0
+    for n, flat in catalog._catalog_tables(6, 6):
+        witnessed.clear()
+        reported.clear()
+        entry = catalog.build_entry(n, flat)
+        E = entry.table
+        found = [rec.rel for rec in entry.relations if rec.sk]
+        assert sorted(cls for plan, cls in witnessed
+                      if plan is E._sk_plan) == sorted(
+            R.class_of for R in found)
+        assert {id(R) for F, R in reported if F is E} == {
+            id(R) for R in found}
+        for rec in entry.relations:
+            if not rec.sk:
+                assert rec.rel is None and rec.dgea is None
+                assert rec.report.first_failure()[0] in cg.AXES
+        partitions += len(entry.relations)
+        congruences += len(found)
+    assert (partitions, congruences) == (2031, 18)
 
 
 def test_partition_counts():

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from geadim import congruence as cg, core, dimension as dm, hull
+from geadim import congruence as cg, core, dimension as dm, hull, theorems
 from geadim.errors import NotDer, NotSkCongruence, OverlappingClasses, UnknownElement
-from geadim.exocenter import exocenter
+from geadim.exocenter import ExoSet, exocenter
 
 
 def _b4_merge():
@@ -104,6 +104,20 @@ def test_sigma_sim():
     assert len(cg.sigma_sim(E, eq, S)) == 4
     sig = cg.sigma_sim(E, merge, S)
     assert set(sig.maps) == {S.zero, S.one}
+
+
+def test_splitting_algebra_property_fires_on_a_wrong_sigma(monkeypatch):
+    # the property filters the brute-force exocenter by the literal
+    # splitting definition, so a Dgea holding any other sigma is caught
+    E, merge = _b4_merge()
+    S = exocenter(E)
+    check = theorems.REGISTRY["splitting-algebra"].fn
+    d = dm.Dgea(E, merge)
+    assert check(d) == []
+    for wrong in (S, ExoSet(E, [S.one])):
+        monkeypatch.setattr(d, "sigma", wrong)
+        assert check(d) == [
+            "splitting algebra differs from the literal splitting filter"]
 
 
 def test_induced_hull():

@@ -6,6 +6,7 @@ import itertools
 import random
 from array import array
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import LABELED_COUNTS, degree_sorted, table_rows
@@ -168,26 +169,54 @@ def _literal_sk_witnesses(E, cls):
     ]
 
 
-def test_sk_witnesses_match_the_literal_sk_axioms():
-    # every swept partition of every model with n <= 5, as catalogued and
-    # relabeled, plus partitions that put zero in a larger class
+def _swept_cases(models):
+    """(model, plan, class list) for every swept partition of each model,
+    as catalogued and relabeled at random, plus two partitions that put
+    zero in a larger class."""
     rand = random.Random(7)
-    models = []
-    for E in _catalog_models(5):
-        models.append(E)
-        models.append(E.relabel([0, *rand.sample(range(1, E.n), E.n - 1)]))
-    failures = [0] * 6
     for E in models:
-        plan = K.sk_plan(E.sum, E.diff, E.leq)
-        partitions = list(catalog.partitions_with_zero_singleton(E.n))
-        if E.n > 1:
-            partitions += [[0] * E.n, [0, 0, *range(1, E.n - 1)]]
-        for cls in partitions:
-            found = K.sk_witnesses(plan, cls)
-            assert list(found) == _literal_sk_witnesses(E, cls), (E.sum, cls)
-            for k, w in enumerate(found):
-                failures[k] += w is not None
+        for F in (E, E.relabel([0, *rand.sample(range(1, E.n), E.n - 1)])):
+            plan = K.sk_plan(F.sum, F.diff, F.leq)
+            partitions = list(catalog.partitions_with_zero_singleton(F.n))
+            if F.n > 1:
+                partitions += [[0] * F.n, [0, 0, *range(1, F.n - 1)]]
+            for cls in partitions:
+                yield F, plan, cls
+
+
+def test_sk_witnesses_match_the_literal_sk_axioms():
+    failures = [0] * 6
+    for E, plan, cls in _swept_cases(_catalog_models(5)):
+        found = K.sk_witnesses(plan, cls)
+        assert list(found) == _literal_sk_witnesses(E, cls), (E.sum, cls)
+        for k, w in enumerate(found):
+            failures[k] += w is not None
     assert all(failures)  # every axiom fails somewhere
+
+
+def _first_witness(found):
+    """(index, witness) of the first failing axiom in ``sk_witnesses``
+    order, or None."""
+    return next(((k, w) for k, w in enumerate(found) if w is not None), None)
+
+
+def _check_first_failure(models):
+    # returns how often each axiom came first, index 6 counting congruences
+    firsts = [0] * 7
+    for E, plan, cls in _swept_cases(models):
+        got = K.sk_first_failure(plan, cls)
+        assert got == _first_witness(K.sk_witnesses(plan, cls)), (E.sum, cls)
+        firsts[6 if got is None else got[0]] += 1
+    return firsts
+
+
+def test_sk_first_failure_matches_sk_witnesses():
+    assert all(_check_first_failure(_catalog_models(6)))
+
+
+@pytest.mark.slow
+def test_sk_first_failure_matches_sk_witnesses_n7():
+    _check_first_failure([E for E in _catalog_models(7) if E.n == 7])
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -209,6 +238,9 @@ def test_check_sk_witnesses_violate_their_axioms(data):
         assert v.ok == (w is None) and v.witness == w
         if not v.ok:
             assert len(v.witness) == arity and not holds(*v.witness)
+    first = report.first_failure()
+    got = K.sk_first_failure(E._sk_plan, cls)
+    assert (None if got is None else (cg.AXES[got[0]], got[1])) == first
 
 
 def test_canonical_key_stable_under_full_relabeling():
