@@ -316,3 +316,156 @@ def test_verify_over_the_limit_builds_no_model(monkeypatch):
     assert text.count("\n") == 1 and text.startswith("error: ")
     assert "exceeds the configured limit" in text
     assert built == []
+
+
+# Each fixture with one non-congruence added, for the golden outputs below.
+GOLDEN_DOCS = {
+    "b4": B4_DOC + "relation bad: {a 1}\n",
+    "c3": C3_DOC + "relation bad: {1 2}\n",
+    "t3": T3_DOC + "relation bad: {a b}\n",
+}
+GOLDEN_RELATIONS = {"b4": ("merge", "eq", "bad"), "c3": ("eq", "bad"),
+                    "t3": ("eq", "bad")}
+
+
+def _golden_outputs(tmp_path):
+    """(case, exit code and output) of every small report command on the
+    golden fixtures, in text and in --json form, with the directory of the
+    fixture files cut from the output."""
+    for name, text in GOLDEN_DOCS.items():
+        path = tmp_path / f"{name}.gea"
+        path.write_text(text, encoding="utf-8")
+        argvs = [[cmd, str(path)] for cmd in ("check", "exocenter")]
+        argvs += [
+            [cmd, str(path), "--relation", rel]
+            for cmd in ("sk", "hull", "decompose")
+            for rel in GOLDEN_RELATIONS[name]
+        ]
+        for argv in argvs:
+            for extra in ([], ["--json"]):
+                code, out = run(argv + extra)
+                case = " ".join([argv[0], name] + argv[2:] + extra)
+                yield case, f"{code}\n{out}".replace(f"{tmp_path}{os.sep}", "")
+
+
+# sha256 of each case's exit code and output
+GOLDEN_SHA256 = {
+    "check b4":
+        "215d244c98e60ced7e2d398d69bb384733f115b2876951880b575c0de5690095",
+    "check b4 --json":
+        "d821d731fe9823533dbba8ad694c6eeb08a0abf51c03ee50623f178d4b79456f",
+    "exocenter b4":
+        "a34cee929cb0a5c8cb0a67109e9003456aaff40215639f3beba11f14f2d0d03f",
+    "exocenter b4 --json":
+        "33cd067a21fdadd8c3641d1d66675bf3b4e5ec7b579c224d71d089bd8c54dc67",
+    "sk b4 --relation merge":
+        "d35f92fa34cab87454228c097f9b5c30e9da4e55ece8b13915b45b36f67f8166",
+    "sk b4 --relation merge --json":
+        "10f96594c34ccf5a64d4ca4626e42b541eb27158c87b9ffc62e97efc5c9ceba8",
+    "sk b4 --relation eq":
+        "642776ae0ae628defacf033cc419e04969ebc2e1610f8256c1af92b0ac114b84",
+    "sk b4 --relation eq --json":
+        "51209c5b71967c6280b30d5f89670ae1e3fa42fbd8f332dc903af97ad0b78a02",
+    "sk b4 --relation bad":
+        "02f5ddbbe73956b2dd7df00172cf0dfab12e2a86c22be666b722a59d34a0cfb2",
+    "sk b4 --relation bad --json":
+        "8b8f0082a8215689ae08530c1e02d76a659207c53748084270f0a7c03f258f32",
+    "hull b4 --relation merge":
+        "54de766a5509ad65c7c70bf6f3b45b5f67f77f8a11dffde2c816679485646d1b",
+    "hull b4 --relation merge --json":
+        "febf9d376f8280b9e31dc7ceb322d7de34d08332c280b28cc47466929533e8f9",
+    "hull b4 --relation eq":
+        "0f04edb2c55d9a28a3a86f4abae11aeb6172244ce29728d8a743e86400519e23",
+    "hull b4 --relation eq --json":
+        "8b255e1073827e3fe327ed4cb9bd85931c3369e56325b9036cb5bd7108297216",
+    "hull b4 --relation bad":
+        "1553868ba79f0a4e034400b0d9865dd20d30d90cbaa214475dea8b863f8bc7b4",
+    "hull b4 --relation bad --json":
+        "fbd95e890908c3f13b46e8b5f6d4954e14d2568ff2f3f81d599a0cf4ceb49233",
+    "decompose b4 --relation merge":
+        "86aac2ce0f450a36584b3c2a533933919d40bf7d1f220100615b9c63458a69bd",
+    "decompose b4 --relation merge --json":
+        "fb737857a3c994e1d119815997e9f2eca8fd400d7ad9dd85f9ad12835c29d962",
+    "decompose b4 --relation eq":
+        "86aac2ce0f450a36584b3c2a533933919d40bf7d1f220100615b9c63458a69bd",
+    "decompose b4 --relation eq --json":
+        "2909e350d6009ef0598f4f2d399ecd8021f5db9c144616e66e132d84b168e876",
+    "decompose b4 --relation bad":
+        "62b6c7e8d2c6c587afef5846e7df6f16468b25c03a4015316c6a8819e0cf4c72",
+    "decompose b4 --relation bad --json":
+        "9cd283f40b81c46f51fa3d489b93241788b8b93dbda917ffff022fca14a2caf2",
+    "check c3":
+        "742d5690452c621a6a473ec4e43494a2710e56760f2c30c1192d23c2a89e242a",
+    "check c3 --json":
+        "82c218ca05abf3065d1208c9b51ada105d4871adccda4f6ab3daa00cd473b6ba",
+    "exocenter c3":
+        "24f587252a14d021c3672d205218e284fde1492fa4e7aa393b26d6ec3e3d8243",
+    "exocenter c3 --json":
+        "455d47b9938026f216dce0d67ac0aed4809aa54c7ea86515dc1e2e10be57e889",
+    "sk c3 --relation eq":
+        "642776ae0ae628defacf033cc419e04969ebc2e1610f8256c1af92b0ac114b84",
+    "sk c3 --relation eq --json":
+        "e0151190d9ddc577199960c3757514da6d67878a749eb5546801de5b2b43e5c3",
+    "sk c3 --relation bad":
+        "a7c799c7309b818cf8d51710b8626dba3174c08b5a734bac7f6058a82c2d11b4",
+    "sk c3 --relation bad --json":
+        "53ab4da07df80f16431526a6cc4bf29ce9ef3032425834b8fa4f6d52d643a981",
+    "hull c3 --relation eq":
+        "77fe858b3a1f096840ddb2963202294163f451afc3cd9a0f51e33a6734ba9f41",
+    "hull c3 --relation eq --json":
+        "30515f04190dc89a398f79389166d66b0b5178d51be16e4ecf51df16a1c08992",
+    "hull c3 --relation bad":
+        "8401d43a74263282894ecc168eb415d58f666be35e23c23739e2dcee7a7cd418",
+    "hull c3 --relation bad --json":
+        "5156f64db710d83cb45f767c728bb7cce53e15ed3e48a225faaca064c68037e9",
+    "decompose c3 --relation eq":
+        "493c0a1b6cf749d696d5ef3243054c80739fbe5a57cda572f384320142d9b719",
+    "decompose c3 --relation eq --json":
+        "1a2bc7099327cb8566a00231aab0dbbee9f2eece496eab98c6e25016ed24fece",
+    "decompose c3 --relation bad":
+        "62b6c7e8d2c6c587afef5846e7df6f16468b25c03a4015316c6a8819e0cf4c72",
+    "decompose c3 --relation bad --json":
+        "8af3d0883756cf716d83330984afe739e70a7f925015bda1f514e009f6c4afc0",
+    "check t3":
+        "3bd807a79afb0c91f70e6f0fbd5fb08287cd2ddd7a816f97c8a895d3ff699615",
+    "check t3 --json":
+        "26dc63f4f72397ee95186cf8a9960cb2d431b38a8b7971e3fd19e9742d23c95e",
+    "exocenter t3":
+        "efbbf8ffed65b059a5749f679bb3f3f7c7f2fd4646ce8bc5697573bfb4946fc1",
+    "exocenter t3 --json":
+        "77a8e4a08115229cdeb0a157b60984498aa2e2e71bba6476ffae9e02b2e7abad",
+    "sk t3 --relation eq":
+        "304ac131ce22cc652ffaa71c41147015a4ed9d55824310bcdb18008829ca47e6",
+    "sk t3 --relation eq --json":
+        "1d7224a9ea433605d57eb0ce70dc1f4d40a52d80216a76279c67381bfca253d2",
+    "sk t3 --relation bad":
+        "974fd0b9488b9206c5a08e67e318bd4d563bad3e40c1e6a9ae7cf00227bdc242",
+    "sk t3 --relation bad --json":
+        "2411a5ae0b9b03afaf461831700b3a1e961b848ebf4d86b0a6344081b8846094",
+    "hull t3 --relation eq":
+        "015158c6be4a8c51ea22970ead04257933a4cde2ec962db02958605fa8b9ddf5",
+    "hull t3 --relation eq --json":
+        "f98fb3ee9193d50507b011855012cd4d3fd517994926f83ffe3ad606cf10b628",
+    "hull t3 --relation bad":
+        "47f2e5e693c2a4f07a7335eae707bbedd48156b952287b5181784808011f7bd5",
+    "hull t3 --relation bad --json":
+        "644a53b7982428222c607e6907967ab5884021f997c1516d8fb59b5f23518e9a",
+    "decompose t3 --relation eq":
+        "44d90ed0cbb63b1bf4375b89d80ebce8649666fd00269541b32127e34bca8169",
+    "decompose t3 --relation eq --json":
+        "39ad90af999791dcdac6b8a2954693ffa85ef7f9c810f5ab4c1625e103ca249e",
+    "decompose t3 --relation bad":
+        "d986e3e9cd1925d269572cff1b14cf081e41b2a3f682e3eeead8fe5450cab5f1",
+    "decompose t3 --relation bad --json":
+        "c3a33049cfc711c821a9916aaef00075c6fab04f39508c93afd915e8fcae9b4f",
+}
+
+
+def test_small_commands_match_their_golden_outputs(tmp_path):
+    import hashlib
+
+    got = {
+        case: hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        for case, blob in _golden_outputs(tmp_path)
+    }
+    assert got == GOLDEN_SHA256
