@@ -26,30 +26,34 @@ HARD_MAX_N = 8
 @dataclass
 class RelationRecord:
     classes: tuple  # tuple of tuples of element indices
-    rel: object  # the cg.EquivRel of a congruence, else None
-    report: object  # a congruence's SkReport, else its cg.SkFailure
-    sk: bool
-    der: object  # bool once computed, None when sk fails
+    first_failure: object  # (axiom name, witness) or None
     decomposition: object  # summary dict or None
     # the relation's dm.Dgea when it is a congruence, for the suite; never
     # persisted
     dgea: object = field(default=None, repr=False, compare=False)
 
+    @property
+    def sk(self):
+        return self.dgea is not None
+
+    @property
+    def der(self):
+        """Whether a congruence is a dimension relation; None for a
+        relation that is no congruence."""
+        return None if self.dgea is None else self.dgea.der
+
     def summary(self, names):
-        rec = {
+        fail = self.first_failure
+        return {
             "classes": [[names[e] for e in c] for c in self.classes],
             "sk": self.sk,
             "der": self.der,
-        }
-        fail = self.report.first_failure()
-        rec["first_failure"] = (
-            None if fail is None else {
+            "first_failure": None if fail is None else {
                 "axiom": fail[0],
                 "witness": [names[w] for w in fail[1]],
-            }
-        )
-        rec["decomposition"] = self.decomposition
-        return rec
+            },
+            "decomposition": self.decomposition,
+        }
 
 
 @dataclass
@@ -187,11 +191,11 @@ def enumerate_relations(E):
     """Every partition with zero alone, with its congruence verdict.
 
     A partition is checked only up to its first failing congruence axiom,
-    and its record keeps that axiom and witness as a ``cg.SkFailure``.
-    Each relation that passes the congruence axioms gets its
-    ``cg.EquivRel`` and ``dm.Dgea``, which checks the full report and the
-    separation axiom, and, when that passes, a summary of its type
-    decomposition.
+    and its record keeps that axiom and witness.  Each relation that
+    passes the congruence axioms gets its ``dm.Dgea``, which checks the
+    full report and the separation axiom SK4a', and, when that passes, a
+    summary of its type decomposition; when SK4a' fails, it is the
+    record's first failure.
     """
     plan = E._sk_plan
     for class_of in partitions_with_zero_singleton(E.n):
@@ -200,20 +204,14 @@ def enumerate_relations(E):
             # restricted growth strings are dense class ids already
             yield RelationRecord(
                 classes=cg.partition_classes(class_of),
-                rel=None,
-                report=cg.SkFailure(cg.AXES[fail[0]], fail[1]),
-                sk=False,
-                der=None,
+                first_failure=(cg.AXES[fail[0]], fail[1]),
                 decomposition=None,
             )
             continue
         d = dm.Dgea(E, cg.EquivRel(E, class_of))
         yield RelationRecord(
             classes=d.R.classes,
-            rel=d.R,
-            report=d.report,
-            sk=True,
-            der=d.der,
+            first_failure=None if d.der else ("SK4a'", d.sk4a_prime),
             decomposition=(
                 _decomposition_summary(E, d.decomposition) if d.der else None
             ),

@@ -156,7 +156,7 @@ def _load(path):
     return parse_gea_file(text)
 
 
-def _relation_or_fail(doc, rels, name):
+def _relation_or_fail(rels, name):
     if name not in rels:
         known = ", ".join(sorted(rels)) or "none"
         raise GeadimError(f"unknown relation {name!r} (known: {known})")
@@ -234,42 +234,48 @@ def cmd_exocenter(args, out):
 
 
 def _sk_payload(E, R):
+    """The relation's ``dm.Dgea``, None when it is no congruence, and the
+    verdict on each axiom by name, SK4a' last and unchecked without a
+    Dgea."""
     report = cg.check_sk(E, R)
-    d = None
-    if report.sk:
-        d = dm.Dgea(E, R)
-        report = d.report
-    axioms = {}
-    for name, v in zip(
-        ("SK1", "SK2", "SK3d", "SK3e", "SK4a", "SK4b", "SK4a'"),
-        (report.sk1, report.sk2, report.sk3d, report.sk3e, report.sk4a,
-         report.sk4b, report.sk4a_prime),
-    ):
-        if v is None:
-            axioms[name] = {"holds": None, "witness": None}
-        else:
-            axioms[name] = {
-                "holds": v.ok,
-                "witness": None if v.witness is None else [E.names[w] for w in v.witness],
-            }
-    return report, d, axioms
+    d = dm.Dgea(E, R) if report.sk else None
+    axioms = {name: _verdict(E, w) for name, w in zip(cg.AXES, report)}
+    axioms["SK4a'"] = (
+        {"holds": None, "witness": None} if d is None
+        else _verdict(E, d.sk4a_prime)
+    )
+    return d, axioms
+
+
+def _verdict(E, witness):
+    return {
+        "holds": witness is None,
+        "witness": None if witness is None else [E.names[w] for w in witness],
+    }
+
+
+def _first_failure(axioms):
+    """(axiom name, witness names) of the first axiom that fails."""
+    return next(
+        (name, rec["witness"]) for name, rec in axioms.items()
+        if rec["holds"] is False
+    )
 
 
 def cmd_sk(args, out):
     doc = _load(args.file)
     E, rels = doc.build()
-    R = _relation_or_fail(doc, rels, args.relation)
-    report, _, axioms = _sk_payload(E, R)
+    R = _relation_or_fail(rels, args.relation)
+    d, axioms = _sk_payload(E, R)
     results = {
         "relation": args.relation,
         "classes": [[E.names[e] for e in c] for c in R.classes],
         "axioms": axioms,
-        "sk": report.sk,
-        "der": report.der if report.sk else None,
+        "sk": d is not None,
+        "der": None if d is None else d.der,
         "cross_checks": (
-            ["separation-direct-vs-hull-meet", "splitting-four-way"]
-            if report.sk
-            else []
+            [] if d is None
+            else ["separation-direct-vs-hull-meet", "splitting-four-way"]
         ),
     }
     witnesses = [
@@ -277,12 +283,12 @@ def cmd_sk(args, out):
         for name, rec in axioms.items()
         if rec["holds"] is False
     ]
-    lines = [f"relation {args.relation}: congruence={report.sk}"]
+    lines = [f"relation {args.relation}: congruence={d is not None}"]
     for name, rec in axioms.items():
         state = "?" if rec["holds"] is None else ("ok" if rec["holds"] else f"FAILS {rec['witness']}")
         lines.append(f"  {name}: {state}")
-    if report.sk:
-        lines.append(f"  dimension relation: {report.der}")
+    if d is not None:
+        lines.append(f"  dimension relation: {d.der}")
     payload = {
         "command": "sk",
         "inputs": {"file": args.file, "relation": args.relation},
@@ -291,23 +297,22 @@ def cmd_sk(args, out):
         "text": "\n".join(lines),
     }
     _emit(out, payload, args.json)
-    return 0 if report.sk else 1
+    return 0 if d is not None else 1
 
 
 def cmd_hull(args, out):
     doc = _load(args.file)
     E, rels = doc.build()
-    R = _relation_or_fail(doc, rels, args.relation)
-    report, d, axioms = _sk_payload(E, R)
-    if not report.sk:
-        name, witness = report.first_failure()
+    R = _relation_or_fail(rels, args.relation)
+    d, axioms = _sk_payload(E, R)
+    if d is None:
+        name, witness = _first_failure(axioms)
         payload = {
             "command": "hull",
             "inputs": {"file": args.file, "relation": args.relation},
             "results": {"sk": False, "failed_axiom": name},
-            "witnesses": [{"axiom": name, "witness": [E.names[w] for w in witness]}],
-            "text": f"not a congruence: {name} fails at "
-                    f"{tuple(E.names[w] for w in witness)}",
+            "witnesses": [{"axiom": name, "witness": witness}],
+            "text": f"not a congruence: {name} fails at {tuple(witness)}",
         }
         _emit(out, payload, args.json)
         return 1
@@ -347,21 +352,15 @@ def cmd_hull(args, out):
 def cmd_decompose(args, out):
     doc = _load(args.file)
     E, rels = doc.build()
-    R = _relation_or_fail(doc, rels, args.relation)
-    report, d, _ = _sk_payload(E, R)
-    if not report.sk or not report.der:
-        name, witness = report.first_failure()
+    R = _relation_or_fail(rels, args.relation)
+    d, axioms = _sk_payload(E, R)
+    if d is None or not d.der:
+        name, witness = _first_failure(axioms)
         payload = {
             "command": "decompose",
             "inputs": {"file": args.file, "relation": args.relation},
             "results": {"der": False, "failed_axiom": name},
-            "witnesses": [
-                {
-                    "axiom": name,
-                    "witness": None if witness is None
-                    else [E.names[w] for w in witness],
-                }
-            ],
+            "witnesses": [{"axiom": name, "witness": witness}],
             "text": f"not a dimension relation: {name} fails",
         }
         _emit(out, payload, args.json)

@@ -6,7 +6,6 @@ relation additionally satisfying SK4a' (unrelated elements are separated
 by a splitting map) is a dimension equivalence relation (DER).
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _kernels, hull as hull_mod
@@ -100,56 +99,26 @@ def equality_relation(E):
 # axiom reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    witness: tuple = None
+class SkReport(NamedTuple):
+    """The witnesses of SK1-SK4b for one relation, in ``AXES`` order, each
+    None where its axiom holds."""
 
-
-@dataclass(frozen=True)
-class SkReport:
-    sk1: Verdict
-    sk2: Verdict
-    sk3d: Verdict
-    sk3e: Verdict
-    sk4a: Verdict
-    sk4b: Verdict
-    sk4a_prime: Verdict = None
+    sk1: tuple
+    sk2: tuple
+    sk3d: tuple
+    sk3e: tuple
+    sk4a: tuple
+    sk4b: tuple
 
     @property
     def sk(self):
-        return all(
-            v.ok for v in (self.sk1, self.sk2, self.sk3d, self.sk3e, self.sk4a, self.sk4b)
-        )
-
-    @property
-    def der(self):
-        return self.sk and self.sk4a_prime is not None and self.sk4a_prime.ok
+        return all(w is None for w in self)
 
     def first_failure(self):
         """(axiom name, witness) of the first failing axiom, or None."""
-        pairs = zip(
-            AXES + ("SK4a'",),
-            (self.sk1, self.sk2, self.sk3d, self.sk3e, self.sk4a, self.sk4b,
-             self.sk4a_prime),
+        return next(
+            ((name, w) for name, w in zip(AXES, self) if w is not None), None
         )
-        for name, v in pairs:
-            if v is not None and not v.ok:
-                return name, v.witness
-        return None
-
-
-class SkFailure(NamedTuple):
-    """The first failing congruence axiom of a relation and its witness,
-    without verdicts on the axioms after it: what the partition sweep
-    keeps of a relation that is no congruence."""
-
-    axiom: str
-    witness: tuple
-
-    def first_failure(self):
-        """(axiom name, witness), as ``SkReport.first_failure`` gives it."""
-        return self.axiom, self.witness
 
 
 def check_sk(E, R):
@@ -160,10 +129,7 @@ def check_sk(E, R):
     """
     if "sk_report" in R._cache:
         return R._cache["sk_report"]
-    report = SkReport(*(
-        Verdict(w is None, w)
-        for w in _kernels.sk_witnesses(E._sk_plan, R.class_of)
-    ))
+    report = SkReport(*_kernels.sk_witnesses(E._sk_plan, R.class_of))
     R._cache["sk_report"] = report
     return report
 
@@ -274,8 +240,9 @@ def induced_hull(E, R, sigma):
 
 
 def check_der(E, R, sigma, H):
-    """Augment a congruence report with the separation axiom SK4a', given
-    the relation's splitting algebra and induced hull system.
+    """The witness of the separation axiom SK4a' for a congruence, given
+    its splitting algebra and induced hull system: the lex-least unrelated
+    pair that no splitting map separates, or None when SK4a' holds.
 
     Separation by a splitting map is computed directly and through the
     equivalent hull-meet form; the two must agree pairwise.
@@ -283,7 +250,6 @@ def check_der(E, R, sigma, H):
     base = check_sk(E, R)
     if not base.sk:
         raise NotSkCongruence(str(base.first_failure()))
-    ok = True
     witness = None
     for e in range(E.n):
         for f in range(E.n):
@@ -296,13 +262,9 @@ def check_der(E, R, sigma, H):
                     "separation and hull-meet forms disagree at "
                     f"({E.names[e]}, {E.names[f]})"
                 )
-            if not direct and ok:
-                ok = False
+            if not direct and witness is None:
                 witness = (e, f)
-    return SkReport(
-        base.sk1, base.sk2, base.sk3d, base.sk3e, base.sk4a, base.sk4b,
-        sk4a_prime=Verdict(ok, witness),
-    )
+    return witness
 
 
 # ---------------------------------------------------------------------------

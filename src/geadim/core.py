@@ -280,29 +280,26 @@ def orthosum_family(E, family):
     return rec(tuple(sorted(family)))
 
 
-def orthogonal_multisets(E, within=None, max_mult=None):
+def orthogonal_multisets(E):
     """All orthogonal multisets of nonzero elements, as sorted tuples.
 
     A finite multiset is orthogonal exactly when its total sum is defined;
     multiplicity is naturally bounded by the chain height, which guarantees
-    termination.  ``within`` restricts the support set.
+    termination.
     """
-    pool = sorted(within) if within is not None else range(1, E.n)
-    pool = [e for e in pool if e != 0]
-    bound = max_mult if max_mult is not None else E.chain_height
+    bound = E.chain_height
     out = []
 
     def extend(ms, total, start):
         out.append((ms, total))
-        for i in range(start, len(pool)):
-            e = pool[i]
+        for e in range(start, E.n):
             if ms.count(e) >= bound:
                 continue
             t = E.sum_of(total, e)
             if t is not None:
-                extend(ms + (e,), t, i)
+                extend(ms + (e,), t, e)
 
-    extend((), 0, 0)
+    extend((), 0, 1)
     return out
 
 

@@ -30,8 +30,8 @@ class Dgea:
 
     The constructor checks SK1-SK4b (``NotDer`` when they fail), then
     builds the splitting algebra and the induced hull system and checks
-    the separation axiom SK4a', each once; ``der`` says whether SK4a'
-    holds.  The simple and finite elements and the type decomposition are
+    the separation axiom SK4a', each once; ``sk4a_prime`` is its witness,
+    None when it holds, and ``der`` says whether it holds.  The simple and finite elements and the type decomposition are
     derived on first use and raise ``NotDer`` unless the relation is a
     dimension relation.  ``members`` gives the index of each element in
     the model this one is a summand of (the identity for a model of its
@@ -47,9 +47,12 @@ class Dgea:
             raise NotDer(f"relation fails {report.first_failure()[0]}")
         self.sigma = cg.sigma_sim(E, R, exocenter(E))
         self.hull = cg.induced_hull(E, R, self.sigma)
-        self.report = cg.check_der(E, R, self.sigma, self.hull)
-        self.der = self.report.der
+        self.sk4a_prime = cg.check_der(E, R, self.sigma, self.hull)
         self._summands = {}
+
+    @property
+    def der(self):
+        return self.sk4a_prime is None
 
     def _require_der(self):
         if not self.der:

@@ -181,7 +181,7 @@ def brute_force_exomaps(E):
     return ExoSet(E, (ExoMap(r) for r in rows))
 
 
-def center(E, S=None):
+def center(E, S):
     """Central elements with their projections, cross-validated.
 
     An element is central iff its interval is a direct summand; this is
@@ -189,7 +189,6 @@ def center(E, S=None):
     orthogonal decomposition, principality, orthogonality closure) and the
     two answers must agree.
     """
-    S = S if S is not None else exocenter(E)
     via_gex = {}
     for pi in S:
         M = set(pi.summand)

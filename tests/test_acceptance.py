@@ -204,7 +204,7 @@ def test_one_decomposition_per_dimension_relation(monkeypatch):
     def collecting(E):
         for rec in real_relations(E):
             if rec.der:
-                der.append(rec.rel)
+                der.append(rec.dgea.R)
             yield rec
 
     def counted(**fields):
@@ -290,7 +290,7 @@ def test_one_splitting_algebra_per_congruence(monkeypatch):
     def collecting(E):
         for rec in real_relations(E):
             if rec.sk:
-                congruences.append(rec.rel)
+                congruences.append(rec.dgea.R)
             yield rec
 
     monkeypatch.setattr(cg, "sigma_sim", counted(cg.sigma_sim))

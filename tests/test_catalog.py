@@ -187,7 +187,7 @@ def test_full_sk_report_only_for_congruences(monkeypatch):
         reported.clear()
         entry = catalog.build_entry(n, flat)
         E = entry.table
-        found = [rec.rel for rec in entry.relations if rec.sk]
+        found = [rec.dgea.R for rec in entry.relations if rec.sk]
         assert sorted(cls for plan, cls in witnessed
                       if plan is E._sk_plan) == sorted(
             R.class_of for R in found)
@@ -195,8 +195,8 @@ def test_full_sk_report_only_for_congruences(monkeypatch):
             id(R) for R in found}
         for rec in entry.relations:
             if not rec.sk:
-                assert rec.rel is None and rec.dgea is None
-                assert rec.report.first_failure()[0] in cg.AXES
+                assert rec.dgea is None
+                assert rec.first_failure[0] in cg.AXES
         partitions += len(entry.relations)
         congruences += len(found)
     assert (partitions, congruences) == (2031, 18)
@@ -401,3 +401,39 @@ def test_type_distribution_all_type_one():
                 assert rec.decomposition["type"] == "I"
                 assert rec.decomposition["summand_II"] == ["0"]
                 assert rec.decomposition["summand_III"] == ["0"]
+
+
+def test_congruence_failing_separation(monkeypatch, tmp_path):
+    """No catalog model has a congruence that fails SK4a', so the check is
+    made to fail: the record, the ``sk`` and ``decompose`` commands and the
+    search all report such a congruence as one that is no dimension
+    relation."""
+    import io
+
+    from geadim import cli
+
+    monkeypatch.setattr(cg, "check_der", lambda E, R, sigma, H: (1, 2))
+    E = core.b4()
+    merge = next(rec for rec in catalog.enumerate_relations(E)
+                 if rec.classes == ((0,), (1, 2), (3,)))
+    assert merge.summary(E.names) == {
+        "classes": [["0"], ["a", "b"], ["1"]],
+        "sk": True,
+        "der": False,
+        "first_failure": {"axiom": "SK4a'", "witness": ["a", "b"]},
+        "decomposition": None,
+    }
+    path = tmp_path / "b4.gea"
+    path.write_text("elements: 0 a b 1\nzero: 0\nsum: a + b = 1\n"
+                    "relation merge: {a b}\n", encoding="utf-8")
+    out = io.StringIO()
+    assert cli.run_command(["sk", str(path), "--relation", "merge", "--json"],
+                           out=out) == 0
+    results = json.loads(out.getvalue())["results"]
+    assert results["axioms"]["SK4a'"] == {"holds": False, "witness": ["a", "b"]}
+    assert (results["sk"], results["der"]) == (True, False)
+    out = io.StringIO()
+    assert cli.run_command(["decompose", str(path), "--relation", "merge"],
+                           out=out) == 1
+    assert out.getvalue() == "not a dimension relation: SK4a' fails\n"
+    assert catalog.search_counterexample("sk-and-not-der", 3) is not None

@@ -1,8 +1,9 @@
 """Tables, axioms, order queries, intervals, and canonical forms."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geadim import congruence as cg, core
+from geadim import catalog, congruence as cg, core
 from geadim.exocenter import exocenter
 from geadim.errors import AxiomViolation, ConflictingEquation, InternalInvariant
 
@@ -164,6 +165,85 @@ def test_canonical_form_all_relabelings_size4():
     key = core.canonical_form(B4)
     for perm in itertools.permutations(range(1, 4)):
         assert core.canonical_form(B4.relabel([0, *perm])) == key
+
+
+def _violates(t, axiom, w):
+    """Whether the index tuple ``w`` violates the GEA axiom ``axiom`` in the
+    sum table ``t`` (-1 where a sum is undefined), by the axiom's
+    definition."""
+    if axiom == "GEA1":  # e + f is defined exactly when f + e is, and equal
+        e, f = w
+        return t[e][f] != t[f][e]
+    if axiom == "GEA2":  # e + f and d + (e + f) defined give (d + e) + f, equal
+        d, e, f = w
+        ef = t[e][f]
+        if ef < 0 or t[d][ef] < 0:
+            return False
+        de = t[d][e]
+        return de < 0 or t[de][f] != t[d][ef]
+    if axiom == "GEA3":  # e + 0 = e
+        (e,) = w
+        return t[e][0] != e
+    if axiom == "GEA4":  # d + e = d + f gives e = f
+        d, e, f = w
+        return e != f and t[d][e] >= 0 and t[d][e] == t[d][f]
+    if axiom == "GEA5":  # e + f = 0 gives e = f = 0
+        e, f = w
+        return t[e][f] == 0 and (e, f) != (0, 0)
+    raise AssertionError(f"unknown axiom {axiom}")
+
+
+@st.composite
+def _partial_tables(draw):
+    """A size and named equations giving one value, or none, to each
+    unordered pair of nonzero elements: either drawn freely, undefined
+    half the time, or a relabeled catalog model with up to two pairs
+    redrawn, so that valid tables and near misses both occur."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 5))
+        sums = [[-1] * n for _ in range(n)]
+        redraw = [(i, j) for i in range(1, n) for j in range(i, n)]
+    else:
+        E = draw(st.sampled_from([e.table for e in catalog.cached_entries(5)]))
+        n = E.n
+        sums = [list(row) for row in E.relabel(
+            [0, *draw(st.permutations(range(1, n)))]).sum]
+        pairs = [(i, j) for i in range(1, n) for j in range(i, n)]
+        redraw = draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    for i, j in redraw:
+        sums[i][j] = draw(st.sampled_from([-1] * n + list(range(n))))
+    equations = [(str(i), str(j), str(sums[i][j]))
+                 for i in range(1, n) for j in range(i, n) if sums[i][j] >= 0]
+    return n, equations
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_partial_tables(), st.data())
+def test_build_gea_on_random_partial_tables(drawn, data):
+    """A random symmetric partial table either raises an AxiomViolation
+    whose witness violates the named axiom, or builds a model whose every
+    axiom holds and whose canonical form survives a relabeling."""
+    n, equations = drawn
+    names = [str(i) for i in range(n)]
+    try:
+        E = core.build_gea(names, "0", equations)
+    except AxiomViolation as err:
+        t = [[-1] * n for _ in range(n)]
+        for e in range(n):
+            t[e][0] = t[0][e] = e
+        for a, b, c in equations:
+            t[int(a)][int(b)] = t[int(b)][int(a)] = int(c)
+        assert _violates(t, err.axiom, [int(x) for x in err.witness])
+        return
+    r = range(n)
+    for axiom, tuples in (("GEA1", [(e, f) for e in r for f in r]),
+                          ("GEA2", [(d, e, f) for d in r for e in r for f in r]),
+                          ("GEA3", [(e,) for e in r]),
+                          ("GEA4", [(d, e, f) for d in r for e in r for f in r]),
+                          ("GEA5", [(e, f) for e in r for f in r])):
+        assert not any(_violates(E.sum, axiom, w) for w in tuples), axiom
+    perm = data.draw(st.permutations(range(1, n)))
+    assert core.canonical_form(E.relabel([0, *perm])) == core.canonical_form(E)
 
 
 def test_tables_are_immutable():

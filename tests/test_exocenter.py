@@ -107,7 +107,7 @@ def test_memoized_operations_match_composition():
         E = entry.table
         gex = exocenter(E)
         sets = [gex] + [
-            cg.sigma_sim(E, rec.rel, gex) for rec in entry.relations if rec.sk
+            cg.sigma_sim(E, rec.dgea.R, gex) for rec in entry.relations if rec.sk
         ]
         for S in sets:
             for p in S:
