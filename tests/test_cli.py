@@ -328,10 +328,23 @@ GOLDEN_RELATIONS = {"b4": ("merge", "eq", "bad"), "c3": ("eq", "bad"),
                     "t3": ("eq", "bad")}
 
 
+# The catalog-wide commands, run from the test's directory so that the
+# catalog path in ``inputs`` is the same on every run.
+GOLDEN_CATALOG_ARGVS = [
+    ["catalog", "--max-size", "3", "--out", "cat.jsonl"],
+    ["verify", "--max-size", "3"],
+    ["verify", "--max-size", "3", "--theorems", "core-order-laws,td-largest-map",
+     "--invert", "core-order-laws"],
+    ["search", "--property", "sk-and-not-der", "--max-size", "4"],
+    ["search", "--property", "divisible-hull-with-monads", "--max-size", "4"],
+]
+
+
 def _golden_outputs(tmp_path):
     """(case, exit code and output) of every small report command on the
-    golden fixtures, in text and in --json form, with the directory of the
-    fixture files cut from the output."""
+    golden fixtures, with the directory of the fixture files cut from the
+    output, and of the catalog-wide commands, each in text and in --json
+    form."""
     for name, text in GOLDEN_DOCS.items():
         path = tmp_path / f"{name}.gea"
         path.write_text(text, encoding="utf-8")
@@ -346,6 +359,10 @@ def _golden_outputs(tmp_path):
                 code, out = run(argv + extra)
                 case = " ".join([argv[0], name] + argv[2:] + extra)
                 yield case, f"{code}\n{out}".replace(f"{tmp_path}{os.sep}", "")
+    for argv in GOLDEN_CATALOG_ARGVS:
+        for extra in ([], ["--json"]):
+            code, out = run(argv + extra)
+            yield " ".join(argv + extra), f"{code}\n{out}"
 
 
 # sha256 of each case's exit code and output
@@ -458,11 +475,33 @@ GOLDEN_SHA256 = {
         "d986e3e9cd1925d269572cff1b14cf081e41b2a3f682e3eeead8fe5450cab5f1",
     "decompose t3 --relation bad --json":
         "c3a33049cfc711c821a9916aaef00075c6fab04f39508c93afd915e8fcae9b4f",
+    "catalog --max-size 3 --out cat.jsonl":
+        "47020ba0de96cdd5eef876e0309886d468e7ff68b3ac04e8263dc2fa481ccfed",
+    "catalog --max-size 3 --out cat.jsonl --json":
+        "809572cabd6a2c75d2dd6b46244fde62ede2d834047c1f60324e4d7da6fd339a",
+    "verify --max-size 3":
+        "145bbf7c8e78033666649992fda90c793aadf1091cc56114b0c1eb3ef7dfa799",
+    "verify --max-size 3 --json":
+        "01e69611d11dbbf07d3ad554ee1e6a3cc828270b94e078525ab81e9824f87ce4",
+    "verify --max-size 3 --theorems core-order-laws,td-largest-map --invert core-order-laws":
+        "ec1ef81cf7a98d8c17a172c757156d8d6d981e9fce0395dac6ba7285b6ad4851",
+    "verify --max-size 3 --theorems core-order-laws,td-largest-map --invert core-order-laws --json":
+        "32939a8ada78ebc827ce70bfdd44d325c5a27235c6328fccc1ff497a73f3efb9",
+    "search --property sk-and-not-der --max-size 4":
+        "cd43442dbf0fcf330712c8cf96971d38e5b9a399a9212cd35429edb02afa75c4",
+    "search --property sk-and-not-der --max-size 4 --json":
+        "a62f781e2e2a5a13226109d83b8f1054c12f4ddd3b857e719a0e6316076b4cf0",
+    "search --property divisible-hull-with-monads --max-size 4":
+        "dc5d221fc0c42bddf068490aab168f0f62e8428fdbca37f3c5098b9bf81c909e",
+    "search --property divisible-hull-with-monads --max-size 4 --json":
+        "c89889392d74c77d9b32e20672694fdae9977e6bbc151834b6bfcb02af875d8d",
 }
 
 
-def test_small_commands_match_their_golden_outputs(tmp_path):
+def test_small_commands_match_their_golden_outputs(tmp_path, monkeypatch):
     import hashlib
+
+    monkeypatch.chdir(tmp_path)
 
     got = {
         case: hashlib.sha256(blob.encode("utf-8")).hexdigest()
