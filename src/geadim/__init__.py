@@ -7,13 +7,11 @@ from .core import (
     build_gea,
     c3,
     canonical_form,
-    direct_sum_check,
     element_predicates,
     interval_ea,
     is_orthodense,
     orthosum_family,
     structure_predicates,
-    subset_predicates,
     t3,
 )
 from .exocenter import ExoMap, ExoSet, center, cogea_check, exocenter, exocentral_cover

@@ -10,7 +10,8 @@ Document grammar (line oriented, ``#`` comments, identifiers
 
 Exit codes: 0 success / property holds, 1 violation or counterexample
 found, 2 input error.  ``--json`` switches every command to a stable
-machine-readable schema {command, inputs, results, witnesses}.
+machine-readable schema {command, inputs, results, witnesses, text}, where
+``text`` is the report printed without ``--json``.
 """
 
 import argparse
@@ -68,7 +69,11 @@ def parse_gea_file(text):
         if not sep:
             raise ParseError(lineno, col, "expected 'directive: ...'")
         head = head.strip()
+        if not head:
+            raise ParseError(lineno, col, "empty directive")
         if head == "elements":
+            if elements is not None:
+                raise ParseError(lineno, col, "repeated 'elements:' line")
             names = rest.split()
             if not names:
                 raise ParseError(lineno, col, "empty element list")
@@ -83,6 +88,8 @@ def parse_gea_file(text):
                 )
             elements = names
         elif head == "zero":
+            if zero is not None:
+                raise ParseError(lineno, col, "repeated 'zero:' line")
             zero = rest.strip()
             if not _IDENT.match(zero):
                 raise ParseError(lineno, col, f"bad identifier {zero!r}")
@@ -134,14 +141,11 @@ def parse_gea_file(text):
 
 # ---------------------------------------------------------------------------
 # reports
+#
+# Each command returns its exit code with the ``inputs``, ``results``,
+# ``witnesses`` and ``text`` of its report; ``run_command`` writes the text
+# or the JSON envelope.
 # ---------------------------------------------------------------------------
-
-def _emit(out, payload, as_json):
-    if as_json:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    else:
-        out.write(payload["text"] + "\n")
-
 
 def _load(path):
     with open(path, "rb") as fh:
@@ -156,31 +160,27 @@ def _load(path):
     return parse_gea_file(text)
 
 
-def _relation_or_fail(rels, name):
-    if name not in rels:
+def _load_relation(args):
+    """The model of ``args.file`` and its relation ``args.relation``."""
+    E, rels = _load(args.file).build()
+    if args.relation not in rels:
         known = ", ".join(sorted(rels)) or "none"
-        raise GeadimError(f"unknown relation {name!r} (known: {known})")
-    return rels[name]
+        raise GeadimError(f"unknown relation {args.relation!r} (known: {known})")
+    return E, rels[args.relation]
 
 
 def _map_repr(E, m):
     return {E.names[e]: E.names[m(e)] for e in range(E.n)}
 
 
-def cmd_check(args, out):
-    doc = _load(args.file)
+def cmd_check(args):
+    inputs = {"file": args.file}
     try:
-        E, rels = doc.build()
+        E, rels = _load(args.file).build()
     except AxiomViolation as exc:
-        payload = {
-            "command": "check",
-            "inputs": {"file": args.file},
-            "results": {"valid": False, "axiom": exc.axiom},
-            "witnesses": [list(exc.witness)],
-            "text": f"INVALID: {exc.axiom} fails at {exc.witness}",
-        }
-        _emit(out, payload, args.json)
-        return 1
+        return (1, inputs, {"valid": False, "axiom": exc.axiom},
+                [list(exc.witness)],
+                f"INVALID: {exc.axiom} fails at {exc.witness}")
     flags = core.structure_predicates(E)
     results = {
         "valid": True,
@@ -195,22 +195,13 @@ def cmd_check(args, out):
     text = [f"valid model with {E.n} elements"]
     for k in ("directed", "orthogonally_ordered", "is_ea", "lattice"):
         text.append(f"  {k}: {results[k]}")
-    payload = {
-        "command": "check",
-        "inputs": {"file": args.file},
-        "results": results,
-        "witnesses": [],
-        "text": "\n".join(text),
-    }
-    _emit(out, payload, args.json)
-    return 0
+    return 0, inputs, results, [], "\n".join(text)
 
 
-def cmd_exocenter(args, out):
+def cmd_exocenter(args):
     from .exocenter import center, exocenter
 
-    doc = _load(args.file)
-    E, _ = doc.build()
+    E, _ = _load(args.file).build()
     S = exocenter(E)
     cen = center(E, S)
     results = {
@@ -222,21 +213,13 @@ def cmd_exocenter(args, out):
     text = [f"exocenter has {len(S)} maps; center = {{{', '.join(results['center'])}}}"]
     for m in S:
         text.append("  " + " ".join(f"{E.names[e]}->{E.names[m(e)]}" for e in range(E.n)))
-    payload = {
-        "command": "exocenter",
-        "inputs": {"file": args.file},
-        "results": results,
-        "witnesses": [],
-        "text": "\n".join(text),
-    }
-    _emit(out, payload, args.json)
-    return 0
+    return 0, {"file": args.file}, results, [], "\n".join(text)
 
 
 def _sk_payload(E, R):
-    """The relation's ``dm.Dgea``, None when it is no congruence, and the
+    """The relation's ``dm.Dgea``, None when it is no congruence; the
     verdict on each axiom by name, SK4a' last and unchecked without a
-    Dgea."""
+    Dgea; and the failing verdicts in that order, as report witnesses."""
     report = cg.check_sk(E, R)
     d = dm.Dgea(E, R) if report.sk else None
     axioms = {name: _verdict(E, w) for name, w in zip(cg.AXES, report)}
@@ -244,7 +227,12 @@ def _sk_payload(E, R):
         {"holds": None, "witness": None} if d is None
         else _verdict(E, d.sk4a_prime)
     )
-    return d, axioms
+    failing = [
+        {"axiom": name, "witness": rec["witness"]}
+        for name, rec in axioms.items()
+        if rec["holds"] is False
+    ]
+    return d, axioms, failing
 
 
 def _verdict(E, witness):
@@ -254,19 +242,9 @@ def _verdict(E, witness):
     }
 
 
-def _first_failure(axioms):
-    """(axiom name, witness names) of the first axiom that fails."""
-    return next(
-        (name, rec["witness"]) for name, rec in axioms.items()
-        if rec["holds"] is False
-    )
-
-
-def cmd_sk(args, out):
-    doc = _load(args.file)
-    E, rels = doc.build()
-    R = _relation_or_fail(rels, args.relation)
-    d, axioms = _sk_payload(E, R)
+def cmd_sk(args):
+    E, R = _load_relation(args)
+    d, axioms, failing = _sk_payload(E, R)
     results = {
         "relation": args.relation,
         "classes": [[E.names[e] for e in c] for c in R.classes],
@@ -278,59 +256,38 @@ def cmd_sk(args, out):
             else ["separation-direct-vs-hull-meet", "splitting-four-way"]
         ),
     }
-    witnesses = [
-        {"axiom": name, "witness": rec["witness"]}
-        for name, rec in axioms.items()
-        if rec["holds"] is False
-    ]
     lines = [f"relation {args.relation}: congruence={d is not None}"]
     for name, rec in axioms.items():
         state = "?" if rec["holds"] is None else ("ok" if rec["holds"] else f"FAILS {rec['witness']}")
         lines.append(f"  {name}: {state}")
     if d is not None:
         lines.append(f"  dimension relation: {d.der}")
-    payload = {
-        "command": "sk",
-        "inputs": {"file": args.file, "relation": args.relation},
-        "results": results,
-        "witnesses": witnesses,
-        "text": "\n".join(lines),
-    }
-    _emit(out, payload, args.json)
-    return 0 if d is not None else 1
+    inputs = {"file": args.file, "relation": args.relation}
+    return (0 if d is not None else 1), inputs, results, failing, "\n".join(lines)
 
 
-def cmd_hull(args, out):
-    doc = _load(args.file)
-    E, rels = doc.build()
-    R = _relation_or_fail(rels, args.relation)
-    d, axioms = _sk_payload(E, R)
+def cmd_hull(args):
+    from . import hull as hull_mod
+
+    E, R = _load_relation(args)
+    d, _, failing = _sk_payload(E, R)
+    inputs = {"file": args.file, "relation": args.relation}
     if d is None:
-        name, witness = _first_failure(axioms)
-        payload = {
-            "command": "hull",
-            "inputs": {"file": args.file, "relation": args.relation},
-            "results": {"sk": False, "failed_axiom": name},
-            "witnesses": [{"axiom": name, "witness": witness}],
-            "text": f"not a congruence: {name} fails at {tuple(witness)}",
-        }
-        _emit(out, payload, args.json)
-        return 1
+        name, witness = failing[0]["axiom"], failing[0]["witness"]
+        return (1, inputs, {"sk": False, "failed_axiom": name}, failing[:1],
+                f"not a congruence: {name} fails at {tuple(witness)}")
     sigma, H = d.sigma, d.hull
     results = {
         "relation": args.relation,
         "splitting_maps": [_map_repr(E, m) for m in sigma],
         "hull": {E.names[e]: _map_repr(E, H.eta(e)) for e in range(E.n)},
-        "divisible": None,
+        "divisible": hull_mod.is_divisible(E, H).divisible,
         "cross_checks": [
             "hull-axioms",
             "hull-maps-inside-splitting-algebra",
             "divisibility-direct-vs-dyad-criterion",
         ],
     }
-    from . import hull as hull_mod
-
-    results["divisible"] = hull_mod.is_divisible(E, H).divisible
     lines = [
         f"splitting algebra has {len(sigma)} maps; hull system "
         f"(divisible={results['divisible']}):"
@@ -338,33 +295,17 @@ def cmd_hull(args, out):
     for e in range(E.n):
         img = " ".join(f"{E.names[x]}->{E.names[H.eta(e)(x)]}" for x in range(E.n))
         lines.append(f"  eta[{E.names[e]}]: {img}")
-    payload = {
-        "command": "hull",
-        "inputs": {"file": args.file, "relation": args.relation},
-        "results": results,
-        "witnesses": [],
-        "text": "\n".join(lines),
-    }
-    _emit(out, payload, args.json)
-    return 0
+    return 0, inputs, results, [], "\n".join(lines)
 
 
-def cmd_decompose(args, out):
-    doc = _load(args.file)
-    E, rels = doc.build()
-    R = _relation_or_fail(rels, args.relation)
-    d, axioms = _sk_payload(E, R)
+def cmd_decompose(args):
+    E, R = _load_relation(args)
+    d, _, failing = _sk_payload(E, R)
+    inputs = {"file": args.file, "relation": args.relation}
     if d is None or not d.der:
-        name, witness = _first_failure(axioms)
-        payload = {
-            "command": "decompose",
-            "inputs": {"file": args.file, "relation": args.relation},
-            "results": {"der": False, "failed_axiom": name},
-            "witnesses": [{"axiom": name, "witness": witness}],
-            "text": f"not a dimension relation: {name} fails",
-        }
-        _emit(out, payload, args.json)
-        return 1
+        name = failing[0]["axiom"]
+        return (1, inputs, {"der": False, "failed_axiom": name}, failing[:1],
+                f"not a dimension relation: {name} fails")
     dec = d.decomposition
     type_label = dec.type_verdict
     if dec.type_verdict in ("I", "II") and dec.finite_type:
@@ -388,61 +329,33 @@ def cmd_decompose(args, out):
     for name in ("I", "II", "III"):
         lines.append(f"  summand {name}: {{{', '.join(results['projections'][name])}}}")
     lines.append(f"cross-checked: {', '.join(dec.cross_checks)}")
-    payload = {
-        "command": "decompose",
-        "inputs": {"file": args.file, "relation": args.relation},
-        "results": results,
-        "witnesses": [],
-        "text": "\n".join(lines),
-    }
-    _emit(out, payload, args.json)
-    return 0
+    return 0, inputs, results, [], "\n".join(lines)
 
 
-def cmd_catalog(args, out):
+def cmd_catalog(args):
     count = catalog.write_catalog(
         args.out, args.max_size, jobs=args.jobs, resume=args.resume
     )
-    payload = {
-        "command": "catalog",
-        "inputs": {"max_size": args.max_size, "out": args.out},
-        "results": {"models": count},
-        "witnesses": [],
-        "text": f"wrote {count} models up to size {args.max_size} to {args.out}",
-    }
-    _emit(out, payload, args.json)
-    return 0
+    return (0, {"max_size": args.max_size, "out": args.out}, {"models": count},
+            [], f"wrote {count} models up to size {args.max_size} to {args.out}")
 
 
-def cmd_verify(args, out):
+def cmd_verify(args):
     theorems_list = args.theorems.split(",") if args.theorems else None
     rep = theorems.run_theorem_suite(
         args.max_size, theorems=theorems_list, jobs=args.jobs, invert=args.invert
     )
-    obj = rep.to_json_obj()
-    obj["text"] = rep.to_text()
-    payload = {
-        "command": "verify",
-        "inputs": {
-            "max_size": args.max_size,
-            "theorems": obj["theorems"],
-            "invert": args.invert,
-        },
-        "results": {
-            "models": obj["models"],
-            "relations": obj["relations"],
-            "properties": obj["properties"],
-            "review": obj["review"],
-            "status": obj["status"],
-        },
-        "witnesses": obj["witnesses"],
-        "text": obj["text"],
+    inputs = {
+        "max_size": args.max_size,
+        "theorems": sorted(theorems_list) if theorems_list else "all",
+        "invert": args.invert,
     }
-    _emit(out, payload, args.json)
-    return 0 if rep.status == "ok" else 1
+    results, witnesses = rep.results_and_witnesses()
+    code = 0 if rep.status == "ok" else 1
+    return code, inputs, results, witnesses, rep.to_text()
 
 
-def cmd_search(args, out):
+def cmd_search(args):
     hit = catalog.search_counterexample(args.property, args.max_size)
     results = {
         "property": args.property,
@@ -454,15 +367,9 @@ def cmd_search(args, out):
         f"counterexample search '{args.property}' up to size {args.max_size}: "
         + (f"witness in model {hit['key']}" if hit else "exhausted, none found")
     )
-    payload = {
-        "command": "search",
-        "inputs": {"property": args.property, "max_size": args.max_size},
-        "results": results,
-        "witnesses": [] if hit is None else [hit],
-        "text": text,
-    }
-    _emit(out, payload, args.json)
-    return 1 if hit is not None else 0
+    inputs = {"property": args.property, "max_size": args.max_size}
+    return (1 if hit is not None else 0, inputs, results,
+            [] if hit is None else [hit], text)
 
 
 def make_parser():
@@ -548,10 +455,17 @@ def run_command(argv, out=None):
         return int(exc.code or 0)
     try:
         _check_counts(args)
-        return args.fn(args, out)
+        code, inputs, results, witnesses, text = args.fn(args)
     except (GeadimError, OSError) as exc:
         out.write(f"error: {exc}\n")
         return 2
+    if args.json:
+        payload = {"command": args.command, "inputs": inputs,
+                   "results": results, "witnesses": witnesses, "text": text}
+        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        out.write(text + "\n")
+    return code
 
 
 def main():

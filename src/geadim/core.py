@@ -102,14 +102,6 @@ class GeaTable:
                 out.append(a)
         return tuple(out)
 
-    @cached_property
-    def maximal(self):
-        out = []
-        for a in range(self.n):
-            if not any(self.leq[a][e] for e in range(self.n) if e != a):
-                out.append(a)
-        return tuple(out)
-
     def greatest(self):
         for t in range(self.n):
             if all(self.leq[e][t] for e in range(self.n)):
@@ -344,39 +336,6 @@ def is_sharp(E, p):
     return True
 
 
-@dataclass(frozen=True)
-class SubsetFlags:
-    order_ideal: bool
-    ideal: bool
-    sub_gea: bool
-    sup_inf_closed: bool
-
-
-def subset_predicates(E, S):
-    S = frozenset(S)
-    order_ideal = all(t in S for s in S for t in E.below(s))
-    closed_sum = all(
-        E.sum_of(s, t) is None or E.sum_of(s, t) in S for s in S for t in S
-    )
-    ideal = order_ideal and closed_sum
-    sub = bool(S) and closed_sum and all(
-        E.sub(t, s) in S for s in S for t in S if E.leq[s][t]
-    )
-    sup_inf = True
-    members = sorted(S)
-    for r in range(1, len(members) + 1):
-        for fam in itertools.combinations(members, r):
-            sup = _sup_of(E, fam)
-            inf = _inf_of(E, fam)
-            if sup is not None and sup not in S:
-                sup_inf = False
-            if inf is not None and inf not in S:
-                sup_inf = False
-    if ideal and 0 in S and not sub:
-        raise InternalInvariant("ideal is not a sub-GEA")
-    return SubsetFlags(order_ideal, ideal, sub, sup_inf)
-
-
 def _sup_of(E, fam):
     ub = [d for d in range(E.n) if all(E.leq[x][d] for x in fam)]
     least = [d for d in ub if all(E.leq[d][x] for x in ub)]
@@ -501,27 +460,6 @@ def _ideal_flags(E, S):
             if v is not None and v not in S:
                 return False
     return True
-
-
-def direct_sum_check(E, ideals):
-    """Is E the direct sum of the given ideals?  Returns (bool, witness)."""
-    from .errors import NotAnIdeal
-
-    sets = [frozenset(S) for S in ideals]
-    for S in sets:
-        if 0 not in S or not _ideal_flags(E, S):
-            raise NotAnIdeal(f"{sorted(S)} is not an ideal")
-    for combo in itertools.product(*sets):
-        if orthosum_family(E, combo) is None:
-            return False, f"selection {combo} is not orthogonal"
-    decomp = {e: [] for e in range(E.n)}
-    for combo in itertools.product(*sets):
-        v = orthosum_family(E, combo)
-        decomp[v].append(combo)
-    for e in range(E.n):
-        if len(decomp[e]) != 1:
-            return False, f"element {e} has {len(decomp[e])} coordinate decompositions"
-    return True, None
 
 
 def is_orthodense(E, D, P):

@@ -132,7 +132,8 @@ class Dgea:
 
     @cached_property
     def invariants(self):
-        """Invariant elements, computed six equivalent ways and compared.
+        """The invariant elements, each computed six equivalent ways and
+        compared.
 
         The definitional reading bounds the subelement by the candidate
         itself: c is invariant iff c is principal and no nonzero subelement
@@ -140,7 +141,7 @@ class Dgea:
         """
         E, R, H = self.E, self.R, self.hull
         cen = dict(_center_pairs(E))
-        gamma_sim, gamma_eta = [], []
+        gamma = []
         for c in range(E.n):
             principal = core.is_principal(E, c)
             # (3) definitional
@@ -169,24 +170,14 @@ class Dgea:
                     f"{(central_split, eta_inv, inv, heredi, below_only, perp_hered)}"
                 )
             if inv:
-                gamma_sim.append(c)
-            if eta_inv:
-                gamma_eta.append(c)
-        checks = (
-            "central-with-splitting-projection",
-            "hull-image-is-interval",
-            "no-equivalent-across-orthocomplement",
-            "hereditary-interval",
-            "equivalents-stay-below",
-            "hereditary-orthogonal-set",
-        )
-        return InvariantReport(tuple(gamma_sim), tuple(gamma_eta), checks)
+                gamma.append(c)
+        return tuple(gamma)
 
     @cached_property
     def finite_invariant(self):
         """Largest finite invariant element, with the set it tops."""
         E, H = self.E, self.hull
-        ftset = sorted(set(self.finite) & set(self.invariants.gamma_sim))
+        ftset = sorted(set(self.finite) & set(self.invariants))
         tops = [m for m in ftset if all(E.leq[x][m] for x in ftset)]
         if not tops:
             raise InternalInvariant("finite invariant elements have no largest member")
@@ -357,13 +348,6 @@ class Dgea:
 # invariant elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvariantReport:
-    gamma_sim: tuple
-    gamma_eta: tuple
-    cross_checks: tuple
-
-
 def _center_pairs(E):
     from .exocenter import center
 
@@ -375,12 +359,6 @@ def _center_pairs(E):
 # ---------------------------------------------------------------------------
 # factors
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FactorReport:
-    factor: bool
-    cross_checks: tuple
-
 
 def is_factor(dgea):
     """Trivial splitting algebra, checked four equivalent ways."""
@@ -409,16 +387,7 @@ def is_factor(dgea):
                 raise InternalInvariant(
                     f"factor element {E.names[e]} is not exactly one of atom/dyad"
                 )
-    return FactorReport(
-        trivial,
-        (
-            "splitting-algebra-trivial",
-            "hull-maps-full",
-            "all-pairs-comparable",
-            "all-nonzero-related",
-            "atom-xor-dyad" if trivial else "atom-xor-dyad (not applicable)",
-        ),
-    )
+    return trivial
 
 
 def comparability(dgea, e, f):
@@ -525,7 +494,7 @@ def hereditary_sup(dgea, S):
     flags = core.structure_predicates(E)
     central = None
     if flags.directed or flags.orthogonally_ordered:
-        central = c in dgea.invariants.gamma_sim
+        central = c in dgea.invariants
     return HereditarySupReport(
         c=c,
         sharp=core.is_sharp(E, c),

@@ -30,10 +30,6 @@ class InternalInvariant(GeadimError):
     """
 
 
-class NotAnIdeal(GeadimError):
-    pass
-
-
 class MapNotInExocenter(GeadimError):
     pass
 

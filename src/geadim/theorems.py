@@ -537,10 +537,9 @@ def _invariance(ctx):
 def _invariant_lattice(ctx):
     E, R = ctx.E, ctx.R
     out = []
-    inv = ctx.invariants
     H = ctx.hull
     centrals = dict(dm._center_pairs(E))
-    ge = inv.gamma_eta
+    ge = ctx.invariants
     if not set(ge) <= set(centrals):
         out.append("invariant elements are not all central")
     for r in range(1, len(ge) + 1):
@@ -1019,8 +1018,6 @@ class PropertyResult:
 @dataclass
 class SuiteReport:
     max_n: int
-    theorems: object
-    invert: object
     models: int
     relations: int
     results: dict  # name -> PropertyResult
@@ -1042,30 +1039,24 @@ class SuiteReport:
             return "review"
         return "ok"
 
-    def to_json_obj(self):
-        props = {}
-        for name in sorted(self.results):
-            r = self.results[name]
-            props[name] = {
-                "instances": r.instances,
-                "violations": r.violations,
-            }
-        witnesses = [
-            v
-            for name in sorted(self.results)
-            for v in self.results[name].violations
-        ]
-        return {
-            "max_size": self.max_n,
-            "theorems": sorted(self.theorems) if self.theorems else "all",
-            "invert": self.invert,
+    def results_and_witnesses(self):
+        """The ``results`` and ``witnesses`` of the ``verify`` report."""
+        names = sorted(self.results)
+        results = {
             "models": self.models,
             "relations": self.relations,
-            "properties": props,
+            "properties": {
+                name: {
+                    "instances": self.results[name].instances,
+                    "violations": self.results[name].violations,
+                }
+                for name in names
+            },
             "review": self.review,
             "status": self.status,
-            "witnesses": witnesses,
         }
+        witnesses = [v for name in names for v in self.results[name].violations]
+        return results, witnesses
 
     def to_text(self):
         lines = [
@@ -1164,8 +1155,6 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
         relations += congruences
     return SuiteReport(
         max_n=max_n,
-        theorems=theorems,
-        invert=invert,
         models=models,
         relations=relations,
         results=results,

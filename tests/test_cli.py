@@ -66,6 +66,15 @@ def test_parse_document():
     assert E.n == 4 and set(rels) == {"merge", "eq"}
 
 
+# Documents whose directive lines are malformed: (text, line, message).
+BAD_DIRECTIVES = [
+    ("elements: 0 a\nzero: 0\n: oops\n", 3, "empty directive"),
+    ("elements: 0 a b 1\nzero: 0\nsum: a + b = 1\nelements: 0 a b\n", 4,
+     "repeated 'elements:' line"),
+    ("elements: 0 a\nzero: 0\nzero: a\n", 3, "repeated 'zero:' line"),
+]
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         cli.parse_gea_file("elements: 0 a\n")  # missing zero
@@ -80,6 +89,21 @@ def test_parse_errors():
         cli.parse_gea_file(
             "elements: 0 a b c d\nzero: 0\nsum: a + b = c\nsum: a + b = d\n"
         )
+    for text, line, message in BAD_DIRECTIVES:
+        with pytest.raises(ParseError) as err:
+            cli.parse_gea_file(text)
+        assert (err.value.line, err.value.col) == (line, 1)
+        assert str(err.value).endswith(message)
+
+
+@pytest.mark.parametrize("text,line,message", BAD_DIRECTIVES,
+                         ids=["empty", "elements-twice", "zero-twice"])
+def test_bad_directive_is_an_input_error(text, line, message, tmp_path):
+    p = tmp_path / "bad.gea"
+    p.write_text(text, encoding="utf-8")
+    code, out = run(["check", str(p)])
+    assert code == 2
+    assert out == f"error: line {line}, col 1: {message}\n"
 
 
 def test_element_count_is_bounded(tmp_path):

@@ -59,7 +59,6 @@ def test_order_queries_c3():
     assert C3.leq == (
         (True, True, True), (False, True, True), (False, False, True))
     assert C3.atoms == (1,)
-    assert C3.maximal == (2,)
     assert C3.meet(1, 2) == 1
     assert C3.join(1, 2) == 2
 
@@ -102,16 +101,6 @@ def test_interval_ea():
     assert core.interval_ea(B4, 1).table.n == 2
 
 
-def test_subset_predicates():
-    B4, C3 = core.b4(), core.c3()
-    f = core.subset_predicates(B4, {0, 1})
-    assert f.order_ideal and f.ideal and f.sub_gea
-    g = core.subset_predicates(C3, {0, 1})
-    assert g.order_ideal and not g.ideal
-    h = core.subset_predicates(C3, {0, 1, 2})
-    assert h.order_ideal and h.ideal and h.sub_gea and h.sup_inf_closed
-
-
 def test_structure_predicates():
     T3, C3, B4 = core.t3(), core.c3(), core.b4()
     st = core.structure_predicates(T3)
@@ -122,23 +111,6 @@ def test_structure_predicates():
     assert sb.is_ea == 3 and sb.orthogonally_ordered
     for s in (st, sc, sb):
         assert s.archimedean and s.dedekind_orthocomplete and s.orthocomplete
-
-
-def test_direct_sum_check():
-    B4, T3 = core.b4(), core.t3()
-    ok, _ = core.direct_sum_check(B4, [{0, 1}, {0, 2}])
-    assert ok
-    bad, witness = core.direct_sum_check(T3, [{0, 1}, {0, 2}])
-    assert not bad and witness
-    ok, _ = core.direct_sum_check(B4, [set(range(4))])
-    assert ok
-
-
-def test_direct_sum_requires_ideals():
-    from geadim.errors import NotAnIdeal
-
-    with pytest.raises(NotAnIdeal):
-        core.direct_sum_check(core.c3(), [{0, 1}])
 
 
 def test_is_orthodense():

@@ -18,11 +18,15 @@ def _dgea(E, classes=None):
 def test_invariant_sets():
     B4 = core.b4()
     d_eq, _ = _dgea(B4)
-    assert d_eq.invariants.gamma_sim == (0, 1, 2, 3)
+    assert d_eq.invariants == (0, 1, 2, 3)
     d_merge, _ = _dgea(B4, [["a", "b"]])
-    assert d_merge.invariants.gamma_sim == (0, 3)
-    assert d_merge.invariants.gamma_sim == d_merge.invariants.gamma_eta
-    assert 0 in d_merge.invariants.gamma_sim
+    assert d_merge.invariants == (0, 3)
+    # the hull-image reading of invariance picks the same elements
+    assert d_merge.invariants == tuple(
+        c for c in range(B4.n)
+        if set(d_merge.hull.eta(c).summand) == set(B4.below(c))
+    )
+    assert 0 in d_merge.invariants
 
 
 def test_simple_elements():
@@ -61,12 +65,12 @@ def test_f_tilde():
 def test_is_factor():
     B4 = core.b4()
     d_merge, _ = _dgea(B4, [["a", "b"]])
-    assert dm.is_factor(d_merge).factor
+    assert dm.is_factor(d_merge)
     d_eq, _ = _dgea(B4)
-    assert not dm.is_factor(d_eq).factor
+    assert not dm.is_factor(d_eq)
     one = core.build_gea(["0"], "0", [])
     d1, _ = _dgea(one)
-    assert dm.is_factor(d1).factor
+    assert dm.is_factor(d1)
 
 
 def test_decompose_types_c3():
