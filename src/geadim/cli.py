@@ -446,7 +446,9 @@ def _check_counts(args):
 
 
 def run_command(argv, out=None):
-    """Dispatch a command line; returns the exit code."""
+    """Dispatch a command line and write its report, as text or as the
+    ``--json`` envelope, or its one-line error to ``out``; returns the
+    exit code."""
     out = out if out is not None else sys.stdout
     parser = make_parser()
     try:
