@@ -1,16 +1,15 @@
 """Hot inner loops shared by the core, catalog, and congruence layers.
 
 Every kernel loops over plain Python sequences.  A table is a tuple of
-row tuples, the form of a model's ``sum``: ``enumerate_tables`` emits
-its tables so, ``relabeled`` and ``min_relabel`` return them so, and
-``is_min_relabel`` compares against them.  ``axiom_violation`` also
-reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
+row tuples, the form of a model's ``sum``: ``enumerate_tables`` reads
+and emits its tables so, ``relabeled`` and ``min_relabel`` return them
+so, and ``is_min_relabel`` compares against them.  ``axiom_violation``
+also reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
 tuples, and ``sk_witnesses`` and ``sk_first_failure`` read the per-model
 ``SkPlan`` that ``sk_plan`` builds and return tuples.
 
 Table encoding: an n-element model is an n-by-n table where entry
 ``[i][j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
-During enumeration a third sentinel ``-2`` marks "not yet assigned".
 """
 
 import itertools
@@ -103,150 +102,41 @@ def is_min_relabel(rows, perms):
     return achieved
 
 
-def enumerate_tables(n):
-    """The valid sum tables on n elements whose row degrees are
-    non-decreasing.
+def enumerate_tables(rows):
+    """The one-point top extensions of a table that pass the axioms.
 
-    The DFS assigns the cells (i, j) with 1 <= i <= j < n in row-major
-    order.  Zero row/column are forced by neutrality.  Candidate values per
-    cell (i, j) are -1 then v in 1..n-1 with v not in {i, j} (v = i or j
-    would force the other summand to 0 by cancellation, v = 0 would break
-    positivity).  Returns a list of the tables, each as tuple rows, in DFS
-    order.
-
-    The row degree k_e of e is the number of nonzero f with e + f
-    defined, and only tables with k_1 <= k_2 <= ... <= k_(n-1) are
-    emitted: the others can never be canonical (orderly generation,
-    R. C. Read, "Every one a winner", Ann. Discrete Math. 2 (1978)).
-
-    * The first round of ``core._refine_colors`` colors e != 0 by the
-      signature (1, ((0,1), (1,1) * k_e), (0, 1 * (b_e - 1))), where b_e
-      is the number of elements below e, so the ranks of these
-      signatures order the elements by (k_e, b_e), lexicographically.
-    * Every later signature starts with the previous color, so the final
-      colors keep the order of the first-round colors.
-    * ``core.is_canonical_table`` returns False unless the final colors
-      are sorted in label order; then the first-round colors are sorted
-      too, and so k is non-decreasing.
-    * A finite model has a maximal element m, and k_m = 0, since a
-      defined m + f with f != 0 lies strictly above m.  So k_1 = 0 in
-      every emitted table: row 1 holds no defined cell.
-    * A branch is rejected only when it defines a cell of row 1, or when
-      some rows a < b already have lo(a) > lo(b) + open(b), where lo
-      counts a row's defined nonzero cells and open its unassigned ones:
-      no completion can repair either.
+    ``rows`` is a valid table on m elements.  Each extension adds the
+    element m as a maximal element: m + f is undefined for every f != 0,
+    and m is the sum of each pair {a, b} of a set of nonzero pairs whose
+    sum was undefined.  By cancellation each element lies in at most one
+    pair (a pair {a, a} gives a + a = m).  Deleting a maximal element of
+    a finite model leaves a model, so every table on m + 1 elements whose
+    last element is maximal extends the table of the others.  Returns the
+    extensions that ``axiom_violation`` passes, as tuple rows, each set of
+    pairs once.
     """
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    nc = len(cells)
-    rng = range(n)
-    table = [[-2] * n for _ in rng]
-    for e in rng:
-        table[e][0] = e
-        table[0][e] = e
-    out = []  # emitted tables
+    m = len(rows)
+    table = [list(row) + [-1] for row in rows] + [[m] + [-1] * m]
+    table[0][m] = m
+    out = []
 
-    def rejects(d, e, f):
-        # Associativity screen for one triple, tolerant of -2 (unassigned)
-        # entries: it only rejects when every lookup the triple needs is
-        # decided, so a completable branch is never pruned.
-        g = table[e][f]
-        if g < 0:
-            return False
-        h = table[d][g]
-        if h < 0:
-            return False
-        de = table[d][e]
-        if de == -2:
-            return False
-        if de == -1:
-            return True
-        df = table[de][f]
-        return df != -2 and df != h
+    def pair_from(a):
+        # a + b = m for some b >= a, or for none; m is in a's row once a
+        # lies in a pair
+        if a == m:
+            if axiom_violation(table) is None:
+                out.append(tuple(map(tuple, table)))
+            return
+        pair_from(a + 1)
+        if m in table[a]:
+            return
+        for b in range(a, m):
+            if table[a][b] < 0 and m not in table[b]:
+                table[a][b] = table[b][a] = m
+                pair_from(a + 1)
+                table[a][b] = table[b][a] = -1
 
-    def assoc_ok(i, j):
-        # The screen of (d, e, f) reads (e, f), (d, e+f), (d, e) and
-        # (d+e, f).  Every triple passed before cell (i, j) was assigned, so
-        # only the triples reading (i, j) or (j, i) can fail now: rechecking
-        # them gives the verdict of the full n**3 screen.  Rows hold each
-        # value at most once (the row-conflict check), so row.index finds
-        # the only x + f = b and the only x + e = a.
-        for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
-            for x in rng:
-                if rejects(x, a, b) or rejects(a, b, x):  # (e,f), (d,e)
-                    return False
-            for x in rng:
-                row = table[x]
-                if b in row and rejects(a, x, row.index(b)):  # (d, e+f)
-                    return False
-                if a in row and rejects(x, row.index(a), b):  # (d+e, f)
-                    return False
-        return True
-
-    # row degree bounds of the nonzero rows: lo counts the defined nonzero
-    # cells, hi = lo + the unassigned cells is the most the row can reach
-    lo = [0] * n
-    hi = [n - 1] * n
-    touched = [(i,) if i == j else (i, j) for i, j in cells]
-
-    def place(k, v):
-        # Assign cell k and say whether the branch survives.  Rows a < b
-        # with lo[a] > hi[b] can never be degree-sorted; only pairs with a
-        # row of cell k can have become such a pair: its lo grew when v is
-        # defined, its hi shrank when v is -1.
-        i, j = cells[k]
-        if v >= 0 and i == 1:  # row 1 has the least degree, which is 0
-            return False
-        table[i][j] = table[j][i] = v
-        if v >= 0:
-            for r in touched[k]:
-                lo[r] += 1
-            for r in touched[k]:
-                for b in range(r + 1, n):
-                    if lo[r] > hi[b]:
-                        return False
-        else:
-            for r in touched[k]:
-                hi[r] -= 1
-            for r in touched[k]:
-                for a in range(1, r):
-                    if lo[a] > hi[r]:
-                        return False
-        return assoc_ok(i, j)
-
-    if nc == 0:  # n <= 1: the zero row is the whole table
-        return [tuple(map(tuple, table))]
-
-    # iterative DFS over the cells
-    cands = [[-1] + [v for v in range(1, n) if v != i and v != j]
-             for i, j in cells]
-    nxt = [0] * nc  # index of the next candidate to try per cell
-    depth = 0
-    while depth >= 0:
-        i, j = cells[depth]
-        row_i, row_j = table[i], table[j]
-        old = row_i[j]
-        if old != -2:  # unassign, undoing place's count
-            for r in touched[depth]:
-                if old >= 0:
-                    lo[r] -= 1
-                else:
-                    hi[r] += 1
-            row_i[j] = row_j[i] = -2
-        k = nxt[depth]
-        if k == len(cands[depth]):
-            nxt[depth] = 0
-            depth -= 1
-            continue
-        nxt[depth] = k + 1
-        v = cands[depth][k]
-        if v != -1 and (v in row_i or v in row_j):
-            continue
-        if not place(depth, v):
-            continue
-        if depth == nc - 1:
-            out.append(tuple(map(tuple, table)))
-            continue
-        depth += 1
+    pair_from(1)
     return out
 
 

@@ -1,9 +1,13 @@
 """Exhaustive model catalogs: enumeration, relations, persistence, search.
 
-Models are enumerated by backtracking over partial sum tables; a labeled
-table is kept exactly when it is its own canonical representative, so
-each isomorphism class appears once, the stream is independent of how the
-work is partitioned, and re-runs are bit-identical.
+Deleting a maximal element of a finite model leaves a model, so the
+models of each size are the one-point top extensions of the models one
+size smaller (``_kernels.enumerate_tables``).  Each extension is reduced
+to its canonical representative and the distinct ones are sorted, so
+each isomorphism class appears once, the stream is independent of how
+the work is partitioned, and re-runs are bit-identical.  This is
+isomorph-free generation by augmentation (B. D. McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26 (1998)).
 """
 
 import itertools
@@ -75,13 +79,34 @@ class CatalogEntry:
         }
 
 
+def _rows(flat, n):
+    """The n-element table whose ``core.table_bytes`` are ``flat``, as
+    tuple rows."""
+    entries = array("b", flat)
+    return tuple(tuple(entries[i:i + n]) for i in range(0, n * n, n))
+
+
+def _extensions(parents, n):
+    """Canonical sum tables for size n, as ``core.table_bytes``, sorted:
+    the distinct canonical forms of the one-point top extensions of
+    ``parents``, the canonical tables for size n - 1."""
+    return sorted({
+        core.table_bytes(core.canonical_rows(rows))
+        for flat in parents
+        for rows in _kernels.enumerate_tables(_rows(flat, n - 1))
+    })
+
+
+def _table_sizes():
+    """The canonical tables for sizes 1, 2, ..., each list built from the
+    one before it, lazily."""
+    one = core.table_bytes(((0,),))
+    return itertools.accumulate(itertools.count(2), _extensions, initial=[one])
+
+
 def _canonical_tables(n):
     """Canonical sum tables for size n, as ``core.table_bytes``, sorted."""
-    return sorted(
-        core.table_bytes(rows)
-        for rows in _kernels.enumerate_tables(n)
-        if core.is_canonical_table(rows)
-    )
+    return next(itertools.islice(_table_sizes(), n - 1, None))
 
 
 def _catalog_tables(max_n, limit):
@@ -89,8 +114,8 @@ def _catalog_tables(max_n, limit):
     catalog order, lazily; the size limit is checked at the call."""
     if max_n > limit or max_n > HARD_MAX_N:
         raise LimitExceeded(f"max_n={max_n} exceeds the configured limit")
-    return ((n, flat) for n in range(1, max_n + 1)
-            for flat in _canonical_tables(n))
+    return ((n, flat) for n, tables in zip(range(1, max_n + 1), _table_sizes())
+            for flat in tables)
 
 
 def enumerate_geas(max_n, limit=DEFAULT_MAX_N):
@@ -131,17 +156,14 @@ def cached_entries(max_n):
 def build_entry(n, flat_bytes):
     from .errors import InternalInvariant
 
-    flat = array("b", flat_bytes)
-    E = core.GeaTable([str(i) for i in range(n)],
-                      [flat[i:i + n] for i in range(0, n * n, n)],
+    E = core.GeaTable([str(i) for i in range(n)], _rows(flat_bytes, n),
                       _validated=True)
-    key = core.canonical_form(E).hex()
-    if key != (bytes([n]) + flat_bytes).hex():
+    if not core.is_canonical_table(E.sum):
         raise InternalInvariant("non-canonical table reached the catalog")
     flags = _structure_flags(E)
     relations = tuple(enumerate_relations(E))
     return CatalogEntry(
-        key=key,
+        key=(bytes([n]) + flat_bytes).hex(),
         n=n,
         table=E,
         flags=flags,
@@ -411,39 +433,3 @@ def search_counterexample(name, max_n):
             return {"key": entry.key, "n": entry.n, "witness": hit}
     return None
 
-
-def naive_class_count(n):
-    """Oracle for small sizes: filter every possible table, then deduplicate.
-
-    Enumerates all assignments of the nonzero cells with no pruning at all,
-    keeps those passing the axiom check, and counts orbits under all
-    zero-fixing permutations.  Independent of the production enumerator's
-    pruning and of the color-refined canonical form.
-    """
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    perms = [
-        (0,) + rest for rest in itertools.permutations(range(1, n))
-    ]
-    keys = set()
-    for choice in itertools.product(range(-1, n), repeat=len(cells)):
-        table = [[-1] * n for _ in range(n)]
-        for e in range(n):
-            table[e][0] = e
-            table[0][e] = e
-        for (i, j), v in zip(cells, choice):
-            table[i][j] = v
-            table[j][i] = v
-        if _kernels.axiom_violation(table) is not None:
-            continue
-        orbit_min = None
-        for p in perms:
-            relab = [[-1] * n for _ in range(n)]
-            for a in range(n):
-                for b in range(n):
-                    v = table[a][b]
-                    relab[p[a]][p[b]] = -1 if v < 0 else p[v]
-            key = bytes(x + 1 for row in relab for x in row)
-            if orbit_min is None or key < orbit_min:
-                orbit_min = key
-        keys.add(orbit_min)
-    return len(keys)

@@ -114,6 +114,8 @@ def parse_gea_file(text):
             name = head[len("relation"):].strip()
             if not _IDENT.match(name):
                 raise ParseError(lineno, col, f"bad relation name {name!r}")
+            if name in relations:
+                raise ParseError(lineno, col, f"repeated 'relation {name}:' line")
             if elements is None:
                 raise ParseError(lineno, col, "'elements:' must come first")
             classes = []

@@ -575,15 +575,20 @@ def _candidate_perms(colors):
         yield p
 
 
+def canonical_rows(rows):
+    """The canonical representative of a table given as tuple rows: its
+    least relabeling over the candidate permutations, the same table for
+    every labeling of one model."""
+    return _kernels.min_relabel(rows, _candidate_perms(_refine_colors(rows)))
+
+
 def canonical_form(E):
     """Isomorphism-class key: minimal relabeling over zero-fixing maps.
 
     Two models get equal byte strings exactly when some relabeling that
     fixes zero carries one sum table onto the other.
     """
-    rows = E.sum
-    best = _kernels.min_relabel(rows, _candidate_perms(_refine_colors(rows)))
-    return bytes([E.n]) + table_bytes(best)
+    return bytes([E.n]) + table_bytes(canonical_rows(E.sum))
 
 
 def table_bytes(rows):

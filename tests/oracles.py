@@ -1,0 +1,195 @@
+"""Independent oracles for the catalog's table stage.
+
+``enumerate_tables`` is an orderly depth-first search over partial sum
+tables of one size; it shares no code with the catalog's one-point top
+extensions.  ``naive_class_count`` filters every possible table with no
+pruning at all.
+"""
+
+import itertools
+
+from geadim import _kernels
+
+
+def enumerate_tables(n):
+    """The valid sum tables on n elements whose row degrees are
+    non-decreasing.
+
+    The DFS assigns the cells (i, j) with 1 <= i <= j < n in row-major
+    order.  Zero row/column are forced by neutrality.  Candidate values per
+    cell (i, j) are -1 then v in 1..n-1 with v not in {i, j} (v = i or j
+    would force the other summand to 0 by cancellation, v = 0 would break
+    positivity).  Returns a list of the tables, each as tuple rows, in DFS
+    order.
+
+    The row degree k_e of e is the number of nonzero f with e + f
+    defined, and only tables with k_1 <= k_2 <= ... <= k_(n-1) are
+    emitted: the others can never be canonical (orderly generation,
+    R. C. Read, "Every one a winner", Ann. Discrete Math. 2 (1978)).
+
+    * The first round of ``core._refine_colors`` colors e != 0 by the
+      signature (1, ((0,1), (1,1) * k_e), (0, 1 * (b_e - 1))), where b_e
+      is the number of elements below e, so the ranks of these
+      signatures order the elements by (k_e, b_e), lexicographically.
+    * Every later signature starts with the previous color, so the final
+      colors keep the order of the first-round colors.
+    * ``core.is_canonical_table`` returns False unless the final colors
+      are sorted in label order; then the first-round colors are sorted
+      too, and so k is non-decreasing.
+    * A finite model has a maximal element m, and k_m = 0, since a
+      defined m + f with f != 0 lies strictly above m.  So k_1 = 0 in
+      every emitted table: row 1 holds no defined cell.
+    * A branch is rejected only when it defines a cell of row 1, or when
+      some rows a < b already have lo(a) > lo(b) + open(b), where lo
+      counts a row's defined nonzero cells and open its unassigned ones:
+      no completion can repair either.
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    nc = len(cells)
+    rng = range(n)
+    table = [[-2] * n for _ in rng]
+    for e in rng:
+        table[e][0] = e
+        table[0][e] = e
+    out = []  # emitted tables
+
+    def rejects(d, e, f):
+        # Associativity screen for one triple, tolerant of -2 (unassigned)
+        # entries: it only rejects when every lookup the triple needs is
+        # decided, so a completable branch is never pruned.
+        g = table[e][f]
+        if g < 0:
+            return False
+        h = table[d][g]
+        if h < 0:
+            return False
+        de = table[d][e]
+        if de == -2:
+            return False
+        if de == -1:
+            return True
+        df = table[de][f]
+        return df != -2 and df != h
+
+    def assoc_ok(i, j):
+        # The screen of (d, e, f) reads (e, f), (d, e+f), (d, e) and
+        # (d+e, f).  Every triple passed before cell (i, j) was assigned, so
+        # only the triples reading (i, j) or (j, i) can fail now: rechecking
+        # them gives the verdict of the full n**3 screen.  Rows hold each
+        # value at most once (the row-conflict check), so row.index finds
+        # the only x + f = b and the only x + e = a.
+        for a, b in ((i, j),) if i == j else ((i, j), (j, i)):
+            for x in rng:
+                if rejects(x, a, b) or rejects(a, b, x):  # (e,f), (d,e)
+                    return False
+            for x in rng:
+                row = table[x]
+                if b in row and rejects(a, x, row.index(b)):  # (d, e+f)
+                    return False
+                if a in row and rejects(x, row.index(a), b):  # (d+e, f)
+                    return False
+        return True
+
+    # row degree bounds of the nonzero rows: lo counts the defined nonzero
+    # cells, hi = lo + the unassigned cells is the most the row can reach
+    lo = [0] * n
+    hi = [n - 1] * n
+    touched = [(i,) if i == j else (i, j) for i, j in cells]
+
+    def place(k, v):
+        # Assign cell k and say whether the branch survives.  Rows a < b
+        # with lo[a] > hi[b] can never be degree-sorted; only pairs with a
+        # row of cell k can have become such a pair: its lo grew when v is
+        # defined, its hi shrank when v is -1.
+        i, j = cells[k]
+        if v >= 0 and i == 1:  # row 1 has the least degree, which is 0
+            return False
+        table[i][j] = table[j][i] = v
+        if v >= 0:
+            for r in touched[k]:
+                lo[r] += 1
+            for r in touched[k]:
+                for b in range(r + 1, n):
+                    if lo[r] > hi[b]:
+                        return False
+        else:
+            for r in touched[k]:
+                hi[r] -= 1
+            for r in touched[k]:
+                for a in range(1, r):
+                    if lo[a] > hi[r]:
+                        return False
+        return assoc_ok(i, j)
+
+    if nc == 0:  # n <= 1: the zero row is the whole table
+        return [tuple(map(tuple, table))]
+
+    # iterative DFS over the cells
+    cands = [[-1] + [v for v in range(1, n) if v != i and v != j]
+             for i, j in cells]
+    nxt = [0] * nc  # index of the next candidate to try per cell
+    depth = 0
+    while depth >= 0:
+        i, j = cells[depth]
+        row_i, row_j = table[i], table[j]
+        old = row_i[j]
+        if old != -2:  # unassign, undoing place's count
+            for r in touched[depth]:
+                if old >= 0:
+                    lo[r] -= 1
+                else:
+                    hi[r] += 1
+            row_i[j] = row_j[i] = -2
+        k = nxt[depth]
+        if k == len(cands[depth]):
+            nxt[depth] = 0
+            depth -= 1
+            continue
+        nxt[depth] = k + 1
+        v = cands[depth][k]
+        if v != -1 and (v in row_i or v in row_j):
+            continue
+        if not place(depth, v):
+            continue
+        if depth == nc - 1:
+            out.append(tuple(map(tuple, table)))
+            continue
+        depth += 1
+    return out
+
+
+def naive_class_count(n):
+    """Oracle for small sizes: filter every possible table, then deduplicate.
+
+    Enumerates all assignments of the nonzero cells with no pruning at all,
+    keeps those passing the axiom check, and counts orbits under all
+    zero-fixing permutations.  Independent of the production enumerator's
+    pruning and of the color-refined canonical form.
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    perms = [
+        (0,) + rest for rest in itertools.permutations(range(1, n))
+    ]
+    keys = set()
+    for choice in itertools.product(range(-1, n), repeat=len(cells)):
+        table = [[-1] * n for _ in range(n)]
+        for e in range(n):
+            table[e][0] = e
+            table[0][e] = e
+        for (i, j), v in zip(cells, choice):
+            table[i][j] = v
+            table[j][i] = v
+        if _kernels.axiom_violation(table) is not None:
+            continue
+        orbit_min = None
+        for p in perms:
+            relab = [[-1] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    v = table[a][b]
+                    relab[p[a]][p[b]] = -1 if v < 0 else p[v]
+            key = bytes(x + 1 for row in relab for x in row)
+            if orbit_min is None or key < orbit_min:
+                orbit_min = key
+        keys.add(orbit_min)
+    return len(keys)

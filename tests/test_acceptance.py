@@ -12,6 +12,7 @@ import time
 import pytest
 
 from conftest import ACCEPTANCE_LINES
+from oracles import naive_class_count
 
 from geadim import catalog, cli, congruence as cg, core, dimension as dm, theorems
 from geadim.exocenter import brute_force_exomaps, center, exocenter
@@ -79,7 +80,7 @@ def test_criterion_2_fixture_goldens():
         failures.append(f"B4 congruences are {b4_classes}")
     for n, expected in ((2, 1), (3, 2)):
         got = len([e for e in catalog.cached_entries(3) if e.n == n])
-        if got != expected or catalog.naive_class_count(n) != expected:
+        if got != expected or naive_class_count(n) != expected:
             failures.append(f"classes(n={n})={got}")
     _record(2, not failures, "all fixture goldens" if not failures else "; ".join(failures))
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import oracles
 from conftest import LABELED_COUNTS, degree_sorted, table_rows
 from geadim import _kernels, catalog, congruence as cg, core
 from geadim.errors import CorruptCatalog, LimitExceeded, UnknownPredicate
@@ -19,7 +20,7 @@ def test_small_counts(n, expected):
 def test_counts_match_naive_oracle():
     for n in (2, 3, 4):
         fast = len([e for e in catalog.enumerate_geas(n) if e.n == n])
-        assert fast == catalog.naive_class_count(n)
+        assert fast == oracles.naive_class_count(n)
 
 
 def _zero_fixing_perms(n):
@@ -50,7 +51,7 @@ def test_class_counts_by_raw_orbits_n5_n6():
     # table of each
     for n, expected in ((5, 12), (6, 35)):
         kept = {}
-        for rows in _kernels.enumerate_tables(n):
+        for rows in oracles.enumerate_tables(n):
             orbit = _orbit_min(rows)
             kept[orbit] = kept.get(orbit, 0) + core.is_canonical_table(rows)
         assert len(kept) == expected
@@ -100,7 +101,7 @@ def test_enumeration_finds_every_valid_labeled_table_n4():
             table[j][i] = v
         if _kernels.axiom_violation(table) is None:
             naive.add(core.table_bytes(table))
-    dfs = {core.table_bytes(t) for t in _kernels.enumerate_tables(n)}
+    dfs = {core.table_bytes(t) for t in oracles.enumerate_tables(n)}
     assert len(naive) == LABELED_COUNTS[n - 1]
     assert dfs == {t for t in naive if degree_sorted(table_rows(t, n))}
     reached = set()
@@ -109,6 +110,22 @@ def test_enumeration_finds_every_valid_labeled_table_n4():
         for p in _zero_fixing_perms(n):
             reached.add(core.table_bytes(_relabel_rows(rows, p)))
     assert reached == naive
+
+
+def _orderly_canonical_tables(n):
+    # the oracle's orderly DFS, filtered by the canonical check
+    return sorted(core.table_bytes(rows) for rows in oracles.enumerate_tables(n)
+                  if core.is_canonical_table(rows))
+
+
+def test_top_extensions_match_the_orderly_dfs():
+    for n in range(1, 8):
+        assert catalog._canonical_tables(n) == _orderly_canonical_tables(n)
+
+
+@pytest.mark.slow
+def test_top_extensions_match_the_orderly_dfs_n8():
+    assert catalog._canonical_tables(8) == _orderly_canonical_tables(8)
 
 
 def test_fixtures_appear_in_catalog():

@@ -72,6 +72,8 @@ BAD_DIRECTIVES = [
     ("elements: 0 a b 1\nzero: 0\nsum: a + b = 1\nelements: 0 a b\n", 4,
      "repeated 'elements:' line"),
     ("elements: 0 a\nzero: 0\nzero: a\n", 3, "repeated 'zero:' line"),
+    ("elements: 0 a b\nzero: 0\nrelation r: {a b}\nrelation r:\n", 4,
+     "repeated 'relation r:' line"),
 ]
 
 
@@ -97,7 +99,8 @@ def test_parse_errors():
 
 
 @pytest.mark.parametrize("text,line,message", BAD_DIRECTIVES,
-                         ids=["empty", "elements-twice", "zero-twice"])
+                         ids=["empty", "elements-twice", "zero-twice",
+                              "relation-twice"])
 def test_bad_directive_is_an_input_error(text, line, message, tmp_path):
     p = tmp_path / "bad.gea"
     p.write_text(text, encoding="utf-8")

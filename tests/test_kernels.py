@@ -9,6 +9,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from conftest import LABELED_COUNTS, degree_sorted, table_rows
 from geadim import _kernels as K
 from geadim import catalog, congruence as cg, core
@@ -62,11 +63,42 @@ def _catalog_models(max_n):
 def test_enumeration_stream_digest():
     h = hashlib.sha256()
     for n in range(1, 7):
-        tables = K.enumerate_tables(n)
+        tables = oracles.enumerate_tables(n)
         assert all(degree_sorted(t) for t in tables)
         for t in tables:
             h.update(core.table_bytes(t))
     assert h.hexdigest() == ENUMERATION_SHA256
+
+
+def test_top_extensions_reach_every_labeled_table():
+    # deleting any maximal element x of a labeled table, the others
+    # relabeled in order, leaves a valid parent table, and extending the
+    # parent gives the table back with x moved to the last label
+    extensions = {}
+    for n in range(2, 7):
+        for rows in _labeled_tables(n):
+            tops = [x for x in range(1, n) if max(rows[x][1:]) < 0]
+            assert tops
+            for x in tops:
+                keep = [e for e in range(n) if e != x]
+                pos = {e: i for i, e in enumerate(keep)}
+                parent = tuple(tuple(pos.get(rows[a][b], -1) for b in keep)
+                               for a in keep)
+                assert K.axiom_violation(parent) is None
+                if parent not in extensions:
+                    extensions[parent] = K.enumerate_tables(parent)
+                perm = [pos.get(e, n - 1) for e in range(n)]
+                assert K.relabeled(rows, perm) in extensions[parent]
+    # every extension is a valid table, distinct, with its last element
+    # maximal and the parent as the table of the others
+    for parent, found in extensions.items():
+        m = len(parent)
+        assert len(set(found)) == len(found)
+        for rows in found:
+            assert K.axiom_violation(rows) is None
+            assert max(rows[m][1:]) < 0
+            assert tuple(tuple(-1 if v == m else v for v in row[:m])
+                         for row in rows[:m]) == parent
 
 
 def _literal_exomaps(E):
