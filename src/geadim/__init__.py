@@ -7,7 +7,6 @@ from .core import (
     build_gea,
     c3,
     canonical_form,
-    element_predicates,
     interval_ea,
     is_orthodense,
     orthosum_family,
@@ -18,9 +17,10 @@ from .exocenter import ExoMap, ExoSet, center, cogea_check, exocenter, exocentra
 from .hull import (
     HullSystem,
     check_hull_system,
-    classify_eta,
     hull_from_hd,
     is_divisible,
+    is_dyad,
+    is_monad,
     sim_eta,
     sk3e_split_eta,
     td_sets,

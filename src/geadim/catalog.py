@@ -17,9 +17,14 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import _kernels, congruence as cg, core, dimension as dm
-from .errors import CorruptCatalog, LimitExceeded, UnknownPredicate
-from .exocenter import exocenter
+from . import _kernels, congruence as cg, core, dimension as dm, hull as hull_mod
+from .errors import (
+    CorruptCatalog,
+    InternalInvariant,
+    LimitExceeded,
+    UnknownPredicate,
+)
+from .exocenter import center, exocenter
 
 FORMAT_VERSION = 1
 GENERATOR_VERSION = "0.1.0"
@@ -154,8 +159,6 @@ def cached_entries(max_n):
 
 
 def build_entry(n, flat_bytes):
-    from .errors import InternalInvariant
-
     E = core.GeaTable([str(i) for i in range(n)], _rows(flat_bytes, n),
                       _validated=True)
     if not core.is_canonical_table(E.sum):
@@ -174,7 +177,7 @@ def build_entry(n, flat_bytes):
 def _structure_flags(E):
     s = core.structure_predicates(E)
     gex = exocenter(E)
-    cen = dm._center_pairs(E)
+    cen = center(E)
     return {
         "directed": s.directed,
         "orthogonally_ordered": s.orthogonally_ordered,
@@ -391,15 +394,11 @@ def _search_non_type_i(entry):
 
 
 def _search_divisible_with_monads(entry):
-    from . import hull as hull_mod
-
     E = entry.table
     for H in hull_mod.hull_systems(E):
         if not hull_mod.is_divisible(E, H).divisible:
             continue
-        monads = [
-            e for e in range(1, E.n) if hull_mod.classify_eta(H, e).monad
-        ]
+        monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]
         if monads:
             return {
                 "hull": [list(m.image) for m in H.maps],

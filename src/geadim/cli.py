@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import catalog, congruence as cg, core, dimension as dm, theorems
+from . import hull as hull_mod
 from .errors import (
     AxiomViolation,
     ConflictingEquation,
@@ -29,6 +30,7 @@ from .errors import (
     ParseError,
     UnknownElement,
 )
+from .exocenter import center, exocenter
 
 _IDENT = re.compile(r"^[A-Za-z0-9_]+$")
 _SUM_RE = re.compile(
@@ -201,11 +203,9 @@ def cmd_check(args):
 
 
 def cmd_exocenter(args):
-    from .exocenter import center, exocenter
-
     E, _ = _load(args.file).build()
     S = exocenter(E)
-    cen = center(E, S)
+    cen = center(E)
     results = {
         "size": len(S),
         "maps": [_map_repr(E, m) for m in S],
@@ -269,8 +269,6 @@ def cmd_sk(args):
 
 
 def cmd_hull(args):
-    from . import hull as hull_mod
-
     E, R = _load_relation(args)
     d, _, failing = _sk_payload(E, R)
     inputs = {"file": args.file, "relation": args.relation}

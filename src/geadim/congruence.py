@@ -9,6 +9,7 @@ by a splitting map) is a dimension equivalence relation (DER).
 from typing import NamedTuple
 
 from . import _kernels, hull as hull_mod
+from .exocenter import ExoSet, exocenter
 from .errors import (
     InternalInvariant,
     NotSkCongruence,
@@ -89,10 +90,6 @@ def _dense(ids):
             remap[c] = len(remap)
         out.append(remap[c])
     return out
-
-
-def equality_relation(E):
-    return EquivRel(E, list(range(E.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,7 @@ def splits(E, R, pi):
     )
 
 
-def sigma_sim(E, R, S):
+def sigma_sim(E, R):
     """The splitting members of the exocenter, as a boolean subalgebra.
 
     When the relation is a congruence, the four equivalent
@@ -186,7 +183,7 @@ def sigma_sim(E, R, S):
     """
     verify = check_sk(E, R).sk
     chosen = []
-    for pi in S:
+    for pi in exocenter(E):
         a = splits(E, R, pi)
         if verify:
             summand = set(pi.summand)
@@ -205,8 +202,6 @@ def sigma_sim(E, R, S):
                 )
         if a:
             chosen.append(pi)
-    from .exocenter import ExoSet
-
     sigma = ExoSet(E, chosen)
     if verify:
         if sigma.zero not in sigma or sigma.one not in sigma:
@@ -221,14 +216,9 @@ def sigma_sim(E, R, S):
 
 
 def induced_hull(E, R, sigma):
-    """Hull system eta_e = meet of splitting maps fixing e, validated."""
-    maps = []
-    for e in range(E.n):
-        fixing = [pi for pi in sigma if pi(e) == e]
-        if not fixing:
-            raise InternalInvariant(f"no splitting map fixes {E.names[e]}")
-        maps.append(sigma.meet_all(fixing))
-    H = hull_mod.hull_system(E, sigma, maps)
+    """Hull system eta_e = meet of splitting maps fixing e (the
+    exocentral cover system of the splitting algebra), validated."""
+    H = hull_mod.gamma_hull(E, sigma)
     theta = set(H.maps)
     if not theta <= set(sigma.maps):
         raise InternalInvariant("hull maps escape the splitting algebra")

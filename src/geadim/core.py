@@ -84,9 +84,6 @@ class GeaTable:
     def perp(self, e, f):
         return self.sum[e][f] >= 0
 
-    def le(self, e, f):
-        return self.leq[e][f]
-
     def below(self, p):
         return list(self._below[p])
 
@@ -108,16 +105,6 @@ class GeaTable:
                 return t
         return None
 
-    def meet(self, e, f):
-        lower = [d for d in range(self.n) if self.leq[d][e] and self.leq[d][f]]
-        tops = [d for d in lower if all(self.leq[x][d] for x in lower)]
-        return tops[0] if tops else None
-
-    def join(self, e, f):
-        upper = [d for d in range(self.n) if self.leq[e][d] and self.leq[f][d]]
-        bots = [d for d in upper if all(self.leq[d][x] for x in upper)]
-        return bots[0] if bots else None
-
     @cached_property
     def chain_height(self):
         """Length of a longest chain (number of elements)."""
@@ -129,17 +116,6 @@ class GeaTable:
                 if f != e and self.leq[f][e]:
                     depth[e] = max(depth[e], depth[f] + 1)
         return max(depth)
-
-    def relabel(self, perm):
-        """New table with element i renamed to position perm[i]."""
-        n = self.n
-        if sorted(perm) != list(range(n)) or perm[0] != 0:
-            raise ValueError("perm must be a permutation fixing 0")
-        new = _kernels.relabeled(self.sum, perm)
-        names = [""] * n
-        for i in range(n):
-            names[perm[i]] = self.names[i]
-        return GeaTable(names, new, _validated=True)
 
     def __eq__(self, other):
         return (
@@ -299,27 +275,6 @@ def orthogonal_multisets(E):
 # element and subset predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ElementFlags:
-    principal: bool
-    sharp: bool
-    atom: bool
-    greatest: bool  # E[0, p] is all of E
-
-
-def element_predicates(E, p):
-    principal = is_principal(E, p)
-    sharp = is_sharp(E, p)
-    if principal and not sharp:
-        raise InternalInvariant("principal element is not sharp")
-    return ElementFlags(
-        principal=principal,
-        sharp=sharp,
-        atom=p in E.atoms,
-        greatest=all(E.leq[e][p] for e in range(E.n)),
-    )
-
-
 def is_principal(E, p):
     for e in E.below(p):
         for f in E.below(p):
@@ -336,13 +291,15 @@ def is_sharp(E, p):
     return True
 
 
-def _sup_of(E, fam):
+def sup(E, fam):
+    """Least upper bound of the elements ``fam``, or None."""
     ub = [d for d in range(E.n) if all(E.leq[x][d] for x in fam)]
     least = [d for d in ub if all(E.leq[d][x] for x in ub)]
     return least[0] if least else None
 
 
-def _inf_of(E, fam):
+def inf(E, fam):
+    """Greatest lower bound of the elements ``fam``, or None."""
     lb = [d for d in range(E.n) if all(E.leq[d][x] for x in fam)]
     greatest = [d for d in lb if all(E.leq[x][d] for x in lb)]
     return greatest[0] if greatest else None
@@ -380,7 +337,7 @@ def structure_predicates(E):
                 if not E.leq[e][f]:
                     oo = False
     lattice = all(
-        E.meet(e, f) is not None and E.join(e, f) is not None
+        inf(E, (e, f)) is not None and sup(E, (e, f)) is not None
         for e in range(n)
         for f in range(n)
     )
@@ -484,21 +441,13 @@ def is_orthodense(E, D, P):
 # intervals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntervalEa:
-    parent: GeaTable
-    top: int
-    embed: tuple  # interval index -> parent index
-    table: GeaTable
-
-
 def interval_ea(E, p):
     """The interval E[0, p] organized as an effect algebra with unit p.
 
-    Sums inside the interval are the parent sums that stay below p.
+    Sums inside the interval are the parent sums that stay below p.  Its
+    element i is the parent's element ``E.below(p)[i]``.
     """
     members = E.below(p)
-    embed = tuple(members)
     pos = {e: i for i, e in enumerate(members)}
     k = len(members)
     table = [[-1] * k for _ in range(k)]
@@ -517,7 +466,7 @@ def interval_ea(E, p):
         for b in members:
             if sub.leq[pos[a]][pos[b]] != E.leq[a][b]:
                 raise InternalInvariant("interval order is not the restricted order")
-    return IntervalEa(E, p, embed, sub)
+    return sub
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property
 from . import congruence as cg
 from . import core
 from . import hull as hull_mod
-from .exocenter import ExoMap, exocenter
+from .exocenter import ExoMap, center, exocenter
 from .errors import (
     InternalInvariant,
     NotDer,
@@ -45,7 +45,7 @@ class Dgea:
         report = cg.check_sk(E, R)
         if not report.sk:
             raise NotDer(f"relation fails {report.first_failure()[0]}")
-        self.sigma = cg.sigma_sim(E, R, exocenter(E))
+        self.sigma = cg.sigma_sim(E, R)
         self.hull = cg.induced_hull(E, R, self.sigma)
         self.sk4a_prime = cg.check_der(E, R, self.sigma, self.hull)
         self._summands = {}
@@ -99,7 +99,7 @@ class Dgea:
                 for e in E.below(k)
             ):
                 direct.append(k)
-            if hull_mod.classify_eta(H, k).monad:
+            if hull_mod.is_monad(H, k):
                 monads.append(k)
             if all(H.eta(e)(k) == e for e in E.below(k)):
                 crit.append(k)
@@ -140,7 +140,7 @@ class Dgea:
         of c is equivalent to anything orthogonal to c.
         """
         E, R, H = self.E, self.R, self.hull
-        cen = dict(_center_pairs(E))
+        cen = dict(center(E))
         gamma = []
         for c in range(E.n):
             principal = core.is_principal(E, c)
@@ -345,18 +345,6 @@ class Dgea:
 
 
 # ---------------------------------------------------------------------------
-# invariant elements
-# ---------------------------------------------------------------------------
-
-def _center_pairs(E):
-    from .exocenter import center
-
-    if "center" not in E._cache:
-        E._cache["center"] = tuple(center(E, exocenter(E)))
-    return E._cache["center"]
-
-
-# ---------------------------------------------------------------------------
 # factors
 # ---------------------------------------------------------------------------
 
@@ -382,7 +370,7 @@ def is_factor(dgea):
     if trivial:
         for e in range(1, E.n):
             atom = e in E.atoms
-            dyad = hull_mod.classify_eta(H, e).dyad
+            dyad = hull_mod.is_dyad(H, e)
             if atom == dyad:
                 raise InternalInvariant(
                     f"factor element {E.names[e]} is not exactly one of atom/dyad"
@@ -482,7 +470,7 @@ def hereditary_sup(dgea, S):
             break
         total = E.sum_of(total, ext)
     c = total
-    sup = core._sup_of(E, sorted(S) or [0])
+    sup = core.sup(E, sorted(S) or [0])
     if sup != c:
         raise InternalInvariant(
             f"orthosum of maximal family ({E.names[c]}) is not the supremum"

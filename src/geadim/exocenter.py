@@ -137,6 +137,19 @@ class ExoSet:
         return out
 
 
+def disjoint_families(S, maps, elements):
+    """The subsets of ``elements`` whose maps (``maps[e]`` for element e)
+    are pairwise disjoint in S, as tuples, by size and then in
+    ``itertools.combinations`` order; the empty family comes first."""
+    for r in range(len(elements) + 1):
+        for pick in itertools.combinations(elements, r):
+            if all(
+                S.disjoint(maps[a], maps[b])
+                for a, b in itertools.combinations(pick, 2)
+            ):
+                yield pick
+
+
 def exocenter(E):
     """GEX(E) via complementary ideal pairs.  Cached per table."""
     if "exocenter" in E._cache:
@@ -181,16 +194,19 @@ def brute_force_exomaps(E):
     return ExoSet(E, (ExoMap(r) for r in rows))
 
 
-def center(E, S):
-    """Central elements with their projections, cross-validated.
+def center(E):
+    """Central elements with their projections in the exocenter,
+    cross-validated.  Cached per table.
 
     An element is central iff its interval is a direct summand; this is
     recomputed from the three-condition characterization (unique bounded/
     orthogonal decomposition, principality, orthogonality closure) and the
     two answers must agree.
     """
+    if "center" in E._cache:
+        return E._cache["center"]
     via_gex = {}
-    for pi in S:
+    for pi in exocenter(E):
         M = set(pi.summand)
         tops = [c for c in M if all(E.leq[m][c] for m in M)]
         if tops and M == set(E.below(tops[0])):
@@ -204,7 +220,9 @@ def center(E, S):
             f"central-element characterizations disagree: "
             f"{sorted(via_gex)} vs {sorted(via_def)}"
         )
-    return [(c, via_gex[c]) for c in sorted(via_gex)]
+    out = tuple((c, via_gex[c]) for c in sorted(via_gex))
+    E._cache["center"] = out
+    return out
 
 
 def _central_by_definition(E, c):
@@ -239,25 +257,6 @@ def exocentral_cover(E, S, e):
     return cover
 
 
-def gex_orthogonal_subsets(E, S):
-    """Subsets of nonzero elements whose exocentral covers are disjoint.
-
-    A family with a repeated nonzero element can never be GEX-orthogonal,
-    so subsets (plus irrelevant zeros) capture all GEX-orthogonal families
-    of a finite model.
-    """
-    covers = {e: exocentral_cover(E, S, e) for e in range(1, E.n)}
-    out = []
-    for r in range(0, E.n):
-        for pick in itertools.combinations(range(1, E.n), r):
-            if all(
-                S.disjoint(covers[a], covers[b])
-                for a, b in itertools.combinations(pick, 2)
-            ):
-                out.append(pick)
-    return out
-
-
 @dataclass(frozen=True)
 class CogeaReport:
     co1: bool
@@ -266,14 +265,21 @@ class CogeaReport:
     witness: object
 
 
-def cogea_check(E, S):
-    """Central orthocompleteness (CO1, CO2) and boolean completeness.
+def cogea_check(E):
+    """Central orthocompleteness (CO1, CO2) and boolean completeness of
+    the exocenter.
 
     Finite models must pass all three; a failure flags a bug, but the
-    verdicts are computed honestly by exhaustion rather than assumed.
+    verdicts are computed honestly by exhaustion rather than assumed.  A
+    family with a repeated nonzero element can never be GEX-orthogonal,
+    so the subsets of nonzero elements whose exocentral covers are
+    disjoint (plus irrelevant zeros) are all GEX-orthogonal families of a
+    finite model.
     """
+    S = exocenter(E)
+    covers = {e: exocentral_cover(E, S, e) for e in range(1, E.n)}
     co1, co2, witness = True, True, None
-    for pick in gex_orthogonal_subsets(E, S):
+    for pick in disjoint_families(S, covers, range(1, E.n)):
         total = core.orthosum_family(E, pick)
         if total is None:
             co1, witness = False, ("CO1", pick)

@@ -6,11 +6,11 @@ eta_e ^ eta_f.  The relation e ~ f iff eta_e = eta_f behaves like a
 dimension equivalence when the system is divisible.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import core
 from .errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
+from .exocenter import disjoint_families, exocentral_cover, exocenter
 
 
 class HullSystem:
@@ -71,13 +71,14 @@ def hull_system(E, S, maps):
     return HullSystem(E, S, maps)
 
 
-def hull_from_hd(E, S, theta):
+def hull_from_hd(E, theta):
     """Hull system determined by a hull-determining subset of the exocenter.
 
     HD1: for each element some smallest member fixes it; HD2: the set is
     closed under theta ^ xi'.  The resulting family is verified to be a
     hull system.
     """
+    S = exocenter(E)
     theta = list(theta)
     for m in theta:
         if m not in S:
@@ -102,25 +103,19 @@ def hull_from_hd(E, S, theta):
 
 
 def gamma_hull(E, S):
-    """The exocentral cover system: smallest exocenter map fixing each element."""
-    from .exocenter import exocentral_cover
-
+    """The exocentral cover system: the smallest map in S fixing each
+    element."""
     return hull_system(E, S, [exocentral_cover(E, S, e) for e in range(E.n)])
 
 
-def indiscrete_hull(E, S):
-    """eta_e = identity for nonzero e, zero map at zero."""
-    maps = [S.zero] + [S.one] * (E.n - 1)
-    return hull_system(E, S, maps)
-
-
-def enumerate_hull_systems(E, S):
+def enumerate_hull_systems(E):
     """All hull systems on the model, deterministically ordered.
 
     Backtracks over assignments in a linear extension of the order so the
     HS3 constraint eta_{eta_e f} = eta_e ^ eta_f only ever references maps
     that are already placed.
     """
+    S = exocenter(E)
     n = E.n
     order = sorted(range(n), key=lambda e: (len(E.below(e)), e))
     assert order[0] == 0
@@ -161,12 +156,9 @@ def enumerate_hull_systems(E, S):
 
 
 def hull_systems(E):
-    """``enumerate_hull_systems`` over the model's exocenter, memoized on
-    the table."""
-    from .exocenter import exocenter
-
+    """``enumerate_hull_systems``, memoized on the table."""
     if "hull_systems" not in E._cache:
-        E._cache["hull_systems"] = enumerate_hull_systems(E, exocenter(E))
+        E._cache["hull_systems"] = enumerate_hull_systems(E)
     return E._cache["hull_systems"]
 
 
@@ -178,22 +170,19 @@ def sim_eta(H, e, f):
     return H.eta(e) == H.eta(f)
 
 
-@dataclass(frozen=True)
-class EtaFlags:
-    monad: bool
-    dyad: bool
-    faithful: bool
+def is_monad(H, p):
+    """No element strictly below p has p's hull map."""
+    return all(e == p for e in H.E.below(p) if sim_eta(H, e, p))
 
 
-def classify_eta(H, p):
+def is_dyad(H, p):
+    """p is a sum e + f of two elements with equal hull maps."""
     E = H.E
-    monad = all(e == p for e in E.below(p) if sim_eta(H, e, p))
-    dyad = any(
+    return any(
         E.sum_of(e, f) == p and sim_eta(H, e, f)
         for e in E.below(p)
         for f in E.below(p)
     )
-    return EtaFlags(monad=monad, dyad=dyad, faithful=H.eta(p).is_identity)
 
 
 @dataclass(frozen=True)
@@ -224,7 +213,7 @@ def is_divisible(E, H):
                     for f in E.below(p)
                 )
                 target = S.meet(H.eta(s), H.eta(t))(p)
-                via_dyad = classify_eta(H, target).dyad
+                via_dyad = is_dyad(H, target)
                 if direct != via_dyad:
                     raise InternalInvariant(
                         f"divisibility checks disagree at "
@@ -252,20 +241,14 @@ class TdReport:
 def td_sets(E, H, T):
     T = sorted(set(T))
     S = H.exoset
-    closure = {0}
-    nonzero = [t for t in T if t != 0]
-    for r in range(1, len(nonzero) + 1):
-        for pick in itertools.combinations(nonzero, r):
-            if all(
-                S.disjoint(H.eta(a), H.eta(b))
-                for a, b in itertools.combinations(pick, 2)
-            ):
-                v = core.orthosum_family(E, pick)
-                if v is None:
-                    raise InternalInvariant(
-                        f"eta-orthogonal family {pick} is not orthosummable"
-                    )
-                closure.add(v)
+    closure = set()  # the empty family comes first and adds 0
+    for pick in disjoint_families(S, H.maps, [t for t in T if t != 0]):
+        v = core.orthosum_family(E, pick)
+        if v is None:
+            raise InternalInvariant(
+                f"eta-orthogonal family {pick} is not orthosummable"
+            )
+        closure.add(v)
     image = {H.eta(e)(t) for e in range(E.n) for t in T}
     ts = set(T)
     eta_td = ts == closure == image

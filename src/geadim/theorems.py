@@ -21,9 +21,16 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import catalog, congruence as cg, core, dimension as dm, hull as hull_mod
-from .errors import InternalInvariant, UnknownPredicate
-from .exocenter import brute_force_exomaps, center, cogea_check, exocenter
-from .exocenter import _is_boolean_algebra
+from .errors import GeadimError, InternalInvariant, UnknownPredicate
+from .exocenter import (
+    _is_boolean_algebra,
+    _projection,
+    brute_force_exomaps,
+    center,
+    cogea_check,
+    disjoint_families,
+    exocenter,
+)
 
 REGISTRY = {}
 
@@ -67,16 +74,14 @@ def _core_order_laws(E):
                     if not E.leq[e][f]:
                         out.append(f"order cancellation fails at {_names(E, (d, e, f))}")
     for p in range(E.n):
-        flags = core.element_predicates(E, p)
-        if flags.principal and not flags.sharp:
+        if core.is_principal(E, p) and not core.is_sharp(E, p):
             out.append(f"principal but not sharp: {E.names[p]}")
     s = core.structure_predicates(E)
     if not (s.archimedean and s.dedekind_orthocomplete and s.orthocomplete):
         out.append("finite model fails an orthocompleteness flag")
     top = E.greatest()
     if top is not None:
-        iv = core.interval_ea(E, top)
-        if iv.table.sum != E.sum:
+        if core.interval_ea(E, top).sum != E.sum:
             out.append("interval at the greatest element differs from the model")
     return out
 
@@ -104,8 +109,6 @@ def _exo_summand_bijection(E):
     direct = set()
     for H in ideals:
         for K in ideals:
-            from .exocenter import _projection
-
             if _projection(E, H, K) is not None:
                 direct.add(tuple(sorted(H)))
     if direct != set(summands):
@@ -127,8 +130,8 @@ def _exo_boolean_laws(E):
         for q in S:
             m, j = S.meet(p, q), S.join(p, q)
             for e in range(E.n):
-                pm = E.meet(p(e), q(e))
-                pj = E.join(p(e), q(e))
+                pm = core.inf(E, (p(e), q(e)))
+                pj = core.sup(E, (p(e), q(e)))
                 if pm is None or m(e) != pm:
                     out.append(f"pointwise meet fails at element {E.names[e]}")
                 if pj is None or j(e) != pj:
@@ -141,7 +144,7 @@ def _center_checks(E):
     S = exocenter(E)
     out = []
     try:
-        pairs = center(E, S)
+        pairs = center(E)
     except InternalInvariant as exc:
         return [str(exc)]
     top = E.greatest()
@@ -156,7 +159,7 @@ def _center_checks(E):
 
 @prop("cogea-conditions", "model")
 def _cogea(E):
-    rep = cogea_check(E, exocenter(E))
+    rep = cogea_check(E)
     if rep.co1 and rep.co2 and rep.gex_complete_boolean:
         return []
     return [f"central orthocompleteness fails: {rep.witness}"]
@@ -164,12 +167,11 @@ def _cogea(E):
 
 @prop("hull-roundtrip", "model")
 def _hull_roundtrip(E):
-    S = exocenter(E)
     out = []
     for H in hull_mod.hull_systems(E):
         try:
-            again = hull_mod.hull_from_hd(E, S, H.theta)
-        except Exception as exc:
+            again = hull_mod.hull_from_hd(E, H.theta)
+        except GeadimError as exc:
             out.append(f"hull family is not hull-determining: {exc}")
             continue
         if again != H:
@@ -211,7 +213,7 @@ def _divisibility(E):
 def _no_monads_divisible(E):
     out = []
     for H in hull_mod.hull_systems(E):
-        monads = [e for e in range(1, E.n) if hull_mod.classify_eta(H, e).monad]
+        monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]
         if not monads and not hull_mod.is_divisible(E, H).divisible:
             out.append("monad-free hull system is not divisible")
     return out
@@ -260,19 +262,13 @@ def _eta_orthosum_sup(E):
     S = exocenter(E)
     out = []
     for H in hull_mod.hull_systems(E):
-        for r in range(E.n):
-            for pick in itertools.combinations(range(1, E.n), r):
-                if not all(
-                    S.disjoint(H.eta(a), H.eta(b))
-                    for a, b in itertools.combinations(pick, 2)
-                ):
-                    continue
-                total = core.orthosum_family(E, pick)
-                if total is None:
-                    out.append(f"hull-orthogonal family not summable: {_names(E, pick)}")
-                    continue
-                if core._sup_of(E, pick or (0,)) != total:
-                    out.append(f"orthosum is not the supremum for {_names(E, pick)}")
+        for pick in disjoint_families(S, H.maps, range(1, E.n)):
+            total = core.orthosum_family(E, pick)
+            if total is None:
+                out.append(f"hull-orthogonal family not summable: {_names(E, pick)}")
+                continue
+            if core.sup(E, pick or (0,)) != total:
+                out.append(f"orthosum is not the supremum for {_names(E, pick)}")
     return out
 
 
@@ -301,7 +297,6 @@ def _eta_rel_sk(E):
 
 @prop("eta-splitting-roundtrip", "model")
 def _eta_sigma_roundtrip(E):
-    S = exocenter(E)
     if not core.structure_predicates(E).orthogonally_ordered:
         return []
     out = []
@@ -312,10 +307,10 @@ def _eta_sigma_roundtrip(E):
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
         if not cg.check_sk(E, R).sk:
             continue  # covered by the previous property
-        sigma = cg.sigma_sim(E, R, S)
+        sigma = cg.sigma_sim(E, R)
         try:
-            again = hull_mod.hull_from_hd(E, S, sigma.maps)
-        except Exception as exc:
+            again = hull_mod.hull_from_hd(E, sigma.maps)
+        except GeadimError as exc:
             out.append(f"splitting algebra is not hull-determining: {exc}")
             continue
         if again != H:
@@ -500,7 +495,7 @@ def _invariance_four_way(E, R, c):
 def _invariance(ctx):
     E, R = ctx.E, ctx.R
     out = []
-    centrals = dict(dm._center_pairs(E))
+    centrals = dict(center(E))
     flags = core.structure_predicates(E)
     for c in range(E.n):
         a, b, cc, dd = _invariance_four_way(E, R, c)
@@ -538,19 +533,19 @@ def _invariant_lattice(ctx):
     E, R = ctx.E, ctx.R
     out = []
     H = ctx.hull
-    centrals = dict(dm._center_pairs(E))
+    centrals = dict(center(E))
     ge = ctx.invariants
     if not set(ge) <= set(centrals):
         out.append("invariant elements are not all central")
     for r in range(1, len(ge) + 1):
         for fam in itertools.combinations(ge, r):
-            i = core._inf_of(E, fam)
+            i = core.inf(E, fam)
             if i is None or i not in ge:
                 out.append(f"infimum missing or not invariant for {_names(E, fam)}")
             elif ctx.sigma.meet_all([H.eta(c) for c in fam]) != H.eta(i):
                 out.append(f"hull map of infimum is not the meet for {_names(E, fam)}")
             if any(all(E.leq[c][u] for c in fam) for u in range(E.n)):
-                s = core._sup_of(E, fam)
+                s = core.sup(E, fam)
                 if s is None or s not in ge:
                     out.append(f"supremum missing or not invariant for {_names(E, fam)}")
                 elif ctx.sigma.join_all([H.eta(c) for c in fam]) != H.eta(s):
@@ -798,13 +793,13 @@ def _simple_criteria(ctx):
         splits_ok = all(
             S.meet(H.eta(k1), H.eta(E.sub(k, k1))).is_zero for k1 in E.below(k)
         )
-        iv = core.interval_ea(E, k)
+        iv, embed = core.interval_ea(E, k), E.below(k)
         pairs_ok = all(
-            S.meet(H.eta(iv.embed[a]), H.eta(iv.embed[b])).is_zero
-            for a in range(iv.table.n)
-            for b in range(iv.table.n)
-            if iv.table.perp(a, b)
-            and (iv.embed[a] != 0 or iv.embed[b] != 0)
+            S.meet(H.eta(embed[a]), H.eta(embed[b])).is_zero
+            for a in range(iv.n)
+            for b in range(iv.n)
+            if iv.perp(a, b)
+            and (embed[a] != 0 or embed[b] != 0)
         )
         direct = k in K
         if not (direct == splits_ok == pairs_ok):
@@ -1141,6 +1136,9 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
         names = tuple(REGISTRY)
     if invert is not None and invert not in REGISTRY:
         raise UnknownPredicate(f"unknown theorem: {invert}")
+    if invert is not None and invert not in names:
+        # inverting a property that is not run would change nothing
+        raise GeadimError(f"inverted theorem {invert} is not among those selected")
     tables = catalog._catalog_tables(max_n, catalog.DEFAULT_MAX_N)
     evaluate = partial(_evaluate_model, names, invert)
     results = {name: PropertyResult() for name in names}

@@ -1,4 +1,5 @@
-"""Independent oracles for the catalog's table stage.
+"""Independent oracles for the catalog's table stage, and small model
+helpers that only the tests use.
 
 ``enumerate_tables`` is an orderly depth-first search over partial sum
 tables of one size; it shares no code with the catalog's one-point top
@@ -8,7 +9,33 @@ pruning at all.
 
 import itertools
 
-from geadim import _kernels
+from geadim import _kernels, congruence as cg, core, hull
+
+
+def le(E, e, f):
+    return E.leq[e][f]
+
+
+def relabel(E, perm):
+    """New table with element i renamed to position perm[i]."""
+    n = E.n
+    if sorted(perm) != list(range(n)) or perm[0] != 0:
+        raise ValueError("perm must be a permutation fixing 0")
+    new = _kernels.relabeled(E.sum, perm)
+    names = [""] * n
+    for i in range(n):
+        names[perm[i]] = E.names[i]
+    return core.GeaTable(names, new, _validated=True)
+
+
+def equality_relation(E):
+    return cg.EquivRel(E, list(range(E.n)))
+
+
+def indiscrete_hull(E, S):
+    """eta_e = identity for nonzero e, zero map at zero."""
+    maps = [S.zero] + [S.one] * (E.n - 1)
+    return hull.hull_system(E, S, maps)
 
 
 def enumerate_tables(n):

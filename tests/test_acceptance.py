@@ -60,7 +60,7 @@ def test_criterion_2_fixture_goldens():
         if got != gex_expect[name] or len(exocenter(E)) != got:
             failures.append(f"GEX({name})={got}")
     centers = {
-        name: [E.names[c] for c, _ in center(E, exocenter(E))]
+        name: [E.names[c] for c, _ in center(E)]
         for name, E in fixtures.items()
     }
     if centers["C3"] != ["0", "2"] or centers["T3"] != ["0"]:

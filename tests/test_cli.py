@@ -138,6 +138,23 @@ def test_import_does_not_load_numpy():
     assert not _loaded_by_fresh_import("numpy")
 
 
+def test_each_submodule_imports_on_its_own():
+    # a bare package stands in for geadim, so its __init__ does not import
+    # the other submodules first; an import cycle fails here
+    pkg = Path(__file__).resolve().parent.parent / "src" / "geadim"
+    names = sorted(p.stem for p in pkg.glob("*.py")
+                   if p.stem not in ("__init__", "__main__"))
+    assert "hull" in names and "exocenter" in names
+    for name in names:
+        probe = ("import importlib, sys, types; "
+                 "pkg = types.ModuleType('geadim'); "
+                 f"pkg.__path__ = [{str(pkg)!r}]; sys.modules['geadim'] = pkg; "
+                 f"importlib.import_module('geadim.{name}')")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, (name, done.stderr)
+
+
 def test_import_does_not_load_multiprocessing():
     # only a command run with --jobs above 1 forks workers
     assert not _loaded_by_fresh_import("multiprocessing")
@@ -251,6 +268,13 @@ def test_verify_filter_and_invert():
     assert code == 1 and "inverted-check" in text
     code, _ = run(["verify", "--max-size", "3", "--theorems", "no-such"])
     assert code == 2
+    # inverting a property that is not selected would change nothing
+    code, text = run(
+        ["verify", "--max-size", "3", "--theorems", "core-order-laws",
+         "--invert", "td-largest-map"]
+    )
+    assert code == 2
+    assert text.count("\n") == 1 and text.startswith("error: ")
 
 
 def test_search_command():

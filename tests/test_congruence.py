@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from geadim import congruence as cg, core, dimension as dm, hull, theorems
+from oracles import equality_relation, indiscrete_hull
+from geadim import catalog, congruence as cg, core, dimension as dm, hull, theorems
 from geadim.errors import NotDer, NotSkCongruence, OverlappingClasses, UnknownElement
 from geadim.exocenter import ExoSet, exocenter
 
@@ -58,7 +59,7 @@ def test_check_sk_passes_on_b4_merge():
 
 def test_check_sk_t3_equality_fails_sk4a():
     T3 = core.t3()
-    report = cg.check_sk(T3, cg.equality_relation(T3))
+    report = cg.check_sk(T3, equality_relation(T3))
     assert not report.sk
     assert report.first_failure() == ("SK4a", (1, 2))
 
@@ -88,7 +89,7 @@ def test_b4_sk_congruence_count():
 
 def test_relation_queries():
     C3 = core.c3()
-    eq = cg.equality_relation(C3)
+    eq = equality_relation(C3)
     assert cg.subequiv(C3, eq, 1, 2) and not cg.subequiv(C3, eq, 2, 1)
     assert all(not cg.related(C3, eq, 0, f) for f in range(3))
     E, merge = _b4_merge()
@@ -100,9 +101,9 @@ def test_relation_queries():
 def test_sigma_sim():
     E, merge = _b4_merge()
     S = exocenter(E)
-    eq = cg.equality_relation(E)
-    assert len(cg.sigma_sim(E, eq, S)) == 4
-    sig = cg.sigma_sim(E, merge, S)
+    eq = equality_relation(E)
+    assert len(cg.sigma_sim(E, eq)) == 4
+    sig = cg.sigma_sim(E, merge)
     assert set(sig.maps) == {S.zero, S.one}
 
 
@@ -123,37 +124,36 @@ def test_splitting_algebra_property_fires_on_a_wrong_sigma(monkeypatch):
 def test_induced_hull():
     E, merge = _b4_merge()
     S = exocenter(E)
-    eq = cg.equality_relation(E)
-    h_eq = cg.induced_hull(E, eq, cg.sigma_sim(E, eq, S))
+    eq = equality_relation(E)
+    h_eq = cg.induced_hull(E, eq, cg.sigma_sim(E, eq))
     assert h_eq.maps == hull.gamma_hull(E, S).maps
-    h_merge = cg.induced_hull(E, merge, cg.sigma_sim(E, merge, S))
-    assert h_merge.maps == hull.indiscrete_hull(E, S).maps
+    h_merge = cg.induced_hull(E, merge, cg.sigma_sim(E, merge))
+    assert h_merge.maps == indiscrete_hull(E, S).maps
     assert h_merge.eta(0).is_zero
 
 
 def test_check_der():
     E, merge = _b4_merge()
-    S = exocenter(E)
-    for R in (cg.equality_relation(E), merge):
-        sig = cg.sigma_sim(E, R, S)
+    for R in (equality_relation(E), merge):
+        sig = cg.sigma_sim(E, R)
         assert cg.check_der(E, R, sig, cg.induced_hull(E, R, sig)) is None
     C3 = core.c3()
-    eq = cg.equality_relation(C3)
-    sig = cg.sigma_sim(C3, eq, exocenter(C3))
+    eq = equality_relation(C3)
+    sig = cg.sigma_sim(C3, eq)
     assert cg.check_der(C3, eq, sig, cg.induced_hull(C3, eq, sig)) is None
 
 
 def test_check_der_requires_congruence():
     T3 = core.t3()
-    eq = cg.equality_relation(T3)
-    sig = cg.sigma_sim(T3, eq, exocenter(T3))
+    eq = equality_relation(T3)
+    sig = cg.sigma_sim(T3, eq)
     with pytest.raises(NotSkCongruence):
         cg.check_der(T3, eq, sig, cg.induced_hull(T3, eq, sig))
 
 
 def test_decompose_pair():
     C3 = core.c3()
-    eq = cg.equality_relation(C3)
+    eq = equality_relation(C3)
     cg.check_sk(C3, eq)
     assert cg.decompose_pair(C3, eq, 1, 2) == (1, 0, 1, 1)
     assert cg.decompose_pair(C3, eq, 0, 0) == (0, 0, 0, 0)
@@ -164,7 +164,7 @@ def test_decompose_pair():
 
 def test_comparability():
     C3 = core.c3()
-    dc = dm.Dgea(C3, cg.equality_relation(C3))
+    dc = dm.Dgea(C3, equality_relation(C3))
     d = dm.comparability(dc, 1, 2)
     assert dc.hull.eta(d).is_identity
     assert dm.comparability(dc, 1, 1) == 0
@@ -183,3 +183,21 @@ def test_comparability_requires_der():
     d.sk4a_prime = (1, 2)  # as for a congruence that fails SK4a'
     with pytest.raises(NotDer):
         dm.comparability(d, 1, 2)
+
+
+def test_induced_hull_is_the_meet_of_the_splitting_maps_fixing_each_element():
+    checked = 0
+    for entry in catalog.cached_entries(6):
+        E = entry.table
+        for rec in entry.relations:
+            if not rec.sk:
+                continue
+            sigma = rec.dgea.sigma
+            maps = []
+            for e in range(E.n):
+                fixing = [pi for pi in sigma if pi(e) == e]
+                assert fixing
+                maps.append(sigma.meet_all(fixing))
+            assert rec.dgea.hull.maps == tuple(maps)
+            checked += 1
+    assert checked == 18  # congruences on the models up to n = 6

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from oracles import equality_relation
 from geadim import catalog, congruence as cg, core, dimension as dm
 from geadim.errors import NotDer, NotHereditary, NotSplitting, Unbounded
 from geadim.exocenter import exocenter
@@ -104,7 +105,7 @@ def test_decompose_types_trivial_model():
 
 def test_decompose_requires_der():
     T3 = core.t3()
-    eq = cg.equality_relation(T3)
+    eq = equality_relation(T3)
     with pytest.raises(NotDer):
         dm.decompose_types(T3, eq)
 
@@ -152,9 +153,8 @@ def test_summands_are_the_intervals_at_their_tops():
             assert d.summand(pi) is sub
             tops = [t for t in pi.summand if all(E.leq[x][t] for x in pi.summand)]
             assert len(tops) == 1
-            iv = core.interval_ea(E, tops[0])
-            assert sub.E == iv.table
-            assert sub.members == iv.embed
+            assert sub.E == core.interval_ea(E, tops[0])
+            assert list(sub.members) == E.below(tops[0])
             checked += 1
         assert d.summand(d.sigma.one).E == E
     assert checked == 39
@@ -205,7 +205,7 @@ def test_hereditary_sup_rejects_unbounded():
     # T3 carries no congruence, so there is no Dgea to pass; the checks
     # up to the bound read only the model and the relation
     T3 = core.t3()
-    eq = cg.equality_relation(T3)
+    eq = equality_relation(T3)
     with pytest.raises(NotDer):
         dm.Dgea(T3, eq)
     with pytest.raises(Unbounded):

@@ -3,9 +3,10 @@ subsets, on the shipped fixtures."""
 
 import pytest
 
-from geadim import core, hull
+from oracles import indiscrete_hull
+from geadim import catalog, core, hull, theorems
 from geadim.errors import MapNotInExocenter, NotHullDetermining
-from geadim.exocenter import exocenter
+from geadim.exocenter import disjoint_families, exocenter
 
 
 def _b4():
@@ -18,7 +19,7 @@ def test_gamma_and_indiscrete_are_hull_systems():
     E, S = _b4()
     ok, _ = hull.check_hull_system(E, S, hull.gamma_hull(E, S).maps)
     assert ok
-    ok, _ = hull.check_hull_system(E, S, hull.indiscrete_hull(E, S).maps)
+    ok, _ = hull.check_hull_system(E, S, indiscrete_hull(E, S).maps)
     assert ok
 
 
@@ -39,22 +40,22 @@ def test_alien_map_rejected():
 
 def test_hull_from_hd():
     E, S = _b4()
-    assert hull.hull_from_hd(E, S, [S.zero, S.one]) == hull.indiscrete_hull(E, S)
-    assert hull.hull_from_hd(E, S, list(S)) == hull.gamma_hull(E, S)
+    assert hull.hull_from_hd(E, [S.zero, S.one]) == indiscrete_hull(E, S)
+    assert hull.hull_from_hd(E, list(S)) == hull.gamma_hull(E, S)
     pa = next(m for m in S if m.summand == (0, 1))
     with pytest.raises(NotHullDetermining) as err:
-        hull.hull_from_hd(E, S, [pa, S.one])
+        hull.hull_from_hd(E, [pa, S.one])
     assert err.value.condition == "HD2"
 
 
 def test_enumerate_hull_systems():
     E, S = _b4()
-    systems = hull.enumerate_hull_systems(E, S)
+    systems = hull.enumerate_hull_systems(E)
     assert len(systems) == 2
     assert hull.gamma_hull(E, S) in systems
-    assert hull.indiscrete_hull(E, S) in systems
+    assert indiscrete_hull(E, S) in systems
     C3 = core.c3()
-    assert len(hull.enumerate_hull_systems(C3, exocenter(C3))) == 1
+    assert len(hull.enumerate_hull_systems(C3)) == 1
 
 
 def test_enumerate_hull_systems_matches_bruteforce():
@@ -71,13 +72,13 @@ def test_enumerate_hull_systems_matches_bruteforce():
         for maps in itertools.product(*fixing):
             if hull.check_hull_system(E, S, maps)[0]:
                 brute.add(tuple(maps))
-        fast = {h.maps for h in hull.enumerate_hull_systems(E, S)}
+        fast = {h.maps for h in hull.enumerate_hull_systems(E)}
         assert fast == brute
 
 
 def test_sim_eta():
     E, S = _b4()
-    ind, gam = hull.indiscrete_hull(E, S), hull.gamma_hull(E, S)
+    ind, gam = indiscrete_hull(E, S), hull.gamma_hull(E, S)
     assert hull.sim_eta(ind, 1, 2)
     assert not hull.sim_eta(gam, 1, 2)
     assert hull.sim_eta(gam, 1, 1)
@@ -85,31 +86,30 @@ def test_sim_eta():
 
 def test_classify_eta():
     E, S = _b4()
-    ind = hull.indiscrete_hull(E, S)
-    top = hull.classify_eta(ind, 3)
-    assert not top.monad and top.dyad and top.faithful
-    zero = hull.classify_eta(ind, 0)
-    assert zero.monad and zero.dyad and not zero.faithful
+    ind = indiscrete_hull(E, S)
+    assert not hull.is_monad(ind, 3) and hull.is_dyad(ind, 3)
+    assert ind.eta(3).is_identity
+    assert hull.is_monad(ind, 0) and hull.is_dyad(ind, 0)
+    assert not ind.eta(0).is_identity
     C3 = core.c3()
-    H = hull.enumerate_hull_systems(C3, exocenter(C3))[0]
-    two = hull.classify_eta(H, 2)
-    assert not two.monad and two.faithful
+    H = hull.enumerate_hull_systems(C3)[0]
+    assert not hull.is_monad(H, 2) and H.eta(2).is_identity
 
 
 def test_divisibility():
     E, S = _b4()
     assert hull.is_divisible(E, hull.gamma_hull(E, S)).divisible
-    rep = hull.is_divisible(E, hull.indiscrete_hull(E, S))
+    rep = hull.is_divisible(E, indiscrete_hull(E, S))
     assert not rep.divisible
     assert rep.witness == (1, 1, 2)  # the atom cannot split the top's class
     T3 = core.t3()
     ST = exocenter(T3)
-    assert hull.is_divisible(T3, hull.indiscrete_hull(T3, ST)).divisible
+    assert hull.is_divisible(T3, indiscrete_hull(T3, ST)).divisible
 
 
 def test_td_sets():
     C3 = core.c3()
-    H = hull.enumerate_hull_systems(C3, exocenter(C3))[0]
+    H = hull.enumerate_hull_systems(C3)[0]
     rep = hull.td_sets(C3, H, [0, 1])
     assert rep.eta_std and rep.eta_td and rep.t_star == 1
     E, S = _b4()
@@ -128,7 +128,54 @@ def test_sk3e_split_eta():
     assert hull.sk3e_split_eta(E, gam, 1, 2, 1, 2) == (1, 0, 0, 2)
     assert hull.sk3e_split_eta(E, gam, 1, 2, 2, 1) == (0, 1, 2, 0)
     C3 = core.c3()
-    H = hull.enumerate_hull_systems(C3, exocenter(C3))[0]
+    H = hull.enumerate_hull_systems(C3)[0]
     assert hull.sk3e_split_eta(C3, H, 1, 1, 2, 0) == (1, 0, 1, 0)
     with pytest.raises(ValueError):
         hull.sk3e_split_eta(E, gam, 1, 1, 1, 2)
+
+
+def _literal_disjoint_families(maps, elements):
+    """Every subset of ``elements`` whose maps pairwise compose to the zero
+    map, read off the image tuples, in order of size and then of the
+    sorted tuples."""
+    out = []
+    for mask in range(1 << len(elements)):
+        pick = tuple(e for i, e in enumerate(elements) if mask >> i & 1)
+        if all(
+            all(maps[a].image[maps[b].image[x]] == 0 for x in range(len(maps)))
+            for i, a in enumerate(pick)
+            for b in pick[i + 1:]
+        ):
+            out.append(pick)
+    return sorted(out, key=lambda pick: (len(pick), pick))
+
+
+def test_disjoint_families_match_literal_filter():
+    checked = 0
+    for entry in catalog.cached_entries(6):
+        E = entry.table
+        S = exocenter(E)
+        nonzero = list(range(1, E.n))
+        for H in hull.hull_systems(E):
+            got = list(disjoint_families(S, H.maps, nonzero))
+            assert got == _literal_disjoint_families(H.maps, nonzero)
+            checked += 1
+    assert checked == 59  # hull systems on the models up to n = 6
+
+
+@pytest.mark.parametrize("name", ["hull-roundtrip", "eta-splitting-roundtrip"])
+def test_roundtrip_properties_catch_only_package_errors(name, monkeypatch):
+    def not_determining(E, theta):
+        raise NotHullDetermining("HD1", "forced")
+
+    monkeypatch.setattr(hull, "hull_from_hd", not_determining)
+    rep = theorems.run_theorem_suite(4, theorems=[name])
+    assert rep.results[name].violations
+    assert all("forced" in v["detail"] for v in rep.results[name].violations)
+
+    def broken(E, theta):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(hull, "hull_from_hd", broken)
+    with pytest.raises(TypeError, match="a programming error"):
+        theorems.run_theorem_suite(4, theorems=[name])
