@@ -10,7 +10,10 @@ table gives the fastest round's time per call, which is the least
 disturbed by other load on the machine.  The table rows time the
 one-point top extensions of the 35 catalog tables of size 6, and the
 whole table stage up to size 7, which builds each size from the one
-below.  The suite row times
+below.  The ``td_table`` row builds the type-determining table of each
+of the 59 hull systems on the models up to size 6, and the
+``td-largest-map`` row runs that property over those models.  The suite
+row times
 ``run_theorem_suite(5)``, which builds each catalog entry as it reaches
 it.
 """
@@ -19,7 +22,7 @@ import platform
 import time
 
 from geadim import _kernels as K
-from geadim import catalog, core, theorems
+from geadim import catalog, core, hull, theorems
 
 ROUNDS = 5
 
@@ -33,6 +36,11 @@ def _chain(n):
 def _extend_each(parents):
     """The one-point top extensions of each parent table."""
     return [K.enumerate_tables(rows) for rows in parents]
+
+
+def _each(fn, items):
+    for item in items:
+        fn(item)
 
 
 def bench(label, fn, args, repeat):
@@ -68,6 +76,11 @@ def main():
     perms = list(core._candidate_perms(core._refine_colors(rows)))
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)
     bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)
+    models = [entry.table for entry in catalog.cached_entries(6)]
+    systems = [H for E in models for H in hull.hull_systems(E)]
+    bench("td_table n<=6", _each, (hull.td_table, systems), repeat=3)
+    td_largest = theorems.REGISTRY["td-largest-map"].fn
+    bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 
 

@@ -396,7 +396,7 @@ def _search_non_type_i(entry):
 def _search_divisible_with_monads(entry):
     E = entry.table
     for H in hull_mod.hull_systems(E):
-        if not hull_mod.is_divisible(E, H).divisible:
+        if not hull_mod.is_divisible(H).divisible:
             continue
         monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]
         if monads:

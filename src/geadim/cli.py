@@ -281,7 +281,7 @@ def cmd_hull(args):
         "relation": args.relation,
         "splitting_maps": [_map_repr(E, m) for m in sigma],
         "hull": {E.names[e]: _map_repr(E, H.eta(e)) for e in range(E.n)},
-        "divisible": hull_mod.is_divisible(E, H).divisible,
+        "divisible": hull_mod.is_divisible(H).divisible,
         "cross_checks": [
             "hull-axioms",
             "hull-maps-inside-splitting-algebra",

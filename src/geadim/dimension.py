@@ -126,7 +126,7 @@ class Dgea:
         )
         if not cg.is_hereditary(E, R, F) or not core._ideal_flags(E, frozenset(F)):
             raise InternalInvariant("finite elements do not form a hereditary ideal")
-        if not hull_mod.td_sets(E, self.hull, F).eta_std:
+        if not hull_mod.td_sets(self.hull, F).eta_std:
             raise InternalInvariant("finite elements are not strongly type-determining")
         return F
 
@@ -182,7 +182,7 @@ class Dgea:
         if not tops:
             raise InternalInvariant("finite invariant elements have no largest member")
         ft = tops[0]
-        if not hull_mod.td_sets(E, H, ftset).eta_td:
+        if not hull_mod.td_sets(H, ftset).eta_td:
             raise InternalInvariant("finite invariant set is not type-determining")
         if set(H.eta(ft).summand) != set(E.below(ft)):
             raise InternalInvariant("largest finite invariant element is not eta-invariant")
@@ -213,13 +213,13 @@ class Dgea:
         checks = ["simple-set-three-way", "invariant-six-way", "finite-hereditary-ideal"]
 
         # cross-check the joins against the largest-map elements
-        td_k = hull_mod.td_sets(E, H, K)
-        td_f = hull_mod.td_sets(E, H, F)
+        td_k = hull_mod.td_sets(H, K)
+        td_f = hull_mod.td_sets(H, F)
         if not td_k.eta_std or H.eta(td_k.t_star) != eta_k:
             raise InternalInvariant("simple-set join disagrees with its largest map")
         if not td_f.eta_std or H.eta(td_f.t_star) != eta_f:
             raise InternalInvariant("finite-set join disagrees with its largest map")
-        td_ft = hull_mod.td_sets(E, H, ftset)
+        td_ft = hull_mod.td_sets(H, ftset)
         if H.eta(td_ft.t_star) != eta_ft:
             raise InternalInvariant("finite-invariant join disagrees with its largest map")
         checks.append("hull-joins-vs-largest-maps")

@@ -187,11 +187,15 @@ def _projection(E, H, K):
 
 
 def brute_force_exomaps(E):
-    """Oracle: filter all n**n self-maps by EXC1-EXC4."""
+    """Oracle: filter all n**n self-maps by EXC1-EXC4.  Cached per table."""
+    if "brute_exomaps" in E._cache:
+        return E._cache["brute_exomaps"]
     rows = _kernels.brute_exomaps(E.sum, E.leq)
     if not rows and E.n >= 1:
         raise InternalInvariant("brute-force exocenter filter found nothing")
-    return ExoSet(E, (ExoMap(r) for r in rows))
+    out = ExoSet(E, (ExoMap(r) for r in rows))
+    E._cache["brute_exomaps"] = out
+    return out
 
 
 def center(E):

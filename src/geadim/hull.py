@@ -191,11 +191,15 @@ class DivisibilityReport:
     witness: object
 
 
-def is_divisible(E, H):
+def is_divisible(H):
     """Direct search for the defining splittings, cross-checked per triple
     against the equivalent dyad criterion (the meet-image of the target
-    must be a dyad)."""
-    S = H.exoset
+    must be a dyad).  Memoized per hull system on the table; a failed
+    cross-check is not, so it raises again on every call."""
+    E, S = H.E, H.exoset
+    memo = E._cache.setdefault("divisible", {})
+    if H in memo:
+        return memo[H]
     witness = None
     divisible = True
     for p in range(E.n):
@@ -222,7 +226,8 @@ def is_divisible(E, H):
                 if not direct and divisible:
                     divisible = False
                     witness = (p, s, t)
-    return DivisibilityReport(divisible, witness)
+    memo[H] = DivisibilityReport(divisible, witness)
+    return memo[H]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +243,9 @@ class TdReport:
     t_star: object  # element index or None
 
 
-def td_sets(E, H, T):
+def td_sets(H, T):
+    E, S = H.E, H.exoset
     T = sorted(set(T))
-    S = H.exoset
     closure = set()  # the empty family comes first and adds 0
     for pick in disjoint_families(S, H.maps, [t for t in T if t != 0]):
         v = core.orthosum_family(E, pick)
@@ -265,7 +270,51 @@ def td_sets(E, H, T):
     return TdReport(frozenset(closure), frozenset(image), eta_td, eta_std, t_star)
 
 
-def sk3e_split_eta(E, H, e, f, s, t):
+def td_table(H):
+    """The closure, the hull image and the order ideal of every subset T
+    at once, as three lists of bitmasks indexed by the mask of T (bit x
+    for element x); ``td_sets`` is the oracle for one T.
+
+    The eta-orthogonal families inside T are exactly the families of all
+    nonzero elements that lie in T, so each family's orthosum is placed at
+    the family's mask and a subset-OR transform spreads it to every
+    superset.  The image and the ideal of T extend those of T minus its
+    lowest element.
+    """
+    E = H.E
+    n = E.n
+    size = 1 << n
+    closure = [0] * size
+    for pick in disjoint_families(H.exoset, H.maps, range(1, n)):
+        v = core.orthosum_family(E, pick)
+        if v is None:
+            raise InternalInvariant(
+                f"eta-orthogonal family {pick} is not orthosummable"
+            )
+        closure[sum(1 << t for t in pick)] |= 1 << v
+    for x in range(n):
+        bit = 1 << x
+        for T in range(size):
+            if T & bit:
+                closure[T] |= closure[T ^ bit]
+    img = [0] * n
+    down = [0] * n
+    for t in range(n):
+        for e in range(n):
+            img[t] |= 1 << H.eta(e)(t)
+        for x in E.below(t):
+            down[t] |= 1 << x
+    image = [0] * size
+    ideal = [0] * size
+    for T in range(1, size):
+        low = T & -T
+        t = low.bit_length() - 1
+        image[T] = image[T ^ low] | img[t]
+        ideal[T] = ideal[T ^ low] | down[t]
+    return closure, image, ideal
+
+
+def sk3e_split_eta(H, e, f, s, t):
     """Split e + f = s + t into a 2x2 grid matched by hull equivalence.
 
     Existence is guaranteed for every hull system, so a fruitless search
@@ -273,6 +322,7 @@ def sk3e_split_eta(E, H, e, f, s, t):
     e1 + f1 ~ s and e2 + f2 ~ t under the hull relation, found in
     lexicographic order.
     """
+    E = H.E
     if E.sum_of(e, f) is None or E.sum_of(e, f) != E.sum_of(s, t):
         raise ValueError("need e + f = s + t defined")
     for e1 in E.below(e):
@@ -291,9 +341,9 @@ def sk3e_split_eta(E, H, e, f, s, t):
     )
 
 
-def eta_partition(E, H):
+def eta_partition(H):
     """Partition of the elements by equal hull maps (the relation classes)."""
     groups = {}
-    for e in range(E.n):
+    for e in range(H.E.n):
         groups.setdefault(H.eta(e), []).append(e)
     return sorted(groups.values())

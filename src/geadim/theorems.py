@@ -203,7 +203,7 @@ def _divisibility(E):
     out = []
     for H in hull_mod.hull_systems(E):
         try:
-            hull_mod.is_divisible(E, H)
+            hull_mod.is_divisible(H)
         except InternalInvariant as exc:
             out.append(str(exc))
     return out
@@ -214,7 +214,7 @@ def _no_monads_divisible(E):
     out = []
     for H in hull_mod.hull_systems(E):
         monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]
-        if not monads and not hull_mod.is_divisible(E, H).divisible:
+        if not monads and not hull_mod.is_divisible(H).divisible:
             out.append("monad-free hull system is not divisible")
     return out
 
@@ -233,7 +233,7 @@ def _hull_grid(E):
                         if E.sum_of(s, t) != v:
                             continue
                         try:
-                            hull_mod.sk3e_split_eta(E, H, e, f, s, t)
+                            hull_mod.sk3e_split_eta(H, e, f, s, t)
                         except InternalInvariant:
                             out.append(
                                 f"no hull-matched grid for {_names(E, (e, f, s, t))}"
@@ -243,17 +243,36 @@ def _hull_grid(E):
 
 @prop("td-largest-map", "model")
 def _td_largest(E):
+    # every subset T at once from hull.td_table, as bitmasks; the tests
+    # compare the table with hull.td_sets, the oracle for one T
     out = []
     for H in hull_mod.hull_systems(E):
-        for r in range(E.n + 1):
-            for T in itertools.combinations(range(E.n), r):
-                try:
-                    rep = hull_mod.td_sets(E, H, T)
-                except InternalInvariant as exc:
-                    out.append(f"{exc} for T={_names(E, T)}")
-                    continue
-                if rep.eta_std and not rep.eta_td:
-                    out.append(f"strongly determining but not determining: {_names(E, T)}")
+        S = H.exoset
+        try:
+            closure, image, ideal = hull_mod.td_table(H)
+        except InternalInvariant as exc:
+            out.append(str(exc))
+            continue
+        # under[t]: the elements whose hull map lies below t's
+        under = [
+            sum(1 << u for u in range(E.n) if S.leq(H.eta(u), H.eta(t)))
+            for t in range(E.n)
+        ]
+        fired = []  # (elements of T, what fails)
+        for T in range(1 << E.n):
+            eta_td = T == closure[T] == image[T]
+            if T == closure[T] == ideal[T] and not eta_td:
+                msg = "strongly type-determining set is not type-determining"
+            elif eta_td and not any(
+                T >> t & 1 and T & ~under[t] == 0 for t in range(E.n)
+            ):
+                msg = "type-determining set has no largest hull map"
+            else:
+                continue
+            fired.append((tuple(x for x in range(E.n) if T >> x & 1), msg))
+        # in the order of itertools.combinations by size
+        for T, msg in sorted(fired, key=lambda w: (len(w[0]), w[0])):
+            out.append(f"{msg} for T={_names(E, T)}")
     return out
 
 
@@ -279,10 +298,10 @@ def _eta_rel_sk(E):
         return []
     out = []
     for H in hull_mod.hull_systems(E):
-        classes = hull_mod.eta_partition(E, H)
+        classes = hull_mod.eta_partition(H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
         sk = cg.check_sk(E, R).sk
-        divisible = hull_mod.is_divisible(E, H).divisible
+        divisible = hull_mod.is_divisible(H).divisible
         if sk != divisible:
             out.append("hull relation congruence status differs from divisibility")
         if sk:
@@ -301,9 +320,9 @@ def _eta_sigma_roundtrip(E):
         return []
     out = []
     for H in hull_mod.hull_systems(E):
-        if not hull_mod.is_divisible(E, H).divisible:
+        if not hull_mod.is_divisible(H).divisible:
             continue
-        classes = hull_mod.eta_partition(E, H)
+        classes = hull_mod.eta_partition(H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
         if not cg.check_sk(E, R).sk:
             continue  # covered by the previous property
@@ -654,7 +673,7 @@ def _hereditary_std_largest(ctx):
     S, H = ctx.sigma, ctx.hull
     out = []
     for label, hset in _kf_sets(ctx).items():
-        td = hull_mod.td_sets(E, H, hset)
+        td = hull_mod.td_sets(H, hset)
         if not td.eta_std:
             out.append(f"{label} set is not strongly type-determining")
             continue
@@ -690,7 +709,7 @@ def _summand_meets_hereditary(ctx):
     S, H = ctx.sigma, ctx.hull
     out = []
     for label, hset in _kf_sets(ctx).items():
-        star = hull_mod.td_sets(E, H, hset).t_star
+        star = hull_mod.td_sets(H, hset).t_star
         for pi in S:
             a = set(hset) & set(pi.summand) == {0}
             b = all(pi(h) == 0 for h in hset)
@@ -707,7 +726,7 @@ def _summand_star_projection(ctx):
     S, H = ctx.sigma, ctx.hull
     out = []
     for label, hset in _kf_sets(ctx).items():
-        star = hull_mod.td_sets(E, H, hset).t_star
+        star = hull_mod.td_sets(H, hset).t_star
         for pi in set(H.maps):
             hsharp = pi(star)
             if hsharp not in hset or pi(hsharp) != hsharp:
@@ -751,7 +770,7 @@ def _faithful_restriction(ctx):
     S, H = ctx.sigma, ctx.hull
     out = []
     for label, hset in _kf_sets(ctx).items():
-        star = hull_mod.td_sets(E, H, hset).t_star
+        star = hull_mod.td_sets(H, hset).t_star
         for pi in set(H.maps):
             hsharp = pi(star)
             a = any(H.eta(h) == pi for h in hset)
@@ -868,12 +887,12 @@ def _kf_std(ctx):
     for label, hset in _kf_sets(ctx).items():
         if not cg.is_hereditary(E, R, hset):
             out.append(f"{label} set is not hereditary")
-        if not hull_mod.td_sets(E, H, hset).eta_std:
+        if not hull_mod.td_sets(H, hset).eta_std:
             out.append(f"{label} set is not strongly type-determining")
     if not core._ideal_flags(E, frozenset(ctx.finite)):
         out.append("finite set is not an ideal")
     ft, ftset = ctx.finite_invariant
-    if not hull_mod.td_sets(E, H, ftset).eta_td:
+    if not hull_mod.td_sets(H, ftset).eta_td:
         out.append("finite invariant set is not type-determining")
     return out
 

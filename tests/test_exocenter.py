@@ -33,6 +33,11 @@ def test_exocenter_sizes_against_oracle(name, expected):
     assert len(fast) == expected
 
 
+def test_brute_force_exomaps_is_cached():
+    E = core.b4()
+    assert brute_force_exomaps(E) is brute_force_exomaps(E)
+
+
 def test_boolean_ops_b4():
     B4 = core.b4()
     S = exocenter(B4)

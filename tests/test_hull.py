@@ -5,8 +5,8 @@ import pytest
 
 from oracles import indiscrete_hull
 from geadim import catalog, core, hull, theorems
-from geadim.errors import MapNotInExocenter, NotHullDetermining
-from geadim.exocenter import disjoint_families, exocenter
+from geadim.errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
+from geadim.exocenter import ExoSet, disjoint_families, exocenter
 
 
 def _b4():
@@ -98,40 +98,116 @@ def test_classify_eta():
 
 def test_divisibility():
     E, S = _b4()
-    assert hull.is_divisible(E, hull.gamma_hull(E, S)).divisible
-    rep = hull.is_divisible(E, indiscrete_hull(E, S))
+    assert hull.is_divisible(hull.gamma_hull(E, S)).divisible
+    rep = hull.is_divisible(indiscrete_hull(E, S))
     assert not rep.divisible
     assert rep.witness == (1, 1, 2)  # the atom cannot split the top's class
     T3 = core.t3()
     ST = exocenter(T3)
-    assert hull.is_divisible(T3, indiscrete_hull(T3, ST)).divisible
+    assert hull.is_divisible(indiscrete_hull(T3, ST)).divisible
+
+
+def test_divisibility_is_cached_but_failures_are_not(monkeypatch):
+    E, S = _b4()
+    gam = hull.gamma_hull(E, S)
+    assert hull.is_divisible(gam) is hull.is_divisible(gam)
+    ind = indiscrete_hull(E, S)
+    monkeypatch.setattr(hull, "is_dyad", lambda H, p: False)
+    for _ in range(2):
+        with pytest.raises(InternalInvariant, match="divisibility checks disagree"):
+            hull.is_divisible(ind)
 
 
 def test_td_sets():
     C3 = core.c3()
     H = hull.enumerate_hull_systems(C3)[0]
-    rep = hull.td_sets(C3, H, [0, 1])
+    rep = hull.td_sets(H, [0, 1])
     assert rep.eta_std and rep.eta_td and rep.t_star == 1
     E, S = _b4()
     gam = hull.gamma_hull(E, S)
-    rep = hull.td_sets(E, gam, [0, 1])
+    rep = hull.td_sets(gam, [0, 1])
     assert rep.eta_td and rep.t_star == 1
-    assert hull.td_sets(E, gam, [0]).eta_td
+    assert hull.td_sets(gam, [0]).eta_td
     # not closed under hull-orthogonal sums: a, b are eta-disjoint
-    rep = hull.td_sets(E, gam, [0, 1, 2])
+    rep = hull.td_sets(gam, [0, 1, 2])
     assert not rep.eta_td and rep.t_star is None
 
 
 def test_sk3e_split_eta():
     E, S = _b4()
     gam = hull.gamma_hull(E, S)
-    assert hull.sk3e_split_eta(E, gam, 1, 2, 1, 2) == (1, 0, 0, 2)
-    assert hull.sk3e_split_eta(E, gam, 1, 2, 2, 1) == (0, 1, 2, 0)
+    assert hull.sk3e_split_eta(gam, 1, 2, 1, 2) == (1, 0, 0, 2)
+    assert hull.sk3e_split_eta(gam, 1, 2, 2, 1) == (0, 1, 2, 0)
     C3 = core.c3()
     H = hull.enumerate_hull_systems(C3)[0]
-    assert hull.sk3e_split_eta(C3, H, 1, 1, 2, 0) == (1, 0, 1, 0)
+    assert hull.sk3e_split_eta(H, 1, 1, 2, 0) == (1, 0, 1, 0)
     with pytest.raises(ValueError):
-        hull.sk3e_split_eta(E, gam, 1, 1, 1, 2)
+        hull.sk3e_split_eta(gam, 1, 1, 1, 2)
+
+
+def _bits(xs):
+    return sum(1 << x for x in xs)
+
+
+def _td_table_matches_td_sets(entries):
+    """Compare ``td_table`` with ``td_sets`` on every (hull system,
+    subset) of the models; returns the number of pairs."""
+    pairs = 0
+    for entry in entries:
+        E = entry.table
+        for H in hull.hull_systems(E):
+            closure, image, ideal = hull.td_table(H)
+            for mask in range(1 << E.n):
+                rep = hull.td_sets(H, [x for x in range(E.n) if mask >> x & 1])
+                assert closure[mask] == _bits(rep.closure)
+                assert image[mask] == _bits(rep.image)
+                assert (mask == closure[mask] == image[mask]) == rep.eta_td
+                assert (mask == closure[mask] == ideal[mask]) == rep.eta_std
+                pairs += 1
+    return pairs
+
+
+def test_td_table_matches_td_sets():
+    assert _td_table_matches_td_sets(catalog.cached_entries(6)) == 2870
+
+
+@pytest.mark.slow
+def test_td_table_matches_td_sets_n7():
+    assert _td_table_matches_td_sets(catalog.cached_entries(7)) == 18102
+
+
+def _td_largest_b4():
+    E = core.b4()
+    return theorems.REGISTRY["td-largest-map"].fn(E), len(hull.hull_systems(E))
+
+
+def test_td_largest_map_reports_an_unsummable_family(monkeypatch):
+    monkeypatch.setattr(core, "orthosum_family", lambda E, fam: 0 if not fam else None)
+    out, systems = _td_largest_b4()
+    assert out == ["eta-orthogonal family (1,) is not orthosummable"] * systems
+
+
+def test_td_largest_map_reports_std_but_not_td(monkeypatch):
+    real = hull.td_table
+
+    def widened(H):
+        closure, image, ideal = real(H)
+        image[1] |= 0b10  # T = {0} keeps its closure and ideal
+        return closure, image, ideal
+
+    monkeypatch.setattr(hull, "td_table", widened)
+    out, systems = _td_largest_b4()
+    assert out == [
+        "strongly type-determining set is not type-determining for T=(0)"
+    ] * systems
+
+
+def test_td_largest_map_reports_a_missing_largest_map(monkeypatch):
+    monkeypatch.setattr(ExoSet, "leq", lambda self, p, q: False)
+    out, systems = _td_largest_b4()
+    assert len(out) >= systems
+    assert out[0] == "type-determining set has no largest hull map for T=(0)"
+    assert all("no largest hull map" in v for v in out)
 
 
 def _literal_disjoint_families(maps, elements):
