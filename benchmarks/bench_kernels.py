@@ -10,12 +10,13 @@ table gives the fastest round's time per call, which is the least
 disturbed by other load on the machine.  The table rows time the
 one-point top extensions of the 35 catalog tables of size 6, and the
 whole table stage up to size 7, which builds each size from the one
-below.  The ``td_table`` row builds the type-determining table of each
-of the 59 hull systems on the models up to size 6, and the
-``td-largest-map`` row runs that property over those models.  The suite
-row times
-``run_theorem_suite(5)``, which builds each catalog entry as it reaches
-it.
+below.  The ``td_table`` and ``is_divisible`` rows build the
+type-determining table and the divisibility report of each of the 59
+hull systems on the models up to size 6, clearing the hull system's memo
+before each call.  The ``td-largest-map`` row runs that property over
+those models, so it reads the memoized tables and times the checks per
+subset.  The suite row times ``run_theorem_suite(5)``, which builds each
+catalog entry as it reaches it.
 """
 
 import platform
@@ -41,6 +42,13 @@ def _extend_each(parents):
 def _each(fn, items):
     for item in items:
         fn(item)
+
+
+def _build_each(fn, systems):
+    """``fn`` on each hull system with its memo cleared, so it builds."""
+    for H in systems:
+        H._cache.clear()
+        fn(H)
 
 
 def bench(label, fn, args, repeat):
@@ -78,7 +86,9 @@ def main():
     bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)
     models = [entry.table for entry in catalog.cached_entries(6)]
     systems = [H for E in models for H in hull.hull_systems(E)]
-    bench("td_table n<=6", _each, (hull.td_table, systems), repeat=3)
+    bench("td_table n<=6", _build_each, (hull.td_table, systems), repeat=3)
+    bench("is_divisible n<=6", _build_each, (hull.is_divisible, systems),
+          repeat=3)
     td_largest = theorems.REGISTRY["td-largest-map"].fn
     bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)

@@ -261,15 +261,7 @@ def sk_witnesses(plan, cls):
     (finite additivity) form, which extends to all finite families by
     induction.  Class pairs are encoded as ``c1 * n + c2``.
     """
-    below_cls = [{cls[x] for x in b} for b in plan.below]
-    return (
-        _sk1(plan, cls),
-        _sk2(plan, cls),
-        _sk3d(plan, cls),
-        _sk3e(plan, cls),
-        _sk4a(plan, below_cls),
-        _sk4b(plan, cls, below_cls),
-    )
+    return tuple(_sk_checks(plan, cls))
 
 
 def sk_first_failure(plan, cls):
@@ -280,18 +272,22 @@ def sk_first_failure(plan, cls):
     SK2, SK3d, SK3e, SK4a, SK4b and ``witness`` is the one
     ``sk_witnesses`` gives for that axiom, or None when all six hold.
     """
-    for k, check in enumerate((_sk1, _sk2, _sk3d, _sk3e)):
-        w = check(plan, cls)
+    for k, w in enumerate(_sk_checks(plan, cls)):
         if w is not None:
             return k, w
-    below_cls = [{cls[x] for x in b} for b in plan.below]
-    w = _sk4a(plan, below_cls)
-    if w is not None:
-        return 4, w
-    w = _sk4b(plan, cls, below_cls)
-    if w is not None:
-        return 5, w
     return None
+
+
+def _sk_checks(plan, cls):
+    # the six witnesses in order, each computed only when asked for, so
+    # sk_first_failure skips the checks after the first failure
+    yield _sk1(plan, cls)
+    yield _sk2(plan, cls)
+    yield _sk3d(plan, cls)
+    yield _sk3e(plan, cls)
+    below_cls = [{cls[x] for x in b} for b in plan.below]
+    yield _sk4a(plan, below_cls)
+    yield _sk4b(plan, cls, below_cls)
 
 
 def _sk1(plan, cls):

@@ -314,10 +314,6 @@ class Dgea:
             pi_i=pi_i,
             pi_ii=pi_ii,
             pi_iii=pi_iii,
-            pi_i_f=pi_i_f,
-            pi_i_nf=pi_i_nf,
-            pi_ii_f=pi_ii_f,
-            pi_ii_nf=pi_ii_nf,
             summands=summands,
             eta_k=eta_k,
             eta_f=eta_f,
@@ -509,10 +505,6 @@ class Decomposition:
     pi_i: ExoMap
     pi_ii: ExoMap
     pi_iii: ExoMap
-    pi_i_f: ExoMap
-    pi_i_nf: ExoMap
-    pi_ii_f: ExoMap
-    pi_ii_nf: ExoMap
     summands: dict
     eta_k: ExoMap
     eta_f: ExoMap

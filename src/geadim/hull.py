@@ -4,9 +4,14 @@ A hull system assigns to every element e a map eta_e in the exocenter
 with eta_0 = 0, eta_e(e) = e, and eta_{eta_e f} = eta_e o eta_f =
 eta_e ^ eta_f.  The relation e ~ f iff eta_e = eta_f behaves like a
 dimension equivalence when the system is divisible.
+
+Each hull system memoizes its divisibility report and its table of
+type-determining subsets (``td_table``, which ``td_sets`` reads) in its
+``_cache``; ``tests/oracles.py`` keeps the literal searches as oracles.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core
 from .errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
@@ -16,7 +21,7 @@ from .exocenter import disjoint_families, exocentral_cover, exocenter
 class HullSystem:
     """A fully materialized family of hull maps, one per element."""
 
-    __slots__ = ("E", "exoset", "maps")
+    __slots__ = ("E", "exoset", "maps", "_cache")
 
     def __init__(self, E, exoset, maps):
         self.E = E
@@ -24,6 +29,7 @@ class HullSystem:
         self.maps = tuple(maps)
         if len(self.maps) != E.n:
             raise ValueError("need one map per element")
+        self._cache = {}  # "divisible" and "td": the memos of this system
 
     def eta(self, e):
         return self.maps[e]
@@ -192,95 +198,63 @@ class DivisibilityReport:
 
 
 def is_divisible(H):
-    """Direct search for the defining splittings, cross-checked per triple
-    against the equivalent dyad criterion (the meet-image of the target
-    must be a dyad).  Memoized per hull system on the table; a failed
-    cross-check is not, so it raises again on every call."""
-    E, S = H.E, H.exoset
-    memo = E._cache.setdefault("divisible", {})
-    if H in memo:
-        return memo[H]
+    """Whether each p with eta_p = eta_(s+t) splits as p = e + f with
+    eta_e = eta_s and eta_f = eta_t; the witness is the lex-least failing
+    (p, s, t).  By cancellation the splittings of p are (e, p - e) for
+    e <= p, so the test is a lookup in p's pairs of hull maps.  Each triple
+    is cross-checked against the dyad criterion (the meet-image of p is a
+    dyad).  Memoized on the hull system; a failed cross-check is not, so
+    it raises again on every call.
+    """
+    if "divisible" in H._cache:
+        return H._cache["divisible"]
+    E, S, eta = H.E, H.exoset, H.maps
+    splits = [{(eta[e], eta[E.sub(p, e)]) for e in E.below(p)} for p in range(E.n)]
+    dyad = [is_dyad(H, x) for x in range(E.n)]
     witness = None
-    divisible = True
     for p in range(E.n):
         for s in range(E.n):
             for t in range(E.n):
-                if E.sum_of(s, t) is None:
+                st = E.sum_of(s, t)
+                if st is None or eta[p] != eta[st]:
                     continue
-                if not sim_eta(H, p, E.sum_of(s, t)):
-                    continue
-                direct = any(
-                    E.sum_of(e, f) == p
-                    and H.eta(e) == H.eta(s)
-                    and H.eta(f) == H.eta(t)
-                    for e in E.below(p)
-                    for f in E.below(p)
-                )
-                target = S.meet(H.eta(s), H.eta(t))(p)
-                via_dyad = is_dyad(H, target)
-                if direct != via_dyad:
+                direct = (eta[s], eta[t]) in splits[p]
+                if direct != dyad[S.meet(eta[s], eta[t])(p)]:
                     raise InternalInvariant(
                         f"divisibility checks disagree at "
                         f"({E.names[p]}, {E.names[s]}, {E.names[t]})"
                     )
-                if not direct and divisible:
-                    divisible = False
+                if not direct and witness is None:
                     witness = (p, s, t)
-    memo[H] = DivisibilityReport(divisible, witness)
-    return memo[H]
+    H._cache["divisible"] = DivisibilityReport(witness is None, witness)
+    return H._cache["divisible"]
 
 
 # ---------------------------------------------------------------------------
 # type-determining subsets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TdReport:
-    closure: frozenset  # orthosums of eta-orthogonal families in T
-    image: frozenset  # {eta_e t}
+class TdReport(NamedTuple):
     eta_td: bool
     eta_std: bool
-    t_star: object  # element index or None
-
-
-def td_sets(H, T):
-    E, S = H.E, H.exoset
-    T = sorted(set(T))
-    closure = set()  # the empty family comes first and adds 0
-    for pick in disjoint_families(S, H.maps, [t for t in T if t != 0]):
-        v = core.orthosum_family(E, pick)
-        if v is None:
-            raise InternalInvariant(
-                f"eta-orthogonal family {pick} is not orthosummable"
-            )
-        closure.add(v)
-    image = {H.eta(e)(t) for e in range(E.n) for t in T}
-    ts = set(T)
-    eta_td = ts == closure == image
-    order_ideal = all(x in ts for t in T for x in E.below(t))
-    eta_std = order_ideal and ts == closure
-    t_star = None
-    if eta_td:
-        best = [t for t in T if all(S.leq(H.eta(u), H.eta(t)) for u in T)]
-        if not best:
-            raise InternalInvariant("type-determining set has no largest hull map")
-        t_star = best[0]
-    if eta_std and not eta_td:
-        raise InternalInvariant("strongly type-determining set is not type-determining")
-    return TdReport(frozenset(closure), frozenset(image), eta_td, eta_std, t_star)
+    t_star: object  # least t in T with the largest hull map, or None
 
 
 def td_table(H):
     """The closure, the hull image and the order ideal of every subset T
     at once, as three lists of bitmasks indexed by the mask of T (bit x
-    for element x); ``td_sets`` is the oracle for one T.
+    for element x), and ``under``: per element t, the mask of the
+    elements whose hull map lies below eta_t.
 
     The eta-orthogonal families inside T are exactly the families of all
     nonzero elements that lie in T, so each family's orthosum is placed at
     the family's mask and a subset-OR transform spreads it to every
     superset.  The image and the ideal of T extend those of T minus its
-    lowest element.
+    lowest element.  Memoized on the hull system; a family that is not
+    orthosummable raises ``InternalInvariant`` on every call.
     """
+    if "td" in H._cache:
+        return H._cache["td"]
     E = H.E
     n = E.n
     size = 1 << n
@@ -297,11 +271,15 @@ def td_table(H):
         for T in range(size):
             if T & bit:
                 closure[T] |= closure[T ^ bit]
+    leq = H.exoset.leq
     img = [0] * n
     down = [0] * n
+    under = [0] * n
     for t in range(n):
         for e in range(n):
             img[t] |= 1 << H.eta(e)(t)
+            if leq(H.eta(e), H.eta(t)):
+                under[t] |= 1 << e
         for x in E.below(t):
             down[t] |= 1 << x
     image = [0] * size
@@ -311,7 +289,27 @@ def td_table(H):
         t = low.bit_length() - 1
         image[T] = image[T ^ low] | img[t]
         ideal[T] = ideal[T ^ low] | down[t]
-    return closure, image, ideal
+    H._cache["td"] = (closure, image, ideal, under)
+    return H._cache["td"]
+
+
+def td_sets(H, T):
+    """Whether T is eta-type-determining (its closure and its hull image
+    are T) and strongly so (its closure and its order ideal are T), and
+    the least t in T with the largest hull map, read from ``td_table``."""
+    closure, image, ideal, under = td_table(H)
+    mask = sum(1 << t for t in set(T))
+    eta_td = mask == closure[mask] == image[mask]
+    eta_std = mask == closure[mask] == ideal[mask]
+    t_star = None
+    if eta_td:
+        best = [t for t in range(H.E.n) if mask >> t & 1 and mask & ~under[t] == 0]
+        if not best:
+            raise InternalInvariant("type-determining set has no largest hull map")
+        t_star = best[0]
+    if eta_std and not eta_td:
+        raise InternalInvariant("strongly type-determining set is not type-determining")
+    return TdReport(eta_td, eta_std, t_star)
 
 
 def sk3e_split_eta(H, e, f, s, t):

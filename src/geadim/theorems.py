@@ -244,20 +244,14 @@ def _hull_grid(E):
 @prop("td-largest-map", "model")
 def _td_largest(E):
     # every subset T at once from hull.td_table, as bitmasks; the tests
-    # compare the table with hull.td_sets, the oracle for one T
+    # compare the table with the oracle td_sets for one T
     out = []
     for H in hull_mod.hull_systems(E):
-        S = H.exoset
         try:
-            closure, image, ideal = hull_mod.td_table(H)
+            closure, image, ideal, under = hull_mod.td_table(H)
         except InternalInvariant as exc:
             out.append(str(exc))
             continue
-        # under[t]: the elements whose hull map lies below t's
-        under = [
-            sum(1 << u for u in range(E.n) if S.leq(H.eta(u), H.eta(t)))
-            for t in range(E.n)
-        ]
         fired = []  # (elements of T, what fails)
         for T in range(1 << E.n):
             eta_td = T == closure[T] == image[T]

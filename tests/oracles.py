@@ -4,12 +4,18 @@ helpers that only the tests use.
 ``enumerate_tables`` is an orderly depth-first search over partial sum
 tables of one size; it shares no code with the catalog's one-point top
 extensions.  ``naive_class_count`` filters every possible table with no
-pruning at all.
+pruning at all.  ``is_divisible`` and ``td_sets`` are the literal searches
+that ``hull.is_divisible`` and ``hull.td_table`` replace: a search of
+``below(p)`` squared per triple, and a search of the families of one
+subset T.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from geadim import _kernels, congruence as cg, core, hull
+from geadim.errors import InternalInvariant
+from geadim.exocenter import disjoint_families
 
 
 def le(E, e, f):
@@ -220,3 +226,73 @@ def naive_class_count(n):
                 orbit_min = key
         keys.add(orbit_min)
     return len(keys)
+
+
+def is_divisible(H):
+    """Direct search for the defining splittings, cross-checked per triple
+    against the equivalent dyad criterion (the meet-image of the target
+    must be a dyad).  Not memoized."""
+    E, S = H.E, H.exoset
+    witness = None
+    divisible = True
+    for p in range(E.n):
+        for s in range(E.n):
+            for t in range(E.n):
+                if E.sum_of(s, t) is None:
+                    continue
+                if not hull.sim_eta(H, p, E.sum_of(s, t)):
+                    continue
+                direct = any(
+                    E.sum_of(e, f) == p
+                    and H.eta(e) == H.eta(s)
+                    and H.eta(f) == H.eta(t)
+                    for e in E.below(p)
+                    for f in E.below(p)
+                )
+                target = S.meet(H.eta(s), H.eta(t))(p)
+                via_dyad = hull.is_dyad(H, target)
+                if direct != via_dyad:
+                    raise InternalInvariant(
+                        f"divisibility checks disagree at "
+                        f"({E.names[p]}, {E.names[s]}, {E.names[t]})"
+                    )
+                if not direct and divisible:
+                    divisible = False
+                    witness = (p, s, t)
+    return hull.DivisibilityReport(divisible, witness)
+
+
+@dataclass(frozen=True)
+class TdReport:
+    closure: frozenset  # orthosums of eta-orthogonal families in T
+    image: frozenset  # {eta_e t}
+    eta_td: bool
+    eta_std: bool
+    t_star: object  # element index or None
+
+
+def td_sets(H, T):
+    E, S = H.E, H.exoset
+    T = sorted(set(T))
+    closure = set()  # the empty family comes first and adds 0
+    for pick in disjoint_families(S, H.maps, [t for t in T if t != 0]):
+        v = core.orthosum_family(E, pick)
+        if v is None:
+            raise InternalInvariant(
+                f"eta-orthogonal family {pick} is not orthosummable"
+            )
+        closure.add(v)
+    image = {H.eta(e)(t) for e in range(E.n) for t in T}
+    ts = set(T)
+    eta_td = ts == closure == image
+    order_ideal = all(x in ts for t in T for x in E.below(t))
+    eta_std = order_ideal and ts == closure
+    t_star = None
+    if eta_td:
+        best = [t for t in T if all(S.leq(H.eta(u), H.eta(t)) for u in T)]
+        if not best:
+            raise InternalInvariant("type-determining set has no largest hull map")
+        t_star = best[0]
+    if eta_std and not eta_td:
+        raise InternalInvariant("strongly type-determining set is not type-determining")
+    return TdReport(frozenset(closure), frozenset(image), eta_td, eta_std, t_star)

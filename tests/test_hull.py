@@ -3,6 +3,7 @@ subsets, on the shipped fixtures."""
 
 import pytest
 
+import oracles
 from oracles import indiscrete_hull
 from geadim import catalog, core, hull, theorems
 from geadim.errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
@@ -118,6 +119,17 @@ def test_divisibility_is_cached_but_failures_are_not(monkeypatch):
             hull.is_divisible(ind)
 
 
+def test_td_table_is_cached_but_failures_are_not(monkeypatch):
+    E, S = _b4()
+    gam = hull.gamma_hull(E, S)
+    assert hull.td_table(gam) is hull.td_table(gam)
+    ind = indiscrete_hull(E, S)
+    monkeypatch.setattr(core, "orthosum_family", lambda E, fam: None)
+    for _ in range(2):
+        with pytest.raises(InternalInvariant, match="not orthosummable"):
+            hull.td_table(ind)
+
+
 def test_td_sets():
     C3 = core.c3()
     H = hull.enumerate_hull_systems(C3)[0]
@@ -150,30 +162,36 @@ def _bits(xs):
 
 
 def _td_table_matches_td_sets(entries):
-    """Compare ``td_table`` with ``td_sets`` on every (hull system,
-    subset) of the models; returns the number of pairs."""
-    pairs = 0
+    """Compare ``td_table`` and ``td_sets`` with the oracle ``td_sets`` on
+    every (hull system, subset) of the models, and ``is_divisible`` with
+    the oracle on every hull system; returns the numbers of pairs and of
+    hull systems."""
+    pairs = systems = 0
     for entry in entries:
         E = entry.table
         for H in hull.hull_systems(E):
-            closure, image, ideal = hull.td_table(H)
+            closure, image, ideal, _ = hull.td_table(H)
             for mask in range(1 << E.n):
-                rep = hull.td_sets(H, [x for x in range(E.n) if mask >> x & 1])
+                T = [x for x in range(E.n) if mask >> x & 1]
+                rep = oracles.td_sets(H, T)
                 assert closure[mask] == _bits(rep.closure)
                 assert image[mask] == _bits(rep.image)
                 assert (mask == closure[mask] == image[mask]) == rep.eta_td
                 assert (mask == closure[mask] == ideal[mask]) == rep.eta_std
+                assert hull.td_sets(H, T) == (rep.eta_td, rep.eta_std, rep.t_star)
                 pairs += 1
-    return pairs
+            assert hull.is_divisible(H) == oracles.is_divisible(H)
+            systems += 1
+    return pairs, systems
 
 
 def test_td_table_matches_td_sets():
-    assert _td_table_matches_td_sets(catalog.cached_entries(6)) == 2870
+    assert _td_table_matches_td_sets(catalog.cached_entries(6)) == (2870, 59)
 
 
 @pytest.mark.slow
 def test_td_table_matches_td_sets_n7():
-    assert _td_table_matches_td_sets(catalog.cached_entries(7)) == 18102
+    assert _td_table_matches_td_sets(catalog.cached_entries(7)) == (18102, 178)
 
 
 def _td_largest_b4():
@@ -191,9 +209,10 @@ def test_td_largest_map_reports_std_but_not_td(monkeypatch):
     real = hull.td_table
 
     def widened(H):
-        closure, image, ideal = real(H)
+        closure, image, ideal, under = real(H)
+        image = list(image)
         image[1] |= 0b10  # T = {0} keeps its closure and ideal
-        return closure, image, ideal
+        return closure, image, ideal, under
 
     monkeypatch.setattr(hull, "td_table", widened)
     out, systems = _td_largest_b4()
