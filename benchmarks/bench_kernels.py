@@ -15,8 +15,12 @@ type-determining table and the divisibility report of each of the 59
 hull systems on the models up to size 6, clearing the hull system's memo
 before each call.  The ``td-largest-map`` row runs that property over
 those models, so it reads the memoized tables and times the checks per
-subset.  The suite row times ``run_theorem_suite(5)``, which builds each
-catalog entry as it reaches it.
+subset.  The ``build_entry`` row builds the catalog entry of each of the
+56 canonical tables up to size 6 from its bytes, so each model and its
+caches are fresh: the structure flags, the partition sweep and the
+decomposition of each dimension relation.  The suite row times
+``run_theorem_suite(5)``, which builds each catalog entry as it reaches
+it.
 """
 
 import platform
@@ -49,6 +53,12 @@ def _build_each(fn, systems):
     for H in systems:
         H._cache.clear()
         fn(H)
+
+
+def _build_entries(tables):
+    """The catalog entry of each (n, canonical table bytes), built fresh."""
+    for n, flat in tables:
+        catalog.build_entry(n, flat)
 
 
 def bench(label, fn, args, repeat):
@@ -91,6 +101,8 @@ def main():
           repeat=3)
     td_largest = theorems.REGISTRY["td-largest-map"].fn
     bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
+    tables = list(catalog._catalog_tables(6, 6))
+    bench("build_entry n<=6", _build_entries, (tables,), repeat=1)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 
 

@@ -34,12 +34,17 @@ HARD_MAX_N = 8
 
 @dataclass
 class RelationRecord:
-    classes: tuple  # tuple of tuples of element indices
+    class_of: tuple  # the dense class id of each element
     first_failure: object  # (axiom name, witness) or None
     decomposition: object  # summary dict or None
     # the relation's dm.Dgea when it is a congruence, for the suite; never
     # persisted
     dgea: object = field(default=None, repr=False, compare=False)
+
+    @property
+    def classes(self):
+        """The classes in id order, each a tuple of element indices."""
+        return cg.partition_classes(self.class_of)
 
     @property
     def sk(self):
@@ -194,9 +199,10 @@ def _structure_flags(E):
 
 
 def partitions_with_zero_singleton(n):
-    """Partitions of 1..n-1 as restricted growth strings, zero kept alone."""
+    """Partitions of 1..n-1 as restricted growth strings, zero kept alone,
+    each a tuple."""
     if n == 1:
-        yield [0]
+        yield (0,)
         return
     rgs = [0] * (n - 1)
 
@@ -209,18 +215,19 @@ def partitions_with_zero_singleton(n):
             yield from rec(i + 1, max(maxid, c))
 
     for assign in rec(0, -1):
-        yield [0] + [c + 1 for c in assign]
+        yield (0, *[c + 1 for c in assign])
 
 
 def enumerate_relations(E):
     """Every partition with zero alone, with its congruence verdict.
 
     A partition is checked only up to its first failing congruence axiom,
-    and its record keeps that axiom and witness.  Each relation that
-    passes the congruence axioms gets its ``dm.Dgea``, which checks the
-    full report and the separation axiom SK4a', and, when that passes, a
-    summary of its type decomposition; when SK4a' fails, it is the
-    record's first failure.
+    and its record keeps its restricted growth string and that axiom and
+    witness; its classes are read off the string when it is summarized.
+    Each relation that passes the congruence axioms gets its ``dm.Dgea``,
+    which checks the full report and the separation axiom SK4a', and,
+    when that passes, a summary of its type decomposition; when SK4a'
+    fails, it is the record's first failure.
     """
     plan = E._sk_plan
     for class_of in partitions_with_zero_singleton(E.n):
@@ -228,14 +235,14 @@ def enumerate_relations(E):
         if fail is not None:
             # restricted growth strings are dense class ids already
             yield RelationRecord(
-                classes=cg.partition_classes(class_of),
+                class_of=class_of,
                 first_failure=(cg.AXES[fail[0]], fail[1]),
                 decomposition=None,
             )
             continue
         d = dm.Dgea(E, cg.EquivRel(E, class_of))
         yield RelationRecord(
-            classes=d.R.classes,
+            class_of=d.R.class_of,
             first_failure=None if d.der else ("SK4a'", d.sk4a_prime),
             decomposition=(
                 _decomposition_summary(E, d.decomposition) if d.der else None

@@ -31,11 +31,13 @@ class Dgea:
     The constructor checks SK1-SK4b (``NotDer`` when they fail), then
     builds the splitting algebra and the induced hull system and checks
     the separation axiom SK4a', each once; ``sk4a_prime`` is its witness,
-    None when it holds, and ``der`` says whether it holds.  The simple and finite elements and the type decomposition are
-    derived on first use and raise ``NotDer`` unless the relation is a
-    dimension relation.  ``members`` gives the index of each element in
-    the model this one is a summand of (the identity for a model of its
-    own); ``summand`` builds each summand once.
+    None when it holds, and ``der`` says whether it holds.  The simple and
+    finite elements and the type decomposition are derived on first use
+    and raise ``NotDer`` unless the relation is a dimension relation.
+    ``members`` gives the index of each element in the model this one is
+    a summand of (the identity for a model of its own); ``summand`` builds
+    each summand once.  The summand of the identity map of a model of its
+    own is the ``Dgea`` itself: same table, same relation, same members.
     """
 
     def __init__(self, E, R, members=None):
@@ -61,13 +63,20 @@ class Dgea:
     def summand(self, pi):
         """The summand of the splitting map ``pi`` as a model of its own
         with the restricted relation, built on the first call for ``pi``;
-        ``NotSplitting`` when ``pi`` does not split the relation."""
+        ``NotSplitting`` when ``pi`` does not split the relation.
+
+        When ``pi`` is the identity and ``members`` is too, as for a model
+        of its own, the summand is ``self``; it is not kept in
+        ``_summands``, which would make a reference cycle.
+        """
         if pi in self._summands:
             return self._summands[pi]
         E, R = self.E, self.R
         if pi not in self.sigma or not cg.splits(E, R, pi):
             raise NotSplitting(f"{pi!r} does not split the relation")
         members = pi.summand
+        if members == self.members:
+            return self
         pos = {e: i for i, e in enumerate(members)}
         k = len(members)
         table = [[-1] * k for _ in range(k)]

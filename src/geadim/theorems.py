@@ -996,10 +996,40 @@ def _type_criteria_summands(ctx):
 
 @prop("type-decomposition", "der")
 def _type_decomposition(ctx):
-    # the decomposition runs its cross-checks when the catalog summarizes
-    # the relation; a failure there ends the run before the suite reaches
-    # the model
-    return []
+    # the three type summands split the model, read off the table alone:
+    # they meet pairwise in zero, each is a down-set closed under the sums
+    # it defines, and every element is one sum of an element of each.
+    # The decomposition runs its own cross-checks, through the splitting
+    # algebra and the summand models, when the catalog summarizes the
+    # relation.
+    E = ctx.E
+    types = ("I", "II", "III")
+    parts = [ctx.decomposition.summands[t] for t in types]
+    out = []
+    for (a, s), (b, t) in itertools.combinations(zip(types, parts), 2):
+        common = sorted(set(s) & set(t))
+        if common != [0]:
+            out.append(f"summands {a} and {b} meet in {_names(E, common)}")
+    for name, s in zip(types, parts):
+        inside = set(s)
+        if any(E.leq[e][f] and e not in inside for f in s for e in range(E.n)):
+            out.append(f"summand {name} is not a down-set")
+        sums = (E.sum_of(e, f) for e in s for f in s)
+        if any(v is not None and v not in inside for v in sums):
+            out.append(f"summand {name} is not closed under sums")
+    ways = [0] * E.n
+    for s1, s2 in itertools.product(parts[0], parts[1]):
+        v = E.sum_of(s1, s2)
+        if v is None:
+            continue
+        for s3 in parts[2]:
+            w = E.sum_of(v, s3)
+            if w is not None:
+                ways[w] += 1
+    bad = [e for e in range(E.n) if ways[e] != 1]
+    if bad:
+        out.append(f"not one sum of the three summands: {_names(E, bad)}")
+    return out
 
 
 @prop("all-finite-models-type-one", "der", review_only=True)

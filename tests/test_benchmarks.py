@@ -69,5 +69,6 @@ def test_bench_kernels_runs(capsys):
                   "is_min_relabel n=4", "sk_first_failure n=6 SK2",
                   "sk_first_failure n=6 pass", "td_table n<=6",
                   "is_divisible n<=6",
-                  "td-largest-map n<=6", "run_theorem_suite n<=5"):
+                  "td-largest-map n<=6", "build_entry n<=6",
+                  "run_theorem_suite n<=5"):
         assert label in out

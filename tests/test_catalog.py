@@ -219,6 +219,28 @@ def test_full_sk_report_only_for_congruences(monkeypatch):
     assert (partitions, congruences) == (2031, 18)
 
 
+def test_classes_are_read_off_the_class_ids():
+    """A record keeps the dense class id of each element: the restricted
+    growth string of a failing partition, the relation's own ids for a
+    congruence.  Its classes group the elements by id, in id order, which
+    is the order of their least members."""
+    records = 0
+    for entry in catalog.cached_entries(6):
+        n = entry.n
+        for rec in entry.relations:
+            ids = rec.class_of
+            assert ids[0] == 0 and 0 not in ids[1:]
+            assert all(ids[e] <= max(ids[:e]) + 1 for e in range(1, n))
+            grouped = tuple(tuple(e for e in range(n) if ids[e] == c)
+                            for c in range(max(ids) + 1))
+            assert rec.classes == grouped
+            assert rec.classes == cg.partition_classes(rec.class_of)
+            if rec.sk:
+                assert rec.classes == rec.dgea.R.classes
+            records += 1
+    assert records == 2031
+
+
 def test_partition_counts():
     # Bell numbers of the nonzero part
     assert len(list(catalog.partitions_with_zero_singleton(4))) == 5

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracles import equality_relation
-from geadim import catalog, congruence as cg, core, dimension as dm
+from geadim import catalog, congruence as cg, core, dimension as dm, theorems
 from geadim.errors import NotDer, NotHereditary, NotSplitting, Unbounded
 from geadim.exocenter import exocenter
 
@@ -170,6 +170,89 @@ def test_summand_rejects_every_non_splitting_map():
                 d.summand(pi)
             rejected += 1
     assert rejected > 0
+
+
+def _identity_summand_rebuilt(d):
+    """The identity summand of ``d`` built as a model of its own: a fresh
+    table read off ``d``'s sums, its relation and its ``Dgea``."""
+    E, R = d.E, d.R
+    table = [[-1 if E.sum_of(a, b) is None else E.sum_of(a, b)
+              for b in range(E.n)] for a in range(E.n)]
+    copy = core.GeaTable(list(E.names), table)
+    return dm.Dgea(copy, cg.EquivRel(copy, list(R.class_of)),
+                   tuple(range(E.n)))
+
+
+def _check_identity_summands(max_n):
+    """On every dimension relation up to ``max_n``: the identity summand is
+    the ``Dgea`` itself and agrees with one rebuilt from a copy of the
+    model; every other splitting map still gets a summand of its own, and
+    every map that does not split is still refused.  Returns the number
+    of relations and of proper summands whose identity summand is a new
+    ``Dgea``."""
+    relations = fresh = 0
+    for d in _dimension_relations(max_n):
+        E = d.E
+        assert d.summand(d.sigma.one) is d
+        copy = _identity_summand_rebuilt(d)
+        assert copy.sigma.maps == d.sigma.maps
+        assert copy.hull.maps == d.hull.maps
+        assert copy.sk4a_prime == d.sk4a_prime
+        assert copy.simple == d.simple
+        assert copy.finite == d.finite
+        assert copy.invariants == d.invariants
+        assert copy.finite_invariant == d.finite_invariant
+        assert copy.type_flags == d.type_flags
+        assert catalog._decomposition_summary(copy.E, copy.decomposition) == (
+            catalog._decomposition_summary(E, d.decomposition))
+        for pi in exocenter(E):
+            if pi not in d.sigma:
+                with pytest.raises(NotSplitting):
+                    d.summand(pi)
+        for pi in d.sigma:
+            sub = d.summand(pi)
+            if sub is d:
+                continue
+            k = sub.E.n
+            own = sub.summand(sub.sigma.one)
+            assert own.members == tuple(range(k)) and own.E == sub.E
+            # a summand on the first k elements has the identity as its
+            # members, so it is a model of its own and its own summand
+            assert (own is sub) == (sub.members == tuple(range(k)))
+            fresh += own is not sub
+        assert all(sub is not d for sub in d._summands.values())
+        relations += 1
+    return relations, fresh
+
+
+def test_identity_summand_is_the_dgea_itself():
+    assert _check_identity_summands(6) == (18, 4)
+
+
+@pytest.mark.slow
+def test_identity_summand_is_the_dgea_itself_n7():
+    assert _check_identity_summands(7) == (22, 4)
+
+
+def test_type_decomposition_property_fires_on_wrong_summands(monkeypatch):
+    # the property reads the three type summands off the table alone, so
+    # summands that overlap, leave a sum or a subelement out, or miss an
+    # element are caught
+    check = theorems.REGISTRY["type-decomposition"].fn
+    d, _ = _dgea(core.b4())  # a, b unrelated: the whole model is of type I
+    assert check(d) == []
+    wrong = [
+        ((0, 1, 2, 3), (0, 1), "summands I and II meet in (0, a)"),
+        ((0, 1, 2), (0,), "summand I is not closed under sums"),
+        ((0, 3), (0,), "summand I is not a down-set"),
+        ((0, 1), (0,), "not one sum of the three summands: (b, 1)"),
+    ]
+    for first, second, message in wrong:
+        summands = {"I": first, "II": second, "III": (0,)}
+        monkeypatch.setattr(dm.Decomposition, "summands",
+                            property(lambda self, s=summands: s),
+                            raising=False)
+        assert message in check(d), first
 
 
 def test_hereditary_sup():
