@@ -199,23 +199,23 @@ def _structure_flags(E):
 
 
 def partitions_with_zero_singleton(n):
-    """Partitions of 1..n-1 as restricted growth strings, zero kept alone,
-    each a tuple."""
-    if n == 1:
-        yield (0,)
-        return
-    rgs = [0] * (n - 1)
-
-    def rec(i, maxid):
-        if i == len(rgs):
-            yield list(rgs)
+    """Partitions of 1..n-1 as restricted growth strings, zero kept alone
+    in class 0, each a tuple, in lexicographic order."""
+    ids = [0] + [1] * (n - 1)
+    top = [0] + [1] * (n - 1)  # top[i]: the largest id in ids[:i + 1]
+    while True:
+        yield tuple(ids)
+        # the last element whose id can still grow takes the next id, and
+        # every element after it goes back to class 1
+        i = n - 1
+        while i > 1 and ids[i] > top[i - 1]:
+            i -= 1
+        if i <= 1:
             return
-        for c in range(maxid + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(maxid, c))
-
-    for assign in rec(0, -1):
-        yield (0, *[c + 1 for c in assign])
+        ids[i] += 1
+        top[i] = max(top[i - 1], ids[i])
+        ids[i + 1:] = [1] * (n - 1 - i)
+        top[i + 1:] = [top[i]] * (n - 1 - i)
 
 
 def enumerate_relations(E):
@@ -240,7 +240,7 @@ def enumerate_relations(E):
                 decomposition=None,
             )
             continue
-        d = dm.Dgea(E, cg.EquivRel(E, class_of))
+        d = dm.Dgea(cg.EquivRel(E, class_of))
         yield RelationRecord(
             class_of=d.R.class_of,
             first_failure=None if d.der else ("SK4a'", d.sk4a_prime),

@@ -26,7 +26,6 @@ from .errors import (
     AxiomViolation,
     ConflictingEquation,
     GeadimError,
-    NotDer,
     ParseError,
     UnknownElement,
 )
@@ -218,16 +217,16 @@ def cmd_exocenter(args):
     return 0, {"file": args.file}, results, [], "\n".join(text)
 
 
-def _sk_payload(E, R):
+def _sk_payload(R):
     """The relation's ``dm.Dgea``, None when it is no congruence; the
     verdict on each axiom by name, SK4a' last and unchecked without a
     Dgea; and the failing verdicts in that order, as report witnesses."""
-    report = cg.check_sk(E, R)
-    d = dm.Dgea(E, R) if report.sk else None
-    axioms = {name: _verdict(E, w) for name, w in zip(cg.AXES, report)}
+    report = cg.check_sk(R)
+    d = dm.Dgea(R) if report.sk else None
+    axioms = {name: _verdict(R.E, w) for name, w in zip(cg.AXES, report)}
     axioms["SK4a'"] = (
         {"holds": None, "witness": None} if d is None
-        else _verdict(E, d.sk4a_prime)
+        else _verdict(R.E, d.sk4a_prime)
     )
     failing = [
         {"axiom": name, "witness": rec["witness"]}
@@ -246,7 +245,7 @@ def _verdict(E, witness):
 
 def cmd_sk(args):
     E, R = _load_relation(args)
-    d, axioms, failing = _sk_payload(E, R)
+    d, axioms, failing = _sk_payload(R)
     results = {
         "relation": args.relation,
         "classes": [[E.names[e] for e in c] for c in R.classes],
@@ -270,7 +269,7 @@ def cmd_sk(args):
 
 def cmd_hull(args):
     E, R = _load_relation(args)
-    d, _, failing = _sk_payload(E, R)
+    d, _, failing = _sk_payload(R)
     inputs = {"file": args.file, "relation": args.relation}
     if d is None:
         name, witness = failing[0]["axiom"], failing[0]["witness"]
@@ -300,7 +299,7 @@ def cmd_hull(args):
 
 def cmd_decompose(args):
     E, R = _load_relation(args)
-    d, _, failing = _sk_payload(E, R)
+    d, _, failing = _sk_payload(R)
     inputs = {"file": args.file, "relation": args.relation}
     if d is None or not d.der:
         name = failing[0]["axiom"]
@@ -381,7 +380,6 @@ def make_parser():
         prog="geadim",
         description="finite-model toolkit for generalized effect algebras "
         "with dimension relations",
-        parents=[shared],
     )
     sub = p.add_subparsers(dest="command", required=True)
 

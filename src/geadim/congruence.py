@@ -23,7 +23,7 @@ AXES = ("SK1", "SK2", "SK3d", "SK3e", "SK4a", "SK4b")
 class EquivRel:
     """A partition of the elements; class ids are dense, zero's class first."""
 
-    __slots__ = ("E", "class_of", "classes", "_cache")
+    __slots__ = ("E", "class_of", "classes", "_sk_report")
 
     def __init__(self, E, class_of):
         # relabeling by first occurrence numbers the classes by their least
@@ -32,7 +32,7 @@ class EquivRel:
         self.E = E
         self.class_of = tuple(ids)
         self.classes = partition_classes(ids)
-        self._cache = {}
+        self._sk_report = None  # check_sk's memo
 
     def sim(self, e, f):
         return self.class_of[e] == self.class_of[f]
@@ -118,54 +118,49 @@ class SkReport(NamedTuple):
         )
 
 
-def check_sk(E, R):
-    """Exhaustive verification of SK1-SK4b with lex-least witnesses.
+def check_sk(R):
+    """Exhaustive verification of SK1-SK4b on ``R``'s model with lex-least
+    witnesses, memoized on ``R``.
 
     SK2 is checked as finite additivity over orthogonal pairs, which by
     induction covers every finite family a desk-scale model can carry.
     """
-    if "sk_report" in R._cache:
-        return R._cache["sk_report"]
-    report = SkReport(*_kernels.sk_witnesses(E._sk_plan, R.class_of))
-    R._cache["sk_report"] = report
-    return report
+    if R._sk_report is None:
+        R._sk_report = SkReport(*_kernels.sk_witnesses(R.E._sk_plan, R.class_of))
+    return R._sk_report
 
 
-def related(E, R, e, f):
+def related(R, e, f):
     """Nonzero equivalent subelements exist below e and f respectively."""
-    return any(
-        R.sim(e1, f1)
-        for e1 in E.below(e)
-        if e1 != 0
-        for f1 in E.below(f)
-        if f1 != 0
-    )
+    below = R.E.below
+    return any(R.sim(e1, f1) for e1 in below(e) if e1 for f1 in below(f) if f1)
 
 
-def subequiv(E, R, e, f):
+def subequiv(R, e, f):
     """e is equivalent to some subelement of f."""
-    return any(R.sim(e, f1) for f1 in E.below(f))
+    return any(R.sim(e, f1) for f1 in R.E.below(f))
 
 
-def is_hereditary(E, R, S):
+def is_hereditary(R, S):
     """Order ideal closed under taking sub-equivalent elements."""
+    E = R.E
     S = frozenset(S)
     return all(
-        (e in S) for h in S for e in range(E.n) if subequiv(E, R, e, h)
+        (e in S) for h in S for e in range(E.n) if subequiv(R, e, h)
     ) and all(t in S for h in S for t in E.below(h))
 
 
-def is_descendent(E, R, d, e):
-    return all(related(E, R, x, e) for x in E.below(d) if x != 0)
+def is_descendent(R, d, e):
+    return all(related(R, x, e) for x in R.E.below(d) if x != 0)
 
 
 # ---------------------------------------------------------------------------
 # splitting maps and the induced hull system
 # ---------------------------------------------------------------------------
 
-def splits(E, R, pi):
+def splits(R, pi):
     """No nonzero equivalent pair straddles the summand and its complement."""
-    comp = [e for e in range(E.n) if pi(e) == 0]
+    comp = [e for e in range(R.E.n) if pi(e) == 0]
     return not any(
         R.sim(e, f) and (e, f) != (0, 0)
         for e in pi.summand
@@ -173,7 +168,7 @@ def splits(E, R, pi):
     )
 
 
-def sigma_sim(E, R):
+def sigma_sim(R):
     """The splitting members of the exocenter, as a boolean subalgebra.
 
     When the relation is a congruence, the four equivalent
@@ -181,10 +176,11 @@ def sigma_sim(E, R):
     agree, and the result is checked to be a boolean subalgebra containing
     0 and 1.
     """
-    verify = check_sk(E, R).sk
+    E = R.E
+    verify = check_sk(R).sk
     chosen = []
     for pi in exocenter(E):
-        a = splits(E, R, pi)
+        a = splits(R, pi)
         if verify:
             summand = set(pi.summand)
             b = all(
@@ -193,9 +189,9 @@ def sigma_sim(E, R):
                 for f in range(E.n)
                 if R.sim(f, e)
             )
-            c = is_hereditary(E, R, summand)
+            c = is_hereditary(R, summand)
             comp = [e for e in range(E.n) if pi(e) == 0]
-            d = all(not related(E, R, e, f) for e in summand for f in comp)
+            d = all(not related(R, e, f) for e in summand for f in comp)
             if not (a == b == c == d):
                 raise InternalInvariant(
                     f"splitting characterizations disagree for {pi!r}"
@@ -215,21 +211,21 @@ def sigma_sim(E, R):
     return sigma
 
 
-def induced_hull(E, R, sigma):
+def induced_hull(R, sigma):
     """Hull system eta_e = meet of splitting maps fixing e (the
     exocentral cover system of the splitting algebra), validated."""
-    H = hull_mod.gamma_hull(E, sigma)
+    H = hull_mod.gamma_hull(sigma)
     theta = set(H.maps)
     if not theta <= set(sigma.maps):
         raise InternalInvariant("hull maps escape the splitting algebra")
     for pi in sigma:
-        for e in range(E.n):
+        for e in range(R.E.n):
             if (pi(e) == 0) != sigma.meet(pi, H.eta(e)).is_zero:
                 raise InternalInvariant("kill/disjointness equivalence fails")
     return H
 
 
-def check_der(E, R, sigma, H):
+def check_der(R, sigma, H):
     """The witness of the separation axiom SK4a' for a congruence, given
     its splitting algebra and induced hull system: the lex-least unrelated
     pair that no splitting map separates, or None when SK4a' holds.
@@ -237,13 +233,14 @@ def check_der(E, R, sigma, H):
     Separation by a splitting map is computed directly and through the
     equivalent hull-meet form; the two must agree pairwise.
     """
-    base = check_sk(E, R)
+    base = check_sk(R)
     if not base.sk:
         raise NotSkCongruence(str(base.first_failure()))
+    E = R.E
     witness = None
     for e in range(E.n):
         for f in range(E.n):
-            if related(E, R, e, f):
+            if related(R, e, f):
                 continue
             direct = any(pi(e) == e and pi(f) == 0 for pi in sigma)
             via_hull = sigma.meet(H.eta(e), H.eta(f)).is_zero
@@ -261,7 +258,7 @@ def check_der(E, R, sigma, H):
 # pair decomposition
 # ---------------------------------------------------------------------------
 
-def decompose_pair(E, R, p, q):
+def decompose_pair(R, p, q):
     """Split p and q into an equivalent part and an unrelated remainder.
 
     Greedily accumulates a maximal family of equivalent orthogonal pairs
@@ -270,6 +267,7 @@ def decompose_pair(E, R, p, q):
     (p1, p2, q1, q2) with p = p1 + p2, q = q1 + q2, p1 ~ q1 and p2
     unrelated to q2.
     """
+    E = R.E
     a, b = 0, 0
     grown = True
     while grown:
@@ -291,7 +289,7 @@ def decompose_pair(E, R, p, q):
                 break
     p1, q1 = a, b
     p2, q2 = E.sub(p, p1), E.sub(q, q1)
-    if not R.sim(p1, q1) or related(E, R, p2, q2):
+    if not R.sim(p1, q1) or related(R, p2, q2):
         raise InternalInvariant(
             f"pair decomposition contract fails for ({E.names[p]}, {E.names[q]})"
         )

@@ -25,8 +25,8 @@ from .errors import (
 
 
 class Dgea:
-    """A model paired with a congruence, and everything derived from the
-    pair.
+    """A congruence ``R`` on its model ``R.E``, and everything derived from
+    the pair.
 
     The constructor checks SK1-SK4b (``NotDer`` when they fail), then
     builds the splitting algebra and the induced hull system and checks
@@ -40,16 +40,16 @@ class Dgea:
     own is the ``Dgea`` itself: same table, same relation, same members.
     """
 
-    def __init__(self, E, R, members=None):
-        self.E = E
+    def __init__(self, R, members=None):
+        self.E = R.E
         self.R = R
-        self.members = tuple(range(E.n)) if members is None else members
-        report = cg.check_sk(E, R)
+        self.members = tuple(range(R.E.n)) if members is None else members
+        report = cg.check_sk(R)
         if not report.sk:
             raise NotDer(f"relation fails {report.first_failure()[0]}")
-        self.sigma = cg.sigma_sim(E, R)
-        self.hull = cg.induced_hull(E, R, self.sigma)
-        self.sk4a_prime = cg.check_der(E, R, self.sigma, self.hull)
+        self.sigma = cg.sigma_sim(R)
+        self.hull = cg.induced_hull(R, self.sigma)
+        self.sk4a_prime = cg.check_der(R, self.sigma, self.hull)
         self._summands = {}
 
     @property
@@ -72,7 +72,7 @@ class Dgea:
         if pi in self._summands:
             return self._summands[pi]
         E, R = self.E, self.R
-        if pi not in self.sigma or not cg.splits(E, R, pi):
+        if pi not in self.sigma or not cg.splits(R, pi):
             raise NotSplitting(f"{pi!r} does not split the relation")
         members = pi.summand
         if members == self.members:
@@ -89,7 +89,7 @@ class Dgea:
                     table[pos[a]][pos[b]] = pos[v]
         sub = core.GeaTable([E.names[e] for e in members], table)
         subrel = cg.EquivRel(sub, [R.class_of[e] for e in members])
-        self._summands[pi] = Dgea(sub, subrel, members)
+        self._summands[pi] = Dgea(subrel, members)
         return self._summands[pi]
 
     @cached_property
@@ -104,7 +104,7 @@ class Dgea:
         direct, monads, crit = [], [], []
         for k in range(E.n):
             if all(
-                not cg.related(E, R, e, E.sub(k, e))
+                not cg.related(R, e, E.sub(k, e))
                 for e in E.below(k)
             ):
                 direct.append(k)
@@ -133,7 +133,7 @@ class Dgea:
             for f in range(E.n)
             if all(e == f for e in E.below(f) if R.sim(e, f))
         )
-        if not cg.is_hereditary(E, R, F) or not core._ideal_flags(E, frozenset(F)):
+        if not cg.is_hereditary(R, F) or not core._ideal_flags(E, frozenset(F)):
             raise InternalInvariant("finite elements do not form a hereditary ideal")
         if not hull_mod.td_sets(self.hull, F).eta_std:
             raise InternalInvariant("finite elements are not strongly type-determining")
@@ -162,16 +162,16 @@ class Dgea:
             # (2) hull image is the interval
             eta_inv = set(H.eta(c).summand) == set(E.below(c))
             # (1) central with splitting projection
-            central_split = c in cen and cg.splits(E, R, cen[c])
+            central_split = c in cen and cg.splits(R, cen[c])
             # (4) principal with hereditary interval
-            heredi = principal and cg.is_hereditary(E, R, E.below(c))
+            heredi = principal and cg.is_hereditary(R, E.below(c))
             # (5) principal and equivalents stay below
             below_only = principal and all(
                 E.leq[e][c] for e in range(E.n) if R.sim(e, c)
             )
             # (6) principal with hereditary orthogonal complement set
             perp_hered = principal and cg.is_hereditary(
-                E, R, [f for f in range(E.n) if E.perp(f, c)]
+                R, [f for f in range(E.n) if E.perp(f, c)]
             )
             if not (inv == eta_inv == central_split == heredi == below_only == perp_hered):
                 raise InternalInvariant(
@@ -261,7 +261,7 @@ class Dgea:
 
         for m in (pi_i, pi_ii, pi_iii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
             s = set(m.summand)
-            if not cg.is_hereditary(E, R, s) or not core._ideal_flags(E, frozenset(s)):
+            if not cg.is_hereditary(R, s) or not core._ideal_flags(E, frozenset(s)):
                 raise InternalInvariant("summand is not a hereditary ideal")
         checks.append("summands-hereditary-ideals")
 
@@ -361,12 +361,12 @@ def is_factor(dgea):
     trivial = set(sigma.maps) == {sigma.zero, sigma.one}
     hull_full = all(H.eta(d).is_identity for d in range(1, E.n))
     comparable = all(
-        cg.subequiv(E, R, e, f) or cg.subequiv(E, R, f, e)
+        cg.subequiv(R, e, f) or cg.subequiv(R, f, e)
         for e in range(E.n)
         for f in range(E.n)
     )
     all_related = all(
-        cg.related(E, R, e, f)
+        cg.related(R, e, f)
         for e in range(1, E.n)
         for f in range(1, E.n)
     )
@@ -388,12 +388,11 @@ def comparability(dgea, e, f):
     and the complement the other way around."""
     if not dgea.der:
         raise NotDer("comparability needs a verified dimension relation")
-    E, R = dgea.E, dgea.R
-    e1, e2, f1, f2 = cg.decompose_pair(E, R, e, f)
-    d = f2
+    R = dgea.R
+    d = cg.decompose_pair(R, e, f)[3]  # the unrelated remainder of f
     pi = dgea.hull.eta(d)
     pic = dgea.sigma.complement(pi)
-    if not cg.subequiv(E, R, pi(e), pi(f)) or not cg.subequiv(E, R, pic(f), pic(e)):
+    if not cg.subequiv(R, pi(e), pi(f)) or not cg.subequiv(R, pic(f), pic(e)):
         raise InternalInvariant("comparability contract fails")
     return d
 
@@ -461,7 +460,7 @@ def hereditary_sup(dgea, S):
     """
     E, R = dgea.E, dgea.R
     S = frozenset(S)
-    if not cg.is_hereditary(E, R, S) or not core._ideal_flags(E, S):
+    if not cg.is_hereditary(R, S) or not core._ideal_flags(E, S):
         raise NotHereditary(f"{sorted(S)}")
     if not any(all(E.leq[h][u] for h in S) for u in range(E.n)):
         raise Unbounded(f"{sorted(S)}")
@@ -491,7 +490,7 @@ def hereditary_sup(dgea, S):
     return HereditarySupReport(
         c=c,
         sharp=core.is_sharp(E, c),
-        interval_hereditary=cg.is_hereditary(E, R, E.below(c)),
+        interval_hereditary=cg.is_hereditary(R, E.below(c)),
         central_if_directed=central,
     )
 
@@ -526,7 +525,7 @@ class Decomposition:
     cross_checks: tuple
 
 
-def decompose_types(E, R):
-    """The type decomposition of a model under a dimension relation;
-    ``NotDer`` when the relation is not one."""
-    return Dgea(E, R).decomposition
+def decompose_types(R):
+    """The type decomposition of ``R``'s model under ``R``; ``NotDer``
+    when ``R`` is not a dimension relation."""
+    return Dgea(R).decomposition

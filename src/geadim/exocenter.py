@@ -250,7 +250,7 @@ def _central_by_definition(E, c):
     return True
 
 
-def exocentral_cover(E, S, e):
+def exocentral_cover(S, e):
     """The smallest map in S fixing e."""
     fixing = [pi for pi in S if pi(e) == e]
     if not fixing:
@@ -281,7 +281,7 @@ def cogea_check(E):
     finite model.
     """
     S = exocenter(E)
-    covers = {e: exocentral_cover(E, S, e) for e in range(1, E.n)}
+    covers = {e: exocentral_cover(S, e) for e in range(1, E.n)}
     co1, co2, witness = True, True, None
     for pick in disjoint_families(S, covers, range(1, E.n)):
         total = core.orthosum_family(E, pick)

@@ -23,11 +23,11 @@ class HullSystem:
 
     __slots__ = ("E", "exoset", "maps", "_cache")
 
-    def __init__(self, E, exoset, maps):
-        self.E = E
+    def __init__(self, exoset, maps):
+        self.E = exoset.E
         self.exoset = exoset
         self.maps = tuple(maps)
-        if len(self.maps) != E.n:
+        if len(self.maps) != self.E.n:
             raise ValueError("need one map per element")
         self._cache = {}  # "divisible" and "td": the memos of this system
 
@@ -49,9 +49,9 @@ class HullSystem:
         return f"HullSystem({[list(m.image) for m in self.maps]})"
 
 
-def check_hull_system(E, S, maps):
+def check_hull_system(S, maps):
     """Verify HS1-HS3 for a candidate family; returns (ok, witness)."""
-    maps = tuple(maps)
+    E, maps = S.E, tuple(maps)
     for m in maps:
         if m not in S:
             raise MapNotInExocenter(f"{m!r}")
@@ -70,11 +70,11 @@ def check_hull_system(E, S, maps):
     return True, None
 
 
-def hull_system(E, S, maps):
-    ok, witness = check_hull_system(E, S, maps)
+def hull_system(S, maps):
+    ok, witness = check_hull_system(S, maps)
     if not ok:
         raise InternalInvariant(f"not a hull system: {witness}")
-    return HullSystem(E, S, maps)
+    return HullSystem(S, maps)
 
 
 def hull_from_hd(E, theta):
@@ -105,13 +105,13 @@ def hull_from_hd(E, theta):
                 "HD1", f"no smallest map fixing {E.names[e]}"
             )
         maps.append(smallest[0])
-    return hull_system(E, S, maps)
+    return hull_system(S, maps)
 
 
-def gamma_hull(E, S):
+def gamma_hull(S):
     """The exocentral cover system: the smallest map in S fixing each
     element."""
-    return hull_system(E, S, [exocentral_cover(E, S, e) for e in range(E.n)])
+    return hull_system(S, [exocentral_cover(S, e) for e in range(S.E.n)])
 
 
 def enumerate_hull_systems(E):
@@ -147,7 +147,7 @@ def enumerate_hull_systems(E):
 
     def rec(k):
         if k == n:
-            found.append(HullSystem(E, S, list(maps)))
+            found.append(HullSystem(S, list(maps)))
             return
         e = order[k]
         for cand in fixing[e]:

@@ -143,10 +143,7 @@ def _exo_boolean_laws(E):
 def _center_checks(E):
     S = exocenter(E)
     out = []
-    try:
-        pairs = center(E)
-    except InternalInvariant as exc:
-        return [str(exc)]
+    pairs = center(E)
     top = E.greatest()
     if top is not None:
         if len(pairs) != len(S):
@@ -294,14 +291,14 @@ def _eta_rel_sk(E):
     for H in hull_mod.hull_systems(E):
         classes = hull_mod.eta_partition(H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
-        sk = cg.check_sk(E, R).sk
+        sk = cg.check_sk(R).sk
         divisible = hull_mod.is_divisible(H).divisible
         if sk != divisible:
             out.append("hull relation congruence status differs from divisibility")
         if sk:
             for e in range(E.n):
                 for f in range(E.n):
-                    rel = cg.related(E, R, e, f)
+                    rel = cg.related(R, e, f)
                     meets = not S.meet(H.eta(e), H.eta(f)).is_zero
                     if rel != meets:
                         out.append(f"relatedness vs hull meet fails at {_names(E, (e, f))}")
@@ -318,9 +315,9 @@ def _eta_sigma_roundtrip(E):
             continue
         classes = hull_mod.eta_partition(H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
-        if not cg.check_sk(E, R).sk:
+        if not cg.check_sk(R).sk:
             continue  # covered by the previous property
-        sigma = cg.sigma_sim(E, R)
+        sigma = cg.sigma_sim(R)
         try:
             again = hull_mod.hull_from_hd(E, sigma.maps)
         except GeadimError as exc:
@@ -370,10 +367,22 @@ def _split_coordinatewise(ctx):
 
 @prop("induced-hull-contract", "relation")
 def _induced_hull_contract(ctx):
-    # induced_hull checks its contract when the catalog builds the
-    # relation's Dgea; a failure there ends the run before the suite
-    # reaches the model
-    return []
+    # HS1-HS3 read off the map images, each map in the splitting algebra
+    # and below every splitting map that fixes its element
+    E, S, eta = ctx.E, ctx.sigma, ctx.hull.maps
+    out = [] if eta[0].is_zero else ["hull map at zero is not the zero map"]
+    for e, m in enumerate(eta):
+        if m(e) != e:
+            out.append(f"hull map at {E.names[e]} does not fix it")
+        if m not in S:
+            out.append(f"hull map at {E.names[e]} is not a splitting map")
+        elif any(pi(e) == e and not S.leq(m, pi) for pi in S):
+            out.append(f"hull map at {E.names[e]} is not below a splitting map fixing it")
+        for f, k in enumerate(eta):
+            mk = tuple(m(k(x)) for x in range(E.n))
+            if not eta[m(f)].image == mk == tuple(k(m(x)) for x in range(E.n)):
+                out.append(f"hull maps do not compose at {_names(E, (e, f))}")
+    return out
 
 
 @prop("splitting-preserves-subequiv", "relation")
@@ -383,11 +392,11 @@ def _split_subequiv(ctx):
     out = []
     for e in range(E.n):
         for f in range(E.n):
-            if cg.subequiv(E, R, e, f):
+            if cg.subequiv(R, e, f):
                 if not ctx.sigma.leq(H.eta(e), H.eta(f)):
                     out.append(f"hull order misses sub-equivalence at {_names(E, (e, f))}")
                 for pi in ctx.sigma:
-                    if not cg.subequiv(E, R, pi(e), pi(f)):
+                    if not cg.subequiv(R, pi(e), pi(f)):
                         out.append(f"projection breaks sub-equivalence at {_names(E, (e, f))}")
             lhs = ctx.sigma.leq(H.eta(e), H.eta(f))
             rhs = any(H.eta(e) == H.eta(f1) for f1 in E.below(f))
@@ -421,18 +430,18 @@ def _preorder_csb(ctx):
     E, R = ctx.E, ctx.R
     out = []
     for e in range(E.n):
-        if not cg.subequiv(E, R, e, e):
+        if not cg.subequiv(R, e, e):
             out.append(f"sub-equivalence not reflexive at {E.names[e]}")
     for e in range(E.n):
         for f in range(E.n):
             for d in range(E.n):
                 if (
-                    cg.subequiv(E, R, e, f)
-                    and cg.subequiv(E, R, f, d)
-                    and not cg.subequiv(E, R, e, d)
+                    cg.subequiv(R, e, f)
+                    and cg.subequiv(R, f, d)
+                    and not cg.subequiv(R, e, d)
                 ):
                     out.append(f"sub-equivalence not transitive at {_names(E, (e, f, d))}")
-            if cg.subequiv(E, R, e, f) and cg.subequiv(E, R, f, e):
+            if cg.subequiv(R, e, f) and cg.subequiv(R, f, e):
                 if not R.sim(e, f):
                     out.append(f"mutual sub-equivalence without equivalence {_names(E, (e, f))}")
     return out
@@ -453,9 +462,9 @@ def _subequiv_additive(ctx):
                     if t is None:
                         continue
                     if (
-                        cg.subequiv(E, R, e1, f1)
-                        and cg.subequiv(E, R, e2, f2)
-                        and not cg.subequiv(E, R, s, t)
+                        cg.subequiv(R, e1, f1)
+                        and cg.subequiv(R, e2, f2)
+                        and not cg.subequiv(R, s, t)
                     ):
                         out.append(
                             f"additivity of sub-equivalence fails at "
@@ -471,7 +480,7 @@ def _pair_decomposition(ctx):
     for p in range(E.n):
         for q in range(E.n):
             try:
-                cg.decompose_pair(E, R, p, q)
+                cg.decompose_pair(R, p, q)
             except InternalInvariant as exc:
                 out.append(str(exc))
     return out
@@ -482,7 +491,7 @@ def _hered_interval_disjoint(ctx):
     E, R = ctx.E, ctx.R
     out = []
     for c in range(E.n):
-        if not cg.is_hereditary(E, R, E.below(c)):
+        if not cg.is_hereditary(R, E.below(c)):
             continue
         for d in range(E.n):
             common = [x for x in range(1, E.n) if E.leq[x][d] and E.leq[x][c]]
@@ -491,16 +500,17 @@ def _hered_interval_disjoint(ctx):
     return out
 
 
-def _invariance_four_way(E, R, c):
+def _invariance_four_way(R, c):
+    E = R.E
     a = all(
         not (E.leq[c1][c] and R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0))
         for c1 in range(E.n)
         for f in range(E.n)
     )
     sharp = core.is_sharp(E, c)
-    b = sharp and cg.is_hereditary(E, R, E.below(c))
+    b = sharp and cg.is_hereditary(R, E.below(c))
     cc = sharp and all(E.leq[e][c] for e in range(E.n) if R.sim(e, c))
-    dd = sharp and cg.is_hereditary(E, R, [f for f in range(E.n) if E.perp(f, c)])
+    dd = sharp and cg.is_hereditary(R, [f for f in range(E.n) if E.perp(f, c)])
     return a, b, cc, dd
 
 
@@ -511,7 +521,7 @@ def _invariance(ctx):
     centrals = dict(center(E))
     flags = core.structure_predicates(E)
     for c in range(E.n):
-        a, b, cc, dd = _invariance_four_way(E, R, c)
+        a, b, cc, dd = _invariance_four_way(R, c)
         if not (a == b == cc == dd):
             out.append(f"unboundedness characterizations disagree at {E.names[c]}")
         decomposable = all(
@@ -526,8 +536,8 @@ def _invariance(ctx):
         if a and decomposable and c not in centrals:
             out.append(f"decomposable invariant candidate not central: {E.names[c]}")
         principal = core.is_principal(E, c)
-        lhs = principal and cg.is_hereditary(E, R, E.below(c))
-        rhs = c in centrals and cg.splits(E, R, centrals[c])
+        lhs = principal and cg.is_hereditary(R, E.below(c))
+        rhs = c in centrals and cg.splits(R, centrals[c])
         if lhs != rhs:
             out.append(f"principal-hereditary vs central-splitting at {E.names[c]}")
         if a and flags.directed and c not in centrals:
@@ -543,7 +553,7 @@ def _invariance(ctx):
 
 @prop("invariant-lattice", "relation")
 def _invariant_lattice(ctx):
-    E, R = ctx.E, ctx.R
+    E = ctx.E
     out = []
     H = ctx.hull
     centrals = dict(center(E))
@@ -577,11 +587,11 @@ def _unrelated_five_way(ctx):
     out = []
     for e in range(E.n):
         for f in range(E.n):
-            c1 = not cg.related(E, R, e, f)
+            c1 = not cg.related(R, e, f)
             c2 = any(pi(e) == e and pi(f) == 0 for pi in S)
             c3 = S.meet(H.eta(e), H.eta(f)).is_zero
             c4 = H.eta(e)(f) == 0
-            c5 = not cg.related(E, R, H.eta(f)(e), H.eta(e)(f))
+            c5 = not cg.related(R, H.eta(f)(e), H.eta(e)(f))
             if not (c1 == c2 == c3 == c4 == c5):
                 out.append(f"unrelatedness conditions disagree at {_names(E, (e, f))}")
     return out
@@ -593,10 +603,10 @@ def _descendent_summand(ctx):
     out = []
     for e in range(E.n):
         eta = ctx.hull.eta(e)
-        desc = {d for d in range(E.n) if cg.is_descendent(E, R, d, e)}
+        desc = {d for d in range(E.n) if cg.is_descendent(R, d, e)}
         if set(eta.summand) != desc:
             out.append(f"hull summand is not the descendent set of {E.names[e]}")
-        unrel = {f for f in range(E.n) if not cg.related(E, R, f, e)}
+        unrel = {f for f in range(E.n) if not cg.related(R, f, e)}
         if set(ctx.sigma.complement(eta).summand) != unrel:
             out.append(f"complement summand is not the unrelated set of {E.names[e]}")
     return out
@@ -608,8 +618,8 @@ def _unrelated_orthosum(ctx):
     out = []
     for ms, total in core.orthogonal_multisets(E):
         for f in range(E.n):
-            if all(not cg.related(E, R, f, e) for e in set(ms)):
-                if cg.related(E, R, f, total):
+            if all(not cg.related(R, f, e) for e in set(ms)):
+                if cg.related(R, f, total):
                     out.append(f"{E.names[f]} related to orthosum of {_names(E, ms)}")
     return out
 
@@ -619,7 +629,7 @@ def _hereditary_sup_prop(ctx):
     E, R = ctx.E, ctx.R
     out = []
     for S in core.all_ideals(E):
-        if not cg.is_hereditary(E, R, S):
+        if not cg.is_hereditary(R, S):
             continue
         if not any(all(E.leq[h][u] for h in S) for u in range(E.n)):
             continue
@@ -650,10 +660,7 @@ def _comparability(ctx):
 
 @prop("factor-characterizations", "der")
 def _factor(ctx):
-    try:
-        dm.is_factor(ctx)
-    except InternalInvariant as exc:
-        return [str(exc)]
+    dm.is_factor(ctx)
     return []
 
 
@@ -663,7 +670,7 @@ def _kf_sets(ctx):
 
 @prop("hereditary-std-largest", "der")
 def _hereditary_std_largest(ctx):
-    E, R = ctx.E, ctx.R
+    E = ctx.E
     S, H = ctx.sigma, ctx.hull
     out = []
     for label, hset in _kf_sets(ctx).items():
@@ -699,7 +706,6 @@ def _hereditary_std_largest(ctx):
 
 @prop("summand-meets-hereditary", "der")
 def _summand_meets_hereditary(ctx):
-    E = ctx.E
     S, H = ctx.sigma, ctx.hull
     out = []
     for label, hset in _kf_sets(ctx).items():
@@ -795,13 +801,10 @@ def _summand_restriction(ctx):
 
 @prop("simple-element-criteria", "der")
 def _simple_criteria(ctx):
-    E, R = ctx.E, ctx.R
+    E = ctx.E
     S, H = ctx.sigma, ctx.hull
     out = []
-    try:
-        K = ctx.simple
-    except InternalInvariant as exc:
-        return [str(exc)]
+    K = ctx.simple
     for k in range(E.n):
         splits_ok = all(
             S.meet(H.eta(k1), H.eta(E.sub(k, k1))).is_zero for k1 in E.below(k)
@@ -828,7 +831,7 @@ def _simple_subequiv(ctx):
     K = ctx.simple
     for q in K:
         for k in K:
-            if S.leq(H.eta(q), H.eta(k)) != cg.subequiv(E, R, q, k):
+            if S.leq(H.eta(q), H.eta(k)) != cg.subequiv(R, q, k):
                 out.append(f"hull order vs sub-equivalence on simples {_names(E, (q, k))}")
             if (H.eta(q) == H.eta(k)) != R.sim(q, k):
                 out.append(f"hull equality vs equivalence on simples {_names(E, (q, k))}")
@@ -879,7 +882,7 @@ def _kf_std(ctx):
     H = ctx.hull
     out = []
     for label, hset in _kf_sets(ctx).items():
-        if not cg.is_hereditary(E, R, hset):
+        if not cg.is_hereditary(R, hset):
             out.append(f"{label} set is not hereditary")
         if not hull_mod.td_sets(H, hset).eta_std:
             out.append(f"{label} set is not strongly type-determining")
@@ -914,10 +917,7 @@ def _kf_orthodense(ctx):
 def _finite_invariant_largest(ctx):
     E = ctx.E
     out = []
-    try:
-        ft, ftset = ctx.finite_invariant
-    except InternalInvariant as exc:
-        return [str(exc)]
+    ft, ftset = ctx.finite_invariant
     F = set(ctx.finite)
     below = set(E.below(ft))
     if not set(ftset) <= below:

@@ -38,10 +38,9 @@ def equality_relation(E):
     return cg.EquivRel(E, list(range(E.n)))
 
 
-def indiscrete_hull(E, S):
+def indiscrete_hull(S):
     """eta_e = identity for nonzero e, zero map at zero."""
-    maps = [S.zero] + [S.one] * (E.n - 1)
-    return hull.hull_system(E, S, maps)
+    return hull.hull_system(S, [S.zero] + [S.one] * (S.E.n - 1))
 
 
 def enumerate_tables(n):

@@ -90,21 +90,21 @@ def test_criterion_3_decomposition_goldens():
     failures = []
     C3 = core.c3()
     eq = cg.build_equiv(C3, [])
-    dec = dm.decompose_types(C3, eq)
+    dec = dm.decompose_types(eq)
     if not (dec.pi_i.is_identity and dec.type_verdict == "I"
             and dec.finite_type and dec.unit == 2):
         failures.append("C3 equality decomposition")
     B4 = core.b4()
     merge = cg.build_equiv(B4, [["a", "b"]])
-    dec2 = dm.decompose_types(B4, merge)
+    dec2 = dm.decompose_types(merge)
     if not (dec2.pi_i.is_identity and dec2.type_verdict == "I"
             and dec2.finite_type and dec2.unit == 3):
         failures.append("B4 merge decomposition")
-    for dec_, E, R in ((dec, C3, eq), (dec2, B4, merge)):
+    for dec_, R in ((dec, eq), (dec2, merge)):
         if "unique-type-triple" not in dec_.cross_checks:
             failures.append("uniqueness not exercised")
         # independent exhaustive recheck of uniqueness over the algebra
-        d = dm.Dgea(E, R)
+        d = dm.Dgea(R)
         triple = (dec_.pi_i, dec_.pi_ii, dec_.pi_iii)
         for s1 in d.sigma:
             for s2 in d.sigma:
@@ -280,9 +280,9 @@ def test_one_splitting_algebra_per_congruence(monkeypatch):
     calls = []  # (function, relation); holds every relation alive
 
     def counted(fn):
-        def wrapper(E, R, *args):
+        def wrapper(R, *args):
             calls.append((fn.__name__, R))
-            return fn(E, R, *args)
+            return fn(R, *args)
 
         return wrapper
 

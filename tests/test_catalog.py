@@ -185,16 +185,16 @@ def test_full_sk_report_only_for_congruences(monkeypatch):
     summands of a decomposition are models of their own, with their own
     reports, and are not counted."""
     witnessed = []  # (plan, class list) given to sk_witnesses
-    reported = []  # (model, relation) given to check_sk; holds them alive
+    reported = []  # relations given to check_sk; holds them alive
     real_witnesses, real_check = _kernels.sk_witnesses, cg.check_sk
 
     def witnesses(plan, cls):
         witnessed.append((plan, tuple(cls)))
         return real_witnesses(plan, cls)
 
-    def check(E, R):
-        reported.append((E, R))
-        return real_check(E, R)
+    def check(R):
+        reported.append(R)
+        return real_check(R)
 
     monkeypatch.setattr(_kernels, "sk_witnesses", witnesses)
     monkeypatch.setattr(cg, "check_sk", check)
@@ -208,7 +208,7 @@ def test_full_sk_report_only_for_congruences(monkeypatch):
         assert sorted(cls for plan, cls in witnessed
                       if plan is E._sk_plan) == sorted(
             R.class_of for R in found)
-        assert {id(R) for F, R in reported if F is E} == {
+        assert {id(R) for R in reported if R.E is E} == {
             id(R) for R in found}
         for rec in entry.relations:
             if not rec.sk:
@@ -246,6 +246,16 @@ def test_partition_counts():
     assert len(list(catalog.partitions_with_zero_singleton(4))) == 5
     assert len(list(catalog.partitions_with_zero_singleton(5))) == 15
     assert len(list(catalog.partitions_with_zero_singleton(1))) == 1
+
+
+def test_partitions_are_the_sorted_restricted_growth_strings():
+    # every id vector with zero alone whose ids first appear in order
+    for n in range(1, 8):
+        want = [
+            (0, *rest) for rest in itertools.product(range(1, n), repeat=n - 1)
+            if all(c <= max(rest[:i], default=0) + 1 for i, c in enumerate(rest))
+        ]
+        assert list(catalog.partitions_with_zero_singleton(n)) == want
 
 
 def test_persistence_roundtrip(tmp_path):
@@ -451,7 +461,7 @@ def test_congruence_failing_separation(monkeypatch, tmp_path):
 
     from geadim import cli
 
-    monkeypatch.setattr(cg, "check_der", lambda E, R, sigma, H: (1, 2))
+    monkeypatch.setattr(cg, "check_der", lambda R, sigma, H: (1, 2))
     E = core.b4()
     merge = next(rec for rec in catalog.enumerate_relations(E)
                  if rec.classes == ((0,), (1, 2), (3,)))

@@ -250,6 +250,15 @@ def test_verify_command_and_json_stability():
     assert payload["results"]["status"] == "ok"
 
 
+def test_json_is_an_option_of_each_command_only():
+    """``--json`` before the command name is no option of ``geadim``: it is
+    rejected as an input error rather than ignored."""
+    code, text = run(["--json", "verify", "--max-size", "3"])
+    assert code == 2 and text == ""
+    code, text = run(["verify", "--max-size", "3", "--json"])
+    assert code == 0 and json.loads(text)["command"] == "verify"
+
+
 def test_verify_parallel_matches_serial():
     _, serial = run(["verify", "--max-size", "4", "--json"])
     _, parallel = run(["verify", "--max-size", "4", "--jobs", "2", "--json"])
@@ -341,10 +350,10 @@ def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
     when the build runs in a worker."""
     real = cg.induced_hull
 
-    def failing(E, R, sigma):
+    def failing(R, sigma):
         if any(len(c) > 1 for c in R.classes):  # the first merging relation
             raise InternalInvariant("induced hull broken for the test")
-        return real(E, R, sigma)
+        return real(R, sigma)
 
     monkeypatch.setattr(cg, "induced_hull", failing)
     for jobs in ("1", "2"):
@@ -357,6 +366,23 @@ def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "induced hull broken" in lines[0]
         assert "Traceback" not in buf.getvalue()
+
+
+def test_verify_reports_a_raising_property_as_one_violation(monkeypatch):
+    """A property whose library call raises ``InternalInvariant`` gets one
+    violation per instance carrying the message, from the runner."""
+    from geadim import theorems
+
+    def broken(E):
+        raise InternalInvariant("center broken for the test")
+
+    monkeypatch.setattr(theorems, "center", broken)  # the property's binding
+    code, text = run(["verify", "--max-size", "3", "--theorems",
+                      "center-characterizations", "--json"])
+    results = json.loads(text)["results"]
+    violations = results["properties"]["center-characterizations"]["violations"]
+    assert code == 1 and results["models"] == len(violations) > 0
+    assert {v["detail"] for v in violations} == {"center broken for the test"}
 
 
 def test_verify_over_the_limit_builds_no_model(monkeypatch):

@@ -51,15 +51,29 @@ def test_relabeling_matches_sorted_groups():
 
 
 def test_check_sk_passes_on_b4_merge():
-    E, merge = _b4_merge()
-    report = cg.check_sk(E, merge)
+    _, merge = _b4_merge()
+    report = cg.check_sk(merge)
     assert report.sk
     assert report.first_failure() is None
 
 
+def test_check_sk_answers_for_its_relation_model():
+    """The report is memoized on the relation, so the same class ids on
+    another model get that model's verdict, in either order."""
+    C4 = core.build_gea(["0", "1", "2", "3"], "0",
+                        [("1", "1", "2"), ("1", "2", "3")])
+    for chain_first in (False, True):
+        on_b4 = cg.build_equiv(core.b4(), [["a", "b"]])
+        on_chain = cg.EquivRel(C4, on_b4.class_of)
+        if chain_first:
+            cg.check_sk(on_chain)
+        assert cg.check_sk(on_b4).sk
+        assert cg.check_sk(on_chain).first_failure() == ("SK2", (1, 1, 1, 2))
+
+
 def test_check_sk_t3_equality_fails_sk4a():
     T3 = core.t3()
-    report = cg.check_sk(T3, equality_relation(T3))
+    report = cg.check_sk(equality_relation(T3))
     assert not report.sk
     assert report.first_failure() == ("SK4a", (1, 2))
 
@@ -67,7 +81,7 @@ def test_check_sk_t3_equality_fails_sk4a():
 def test_check_sk_c3_merged_fails_sk3d():
     C3 = core.c3()
     merged = cg.build_equiv(C3, [["1", "2"]])
-    report = cg.check_sk(C3, merged)
+    report = cg.check_sk(merged)
     assert not report.sk
     assert report.first_failure() == ("SK3d", (1, 1, 1))
 
@@ -79,7 +93,7 @@ def test_b4_sk_congruence_count():
 
     for class_of in catalog.partitions_with_zero_singleton(E.n):
         R = cg.EquivRel(E, class_of)
-        if cg.check_sk(E, R).sk:
+        if cg.check_sk(R).sk:
             passing.append(R.classes)
     assert sorted(passing) == [
         ((0,), (1,), (2,), (3,)),
@@ -90,20 +104,20 @@ def test_b4_sk_congruence_count():
 def test_relation_queries():
     C3 = core.c3()
     eq = equality_relation(C3)
-    assert cg.subequiv(C3, eq, 1, 2) and not cg.subequiv(C3, eq, 2, 1)
-    assert all(not cg.related(C3, eq, 0, f) for f in range(3))
-    E, merge = _b4_merge()
-    assert not cg.is_hereditary(E, merge, {0, 1})  # b ~ a escapes the set
-    assert cg.is_hereditary(E, merge, {0, 1, 2})
-    assert cg.is_descendent(E, merge, 3, 1)
+    assert cg.subequiv(eq, 1, 2) and not cg.subequiv(eq, 2, 1)
+    assert all(not cg.related(eq, 0, f) for f in range(3))
+    _, merge = _b4_merge()
+    assert not cg.is_hereditary(merge, {0, 1})  # b ~ a escapes the set
+    assert cg.is_hereditary(merge, {0, 1, 2})
+    assert cg.is_descendent(merge, 3, 1)
 
 
 def test_sigma_sim():
     E, merge = _b4_merge()
     S = exocenter(E)
     eq = equality_relation(E)
-    assert len(cg.sigma_sim(E, eq)) == 4
-    sig = cg.sigma_sim(E, merge)
+    assert len(cg.sigma_sim(eq)) == 4
+    sig = cg.sigma_sim(merge)
     assert set(sig.maps) == {S.zero, S.one}
 
 
@@ -113,7 +127,7 @@ def test_splitting_algebra_property_fires_on_a_wrong_sigma(monkeypatch):
     E, merge = _b4_merge()
     S = exocenter(E)
     check = theorems.REGISTRY["splitting-algebra"].fn
-    d = dm.Dgea(E, merge)
+    d = dm.Dgea(merge)
     assert check(d) == []
     for wrong in (S, ExoSet(E, [S.one])):
         monkeypatch.setattr(d, "sigma", wrong)
@@ -121,55 +135,74 @@ def test_splitting_algebra_property_fires_on_a_wrong_sigma(monkeypatch):
             "splitting algebra differs from the literal splitting filter"]
 
 
+def test_induced_hull_contract_fires_on_a_wrong_hull(monkeypatch):
+    _, merge = _b4_merge()
+    S = exocenter(merge.E)
+    check = theorems.REGISTRY["induced-hull-contract"].fn
+    d = dm.Dgea(merge)
+    assert check(d) == []
+    # the exocentral cover system of the whole exocenter, not of {0, 1}
+    monkeypatch.setattr(d, "hull", hull.gamma_hull(S))
+    assert check(d) == ["hull map at a is not a splitting map",
+                        "hull map at b is not a splitting map"]
+    monkeypatch.setattr(d, "hull", hull.HullSystem(d.sigma, [S.one] * 4))
+    assert check(d) == ["hull map at zero is not the zero map",
+                        "hull map at 0 is not below a splitting map fixing it"]
+    pa = hull.gamma_hull(S).eta(1)
+    monkeypatch.setattr(d, "hull", hull.HullSystem(S, [S.zero, pa, pa, S.one]))
+    assert "hull maps do not compose at (a, b)" in check(d)
+    assert "hull map at b does not fix it" in check(d)
+
+
 def test_induced_hull():
     E, merge = _b4_merge()
     S = exocenter(E)
     eq = equality_relation(E)
-    h_eq = cg.induced_hull(E, eq, cg.sigma_sim(E, eq))
-    assert h_eq.maps == hull.gamma_hull(E, S).maps
-    h_merge = cg.induced_hull(E, merge, cg.sigma_sim(E, merge))
-    assert h_merge.maps == indiscrete_hull(E, S).maps
+    h_eq = cg.induced_hull(eq, cg.sigma_sim(eq))
+    assert h_eq.maps == hull.gamma_hull(S).maps
+    h_merge = cg.induced_hull(merge, cg.sigma_sim(merge))
+    assert h_merge.maps == indiscrete_hull(S).maps
     assert h_merge.eta(0).is_zero
 
 
 def test_check_der():
     E, merge = _b4_merge()
     for R in (equality_relation(E), merge):
-        sig = cg.sigma_sim(E, R)
-        assert cg.check_der(E, R, sig, cg.induced_hull(E, R, sig)) is None
+        sig = cg.sigma_sim(R)
+        assert cg.check_der(R, sig, cg.induced_hull(R, sig)) is None
     C3 = core.c3()
     eq = equality_relation(C3)
-    sig = cg.sigma_sim(C3, eq)
-    assert cg.check_der(C3, eq, sig, cg.induced_hull(C3, eq, sig)) is None
+    sig = cg.sigma_sim(eq)
+    assert cg.check_der(eq, sig, cg.induced_hull(eq, sig)) is None
 
 
 def test_check_der_requires_congruence():
     T3 = core.t3()
     eq = equality_relation(T3)
-    sig = cg.sigma_sim(T3, eq)
+    sig = cg.sigma_sim(eq)
     with pytest.raises(NotSkCongruence):
-        cg.check_der(T3, eq, sig, cg.induced_hull(T3, eq, sig))
+        cg.check_der(eq, sig, cg.induced_hull(eq, sig))
 
 
 def test_decompose_pair():
     C3 = core.c3()
     eq = equality_relation(C3)
-    cg.check_sk(C3, eq)
-    assert cg.decompose_pair(C3, eq, 1, 2) == (1, 0, 1, 1)
-    assert cg.decompose_pair(C3, eq, 0, 0) == (0, 0, 0, 0)
-    E, merge = _b4_merge()
-    cg.check_sk(E, merge)
-    assert cg.decompose_pair(E, merge, 1, 2) == (1, 0, 2, 0)
+    cg.check_sk(eq)
+    assert cg.decompose_pair(eq, 1, 2) == (1, 0, 1, 1)
+    assert cg.decompose_pair(eq, 0, 0) == (0, 0, 0, 0)
+    _, merge = _b4_merge()
+    cg.check_sk(merge)
+    assert cg.decompose_pair(merge, 1, 2) == (1, 0, 2, 0)
 
 
 def test_comparability():
     C3 = core.c3()
-    dc = dm.Dgea(C3, equality_relation(C3))
+    dc = dm.Dgea(equality_relation(C3))
     d = dm.comparability(dc, 1, 2)
     assert dc.hull.eta(d).is_identity
     assert dm.comparability(dc, 1, 1) == 0
-    E, merge = _b4_merge()
-    dmerge = dm.Dgea(E, merge)
+    _, merge = _b4_merge()
+    dmerge = dm.Dgea(merge)
     db = dm.comparability(dmerge, 1, 3)
     assert dmerge.hull.eta(db).is_identity
 
@@ -178,8 +211,8 @@ def test_comparability_requires_der():
     E = core.b4()
     raw = cg.build_equiv(E, [["a", "1"]])  # not a congruence
     with pytest.raises(NotDer):
-        dm.comparability(dm.Dgea(E, raw), 1, 2)
-    d = dm.Dgea(*_b4_merge())
+        dm.comparability(dm.Dgea(raw), 1, 2)
+    d = dm.Dgea(_b4_merge()[1])
     d.sk4a_prime = (1, 2)  # as for a congruence that fails SK4a'
     with pytest.raises(NotDer):
         dm.comparability(d, 1, 2)

@@ -13,7 +13,7 @@ from geadim.exocenter import exocenter
 
 def _dgea(E, classes=None):
     R = cg.build_equiv(E, classes or [])
-    return dm.Dgea(E, R), R
+    return dm.Dgea(R), R
 
 
 def test_invariant_sets():
@@ -77,7 +77,7 @@ def test_is_factor():
 def test_decompose_types_c3():
     C3 = core.c3()
     _, eq = _dgea(C3)
-    dec = dm.decompose_types(C3, eq)
+    dec = dm.decompose_types(eq)
     assert dec.pi_i.is_identity
     assert dec.pi_ii.is_zero and dec.pi_iii.is_zero
     assert dec.type_verdict == "I" and dec.finite_type
@@ -88,7 +88,7 @@ def test_decompose_types_c3():
 def test_decompose_types_b4_merge():
     B4 = core.b4()
     _, merge = _dgea(B4, [["a", "b"]])
-    dec = dm.decompose_types(B4, merge)
+    dec = dm.decompose_types(merge)
     assert dec.pi_i.is_identity and dec.type_verdict == "I"
     assert dec.finite_type and dec.unit == 3
     assert dec.summands["I"] == (0, 1, 2, 3)
@@ -98,7 +98,7 @@ def test_decompose_types_b4_merge():
 def test_decompose_types_trivial_model():
     one = core.build_gea(["0"], "0", [])
     _, eq = _dgea(one)
-    dec = dm.decompose_types(one, eq)
+    dec = dm.decompose_types(eq)
     assert dec.pi_i.is_identity and dec.pi_i.is_zero  # same map when n=1
     assert dec.type_verdict == "I"
 
@@ -107,7 +107,7 @@ def test_decompose_requires_der():
     T3 = core.t3()
     eq = equality_relation(T3)
     with pytest.raises(NotDer):
-        dm.decompose_types(T3, eq)
+        dm.decompose_types(eq)
 
 
 def test_restrict_summand():
@@ -179,7 +179,7 @@ def _identity_summand_rebuilt(d):
     table = [[-1 if E.sum_of(a, b) is None else E.sum_of(a, b)
               for b in range(E.n)] for a in range(E.n)]
     copy = core.GeaTable(list(E.names), table)
-    return dm.Dgea(copy, cg.EquivRel(copy, list(R.class_of)),
+    return dm.Dgea(cg.EquivRel(copy, list(R.class_of)),
                    tuple(range(E.n)))
 
 
@@ -290,7 +290,7 @@ def test_hereditary_sup_rejects_unbounded():
     T3 = core.t3()
     eq = equality_relation(T3)
     with pytest.raises(NotDer):
-        dm.Dgea(T3, eq)
+        dm.Dgea(eq)
     with pytest.raises(Unbounded):
         dm.hereditary_sup(SimpleNamespace(E=T3, R=eq), {0, 1, 2})
 

@@ -17,32 +17,32 @@ def _b4():
 
 
 def test_gamma_and_indiscrete_are_hull_systems():
-    E, S = _b4()
-    ok, _ = hull.check_hull_system(E, S, hull.gamma_hull(E, S).maps)
+    _, S = _b4()
+    ok, _ = hull.check_hull_system(S, hull.gamma_hull(S).maps)
     assert ok
-    ok, _ = hull.check_hull_system(E, S, indiscrete_hull(E, S).maps)
+    ok, _ = hull.check_hull_system(S, indiscrete_hull(S).maps)
     assert ok
 
 
 def test_broken_family_rejected():
-    E, S = _b4()
+    _, S = _b4()
     pb = next(m for m in S if m.summand == (0, 2))
-    ok, witness = hull.check_hull_system(E, S, [S.zero, S.zero, pb, S.one])
+    ok, witness = hull.check_hull_system(S, [S.zero, S.zero, pb, S.one])
     assert not ok and "HS2" in witness
 
 
 def test_alien_map_rejected():
-    E, S = _b4()
+    _, S = _b4()
     C3 = core.c3()
     alien = exocenter(C3).one
     with pytest.raises(MapNotInExocenter):
-        hull.check_hull_system(E, S, [S.zero, alien, S.one, S.one])
+        hull.check_hull_system(S, [S.zero, alien, S.one, S.one])
 
 
 def test_hull_from_hd():
     E, S = _b4()
-    assert hull.hull_from_hd(E, [S.zero, S.one]) == indiscrete_hull(E, S)
-    assert hull.hull_from_hd(E, list(S)) == hull.gamma_hull(E, S)
+    assert hull.hull_from_hd(E, [S.zero, S.one]) == indiscrete_hull(S)
+    assert hull.hull_from_hd(E, list(S)) == hull.gamma_hull(S)
     pa = next(m for m in S if m.summand == (0, 1))
     with pytest.raises(NotHullDetermining) as err:
         hull.hull_from_hd(E, [pa, S.one])
@@ -53,8 +53,8 @@ def test_enumerate_hull_systems():
     E, S = _b4()
     systems = hull.enumerate_hull_systems(E)
     assert len(systems) == 2
-    assert hull.gamma_hull(E, S) in systems
-    assert indiscrete_hull(E, S) in systems
+    assert hull.gamma_hull(S) in systems
+    assert indiscrete_hull(S) in systems
     C3 = core.c3()
     assert len(hull.enumerate_hull_systems(C3)) == 1
 
@@ -71,23 +71,23 @@ def test_enumerate_hull_systems_matches_bruteforce():
         fixing = [[m for m in S if m(e) == e] for e in range(E.n)]
         brute = set()
         for maps in itertools.product(*fixing):
-            if hull.check_hull_system(E, S, maps)[0]:
+            if hull.check_hull_system(S, maps)[0]:
                 brute.add(tuple(maps))
         fast = {h.maps for h in hull.enumerate_hull_systems(E)}
         assert fast == brute
 
 
 def test_sim_eta():
-    E, S = _b4()
-    ind, gam = indiscrete_hull(E, S), hull.gamma_hull(E, S)
+    _, S = _b4()
+    ind, gam = indiscrete_hull(S), hull.gamma_hull(S)
     assert hull.sim_eta(ind, 1, 2)
     assert not hull.sim_eta(gam, 1, 2)
     assert hull.sim_eta(gam, 1, 1)
 
 
 def test_classify_eta():
-    E, S = _b4()
-    ind = indiscrete_hull(E, S)
+    _, S = _b4()
+    ind = indiscrete_hull(S)
     assert not hull.is_monad(ind, 3) and hull.is_dyad(ind, 3)
     assert ind.eta(3).is_identity
     assert hull.is_monad(ind, 0) and hull.is_dyad(ind, 0)
@@ -98,21 +98,21 @@ def test_classify_eta():
 
 
 def test_divisibility():
-    E, S = _b4()
-    assert hull.is_divisible(hull.gamma_hull(E, S)).divisible
-    rep = hull.is_divisible(indiscrete_hull(E, S))
+    _, S = _b4()
+    assert hull.is_divisible(hull.gamma_hull(S)).divisible
+    rep = hull.is_divisible(indiscrete_hull(S))
     assert not rep.divisible
     assert rep.witness == (1, 1, 2)  # the atom cannot split the top's class
     T3 = core.t3()
     ST = exocenter(T3)
-    assert hull.is_divisible(indiscrete_hull(T3, ST)).divisible
+    assert hull.is_divisible(indiscrete_hull(ST)).divisible
 
 
 def test_divisibility_is_cached_but_failures_are_not(monkeypatch):
-    E, S = _b4()
-    gam = hull.gamma_hull(E, S)
+    _, S = _b4()
+    gam = hull.gamma_hull(S)
     assert hull.is_divisible(gam) is hull.is_divisible(gam)
-    ind = indiscrete_hull(E, S)
+    ind = indiscrete_hull(S)
     monkeypatch.setattr(hull, "is_dyad", lambda H, p: False)
     for _ in range(2):
         with pytest.raises(InternalInvariant, match="divisibility checks disagree"):
@@ -120,10 +120,10 @@ def test_divisibility_is_cached_but_failures_are_not(monkeypatch):
 
 
 def test_td_table_is_cached_but_failures_are_not(monkeypatch):
-    E, S = _b4()
-    gam = hull.gamma_hull(E, S)
+    _, S = _b4()
+    gam = hull.gamma_hull(S)
     assert hull.td_table(gam) is hull.td_table(gam)
-    ind = indiscrete_hull(E, S)
+    ind = indiscrete_hull(S)
     monkeypatch.setattr(core, "orthosum_family", lambda E, fam: None)
     for _ in range(2):
         with pytest.raises(InternalInvariant, match="not orthosummable"):
@@ -135,8 +135,8 @@ def test_td_sets():
     H = hull.enumerate_hull_systems(C3)[0]
     rep = hull.td_sets(H, [0, 1])
     assert rep.eta_std and rep.eta_td and rep.t_star == 1
-    E, S = _b4()
-    gam = hull.gamma_hull(E, S)
+    _, S = _b4()
+    gam = hull.gamma_hull(S)
     rep = hull.td_sets(gam, [0, 1])
     assert rep.eta_td and rep.t_star == 1
     assert hull.td_sets(gam, [0]).eta_td
@@ -146,8 +146,8 @@ def test_td_sets():
 
 
 def test_sk3e_split_eta():
-    E, S = _b4()
-    gam = hull.gamma_hull(E, S)
+    _, S = _b4()
+    gam = hull.gamma_hull(S)
     assert hull.sk3e_split_eta(gam, 1, 2, 1, 2) == (1, 0, 0, 2)
     assert hull.sk3e_split_eta(gam, 1, 2, 2, 1) == (0, 1, 2, 0)
     C3 = core.c3()

@@ -260,7 +260,7 @@ def test_check_sk_witnesses_violate_their_axioms(data):
     ids = data.draw(st.lists(st.integers(0, E.n - 1),
                              min_size=E.n, max_size=E.n))
     R = cg.EquivRel(E, ids)
-    report = cg.check_sk(E, R)
+    report = cg.check_sk(R)
     cls = R.class_of
     axioms = _literal_sk_axioms(E, cls)
     for v, w, (arity, holds) in zip(report, _literal_sk_witnesses(E, cls),
