@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from geadim import catalog, cli, congruence as cg, core
+from geadim import catalog, cli, congruence as cg, core, theorems
 from geadim.errors import (
     ConflictingEquation,
     InternalInvariant,
@@ -371,7 +371,6 @@ def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
 def test_verify_reports_a_raising_property_as_one_violation(monkeypatch):
     """A property whose library call raises ``InternalInvariant`` gets one
     violation per instance carrying the message, from the runner."""
-    from geadim import theorems
 
     def broken(E):
         raise InternalInvariant("center broken for the test")
