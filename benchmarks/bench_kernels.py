@@ -101,7 +101,7 @@ def main():
           repeat=3)
     td_largest = theorems.REGISTRY["td-largest-map"].fn
     bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
-    tables = list(catalog._catalog_tables(6, 6))
+    tables = list(catalog._catalog_tables(6))
     bench("build_entry n<=6", _build_entries, (tables,), repeat=1)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 

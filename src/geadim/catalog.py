@@ -28,8 +28,7 @@ from .exocenter import center, exocenter
 
 FORMAT_VERSION = 1
 GENERATOR_VERSION = "0.1.0"
-DEFAULT_MAX_N = 7
-HARD_MAX_N = 8
+MAX_N = 8
 
 
 @dataclass
@@ -119,19 +118,19 @@ def _canonical_tables(n):
     return next(itertools.islice(_table_sizes(), n - 1, None))
 
 
-def _catalog_tables(max_n, limit):
+def _catalog_tables(max_n):
     """(n, canonical table bytes) of every model up to size ``max_n``, in
-    catalog order, lazily; the size limit is checked at the call."""
-    if max_n > limit or max_n > HARD_MAX_N:
+    catalog order, lazily; a size over ``MAX_N`` raises at the call."""
+    if max_n > MAX_N:
         raise LimitExceeded(f"max_n={max_n} exceeds the configured limit")
     return ((n, flat) for n, tables in zip(range(1, max_n + 1), _table_sizes())
             for flat in tables)
 
 
-def enumerate_geas(max_n, limit=DEFAULT_MAX_N):
+def enumerate_geas(max_n):
     """Stream of catalog entries for all models up to isomorphism,
     ordered by (size, canonical key)."""
-    for n, flat in _catalog_tables(max_n, limit):
+    for n, flat in _catalog_tables(max_n):
         yield build_entry(n, flat)
 
 
@@ -283,7 +282,7 @@ def write_catalog(path, max_n, jobs=1, resume=False):
     of the enumeration.  A size over the limit raises before any file is
     touched.
     """
-    tables = _catalog_tables(max_n, max_n)
+    tables = _catalog_tables(max_n)
     header = {
         "format_version": FORMAT_VERSION,
         "max_n": max_n,

@@ -169,45 +169,45 @@ def splits(R, pi):
 
 
 def sigma_sim(R):
-    """The splitting members of the exocenter, as a boolean subalgebra.
+    """The splitting members of the exocenter of a congruence, as a boolean
+    subalgebra; ``NotSkCongruence`` for a relation that is none.
 
-    When the relation is a congruence, the four equivalent
-    characterizations of splitting are evaluated per map and asserted to
-    agree, and the result is checked to be a boolean subalgebra containing
-    0 and 1.
+    The four equivalent characterizations of splitting are evaluated per
+    map and asserted to agree, and the result is checked to be a boolean
+    subalgebra containing 0 and 1.
     """
+    base = check_sk(R)
+    if not base.sk:
+        raise NotSkCongruence(str(base.first_failure()))
     E = R.E
-    verify = check_sk(R).sk
     chosen = []
     for pi in exocenter(E):
         a = splits(R, pi)
-        if verify:
-            summand = set(pi.summand)
-            b = all(
-                f in summand
-                for e in summand
-                for f in range(E.n)
-                if R.sim(f, e)
+        summand = set(pi.summand)
+        b = all(
+            f in summand
+            for e in summand
+            for f in range(E.n)
+            if R.sim(f, e)
+        )
+        c = is_hereditary(R, summand)
+        comp = [e for e in range(E.n) if pi(e) == 0]
+        d = all(not related(R, e, f) for e in summand for f in comp)
+        if not (a == b == c == d):
+            raise InternalInvariant(
+                f"splitting characterizations disagree for {pi!r}"
             )
-            c = is_hereditary(R, summand)
-            comp = [e for e in range(E.n) if pi(e) == 0]
-            d = all(not related(R, e, f) for e in summand for f in comp)
-            if not (a == b == c == d):
-                raise InternalInvariant(
-                    f"splitting characterizations disagree for {pi!r}"
-                )
         if a:
             chosen.append(pi)
     sigma = ExoSet(E, chosen)
-    if verify:
-        if sigma.zero not in sigma or sigma.one not in sigma:
-            raise InternalInvariant("splitting algebra misses 0 or 1")
-        for p in sigma:
-            if sigma.complement(p) not in sigma:
-                raise InternalInvariant("splitting algebra not complement-closed")
-            for q in sigma:
-                if sigma.meet(p, q) not in sigma or sigma.join(p, q) not in sigma:
-                    raise InternalInvariant("splitting algebra not lattice-closed")
+    if sigma.zero not in sigma or sigma.one not in sigma:
+        raise InternalInvariant("splitting algebra misses 0 or 1")
+    for p in sigma:
+        if sigma.complement(p) not in sigma:
+            raise InternalInvariant("splitting algebra not complement-closed")
+        for q in sigma:
+            if sigma.meet(p, q) not in sigma or sigma.join(p, q) not in sigma:
+                raise InternalInvariant("splitting algebra not lattice-closed")
     return sigma
 
 

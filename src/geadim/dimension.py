@@ -274,24 +274,22 @@ class Dgea:
             raise InternalInvariant("third summand is not of its type")
         checks.append("summand-types-direct")
 
+        # in a boolean algebra the one map disjoint from s1 and s2 that
+        # completes a cover of the identity is (s1 v s2)'
         for s1 in sigma:
             for s2 in sigma:
                 if not sigma.disjoint(s1, s2):
                     continue
-                for s3 in sigma:
-                    if not (sigma.disjoint(s1, s3) and sigma.disjoint(s2, s3)):
-                        continue
-                    if not sigma.join_all((s1, s2, s3)).is_identity:
-                        continue
-                    if (
-                        flags[s1].type_i
-                        and flags[s2].type_ii
-                        and flags[s3].type_iii
-                    ):
-                        if (s1, s2, s3) != triple:
-                            raise InternalInvariant(
-                                "alternative type triple found; decomposition not unique"
-                            )
+                s3 = comp(sigma.join(s1, s2))
+                if (
+                    flags[s1].type_i
+                    and flags[s2].type_ii
+                    and flags[s3].type_iii
+                    and (s1, s2, s3) != triple
+                ):
+                    raise InternalInvariant(
+                        "alternative type triple found; decomposition not unique"
+                    )
         checks.append("unique-type-triple")
 
         for m, unit in ((pi_i_f, pi_i(ft)), (pi_ii_f, comp(pi_i)(ft))):

@@ -131,17 +131,14 @@ def enumerate_hull_systems(E):
     found = []
 
     def consistent(upto):
-        done = order[: upto + 1]
-        for e in done:
-            for f in done:
-                g = maps[e](f)
-                if maps[g] is None:
-                    continue
-                meet = S.meet(maps[e], maps[f])
-                if maps[g] != meet:
-                    return False
-                comp = tuple(maps[e](maps[f](x)) for x in range(n))
-                if comp != meet.image:
+        # only the pairs with the newly placed x: the others were checked
+        # when the later of their two elements was placed.  g = eta_a(b)
+        # lies below b, so it is placed already, and S.meet is the
+        # composition eta_a o eta_b, raising if the two maps do not commute
+        x = order[upto]
+        for e in order[: upto + 1]:
+            for a, b in ((x, e), (e, x)):
+                if maps[maps[a](b)] != S.meet(maps[a], maps[b]):
                     return False
         return True
 

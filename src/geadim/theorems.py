@@ -1182,7 +1182,7 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
     if invert is not None and invert not in names:
         # inverting a property that is not run would change nothing
         raise GeadimError(f"inverted theorem {invert} is not among those selected")
-    tables = catalog._catalog_tables(max_n, catalog.DEFAULT_MAX_N)
+    tables = catalog._catalog_tables(max_n)
     evaluate = partial(_evaluate_model, names, invert)
     results = {name: PropertyResult() for name in names}
     review = []

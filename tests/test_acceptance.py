@@ -258,6 +258,7 @@ def test_size_6_outputs_keep_their_digests(tmp_path):
 # the same digests at size 7: 175 models and 22 congruences, all of type I
 VERIFY_7_SHA256 = "6b1b845eeadce45f50f27385953a0d2a5b038aa2d6a83ecbfce65746ff1ea54b"
 CATALOG_7_SHA256 = "cf90216a2002db7e81c1538719cc35825be258eff58f94a5ebefb75d457a5bdc"
+VERIFY_8_SHA256 = "7ff71459e54004690e43a58e0b7a6d6a1207d38ebef08a1aa8227aea4943dfa1"
 
 
 @pytest.mark.slow
@@ -271,6 +272,15 @@ def test_size_7_outputs_keep_their_digests(tmp_path):
     argv = ["catalog", "--max-size", "7", "--out", str(path)]
     assert cli.run_command(argv, out=io.StringIO()) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_7_SHA256
+
+
+@pytest.mark.slow
+def test_size_8_verify_keeps_its_digest():
+    for jobs in ("1", "2"):
+        buf = io.StringIO()
+        argv = ["verify", "--max-size", "8", "--jobs", jobs, "--json"]
+        assert cli.run_command(argv, out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == VERIFY_8_SHA256
 
 
 def test_one_splitting_algebra_per_congruence(monkeypatch):

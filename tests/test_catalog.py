@@ -158,9 +158,7 @@ def test_parallel_enumeration_matches_serial(tmp_path):
 
 def test_limit_guard(tmp_path):
     with pytest.raises(LimitExceeded):
-        list(catalog.enumerate_geas(8))
-    with pytest.raises(LimitExceeded):
-        list(catalog.enumerate_geas(9, limit=9))
+        list(catalog.enumerate_geas(9))
     with pytest.raises(LimitExceeded):
         catalog.write_catalog(str(tmp_path / "models.cat"), 9)
     assert list(tmp_path.iterdir()) == []  # not even a .part header
@@ -199,7 +197,7 @@ def test_full_sk_report_only_for_congruences(monkeypatch):
     monkeypatch.setattr(_kernels, "sk_witnesses", witnesses)
     monkeypatch.setattr(cg, "check_sk", check)
     partitions = congruences = 0
-    for n, flat in catalog._catalog_tables(6, 6):
+    for n, flat in catalog._catalog_tables(6):
         witnessed.clear()
         reported.clear()
         entry = catalog.build_entry(n, flat)

@@ -387,11 +387,26 @@ def test_verify_reports_a_raising_property_as_one_violation(monkeypatch):
 def test_verify_over_the_limit_builds_no_model(monkeypatch):
     built = []
     monkeypatch.setattr(catalog, "build_entry", lambda *args: built.append(args))
-    code, text = run(["verify", "--max-size", "8", "--json"])
+    code, text = run(["verify", "--max-size", "9", "--json"])
     assert code == 2
     assert text.count("\n") == 1 and text.startswith("error: ")
     assert "exceeds the configured limit" in text
     assert built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--property", "trivially-false", "--max-size", "9"],
+    ["catalog", "--max-size", "9", "--out", "models.cat"],
+])
+def test_catalog_commands_share_the_size_limit(argv, monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(catalog, "build_entry", lambda *args: built.append(args))
+    monkeypatch.chdir(tmp_path)
+    code, text = run(argv)
+    assert code == 2
+    assert text.count("\n") == 1 and text.startswith("error: ")
+    assert "exceeds the configured limit" in text
+    assert built == [] and list(tmp_path.iterdir()) == []
 
 
 # Each fixture with one non-congruence added, for the golden outputs below.

@@ -179,9 +179,11 @@ def test_check_der():
 def test_check_der_requires_congruence():
     T3 = core.t3()
     eq = equality_relation(T3)
-    sig = cg.sigma_sim(eq)
     with pytest.raises(NotSkCongruence):
-        cg.check_der(eq, sig, cg.induced_hull(eq, sig))
+        cg.sigma_sim(eq)
+    S = exocenter(T3)
+    with pytest.raises(NotSkCongruence):
+        cg.check_der(eq, S, hull.gamma_hull(S))
 
 
 def test_decompose_pair():

@@ -7,7 +7,13 @@ import pytest
 
 from oracles import equality_relation
 from geadim import catalog, congruence as cg, core, dimension as dm, theorems
-from geadim.errors import NotDer, NotHereditary, NotSplitting, Unbounded
+from geadim.errors import (
+    InternalInvariant,
+    NotDer,
+    NotHereditary,
+    NotSplitting,
+    Unbounded,
+)
 from geadim.exocenter import exocenter
 
 
@@ -253,6 +259,16 @@ def test_type_decomposition_property_fires_on_wrong_summands(monkeypatch):
                             property(lambda self, s=summands: s),
                             raising=False)
         assert message in check(d), first
+
+
+def test_decomposition_rejects_a_second_type_triple(monkeypatch):
+    # every summand claims all three types, so (0, 0, 1) is a second type
+    # triple next to the real one, (1, 0, 0)
+    flags = dm.TypeFlags(True, True, True, False, False)
+    monkeypatch.setattr(dm.Dgea, "type_flags", property(lambda self: flags))
+    d, _ = _dgea(core.b4())
+    with pytest.raises(InternalInvariant, match="decomposition not unique"):
+        d.decomposition
 
 
 def test_hereditary_sup():

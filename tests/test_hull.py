@@ -65,7 +65,7 @@ def test_enumerate_hull_systems_matches_bruteforce():
 
     from geadim import catalog
 
-    for entry in catalog.cached_entries(4):
+    for entry in catalog.cached_entries(6):
         E = entry.table
         S = exocenter(E)
         fixing = [[m for m in S if m(e) == e] for e in range(E.n)]
