@@ -10,7 +10,9 @@ table gives the fastest round's time per call, which is the least
 disturbed by other load on the machine.  The table rows time the
 one-point top extensions of the 35 catalog tables of size 6, and the
 whole table stage up to size 7, which builds each size from the one
-below.  The ``td_table`` and ``is_divisible`` rows build the
+below.  The ``sk_first_failures`` rows sweep all 52 partitions with zero
+alone of the 6-chain and all 877 of the 2 x 2 x 2 cube in one call each.
+The ``td_table`` and ``is_divisible`` rows build the
 type-determining table and the divisibility report of each of the 59
 hull systems on the models up to size 6, clearing the hull system's memo
 before each call.  The ``td-largest-map`` row runs that property over
@@ -36,6 +38,13 @@ def _chain(n):
     """The n-chain: i + j = i + j when the total stays below n."""
     table = [[i + j if i + j < n else -1 for j in range(n)] for i in range(n)]
     return core.GeaTable([str(i) for i in range(n)], table)
+
+
+def _cube():
+    """The 2 x 2 x 2 cube: the subsets of three atoms as bit sets, a + b
+    defined as the union when a and b are disjoint."""
+    table = [[a | b if not a & b else -1 for b in range(8)] for a in range(8)]
+    return core.GeaTable([str(i) for i in range(8)], table)
 
 
 def _extend_each(parents):
@@ -82,14 +91,16 @@ def main():
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
     cls = [0, 1, 1, 2, 2, 3]  # fails SK2 first
-    equality = list(range(6))  # a congruence
     bench("sk_plan n=6", K.sk_plan, (c6.sum, c6.diff, c6.leq), repeat=20)
     plan = K.sk_plan(c6.sum, c6.diff, c6.leq)
     bench("sk_witnesses n=6", K.sk_witnesses, (plan, cls), repeat=200)
-    bench("sk_first_failure n=6 SK2", K.sk_first_failure, (plan, cls),
-          repeat=200)
-    bench("sk_first_failure n=6 pass", K.sk_first_failure, (plan, equality),
-          repeat=200)
+    _, eq6 = catalog._swept_partitions(6)
+    bench("sk_first_failures n=6", K.sk_first_failures, (plan, eq6),
+          repeat=20)
+    cube = _cube()
+    _, eq8 = catalog._swept_partitions(8)
+    bench("sk_first_failures n=8 cube", K.sk_first_failures,
+          (cube._sk_plan, eq8), repeat=5)
     rows = core.b4().sum
     perms = list(core._candidate_perms(core._refine_colors(rows)))
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)

@@ -5,8 +5,10 @@ row tuples, the form of a model's ``sum``: ``enumerate_tables`` reads
 and emits its tables so, ``relabeled`` and ``min_relabel`` return them
 so, and ``is_min_relabel`` compares against them.  ``axiom_violation``
 also reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
-tuples, and ``sk_witnesses`` and ``sk_first_failure`` read the per-model
-``SkPlan`` that ``sk_plan`` builds and return tuples.
+tuples, and ``sk_witnesses`` and ``sk_first_failures`` read the per-model
+``SkPlan`` that ``sk_plan`` builds.  ``sk_witnesses`` checks one partition,
+given as a class list; ``sk_first_failures`` checks many at once, given
+as the bit masks of ``class_masks``, one bit per partition.
 
 Table encoding: an n-element model is an n-by-n table where entry
 ``[i][j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
@@ -24,7 +26,8 @@ __all__ = [
     "brute_exomaps",
     "sk_plan",
     "sk_witnesses",
-    "sk_first_failure",
+    "class_masks",
+    "sk_first_failures",
 ]
 
 def axiom_violation(rows):
@@ -184,7 +187,7 @@ class SkPlan(NamedTuple):
     """The partition-independent part of the congruence check of a model.
 
     Built once per model by ``sk_plan`` and read by every
-    ``sk_witnesses`` call on that model.
+    ``sk_witnesses`` and ``sk_first_failures`` call on that model.
     """
 
     n: int
@@ -199,7 +202,8 @@ class SkPlan(NamedTuple):
 
 
 def sk_plan(table, diff, leq):
-    """Everything ``sk_witnesses`` needs that does not depend on the classes.
+    """Everything the congruence checks need that does not depend on the
+    classes.
 
     An SK3e entry is a defined e + f with its refinement grid: the element
     pairs (e1 + f1, e2 + f2) over e = e1 + e2 and f = f1 + f2, at most one
@@ -261,33 +265,117 @@ def sk_witnesses(plan, cls):
     (finite additivity) form, which extends to all finite families by
     induction.  Class pairs are encoded as ``c1 * n + c2``.
     """
-    return tuple(_sk_checks(plan, cls))
-
-
-def sk_first_failure(plan, cls):
-    """The first failing congruence axiom and its witness.
-
-    Runs the checks of ``sk_witnesses`` in the same order and stops at the
-    first failure.  Returns ``(k, witness)``, where ``k`` indexes SK1,
-    SK2, SK3d, SK3e, SK4a, SK4b and ``witness`` is the one
-    ``sk_witnesses`` gives for that axiom, or None when all six hold.
-    """
-    for k, w in enumerate(_sk_checks(plan, cls)):
-        if w is not None:
-            return k, w
-    return None
-
-
-def _sk_checks(plan, cls):
-    # the six witnesses in order, each computed only when asked for, so
-    # sk_first_failure skips the checks after the first failure
-    yield _sk1(plan, cls)
-    yield _sk2(plan, cls)
-    yield _sk3d(plan, cls)
-    yield _sk3e(plan, cls)
     below_cls = [{cls[x] for x in b} for b in plan.below]
-    yield _sk4a(plan, below_cls)
-    yield _sk4b(plan, cls, below_cls)
+    return (_sk1(plan, cls), _sk2(plan, cls), _sk3d(plan, cls),
+            _sk3e(plan, cls), _sk4a(plan, below_cls),
+            _sk4b(plan, cls, below_cls))
+
+
+def class_masks(partitions):
+    """The class relations of many partitions, one bit each.
+
+    ``partitions`` is a nonempty sequence of class lists of the same n
+    elements, and bit i of a mask stands for ``partitions[i]``.  Returns
+    ``eq`` as tuple rows: ``eq[x][y]`` is the mask of the partitions in
+    which x and y share a class, so every ``eq[x][x]`` has all bits set.
+    """
+    n = len(partitions[0])
+    every = (1 << len(partitions)) - 1
+    eq = [[every] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x):
+            bits = "".join("1" if cls[x] == cls[y] else "0"
+                           for cls in reversed(partitions))
+            eq[x][y] = eq[y][x] = int(bits, 2)
+    return tuple(map(tuple, eq))
+
+
+def sk_first_failures(plan, eq):
+    """The first failing congruence axiom and its witness of many
+    partitions of one model at once.
+
+    ``plan`` is the model's ``sk_plan`` and ``eq`` the ``class_masks`` of
+    the partitions.  Returns a list in partition order of ``(k,
+    witness)``, where ``k`` indexes SK1, SK2, SK3d, SK3e, SK4a, SK4b and
+    ``witness`` is the one ``sk_witnesses`` gives for that axiom, or None
+    where all six hold.  Each axiom walks its candidate witnesses in the
+    order ``sk_witnesses`` tries them.  A candidate's failing partitions
+    are a mask of AND and NOT operations on ``eq``; those not yet failed
+    take the candidate as their first failure and drop out.
+    """
+    n = plan.n
+    live = eq[0][0]
+    out = [None] * live.bit_length()
+    # SK1: zero is alone in its class
+    for e in range(1, n):
+        hit = live & eq[0][e]
+        if hit:
+            live ^= hit
+            _take(out, hit, (0, (e,)))
+    # SK2, pair form: e1 ~ f1 and e2 ~ f2 give e1 + e2 ~ f1 + f2.  A bad
+    # class pair always holds a conflicting f-pair, so the first conflict
+    # in (e-pair, f-pair) order is sk_witnesses' witness.  Zero is alone
+    # in every partition left, so a pair with zero never conflicts.
+    pairs = [(s, t, st) for s, t, st in plan.pairs if s and t]
+    for e1, e2, se in pairs:
+        if not live:
+            return out
+        r1, r2, rs = eq[e1], eq[e2], eq[se]
+        for f1, f2, sf in pairs:
+            hit = live & r1[f1] & r2[f2] & ~rs[sf]
+            if hit:
+                live ^= hit
+                _take(out, hit, (1, (e1, e2, f1, f2)))
+    # SK3d: p ~ s + t splits as p = e + d with e ~ s, d ~ t.  A pair with
+    # zero never fails, as p = 0 + p = p + 0.
+    for p, split in enumerate(plan.splits):
+        rp = eq[p]
+        for s, t, st in pairs:
+            hit = live & rp[st]
+            if not hit:
+                continue
+            rs, rt = eq[s], eq[t]
+            for e, d in split:
+                hit &= ~(rs[e] & rt[d])
+                if not hit:
+                    break
+            else:
+                live ^= hit
+                _take(out, hit, (2, (p, s, t)))
+    # SK3e: e + f = s + t refines into a 2x2 grid
+    for e, f, grid, cands in plan.grids:
+        for s, t in cands:
+            hit = live
+            rs, rt = eq[s], eq[t]
+            for a, b in grid:
+                hit &= ~(rs[a] & rt[b])
+            if hit:
+                live ^= hit
+                _take(out, hit, (3, (e, f, s, t)))
+    # SK4a and SK4b: e + f undefined, or e not below f, gives a nonzero
+    # e1 <= e related to a nonzero f1 <= f, or to a nonzero d _|_ f
+    for k, cands, near in ((4, plan.nonorth, plan.below),
+                           (5, plan.notleq, plan.orth)):
+        for e, f in cands:
+            hit = live
+            for x in plan.below[e]:
+                rx = eq[x]
+                for y in near[f]:
+                    hit &= ~rx[y]
+                if not hit:
+                    break
+            else:
+                live ^= hit
+                _take(out, hit, (k, (e, f)))
+    return out
+
+
+def _take(out, hit, failure):
+    # the failure of every partition whose bit is set in the mask hit
+    while hit:
+        low = hit & -hit
+        out[low.bit_length() - 1] = failure
+        hit ^= low
 
 
 def _sk1(plan, cls):

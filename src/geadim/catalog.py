@@ -217,20 +217,29 @@ def partitions_with_zero_singleton(n):
         top[i + 1:] = [top[i]] * (n - 1 - i)
 
 
+@lru_cache(maxsize=None)
+def _swept_partitions(n):
+    """The partitions with zero alone of n elements and their
+    ``_kernels.class_masks``, built once per size."""
+    partitions = tuple(partitions_with_zero_singleton(n))
+    return partitions, _kernels.class_masks(partitions)
+
+
 def enumerate_relations(E):
     """Every partition with zero alone, with its congruence verdict.
 
-    A partition is checked only up to its first failing congruence axiom,
-    and its record keeps its restricted growth string and that axiom and
-    witness; its classes are read off the string when it is summarized.
-    Each relation that passes the congruence axioms gets its ``dm.Dgea``,
-    which checks the full report and the separation axiom SK4a', and,
-    when that passes, a summary of its type decomposition; when SK4a'
-    fails, it is the record's first failure.
+    The first failing congruence axiom and its witness are found for all
+    the partitions at once, and a record that fails keeps its restricted
+    growth string and that axiom and witness; its classes are read off
+    the string when it is summarized.  Each relation that passes the
+    congruence axioms gets its ``dm.Dgea``, which checks the full report
+    and the separation axiom SK4a', and, when that passes, a summary of
+    its type decomposition; when SK4a' fails, it is the record's first
+    failure.
     """
-    plan = E._sk_plan
-    for class_of in partitions_with_zero_singleton(E.n):
-        fail = _kernels.sk_first_failure(plan, class_of)
+    partitions, eq = _swept_partitions(E.n)
+    fails = _kernels.sk_first_failures(E._sk_plan, eq)
+    for class_of, fail in zip(partitions, fails):
         if fail is not None:
             # restricted growth strings are dense class ids already
             yield RelationRecord(

@@ -259,6 +259,8 @@ def test_size_6_outputs_keep_their_digests(tmp_path):
 VERIFY_7_SHA256 = "6b1b845eeadce45f50f27385953a0d2a5b038aa2d6a83ecbfce65746ff1ea54b"
 CATALOG_7_SHA256 = "cf90216a2002db7e81c1538719cc35825be258eff58f94a5ebefb75d457a5bdc"
 VERIFY_8_SHA256 = "7ff71459e54004690e43a58e0b7a6d6a1207d38ebef08a1aa8227aea4943dfa1"
+# the size-8 catalog file: 671 models, 461 180 relations, 72.7 MB
+CATALOG_8_SHA256 = "94df4a50172f2ec9b559718e15352983f58d892be5de925e83488bb3c82358e2"
 
 
 @pytest.mark.slow
@@ -281,6 +283,14 @@ def test_size_8_verify_keeps_its_digest():
         argv = ["verify", "--max-size", "8", "--jobs", jobs, "--json"]
         assert cli.run_command(argv, out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == VERIFY_8_SHA256
+
+
+@pytest.mark.slow
+def test_size_8_catalog_keeps_its_digest(tmp_path):
+    path = tmp_path / "catalog-8.jsonl"
+    argv = ["catalog", "--max-size", "8", "--jobs", "2", "--out", str(path)]
+    assert cli.run_command(argv, out=io.StringIO()) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_8_SHA256
 
 
 def test_one_splitting_algebra_per_congruence(monkeypatch):

@@ -66,8 +66,8 @@ def test_bench_kernels_runs(capsys):
     bench.main()
     out = capsys.readouterr().out
     for label in ("axiom_violation n=6", "min_relabel n=4",
-                  "is_min_relabel n=4", "sk_first_failure n=6 SK2",
-                  "sk_first_failure n=6 pass", "td_table n<=6",
+                  "is_min_relabel n=4", "sk_first_failures n=6",
+                  "sk_first_failures n=8 cube", "td_table n<=6",
                   "is_divisible n<=6",
                   "td-largest-map n<=6", "build_entry n<=6",
                   "run_theorem_suite n<=5"):

@@ -202,9 +202,9 @@ def _literal_sk_witnesses(E, cls):
 
 
 def _swept_cases(models):
-    """(model, plan, class list) for every swept partition of each model,
-    as catalogued and relabeled at random, plus two partitions that put
-    zero in a larger class."""
+    """(model, plan, class lists) of each model, as catalogued and
+    relabeled at random: every swept partition, plus two partitions that
+    put zero in a larger class."""
     rand = random.Random(7)
     for E in models:
         for F in (E, oracles.relabel(E, [0, *rand.sample(range(1, E.n), E.n - 1)])):
@@ -212,17 +212,17 @@ def _swept_cases(models):
             partitions = list(catalog.partitions_with_zero_singleton(F.n))
             if F.n > 1:
                 partitions += [[0] * F.n, [0, 0, *range(1, F.n - 1)]]
-            for cls in partitions:
-                yield F, plan, cls
+            yield F, plan, partitions
 
 
 def test_sk_witnesses_match_the_literal_sk_axioms():
     failures = [0] * 6
-    for E, plan, cls in _swept_cases(_catalog_models(5)):
-        found = K.sk_witnesses(plan, cls)
-        assert list(found) == _literal_sk_witnesses(E, cls), (E.sum, cls)
-        for k, w in enumerate(found):
-            failures[k] += w is not None
+    for E, plan, partitions in _swept_cases(_catalog_models(5)):
+        for cls in partitions:
+            found = K.sk_witnesses(plan, cls)
+            assert list(found) == _literal_sk_witnesses(E, cls), (E.sum, cls)
+            for k, w in enumerate(found):
+                failures[k] += w is not None
     assert all(failures)  # every axiom fails somewhere
 
 
@@ -232,23 +232,25 @@ def _first_witness(found):
     return next(((k, w) for k, w in enumerate(found) if w is not None), None)
 
 
-def _check_first_failure(models):
+def _check_first_failures(models):
     # returns how often each axiom came first, index 6 counting congruences
     firsts = [0] * 7
-    for E, plan, cls in _swept_cases(models):
-        got = K.sk_first_failure(plan, cls)
-        assert got == _first_witness(K.sk_witnesses(plan, cls)), (E.sum, cls)
-        firsts[6 if got is None else got[0]] += 1
+    for E, plan, partitions in _swept_cases(models):
+        got = K.sk_first_failures(plan, K.class_masks(partitions))
+        assert len(got) == len(partitions)
+        for cls, fail in zip(partitions, got):
+            assert fail == _first_witness(K.sk_witnesses(plan, cls)), (E.sum, cls)
+            firsts[6 if fail is None else fail[0]] += 1
     return firsts
 
 
-def test_sk_first_failure_matches_sk_witnesses():
-    assert all(_check_first_failure(_catalog_models(6)))
+def test_sk_first_failures_match_sk_witnesses():
+    assert all(_check_first_failures(_catalog_models(6)))
 
 
 @pytest.mark.slow
-def test_sk_first_failure_matches_sk_witnesses_n7():
-    _check_first_failure([E for E in _catalog_models(7) if E.n == 7])
+def test_sk_first_failures_match_sk_witnesses_n7_n8():
+    _check_first_failures([E for E in _catalog_models(8) if E.n >= 7])
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -269,7 +271,7 @@ def test_check_sk_witnesses_violate_their_axioms(data):
         if v is not None:
             assert len(v) == arity and not holds(*v)
     first = report.first_failure()
-    got = K.sk_first_failure(E._sk_plan, cls)
+    got, = K.sk_first_failures(E._sk_plan, K.class_masks([cls]))
     assert (None if got is None else (cg.AXES[got[0]], got[1])) == first
 
 
