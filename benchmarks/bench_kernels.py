@@ -15,14 +15,17 @@ alone of the 6-chain and all 877 of the 2 x 2 x 2 cube in one call each.
 The ``td_table`` and ``is_divisible`` rows build the
 type-determining table and the divisibility report of each of the 59
 hull systems on the models up to size 6, clearing the hull system's memo
-before each call.  The ``td-largest-map`` row runs that property over
+before each call, and the ``check_hull_system`` row checks HS1-HS3 on
+each of them.  The ``td-largest-map`` row runs that property over
 those models, so it reads the memoized tables and times the checks per
-subset.  The ``build_entry`` row builds the catalog entry of each of the
-56 canonical tables up to size 6 from its bytes, so each model and its
-caches are fresh: the structure flags, the partition sweep and the
-decomposition of each dimension relation.  The suite row times
-``run_theorem_suite(5)``, which builds each catalog entry as it reaches
-it.
+subset.  The ``build_entry n<=6`` row builds the catalog entry of each of
+the 56 canonical tables up to size 6 from its bytes, so each model and
+its caches are fresh: the structure flags, the partition sweep and the
+decomposition of each dimension relation.  The ``build_entry n=8 cube``
+row does the same for the cube alone, whose decomposition of its
+dimension relations (every summand's, too) is most of its time.  The
+suite row times ``run_theorem_suite(5)``, which builds each catalog entry
+as it reaches it.
 """
 
 import platform
@@ -62,6 +65,11 @@ def _build_each(fn, systems):
     for H in systems:
         H._cache.clear()
         fn(H)
+
+
+def _check_each(systems):
+    for H in systems:
+        hull.check_hull_system(H.exoset, H.maps)
 
 
 def _build_entries(tables):
@@ -110,10 +118,13 @@ def main():
     bench("td_table n<=6", _build_each, (hull.td_table, systems), repeat=3)
     bench("is_divisible n<=6", _build_each, (hull.is_divisible, systems),
           repeat=3)
+    bench("check_hull_system n<=6", _check_each, (systems,), repeat=3)
     td_largest = theorems.REGISTRY["td-largest-map"].fn
     bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
     tables = list(catalog._catalog_tables(6))
     bench("build_entry n<=6", _build_entries, (tables,), repeat=1)
+    bench("build_entry n=8 cube", catalog.build_entry,
+          (8, core.canonical_form(cube)[1:]), repeat=1)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 
 

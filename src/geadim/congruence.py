@@ -4,6 +4,13 @@ the induced hull system, and pair decomposition.
 The congruence axioms are the Sherstnev-Kalinin conditions SK1-SK4b; a
 relation additionally satisfying SK4a' (unrelated elements are separated
 by a splitting map) is a dimension equivalence relation (DER).
+
+Each relation memoizes its axiom report and one table of bitmasks per
+element (``_relation_masks``), which ``related``, ``subequiv`` and
+``is_hereditary`` read; ``tests/oracles.py`` keeps their literal searches
+as oracles.  ``splits``, ``sigma_sim``'s characterization (b) and two
+readings in ``dimension.Dgea.invariants`` read ``sim`` directly, so their
+cross-checks compare the table against literal answers.
 """
 
 from typing import NamedTuple
@@ -23,7 +30,7 @@ AXES = ("SK1", "SK2", "SK3d", "SK3e", "SK4a", "SK4b")
 class EquivRel:
     """A partition of the elements; class ids are dense, zero's class first."""
 
-    __slots__ = ("E", "class_of", "classes", "_sk_report")
+    __slots__ = ("E", "class_of", "classes", "_sk_report", "_masks")
 
     def __init__(self, E, class_of):
         # relabeling by first occurrence numbers the classes by their least
@@ -33,6 +40,7 @@ class EquivRel:
         self.class_of = tuple(ids)
         self.classes = partition_classes(ids)
         self._sk_report = None  # check_sk's memo
+        self._masks = None  # _relation_masks's memo
 
     def sim(self, e, f):
         return self.class_of[e] == self.class_of[f]
@@ -130,24 +138,51 @@ def check_sk(R):
     return R._sk_report
 
 
+def _relation_masks(R):
+    """Two bitmasks per element f, memoized on ``R``: the class ids of the
+    nonzero elements below f, and the elements equivalent to some element
+    below f (zero and f included)."""
+    if R._masks is None:
+        members = [0] * len(R.classes)
+        for e, c in enumerate(R.class_of):
+            members[c] |= 1 << e
+        classes, reach = [], []
+        for below in R.E._below:
+            cm = em = 0
+            for x in below:
+                c = R.class_of[x]
+                em |= members[c]
+                if x:
+                    cm |= 1 << c
+            classes.append(cm)
+            reach.append(em)
+        R._masks = (tuple(classes), tuple(reach))
+    return R._masks
+
+
 def related(R, e, f):
     """Nonzero equivalent subelements exist below e and f respectively."""
-    below = R.E.below
-    return any(R.sim(e1, f1) for e1 in below(e) if e1 for f1 in below(f) if f1)
+    classes = _relation_masks(R)[0]
+    return classes[e] & classes[f] != 0
 
 
 def subequiv(R, e, f):
     """e is equivalent to some subelement of f."""
-    return any(R.sim(e, f1) for f1 in R.E.below(f))
+    return _relation_masks(R)[1][f] >> e & 1 == 1
 
 
 def is_hereditary(R, S):
-    """Order ideal closed under taking sub-equivalent elements."""
-    E = R.E
+    """Order ideal closed under taking sub-equivalent elements.
+
+    An element below h is sub-equivalent to h, so one test per member h
+    covers both: every element sub-equivalent to h lies in S.
+    """
+    reach = _relation_masks(R)[1]
     S = frozenset(S)
-    return all(
-        (e in S) for h in S for e in range(E.n) if subequiv(R, e, h)
-    ) and all(t in S for h in S for t in E.below(h))
+    mask = 0
+    for h in S:
+        mask |= 1 << h
+    return all(reach[h] & ~mask == 0 for h in S)
 
 
 def is_descendent(R, d, e):

@@ -60,12 +60,11 @@ def check_hull_system(S, maps):
     for e in range(E.n):
         if maps[e](e) != e:
             return False, f"HS2: map at {E.names[e]} does not fix it"
-    for e in range(E.n):
-        for f in range(E.n):
-            lhs = maps[maps[e](f)]
-            m1 = tuple(maps[e](maps[f](x)) for x in range(E.n))
-            m2 = tuple(maps[f](maps[e](x)) for x in range(E.n))
-            if m1 != m2 or lhs.image != m1:
+    images = [m.image for m in maps]
+    for e, ie in enumerate(images):
+        for f, jf in enumerate(images):
+            m1 = tuple(ie[v] for v in jf)  # eta_e o eta_f
+            if m1 != tuple(jf[v] for v in ie) or images[ie[f]] != m1:
                 return False, f"HS3 fails at ({E.names[e]}, {E.names[f]})"
     return True, None
 

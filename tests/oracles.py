@@ -7,13 +7,16 @@ extensions.  ``naive_class_count`` filters every possible table with no
 pruning at all.  ``is_divisible`` and ``td_sets`` are the literal searches
 that ``hull.is_divisible`` and ``hull.td_table`` replace: a search of
 ``below(p)`` squared per triple, and a search of the families of one
-subset T.
+subset T.  ``related``, ``subequiv`` and ``is_hereditary`` are the literal
+searches over ``R.sim`` that ``congruence._relation_masks`` replaces.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from geadim import _kernels, congruence as cg, core, hull
+from conftest import table_rows
+from geadim import _kernels, catalog, congruence as cg, core, hull
 from geadim.errors import InternalInvariant
 from geadim.exocenter import disjoint_families
 
@@ -32,6 +35,18 @@ def relabel(E, perm):
     for i in range(n):
         names[perm[i]] = E.names[i]
     return core.GeaTable(names, new, _validated=True)
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_models(max_n):
+    """One GeaTable per isomorphism class up to ``max_n`` elements, in
+    catalog order."""
+    return tuple(
+        core.GeaTable([str(i) for i in range(n)], table_rows(flat, n),
+                      _validated=True)
+        for n in range(1, max_n + 1)
+        for flat in catalog._canonical_tables(n)
+    )
 
 
 def equality_relation(E):
@@ -295,3 +310,23 @@ def td_sets(H, T):
     if eta_std and not eta_td:
         raise InternalInvariant("strongly type-determining set is not type-determining")
     return TdReport(frozenset(closure), frozenset(image), eta_td, eta_std, t_star)
+
+
+def related(R, e, f):
+    """Nonzero equivalent subelements exist below e and f respectively."""
+    below = R.E.below
+    return any(R.sim(e1, f1) for e1 in below(e) if e1 for f1 in below(f) if f1)
+
+
+def subequiv(R, e, f):
+    """e is equivalent to some subelement of f."""
+    return any(R.sim(e, f1) for f1 in R.E.below(f))
+
+
+def is_hereditary(R, S):
+    """Order ideal closed under taking sub-equivalent elements."""
+    E = R.E
+    S = frozenset(S)
+    return all(
+        (e in S) for h in S for e in range(E.n) if subequiv(R, e, h)
+    ) and all(t in S for h in S for t in E.below(h))

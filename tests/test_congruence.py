@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from oracles import equality_relation, indiscrete_hull
 from geadim import catalog, congruence as cg, core, dimension as dm, hull, theorems
 from geadim.errors import NotDer, NotSkCongruence, OverlappingClasses, UnknownElement
@@ -110,6 +111,62 @@ def test_relation_queries():
     assert not cg.is_hereditary(merge, {0, 1})  # b ~ a escapes the set
     assert cg.is_hereditary(merge, {0, 1, 2})
     assert cg.is_descendent(merge, 3, 1)
+
+
+def _query_relations(E):
+    """Every partition of ``E`` with zero alone, and two that put zero in
+    a larger class, as relations."""
+    partitions = list(catalog.partitions_with_zero_singleton(E.n))
+    if E.n > 1:
+        partitions += [[0] * E.n, [0, 0, *range(1, E.n - 1)]]
+    return [cg.EquivRel(E, cls) for cls in partitions]
+
+
+def _subsets(E):
+    return [{e for e in range(E.n) if bits >> e & 1}
+            for bits in range(1 << E.n)]
+
+
+def _down_sets_and_summands(E):
+    down = [S for S in _subsets(E) if all(set(E.below(h)) <= S for h in S)]
+    return down + [set(pi.summand) for pi in exocenter(E)]
+
+
+def _check_relation_queries(models, sets):
+    """The memoized queries against the literal searches, on every pair
+    and on each of ``sets(E)``; returns how often each query held and
+    failed."""
+    seen = [0] * 6
+    for E in models:
+        candidates = sets(E)
+        for R in _query_relations(E):
+            for e in range(E.n):
+                for f in range(E.n):
+                    rel = cg.related(R, e, f)
+                    sub = cg.subequiv(R, e, f)
+                    assert rel == oracles.related(R, e, f), (E.sum, R, e, f)
+                    assert sub == oracles.subequiv(R, e, f), (E.sum, R, e, f)
+                    seen[rel] += 1
+                    seen[2 + sub] += 1
+            for S in candidates:
+                her = cg.is_hereditary(R, S)
+                assert her == oracles.is_hereditary(R, S), (E.sum, R, S)
+                seen[4 + her] += 1
+    return seen
+
+
+def test_relation_queries_match_the_literal_searches():
+    models = oracles.catalog_models(6)
+    assert all(_check_relation_queries(
+        [E for E in models if E.n <= 5], _subsets))
+    assert all(_check_relation_queries(
+        [E for E in models if E.n == 6], _down_sets_and_summands))
+
+
+@pytest.mark.slow
+def test_relation_queries_match_the_literal_searches_n7():
+    models = [E for E in oracles.catalog_models(7) if E.n == 7]
+    assert all(_check_relation_queries(models, _down_sets_and_summands))
 
 
 def test_sigma_sim():

@@ -29,6 +29,24 @@ def test_broken_family_rejected():
     pb = next(m for m in S if m.summand == (0, 2))
     ok, witness = hull.check_hull_system(S, [S.zero, S.zero, pb, S.one])
     assert not ok and "HS2" in witness
+    pa = next(m for m in S if m.summand == (0, 1))
+    # eta_a o eta_b = p_a, but eta_(eta_a b) = eta_0 = 0
+    assert hull.check_hull_system(S, [S.zero, pa, S.one, S.one]) == (
+        False, "HS3 fails at (a, b)")
+
+
+def test_hs3_witness_is_the_least_failing_pair():
+    # on the 2 x 2 x 2 cube (subsets of three atoms) this family fails HS3
+    # at (1, 6), (2, 5), (3, 5) and (3, 6): the witness is the least pair,
+    # not the first in f-major order
+    cube = core.GeaTable(
+        [str(i) for i in range(8)],
+        [[a | b if not a & b else -1 for b in range(8)] for a in range(8)])
+    S = exocenter(cube)
+    project = {m.image: m for m in S}
+    maps = [project[tuple(x & mask for x in range(8))]
+            for mask in (0, 1, 2, 3, 4, 7, 7, 7)]
+    assert hull.check_hull_system(S, maps) == (False, "HS3 fails at (1, 6)")
 
 
 def test_alien_map_rejected():

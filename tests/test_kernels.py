@@ -49,17 +49,6 @@ def _all_small_tables():
     return [rows for n in (2, 3, 4) for rows in _labeled_tables(n)]
 
 
-@functools.lru_cache(maxsize=None)
-def _catalog_models(max_n):
-    """One GeaTable per isomorphism class, in catalog order."""
-    out = []
-    for n in range(1, max_n + 1):
-        for flat in catalog._canonical_tables(n):
-            out.append(core.GeaTable([str(i) for i in range(n)],
-                                     table_rows(flat, n), _validated=True))
-    return tuple(out)
-
-
 def test_enumeration_stream_digest():
     h = hashlib.sha256()
     for n in range(1, 7):
@@ -126,7 +115,7 @@ def _literal_exomaps(E):
 
 
 def test_brute_exomaps_matches_literal_filter():
-    for E in _catalog_models(5):
+    for E in oracles.catalog_models(5):
         assert K.brute_exomaps(E.sum, E.leq) == _literal_exomaps(E)
 
 
@@ -134,7 +123,7 @@ def test_sk_witnesses_digest():
     # each witness is packed as [violated, w0, w1, w2, w3] (unused slots
     # -1) into one int64 row per axiom, the layout the digest was taken in
     h = hashlib.sha256()
-    for E in _catalog_models(5):
+    for E in oracles.catalog_models(5):
         for class_of in catalog.partitions_with_zero_singleton(E.n):
             found = K.sk_witnesses(K.sk_plan(E.sum, E.diff, E.leq), class_of)
             rows = [[0, -1, -1, -1, -1] if w is None
@@ -217,7 +206,7 @@ def _swept_cases(models):
 
 def test_sk_witnesses_match_the_literal_sk_axioms():
     failures = [0] * 6
-    for E, plan, partitions in _swept_cases(_catalog_models(5)):
+    for E, plan, partitions in _swept_cases(oracles.catalog_models(5)):
         for cls in partitions:
             found = K.sk_witnesses(plan, cls)
             assert list(found) == _literal_sk_witnesses(E, cls), (E.sum, cls)
@@ -245,18 +234,18 @@ def _check_first_failures(models):
 
 
 def test_sk_first_failures_match_sk_witnesses():
-    assert all(_check_first_failures(_catalog_models(6)))
+    assert all(_check_first_failures(oracles.catalog_models(6)))
 
 
 @pytest.mark.slow
 def test_sk_first_failures_match_sk_witnesses_n7_n8():
-    _check_first_failures([E for E in _catalog_models(8) if E.n >= 7])
+    _check_first_failures([E for E in oracles.catalog_models(8) if E.n >= 7])
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_check_sk_witnesses_violate_their_axioms(data):
-    E = data.draw(st.sampled_from(_catalog_models(6)))
+    E = data.draw(st.sampled_from(oracles.catalog_models(6)))
     perm = data.draw(st.permutations(range(1, E.n)))
     E = oracles.relabel(E, [0, *perm])
     ids = data.draw(st.lists(st.integers(0, E.n - 1),
@@ -292,7 +281,7 @@ def test_model_sum_is_a_canonical_table():
     # a model's own sum rows go straight into the canonical filter: every
     # catalog table passes, and every other labeling of a model without
     # automorphisms fails
-    models = _catalog_models(6)
+    models = oracles.catalog_models(6)
     assert all(core.is_canonical_table(E.sum) for E in models)
     rigid = 0
     for E in models:
