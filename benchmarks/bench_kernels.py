@@ -18,21 +18,25 @@ hull systems on the models up to size 6, clearing the hull system's memo
 before each call, and the ``check_hull_system`` row checks HS1-HS3 on
 each of them.  The ``td-largest-map`` row runs that property over
 those models, so it reads the memoized tables and times the checks per
-subset.  The ``build_entry n<=6`` row builds the catalog entry of each of
-the 56 canonical tables up to size 6 from its bytes, so each model and
-its caches are fresh: the structure flags, the partition sweep and the
-decomposition of each dimension relation.  The ``build_entry n=8 cube``
-row does the same for the cube alone, whose decomposition of its
-dimension relations (every summand's, too) is most of its time.  The
-suite row times ``run_theorem_suite(5)``, which builds each catalog entry
-as it reaches it.
+subset.  The ``structure_predicates n<=7`` row computes the structure
+flags of each of the 175 models up to size 7, clearing the model's memo
+before each call.  The ``build_entry n<=6`` row builds the catalog entry
+of each of the 56 canonical tables up to size 6 from its bytes, so each
+model and its caches are fresh: the structure flags, the partition sweep
+and the decomposition of each dimension relation.  The ``build_entry n=8
+cube`` row does the same for the cube alone, and the ``decomposition
+n=8 cube`` row builds a fresh ``Dgea`` of each of the cube's 5
+congruences, on a fresh relation, and its type decomposition.  The suite
+row times ``run_theorem_suite(5)``, which builds each catalog entry as it
+reaches it.
 """
 
 import platform
 import time
 
 from geadim import _kernels as K
-from geadim import catalog, core, hull, theorems
+from geadim import catalog, congruence as cg, core, dimension as dm
+from geadim import hull, theorems
 
 ROUNDS = 5
 
@@ -60,11 +64,12 @@ def _each(fn, items):
         fn(item)
 
 
-def _build_each(fn, systems):
-    """``fn`` on each hull system with its memo cleared, so it builds."""
-    for H in systems:
-        H._cache.clear()
-        fn(H)
+def _build_each(fn, items):
+    """``fn`` on each hull system or model with its memo cleared, so it
+    builds."""
+    for item in items:
+        item._cache.clear()
+        fn(item)
 
 
 def _check_each(systems):
@@ -76,6 +81,12 @@ def _build_entries(tables):
     """The catalog entry of each (n, canonical table bytes), built fresh."""
     for n, flat in tables:
         catalog.build_entry(n, flat)
+
+
+def _decompose_each(relations):
+    """The type decomposition of a fresh ``Dgea`` of each relation."""
+    for R in relations:
+        dm.Dgea(cg.EquivRel(R.E, R.class_of)).decomposition
 
 
 def bench(label, fn, args, repeat):
@@ -121,10 +132,19 @@ def main():
     bench("check_hull_system n<=6", _check_each, (systems,), repeat=3)
     td_largest = theorems.REGISTRY["td-largest-map"].fn
     bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
+    sevens = [core.GeaTable(range(n), catalog._rows(flat, n), _validated=True)
+              for n, flat in catalog._catalog_tables(7)]
+    bench("structure_predicates n<=7", _build_each,
+          (core.structure_predicates, sevens), repeat=3)
     tables = list(catalog._catalog_tables(6))
     bench("build_entry n<=6", _build_entries, (tables,), repeat=1)
-    bench("build_entry n=8 cube", catalog.build_entry,
-          (8, core.canonical_form(cube)[1:]), repeat=1)
+    cube_flat = core.canonical_form(cube)[1:]
+    bench("build_entry n=8 cube", catalog.build_entry, (8, cube_flat),
+          repeat=1)
+    congruences = [rec.dgea.R for rec in catalog.build_entry(8, cube_flat).relations
+                   if rec.dgea]
+    bench("decomposition n=8 cube", _decompose_each, (congruences,),
+          repeat=1)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 
 

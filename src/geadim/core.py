@@ -336,10 +336,15 @@ def structure_predicates(E):
             if all(E.perp(d, e) for d in range(n) if E.perp(d, f)):
                 if not E.leq[e][f]:
                     oo = False
+    # a pair has a join when its common upper bounds have a least member,
+    # and a meet when its common lower bounds have a greatest one
+    down = [sum(1 << d for d in below) for below in E._below]
+    up = [sum(1 << d for d in range(n) if E.leq[e][d]) for e in range(n)]
     lattice = all(
-        inf(E, (e, f)) is not None and sup(E, (e, f)) is not None
+        any(m >> d & 1 and m & ~cone[d] == 0 for d in range(n))
         for e in range(n)
-        for f in range(n)
+        for f in range(e + 1, n)
+        for m, cone in ((up[e] & up[f], up), (down[e] & down[f], down))
     )
     # archimedean: iterating e + e + ... must leave the table before
     # exceeding the chain height; verified, not assumed
@@ -355,16 +360,23 @@ def structure_predicates(E):
             archimedean = False
 
     # every orthogonal multiset must be orthosummable with the total as
-    # supremum of its partial sums; exhaustive over bounded multisets
+    # supremum of its partial sums; exhaustive over bounded multisets.  The
+    # partial sums of ms + (e,) are those of ms and each of them plus e, as
+    # a mask; ms comes first in the depth-first order of the multisets
     ortho = True
     dedekind = True
+    partials = {(): 1}
     for ms, total in orthogonal_multisets(E):
-        partials = _partial_sums(E, ms)
-        if any(not E.leq[p][total] for p in partials):
-            ortho = False
-        bounded = any(all(E.leq[p][u] for p in partials) for u in range(n))
-        if bounded and any(not E.leq[p][total] for p in partials):
-            dedekind = False
+        if ms:
+            prev = partials[ms[:-1]]
+            sums = {E.sum[p][ms[-1]] for p in range(n) if prev >> p & 1}
+            if -1 in sums:
+                raise InternalInvariant("sub-multiset of orthogonal multiset undefined")
+            partials[ms] = prev | sum(1 << v for v in sums)
+        within = partials[ms] & ~down[total] == 0
+        ortho = ortho and within
+        bounded = any(partials[ms] & ~cone == 0 for cone in down)
+        dedekind = dedekind and (within or not bounded)
     out = StructureFlags(
         directed=directed,
         orthogonally_ordered=oo,
@@ -376,17 +388,6 @@ def structure_predicates(E):
     )
     E._cache["structure"] = out
     return out
-
-
-def _partial_sums(E, ms):
-    sums = {0}
-    for r in range(1, len(ms) + 1):
-        for sub in set(itertools.combinations(ms, r)):
-            v = orthosum_family(E, sub)
-            if v is None:
-                raise InternalInvariant("sub-multiset of orthogonal multiset undefined")
-            sums.add(v)
-    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Every computation here carries its own cross-checks: invariant elements
 are recomputed through six equivalent characterizations, simple elements
-through three, the decomposition's projection triple is verified unique
-by exhaustive search over the splitting algebra, and the summand types
-are confirmed on the restricted models themselves.
+through three, and the decomposition's projection triple is verified
+unique by exhaustive search over the splitting algebra.  That search
+reads each summand's type off the model itself; the three type summands
+are also built as models of their own, which must agree.
 """
 
 import itertools
@@ -206,9 +207,10 @@ class Dgea:
         the closed formulas, then verifies: the hull-map joins against the
         largest-map elements of the corresponding type-determining sets,
         the membership of each projection in the hull family, heredity of
-        every summand, the direct type classification of each restricted
-        summand, uniqueness of the triple by exhaustive search over the
-        splitting algebra, and the unit elements of the finite-type parts.
+        every summand, the type of each type summand, read off this model
+        and as a model of its own, uniqueness of the triple by exhaustive
+        search over the splitting algebra, and the unit elements of the
+        finite-type parts.
         """
         E, R, sigma, H = self.E, self.R, self.sigma, self.hull
         K, F = self.simple, self.finite
@@ -265,13 +267,16 @@ class Dgea:
                 raise InternalInvariant("summand is not a hereditary ideal")
         checks.append("summands-hereditary-ideals")
 
-        flags = {m: self.summand(m).type_flags for m in sigma}
-        if not flags[pi_i].type_i:
-            raise InternalInvariant("first summand is not of its type")
-        if not flags[pi_ii].type_ii:
-            raise InternalInvariant("second summand is not of its type")
-        if not flags[pi_iii].type_iii:
-            raise InternalInvariant("third summand is not of its type")
+        flags = {m: self.summand_types(m) for m in sigma}
+        for k, m in enumerate(triple):
+            own = self.summand(m).type_flags
+            if flags[m] != (own.type_i, own.type_ii, own.type_iii):
+                raise InternalInvariant(
+                    "summand types read off the model disagree with the summand's own"
+                )
+            if not flags[m][k]:
+                nth = ("first", "second", "third")[k]
+                raise InternalInvariant(f"{nth} summand is not of its type")
         checks.append("summand-types-direct")
 
         # in a boolean algebra the one map disjoint from s1 and s2 that
@@ -282,9 +287,9 @@ class Dgea:
                     continue
                 s3 = comp(sigma.join(s1, s2))
                 if (
-                    flags[s1].type_i
-                    and flags[s2].type_ii
-                    and flags[s3].type_iii
+                    flags[s1][0]
+                    and flags[s2][1]
+                    and flags[s3][2]
                     and (s1, s2, s3) != triple
                 ):
                     raise InternalInvariant(
@@ -332,6 +337,19 @@ class Dgea:
             unit=ft if finite_type else None,
             cross_checks=tuple(checks),
         )
+
+    def summand_types(self, m):
+        """The type I, II and III flags of the summand of the splitting map
+        ``m``, read off this model without building the summand.
+
+        For x in the summand, eta_x lies below m, so x is faithful there
+        exactly when eta_x is m; the summand's simple and finite elements
+        are the images under m of this model's (``check_restriction``).
+        """
+        ks = {m(k) for k in self.simple}
+        fs = {m(f) for f in self.finite}
+        faithful = lambda xs: any(self.hull.eta(x) == m for x in xs)
+        return faithful(ks), faithful(fs) and ks == {0}, fs == {0}
 
     @cached_property
     def type_flags(self):

@@ -999,13 +999,19 @@ def _type_decomposition(ctx):
     # the three type summands split the model, read off the table alone:
     # they meet pairwise in zero, each is a down-set closed under the sums
     # it defines, and every element is one sum of an element of each.
-    # The decomposition runs its own cross-checks, through the splitting
+    # Each summand, as a model of its own, is of its type.  The
+    # decomposition runs its own cross-checks, through the splitting
     # algebra and the summand models, when the catalog summarizes the
     # relation.
     E = ctx.E
+    dec = ctx.decomposition
     types = ("I", "II", "III")
-    parts = [ctx.decomposition.summands[t] for t in types]
+    parts = [dec.summands[t] for t in types]
     out = []
+    own = [ctx.summand(pi).type_flags for pi in (dec.pi_i, dec.pi_ii, dec.pi_iii)]
+    for name, flags, is_type in zip(types, own, ("type_i", "type_ii", "type_iii")):
+        if not getattr(flags, is_type):
+            out.append(f"summand {name} is not of type {name}")
     for (a, s), (b, t) in itertools.combinations(zip(types, parts), 2):
         common = sorted(set(s) & set(t))
         if common != [0]:

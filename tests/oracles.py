@@ -9,6 +9,10 @@ that ``hull.is_divisible`` and ``hull.td_table`` replace: a search of
 ``below(p)`` squared per triple, and a search of the families of one
 subset T.  ``related``, ``subequiv`` and ``is_hereditary`` are the literal
 searches over ``R.sim`` that ``congruence._relation_masks`` replaces.
+``structure_predicates`` reads the lattice flag off ``core.sup`` and
+``core.inf`` per pair and the partial sums of each orthogonal multiset
+off ``core.orthosum_family`` per sub-multiset, where the package uses
+bitmasks.
 """
 
 import functools
@@ -330,3 +334,65 @@ def is_hereditary(R, S):
     return all(
         (e in S) for h in S for e in range(E.n) if subequiv(R, e, h)
     ) and all(t in S for h in S for t in E.below(h))
+
+
+def structure_predicates(E):
+    """The seven global structure flags of ``core.structure_predicates``,
+    computed literally and not cached."""
+    n = E.n
+    directed = all(
+        any(E.leq[e][d] and E.leq[f][d] for d in range(n))
+        for e in range(n)
+        for f in range(n)
+    )
+    oo = True
+    for e in range(n):
+        for f in range(n):
+            if all(E.perp(d, e) for d in range(n) if E.perp(d, f)):
+                if not E.leq[e][f]:
+                    oo = False
+    lattice = all(
+        core.inf(E, (e, f)) is not None and core.sup(E, (e, f)) is not None
+        for e in range(n)
+        for f in range(n)
+    )
+    archimedean = True
+    for e in range(1, n):
+        x, steps = e, 1
+        while steps <= n:
+            nx = E.sum_of(x, e)
+            if nx is None:
+                break
+            x, steps = nx, steps + 1
+        if steps > n:
+            archimedean = False
+    ortho = True
+    dedekind = True
+    for ms, total in core.orthogonal_multisets(E):
+        partials = _partial_sums(E, ms)
+        if any(not E.leq[p][total] for p in partials):
+            ortho = False
+        bounded = any(all(E.leq[p][u] for p in partials) for u in range(n))
+        if bounded and any(not E.leq[p][total] for p in partials):
+            dedekind = False
+    return core.StructureFlags(
+        directed=directed,
+        orthogonally_ordered=oo,
+        is_ea=E.greatest(),
+        lattice=lattice,
+        archimedean=archimedean,
+        dedekind_orthocomplete=dedekind,
+        orthocomplete=ortho,
+    )
+
+
+def _partial_sums(E, ms):
+    """The orthosums of every sub-multiset of ``ms``, the empty one too."""
+    sums = {0}
+    for r in range(1, len(ms) + 1):
+        for sub in set(itertools.combinations(ms, r)):
+            v = core.orthosum_family(E, sub)
+            if v is None:
+                raise InternalInvariant("sub-multiset of orthogonal multiset undefined")
+            sums.add(v)
+    return sums

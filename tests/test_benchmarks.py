@@ -69,6 +69,7 @@ def test_bench_kernels_runs(capsys):
                   "is_min_relabel n=4", "sk_first_failures n=6",
                   "sk_first_failures n=8 cube", "td_table n<=6",
                   "is_divisible n<=6", "check_hull_system n<=6",
-                  "td-largest-map n<=6", "build_entry n<=6",
-                  "build_entry n=8 cube", "run_theorem_suite n<=5"):
+                  "td-largest-map n<=6", "structure_predicates n<=7",
+                  "build_entry n<=6", "build_entry n=8 cube",
+                  "decomposition n=8 cube", "run_theorem_suite n<=5"):
         assert label in out

@@ -112,6 +112,35 @@ def test_structure_predicates():
         assert s.archimedean and s.dedekind_orthocomplete and s.orthocomplete
 
 
+def _check_structure_flags(max_n):
+    """The seven structure flags of every model up to ``max_n``, against
+    the literal oracle, on fresh tables so no cached flags are read;
+    returns the number of models and of those with every meet but not
+    every join."""
+    models = meets_only = 0
+    for model in oracles.catalog_models(max_n):
+        E = core.GeaTable(model.names, model.sum, _validated=True)
+        flags = core.structure_predicates(E)
+        assert flags == oracles.structure_predicates(E), model.sum
+        pairs = [(e, f) for e in range(E.n) for f in range(E.n)]
+        meets_only += (all(core.inf(E, p) is not None for p in pairs)
+                       and not flags.lattice)
+        models += 1
+    return models, meets_only
+
+
+def test_structure_flags_match_the_literal_oracle():
+    # 89 models have every meet but not every join, so the join half of
+    # the lattice test is needed; the meet half is not: a finite poset
+    # with a least element and every join is a lattice
+    assert _check_structure_flags(7) == (175, 89)
+
+
+@pytest.mark.slow
+def test_structure_flags_match_the_literal_oracle_n8():
+    assert _check_structure_flags(8) == (671, 266)
+
+
 def test_is_orthodense():
     C3, B4 = core.c3(), core.b4()
     assert core.is_orthodense(C3, {0, 1}, {0, 1, 2})

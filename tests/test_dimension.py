@@ -261,14 +261,78 @@ def test_type_decomposition_property_fires_on_wrong_summands(monkeypatch):
         assert message in check(d), first
 
 
+def test_type_decomposition_property_fires_on_a_summand_of_the_wrong_type(
+        monkeypatch):
+    check = theorems.REGISTRY["type-decomposition"].fn
+    d, _ = _dgea(core.b4())
+    d.decomposition  # built with the real flags
+    flags = dm.TypeFlags(False, True, True, False, False)
+    monkeypatch.setattr(dm.Dgea, "type_flags", property(lambda self: flags))
+    assert check(d) == ["summand I is not of type I"]
+
+
 def test_decomposition_rejects_a_second_type_triple(monkeypatch):
-    # every summand claims all three types, so (0, 0, 1) is a second type
-    # triple next to the real one, (1, 0, 0)
+    # every summand claims all three types, read off the model and as a
+    # model of its own alike, so (0, 0, 1) is a second type triple next
+    # to the real one, (1, 0, 0)
     flags = dm.TypeFlags(True, True, True, False, False)
     monkeypatch.setattr(dm.Dgea, "type_flags", property(lambda self: flags))
+    monkeypatch.setattr(dm.Dgea, "summand_types",
+                        lambda self, m: (True, True, True))
     d, _ = _dgea(core.b4())
     with pytest.raises(InternalInvariant, match="decomposition not unique"):
         d.decomposition
+
+
+def test_decomposition_rejects_summand_types_that_disagree(monkeypatch):
+    # read off the model, every summand claims all three types; the type
+    # I summand, the whole of b4, is of type I alone as a model of its own
+    monkeypatch.setattr(dm.Dgea, "summand_types",
+                        lambda self, m: (True, True, True))
+    d, _ = _dgea(core.b4())
+    with pytest.raises(InternalInvariant, match="disagree with the summand's own"):
+        d.decomposition
+
+
+def _check_summand_types(max_n):
+    """The types of every summand of every dimension relation up to
+    ``max_n``, read off the model, against the summand's own; returns the
+    number of relations and of splitting maps."""
+    relations = maps = 0
+    for d in _dimension_relations(max_n):
+        for m in d.sigma:
+            own = d.summand(m).type_flags
+            assert d.summand_types(m) == (own.type_i, own.type_ii, own.type_iii)
+            maps += 1
+        relations += 1
+    return relations, maps
+
+
+def test_summand_types_read_off_the_model_match_the_summands():
+    assert _check_summand_types(7) == (22, 47)
+
+
+def test_summand_types_match_when_zero_alone_is_simple(monkeypatch):
+    # every finite model is of type I, so on the catalog's relations the
+    # type I flag is always set and a faithful element cannot be told
+    # from one whose hull map merely lies below m.  With zero as the only
+    # simple element, which the restriction keeps, the summand of every
+    # nonzero splitting map is of type II and not of type I
+    monkeypatch.setattr(dm.Dgea, "simple", property(lambda self: (0,)))
+    type_ii = 0
+    for d in _dimension_relations(6):
+        fresh = dm.Dgea(cg.EquivRel(d.E, d.R.class_of))
+        for m in fresh.sigma:
+            own = fresh.summand(m).type_flags
+            types = fresh.summand_types(m)
+            assert types == (own.type_i, own.type_ii, own.type_iii)
+            type_ii += types[:2] == (False, True)
+    assert type_ii == 21
+
+
+@pytest.mark.slow
+def test_summand_types_read_off_the_model_match_the_summands_n8():
+    assert _check_summand_types(8) == (49, 117)
 
 
 def test_hereditary_sup():
