@@ -10,7 +10,12 @@ table gives the fastest round's time per call, which is the least
 disturbed by other load on the machine.  The table rows time the
 one-point top extensions of the 35 catalog tables of size 6, and the
 whole table stage up to size 7, which builds each size from the one
-below.  The ``sk_first_failures`` rows sweep all 52 partitions with zero
+below.  The ``brute_exomaps`` rows find the exocenter maps of the 5-,
+6- and 8-chain from the images of their atoms; on the 8-chain the
+filter that the atom search replaced visited 8! maps.  The ``sup/inf
+n<=6`` row takes the join and the meet of every pair of elements of the
+56 models up to size 6, from the order bitmasks each model builds on
+first use.  The ``sk_first_failures`` rows sweep all 52 partitions with zero
 alone of the 6-chain and all 877 of the 2 x 2 x 2 cube in one call each.
 The ``td_table`` and ``is_divisible`` rows build the
 type-determining table and the divisibility report of each of the 59
@@ -72,6 +77,14 @@ def _build_each(fn, items):
         fn(item)
 
 
+def _sup_inf_each(models):
+    for E in models:
+        for e in range(E.n):
+            for f in range(E.n):
+                core.sup(E, (e, f))
+                core.inf(E, (e, f))
+
+
 def _check_each(systems):
     for H in systems:
         hull.check_hull_system(H.exoset, H.maps)
@@ -109,6 +122,9 @@ def main():
     bench("_canonical_tables n=7", catalog._canonical_tables, (7,), repeat=1)
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
+    c8 = _chain(8)
+    bench("brute_exomaps n=8 chain", K.brute_exomaps, (c8.sum, c8.leq),
+          repeat=20)
     cls = [0, 1, 1, 2, 2, 3]  # fails SK2 first
     bench("sk_plan n=6", K.sk_plan, (c6.sum, c6.diff, c6.leq), repeat=20)
     plan = K.sk_plan(c6.sum, c6.diff, c6.leq)
@@ -126,6 +142,7 @@ def main():
     bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)
     models = [entry.table for entry in catalog.cached_entries(6)]
     systems = [H for E in models for H in hull.hull_systems(E)]
+    bench("sup/inf n<=6", _sup_inf_each, (models,), repeat=3)
     bench("td_table n<=6", _build_each, (hull.td_table, systems), repeat=3)
     bench("is_divisible n<=6", _build_each, (hull.is_divisible, systems),
           repeat=3)

@@ -144,26 +144,50 @@ def enumerate_tables(rows):
 
 
 def brute_exomaps(table, leq):
-    """Filter the self-maps m with m(e) <= e by the exocenter conditions.
+    """Every exocenter map of a model, found from the images of its atoms.
 
-    EXC1: preserves orthogonality and sums; EXC2: idempotent;
-    EXC3: decreasing; EXC4: pe = e and pf = 0 imply e + f defined.
-    EXC3 is applied by letting each digit m(e) range over the elements
-    below e only; the surviving maps are still found by filtering, never
-    constructed.  The odometer moves digit e = 0 fastest, so the rows come
-    out in the lexicographic order of the full n**n counter.  Returns the
-    maps as a list of image tuples.
+    EXC1 makes an exocenter map m additive, and every nonzero element is
+    a sum of atoms, so m is fixed by its images of the atoms; EXC2 and
+    EXC3 leave each atom the image 0 or itself.  For each such choice the
+    other nonzero elements are visited in a linear extension of the order,
+    and each x = e + f, with e and f nonzero and so placed before x, is
+    forced to m(e) + m(f).  A choice is dropped when that sum is undefined,
+    is not below x, or breaks EXC2 at x; the maps left are checked against
+    EXC1 and EXC4 in full, which imply the three pruned conditions, so
+    the pruning only ends a choice early.  The rows come out sorted by
+    their reversed tuples, the order of the odometer over all n**n
+    self-maps with m(0) fastest.  The name predates the search and is
+    kept because the benchmark's tracer (``perfbench/spans.py``) binds
+    it; ``tests/oracles.py`` keeps the filter of the maps below the
+    identity that it replaced.  Returns the maps as a list of image
+    tuples.
     """
     n = len(table)
     rng = range(n)
-    below = [[x for x in rng if leq[x][e]] for e in rng]
+    split = [None] * n  # split[x]: two nonzero summands of x; atoms have none
+    for e in range(1, n):
+        for f in range(1, n):
+            x = table[e][f]
+            if x >= 0 and split[x] is None:
+                split[x] = (e, f)
+    atoms = [x for x in range(1, n) if split[x] is None]
+    sums = sorted((x for x in range(1, n) if split[x] is not None),
+                  key=lambda x: sum(leq[y][x] for y in rng))
+    m = [0] * n
     rows = []
-    for digits in itertools.product(*reversed(below)):
-        m = digits[::-1]
-        if any(m[x] != x for x in m):  # EXC2
-            continue
-        if _exc1_exc4(table, m, rng):
-            rows.append(m)
+    for keep in itertools.product((False, True), repeat=len(atoms)):
+        for a, kept in zip(atoms, keep):
+            m[a] = a if kept else 0
+        for x in sums:
+            e, f = split[x]
+            v = table[m[e]][m[f]]
+            if v < 0 or not leq[v][x] or (v != x and m[v] != v):
+                break
+            m[x] = v
+        else:
+            if _exc1_exc4(table, m, rng):
+                rows.append(tuple(m))
+    rows.sort(key=lambda r: r[::-1])
     return rows
 
 

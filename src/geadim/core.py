@@ -72,6 +72,17 @@ class GeaTable:
             tuple(e for e in range(self.n) if self.leq[e][p]) for p in range(self.n)
         )
 
+    @cached_property
+    def _masks(self):
+        """(down, up): per element, the bitmask of the elements below it
+        and of those above it (bit x for element x)."""
+        down = tuple(sum(1 << d for d in below) for below in self._below)
+        up = [0] * self.n
+        for p, below in enumerate(self._below):
+            for d in below:
+                up[d] |= 1 << p
+        return down, tuple(up)
+
     def sum_of(self, e, f):
         v = self.sum[e][f]
         return None if v < 0 else v
@@ -293,16 +304,29 @@ def is_sharp(E, p):
 
 def sup(E, fam):
     """Least upper bound of the elements ``fam``, or None."""
-    ub = [d for d in range(E.n) if all(E.leq[x][d] for x in fam)]
-    least = [d for d in ub if all(E.leq[d][x] for x in ub)]
-    return least[0] if least else None
+    return _extreme(E._masks[1], fam)
 
 
 def inf(E, fam):
     """Greatest lower bound of the elements ``fam``, or None."""
-    lb = [d for d in range(E.n) if all(E.leq[d][x] for x in fam)]
-    greatest = [d for d in lb if all(E.leq[x][d] for x in lb)]
-    return greatest[0] if greatest else None
+    return _extreme(E._masks[0], fam)
+
+
+def _extreme(cones, fam):
+    # the common bounds of fam are the AND of its members' cones (up-sets
+    # for sup, down-sets for inf); the answer is the bound whose own cone
+    # holds every bound, and by antisymmetry there is at most one
+    common = (1 << len(cones)) - 1
+    for x in fam:
+        common &= cones[x]
+    rest = common
+    while rest:
+        low = rest & -rest
+        d = low.bit_length() - 1
+        if common & ~cones[d] == 0:
+            return d
+        rest ^= low
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +360,12 @@ def structure_predicates(E):
             if all(E.perp(d, e) for d in range(n) if E.perp(d, f)):
                 if not E.leq[e][f]:
                     oo = False
-    # a pair has a join when its common upper bounds have a least member,
-    # and a meet when its common lower bounds have a greatest one
-    down = [sum(1 << d for d in below) for below in E._below]
-    up = [sum(1 << d for d in range(n) if E.leq[e][d]) for e in range(n)]
     lattice = all(
-        any(m >> d & 1 and m & ~cone[d] == 0 for d in range(n))
+        sup(E, (e, f)) is not None and inf(E, (e, f)) is not None
         for e in range(n)
         for f in range(e + 1, n)
-        for m, cone in ((up[e] & up[f], up), (down[e] & down[f], down))
     )
+    down = E._masks[0]
     # archimedean: iterating e + e + ... must leave the table before
     # exceeding the chain height; verified, not assumed
     archimedean = True
@@ -395,27 +415,30 @@ def structure_predicates(E):
 # ---------------------------------------------------------------------------
 
 def all_ideals(E):
-    """Every ideal (down-set closed under defined sums), as frozensets."""
-    n = E.n
-    rest = list(range(1, n))
-    out = []
-    for r in range(0, n):
-        for pick in itertools.combinations(rest, r):
-            S = frozenset((0,) + pick)
-            flags = _ideal_flags(E, S)
-            if flags:
-                out.append(S)
-    return out
+    """Every ideal (down-set closed under defined sums), as a tuple of
+    frozensets, by size and then in ``itertools.combinations`` order.
+    Cached per table."""
+    if "ideals" not in E._cache:
+        E._cache["ideals"] = tuple(
+            frozenset((0,) + pick)
+            for r in range(E.n)
+            for pick in itertools.combinations(range(1, E.n), r)
+            if _ideal_flags(E, (0,) + pick)
+        )
+    return E._cache["ideals"]
 
 
 def _ideal_flags(E, S):
+    """Whether the set S of elements is an ideal, read off its bitmask."""
+    mask = sum(1 << x for x in set(S))
+    down = E._masks[0]
     for s in S:
-        for t in E.below(s):
-            if t not in S:
-                return False
+        if down[s] & ~mask:
+            return False
+        row = E.sum[s]
         for t in S:
-            v = E.sum_of(s, t)
-            if v is not None and v not in S:
+            v = row[t]
+            if v >= 0 and not mask >> v & 1:
                 return False
     return True
 

@@ -268,16 +268,14 @@ def td_table(H):
             if T & bit:
                 closure[T] |= closure[T ^ bit]
     leq = H.exoset.leq
+    down = E._masks[0]
     img = [0] * n
-    down = [0] * n
     under = [0] * n
     for t in range(n):
         for e in range(n):
             img[t] |= 1 << H.eta(e)(t)
             if leq(H.eta(e), H.eta(t)):
                 under[t] |= 1 << e
-        for x in E.below(t):
-            down[t] |= 1 << x
     image = [0] * size
     ideal = [0] * size
     for T in range(1, size):

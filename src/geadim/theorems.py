@@ -218,6 +218,8 @@ def _no_monads_divisible(E):
 
 @prop("hull-grid-refinement", "model")
 def _hull_grid(E):
+    # by cancellation the decompositions s + t of v are (s, v - s) for
+    # s <= v, in the order of s
     out = []
     for H in hull_mod.hull_systems(E):
         for e in range(E.n):
@@ -225,16 +227,14 @@ def _hull_grid(E):
                 v = E.sum_of(e, f)
                 if v is None:
                     continue
-                for s in range(E.n):
-                    for t in range(E.n):
-                        if E.sum_of(s, t) != v:
-                            continue
-                        try:
-                            hull_mod.sk3e_split_eta(H, e, f, s, t)
-                        except InternalInvariant:
-                            out.append(
-                                f"no hull-matched grid for {_names(E, (e, f, s, t))}"
-                            )
+                for s in E.below(v):
+                    t = E.sub(v, s)
+                    try:
+                        hull_mod.sk3e_split_eta(H, e, f, s, t)
+                    except InternalInvariant:
+                        out.append(
+                            f"no hull-matched grid for {_names(E, (e, f, s, t))}"
+                        )
     return out
 
 

@@ -9,10 +9,15 @@ that ``hull.is_divisible`` and ``hull.td_table`` replace: a search of
 ``below(p)`` squared per triple, and a search of the families of one
 subset T.  ``related``, ``subequiv`` and ``is_hereditary`` are the literal
 searches over ``R.sim`` that ``congruence._relation_masks`` replaces.
-``structure_predicates`` reads the lattice flag off ``core.sup`` and
-``core.inf`` per pair and the partial sums of each orthogonal multiset
+``structure_predicates`` reads the lattice flag off the literal ``sup``
+and ``inf`` per pair and the partial sums of each orthogonal multiset
 off ``core.orthosum_family`` per sub-multiset, where the package uses
-bitmasks.
+bitmasks.  ``sup``, ``inf``, ``ideals`` and ``central_by_definition``
+are the literal scans of the order and the sums that ``core.sup``,
+``core.inf``, ``core.all_ideals`` and ``exocenter._central_by_definition``
+replace with the model's order bitmasks.  ``downset_exomaps`` filters
+every self-map below the identity by EXC1-EXC4, where
+``_kernels.brute_exomaps`` searches from the images of the atoms.
 """
 
 import functools
@@ -352,7 +357,7 @@ def structure_predicates(E):
                 if not E.leq[e][f]:
                     oo = False
     lattice = all(
-        core.inf(E, (e, f)) is not None and core.sup(E, (e, f)) is not None
+        inf(E, (e, f)) is not None and sup(E, (e, f)) is not None
         for e in range(n)
         for f in range(n)
     )
@@ -396,3 +401,87 @@ def _partial_sums(E, ms):
                 raise InternalInvariant("sub-multiset of orthogonal multiset undefined")
             sums.add(v)
     return sums
+
+
+def sup(E, fam):
+    """Least upper bound of the elements ``fam``, or None."""
+    ub = [d for d in range(E.n) if all(E.leq[x][d] for x in fam)]
+    least = [d for d in ub if all(E.leq[d][x] for x in ub)]
+    return least[0] if least else None
+
+
+def inf(E, fam):
+    """Greatest lower bound of the elements ``fam``, or None."""
+    lb = [d for d in range(E.n) if all(E.leq[d][x] for x in fam)]
+    greatest = [d for d in lb if all(E.leq[x][d] for x in lb)]
+    return greatest[0] if greatest else None
+
+
+def is_ideal(E, S):
+    """S is a down-set closed under defined sums."""
+    for s in S:
+        for t in E.below(s):
+            if t not in S:
+                return False
+        for t in S:
+            v = E.sum_of(s, t)
+            if v is not None and v not in S:
+                return False
+    return True
+
+
+def ideals(E):
+    """The subsets holding 0 that ``is_ideal`` passes, by size and then in
+    ``itertools.combinations`` order."""
+    return [
+        frozenset((0,) + pick)
+        for r in range(E.n)
+        for pick in itertools.combinations(range(1, E.n), r)
+        if is_ideal(E, frozenset((0,) + pick))
+    ]
+
+
+def central_by_definition(E, c):
+    """Principality, exactly one decomposition e = e1 + e2 with e1 <= c
+    and e2 orthogonal to c for each e, searched over every e2, and
+    closure of the elements orthogonal to c under sums."""
+    if not core.is_principal(E, c):
+        return False
+    for e in range(E.n):
+        decomps = [
+            (e1, e2)
+            for e1 in E.below(c)
+            for e2 in range(E.n)
+            if E.perp(e2, c) and E.sum_of(e1, e2) == e
+        ]
+        if len(decomps) != 1:
+            return False
+    for p in range(E.n):
+        for q in range(E.n):
+            if E.perp(p, q) and E.perp(p, c) and E.perp(q, c):
+                s = E.sum_of(p, q)
+                if not E.perp(s, c):
+                    return False
+    return True
+
+
+def downset_exomaps(E):
+    """Filter the self-maps m with m(e) <= e by the exocenter conditions.
+
+    EXC1: preserves orthogonality and sums; EXC2: idempotent;
+    EXC3: decreasing; EXC4: pe = e and pf = 0 imply e + f defined.
+    EXC3 is applied by letting each digit m(e) range over the elements
+    below e only; the surviving maps are still found by filtering, never
+    constructed.  The odometer moves digit e = 0 fastest, so the rows come
+    out in the lexicographic order of the full n**n counter.  Returns the
+    maps as a list of image tuples.
+    """
+    rng = range(E.n)
+    rows = []
+    for digits in itertools.product(*reversed(E._below)):
+        m = digits[::-1]
+        if any(m[x] != x for x in m):  # EXC2
+            continue
+        if _kernels._exc1_exc4(E.sum, m, rng):
+            rows.append(m)
+    return rows

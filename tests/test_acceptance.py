@@ -25,9 +25,9 @@ def _record(num, ok, detail):
 
 
 def test_criterion_1_exocenter_oracle():
-    """Ideal-pair exocenter equals the brute-force n**n filter on every
-    model with n <= 4, in under ten seconds."""
-    brute_force_exomaps(core.c3())  # compile outside the timed region
+    """Ideal-pair exocenter equals the atom search on every model with
+    n <= 4, in under ten seconds."""
+    brute_force_exomaps(core.c3())  # import and warm up outside the timed region
     t0 = time.perf_counter()
     checked = 0
     mismatches = 0
@@ -44,7 +44,7 @@ def test_criterion_1_exocenter_oracle():
 
 
 def test_criterion_1_extended_to_size_5():
-    # the module contract extends the oracle to n <= 5
+    # the module contract extends the atom-search oracle to n <= 5
     for entry in catalog.cached_entries(5):
         assert exocenter(entry.table) == brute_force_exomaps(entry.table)
 

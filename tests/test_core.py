@@ -141,6 +141,45 @@ def test_structure_flags_match_the_literal_oracle_n8():
     assert _check_structure_flags(8) == (671, 266)
 
 
+def _check_order_queries(models, families_up_to):
+    """``sup`` and ``inf`` on every pair of elements, ``all_ideals`` and
+    ``_ideal_flags`` on every subset, all against the literal scans; on
+    models up to ``families_up_to`` elements also ``sup`` and ``inf`` on
+    every family.  Returns how many pairs have no join, no meet, and how
+    many subsets are ideals."""
+    no_join = no_meet = ideals = 0
+    for E in models:
+        for e in range(E.n):
+            for f in range(E.n):
+                join, meet = core.sup(E, (e, f)), core.inf(E, (e, f))
+                assert join == oracles.sup(E, (e, f)), (E.sum, e, f)
+                assert meet == oracles.inf(E, (e, f)), (E.sum, e, f)
+                no_join += join is None
+                no_meet += meet is None
+        subsets = [tuple(x for x in range(E.n) if mask >> x & 1)
+                   for mask in range(1 << E.n)]
+        if E.n <= families_up_to:
+            for fam in subsets:
+                assert core.sup(E, fam) == oracles.sup(E, fam), (E.sum, fam)
+                assert core.inf(E, fam) == oracles.inf(E, fam), (E.sum, fam)
+        for S in subsets:
+            assert core._ideal_flags(E, S) == oracles.is_ideal(E, S), (E.sum, S)
+        assert list(core.all_ideals(E)) == oracles.ideals(E), E.sum
+        assert core.all_ideals(E) is core.all_ideals(E)
+        ideals += len(core.all_ideals(E))
+    return no_join, no_meet, ideals
+
+
+def test_order_queries_match_the_literal_scans():
+    no_join, no_meet, ideals = _check_order_queries(oracles.catalog_models(7), 6)
+    assert no_join and no_meet and ideals
+
+
+@pytest.mark.slow
+def test_order_queries_match_the_literal_scans_n8():
+    _check_order_queries([E for E in oracles.catalog_models(8) if E.n == 8], 0)
+
+
 def test_is_orthodense():
     C3, B4 = core.c3(), core.b4()
     assert core.is_orthodense(C3, {0, 1}, {0, 1, 2})

@@ -1,17 +1,20 @@
 """Exocenter maps, their boolean algebra, the center, and covers.
 
-The expected map counts are frozen only after the brute-force filter over
-all n**n self-maps confirms them; that filter stays the independent
-oracle for the ideal-pair construction throughout.
+The expected map counts are frozen only after the atom search confirms
+them; that search stays the independent oracle for the ideal-pair
+construction throughout, and ``tests/test_kernels.py`` checks it against
+the filter of all self-maps.
 """
 
 import pytest
 
+import oracles
 from geadim import catalog, congruence as cg, core
 from geadim.errors import InternalInvariant
 from geadim.exocenter import (
     ExoMap,
     ExoSet,
+    _central_by_definition,
     brute_force_exomaps,
     center,
     cogea_check,
@@ -58,6 +61,28 @@ def test_center(name, expected):
     E = dict(_fixture_sets())[name]
     cen = center(E)
     assert [E.names[c] for c, _ in cen] == expected
+
+
+def _check_central_elements(models):
+    """``_central_by_definition`` against the literal search on every
+    element; returns the number of central elements found."""
+    central = 0
+    for E in models:
+        for c in range(E.n):
+            got = _central_by_definition(E, c)
+            assert got == oracles.central_by_definition(E, c), (E.sum, c)
+            central += got
+    return central
+
+
+def test_central_by_definition_matches_the_literal_search():
+    models = oracles.catalog_models(7)
+    assert len(models) < _check_central_elements(models) < sum(E.n for E in models)
+
+
+@pytest.mark.slow
+def test_central_by_definition_matches_the_literal_search_n8():
+    _check_central_elements([E for E in oracles.catalog_models(8) if E.n == 8])
 
 
 def test_exocentral_cover():

@@ -119,6 +119,27 @@ def test_brute_exomaps_matches_literal_filter():
         assert K.brute_exomaps(E.sum, E.leq) == _literal_exomaps(E)
 
 
+def _check_atom_search(models):
+    """The atom search against the down-set filter, maps and order;
+    returns the number of maps."""
+    maps = 0
+    for E in models:
+        found = K.brute_exomaps(E.sum, E.leq)
+        assert found == oracles.downset_exomaps(E), E.sum
+        maps += len(found)
+    return maps
+
+
+def test_atom_search_matches_the_downset_filter():
+    models = oracles.catalog_models(7)
+    assert _check_atom_search(models) > 2 * len(models)
+
+
+@pytest.mark.slow
+def test_atom_search_matches_the_downset_filter_n8():
+    _check_atom_search([E for E in oracles.catalog_models(8) if E.n == 8])
+
+
 def test_sk_witnesses_digest():
     # each witness is packed as [violated, w0, w1, w2, w3] (unused slots
     # -1) into one int64 row per axiom, the layout the digest was taken in
