@@ -102,6 +102,11 @@ def _decompose_each(relations):
         dm.Dgea(cg.EquivRel(R.E, R.class_of)).decomposition
 
 
+def _table_stage(max_n):
+    """Every canonical table up to size ``max_n``."""
+    return list(catalog._catalog_tables(max_n))
+
+
 def bench(label, fn, args, repeat):
     best = float("inf")
     for _ in range(ROUNDS):
@@ -117,9 +122,10 @@ def main():
     c5, c6 = _chain(5), _chain(6)
     bench("axiom_violation n=6", K.axiom_violation, (c6.sum,),
           repeat=200)
-    sixes = [catalog._rows(flat, 6) for flat in catalog._canonical_tables(6)]
+    sixes = [catalog._rows(flat, 6) for n, flat in catalog._catalog_tables(6)
+             if n == 6]
     bench("enumerate_tables 35 n=6", _extend_each, (sixes,), repeat=3)
-    bench("_canonical_tables n=7", catalog._canonical_tables, (7,), repeat=1)
+    bench("_catalog_tables n<=7", _table_stage, (7,), repeat=1)
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
     c8 = _chain(8)

@@ -5,10 +5,11 @@ row tuples, the form of a model's ``sum``: ``enumerate_tables`` reads
 and emits its tables so, ``relabeled`` and ``min_relabel`` return them
 so, and ``is_min_relabel`` compares against them.  ``axiom_violation``
 also reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
-tuples, and ``sk_witnesses`` and ``sk_first_failures`` read the per-model
-``SkPlan`` that ``sk_plan`` builds.  ``sk_witnesses`` checks one partition,
-given as a class list; ``sk_first_failures`` checks many at once, given
-as the bit masks of ``class_masks``, one bit per partition.
+tuples.  The congruence axioms SK1-SK4b have one check each, which reads
+the per-model ``SkPlan`` of ``sk_plan`` and the partitions' class
+relations as bit masks, one bit per partition.  ``sk_first_failures``
+runs the checks over many partitions at once; ``sk_witnesses`` runs each
+check alone on one partition.
 
 Table encoding: an n-element model is an n-by-n table where entry
 ``[i][j]`` is the index of ``i + j`` and ``-1`` means the sum is undefined.
@@ -214,8 +215,6 @@ class SkPlan(NamedTuple):
     ``sk_witnesses`` and ``sk_first_failures`` call on that model.
     """
 
-    n: int
-    sums: tuple  # sum table rows
     pairs: tuple  # (s, t, s + t) for every defined sum, in lex order
     splits: tuple  # splits[p]: the pairs (e, p - e) for e <= p, in e order
     grids: tuple  # (e, f, grid, cands) for the SK3e entries that can fail
@@ -266,8 +265,6 @@ def sk_plan(table, diff, leq):
             seen.add(key)
             grids.append((e, f, tuple(sorted(grid)), cands))
     return SkPlan(
-        n=n,
-        sums=table,
         pairs=pairs,
         splits=splits,
         grids=tuple(grids),
@@ -277,22 +274,6 @@ def sk_plan(table, diff, leq):
         nonorth=tuple((e, f) for e in rng for f in rng if table[e][f] < 0),
         notleq=tuple((e, f) for e in rng for f in rng if not leq[e][f]),
     )
-
-
-def sk_witnesses(plan, cls):
-    """First failing witness for each congruence axiom.
-
-    ``plan`` is the model's ``sk_plan`` and ``cls`` maps element index to
-    class id.  Returns six witnesses for SK1, SK2, SK3d, SK3e, SK4a, SK4b
-    in that order, each None where the axiom holds and otherwise the
-    lexicographically least failing tuple.  SK2 is checked in its pair
-    (finite additivity) form, which extends to all finite families by
-    induction.  Class pairs are encoded as ``c1 * n + c2``.
-    """
-    below_cls = [{cls[x] for x in b} for b in plan.below]
-    return (_sk1(plan, cls), _sk2(plan, cls), _sk3d(plan, cls),
-            _sk3e(plan, cls), _sk4a(plan, below_cls),
-            _sk4b(plan, cls, below_cls))
 
 
 def class_masks(partitions):
@@ -314,6 +295,26 @@ def class_masks(partitions):
     return tuple(map(tuple, eq))
 
 
+def sk_witnesses(plan, cls):
+    """First failing witness for each congruence axiom.
+
+    ``plan`` is the model's ``sk_plan`` and ``cls`` maps element index to
+    class id.  Returns six witnesses for SK1, SK2, SK3d, SK3e, SK4a, SK4b
+    in that order, each None where the axiom holds and otherwise the
+    lexicographically least failing tuple.  SK2 is checked in its pair
+    (finite additivity) form, which extends to all finite families by
+    induction.  Each axiom's check runs alone on the one partition, over
+    every defined sum, since zero may share its class here.
+    """
+    eq = class_masks([cls])
+    found = []
+    for check in _SK_CHECKS:
+        out = [None]
+        check(plan, eq, 1, out, plan.pairs)
+        found.append(None if out[0] is None else out[0][1])
+    return tuple(found)
+
+
 def sk_first_failures(plan, eq):
     """The first failing congruence axiom and its witness of many
     partitions of one model at once.
@@ -322,36 +323,52 @@ def sk_first_failures(plan, eq):
     the partitions.  Returns a list in partition order of ``(k,
     witness)``, where ``k`` indexes SK1, SK2, SK3d, SK3e, SK4a, SK4b and
     ``witness`` is the one ``sk_witnesses`` gives for that axiom, or None
-    where all six hold.  Each axiom walks its candidate witnesses in the
-    order ``sk_witnesses`` tries them.  A candidate's failing partitions
-    are a mask of AND and NOT operations on ``eq``; those not yet failed
-    take the candidate as their first failure and drop out.
+    where all six hold.  The axioms' checks run in that order, each on
+    the partitions that passed the ones before.  Every partition that
+    passes SK1 has zero alone in its class, and then no sum with a zero
+    summand can fail SK2 or SK3d, so the checks walk only the others.
     """
-    n = plan.n
     live = eq[0][0]
     out = [None] * live.bit_length()
+    pairs = [(s, t, st) for s, t, st in plan.pairs if s and t]
+    for check in _SK_CHECKS:
+        live = check(plan, eq, live, out, pairs)
+        if not live:
+            break
+    return out
+
+
+# Each check(plan, eq, live, out, pairs) walks its axiom's witnesses in
+# lex order over the defined sums (s, t, s + t) in pairs; the partitions
+# of live that fail one record it in out and drop out.  It returns the
+# partitions left, early once none are.
+
+def _zero_alone(plan, eq, live, out, pairs):
     # SK1: zero is alone in its class
-    for e in range(1, n):
+    for e in range(1, len(eq)):
         hit = live & eq[0][e]
         if hit:
-            live ^= hit
-            _take(out, hit, (0, (e,)))
-    # SK2, pair form: e1 ~ f1 and e2 ~ f2 give e1 + e2 ~ f1 + f2.  A bad
-    # class pair always holds a conflicting f-pair, so the first conflict
-    # in (e-pair, f-pair) order is sk_witnesses' witness.  Zero is alone
-    # in every partition left, so a pair with zero never conflicts.
-    pairs = [(s, t, st) for s, t, st in plan.pairs if s and t]
+            live = _take(out, live, hit, (0, (e,)))
+            if not live:
+                break
+    return live
+
+
+def _sums_related(plan, eq, live, out, pairs):
+    # SK2, pair form: e1 ~ f1 and e2 ~ f2 give e1 + e2 ~ f1 + f2
     for e1, e2, se in pairs:
-        if not live:
-            return out
         r1, r2, rs = eq[e1], eq[e2], eq[se]
         for f1, f2, sf in pairs:
             hit = live & r1[f1] & r2[f2] & ~rs[sf]
             if hit:
-                live ^= hit
-                _take(out, hit, (1, (e1, e2, f1, f2)))
-    # SK3d: p ~ s + t splits as p = e + d with e ~ s, d ~ t.  A pair with
-    # zero never fails, as p = 0 + p = p + 0.
+                live = _take(out, live, hit, (1, (e1, e2, f1, f2)))
+                if not live:
+                    return live
+    return live
+
+
+def _sums_split(plan, eq, live, out, pairs):
+    # SK3d: p ~ s + t splits as p = e + d with e ~ s, d ~ t
     for p, split in enumerate(plan.splits):
         rp = eq[p]
         for s, t, st in pairs:
@@ -364,8 +381,13 @@ def sk_first_failures(plan, eq):
                 if not hit:
                     break
             else:
-                live ^= hit
-                _take(out, hit, (2, (p, s, t)))
+                live = _take(out, live, hit, (2, (p, s, t)))
+                if not live:
+                    return live
+    return live
+
+
+def _grids_refine(plan, eq, live, out, pairs):
     # SK3e: e + f = s + t refines into a 2x2 grid
     for e, f, grid, cands in plan.grids:
         for s, t in cands:
@@ -374,113 +396,49 @@ def sk_first_failures(plan, eq):
             for a, b in grid:
                 hit &= ~(rs[a] & rt[b])
             if hit:
-                live ^= hit
-                _take(out, hit, (3, (e, f, s, t)))
-    # SK4a and SK4b: e + f undefined, or e not below f, gives a nonzero
-    # e1 <= e related to a nonzero f1 <= f, or to a nonzero d _|_ f
-    for k, cands, near in ((4, plan.nonorth, plan.below),
-                           (5, plan.notleq, plan.orth)):
-        for e, f in cands:
-            hit = live
-            for x in plan.below[e]:
-                rx = eq[x]
-                for y in near[f]:
-                    hit &= ~rx[y]
-                if not hit:
-                    break
-            else:
-                live ^= hit
-                _take(out, hit, (k, (e, f)))
-    return out
+                live = _take(out, live, hit, (3, (e, f, s, t)))
+                if not live:
+                    return live
+    return live
 
 
-def _take(out, hit, failure):
-    # the failure of every partition whose bit is set in the mask hit
+def _nonorth_related(plan, eq, live, out, pairs):
+    # SK4a: e + f undefined gives nonzero e1 <= e, f1 <= f with e1 ~ f1
+    return _related_below(plan, eq, live, out, 4, plan.nonorth, plan.below)
+
+
+def _notleq_related(plan, eq, live, out, pairs):
+    # SK4b: e not below f gives nonzero e1 <= e, d _|_ f with e1 ~ d
+    return _related_below(plan, eq, live, out, 5, plan.notleq, plan.orth)
+
+
+def _related_below(plan, eq, live, out, k, cands, near):
+    # (e, f) fails unless a nonzero x <= e is related to some y in near[f]
+    for e, f in cands:
+        hit = live
+        for x in plan.below[e]:
+            rx = eq[x]
+            for y in near[f]:
+                hit &= ~rx[y]
+            if not hit:
+                break
+        else:
+            live = _take(out, live, hit, (k, (e, f)))
+            if not live:
+                break
+    return live
+
+
+_SK_CHECKS = (_zero_alone, _sums_related, _sums_split, _grids_refine,
+              _nonorth_related, _notleq_related)
+
+
+def _take(out, live, hit, failure):
+    # record the failure of every partition whose bit is set in the mask
+    # hit, and return the live partitions without them
+    live ^= hit
     while hit:
         low = hit & -hit
         out[low.bit_length() - 1] = failure
         hit ^= low
-
-
-def _sk1(plan, cls):
-    # zero is alone in its class
-    for e in range(1, plan.n):
-        if cls[e] == cls[0]:
-            return (e,)
-    return None
-
-
-def _sk2(plan, cls):
-    # pair form: equivalent orthogonal pairs have equivalent sums.  A class
-    # pair whose defined sums fall in two classes is bad; the least (e1, e2)
-    # with a bad class pair pairs with some (f1, f2) into a witness.
-    n = plan.n
-    sum_cls = {}
-    bad = set()
-    for s, t, st in plan.pairs:
-        key = cls[s] * n + cls[t]
-        if sum_cls.setdefault(key, cls[st]) != cls[st]:
-            bad.add(key)
-    if not bad:
-        return None
-    for e1, e2, se in plan.pairs:
-        c1, c2 = cls[e1], cls[e2]
-        if c1 * n + c2 not in bad:
-            continue
-        for f1 in range(n):
-            if cls[f1] != c1:
-                continue
-            row = plan.sums[f1]
-            for f2 in range(n):
-                sf = row[f2]
-                if cls[f2] == c2 and sf >= 0 and cls[sf] != cls[se]:
-                    return (e1, e2, f1, f2)
-    return None
-
-
-def _sk3d(plan, cls):
-    # p ~ s+t splits as p = e+f with e ~ s, f ~ t
-    n = plan.n
-    made = {}  # class -> class pairs of the defined sums in it
-    for s, t, st in plan.pairs:
-        made.setdefault(cls[st], set()).add(cls[s] * n + cls[t])
-    for p, split in enumerate(plan.splits):
-        c = cls[p]
-        need = made.get(c)
-        if need is None:
-            continue
-        have = {cls[e] * n + cls[d] for e, d in split}
-        if need <= have:
-            continue
-        for s, t, st in plan.pairs:
-            if cls[st] == c and cls[s] * n + cls[t] not in have:
-                return (p, s, t)
-    return None
-
-
-def _sk3e(plan, cls):
-    # e+f = s+t refines into a 2x2 grid
-    n = plan.n
-    for e, f, grid, cands in plan.grids:
-        have = {cls[a] * n + cls[b] for a, b in grid}
-        for s, t in cands:
-            if cls[s] * n + cls[t] not in have:
-                return (e, f, s, t)
-    return None
-
-
-def _sk4a(plan, below_cls):
-    # non-orthogonal elements are related
-    for e, f in plan.nonorth:
-        if below_cls[e].isdisjoint(below_cls[f]):
-            return (e, f)
-    return None
-
-
-def _sk4b(plan, cls, below_cls):
-    # e not below f gives nonzero e1 <= e equivalent to some d1 _|_ f
-    orth_cls = [{cls[d] for d in o} for o in plan.orth]
-    for e, f in plan.notleq:
-        if below_cls[e].isdisjoint(orth_cls[f]):
-            return (e, f)
-    return None
+    return live

@@ -113,11 +113,6 @@ def _table_sizes():
     return itertools.accumulate(itertools.count(2), _extensions, initial=[one])
 
 
-def _canonical_tables(n):
-    """Canonical sum tables for size n, as ``core.table_bytes``, sorted."""
-    return next(itertools.islice(_table_sizes(), n - 1, None))
-
-
 def _catalog_tables(max_n):
     """(n, canonical table bytes) of every model up to size ``max_n``, in
     catalog order, lazily; a size over ``MAX_N`` raises at the call."""

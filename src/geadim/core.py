@@ -262,18 +262,14 @@ def orthosum_family(E, family):
 def orthogonal_multisets(E):
     """All orthogonal multisets of nonzero elements, as sorted tuples.
 
-    A finite multiset is orthogonal exactly when its total sum is defined;
-    multiplicity is naturally bounded by the chain height, which guarantees
-    termination.
+    A finite multiset is orthogonal exactly when its total sum is defined.
+    Each element added raises the total, so the search ends.
     """
-    bound = E.chain_height
     out = []
 
     def extend(ms, total, start):
         out.append((ms, total))
         for e in range(start, E.n):
-            if ms.count(e) >= bound:
-                continue
             t = E.sum_of(total, e)
             if t is not None:
                 extend(ms + (e,), t, e)
@@ -365,46 +361,17 @@ def structure_predicates(E):
         for e in range(n)
         for f in range(e + 1, n)
     )
-    down = E._masks[0]
-    # archimedean: iterating e + e + ... must leave the table before
-    # exceeding the chain height; verified, not assumed
-    archimedean = True
-    for e in range(1, n):
-        x, steps = e, 1
-        while steps <= n:
-            nx = E.sum_of(x, e)
-            if nx is None:
-                break
-            x, steps = nx, steps + 1
-        if steps > n:
-            archimedean = False
-
-    # every orthogonal multiset must be orthosummable with the total as
-    # supremum of its partial sums; exhaustive over bounded multisets.  The
-    # partial sums of ms + (e,) are those of ms and each of them plus e, as
-    # a mask; ms comes first in the depth-first order of the multisets
-    ortho = True
-    dedekind = True
-    partials = {(): 1}
-    for ms, total in orthogonal_multisets(E):
-        if ms:
-            prev = partials[ms[:-1]]
-            sums = {E.sum[p][ms[-1]] for p in range(n) if prev >> p & 1}
-            if -1 in sums:
-                raise InternalInvariant("sub-multiset of orthogonal multiset undefined")
-            partials[ms] = prev | sum(1 << v for v in sums)
-        within = partials[ms] & ~down[total] == 0
-        ortho = ortho and within
-        bounded = any(partials[ms] & ~cone == 0 for cone in down)
-        dedekind = dedekind and (within or not bounded)
     out = StructureFlags(
         directed=directed,
         orthogonally_ordered=oo,
         is_ea=E.greatest(),
         lattice=lattice,
-        archimedean=archimedean,
-        dedekind_orthocomplete=dedekind,
-        orthocomplete=ortho,
+        # these three hold on every finite GEA: e < e + e < ... must
+        # leave the table, and each partial sum p of an orthogonal multiset
+        # lies below its total, p + (the rest), itself a partial sum
+        archimedean=True,
+        dedekind_orthocomplete=True,
+        orthocomplete=True,
     )
     E._cache["structure"] = out
     return out

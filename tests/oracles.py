@@ -46,6 +46,12 @@ def relabel(E, perm):
     return core.GeaTable(names, new, _validated=True)
 
 
+def canonical_tables(n):
+    """The catalog's canonical sum tables for size n, as
+    ``core.table_bytes``, sorted."""
+    return next(itertools.islice(catalog._table_sizes(), n - 1, None))
+
+
 @functools.lru_cache(maxsize=None)
 def catalog_models(max_n):
     """One GeaTable per isomorphism class up to ``max_n`` elements, in
@@ -54,7 +60,7 @@ def catalog_models(max_n):
         core.GeaTable([str(i) for i in range(n)], table_rows(flat, n),
                       _validated=True)
         for n in range(1, max_n + 1)
-        for flat in catalog._canonical_tables(n)
+        for flat in canonical_tables(n)
     )
 
 

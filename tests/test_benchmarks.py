@@ -67,7 +67,7 @@ def test_bench_kernels_runs(capsys):
     out = capsys.readouterr().out
     for label in ("axiom_violation n=6", "min_relabel n=4",
                   "is_min_relabel n=4", "brute_exomaps n=8 chain",
-                  "sup/inf n<=6", "sk_first_failures n=6",
+                  "sup/inf n<=6", "sk_witnesses n=6", "sk_first_failures n=6",
                   "sk_first_failures n=8 cube", "td_table n<=6",
                   "is_divisible n<=6", "check_hull_system n<=6",
                   "td-largest-map n<=6", "structure_predicates n<=7",

@@ -66,7 +66,7 @@ def _orbit_stabilizer_total(n):
     # twice or misses shows as a wrong total
     perms = _zero_fixing_perms(n)
     total = 0
-    for flat in catalog._canonical_tables(n):
+    for flat in oracles.canonical_tables(n):
         rows = table_rows(flat, n)
         aut = sum(_relabel_rows(rows, p) == rows for p in perms)
         assert len(perms) % aut == 0
@@ -120,12 +120,12 @@ def _orderly_canonical_tables(n):
 
 def test_top_extensions_match_the_orderly_dfs():
     for n in range(1, 8):
-        assert catalog._canonical_tables(n) == _orderly_canonical_tables(n)
+        assert oracles.canonical_tables(n) == _orderly_canonical_tables(n)
 
 
 @pytest.mark.slow
 def test_top_extensions_match_the_orderly_dfs_n8():
-    assert catalog._canonical_tables(8) == _orderly_canonical_tables(8)
+    assert oracles.canonical_tables(8) == _orderly_canonical_tables(8)
 
 
 def test_fixtures_appear_in_catalog():

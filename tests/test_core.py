@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from geadim import catalog, core
+from geadim import catalog, core, theorems
 from geadim.exocenter import exocenter
 from geadim.errors import AxiomViolation, ConflictingEquation, InternalInvariant
 
@@ -110,6 +110,19 @@ def test_structure_predicates():
     assert sb.is_ea == 3 and sb.orthogonally_ordered
     for s in (st, sc, sb):
         assert s.archimedean and s.dedekind_orthocomplete and s.orthocomplete
+
+
+def test_core_order_laws_rechecks_the_axioms_of_an_unchecked_table():
+    # c + c = b and b + b = a, but b + c is undefined: GEA2 fails at
+    # (b, c, c), yet the derived order passes GeaTable's own checks, so a
+    # table built unchecked, as the catalog builds them, is caught here
+    table = [[0, 1, 2, 3], [1, -1, -1, -1], [2, -1, 1, -1], [3, -1, -1, 2]]
+    with pytest.raises(AxiomViolation):
+        core.GeaTable("0abc", table)
+    E = core.GeaTable("0abc", table, _validated=True)
+    check = theorems.REGISTRY["core-order-laws"].fn
+    assert check(E) == ["GEA2 fails at (b, c, c)"]
+    assert check(core.b4()) == []
 
 
 def _check_structure_flags(max_n):

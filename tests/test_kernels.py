@@ -31,7 +31,7 @@ def _labeled_tables(n):
     """Every labeled table of size n, as tuple rows in sorted order: the
     zero-fixing relabelings of the catalog tables."""
     out = set()
-    for flat in catalog._canonical_tables(n):
+    for flat in oracles.canonical_tables(n):
         rows = table_rows(flat, n)
         for rest in itertools.permutations(range(1, n)):
             p = (0, *rest)
