@@ -32,8 +32,8 @@ and the decomposition of each dimension relation.  The ``build_entry n=8
 cube`` row does the same for the cube alone, and the ``decomposition
 n=8 cube`` row builds a fresh ``Dgea`` of each of the cube's 5
 congruences, on a fresh relation, and its type decomposition.  The suite
-row times ``run_theorem_suite(5)``, which builds each catalog entry as it
-reaches it.
+row times ``run_theorem_suite(5)``, which builds each model and its
+congruences as it reaches them.
 """
 
 import platform
@@ -164,8 +164,7 @@ def main():
     cube_flat = core.canonical_form(cube)[1:]
     bench("build_entry n=8 cube", catalog.build_entry, (8, cube_flat),
           repeat=1)
-    congruences = [rec.dgea.R for rec in catalog.build_entry(8, cube_flat).relations
-                   if rec.dgea]
+    congruences = [d.R for d in catalog.congruences(catalog.model(8, cube_flat))]
     bench("decomposition n=8 cube", _decompose_each, (congruences,),
           repeat=1)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)

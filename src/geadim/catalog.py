@@ -14,7 +14,7 @@ import itertools
 import json
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels, congruence as cg, core, dimension as dm, hull as hull_mod
@@ -36,24 +36,14 @@ class RelationRecord:
     class_of: tuple  # the dense class id of each element
     first_failure: object  # (axiom name, witness) or None
     decomposition: object  # summary dict or None
-    # the relation's dm.Dgea when it is a congruence, for the suite; never
-    # persisted
-    dgea: object = field(default=None, repr=False, compare=False)
+    sk: bool  # whether the relation passes the congruence axioms
+    der: object  # whether a congruence is a dimension relation; None
+    # for a relation that is no congruence
 
     @property
     def classes(self):
         """The classes in id order, each a tuple of element indices."""
         return cg.partition_classes(self.class_of)
-
-    @property
-    def sk(self):
-        return self.dgea is not None
-
-    @property
-    def der(self):
-        """Whether a congruence is a dimension relation; None for a
-        relation that is no congruence."""
-        return None if self.dgea is None else self.dgea.der
 
     def summary(self, names):
         fail = self.first_failure
@@ -151,25 +141,34 @@ def ordered_map(fn, items, jobs):
 def cached_entries(max_n):
     """Materialized catalog, kept for reuse in one process.
 
-    No command reads it: ``verify`` and ``search`` build each entry as
+    No command reads it: ``verify`` and ``search`` build each model as
     they reach it and drop it after.  Tests and benchmarks use it.
     """
     return tuple(enumerate_geas(max_n))
 
 
-def build_entry(n, flat_bytes):
-    E = core.GeaTable([str(i) for i in range(n)], _rows(flat_bytes, n),
+def _key(n, flat):
+    """The catalog key of the n-element table ``flat``."""
+    return (bytes([n]) + flat).hex()
+
+
+def model(n, flat):
+    """The n-element catalog model whose ``core.table_bytes`` are ``flat``."""
+    E = core.GeaTable([str(i) for i in range(n)], _rows(flat, n),
                       _validated=True)
     if not core.is_canonical_table(E.sum):
         raise InternalInvariant("non-canonical table reached the catalog")
-    flags = _structure_flags(E)
-    relations = tuple(enumerate_relations(E))
+    return E
+
+
+def build_entry(n, flat_bytes):
+    E = model(n, flat_bytes)
     return CatalogEntry(
-        key=(bytes([n]) + flat_bytes).hex(),
+        key=_key(n, flat_bytes),
         n=n,
         table=E,
-        flags=flags,
-        relations=relations,
+        flags=_structure_flags(E),
+        relations=tuple(enumerate_relations(E)),
     )
 
 
@@ -220,37 +219,45 @@ def _swept_partitions(n):
     return partitions, _kernels.class_masks(partitions)
 
 
-def enumerate_relations(E):
-    """Every partition with zero alone, with its congruence verdict.
-
-    The first failing congruence axiom and its witness are found for all
-    the partitions at once, and a record that fails keeps its restricted
-    growth string and that axiom and witness; its classes are read off
-    the string when it is summarized.  Each relation that passes the
-    congruence axioms gets its ``dm.Dgea``, which checks the full report
-    and the separation axiom SK4a', and, when that passes, a summary of
-    its type decomposition; when SK4a' fails, it is the record's first
-    failure.
-    """
+def _sweep(E):
+    """Each partition with zero alone of ``E``'s elements, with its first
+    failing congruence axiom and witness, or None for a congruence."""
     partitions, eq = _swept_partitions(E.n)
-    fails = _kernels.sk_first_failures(E._sk_plan, eq)
-    for class_of, fail in zip(partitions, fails):
+    return zip(partitions, _kernels.sk_first_failures(E._sk_plan, eq))
+
+
+def congruences(E):
+    """The ``dm.Dgea`` of each congruence of ``E`` with zero alone in its
+    class, in partition order."""
+    return [dm.Dgea(cg.EquivRel(E, class_of))
+            for class_of, fail in _sweep(E) if fail is None]
+
+
+def enumerate_relations(E):
+    """Every partition with zero alone, with its congruence verdict, as
+    the records of the catalog file.
+
+    A record that fails the sweep keeps its restricted growth string and
+    its first failing axiom and witness; its classes are read off the
+    string when it is summarized.  Each relation that passes gets its
+    ``dm.Dgea``, which checks the full report and the separation axiom
+    SK4a', and, when that passes, a summary of its type decomposition;
+    when SK4a' fails, it is the record's first failure.  The ``Dgea`` is
+    dropped once its record is made; ``congruences`` keeps them instead.
+    """
+    for class_of, fail in _sweep(E):
         if fail is not None:
             # restricted growth strings are dense class ids already
-            yield RelationRecord(
-                class_of=class_of,
-                first_failure=(cg.AXES[fail[0]], fail[1]),
-                decomposition=None,
-            )
+            yield RelationRecord(class_of, (cg.AXES[fail[0]], fail[1]), None,
+                                 sk=False, der=None)
             continue
         d = dm.Dgea(cg.EquivRel(E, class_of))
         yield RelationRecord(
-            class_of=d.R.class_of,
-            first_failure=None if d.der else ("SK4a'", d.sk4a_prime),
-            decomposition=(
-                _decomposition_summary(E, d.decomposition) if d.der else None
-            ),
-            dgea=d,
+            d.R.class_of,
+            None if d.der else ("SK4a'", d.sk4a_prime),
+            _decomposition_summary(E, d.decomposition) if d.der else None,
+            sk=True,
+            der=d.der,
         )
 
 
@@ -386,25 +393,24 @@ def _resumable_keys(path, header):
 # counterexample search
 # ---------------------------------------------------------------------------
 
-def _search_sk_not_der(entry):
-    for rec in entry.relations:
-        if rec.sk and rec.der is False:
-            return {"relation": [list(c) for c in rec.classes]}
+def _search_sk_not_der(E, dgeas):
+    for d in dgeas:
+        if not d.der:
+            return {"relation": [list(c) for c in d.R.classes]}
     return None
 
 
-def _search_non_type_i(entry):
-    for rec in entry.relations:
-        if rec.der and rec.decomposition["type"] != "I":
+def _search_non_type_i(E, dgeas):
+    for d in dgeas:
+        if d.der and d.decomposition.type_verdict != "I":
             return {
-                "relation": [list(c) for c in rec.classes],
-                "type": rec.decomposition["type"],
+                "relation": [list(c) for c in d.R.classes],
+                "type": d.decomposition.type_verdict,
             }
     return None
 
 
-def _search_divisible_with_monads(entry):
-    E = entry.table
+def _search_divisible_with_monads(E, dgeas):
     for H in hull_mod.hull_systems(E):
         if not hull_mod.is_divisible(H).divisible:
             continue
@@ -417,7 +423,7 @@ def _search_divisible_with_monads(entry):
     return None
 
 
-def _search_never(entry):
+def _search_never(E, dgeas):
     return None
 
 
@@ -436,9 +442,10 @@ def search_counterexample(name, max_n):
             f"{name!r}; known: {', '.join(sorted(SEARCH_PREDICATES))}"
         )
     pred = SEARCH_PREDICATES[name]
-    for entry in enumerate_geas(max_n):
-        hit = pred(entry)
+    for n, flat in _catalog_tables(max_n):
+        E = model(n, flat)
+        hit = pred(E, congruences(E))
         if hit is not None:
-            return {"key": entry.key, "n": entry.n, "witness": hit}
+            return {"key": _key(n, flat), "n": n, "witness": hit}
     return None
 

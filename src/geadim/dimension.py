@@ -35,16 +35,14 @@ class Dgea:
     None when it holds, and ``der`` says whether it holds.  The simple and
     finite elements and the type decomposition are derived on first use
     and raise ``NotDer`` unless the relation is a dimension relation.
-    ``members`` gives the index of each element in the model this one is
-    a summand of (the identity for a model of its own); ``summand`` builds
-    each summand once.  The summand of the identity map of a model of its
-    own is the ``Dgea`` itself: same table, same relation, same members.
+    ``summand`` builds each summand once; element i of the summand of
+    ``pi`` is ``pi.summand[i]``.  The summand of the identity map is the
+    ``Dgea`` itself: same table, same relation.
     """
 
-    def __init__(self, R, members=None):
+    def __init__(self, R):
         self.E = R.E
         self.R = R
-        self.members = tuple(range(R.E.n)) if members is None else members
         report = cg.check_sk(R)
         if not report.sk:
             raise NotDer(f"relation fails {report.first_failure()[0]}")
@@ -66,18 +64,17 @@ class Dgea:
         with the restricted relation, built on the first call for ``pi``;
         ``NotSplitting`` when ``pi`` does not split the relation.
 
-        When ``pi`` is the identity and ``members`` is too, as for a model
-        of its own, the summand is ``self``; it is not kept in
-        ``_summands``, which would make a reference cycle.
+        When ``pi`` is the identity the summand is ``self``; it is not
+        kept in ``_summands``, which would make a reference cycle.
         """
         if pi in self._summands:
             return self._summands[pi]
         E, R = self.E, self.R
         if pi not in self.sigma or not cg.splits(R, pi):
             raise NotSplitting(f"{pi!r} does not split the relation")
-        members = pi.summand
-        if members == self.members:
+        if pi.is_identity:
             return self
+        members = pi.summand
         pos = {e: i for i, e in enumerate(members)}
         k = len(members)
         table = [[-1] * k for _ in range(k)]
@@ -90,7 +87,7 @@ class Dgea:
                     table[pos[a]][pos[b]] = pos[v]
         sub = core.GeaTable([E.names[e] for e in members], table)
         subrel = cg.EquivRel(sub, [R.class_of[e] for e in members])
-        self._summands[pi] = Dgea(subrel, members)
+        self._summands[pi] = Dgea(subrel)
         return self._summands[pi]
 
     @cached_property
@@ -300,7 +297,7 @@ class Dgea:
         for m, unit in ((pi_i_f, pi_i(ft)), (pi_ii_f, comp(pi_i)(ft))):
             sub = self.summand(m)
             top = sub.E.greatest()
-            if top is None or sub.members[top] != unit:
+            if top is None or m.summand[top] != unit:
                 raise InternalInvariant("finite-type summand unit mismatch")
         checks.append("finite-part-units")
 
@@ -423,10 +420,11 @@ def check_restriction(dgea, pi):
     set, finite set and largest finite invariant element are exactly the
     restrictions of the parent's."""
     sub = dgea.summand(pi)
-    pos = {e: i for i, e in enumerate(sub.members)}
+    members = pi.summand
+    pos = {e: i for i, e in enumerate(members)}
 
     def restrict(xi):
-        return ExoMap([pos[xi(e)] for e in sub.members])
+        return ExoMap([pos[xi(e)] for e in members])
 
     gex, gex_sub = exocenter(dgea.E), exocenter(sub.E)
     if {restrict(xi) for xi in gex} != set(gex_sub.maps):

@@ -16,10 +16,10 @@ class AxiomViolation(GeadimError):
     element names.
     """
 
-    def __init__(self, axiom, witness, message=None):
+    def __init__(self, axiom, witness):
         self.axiom = axiom
         self.witness = tuple(witness)
-        super().__init__(message or f"{axiom} fails at {self.witness}")
+        super().__init__(f"{axiom} fails at {self.witness}")
 
 
 class InternalInvariant(GeadimError):

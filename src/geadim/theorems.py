@@ -10,9 +10,11 @@ Each property is registered under a content-describing name with a scope:
                   verified dimension relation.
 
 A property returns a list of witness strings (empty when it holds).
-Internal-invariant failures raised by the library's own cross-checks are
-converted into violations, so a broken construction surfaces here rather
-than aborting the run.  ``invert`` flips a single property's verdict per
+An ``InternalInvariant`` raised while a property runs, as by a broken
+derived part of a ``Dgea``, becomes a violation rather than aborting the
+run; one raised while a congruence's ``Dgea`` is constructed (the SK
+report, ``sigma_sim``, the induced hull, SK4a') comes before the runner
+and still ends it.  ``invert`` flips a single property's verdict per
 instance, as a sanity control that the harness can actually fail.
 """
 
@@ -336,7 +338,7 @@ def _splitting_algebra(ctx):
     # the literal definition over the brute-force exocenter: pi splits
     # when no nonzero e ~ f has pi(e) = e and pi(f) = 0.  sigma_sim also
     # checks its characterizations and the boolean subalgebra when the
-    # catalog builds the relation's Dgea.
+    # relation's Dgea is built.
     E, R = ctx.E, ctx.R
     nonzero = range(1, E.n)
     literal = tuple(
@@ -1000,8 +1002,7 @@ def _type_decomposition(ctx):
     # it defines, and every element is one sum of an element of each.
     # Each summand, as a model of its own, is of its type.  The
     # decomposition runs its own cross-checks, through the splitting
-    # algebra and the summand models, when the catalog summarizes the
-    # relation.
+    # algebra and the summand models, when a property first reads it.
     E = ctx.E
     dec = ctx.decomposition
     types = ("I", "II", "III")
@@ -1119,15 +1120,15 @@ class SuiteReport:
 
 
 def _evaluate_model(names, invert, table):
-    """Build the catalog entry of one model, given as (n, canonical table
-    bytes), and evaluate the properties ``names`` on it; returns the
+    """Evaluate the properties ``names`` on one model, given as (n,
+    canonical table bytes), and on its congruences; returns the
     per-property (instances, violations), the review entries and the
     number of congruences."""
     n, flat = table
-    entry = catalog.build_entry(n, flat)
-    congruences = [rec.dgea for rec in entry.relations if rec.sk]
+    E = catalog.model(n, flat)
+    congruences = catalog.congruences(E)
     scopes = {
-        "model": [entry.table],
+        "model": [E],
         "relation": congruences,
         "der": [d for d in congruences if d.der],
     }
@@ -1145,15 +1146,13 @@ def _evaluate_model(names, invert, table):
                 details = [str(exc)]
             if invert == name:
                 details = [] if details else ["inverted-check: property held"]
-            rel = (
-                None
-                if p.scope == "model"
-                else [[entry.table.names[e] for e in c] for c in ctx.R.classes]
-            )
+            rel = None
+            if details and p.scope != "model":
+                rel = [[E.names[e] for e in c] for c in ctx.R.classes]
             for d in details:
                 rec = {
-                    "model": entry.key,
-                    "n": entry.n,
+                    "model": catalog._key(n, flat),
+                    "n": n,
                     "relation": rel,
                     "detail": d,
                     "property": name,
@@ -1170,8 +1169,9 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
     """Evaluate the registered properties over the catalog; deterministic
     regardless of worker count.
 
-    Each model's entry is built and evaluated in one call, in a worker
-    when ``jobs`` is above 1, and dropped once its results are in.
+    Each model and its congruences are built and evaluated in one call,
+    in a worker when ``jobs`` is above 1, and dropped once its results
+    are in.
     """
     if theorems:
         unknown = [t for t in theorems if t not in REGISTRY]

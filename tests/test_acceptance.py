@@ -196,23 +196,22 @@ def test_criterion_6_determinism():
 
 def test_one_decomposition_per_dimension_relation(monkeypatch):
     """A suite run builds the type decomposition of each dimension relation
-    once, in its catalog ``Dgea``, and no other."""
+    once, in the relation's ``Dgea``, and no other."""
     der = []
     built = []
-    real_relations = catalog.enumerate_relations
+    real_congruences = catalog.congruences
     real_decomposition = dm.Decomposition
 
     def collecting(E):
-        for rec in real_relations(E):
-            if rec.der:
-                der.append(rec.dgea.R)
-            yield rec
+        found = real_congruences(E)
+        der.extend(d.R for d in found if d.der)
+        return found
 
     def counted(**fields):
         built.append(fields)
         return real_decomposition(**fields)
 
-    monkeypatch.setattr(catalog, "enumerate_relations", collecting)
+    monkeypatch.setattr(catalog, "congruences", collecting)
     monkeypatch.setattr(dm, "Decomposition", counted)
     assert theorems.run_theorem_suite(5).status == "ok"
     assert len(der) == 10
@@ -223,9 +222,10 @@ def test_one_dgea_per_congruence_and_summand(monkeypatch):
     """A suite run builds one ``Dgea`` per congruence and one per summand
     of a splitting map other than the identity of each dimension relation,
     and no other: the identity summand is the congruence's own ``Dgea``."""
-    records = [r for e in catalog.cached_entries(6) for r in e.relations]
-    congruences = sum(1 for r in records if r.sk)
-    summands = sum(len(r.dgea.sigma) - 1 for r in records if r.der)
+    dgeas = [d for e in catalog.cached_entries(6)
+             for d in catalog.congruences(e.table)]
+    congruences = len(dgeas)
+    summands = sum(len(d.sigma) - 1 for d in dgeas if d.der)
     assert (congruences, summands) == (18, 21)
     built = []
     real_init = dm.Dgea.__init__
@@ -307,17 +307,16 @@ def test_one_splitting_algebra_per_congruence(monkeypatch):
         return wrapper
 
     congruences = []
-    real_relations = catalog.enumerate_relations
+    real_congruences = catalog.congruences
 
     def collecting(E):
-        for rec in real_relations(E):
-            if rec.sk:
-                congruences.append(rec.dgea.R)
-            yield rec
+        found = real_congruences(E)
+        congruences.extend(d.R for d in found)
+        return found
 
     monkeypatch.setattr(cg, "sigma_sim", counted(cg.sigma_sim))
     monkeypatch.setattr(cg, "induced_hull", counted(cg.induced_hull))
-    monkeypatch.setattr(catalog, "enumerate_relations", collecting)
+    monkeypatch.setattr(catalog, "congruences", collecting)
     assert theorems.run_theorem_suite(6).status == "ok"
     ids = {id(R) for R in congruences}
     assert len(ids) == 18
@@ -328,11 +327,11 @@ def test_one_splitting_algebra_per_congruence(monkeypatch):
 
 
 def test_parallel_suite_builds_models_only_in_workers(monkeypatch, tmp_path):
-    """With ``jobs`` above 1 every catalog entry is built in a worker and
-    none in the calling process."""
+    """With ``jobs`` above 1 every model is built in a worker and none in
+    the calling process."""
     log = tmp_path / "builds.txt"
     here = []
-    real = catalog.build_entry
+    real = catalog.model
 
     def logged(n, flat):
         here.append(os.getpid())
@@ -340,7 +339,7 @@ def test_parallel_suite_builds_models_only_in_workers(monkeypatch, tmp_path):
             fh.write(f"{os.getpid()}\n")
         return real(n, flat)
 
-    monkeypatch.setattr(catalog, "build_entry", logged)
+    monkeypatch.setattr(catalog, "model", logged)
     serial = theorems.run_theorem_suite(5)
     assert here == [os.getpid()] * serial.models == [os.getpid()] * 21
     here.clear()

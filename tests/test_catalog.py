@@ -200,17 +200,18 @@ def test_full_sk_report_only_for_congruences(monkeypatch):
     for n, flat in catalog._catalog_tables(6):
         witnessed.clear()
         reported.clear()
-        entry = catalog.build_entry(n, flat)
-        E = entry.table
-        found = [rec.dgea.R for rec in entry.relations if rec.sk]
+        E = catalog.model(n, flat)
+        found = [d.R for d in catalog.congruences(E)]
         assert sorted(cls for plan, cls in witnessed
                       if plan is E._sk_plan) == sorted(
             R.class_of for R in found)
         assert {id(R) for R in reported if R.E is E} == {
             id(R) for R in found}
+        entry = catalog.build_entry(n, flat)
+        assert [rec.class_of for rec in entry.relations if rec.sk] == [
+            R.class_of for R in found]
         for rec in entry.relations:
             if not rec.sk:
-                assert rec.dgea is None
                 assert rec.first_failure[0] in cg.AXES
         partitions += len(entry.relations)
         congruences += len(found)
@@ -225,6 +226,7 @@ def test_classes_are_read_off_the_class_ids():
     records = 0
     for entry in catalog.cached_entries(6):
         n = entry.n
+        congruences = iter(catalog.congruences(entry.table))
         for rec in entry.relations:
             ids = rec.class_of
             assert ids[0] == 0 and 0 not in ids[1:]
@@ -234,7 +236,7 @@ def test_classes_are_read_off_the_class_ids():
             assert rec.classes == grouped
             assert rec.classes == cg.partition_classes(rec.class_of)
             if rec.sk:
-                assert rec.classes == rec.dgea.R.classes
+                assert rec.classes == next(congruences).R.classes
             records += 1
     assert records == 2031
 
@@ -429,13 +431,13 @@ def test_search_predicates():
 
 def test_search_stops_at_the_first_hit(monkeypatch):
     sizes = []
-    real = catalog.build_entry
+    real = catalog.model
 
     def logged(n, flat):
         sizes.append(n)
         return real(n, flat)
 
-    monkeypatch.setattr(catalog, "build_entry", logged)
+    monkeypatch.setattr(catalog, "model", logged)
     hit = catalog.search_counterexample("divisible-hull-with-monads", 5)
     assert hit["n"] == 2
     assert sizes == [1, 2]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from geadim import catalog, cli, congruence as cg, core, theorems
+from geadim import catalog, cli, congruence as cg, core, hull, theorems
 from geadim.errors import (
     ConflictingEquation,
     InternalInvariant,
@@ -344,10 +344,10 @@ def test_catalog_resume_rejects_damaged_file(damage, tmp_path):
 
 
 def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
-    """The catalog build runs the checks of the splitting-algebra,
-    induced-hull-contract and type-decomposition properties, so a failure
-    there must end ``verify`` with an error rather than pass unseen, also
-    when the build runs in a worker."""
+    """Building a congruence's ``Dgea`` runs the checks of the
+    splitting-algebra and induced-hull-contract properties before any
+    property does, so a failure there must end ``verify`` with an error
+    rather than pass unseen, also when the build runs in a worker."""
     real = cg.induced_hull
 
     def failing(R, sigma):
@@ -384,9 +384,25 @@ def test_verify_reports_a_raising_property_as_one_violation(monkeypatch):
     assert {v["detail"] for v in violations} == {"center broken for the test"}
 
 
+def test_verify_reports_a_broken_derived_part_as_violations(monkeypatch):
+    """A cross-check of a ``Dgea``'s derived parts fails inside the
+    properties that read them, so it is reported as their violations,
+    not as an error."""
+    monkeypatch.setattr(hull, "is_monad", lambda H, e: False)
+    code, text = run(["verify", "--max-size", "4", "--json"])
+    assert code == 1
+    assert not any(line.startswith("error:") for line in text.splitlines())
+    properties = json.loads(text)["results"]["properties"]
+    for name in ("simple-element-criteria", "simple-implies-finite",
+                 "kf-std-sets"):
+        details = [v["detail"] for v in properties[name]["violations"]]
+        assert any("simple-element characterizations disagree" in d
+                   for d in details), name
+
+
 def test_verify_over_the_limit_builds_no_model(monkeypatch):
     built = []
-    monkeypatch.setattr(catalog, "build_entry", lambda *args: built.append(args))
+    monkeypatch.setattr(catalog, "model", lambda *args: built.append(args))
     code, text = run(["verify", "--max-size", "9", "--json"])
     assert code == 2
     assert text.count("\n") == 1 and text.startswith("error: ")
@@ -400,7 +416,9 @@ def test_verify_over_the_limit_builds_no_model(monkeypatch):
 ])
 def test_catalog_commands_share_the_size_limit(argv, monkeypatch, tmp_path):
     built = []
-    monkeypatch.setattr(catalog, "build_entry", lambda *args: built.append(args))
+    # search builds each model, the catalog writer each entry
+    for name in ("model", "build_entry"):
+        monkeypatch.setattr(catalog, name, lambda *args: built.append(args))
     monkeypatch.chdir(tmp_path)
     code, text = run(argv)
     assert code == 2

@@ -281,15 +281,13 @@ def test_induced_hull_is_the_meet_of_the_splitting_maps_fixing_each_element():
     checked = 0
     for entry in catalog.cached_entries(6):
         E = entry.table
-        for rec in entry.relations:
-            if not rec.sk:
-                continue
-            sigma = rec.dgea.sigma
+        for d in catalog.congruences(E):
+            sigma = d.sigma
             maps = []
             for e in range(E.n):
                 fixing = [pi for pi in sigma if pi(e) == e]
                 assert fixing
                 maps.append(sigma.meet_all(fixing))
-            assert rec.dgea.hull.maps == tuple(maps)
+            assert d.hull.maps == tuple(maps)
             checked += 1
     assert checked == 18  # congruences on the models up to n = 6

@@ -137,7 +137,7 @@ def test_memoized_operations_match_composition():
         E = entry.table
         gex = exocenter(E)
         sets = [gex] + [
-            cg.sigma_sim(rec.dgea.R) for rec in entry.relations if rec.sk
+            cg.sigma_sim(d.R) for d in catalog.congruences(E)
         ]
         for S in sets:
             for p in S:
