@@ -21,9 +21,12 @@ The ``td_table`` and ``is_divisible`` rows build the
 type-determining table and the divisibility report of each of the 59
 hull systems on the models up to size 6, clearing the hull system's memo
 before each call, and the ``check_hull_system`` row checks HS1-HS3 on
-each of them.  The ``td-largest-map`` row runs that property over
-those models, so it reads the memoized tables and times the checks per
-subset.  The ``structure_predicates n<=7`` row computes the structure
+each of them.  The ``disjoint_families`` row finds the families of
+nonzero elements with pairwise disjoint hull maps, and their orthosums,
+of each of those hull systems.  The ``td-largest-map`` row runs that
+property over those models, so it reads the memoized tables and times
+the checks per subset, and the ``hull-grid-refinement`` row runs that
+property over them.  The ``structure_predicates n<=7`` row computes the structure
 flags of each of the 175 models up to size 7, clearing the model's memo
 before each call.  The ``build_entry n<=6`` row builds the catalog entry
 of each of the 56 canonical tables up to size 6 from its bytes, so each
@@ -42,6 +45,7 @@ import time
 from geadim import _kernels as K
 from geadim import catalog, congruence as cg, core, dimension as dm
 from geadim import hull, theorems
+from geadim.exocenter import disjoint_families
 
 ROUNDS = 5
 
@@ -88,6 +92,11 @@ def _sup_inf_each(models):
 def _check_each(systems):
     for H in systems:
         hull.check_hull_system(H.exoset, H.maps)
+
+
+def _families_each(systems):
+    for H in systems:
+        disjoint_families(H.exoset, H.maps, range(1, H.E.n))
 
 
 def _build_entries(tables):
@@ -147,14 +156,17 @@ def main():
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)
     bench("is_min_relabel n=4", K.is_min_relabel, (rows, perms), repeat=500)
     models = [entry.table for entry in catalog.cached_entries(6)]
-    systems = [H for E in models for H in hull.hull_systems(E)]
+    systems = [H for E in models for H in hull.enumerate_hull_systems(E)]
     bench("sup/inf n<=6", _sup_inf_each, (models,), repeat=3)
     bench("td_table n<=6", _build_each, (hull.td_table, systems), repeat=3)
     bench("is_divisible n<=6", _build_each, (hull.is_divisible, systems),
           repeat=3)
     bench("check_hull_system n<=6", _check_each, (systems,), repeat=3)
+    bench("disjoint_families n<=6", _families_each, (systems,), repeat=3)
     td_largest = theorems.REGISTRY["td-largest-map"].fn
     bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
+    grid = theorems.REGISTRY["hull-grid-refinement"].fn
+    bench("hull-grid-refinement n<=6", _each, (grid, models), repeat=3)
     sevens = [core.GeaTable(range(n), catalog._rows(flat, n), _validated=True)
               for n, flat in catalog._catalog_tables(7)]
     bench("structure_predicates n<=7", _build_each,

@@ -9,7 +9,6 @@ from .core import (
     canonical_form,
     interval_ea,
     is_orthodense,
-    orthosum_family,
     structure_predicates,
     t3,
 )
@@ -22,7 +21,6 @@ from .hull import (
     is_dyad,
     is_monad,
     sim_eta,
-    sk3e_split_eta,
     td_sets,
 )
 from .congruence import (

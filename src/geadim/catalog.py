@@ -411,7 +411,7 @@ def _search_non_type_i(E, dgeas):
 
 
 def _search_divisible_with_monads(E, dgeas):
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         if not hull_mod.is_divisible(H).divisible:
             continue
         monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]

@@ -226,39 +226,6 @@ def b4():
 # orthogonal families
 # ---------------------------------------------------------------------------
 
-def orthosum_family(E, family):
-    """Orthosum of a finite multiset of elements, or None when undefined.
-
-    Every ordering of the family must produce the same defined value;
-    order-independence is rechecked rather than assumed (a mismatch would
-    mean a corrupted table).  The empty family sums to zero.
-    """
-    memo = {}
-
-    def rec(ms):
-        if ms in memo:
-            return memo[ms]
-        if not ms:
-            memo[ms] = 0
-            return 0
-        results = set()
-        seen = set()
-        for k, e in enumerate(ms):
-            if e in seen:
-                continue
-            seen.add(e)
-            rest = ms[:k] + ms[k + 1:]
-            r = rec(rest)
-            results.add(None if r is None else E.sum_of(e, r))
-        if len(results) != 1:
-            raise InternalInvariant(f"order-dependent orthosum for {ms}")
-        out = results.pop()
-        memo[ms] = out
-        return out
-
-    return rec(tuple(sorted(family)))
-
-
 def orthogonal_multisets(E):
     """All orthogonal multisets of nonzero elements, as sorted tuples.
 

@@ -6,10 +6,11 @@ projection onto H and vice versa).  An independent atom search, which
 shares no code with it and must agree, fixes each map by its images of
 the atoms (0 or the atom itself) and forces the image of every sum;
 ``tests/oracles.py`` keeps the filter of every self-map below the
-identity as its oracle.
+identity as its oracle.  ``disjoint_families`` finds the families whose
+maps are pairwise disjoint, each with its orthosum, in one walk; the
+oracles filter every subset and sum it in every order.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from . import _kernels, core
@@ -141,15 +142,28 @@ class ExoSet:
 
 def disjoint_families(S, maps, elements):
     """The subsets of ``elements`` whose maps (``maps[e]`` for element e)
-    are pairwise disjoint in S, as tuples, by size and then in
-    ``itertools.combinations`` order; the empty family comes first."""
-    for r in range(len(elements) + 1):
-        for pick in itertools.combinations(elements, r):
-            if all(
-                S.disjoint(maps[a], maps[b])
-                for a, b in itertools.combinations(pick, 2)
-            ):
-                yield pick
+    are pairwise disjoint in S, with their orthosums (None if undefined),
+    as (family, orthosum) pairs, by size and then in the order of
+    ``itertools.combinations``; the empty family, with sum 0, comes first.
+
+    One depth-first walk extends a family only by a later element whose
+    map is disjoint from every member's, adding it to the family's sum (by
+    GEA1-GEA2 the order of the terms does not matter); an undefined sum
+    stays None."""
+    E, elements = S.E, tuple(elements)
+    out = []
+
+    def extend(family, total, start):
+        out.append((family, total))
+        for i in range(start, len(elements)):
+            e = elements[i]
+            if all(S.disjoint(maps[a], maps[e]) for a in family):
+                v = -1 if total is None else E.sum[total][e]
+                extend(family + (e,), None if v < 0 else v, i + 1)
+
+    extend((), 0, 0)
+    out.sort(key=lambda pair: len(pair[0]))
+    return out
 
 
 def exocenter(E):
@@ -287,8 +301,7 @@ def cogea_check(E):
     S = exocenter(E)
     covers = {e: exocentral_cover(S, e) for e in range(1, E.n)}
     co1, co2, witness = True, True, None
-    for pick in disjoint_families(S, covers, range(1, E.n)):
-        total = core.orthosum_family(E, pick)
+    for pick, total in disjoint_families(S, covers, range(1, E.n)):
         if total is None:
             co1, witness = False, ("CO1", pick)
             continue

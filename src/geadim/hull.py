@@ -5,15 +5,16 @@ with eta_0 = 0, eta_e(e) = e, and eta_{eta_e f} = eta_e o eta_f =
 eta_e ^ eta_f.  The relation e ~ f iff eta_e = eta_f behaves like a
 dimension equivalence when the system is divisible.
 
-Each hull system memoizes its divisibility report and its table of
-type-determining subsets (``td_table``, which ``td_sets`` reads) in its
-``_cache``; ``tests/oracles.py`` keeps the literal searches as oracles.
+The model memoizes its hull systems, and each hull system its
+divisibility report and its table of type-determining subsets
+(``td_table``, which ``td_sets`` reads), in a ``_cache``;
+``tests/oracles.py`` keeps the literal searches as oracles, among them
+the search per splitting that ``hull-grid-refinement`` replaces.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import core
 from .errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
 from .exocenter import disjoint_families, exocentral_cover, exocenter
 
@@ -114,12 +115,14 @@ def gamma_hull(S):
 
 
 def enumerate_hull_systems(E):
-    """All hull systems on the model, deterministically ordered.
+    """All hull systems on the model in a fixed order, memoized on it.
 
     Backtracks over assignments in a linear extension of the order so the
     HS3 constraint eta_{eta_e f} = eta_e ^ eta_f only ever references maps
     that are already placed.
     """
+    if "hull_systems" in E._cache:
+        return E._cache["hull_systems"]
     S = exocenter(E)
     n = E.n
     order = sorted(range(n), key=lambda e: (len(E.below(e)), e))
@@ -154,13 +157,7 @@ def enumerate_hull_systems(E):
 
     rec(1)
     found.sort(key=lambda h: tuple(m.image for m in h.maps))
-    return tuple(found)
-
-
-def hull_systems(E):
-    """``enumerate_hull_systems``, memoized on the table."""
-    if "hull_systems" not in E._cache:
-        E._cache["hull_systems"] = enumerate_hull_systems(E)
+    E._cache["hull_systems"] = tuple(found)
     return E._cache["hull_systems"]
 
 
@@ -255,8 +252,7 @@ def td_table(H):
     n = E.n
     size = 1 << n
     closure = [0] * size
-    for pick in disjoint_families(H.exoset, H.maps, range(1, n)):
-        v = core.orthosum_family(E, pick)
+    for pick, v in disjoint_families(H.exoset, H.maps, range(1, n)):
         if v is None:
             raise InternalInvariant(
                 f"eta-orthogonal family {pick} is not orthosummable"
@@ -304,33 +300,6 @@ def td_sets(H, T):
     if eta_std and not eta_td:
         raise InternalInvariant("strongly type-determining set is not type-determining")
     return TdReport(eta_td, eta_std, t_star)
-
-
-def sk3e_split_eta(H, e, f, s, t):
-    """Split e + f = s + t into a 2x2 grid matched by hull equivalence.
-
-    Existence is guaranteed for every hull system, so a fruitless search
-    flags a bug.  Returns (e1, e2, f1, f2) with e = e1 + e2, f = f1 + f2,
-    e1 + f1 ~ s and e2 + f2 ~ t under the hull relation, found in
-    lexicographic order.
-    """
-    E = H.E
-    if E.sum_of(e, f) is None or E.sum_of(e, f) != E.sum_of(s, t):
-        raise ValueError("need e + f = s + t defined")
-    for e1 in E.below(e):
-        e2 = E.sub(e, e1)
-        for f1 in E.below(f):
-            f2 = E.sub(f, f1)
-            a = E.sum_of(e1, f1)
-            b = E.sum_of(e2, f2)
-            if a is None or b is None:
-                continue
-            if H.eta(a) == H.eta(s) and H.eta(b) == H.eta(t):
-                return (e1, e2, f1, f2)
-    raise InternalInvariant(
-        f"no hull-matched refinement for {E.names[e]}+{E.names[f]}="
-        f"{E.names[s]}+{E.names[t]}"
-    )
 
 
 def eta_partition(H):

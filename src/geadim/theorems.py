@@ -166,7 +166,7 @@ def _cogea(E):
 @prop("hull-roundtrip", "model")
 def _hull_roundtrip(E):
     out = []
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         try:
             again = hull_mod.hull_from_hd(E, H.theta)
         except GeadimError as exc:
@@ -181,7 +181,7 @@ def _hull_roundtrip(E):
 def _hull_meet_projections(E):
     S = exocenter(E)
     out = []
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         for e in range(E.n):
             for f in range(E.n):
                 e1 = H.eta(f)(e)
@@ -199,7 +199,7 @@ def _hull_meet_projections(E):
 @prop("divisibility-dyad-criterion", "model")
 def _divisibility(E):
     out = []
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         try:
             hull_mod.is_divisible(H)
         except InternalInvariant as exc:
@@ -210,7 +210,7 @@ def _divisibility(E):
 @prop("no-monads-implies-divisible", "model")
 def _no_monads_divisible(E):
     out = []
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]
         if not monads and not hull_mod.is_divisible(H).divisible:
             out.append("monad-free hull system is not divisible")
@@ -219,20 +219,29 @@ def _no_monads_divisible(E):
 
 @prop("hull-grid-refinement", "model")
 def _hull_grid(E):
-    # by cancellation the decompositions s + t of v are (s, v - s) for
-    # s <= v, in the order of s
+    # each s + t = v = e + f needs a grid e = e1 + e2, f = f1 + f2 with
+    # e1 + f1 ~ s and e2 + f2 ~ t, so the grid's pairs of hull classes are
+    # collected once per (e, f); by cancellation the decompositions of v
+    # are (s, v - s) for s <= v, in the order of s
     out = []
-    for H in hull_mod.hull_systems(E):
+    sums, diff = E.sum, E.diff
+    for H in hull_mod.enumerate_hull_systems(E):
+        k = [H.theta.index(m) for m in H.maps]  # hull class of each element
         for e in range(E.n):
             for f in range(E.n):
-                v = E.sum_of(e, f)
-                if v is None:
+                v = sums[e][f]
+                if v < 0:
                     continue
+                grid = set()
+                for e1 in E.below(e):
+                    r1, r2 = sums[e1], sums[diff[e][e1]]  # rows of e1, e2
+                    for f1 in E.below(f):
+                        a, b = r1[f1], r2[diff[f][f1]]  # e1 + f1, e2 + f2
+                        if a >= 0 and b >= 0:
+                            grid.add((k[a], k[b]))
                 for s in E.below(v):
-                    t = E.sub(v, s)
-                    try:
-                        hull_mod.sk3e_split_eta(H, e, f, s, t)
-                    except InternalInvariant:
+                    t = diff[v][s]
+                    if (k[s], k[t]) not in grid:
                         out.append(
                             f"no hull-matched grid for {_names(E, (e, f, s, t))}"
                         )
@@ -244,7 +253,7 @@ def _td_largest(E):
     # every subset T at once from hull.td_table, as bitmasks; the tests
     # compare the table with the oracle td_sets for one T
     out = []
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         try:
             closure, image, ideal, under = hull_mod.td_table(H)
         except InternalInvariant as exc:
@@ -270,11 +279,9 @@ def _td_largest(E):
 
 @prop("eta-orthosum-supremum", "model")
 def _eta_orthosum_sup(E):
-    S = exocenter(E)
     out = []
-    for H in hull_mod.hull_systems(E):
-        for pick in disjoint_families(S, H.maps, range(1, E.n)):
-            total = core.orthosum_family(E, pick)
+    for H in hull_mod.enumerate_hull_systems(E):
+        for pick, total in disjoint_families(H.exoset, H.maps, range(1, E.n)):
             if total is None:
                 out.append(f"hull-orthogonal family not summable: {_names(E, pick)}")
                 continue
@@ -289,7 +296,7 @@ def _eta_rel_sk(E):
     if not core.structure_predicates(E).orthogonally_ordered:
         return []
     out = []
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         classes = hull_mod.eta_partition(H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
         sk = cg.check_sk(R).sk
@@ -311,7 +318,7 @@ def _eta_sigma_roundtrip(E):
     if not core.structure_predicates(E).orthogonally_ordered:
         return []
     out = []
-    for H in hull_mod.hull_systems(E):
+    for H in hull_mod.enumerate_hull_systems(E):
         if not hull_mod.is_divisible(H).divisible:
             continue
         classes = hull_mod.eta_partition(H)

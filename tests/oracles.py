@@ -7,11 +7,16 @@ extensions.  ``naive_class_count`` filters every possible table with no
 pruning at all.  ``is_divisible`` and ``td_sets`` are the literal searches
 that ``hull.is_divisible`` and ``hull.td_table`` replace: a search of
 ``below(p)`` squared per triple, and a search of the families of one
-subset T.  ``related``, ``subequiv`` and ``is_hereditary`` are the literal
+subset T.  ``disjoint_families`` filters every subset by its pairs, and
+``orthosum_family`` sums a multiset in every order; the package's
+``exocenter.disjoint_families`` finds the families and their orthosums in
+one walk.  ``sk3e_split_eta`` searches the refinement grid of e + f once
+per splitting s + t, where ``hull-grid-refinement`` collects it once per
+(e, f).  ``related``, ``subequiv`` and ``is_hereditary`` are the literal
 searches over ``R.sim`` that ``congruence._relation_masks`` replaces.
 ``structure_predicates`` reads the lattice flag off the literal ``sup``
 and ``inf`` per pair and the partial sums of each orthogonal multiset
-off ``core.orthosum_family`` per sub-multiset, where the package uses
+off ``orthosum_family`` per sub-multiset, where the package uses
 bitmasks.  ``sup``, ``inf``, ``ideals`` and ``central_by_definition``
 are the literal scans of the order and the sums that ``core.sup``,
 ``core.inf``, ``core.all_ideals`` and ``exocenter._central_by_definition``
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 from conftest import table_rows
 from geadim import _kernels, catalog, congruence as cg, core, hull
 from geadim.errors import InternalInvariant
-from geadim.exocenter import disjoint_families
 
 
 def le(E, e, f):
@@ -291,6 +295,81 @@ def is_divisible(H):
     return hull.DivisibilityReport(divisible, witness)
 
 
+def orthosum_family(E, family):
+    """Orthosum of a finite multiset of elements, or None when undefined.
+
+    Every ordering of the family must produce the same defined value;
+    order-independence is rechecked rather than assumed (a mismatch would
+    mean a corrupted table).  The empty family sums to zero.
+    """
+    memo = {}
+
+    def rec(ms):
+        if ms in memo:
+            return memo[ms]
+        if not ms:
+            memo[ms] = 0
+            return 0
+        results = set()
+        seen = set()
+        for k, e in enumerate(ms):
+            if e in seen:
+                continue
+            seen.add(e)
+            rest = ms[:k] + ms[k + 1:]
+            r = rec(rest)
+            results.add(None if r is None else E.sum_of(e, r))
+        if len(results) != 1:
+            raise InternalInvariant(f"order-dependent orthosum for {ms}")
+        out = results.pop()
+        memo[ms] = out
+        return out
+
+    return rec(tuple(sorted(family)))
+
+
+def disjoint_families(S, maps, elements):
+    """The subsets of ``elements`` whose maps (``maps[e]`` for element e)
+    are pairwise disjoint in S, as tuples, by size and then in
+    ``itertools.combinations`` order; the empty family comes first."""
+    return [
+        pick
+        for r in range(len(elements) + 1)
+        for pick in itertools.combinations(elements, r)
+        if all(
+            S.disjoint(maps[a], maps[b])
+            for a, b in itertools.combinations(pick, 2)
+        )
+    ]
+
+
+def sk3e_split_eta(H, e, f, s, t):
+    """Split e + f = s + t into a 2x2 grid matched by hull equivalence.
+
+    Existence is guaranteed for every hull system, so a fruitless search
+    raises ``InternalInvariant``.  Returns (e1, e2, f1, f2) with
+    e = e1 + e2, f = f1 + f2, e1 + f1 ~ s and e2 + f2 ~ t under the hull
+    relation, found in lexicographic order.
+    """
+    E = H.E
+    if E.sum_of(e, f) is None or E.sum_of(e, f) != E.sum_of(s, t):
+        raise ValueError("need e + f = s + t defined")
+    for e1 in E.below(e):
+        e2 = E.sub(e, e1)
+        for f1 in E.below(f):
+            f2 = E.sub(f, f1)
+            a = E.sum_of(e1, f1)
+            b = E.sum_of(e2, f2)
+            if a is None or b is None:
+                continue
+            if H.eta(a) == H.eta(s) and H.eta(b) == H.eta(t):
+                return (e1, e2, f1, f2)
+    raise InternalInvariant(
+        f"no hull-matched refinement for {E.names[e]}+{E.names[f]}="
+        f"{E.names[s]}+{E.names[t]}"
+    )
+
+
 @dataclass(frozen=True)
 class TdReport:
     closure: frozenset  # orthosums of eta-orthogonal families in T
@@ -305,7 +384,7 @@ def td_sets(H, T):
     T = sorted(set(T))
     closure = set()  # the empty family comes first and adds 0
     for pick in disjoint_families(S, H.maps, [t for t in T if t != 0]):
-        v = core.orthosum_family(E, pick)
+        v = orthosum_family(E, pick)
         if v is None:
             raise InternalInvariant(
                 f"eta-orthogonal family {pick} is not orthosummable"
@@ -402,7 +481,7 @@ def _partial_sums(E, ms):
     sums = {0}
     for r in range(1, len(ms) + 1):
         for sub in set(itertools.combinations(ms, r)):
-            v = core.orthosum_family(E, sub)
+            v = orthosum_family(E, sub)
             if v is None:
                 raise InternalInvariant("sub-multiset of orthogonal multiset undefined")
             sums.add(v)

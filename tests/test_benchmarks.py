@@ -70,7 +70,8 @@ def test_bench_kernels_runs(capsys):
                   "sup/inf n<=6", "sk_witnesses n=6", "sk_first_failures n=6",
                   "sk_first_failures n=8 cube", "td_table n<=6",
                   "is_divisible n<=6", "check_hull_system n<=6",
-                  "td-largest-map n<=6", "structure_predicates n<=7",
+                  "disjoint_families n<=6", "td-largest-map n<=6",
+                  "hull-grid-refinement n<=6", "structure_predicates n<=7",
                   "build_entry n<=6", "build_entry n=8 cube",
                   "decomposition n=8 cube", "run_theorem_suite n<=5"):
         assert label in out

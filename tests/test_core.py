@@ -75,10 +75,10 @@ def test_order_queries_t3():
 
 def test_orthosum_family():
     C3, T3 = core.c3(), core.t3()
-    assert core.orthosum_family(C3, [1, 1]) == 2
-    assert core.orthosum_family(C3, []) == 0
-    assert core.orthosum_family(T3, [1, 2]) is None
-    assert core.orthosum_family(C3, [1, 1, 1]) is None
+    assert oracles.orthosum_family(C3, [1, 1]) == 2
+    assert oracles.orthosum_family(C3, []) == 0
+    assert oracles.orthosum_family(T3, [1, 2]) is None
+    assert oracles.orthosum_family(C3, [1, 1, 1]) is None
 
 
 def test_element_predicates():

@@ -6,10 +6,12 @@ construction throughout, and ``tests/test_kernels.py`` checks it against
 the filter of all self-maps.
 """
 
+import sys
+
 import pytest
 
 import oracles
-from geadim import catalog, congruence as cg, core
+from geadim import catalog, congruence as cg, core, theorems
 from geadim.errors import InternalInvariant
 from geadim.exocenter import (
     ExoMap,
@@ -164,3 +166,12 @@ def test_failed_operations_raise_every_time():
     for _ in range(2):
         with pytest.raises(InternalInvariant, match="left the set"):
             atoms_only.meet(pa, pb)
+
+
+def test_cogea_conditions_fires_on_an_unsummable_family(monkeypatch):
+    # the package exports a function named exocenter, so the module is
+    # taken from sys.modules
+    monkeypatch.setattr(sys.modules["geadim.exocenter"], "disjoint_families",
+                        lambda S, maps, elements: [((), 0), ((1,), None)])
+    out = theorems.REGISTRY["cogea-conditions"].fn(core.b4())
+    assert out == ["central orthocompleteness fails: ('CO1', (1,))"]

@@ -1,13 +1,15 @@
 """Hull systems, hull-determining sets, divisibility, and type-determining
 subsets, on the shipped fixtures."""
 
+import itertools
+
 import pytest
 
 import oracles
 from oracles import indiscrete_hull
 from geadim import catalog, core, hull, theorems
 from geadim.errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
-from geadim.exocenter import ExoSet, disjoint_families, exocenter
+from geadim.exocenter import ExoSet, disjoint_families, exocentral_cover, exocenter
 
 
 def _b4():
@@ -79,10 +81,6 @@ def test_enumerate_hull_systems():
 
 def test_enumerate_hull_systems_matches_bruteforce():
     # oracle: filter every assignment of exocenter maps to elements
-    import itertools
-
-    from geadim import catalog
-
     for entry in catalog.cached_entries(6):
         E = entry.table
         S = exocenter(E)
@@ -142,7 +140,9 @@ def test_td_table_is_cached_but_failures_are_not(monkeypatch):
     gam = hull.gamma_hull(S)
     assert hull.td_table(gam) is hull.td_table(gam)
     ind = indiscrete_hull(S)
-    monkeypatch.setattr(core, "orthosum_family", lambda E, fam: None)
+    real = hull.disjoint_families
+    monkeypatch.setattr(hull, "disjoint_families", lambda *args: [
+        (pick, None) for pick, _ in real(*args)])
     for _ in range(2):
         with pytest.raises(InternalInvariant, match="not orthosummable"):
             hull.td_table(ind)
@@ -166,13 +166,92 @@ def test_td_sets():
 def test_sk3e_split_eta():
     _, S = _b4()
     gam = hull.gamma_hull(S)
-    assert hull.sk3e_split_eta(gam, 1, 2, 1, 2) == (1, 0, 0, 2)
-    assert hull.sk3e_split_eta(gam, 1, 2, 2, 1) == (0, 1, 2, 0)
+    assert oracles.sk3e_split_eta(gam, 1, 2, 1, 2) == (1, 0, 0, 2)
+    assert oracles.sk3e_split_eta(gam, 1, 2, 2, 1) == (0, 1, 2, 0)
     C3 = core.c3()
     H = hull.enumerate_hull_systems(C3)[0]
-    assert hull.sk3e_split_eta(H, 1, 1, 2, 0) == (1, 0, 1, 0)
+    assert oracles.sk3e_split_eta(H, 1, 1, 2, 0) == (1, 0, 1, 0)
     with pytest.raises(ValueError):
-        hull.sk3e_split_eta(gam, 1, 1, 1, 2)
+        oracles.sk3e_split_eta(gam, 1, 1, 1, 2)
+
+
+def _grid_verdicts_match_the_oracle(models, monkeypatch):
+    """Compare the verdict of ``hull-grid-refinement`` on every (H, e, f, s)
+    with ``oracles.sk3e_split_eta``, for every hull system H of the models
+    and for each family made from one by setting the map of one nonzero
+    element to the zero map, on which some splittings have no grid;
+    returns the numbers of (H, e, f, s) compared and of those without a
+    grid."""
+    enumerate_systems = hull.enumerate_hull_systems
+    prop = theorems.REGISTRY["hull-grid-refinement"].fn
+    checked = missing = 0
+    for E in models:
+        S = exocenter(E)
+        systems = []
+        for H in enumerate_systems(E):
+            systems.append(H)
+            for x in range(1, E.n):
+                if not H.maps[x].is_zero:
+                    maps = list(H.maps)
+                    maps[x] = S.zero
+                    systems.append(hull.HullSystem(S, maps))
+        want = []
+        for H in systems:
+            for e in range(E.n):
+                for f in range(E.n):
+                    v = E.sum_of(e, f)
+                    if v is None:
+                        continue
+                    for s in E.below(v):
+                        t = E.sub(v, s)
+                        checked += 1
+                        try:
+                            oracles.sk3e_split_eta(H, e, f, s, t)
+                        except InternalInvariant:
+                            names = ", ".join(E.names[x] for x in (e, f, s, t))
+                            want.append(f"no hull-matched grid for ({names})")
+        monkeypatch.setattr(hull, "enumerate_hull_systems", lambda E: systems)
+        assert prop(E) == want, E.sum
+        missing += len(want)
+    return checked, missing
+
+
+def test_grid_verdicts_match_the_oracle(monkeypatch):
+    models = oracles.catalog_models(6)
+    assert _grid_verdicts_match_the_oracle(models, monkeypatch) == (13753, 271)
+
+
+@pytest.mark.slow
+def test_grid_verdicts_match_the_oracle_n7(monkeypatch):
+    models = [E for E in oracles.catalog_models(7) if E.n == 7]
+    assert _grid_verdicts_match_the_oracle(models, monkeypatch) == (55027, 1414)
+
+
+def test_hull_grid_refinement_fires_on_a_swapped_map(monkeypatch):
+    # a + a = b + b = u: with eta_a swapped for the zero map, a + a has no
+    # grid matching b + b, whose terms keep the identity
+    E = core.build_gea(["0", "u", "a", "b"], "0", [("a", "a", "u"), ("b", "b", "u")])
+    S = exocenter(E)
+    a = E.index("a")
+    maps = list(indiscrete_hull(S).maps)
+    maps[a] = S.zero
+    swapped = hull.HullSystem(S, maps)
+    monkeypatch.setattr(hull, "enumerate_hull_systems", lambda E: (swapped,))
+    assert theorems.REGISTRY["hull-grid-refinement"].fn(E) == [
+        "no hull-matched grid for (a, a, b, b)",
+        "no hull-matched grid for (b, b, a, a)",
+    ]
+
+
+def test_eta_orthosum_supremum_fires_on_both_branches(monkeypatch):
+    E = core.b4()
+    families = [((), 0), ((1,), None), ((1, 2), 1)]
+    monkeypatch.setattr(theorems, "disjoint_families", lambda *args: families)
+    out = theorems.REGISTRY["eta-orthosum-supremum"].fn(E)
+    assert out == [
+        "hull-orthogonal family not summable: (a)",
+        "orthosum is not the supremum for (a, b)",
+    ] * len(hull.enumerate_hull_systems(E))
 
 
 def _bits(xs):
@@ -187,7 +266,7 @@ def _td_table_matches_td_sets(entries):
     pairs = systems = 0
     for entry in entries:
         E = entry.table
-        for H in hull.hull_systems(E):
+        for H in hull.enumerate_hull_systems(E):
             closure, image, ideal, _ = hull.td_table(H)
             for mask in range(1 << E.n):
                 T = [x for x in range(E.n) if mask >> x & 1]
@@ -214,11 +293,13 @@ def test_td_table_matches_td_sets_n7():
 
 def _td_largest_b4():
     E = core.b4()
-    return theorems.REGISTRY["td-largest-map"].fn(E), len(hull.hull_systems(E))
+    return theorems.REGISTRY["td-largest-map"].fn(E), len(hull.enumerate_hull_systems(E))
 
 
 def test_td_largest_map_reports_an_unsummable_family(monkeypatch):
-    monkeypatch.setattr(core, "orthosum_family", lambda E, fam: 0 if not fam else None)
+    real = hull.disjoint_families
+    monkeypatch.setattr(hull, "disjoint_families", lambda *args: [
+        (pick, total if not pick else None) for pick, total in real(*args)])
     out, systems = _td_largest_b4()
     assert out == ["eta-orthogonal family (1,) is not orthosummable"] * systems
 
@@ -269,11 +350,40 @@ def test_disjoint_families_match_literal_filter():
         E = entry.table
         S = exocenter(E)
         nonzero = list(range(1, E.n))
-        for H in hull.hull_systems(E):
-            got = list(disjoint_families(S, H.maps, nonzero))
+        for H in hull.enumerate_hull_systems(E):
+            got = [pick for pick, _ in disjoint_families(S, H.maps, nonzero)]
             assert got == _literal_disjoint_families(H.maps, nonzero)
             checked += 1
     assert checked == 59  # hull systems on the models up to n = 6
+
+
+def _families_match_the_oracles(models):
+    """Compare the (family, orthosum) pairs of ``disjoint_families``, order
+    included, with the literal filter and the sum over every ordering, on
+    the exocentral covers and on every hull system of each model; returns
+    the number of families compared."""
+    checked = 0
+    for E in models:
+        S = exocenter(E)
+        nonzero = range(1, E.n)
+        covers = [exocentral_cover(S, e) for e in range(E.n)]
+        for maps in [covers] + [H.maps for H in hull.enumerate_hull_systems(E)]:
+            got = disjoint_families(S, maps, nonzero)
+            want = [(pick, oracles.orthosum_family(E, pick))
+                    for pick in oracles.disjoint_families(S, maps, nonzero)]
+            assert got == want, (E.sum, maps)
+            checked += len(got)
+    return checked
+
+
+def test_disjoint_families_carry_their_orthosums():
+    assert _families_match_the_oracles(oracles.catalog_models(7)) == 2290
+
+
+@pytest.mark.slow
+def test_disjoint_families_carry_their_orthosums_n8():
+    models = [E for E in oracles.catalog_models(8) if E.n == 8]
+    assert _families_match_the_oracles(models) == 8047
 
 
 @pytest.mark.parametrize("name", ["hull-roundtrip", "eta-splitting-roundtrip"])
