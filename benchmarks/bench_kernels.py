@@ -8,9 +8,10 @@ Run from the repository root after installing the package::
 Every kernel runs ``repeat`` times per round over several rounds; the
 table gives the fastest round's time per call, which is the least
 disturbed by other load on the machine.  The table rows time the
-one-point top extensions of the 35 catalog tables of size 6, and the
-whole table stage up to size 7, which builds each size from the one
-below.  The ``brute_exomaps`` rows find the exocenter maps of the 5-,
+one-point top extensions of the 35 catalog tables of size 6, one per
+orbit of each table's automorphisms (found once, outside the timing),
+and the whole table stage up to size 8, which builds each size from the
+one below.  The ``brute_exomaps`` rows find the exocenter maps of the 5-,
 6- and 8-chain from the images of their atoms; on the 8-chain the
 filter that the atom search replaced visited 8! maps.  The ``sup/inf
 n<=6`` row takes the join and the meet of every pair of elements of the
@@ -64,8 +65,9 @@ def _cube():
 
 
 def _extend_each(parents):
-    """The one-point top extensions of each parent table."""
-    return [K.enumerate_tables(rows) for rows in parents]
+    """The one-point top extensions of each (parent table, automorphisms),
+    one per orbit."""
+    return [K.enumerate_tables(rows, auts) for rows, auts in parents]
 
 
 def _each(fn, items):
@@ -133,8 +135,9 @@ def main():
           repeat=200)
     sixes = [catalog._rows(flat, 6) for n, flat in catalog._catalog_tables(6)
              if n == 6]
+    sixes = [(rows, core.automorphisms(rows)) for rows in sixes]
     bench("enumerate_tables 35 n=6", _extend_each, (sixes,), repeat=3)
-    bench("_catalog_tables n<=7", _table_stage, (7,), repeat=1)
+    bench("_catalog_tables n<=8", _table_stage, (8,), repeat=1)
     bench("brute_exomaps n=5", K.brute_exomaps, (c5.sum, c5.leq), repeat=20)
     bench("brute_exomaps n=6", K.brute_exomaps, (c6.sum, c6.leq), repeat=20)
     c8 = _chain(8)

@@ -12,7 +12,7 @@ from .core import (
     structure_predicates,
     t3,
 )
-from .exocenter import ExoMap, ExoSet, center, cogea_check, exocenter, exocentral_cover
+from .exocenter import ExoMap, ExoSet, center, cogea_check, exocentral_cover
 from .hull import (
     HullSystem,
     check_hull_system,

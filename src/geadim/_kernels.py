@@ -106,8 +106,9 @@ def is_min_relabel(rows, perms):
     return achieved
 
 
-def enumerate_tables(rows):
-    """The one-point top extensions of a table that pass the axioms.
+def enumerate_tables(rows, auts=()):
+    """The one-point top extensions of a table that pass the axioms, one
+    per orbit of the permutations ``auts``.
 
     ``rows`` is a valid table on m elements.  Each extension adds the
     element m as a maximal element: m + f is undefined for every f != 0,
@@ -115,29 +116,79 @@ def enumerate_tables(rows):
     sum was undefined.  By cancellation each element lies in at most one
     pair (a pair {a, a} gives a + a = m).  Deleting a maximal element of
     a finite model leaves a model, so every table on m + 1 elements whose
-    last element is maximal extends the table of the others.  Returns the
-    extensions that ``axiom_violation`` passes, as tuple rows, each set of
-    pairs once.
+    last element is maximal extends the table of the others.
+
+    Such an extension keeps GEA1, GEA3, GEA4 and GEA5 by construction:
+    its rows stay symmetric, m + 0 = m, m is in each row at most once and
+    m != 0.  GEA2 can fail only where d + (e + f) = m, that is for a new
+    pair {a, b} and a split b = e + f of nonzero parent elements; it then
+    asks that a + e is defined and (a + e) + f = m.  The parent sum a + e
+    is fixed before any pair is chosen, so a pair that needs an undefined
+    one is never tried, and the sums (a + e) + f are read at each leaf.
+    The extensions that pass are exactly those ``axiom_violation`` passes.
+
+    ``auts`` are zero-fixing automorphisms of the table, as sequences
+    sending old index to new; a set of pairs is kept only when none of
+    them maps it to a lexicographically smaller set, so that isomorphic
+    extensions that differ by one of them are emitted once (B. D. McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26 (1998)).
+    The least set of each orbit of the group they generate is always
+    kept, so pruning with any of its automorphisms loses no class.
+    Returns the extensions as tuple rows, each set of pairs once.
     """
     m = len(rows)
     table = [list(row) + [-1] for row in rows] + [[m] + [-1] * m]
     table[0][m] = m
+    splits = [[] for _ in range(m)]  # splits[g]: (e, f) nonzero, e + f = g
+    for e in range(1, m):
+        for f in range(1, m):
+            g = rows[e][f]
+            if g >= 0:
+                splits[g].append((e, f))
+
+    def joins(d, g):
+        # d + e is defined for every split g = e + f
+        return all(rows[d][e] >= 0 for e, _ in splits[g])
+
+    partners = [[b for b in range(a, m)
+                 if rows[a][b] < 0 and joins(a, b) and joins(b, a)]
+                for a in range(m)]
+    pairs = []  # the chosen pairs (a, b), a <= b, by increasing a
     out = []
+
+    def gea2():
+        for a, b in pairs:
+            for d, g in ((a, b), (b, a)):
+                row = table[d]
+                for e, f in splits[g]:
+                    if table[row[e]][f] != m:
+                        return False
+        return True
+
+    def least():
+        for p in auts:
+            image = sorted((p[a], p[b]) if p[a] <= p[b] else (p[b], p[a])
+                           for a, b in pairs)
+            if image < pairs:
+                return False
+        return True
 
     def pair_from(a):
         # a + b = m for some b >= a, or for none; m is in a's row once a
         # lies in a pair
         if a == m:
-            if axiom_violation(table) is None:
+            if gea2() and least():
                 out.append(tuple(map(tuple, table)))
             return
         pair_from(a + 1)
         if m in table[a]:
             return
-        for b in range(a, m):
-            if table[a][b] < 0 and m not in table[b]:
+        for b in partners[a]:
+            if m not in table[b]:
                 table[a][b] = table[b][a] = m
+                pairs.append((a, b))
                 pair_from(a + 1)
+                pairs.pop()
                 table[a][b] = table[b][a] = -1
 
     pair_from(1)

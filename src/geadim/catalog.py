@@ -2,12 +2,15 @@
 
 Deleting a maximal element of a finite model leaves a model, so the
 models of each size are the one-point top extensions of the models one
-size smaller (``_kernels.enumerate_tables``).  Each extension is reduced
-to its canonical representative and the distinct ones are sorted, so
-each isomorphism class appears once, the stream is independent of how
-the work is partitioned, and re-runs are bit-identical.  This is
-isomorph-free generation by augmentation (B. D. McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26 (1998)).
+size smaller (``_kernels.enumerate_tables``).  Extensions that differ by
+an automorphism of their parent are isomorphic, so each parent is
+extended once per orbit of its automorphisms (``core.automorphisms``).
+Each extension is reduced to its canonical representative and the
+distinct ones are sorted, so each isomorphism class appears once, the
+stream is independent of how the work is partitioned, and re-runs are
+bit-identical.  This is isomorph-free generation by augmentation
+(B. D. McKay, "Isomorph-free exhaustive generation", J. Algorithms 26
+(1998)).
 """
 
 import itertools
@@ -28,7 +31,11 @@ from .exocenter import center, exocenter
 
 FORMAT_VERSION = 1
 GENERATOR_VERSION = "0.1.0"
-MAX_N = 8
+# the largest model size ``verify`` and ``search`` reach; a catalog file
+# stops at ``CATALOG_MAX_N``, as the size-9 file would record the 11.2 M
+# partitions of its 2 699 models
+MAX_N = 9
+CATALOG_MAX_N = 8
 
 
 @dataclass
@@ -88,12 +95,14 @@ def _rows(flat, n):
 def _extensions(parents, n):
     """Canonical sum tables for size n, as ``core.table_bytes``, sorted:
     the distinct canonical forms of the one-point top extensions of
-    ``parents``, the canonical tables for size n - 1."""
-    return sorted({
-        core.table_bytes(core.canonical_rows(rows))
-        for flat in parents
-        for rows in _kernels.enumerate_tables(_rows(flat, n - 1))
-    })
+    ``parents``, the canonical tables for size n - 1, one extension per
+    orbit of each parent's automorphisms."""
+    out = set()
+    for flat in parents:
+        rows = _rows(flat, n - 1)
+        for child in _kernels.enumerate_tables(rows, core.automorphisms(rows)):
+            out.add(core.table_bytes(core.canonical_rows(child)))
+    return sorted(out)
 
 
 def _table_sizes():
@@ -103,10 +112,10 @@ def _table_sizes():
     return itertools.accumulate(itertools.count(2), _extensions, initial=[one])
 
 
-def _catalog_tables(max_n):
+def _catalog_tables(max_n, limit=MAX_N):
     """(n, canonical table bytes) of every model up to size ``max_n``, in
-    catalog order, lazily; a size over ``MAX_N`` raises at the call."""
-    if max_n > MAX_N:
+    catalog order, lazily; a size over ``limit`` raises at the call."""
+    if max_n > limit:
         raise LimitExceeded(f"max_n={max_n} exceeds the configured limit")
     return ((n, flat) for n, tables in zip(range(1, max_n + 1), _table_sizes())
             for flat in tables)
@@ -293,7 +302,7 @@ def write_catalog(path, max_n, jobs=1, resume=False):
     of the enumeration.  A size over the limit raises before any file is
     touched.
     """
-    tables = _catalog_tables(max_n)
+    tables = _catalog_tables(max_n, CATALOG_MAX_N)
     header = {
         "format_version": FORMAT_VERSION,
         "max_n": max_n,

@@ -489,6 +489,22 @@ def canonical_rows(rows):
     return _kernels.min_relabel(rows, _candidate_perms(_refine_colors(rows)))
 
 
+def automorphisms(rows):
+    """The zero-fixing automorphisms of a table given as tuple rows, other
+    than the identity, as lists: the candidate permutations that
+    reproduce it.
+
+    Refined colors are invariant under isomorphism, so an automorphism
+    maps each color class onto itself.  When the colors are sorted in
+    label order, as a canonical table's are, each class is its own slot
+    range and every automorphism is a candidate; otherwise the list may
+    miss some.
+    """
+    identity = list(range(len(rows)))
+    return [p for p in _candidate_perms(_refine_colors(rows))
+            if p != identity and _kernels.relabeled(rows, p) == rows]
+
+
 def canonical_form(E):
     """Isomorphism-class key: minimal relabeling over zero-fixing maps.
 

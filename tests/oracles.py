@@ -4,7 +4,11 @@ helpers that only the tests use.
 ``enumerate_tables`` is an orderly depth-first search over partial sum
 tables of one size; it shares no code with the catalog's one-point top
 extensions.  ``naive_class_count`` filters every possible table with no
-pruning at all.  ``is_divisible`` and ``td_sets`` are the literal searches
+pruning at all.  ``top_extensions`` and ``canonical_tables`` are the
+table stage the catalog replaced: every one-point top extension of every
+parent, filtered by ``axiom_violation``, where the catalog checks GEA2
+at the new element only and extends once per orbit of the parent's
+automorphisms.  ``is_divisible`` and ``td_sets`` are the literal searches
 that ``hull.is_divisible`` and ``hull.td_table`` replace: a search of
 ``below(p)`` squared per triple, and a search of the families of one
 subset T.  ``disjoint_families`` filters every subset by its pairs, and
@@ -30,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from conftest import table_rows
-from geadim import _kernels, catalog, congruence as cg, core, hull
+from geadim import _kernels, congruence as cg, core, hull
 from geadim.errors import InternalInvariant
 
 
@@ -50,10 +54,49 @@ def relabel(E, perm):
     return core.GeaTable(names, new, _validated=True)
 
 
+def top_extensions(rows):
+    """Every one-point top extension of a valid table that
+    ``_kernels.axiom_violation`` passes, as tuple rows.
+
+    Each set of disjoint pairs {a, b} of nonzero elements with a + b
+    undefined is tried, every pair summing to the new element m; the
+    element a either stays unpaired or pairs with some b >= a.
+    """
+    m = len(rows)
+    table = [list(row) + [-1] for row in rows] + [[m] + [-1] * m]
+    table[0][m] = m
+    out = []
+
+    def place(a, paired):
+        if a == m:
+            if _kernels.axiom_violation(table) is None:
+                out.append(tuple(map(tuple, table)))
+            return
+        place(a + 1, paired)
+        if a in paired:
+            return
+        for b in range(a, m):
+            if b not in paired and rows[a][b] < 0:
+                table[a][b] = table[b][a] = m
+                place(a + 1, paired | {a, b})
+                table[a][b] = table[b][a] = -1
+
+    place(1, frozenset())
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def canonical_tables(n):
-    """The catalog's canonical sum tables for size n, as
-    ``core.table_bytes``, sorted."""
-    return next(itertools.islice(catalog._table_sizes(), n - 1, None))
+    """The canonical sum tables for size n, as ``core.table_bytes``,
+    sorted: the distinct canonical forms of every ``top_extensions`` of
+    the tables for size n - 1, with no orbit step."""
+    if n == 1:
+        return [core.table_bytes(((0,),))]
+    return sorted({
+        core.table_bytes(core.canonical_rows(child))
+        for flat in canonical_tables(n - 1)
+        for child in top_extensions(table_rows(flat, n - 1))
+    })
 
 
 @functools.lru_cache(maxsize=None)

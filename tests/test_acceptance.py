@@ -12,7 +12,7 @@ import time
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import naive_class_count
+from oracles import canonical_tables, naive_class_count
 
 from geadim import catalog, cli, congruence as cg, core, dimension as dm, theorems
 from geadim.exocenter import brute_force_exomaps, center, exocenter
@@ -291,6 +291,23 @@ def test_size_8_catalog_keeps_its_digest(tmp_path):
     argv = ["catalog", "--max-size", "8", "--jobs", "2", "--out", str(path)]
     assert cli.run_command(argv, out=io.StringIO()) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_8_SHA256
+
+
+# ``verify --max-size 9 --json``: 2 699 models of size 9, 671 below; a
+# catalog file stops at size 8
+VERIFY_9_SHA256 = "5b8b639bcf306aff008685e459a7193f945da47ae5e737ca5d2a31b849d89561"
+
+
+@pytest.mark.n9
+def test_size_9_verify_keeps_its_digest():
+    for jobs in ("1", "2"):
+        buf = io.StringIO()
+        argv = ["verify", "--max-size", "9", "--jobs", jobs, "--json"]
+        assert cli.run_command(argv, out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == VERIFY_9_SHA256
+    nines = [flat for n, flat in catalog._catalog_tables(9) if n == 9]
+    assert len(nines) == 2699
+    assert nines == canonical_tables(9)
 
 
 def test_one_splitting_algebra_per_congruence(monkeypatch):

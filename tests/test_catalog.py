@@ -128,6 +128,22 @@ def test_top_extensions_match_the_orderly_dfs_n8():
     assert oracles.canonical_tables(8) == _orderly_canonical_tables(8)
 
 
+def _catalog_table_sizes(max_n):
+    return list(itertools.islice(catalog._table_sizes(), max_n))
+
+
+def test_table_stage_matches_the_unpruned_oracle():
+    # every extension, filtered by axiom_violation, against one per orbit
+    # checked at the new element
+    for n, tables in enumerate(_catalog_table_sizes(7), 1):
+        assert tables == oracles.canonical_tables(n)
+
+
+@pytest.mark.slow
+def test_table_stage_matches_the_unpruned_oracle_n8():
+    assert _catalog_table_sizes(8)[7] == oracles.canonical_tables(8)
+
+
 def test_fixtures_appear_in_catalog():
     keys = {e.key for e in catalog.enumerate_geas(4)}
     for E in (core.t3(), core.c3(), core.b4()):
@@ -158,7 +174,7 @@ def test_parallel_enumeration_matches_serial(tmp_path):
 
 def test_limit_guard(tmp_path):
     with pytest.raises(LimitExceeded):
-        list(catalog.enumerate_geas(9))
+        list(catalog.enumerate_geas(10))
     with pytest.raises(LimitExceeded):
         catalog.write_catalog(str(tmp_path / "models.cat"), 9)
     assert list(tmp_path.iterdir()) == []  # not even a .part header

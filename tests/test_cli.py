@@ -403,7 +403,7 @@ def test_verify_reports_a_broken_derived_part_as_violations(monkeypatch):
 def test_verify_over_the_limit_builds_no_model(monkeypatch):
     built = []
     monkeypatch.setattr(catalog, "model", lambda *args: built.append(args))
-    code, text = run(["verify", "--max-size", "9", "--json"])
+    code, text = run(["verify", "--max-size", "10", "--json"])
     assert code == 2
     assert text.count("\n") == 1 and text.startswith("error: ")
     assert "exceeds the configured limit" in text
@@ -411,7 +411,7 @@ def test_verify_over_the_limit_builds_no_model(monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ["search", "--property", "trivially-false", "--max-size", "9"],
+    ["search", "--property", "trivially-false", "--max-size", "10"],
     ["catalog", "--max-size", "9", "--out", "models.cat"],
 ])
 def test_catalog_commands_share_the_size_limit(argv, monkeypatch, tmp_path):

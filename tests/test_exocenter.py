@@ -6,12 +6,10 @@ construction throughout, and ``tests/test_kernels.py`` checks it against
 the filter of all self-maps.
 """
 
-import sys
-
 import pytest
 
 import oracles
-from geadim import catalog, congruence as cg, core, theorems
+from geadim import catalog, congruence as cg, core, exocenter as exo, theorems
 from geadim.errors import InternalInvariant
 from geadim.exocenter import (
     ExoMap,
@@ -169,9 +167,7 @@ def test_failed_operations_raise_every_time():
 
 
 def test_cogea_conditions_fires_on_an_unsummable_family(monkeypatch):
-    # the package exports a function named exocenter, so the module is
-    # taken from sys.modules
-    monkeypatch.setattr(sys.modules["geadim.exocenter"], "disjoint_families",
+    monkeypatch.setattr(exo, "disjoint_families",
                         lambda S, maps, elements: [((), 0), ((1,), None)])
     out = theorems.REGISTRY["cogea-conditions"].fn(core.b4())
     assert out == ["central orthocompleteness fails: ('CO1', (1,))"]

@@ -90,6 +90,68 @@ def test_top_extensions_reach_every_labeled_table():
                          for row in rows[:m]) == parent
 
 
+def _parents(size):
+    """The canonical tables of one size, as tuple rows."""
+    return [tuple(map(tuple, table_rows(flat, size)))
+            for flat in oracles.canonical_tables(size)]
+
+
+def _check_new_element_check(size):
+    """The unpruned extensions of each parent of one size are exactly
+    those ``axiom_violation`` passes; returns how many there are."""
+    total = 0
+    for rows in _parents(size):
+        found = K.enumerate_tables(rows)
+        assert sorted(found) == sorted(oracles.top_extensions(rows)), rows
+        total += len(found)
+    return total
+
+
+def test_new_element_check_matches_axiom_violation():
+    # the valid extensions of sizes 2-8
+    counts = [_check_new_element_check(size) for size in range(1, 8)]
+    assert counts == [1, 2, 7, 27, 109, 506, 2637]
+
+
+@pytest.mark.slow
+def test_new_element_check_matches_axiom_violation_n8():
+    assert _check_new_element_check(8) == 16418
+
+
+def _check_orbit_step(size):
+    """The extensions of each parent of one size pruned by its
+    automorphisms: a subset of the unpruned ones that meets every class
+    they meet; returns how many are kept."""
+    kept = 0
+    for rows in _parents(size):
+        full = K.enumerate_tables(rows)
+        pruned = K.enumerate_tables(rows, core.automorphisms(rows))
+        assert set(pruned) <= set(full)
+        assert ({core.canonical_rows(t) for t in pruned}
+                == {core.canonical_rows(t) for t in full}), rows
+        kept += len(pruned)
+    return kept
+
+
+def test_orbit_step_keeps_every_class():
+    counts = [_check_orbit_step(size) for size in range(1, 8)]
+    assert counts == [1, 2, 6, 18, 59, 235, 1152]
+
+
+@pytest.mark.slow
+def test_orbit_step_keeps_every_class_n8():
+    assert _check_orbit_step(8) == 7476
+
+
+def test_automorphisms_of_canonical_tables():
+    # brute force over every zero-fixing permutation but the identity
+    for n in range(1, 7):
+        perms = [[0, *rest] for rest in itertools.permutations(range(1, n))][1:]
+        for rows in _parents(n):
+            assert core.automorphisms(rows) == [
+                p for p in perms if K.relabeled(rows, p) == rows]
+
+
 def _literal_exomaps(E):
     """Every self-map m of E passing EXC1-EXC4, in the order of the n**n
     counter with m(0) as the fastest digit."""
