@@ -98,7 +98,7 @@ def _check_each(systems):
 
 def _families_each(systems):
     for H in systems:
-        disjoint_families(H.exoset, H.maps, range(1, H.E.n))
+        disjoint_families(H.exoset, H.maps)
 
 
 def _build_entries(tables):

@@ -13,6 +13,7 @@ bit-identical.  This is isomorph-free generation by augmentation
 (1998)).
 """
 
+import errno
 import itertools
 import json
 import os
@@ -299,9 +300,11 @@ def write_catalog(path, max_n, jobs=1, resume=False):
     partial catalog written here.  A run that fails or is killed leaves
     ``<path>.part`` behind; ``resume`` continues it, or, when there is
     none, a partial ``path`` in place, after checking that it is a prefix
-    of the enumeration.  A size over the limit raises before any file is
-    touched.
+    of the enumeration.  A directory at ``path`` or a size over the limit
+    raises before any table is built or any file is touched.
     """
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tables = _catalog_tables(max_n, CATALOG_MAX_N)
     header = {
         "format_version": FORMAT_VERSION,

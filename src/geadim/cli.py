@@ -340,7 +340,9 @@ def cmd_catalog(args):
 
 
 def cmd_verify(args):
-    theorems_list = args.theorems.split(",") if args.theorems else None
+    theorems_list = None if args.theorems is None else args.theorems.split(",")
+    if theorems_list is not None and "" in theorems_list:
+        raise GeadimError(f"--theorems has an empty name: {args.theorems!r}")
     rep = theorems.run_theorem_suite(
         args.max_size, theorems=theorems_list, jobs=args.jobs, invert=args.invert
     )

@@ -5,10 +5,10 @@ The congruence axioms are the Sherstnev-Kalinin conditions SK1-SK4b; a
 relation additionally satisfying SK4a' (unrelated elements are separated
 by a splitting map) is a dimension equivalence relation (DER).
 
-Each relation memoizes its axiom report and one table of bitmasks per
-element (``_relation_masks``), which ``related``, ``subequiv`` and
-``is_hereditary`` read; ``tests/oracles.py`` keeps their literal searches
-as oracles.  ``splits``, ``sigma_sim``'s characterization (b) and two
+``core.memo`` keeps on each relation its axiom report and one table of
+bitmasks per element (``_relation_masks``), which ``related``,
+``subequiv`` and ``is_hereditary`` read; ``tests/oracles.py`` keeps
+their literal searches as oracles.  ``splits``, ``sigma_sim``'s characterization (b) and two
 readings in ``dimension.Dgea.invariants`` read ``sim`` directly, so their
 cross-checks compare the table against literal answers.
 """
@@ -16,6 +16,7 @@ cross-checks compare the table against literal answers.
 from typing import NamedTuple
 
 from . import _kernels, hull as hull_mod
+from .core import memo
 from .exocenter import ExoSet, exocenter
 from .errors import (
     InternalInvariant,
@@ -30,7 +31,7 @@ AXES = ("SK1", "SK2", "SK3d", "SK3e", "SK4a", "SK4b")
 class EquivRel:
     """A partition of the elements; class ids are dense, zero's class first."""
 
-    __slots__ = ("E", "class_of", "classes", "_sk_report", "_masks")
+    __slots__ = ("E", "class_of", "classes", "_cache")
 
     def __init__(self, E, class_of):
         # relabeling by first occurrence numbers the classes by their least
@@ -39,8 +40,7 @@ class EquivRel:
         self.E = E
         self.class_of = tuple(ids)
         self.classes = partition_classes(ids)
-        self._sk_report = None  # check_sk's memo
-        self._masks = None  # _relation_masks's memo
+        self._cache = {}  # core.memo's store
 
     def sim(self, e, f):
         return self.class_of[e] == self.class_of[f]
@@ -126,6 +126,7 @@ class SkReport(NamedTuple):
         )
 
 
+@memo
 def check_sk(R):
     """Exhaustive verification of SK1-SK4b on ``R``'s model with lex-least
     witnesses, memoized on ``R``.
@@ -133,31 +134,28 @@ def check_sk(R):
     SK2 is checked as finite additivity over orthogonal pairs, which by
     induction covers every finite family a desk-scale model can carry.
     """
-    if R._sk_report is None:
-        R._sk_report = SkReport(*_kernels.sk_witnesses(R.E._sk_plan, R.class_of))
-    return R._sk_report
+    return SkReport(*_kernels.sk_witnesses(R.E._sk_plan, R.class_of))
 
 
+@memo
 def _relation_masks(R):
     """Two bitmasks per element f, memoized on ``R``: the class ids of the
     nonzero elements below f, and the elements equivalent to some element
     below f (zero and f included)."""
-    if R._masks is None:
-        members = [0] * len(R.classes)
-        for e, c in enumerate(R.class_of):
-            members[c] |= 1 << e
-        classes, reach = [], []
-        for below in R.E._below:
-            cm = em = 0
-            for x in below:
-                c = R.class_of[x]
-                em |= members[c]
-                if x:
-                    cm |= 1 << c
-            classes.append(cm)
-            reach.append(em)
-        R._masks = (tuple(classes), tuple(reach))
-    return R._masks
+    members = [0] * len(R.classes)
+    for e, c in enumerate(R.class_of):
+        members[c] |= 1 << e
+    classes, reach = [], []
+    for below in R.E._below:
+        cm = em = 0
+        for x in below:
+            c = R.class_of[x]
+            em |= members[c]
+            if x:
+                cm |= 1 << c
+        classes.append(cm)
+        reach.append(em)
+    return tuple(classes), tuple(reach)
 
 
 def related(R, e, f):

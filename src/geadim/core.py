@@ -13,7 +13,7 @@ Everything here is immutable after construction and safe to share.
 import itertools
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from . import _kernels
 from .errors import AxiomViolation, ConflictingEquation, InternalInvariant
@@ -21,6 +21,18 @@ from .errors import AxiomViolation, ConflictingEquation, InternalInvariant
 # the most elements a model may have: ``table_bytes`` stores every element
 # index in one signed byte
 MAX_ELEMENTS = 128
+
+
+def memo(fn):
+    """Keep ``fn(owner)`` in ``owner._cache``, keyed by ``fn``.  A call that
+    raises stores nothing, so the failure repeats on every call."""
+    @wraps(fn)
+    def cached(owner):
+        cache = owner._cache
+        if fn not in cache:
+            cache[fn] = fn(owner)
+        return cache[fn]
+    return cached
 
 
 class GeaTable:
@@ -307,10 +319,9 @@ class StructureFlags:
     orthocomplete: bool
 
 
+@memo
 def structure_predicates(E):
-    """The global structure flags of a model.  Cached per table."""
-    if "structure" in E._cache:
-        return E._cache["structure"]
+    """The global structure flags of a model."""
     n = E.n
     directed = all(
         any(E.leq[e][d] and E.leq[f][d] for d in range(n))
@@ -328,7 +339,7 @@ def structure_predicates(E):
         for e in range(n)
         for f in range(e + 1, n)
     )
-    out = StructureFlags(
+    return StructureFlags(
         directed=directed,
         orthogonally_ordered=oo,
         is_ea=E.greatest(),
@@ -340,26 +351,22 @@ def structure_predicates(E):
         dedekind_orthocomplete=True,
         orthocomplete=True,
     )
-    E._cache["structure"] = out
-    return out
 
 
 # ---------------------------------------------------------------------------
 # ideals, direct sums, orthodensity
 # ---------------------------------------------------------------------------
 
+@memo
 def all_ideals(E):
     """Every ideal (down-set closed under defined sums), as a tuple of
-    frozensets, by size and then in ``itertools.combinations`` order.
-    Cached per table."""
-    if "ideals" not in E._cache:
-        E._cache["ideals"] = tuple(
-            frozenset((0,) + pick)
-            for r in range(E.n)
-            for pick in itertools.combinations(range(1, E.n), r)
-            if _ideal_flags(E, (0,) + pick)
-        )
-    return E._cache["ideals"]
+    frozensets, by size and then in ``itertools.combinations`` order."""
+    return tuple(
+        frozenset((0,) + pick)
+        for r in range(E.n)
+        for pick in itertools.combinations(range(1, E.n), r)
+        if _ideal_flags(E, (0,) + pick)
+    )
 
 
 def _ideal_flags(E, S):

@@ -20,11 +20,10 @@ from .errors import InternalInvariant
 class ExoMap:
     """A decreasing idempotent endomorphism, stored as its image tuple."""
 
-    __slots__ = ("image", "n")
+    __slots__ = ("image",)
 
     def __init__(self, image):
         self.image = tuple(image)
-        self.n = len(self.image)
 
     def __call__(self, e):
         return self.image[e]
@@ -140,8 +139,8 @@ class ExoSet:
         return out
 
 
-def disjoint_families(S, maps, elements):
-    """The subsets of ``elements`` whose maps (``maps[e]`` for element e)
+def disjoint_families(S, maps):
+    """The sets of nonzero elements whose maps (``maps[e]`` for element e)
     are pairwise disjoint in S, with their orthosums (None if undefined),
     as (family, orthosum) pairs, by size and then in the order of
     ``itertools.combinations``; the empty family, with sum 0, comes first.
@@ -150,26 +149,24 @@ def disjoint_families(S, maps, elements):
     map is disjoint from every member's, adding it to the family's sum (by
     GEA1-GEA2 the order of the terms does not matter); an undefined sum
     stays None."""
-    E, elements = S.E, tuple(elements)
+    E = S.E
     out = []
 
     def extend(family, total, start):
         out.append((family, total))
-        for i in range(start, len(elements)):
-            e = elements[i]
+        for e in range(start, E.n):
             if all(S.disjoint(maps[a], maps[e]) for a in family):
                 v = -1 if total is None else E.sum[total][e]
-                extend(family + (e,), None if v < 0 else v, i + 1)
+                extend(family + (e,), None if v < 0 else v, e + 1)
 
-    extend((), 0, 0)
+    extend((), 0, 1)
     out.sort(key=lambda pair: len(pair[0]))
     return out
 
 
+@core.memo
 def exocenter(E):
-    """GEX(E) via complementary ideal pairs.  Cached per table."""
-    if "exocenter" in E._cache:
-        return E._cache["exocenter"]
+    """GEX(E) via complementary ideal pairs."""
     ideals = core.all_ideals(E)
     maps = set()
     for H in ideals:
@@ -180,7 +177,6 @@ def exocenter(E):
     out = ExoSet(E, maps)
     if out.zero not in out or out.one not in out:
         raise InternalInvariant("exocenter is missing zero or identity")
-    E._cache["exocenter"] = out
     return out
 
 
@@ -202,31 +198,27 @@ def _projection(E, H, K):
     return ExoMap(img)
 
 
+@core.memo
 def brute_force_exomaps(E):
     """Oracle: the exocenter by the atom search of
     ``_kernels.brute_exomaps``, independent of the ideal pairs.  The name
-    is kept because the benchmark's tracer binds it.  Cached per table."""
-    if "brute_exomaps" in E._cache:
-        return E._cache["brute_exomaps"]
+    is kept because the benchmark's tracer binds it."""
     rows = _kernels.brute_exomaps(E.sum, E.leq)
     if not rows and E.n >= 1:
         raise InternalInvariant("brute-force exocenter search found nothing")
-    out = ExoSet(E, (ExoMap(r) for r in rows))
-    E._cache["brute_exomaps"] = out
-    return out
+    return ExoSet(E, (ExoMap(r) for r in rows))
 
 
+@core.memo
 def center(E):
     """Central elements with their projections in the exocenter,
-    cross-validated.  Cached per table.
+    cross-validated.
 
     An element is central iff its interval is a direct summand; this is
     recomputed from the three-condition characterization (unique bounded/
     orthogonal decomposition, principality, orthogonality closure) and the
     two answers must agree.
     """
-    if "center" in E._cache:
-        return E._cache["center"]
     via_gex = {}
     for pi in exocenter(E):
         M = set(pi.summand)
@@ -242,9 +234,7 @@ def center(E):
             f"central-element characterizations disagree: "
             f"{sorted(via_gex)} vs {sorted(via_def)}"
         )
-    out = tuple((c, via_gex[c]) for c in sorted(via_gex))
-    E._cache["center"] = out
-    return out
+    return tuple((c, via_gex[c]) for c in sorted(via_gex))
 
 
 def _central_by_definition(E, c):
@@ -301,7 +291,7 @@ def cogea_check(E):
     S = exocenter(E)
     covers = {e: exocentral_cover(S, e) for e in range(1, E.n)}
     co1, co2, witness = True, True, None
-    for pick, total in disjoint_families(S, covers, range(1, E.n)):
+    for pick, total in disjoint_families(S, covers):
         if total is None:
             co1, witness = False, ("CO1", pick)
             continue

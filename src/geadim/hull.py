@@ -5,9 +5,9 @@ with eta_0 = 0, eta_e(e) = e, and eta_{eta_e f} = eta_e o eta_f =
 eta_e ^ eta_f.  The relation e ~ f iff eta_e = eta_f behaves like a
 dimension equivalence when the system is divisible.
 
-The model memoizes its hull systems, and each hull system its
-divisibility report and its table of type-determining subsets
-(``td_table``, which ``td_sets`` reads), in a ``_cache``;
+``core.memo`` keeps the hull systems on their model, and the
+divisibility report and the table of type-determining subsets
+(``td_table``, which ``td_sets`` reads) on their hull system;
 ``tests/oracles.py`` keeps the literal searches as oracles, among them
 the search per splitting that ``hull-grid-refinement`` replaces.
 """
@@ -15,6 +15,7 @@ the search per splitting that ``hull-grid-refinement`` replaces.
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .core import memo
 from .errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
 from .exocenter import disjoint_families, exocentral_cover, exocenter
 
@@ -30,7 +31,7 @@ class HullSystem:
         self.maps = tuple(maps)
         if len(self.maps) != self.E.n:
             raise ValueError("need one map per element")
-        self._cache = {}  # "divisible" and "td": the memos of this system
+        self._cache = {}  # core.memo's store
 
     def eta(self, e):
         return self.maps[e]
@@ -114,6 +115,7 @@ def gamma_hull(S):
     return hull_system(S, [exocentral_cover(S, e) for e in range(S.E.n)])
 
 
+@memo
 def enumerate_hull_systems(E):
     """All hull systems on the model in a fixed order, memoized on it.
 
@@ -121,8 +123,6 @@ def enumerate_hull_systems(E):
     HS3 constraint eta_{eta_e f} = eta_e ^ eta_f only ever references maps
     that are already placed.
     """
-    if "hull_systems" in E._cache:
-        return E._cache["hull_systems"]
     S = exocenter(E)
     n = E.n
     order = sorted(range(n), key=lambda e: (len(E.below(e)), e))
@@ -157,8 +157,7 @@ def enumerate_hull_systems(E):
 
     rec(1)
     found.sort(key=lambda h: tuple(m.image for m in h.maps))
-    E._cache["hull_systems"] = tuple(found)
-    return E._cache["hull_systems"]
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +189,7 @@ class DivisibilityReport:
     witness: object
 
 
+@memo
 def is_divisible(H):
     """Whether each p with eta_p = eta_(s+t) splits as p = e + f with
     eta_e = eta_s and eta_f = eta_t; the witness is the lex-least failing
@@ -199,8 +199,6 @@ def is_divisible(H):
     dyad).  Memoized on the hull system; a failed cross-check is not, so
     it raises again on every call.
     """
-    if "divisible" in H._cache:
-        return H._cache["divisible"]
     E, S, eta = H.E, H.exoset, H.maps
     splits = [{(eta[e], eta[E.sub(p, e)]) for e in E.below(p)} for p in range(E.n)]
     dyad = [is_dyad(H, x) for x in range(E.n)]
@@ -219,8 +217,7 @@ def is_divisible(H):
                     )
                 if not direct and witness is None:
                     witness = (p, s, t)
-    H._cache["divisible"] = DivisibilityReport(witness is None, witness)
-    return H._cache["divisible"]
+    return DivisibilityReport(witness is None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +230,7 @@ class TdReport(NamedTuple):
     t_star: object  # least t in T with the largest hull map, or None
 
 
+@memo
 def td_table(H):
     """The closure, the hull image and the order ideal of every subset T
     at once, as three lists of bitmasks indexed by the mask of T (bit x
@@ -246,13 +244,11 @@ def td_table(H):
     lowest element.  Memoized on the hull system; a family that is not
     orthosummable raises ``InternalInvariant`` on every call.
     """
-    if "td" in H._cache:
-        return H._cache["td"]
     E = H.E
     n = E.n
     size = 1 << n
     closure = [0] * size
-    for pick, v in disjoint_families(H.exoset, H.maps, range(1, n)):
+    for pick, v in disjoint_families(H.exoset, H.maps):
         if v is None:
             raise InternalInvariant(
                 f"eta-orthogonal family {pick} is not orthosummable"
@@ -279,8 +275,7 @@ def td_table(H):
         t = low.bit_length() - 1
         image[T] = image[T ^ low] | img[t]
         ideal[T] = ideal[T ^ low] | down[t]
-    H._cache["td"] = (closure, image, ideal, under)
-    return H._cache["td"]
+    return closure, image, ideal, under
 
 
 def td_sets(H, T):

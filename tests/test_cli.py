@@ -316,6 +316,32 @@ def test_counts_below_one_are_input_errors(argv, tmp_path, monkeypatch):
     assert not (tmp_path / "unused.jsonl").exists()
 
 
+@pytest.mark.parametrize("names", ["", "core-order-laws,,exocenter-oracle"])
+def test_empty_theorem_names_are_input_errors(names, monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "model", lambda *args: built.append(args))
+    code, text = run(["verify", "--max-size", "3", "--theorems", names])
+    assert code == 2
+    assert text.count("\n") == 1 and text.startswith("error: --theorems ")
+    assert built == []
+
+
+def test_catalog_rejects_a_directory_before_building(monkeypatch, tmp_path):
+    built = []
+    for name in ("_catalog_tables", "build_entry"):
+        monkeypatch.setattr(catalog, name, lambda *args: built.append(args))
+    out = tmp_path / "models"
+    out.mkdir()
+    for extra in ([], ["--resume"]):
+        code, text = run(["catalog", "--max-size", "2", "--out", str(out), *extra])
+        assert code == 2
+        assert text.count("\n") == 1 and text.startswith("error: ")
+        assert "Is a directory" in text
+    assert built == [] and list(tmp_path.iterdir()) == [out]
+    assert not (tmp_path / "models.part").exists()
+    assert list(out.iterdir()) == []
+
+
 def _cut(data):
     return data[:-40]
 

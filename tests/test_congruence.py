@@ -58,6 +58,12 @@ def test_check_sk_passes_on_b4_merge():
     assert report.first_failure() is None
 
 
+def test_relation_memos_are_kept_per_relation():
+    _, merge = _b4_merge()
+    assert cg.check_sk(merge) is cg.check_sk(merge)
+    assert cg._relation_masks(merge) is cg._relation_masks(merge)
+
+
 def test_check_sk_answers_for_its_relation_model():
     """The report is memoized on the relation, so the same class ids on
     another model get that model's verdict, in either order."""

@@ -17,6 +17,34 @@ def test_fixtures_build():
     assert T3.sum_of(1, 2) is None
 
 
+class _Owner:
+    def __init__(self, broken=False):
+        self._cache = {}
+        self.broken = broken
+
+
+def test_memo_keeps_one_value_per_owner_and_no_failure():
+    calls = []
+
+    @core.memo
+    def derived(owner):
+        calls.append(owner)
+        if owner.broken:
+            raise InternalInvariant("broken for the test")
+        return object()
+
+    a, b, broken = _Owner(), _Owner(), _Owner(broken=True)
+    first = derived(a)
+    assert derived(a) is first and calls == [a]
+    assert derived(b) is not first and calls == [a, b]
+    assert derived(a) is first and derived(b) is not first
+    for _ in range(2):
+        with pytest.raises(InternalInvariant, match="broken for the test"):
+            derived(broken)
+    assert calls == [a, b, broken, broken] and broken._cache == {}
+    assert derived.__name__ == "derived"
+
+
 def test_idempotent_equation_forces_zero():
     with pytest.raises(AxiomViolation) as err:
         core.build_gea(["0", "a"], "0", [("a", "a", "a")])

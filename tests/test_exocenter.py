@@ -39,6 +39,21 @@ def test_exocenter_sizes_against_oracle(name, expected):
 def test_brute_force_exomaps_is_cached():
     E = core.b4()
     assert brute_force_exomaps(E) is brute_force_exomaps(E)
+    # the two searches keep separate memos, so the oracle never compares
+    # one value with itself
+    assert exocenter(E) == brute_force_exomaps(E)
+    assert exocenter(E) is not brute_force_exomaps(E)
+
+
+def test_exocenter_oracle_fires_on_a_missing_map(monkeypatch):
+    real = brute_force_exomaps
+
+    def short(E):
+        return ExoSet(E, [m for m in real(E) if m.summand != (0, 1)])
+
+    monkeypatch.setattr(theorems, "brute_force_exomaps", short)
+    out = theorems.REGISTRY["exocenter-oracle"].fn(core.b4())
+    assert out == ["ideal-pair exocenter differs from brute-force filter"]
 
 
 def test_boolean_ops_b4():
@@ -168,6 +183,6 @@ def test_failed_operations_raise_every_time():
 
 def test_cogea_conditions_fires_on_an_unsummable_family(monkeypatch):
     monkeypatch.setattr(exo, "disjoint_families",
-                        lambda S, maps, elements: [((), 0), ((1,), None)])
+                        lambda S, maps: [((), 0), ((1,), None)])
     out = theorems.REGISTRY["cogea-conditions"].fn(core.b4())
     assert out == ["central orthocompleteness fails: ('CO1', (1,))"]

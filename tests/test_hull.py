@@ -351,7 +351,7 @@ def test_disjoint_families_match_literal_filter():
         S = exocenter(E)
         nonzero = list(range(1, E.n))
         for H in hull.enumerate_hull_systems(E):
-            got = [pick for pick, _ in disjoint_families(S, H.maps, nonzero)]
+            got = [pick for pick, _ in disjoint_families(S, H.maps)]
             assert got == _literal_disjoint_families(H.maps, nonzero)
             checked += 1
     assert checked == 59  # hull systems on the models up to n = 6
@@ -368,7 +368,7 @@ def _families_match_the_oracles(models):
         nonzero = range(1, E.n)
         covers = [exocentral_cover(S, e) for e in range(E.n)]
         for maps in [covers] + [H.maps for H in hull.enumerate_hull_systems(E)]:
-            got = disjoint_families(S, maps, nonzero)
+            got = disjoint_families(S, maps)
             want = [(pick, oracles.orthosum_family(E, pick))
                     for pick in oracles.disjoint_families(S, maps, nonzero)]
             assert got == want, (E.sum, maps)
