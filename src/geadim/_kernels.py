@@ -16,6 +16,7 @@ Table encoding: an n-element model is an n-by-n table where entry
 """
 
 import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
@@ -406,15 +407,24 @@ def _zero_alone(plan, eq, live, out, pairs):
 
 
 def _sums_related(plan, eq, live, out, pairs):
-    # SK2, pair form: e1 ~ f1 and e2 ~ f2 give e1 + e2 ~ f1 + f2
+    # SK2, pair form: e1 ~ f1 and e2 ~ f2 give e1 + e2 ~ f1 + f2.  The
+    # sums (f1, f2) are walked in groups of one f1, and a group whose f1
+    # no live partition relates to e1 is skipped whole.
+    groups = [(f1, [(f2, sf) for _, f2, sf in group])
+              for f1, group in itertools.groupby(pairs, key=itemgetter(0))]
     for e1, e2, se in pairs:
         r1, r2, rs = eq[e1], eq[e2], eq[se]
-        for f1, f2, sf in pairs:
-            hit = live & r1[f1] & r2[f2] & ~rs[sf]
-            if hit:
-                live = _take(out, live, hit, (1, (e1, e2, f1, f2)))
-                if not live:
-                    return live
+        for f1, group in groups:
+            near = live & r1[f1]
+            if not near:
+                continue
+            for f2, sf in group:
+                hit = near & r2[f2] & ~rs[sf]
+                if hit:
+                    live = _take(out, live, hit, (1, (e1, e2, f1, f2)))
+                    if not live:
+                        return live
+                    near &= live
     return live
 
 

@@ -53,19 +53,6 @@ class RelationRecord:
         """The classes in id order, each a tuple of element indices."""
         return cg.partition_classes(self.class_of)
 
-    def summary(self, names):
-        fail = self.first_failure
-        return {
-            "classes": [[names[e] for e in c] for c in self.classes],
-            "sk": self.sk,
-            "der": self.der,
-            "first_failure": None if fail is None else {
-                "axiom": fail[0],
-                "witness": [names[w] for w in fail[1]],
-            },
-            "decomposition": self.decomposition,
-        }
-
 
 @dataclass
 class CatalogEntry:
@@ -74,16 +61,6 @@ class CatalogEntry:
     table: object
     flags: dict
     relations: tuple
-
-    def record(self):
-        """Persistable form, bit-exact across runs."""
-        return {
-            "key": self.key,
-            "n": self.n,
-            "sum_table": [list(row) for row in self.table.sum],
-            "flags": self.flags,
-            "relations": [r.summary(self.table.names) for r in self.relations],
-        }
 
 
 def _rows(flat, n):
@@ -248,12 +225,12 @@ def enumerate_relations(E):
     the records of the catalog file.
 
     A record that fails the sweep keeps its restricted growth string and
-    its first failing axiom and witness; its classes are read off the
-    string when it is summarized.  Each relation that passes gets its
-    ``dm.Dgea``, which checks the full report and the separation axiom
-    SK4a', and, when that passes, a summary of its type decomposition;
-    when SK4a' fails, it is the record's first failure.  The ``Dgea`` is
-    dropped once its record is made; ``congruences`` keeps them instead.
+    its first failing axiom and witness.  Each relation that passes gets
+    its ``dm.Dgea``, which checks the full report and the separation
+    axiom SK4a', and, when that passes, a summary of its type
+    decomposition; when SK4a' fails, it is the record's first failure.
+    The ``Dgea`` is dropped once its record is made; ``congruences``
+    keeps them instead.
     """
     for class_of, fail in _sweep(E):
         if fail is not None:
@@ -347,7 +324,58 @@ def _write_entries(fh, tables, jobs, existing):
 
 
 def _record_line(key):
-    return _dump(build_entry(key[0], key[1:]).record())
+    """The catalog file line of the model whose key, as bytes, is ``key``:
+    its record ``_dump``ed, from JSON fragments joined in sorted-key
+    order.
+
+    Only the separators between keys are written here; every value
+    passes through ``_dump``.  Catalog names are ``str(i)``, so the class
+    lists of a size's partitions are the same in every model of that
+    size, and the rest of a failing partition's record depends only on
+    its axiom and witness; each is encoded once per process.
+    """
+    entry = build_entry(key[0], key[1:])
+    relations = ",".join(
+        classes + (_relation_fields(r.sk, r.der, r.first_failure,
+                                    r.decomposition)
+                   if r.sk else _failure_fields(r.first_failure))
+        for classes, r in zip(_class_fragments(entry.n), entry.relations,
+                              strict=True))
+    return (f'{{"flags":{_dump(entry.flags)},"key":{_dump(entry.key)},'
+            f'"n":{_dump(entry.n)},"relations":[{relations}],'
+            f'"sum_table":{_dump(entry.table.sum)}}}')
+
+
+@lru_cache(maxsize=None)
+def _class_fragments(n):
+    """The start of each swept partition's record, in ``_swept_partitions``
+    order: the opening brace, its class lists and the comma after them."""
+    partitions, _ = _swept_partitions(n)
+    return tuple(
+        '{"classes":'
+        + _dump([[str(e) for e in c] for c in cg.partition_classes(p)]) + ","
+        for p in partitions)
+
+
+def _relation_fields(sk, der, fail, decomposition):
+    """The rest of a relation's record after its classes: its other fields
+    ``_dump``ed, without the opening brace."""
+    return _dump({
+        "decomposition": decomposition,
+        "der": der,
+        "first_failure": None if fail is None else {
+            "axiom": fail[0],
+            "witness": [str(w) for w in fail[1]],
+        },
+        "sk": sk,
+    })[1:]
+
+
+@lru_cache(maxsize=None)
+def _failure_fields(fail):
+    """``_relation_fields`` of a partition that fails the sweep with
+    ``fail``, its (axiom name, witness)."""
+    return _relation_fields(False, None, fail, None)
 
 
 def _catalog_lines(path):

@@ -27,6 +27,8 @@ are the literal scans of the order and the sums that ``core.sup``,
 replace with the model's order bitmasks.  ``downset_exomaps`` filters
 every self-map below the identity by EXC1-EXC4, where
 ``_kernels.brute_exomaps`` searches from the images of the atoms.
+``record`` builds a catalog record as a dict, field by field, where
+``catalog._record_line`` joins per-size JSON fragments.
 """
 
 import functools
@@ -109,6 +111,34 @@ def catalog_models(max_n):
         for n in range(1, max_n + 1)
         for flat in canonical_tables(n)
     )
+
+
+def record(entry):
+    """The catalog record of a ``catalog.CatalogEntry`` as a dict, built
+    field by field; ``catalog._record_line`` writes it ``_dump``ed."""
+    return {
+        "key": entry.key,
+        "n": entry.n,
+        "sum_table": [list(row) for row in entry.table.sum],
+        "flags": entry.flags,
+        "relations": [relation_summary(r, entry.table.names)
+                      for r in entry.relations],
+    }
+
+
+def relation_summary(r, names):
+    """The record of one ``catalog.RelationRecord`` in a catalog line."""
+    fail = r.first_failure
+    return {
+        "classes": [[names[e] for e in c] for c in r.classes],
+        "sk": r.sk,
+        "der": r.der,
+        "first_failure": None if fail is None else {
+            "axiom": fail[0],
+            "witness": [names[w] for w in fail[1]],
+        },
+        "decomposition": r.decomposition,
+    }
 
 
 def equality_relation(E):

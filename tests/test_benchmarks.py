@@ -73,5 +73,6 @@ def test_bench_kernels_runs(capsys):
                   "disjoint_families n<=6", "td-largest-map n<=6",
                   "hull-grid-refinement n<=6", "structure_predicates n<=7",
                   "build_entry n<=6", "build_entry n=8 cube",
-                  "decomposition n=8 cube", "run_theorem_suite n<=5"):
+                  "decomposition n=8 cube", "record lines n<=7",
+                  "run_theorem_suite n<=5"):
         assert label in out
