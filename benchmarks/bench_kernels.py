@@ -30,7 +30,7 @@ the checks per subset, and the ``hull-grid-refinement`` row runs that
 property over them.  The ``structure_predicates n<=7`` row computes the structure
 flags of each of the 175 models up to size 7, clearing the model's memo
 before each call.  The ``build_entry n<=6`` row builds the catalog entry
-of each of the 56 canonical tables up to size 6 from its bytes, so each
+of each of the 56 models up to size 6 from its catalog key, so each
 model and its caches are fresh: the structure flags, the partition sweep
 and the decomposition of each dimension relation.  The ``build_entry n=8
 cube`` row does the same for the cube alone, and the ``decomposition
@@ -105,10 +105,10 @@ def _families_each(systems):
         disjoint_families(H.exoset, H.maps)
 
 
-def _build_entries(tables):
-    """The catalog entry of each (n, canonical table bytes), built fresh."""
-    for n, flat in tables:
-        catalog.build_entry(n, flat)
+def _build_entries(keys):
+    """The catalog entry of each catalog key, built fresh."""
+    for key in keys:
+        catalog.build_entry(key[0], key[1:])
 
 
 def _record_lines(keys):
@@ -124,7 +124,7 @@ def _decompose_each(relations):
 
 
 def _table_stage(max_n):
-    """Every canonical table up to size ``max_n``."""
+    """The catalog key of every model up to size ``max_n``."""
     return list(catalog._catalog_tables(max_n))
 
 
@@ -143,8 +143,8 @@ def main():
     c5, c6 = _chain(5), _chain(6)
     bench("axiom_violation n=6", K.axiom_violation, (c6.sum,),
           repeat=200)
-    sixes = [catalog._rows(flat, 6) for n, flat in catalog._catalog_tables(6)
-             if n == 6]
+    sixes = [catalog._rows(key) for key in catalog._catalog_tables(6)
+             if key[0] == 6]
     sixes = [(rows, core.automorphisms(rows)) for rows in sixes]
     bench("enumerate_tables 35 n=6", _extend_each, (sixes,), repeat=3)
     bench("_catalog_tables n<=8", _table_stage, (8,), repeat=1)
@@ -180,20 +180,19 @@ def main():
     bench("td-largest-map n<=6", _each, (td_largest, models), repeat=3)
     grid = theorems.REGISTRY["hull-grid-refinement"].fn
     bench("hull-grid-refinement n<=6", _each, (grid, models), repeat=3)
-    sevens = [core.GeaTable(range(n), catalog._rows(flat, n), _validated=True)
-              for n, flat in catalog._catalog_tables(7)]
+    sevens = [catalog.model(key) for key in catalog._catalog_tables(7)]
     bench("structure_predicates n<=7", _build_each,
           (core.structure_predicates, sevens), repeat=3)
-    tables = list(catalog._catalog_tables(6))
-    bench("build_entry n<=6", _build_entries, (tables,), repeat=1)
-    cube_flat = core.canonical_form(cube)[1:]
-    bench("build_entry n=8 cube", catalog.build_entry, (8, cube_flat),
+    bench("build_entry n<=6", _build_entries,
+          (list(catalog._catalog_tables(6)),), repeat=1)
+    cube_key = core.canonical_form(cube)
+    bench("build_entry n=8 cube", catalog.build_entry, (8, cube_key[1:]),
           repeat=1)
-    congruences = [d.R for d in catalog.congruences(catalog.model(8, cube_flat))]
+    congruences = [d.R for d in catalog.congruences(catalog.model(cube_key))]
     bench("decomposition n=8 cube", _decompose_each, (congruences,),
           repeat=1)
-    keys = [bytes([n]) + flat for n, flat in catalog._catalog_tables(7)]
-    bench("record lines n<=7", _record_lines, (keys,), repeat=1)
+    bench("record lines n<=7", _record_lines,
+          (list(catalog._catalog_tables(7)),), repeat=1)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)
 
 

@@ -56,64 +56,68 @@ class RelationRecord:
 
 @dataclass
 class CatalogEntry:
-    key: str
-    n: int
+    key: bytes  # the model's catalog key
     table: object
     flags: dict
     relations: tuple
 
+    @property
+    def n(self):
+        return self.key[0]
 
-def _rows(flat, n):
-    """The n-element table whose ``core.table_bytes`` are ``flat``, as
-    tuple rows."""
-    entries = array("b", flat)
+
+def _rows(key):
+    """The sum table of the model whose catalog key is ``key``, as tuple
+    rows."""
+    n, entries = key[0], array("b", key[1:])
     return tuple(tuple(entries[i:i + n]) for i in range(0, n * n, n))
 
 
 def _extensions(parents, n):
-    """Canonical sum tables for size n, as ``core.table_bytes``, sorted:
-    the distinct canonical forms of the one-point top extensions of
-    ``parents``, the canonical tables for size n - 1, one extension per
-    orbit of each parent's automorphisms."""
+    """The catalog keys of size n, sorted: the distinct canonical forms of
+    the one-point top extensions of ``parents``, the keys of size n - 1,
+    one extension per orbit of each parent's automorphisms."""
     out = set()
-    for flat in parents:
-        rows = _rows(flat, n - 1)
+    for key in parents:
+        rows = _rows(key)
         for child in _kernels.enumerate_tables(rows, core.automorphisms(rows)):
-            out.add(core.table_bytes(core.canonical_rows(child)))
+            out.add(bytes([n]) + core.table_bytes(core.canonical_rows(child)))
     return sorted(out)
 
 
 def _table_sizes():
-    """The canonical tables for sizes 1, 2, ..., each list built from the
-    one before it, lazily."""
-    one = core.table_bytes(((0,),))
+    """The catalog keys of sizes 1, 2, ..., each list built from the one
+    before it, lazily."""
+    one = bytes([1]) + core.table_bytes(((0,),))
     return itertools.accumulate(itertools.count(2), _extensions, initial=[one])
 
 
 def _catalog_tables(max_n, limit=MAX_N):
-    """(n, canonical table bytes) of every model up to size ``max_n``, in
-    catalog order, lazily; a size over ``limit`` raises at the call."""
+    """The catalog key of every model up to size ``max_n`` (its size byte
+    and canonical ``core.table_bytes``, as ``core.canonical_form`` gives),
+    in catalog order, lazily; a size over ``limit`` raises at the call."""
     if max_n > limit:
         raise LimitExceeded(f"max_n={max_n} exceeds the configured limit")
-    return ((n, flat) for n, tables in zip(range(1, max_n + 1), _table_sizes())
-            for flat in tables)
+    return itertools.chain.from_iterable(
+        itertools.islice(_table_sizes(), max_n))
 
 
 def enumerate_geas(max_n):
     """Stream of catalog entries for all models up to isomorphism,
     ordered by (size, canonical key)."""
-    for n, flat in _catalog_tables(max_n):
-        yield build_entry(n, flat)
+    for key in _catalog_tables(max_n):
+        yield build_entry(key[0], key[1:])
 
 
 def ordered_map(fn, items, jobs):
     """``fn`` over ``items``, lazily and in item order: in this process when
-    ``jobs`` is 1, else in ``jobs`` forked workers.
+    ``jobs`` is 1, else in ``jobs`` forked workers (``verify --jobs``).
 
     With workers, ``fn`` must pickle (a module-level function, or a
-    ``functools.partial`` of one), and ``items`` is drawn in a thread of
-    the pool.  The workers are forked when the pool starts, so they see
-    this process's memory as it is then, caches included.
+    ``functools.partial`` of one), and so must its results and the errors
+    it raises.  ``items`` is drawn lazily in the pool's feeder thread
+    while the workers run.  The workers are forked when the pool starts,
+    so they see this process's memory as it is then, caches included.
     """
     if jobs == 1:
         yield from map(fn, items)
@@ -134,14 +138,9 @@ def cached_entries(max_n):
     return tuple(enumerate_geas(max_n))
 
 
-def _key(n, flat):
-    """The catalog key of the n-element table ``flat``."""
-    return (bytes([n]) + flat).hex()
-
-
-def model(n, flat):
-    """The n-element catalog model whose ``core.table_bytes`` are ``flat``."""
-    E = core.GeaTable([str(i) for i in range(n)], _rows(flat, n),
+def model(key):
+    """The catalog model whose catalog key is ``key``."""
+    E = core.GeaTable([str(i) for i in range(key[0])], _rows(key),
                       _validated=True)
     if not core.is_canonical_table(E.sum):
         raise InternalInvariant("non-canonical table reached the catalog")
@@ -149,10 +148,12 @@ def model(n, flat):
 
 
 def build_entry(n, flat_bytes):
-    E = model(n, flat_bytes)
+    """The catalog entry of the model whose key is ``bytes([n]) +
+    flat_bytes``, the two parts the ``relations-n8`` benchmark passes."""
+    key = bytes([n]) + flat_bytes
+    E = model(key)
     return CatalogEntry(
-        key=_key(n, flat_bytes),
-        n=n,
+        key=key,
         table=E,
         flags=_structure_flags(E),
         relations=tuple(enumerate_relations(E)),
@@ -269,7 +270,7 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_catalog(path, max_n, jobs=1, resume=False):
+def write_catalog(path, max_n, resume=False):
     """Write (or resume) the catalog file; returns the number of entries.
 
     Records go to ``<path>.part``, one flushed line each, and the file is
@@ -282,49 +283,46 @@ def write_catalog(path, max_n, jobs=1, resume=False):
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tables = _catalog_tables(max_n, CATALOG_MAX_N)
+    keys = _catalog_tables(max_n, CATALOG_MAX_N)
     header = {
         "format_version": FORMAT_VERSION,
         "max_n": max_n,
         "generator_version": GENERATOR_VERSION,
     }
     part = f"{path}.part"
-    existing = []
-    if resume:
-        source = part if os.path.exists(part) else path
-        existing = _resumable_keys(source, header)
-        if existing and source == path:
-            with open(path, "a", encoding="utf-8", buffering=1) as fh:
-                return _write_entries(fh, tables, jobs, existing)
-    with open(part, "a" if existing else "w", encoding="utf-8", buffering=1) as fh:
+    source = part if os.path.exists(part) else path
+    existing = _resumable_keys(source, header) if resume else []
+    # a resumed file grows where it is; a new one is written as the .part
+    target = source if existing else part
+    with open(target, "a" if existing else "w", encoding="utf-8", buffering=1) as fh:
         if not existing:
             fh.write(_dump(header) + "\n")
-        count = _write_entries(fh, tables, jobs, existing)
-    os.replace(part, path)
+        count = _write_entries(fh, keys, existing)
+    os.replace(target, path)
     return count
 
 
-def _write_entries(fh, tables, jobs, existing):
-    """Write the record of every model of ``tables`` after the ``existing``
-    keys, which must be a prefix of them; returns the number of entries.
+def _write_entries(fh, keys, existing):
+    """Write the record of every model of ``keys`` after the ``existing``
+    hex keys, which must be a prefix of them; returns the number of
+    entries.
 
     The models already written are checked by key and not built again.
     """
-    keys = (bytes([n]) + flat for n, flat in tables)
-    for key in existing:
-        if next(keys, b"").hex() != key:
+    for written in existing:
+        if next(keys, b"").hex() != written:
             raise LimitExceeded(
                 "existing catalog is not a prefix of this enumeration"
             )
     count = len(existing)
-    for line in ordered_map(_record_line, keys, jobs):
-        fh.write(line + "\n")
+    for key in keys:
+        fh.write(_record_line(key) + "\n")
         count += 1
     return count
 
 
 def _record_line(key):
-    """The catalog file line of the model whose key, as bytes, is ``key``:
+    """The catalog file line of the model whose key is ``key``:
     its record ``_dump``ed, from JSON fragments joined in sorted-key
     order.
 
@@ -341,7 +339,7 @@ def _record_line(key):
                    if r.sk else _failure_fields(r.first_failure))
         for classes, r in zip(_class_fragments(entry.n), entry.relations,
                               strict=True))
-    return (f'{{"flags":{_dump(entry.flags)},"key":{_dump(entry.key)},'
+    return (f'{{"flags":{_dump(entry.flags)},"key":{_dump(key.hex())},'
             f'"n":{_dump(entry.n)},"relations":[{relations}],'
             f'"sum_table":{_dump(entry.table.sum)}}}')
 
@@ -482,10 +480,10 @@ def search_counterexample(name, max_n):
             f"{name!r}; known: {', '.join(sorted(SEARCH_PREDICATES))}"
         )
     pred = SEARCH_PREDICATES[name]
-    for n, flat in _catalog_tables(max_n):
-        E = model(n, flat)
+    for key in _catalog_tables(max_n):
+        E = model(key)
         hit = pred(E, congruences(E))
         if hit is not None:
-            return {"key": _key(n, flat), "n": n, "witness": hit}
+            return {"key": key.hex(), "n": E.n, "witness": hit}
     return None
 

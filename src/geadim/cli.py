@@ -332,9 +332,7 @@ def cmd_decompose(args):
 
 
 def cmd_catalog(args):
-    count = catalog.write_catalog(
-        args.out, args.max_size, jobs=args.jobs, resume=args.resume
-    )
+    count = catalog.write_catalog(args.out, args.max_size, resume=args.resume)
     return (0, {"max_size": args.max_size, "out": args.out}, {"models": count},
             [], f"wrote {count} models up to size {args.max_size} to {args.out}")
 
@@ -416,7 +414,6 @@ def make_parser():
                         help="enumerate models to a catalog file")
     sp.add_argument("--max-size", type=int, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--resume", action="store_true")
     sp.set_defaults(fn=cmd_catalog)
 

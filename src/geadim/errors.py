@@ -1,8 +1,14 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class GeadimError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):
+        # rebuilt without ``__init__``, which takes fields, not ``args``
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConflictingEquation(GeadimError):

@@ -1122,13 +1122,11 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _evaluate_model(names, invert, table):
-    """Evaluate the properties ``names`` on one model, given as (n,
-    canonical table bytes), and on its congruences; returns the
-    per-property (instances, violations), the review entries and the
-    number of congruences."""
-    n, flat = table
-    E = catalog.model(n, flat)
+def _evaluate_model(names, invert, key):
+    """Evaluate the properties ``names`` on the model whose catalog key is
+    ``key`` and on its congruences; returns the per-property (instances,
+    violations), the review entries and the number of congruences."""
+    E = catalog.model(key)
     congruences = catalog.congruences(E)
     scopes = {
         "model": [E],
@@ -1154,8 +1152,8 @@ def _evaluate_model(names, invert, table):
                 rel = [[E.names[e] for e in c] for c in ctx.R.classes]
             for d in details:
                 rec = {
-                    "model": catalog._key(n, flat),
-                    "n": n,
+                    "model": key.hex(),
+                    "n": E.n,
                     "relation": rel,
                     "detail": d,
                     "property": name,
@@ -1190,12 +1188,12 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
     if invert is not None and invert not in names:
         # inverting a property that is not run would change nothing
         raise GeadimError(f"inverted theorem {invert} is not among those selected")
-    tables = catalog._catalog_tables(max_n)
+    keys = catalog._catalog_tables(max_n)
     evaluate = partial(_evaluate_model, names, invert)
     results = {name: PropertyResult() for name in names}
     review = []
     models = relations = 0
-    for per_prop, rev, congruences in catalog.ordered_map(evaluate, tables, jobs):
+    for per_prop, rev, congruences in catalog.ordered_map(evaluate, keys, jobs):
         for name, (instances, violations) in per_prop.items():
             results[name].instances += instances
             results[name].violations.extend(violations)

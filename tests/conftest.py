@@ -1,8 +1,12 @@
+import os
+import signal
+import subprocess
 import sys
 from array import array
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 ACCEPTANCE_LINES = []
 
@@ -24,6 +28,30 @@ def table_rows(flat, n):
     list rows."""
     entries = array("b", flat)
     return [list(entries[i:i + n]) for i in range(0, n * n, n)]
+
+
+def run_geadim(argv, timeout=60, path=()):
+    """Run ``python -m geadim ARGV`` in a subprocess, with the directories
+    ``path`` and then ``src`` on PYTHONPATH; returns its exit code and its
+    stdout and stderr together.
+
+    The subprocess leads a process group of its own, so when it outlives
+    ``timeout`` seconds the whole group, forked pool workers included, is
+    killed and ``subprocess.TimeoutExpired`` raised.  A ``sitecustomize``
+    module in one of ``path`` runs before the command: a test can patch
+    the package there.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(map(str, (*path, SRC))))
+    with subprocess.Popen([sys.executable, "-m", "geadim", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True, start_new_session=True) as proc:
+        try:
+            out, _ = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return proc.returncode, out
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -117,7 +117,7 @@ def record(entry):
     """The catalog record of a ``catalog.CatalogEntry`` as a dict, built
     field by field; ``catalog._record_line`` writes it ``_dump``ed."""
     return {
-        "key": entry.key,
+        "key": entry.key.hex(),
         "n": entry.n,
         "sum_table": [list(row) for row in entry.table.sum],
         "flags": entry.flags,

@@ -287,13 +287,10 @@ def test_size_8_verify_keeps_its_digest():
 
 @pytest.mark.slow
 def test_size_8_catalog_keeps_its_digest(tmp_path):
-    # the per-size JSON fragments are built in the process that makes the
-    # lines: each worker with two jobs, then this process with one
-    for jobs in ("2", "1"):
-        path = tmp_path / f"catalog-8-{jobs}.jsonl"
-        argv = ["catalog", "--max-size", "8", "--jobs", jobs, "--out", str(path)]
-        assert cli.run_command(argv, out=io.StringIO()) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_8_SHA256
+    path = tmp_path / "catalog-8.jsonl"
+    argv = ["catalog", "--max-size", "8", "--out", str(path)]
+    assert cli.run_command(argv, out=io.StringIO()) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CATALOG_8_SHA256
 
 
 # ``verify --max-size 9 --json``: 2 699 models of size 9, 671 below; a
@@ -308,7 +305,7 @@ def test_size_9_verify_keeps_its_digest():
         argv = ["verify", "--max-size", "9", "--jobs", jobs, "--json"]
         assert cli.run_command(argv, out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == VERIFY_9_SHA256
-    nines = [flat for n, flat in catalog._catalog_tables(9) if n == 9]
+    nines = [key[1:] for key in catalog._catalog_tables(9) if key[0] == 9]
     assert len(nines) == 2699
     assert nines == canonical_tables(9)
 
@@ -353,11 +350,11 @@ def test_parallel_suite_builds_models_only_in_workers(monkeypatch, tmp_path):
     here = []
     real = catalog.model
 
-    def logged(n, flat):
+    def logged(key):
         here.append(os.getpid())
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()}\n")
-        return real(n, flat)
+        return real(key)
 
     monkeypatch.setattr(catalog, "model", logged)
     serial = theorems.run_theorem_suite(5)

@@ -3,13 +3,15 @@
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from geadim import catalog, cli, congruence as cg, core, hull, theorems
+from conftest import run_geadim
+from geadim import catalog, cli, congruence as cg, core, errors, hull, theorems
 from geadim.errors import (
     ConflictingEquation,
     InternalInvariant,
@@ -304,7 +306,6 @@ def test_search_command():
     ["verify", "--max-size", "3", "--jobs", "0"],
     ["verify", "--max-size", "3", "--jobs", "-1"],
     ["catalog", "--max-size", "0", "--out", "unused.jsonl"],
-    ["catalog", "--max-size", "3", "--out", "unused.jsonl", "--jobs", "0"],
     ["search", "--property", "trivially-false", "--max-size", "-2"],
 ])
 def test_counts_below_one_are_input_errors(argv, tmp_path, monkeypatch):
@@ -314,6 +315,93 @@ def test_counts_below_one_are_input_errors(argv, tmp_path, monkeypatch):
     assert text.count("\n") == 1 and text.startswith("error: --")
     assert "must be at least 1" in text
     assert not (tmp_path / "unused.jsonl").exists()
+
+
+def test_catalog_takes_no_jobs(tmp_path):
+    """The catalog is written in one process: ``--jobs`` is an unknown
+    option, refused before any file is made."""
+    out = tmp_path / "models.jsonl"
+    code, text = run(["catalog", "--max-size", "3", "--out", str(out),
+                      "--jobs", "2"])
+    assert code == 2 and text == ""  # argparse writes its usage to stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def _errors_with_fields():
+    """One instance of every ``GeadimError`` class, with its fields."""
+    fields = {
+        errors.AxiomViolation: ("GEA2", (1, 2, 3)),
+        errors.NotHullDetermining: ("HD1", "misses 0"),
+        errors.ParseError: (3, 7, "bad identifier '?'"),
+    }
+    classes = [errors.GeadimError]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    return [cls(*fields.get(cls, ("a message",))) for cls in classes]
+
+
+def test_every_error_survives_pickling():
+    """An error raised in a pool worker reaches the parent pickled."""
+    made = _errors_with_fields()
+    assert len(made) == len({type(e) for e in made}) == 17
+    for exc in made:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert vars(back) == vars(exc) and str(back) == str(exc)
+
+
+# makes every size-4 model of ``verify`` raise a structured error
+_RAISE_ON_SIZE_4 = """\
+from geadim import catalog
+from geadim.errors import AxiomViolation
+
+real = catalog.congruences
+
+
+def congruences(E):
+    if E.n == 4:
+        raise AxiomViolation("GEA2", (1, 2, 3))
+    return real(E)
+
+
+catalog.congruences = congruences
+"""
+
+
+def test_a_structured_error_in_a_worker_ends_the_command(tmp_path):
+    """A worker's ``AxiomViolation`` ends ``verify --jobs 2`` as it ends
+    ``--jobs 1``: exit code 2 and the same one-line error."""
+    (tmp_path / "sitecustomize.py").write_text(_RAISE_ON_SIZE_4)
+    outputs = set()
+    for jobs in ("1", "2"):
+        code, text = run_geadim(["verify", "--max-size", "4", "--jobs", jobs],
+                                timeout=60, path=[tmp_path])
+        assert code == 2
+        outputs.add(text)
+    assert outputs == {"error: GEA2 fails at (1, 2, 3)\n"}
+
+
+def _render_gea(E):
+    """``E`` as a ``.gea`` document: its names, its zero and one line per
+    defined sum of two nonzero elements."""
+    names = E.names
+    lines = [f"elements: {' '.join(names)}", f"zero: {names[E.zero]}"]
+    for a in range(1, E.n):
+        for b in range(a, E.n):
+            if E.sum[a][b] >= 0:
+                lines.append(f"sum: {names[a]} + {names[b]} = {names[E.sum[a][b]]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_rendered_catalog_models_parse_back():
+    """Every catalog model up to size 6, rendered as a ``.gea`` document,
+    parses back to the same names and sum table."""
+    keys = list(catalog._catalog_tables(6))
+    assert len(keys) == 56
+    for key in keys:
+        E = catalog.model(key)
+        back, relations = cli.parse_gea_file(_render_gea(E)).build()
+        assert (back.names, back.sum, relations) == (E.names, E.sum, {})
 
 
 @pytest.mark.parametrize("names", ["", "core-order-laws,,exocenter-oracle"])
