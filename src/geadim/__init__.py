@@ -12,7 +12,7 @@ from .core import (
     structure_predicates,
     t3,
 )
-from .exocenter import ExoMap, ExoSet, center, cogea_check, exocentral_cover
+from .exocenter import ExoSet, center, cogea_check, exocentral_cover
 from .hull import (
     HullSystem,
     check_hull_system,
@@ -20,7 +20,6 @@ from .hull import (
     is_divisible,
     is_dyad,
     is_monad,
-    sim_eta,
     td_sets,
 )
 from .congruence import (

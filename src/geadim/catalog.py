@@ -111,7 +111,8 @@ def enumerate_geas(max_n):
 
 def ordered_map(fn, items, jobs):
     """``fn`` over ``items``, lazily and in item order: in this process when
-    ``jobs`` is 1, else in ``jobs`` forked workers (``verify --jobs``).
+    ``jobs`` is 1, else in ``jobs`` forked workers, at most one per CPU
+    (``verify --jobs``).
 
     With workers, ``fn`` must pickle (a module-level function, or a
     ``functools.partial`` of one), and so must its results and the errors
@@ -124,7 +125,7 @@ def ordered_map(fn, items, jobs):
         return
     from multiprocessing import get_context
 
-    with get_context("fork").Pool(jobs) as pool:
+    with get_context("fork").Pool(min(jobs, os.cpu_count() or 1)) as pool:
         yield from pool.imap(fn, items)
 
 
@@ -455,7 +456,7 @@ def _search_divisible_with_monads(E, dgeas):
         monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]
         if monads:
             return {
-                "hull": [list(m.image) for m in H.maps],
+                "hull": [list(m) for m in H.maps],
                 "monads": [E.names[e] for e in monads],
             }
     return None

@@ -173,7 +173,7 @@ def _load_relation(args):
 
 
 def _map_repr(E, m):
-    return {E.names[e]: E.names[m(e)] for e in range(E.n)}
+    return {E.names[e]: E.names[m[e]] for e in range(E.n)}
 
 
 def cmd_check(args):
@@ -213,7 +213,7 @@ def cmd_exocenter(args):
     }
     text = [f"exocenter has {len(S)} maps; center = {{{', '.join(results['center'])}}}"]
     for m in S:
-        text.append("  " + " ".join(f"{E.names[e]}->{E.names[m(e)]}" for e in range(E.n)))
+        text.append("  " + " ".join(f"{E.names[e]}->{E.names[m[e]]}" for e in range(E.n)))
     return 0, {"file": args.file}, results, [], "\n".join(text)
 
 
@@ -279,7 +279,7 @@ def cmd_hull(args):
     results = {
         "relation": args.relation,
         "splitting_maps": [_map_repr(E, m) for m in sigma],
-        "hull": {E.names[e]: _map_repr(E, H.eta(e)) for e in range(E.n)},
+        "hull": {E.names[e]: _map_repr(E, H.maps[e]) for e in range(E.n)},
         "divisible": hull_mod.is_divisible(H).divisible,
         "cross_checks": [
             "hull-axioms",
@@ -292,7 +292,7 @@ def cmd_hull(args):
         f"(divisible={results['divisible']}):"
     ]
     for e in range(E.n):
-        img = " ".join(f"{E.names[x]}->{E.names[H.eta(e)(x)]}" for x in range(E.n))
+        img = " ".join(f"{E.names[x]}->{E.names[H.maps[e][x]]}" for x in range(E.n))
         lines.append(f"  eta[{E.names[e]}]: {img}")
     return 0, inputs, results, [], "\n".join(lines)
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import _kernels, hull as hull_mod
 from .core import memo
-from .exocenter import ExoSet, exocenter
+from .exocenter import ExoSet, exocenter, fixed_points
 from .errors import (
     InternalInvariant,
     NotSkCongruence,
@@ -193,10 +193,10 @@ def is_descendent(R, d, e):
 
 def splits(R, pi):
     """No nonzero equivalent pair straddles the summand and its complement."""
-    comp = [e for e in range(R.E.n) if pi(e) == 0]
+    comp = [e for e in range(R.E.n) if pi[e] == 0]
     return not any(
         R.sim(e, f) and (e, f) != (0, 0)
-        for e in pi.summand
+        for e in fixed_points(pi)
         for f in comp
     )
 
@@ -216,7 +216,7 @@ def sigma_sim(R):
     chosen = []
     for pi in exocenter(E):
         a = splits(R, pi)
-        summand = set(pi.summand)
+        summand = set(fixed_points(pi))
         b = all(
             f in summand
             for e in summand
@@ -224,7 +224,7 @@ def sigma_sim(R):
             if R.sim(f, e)
         )
         c = is_hereditary(R, summand)
-        comp = [e for e in range(E.n) if pi(e) == 0]
+        comp = [e for e in range(E.n) if pi[e] == 0]
         d = all(not related(R, e, f) for e in summand for f in comp)
         if not (a == b == c == d):
             raise InternalInvariant(
@@ -248,12 +248,9 @@ def induced_hull(R, sigma):
     """Hull system eta_e = meet of splitting maps fixing e (the
     exocentral cover system of the splitting algebra), validated."""
     H = hull_mod.gamma_hull(sigma)
-    theta = set(H.maps)
-    if not theta <= set(sigma.maps):
-        raise InternalInvariant("hull maps escape the splitting algebra")
     for pi in sigma:
         for e in range(R.E.n):
-            if (pi(e) == 0) != sigma.meet(pi, H.eta(e)).is_zero:
+            if (pi[e] == 0) != sigma.disjoint(pi, H.maps[e]):
                 raise InternalInvariant("kill/disjointness equivalence fails")
     return H
 
@@ -275,8 +272,8 @@ def check_der(R, sigma, H):
         for f in range(E.n):
             if related(R, e, f):
                 continue
-            direct = any(pi(e) == e and pi(f) == 0 for pi in sigma)
-            via_hull = sigma.meet(H.eta(e), H.eta(f)).is_zero
+            direct = any(pi[e] == e and pi[f] == 0 for pi in sigma)
+            via_hull = sigma.disjoint(H.maps[e], H.maps[f])
             if direct != via_hull:
                 raise InternalInvariant(
                     "separation and hull-meet forms disagree at "

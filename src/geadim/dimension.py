@@ -15,7 +15,7 @@ from functools import cached_property
 from . import congruence as cg
 from . import core
 from . import hull as hull_mod
-from .exocenter import ExoMap, center, exocenter
+from .exocenter import center, exocenter, fixed_points, is_identity
 from .errors import (
     InternalInvariant,
     NotDer,
@@ -36,7 +36,7 @@ class Dgea:
     finite elements and the type decomposition are derived on first use
     and raise ``NotDer`` unless the relation is a dimension relation.
     ``summand`` builds each summand once; element i of the summand of
-    ``pi`` is ``pi.summand[i]``.  The summand of the identity map is the
+    ``pi`` is ``fixed_points(pi)[i]``.  The summand of the identity map is the
     ``Dgea`` itself: same table, same relation.
     """
 
@@ -72,9 +72,9 @@ class Dgea:
         E, R = self.E, self.R
         if pi not in self.sigma or not cg.splits(R, pi):
             raise NotSplitting(f"{pi!r} does not split the relation")
-        if pi.is_identity:
+        if is_identity(pi):
             return self
-        members = pi.summand
+        members = fixed_points(pi)
         pos = {e: i for i, e in enumerate(members)}
         k = len(members)
         table = [[-1] * k for _ in range(k)]
@@ -108,7 +108,7 @@ class Dgea:
                 direct.append(k)
             if hull_mod.is_monad(H, k):
                 monads.append(k)
-            if all(H.eta(e)(k) == e for e in E.below(k)):
+            if all(H.maps[e][k] == e for e in E.below(k)):
                 crit.append(k)
         if not (direct == monads == crit):
             raise InternalInvariant(
@@ -158,7 +158,7 @@ class Dgea:
                 for f in range(E.n)
             )
             # (2) hull image is the interval
-            eta_inv = set(H.eta(c).summand) == set(E.below(c))
+            eta_inv = set(fixed_points(H.maps[c])) == set(E.below(c))
             # (1) central with splitting projection
             central_split = c in cen and cg.splits(R, cen[c])
             # (4) principal with hereditary interval
@@ -191,7 +191,7 @@ class Dgea:
         ft = tops[0]
         if not hull_mod.td_sets(H, ftset).eta_td:
             raise InternalInvariant("finite invariant set is not type-determining")
-        if set(H.eta(ft).summand) != set(E.below(ft)):
+        if set(fixed_points(H.maps[ft])) != set(E.below(ft)):
             raise InternalInvariant("largest finite invariant element is not eta-invariant")
         return ft, tuple(ftset)
 
@@ -215,20 +215,20 @@ class Dgea:
             raise InternalInvariant("simple elements are not all finite")
         ft, ftset = self.finite_invariant
 
-        eta_k = sigma.join_all([H.eta(k) for k in K])
-        eta_f = sigma.join_all([H.eta(f) for f in F])
-        eta_ft = H.eta(ft)
+        eta_k = sigma.join_all([H.maps[k] for k in K])
+        eta_f = sigma.join_all([H.maps[f] for f in F])
+        eta_ft = H.maps[ft]
         checks = ["simple-set-three-way", "invariant-six-way", "finite-hereditary-ideal"]
 
         # cross-check the joins against the largest-map elements
         td_k = hull_mod.td_sets(H, K)
         td_f = hull_mod.td_sets(H, F)
-        if not td_k.eta_std or H.eta(td_k.t_star) != eta_k:
+        if not td_k.eta_std or H.maps[td_k.t_star] != eta_k:
             raise InternalInvariant("simple-set join disagrees with its largest map")
-        if not td_f.eta_std or H.eta(td_f.t_star) != eta_f:
+        if not td_f.eta_std or H.maps[td_f.t_star] != eta_f:
             raise InternalInvariant("finite-set join disagrees with its largest map")
         td_ft = hull_mod.td_sets(H, ftset)
-        if H.eta(td_ft.t_star) != eta_ft:
+        if H.maps[td_ft.t_star] != eta_ft:
             raise InternalInvariant("finite-invariant join disagrees with its largest map")
         checks.append("hull-joins-vs-largest-maps")
 
@@ -252,14 +252,14 @@ class Dgea:
         for a, b in itertools.combinations(triple, 2):
             if not sigma.disjoint(a, b):
                 raise InternalInvariant("type projections are not pairwise disjoint")
-        if not sigma.join_all(triple).is_identity:
+        if not is_identity(sigma.join_all(triple)):
             raise InternalInvariant("type projections do not cover the identity")
         if sigma.join(pi_i_f, pi_i_nf) != pi_i or sigma.join(pi_ii_f, pi_ii_nf) != pi_ii:
             raise InternalInvariant("finite refinements do not cover their types")
         checks.append("disjoint-cover")
 
         for m in (pi_i, pi_ii, pi_iii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
-            s = set(m.summand)
+            s = set(fixed_points(m))
             if not cg.is_hereditary(R, s) or not core._ideal_flags(E, frozenset(s)):
                 raise InternalInvariant("summand is not a hereditary ideal")
         checks.append("summands-hereditary-ideals")
@@ -294,30 +294,30 @@ class Dgea:
                     )
         checks.append("unique-type-triple")
 
-        for m, unit in ((pi_i_f, pi_i(ft)), (pi_ii_f, comp(pi_i)(ft))):
+        for m, unit in ((pi_i_f, pi_i[ft]), (pi_ii_f, comp(pi_i)[ft])):
             sub = self.summand(m)
             top = sub.E.greatest()
-            if top is None or m.summand[top] != unit:
+            if top is None or fixed_points(m)[top] != unit:
                 raise InternalInvariant("finite-type summand unit mismatch")
         checks.append("finite-part-units")
 
-        if pi_i.is_identity:
+        if is_identity(pi_i):
             verdict = "I"
-        elif pi_ii.is_identity:
+        elif is_identity(pi_ii):
             verdict = "II"
-        elif pi_iii.is_identity:
+        elif is_identity(pi_iii):
             verdict = "III"
         else:
             verdict = "mixed"
-        finite_type = eta_ft.is_identity
+        finite_type = is_identity(eta_ft)
         summands = {
-            "I": pi_i.summand,
-            "II": pi_ii.summand,
-            "III": pi_iii.summand,
-            "I_F": pi_i_f.summand,
-            "I_notF": pi_i_nf.summand,
-            "II_F": pi_ii_f.summand,
-            "II_notF": pi_ii_nf.summand,
+            "I": fixed_points(pi_i),
+            "II": fixed_points(pi_ii),
+            "III": fixed_points(pi_iii),
+            "I_F": fixed_points(pi_i_f),
+            "I_notF": fixed_points(pi_i_nf),
+            "II_F": fixed_points(pi_ii_f),
+            "II_notF": fixed_points(pi_ii_nf),
         }
         return Decomposition(
             pi_i=pi_i,
@@ -343,16 +343,16 @@ class Dgea:
         exactly when eta_x is m; the summand's simple and finite elements
         are the images under m of this model's (``check_restriction``).
         """
-        ks = {m(k) for k in self.simple}
-        fs = {m(f) for f in self.finite}
-        faithful = lambda xs: any(self.hull.eta(x) == m for x in xs)
+        ks = {m[k] for k in self.simple}
+        fs = {m[f] for f in self.finite}
+        faithful = lambda xs: any(self.hull.maps[x] == m for x in xs)
         return faithful(ks), faithful(fs) and ks == {0}, fs == {0}
 
     @cached_property
     def type_flags(self):
         """Direct type classification of the model under the relation."""
         ft, ftset = self.finite_invariant
-        faithful = lambda e: self.hull.eta(e).is_identity
+        faithful = lambda e: is_identity(self.hull.maps[e])
         return TypeFlags(
             type_i=any(faithful(k) for k in self.simple),
             type_ii=any(faithful(f) for f in self.finite) and set(self.simple) == {0},
@@ -372,7 +372,7 @@ def is_factor(dgea):
         raise NotDer("factor test needs a verified dimension relation")
     E, R, sigma, H = dgea.E, dgea.R, dgea.sigma, dgea.hull
     trivial = set(sigma.maps) == {sigma.zero, sigma.one}
-    hull_full = all(H.eta(d).is_identity for d in range(1, E.n))
+    hull_full = all(is_identity(H.maps[d]) for d in range(1, E.n))
     comparable = all(
         cg.subequiv(R, e, f) or cg.subequiv(R, f, e)
         for e in range(E.n)
@@ -403,9 +403,9 @@ def comparability(dgea, e, f):
         raise NotDer("comparability needs a verified dimension relation")
     R = dgea.R
     d = cg.decompose_pair(R, e, f)[3]  # the unrelated remainder of f
-    pi = dgea.hull.eta(d)
+    pi = dgea.hull.maps[d]
     pic = dgea.sigma.complement(pi)
-    if not cg.subequiv(R, pi(e), pi(f)) or not cg.subequiv(R, pic(f), pic(e)):
+    if not cg.subequiv(R, pi[e], pi[f]) or not cg.subequiv(R, pic[f], pic[e]):
         raise InternalInvariant("comparability contract fails")
     return d
 
@@ -420,11 +420,11 @@ def check_restriction(dgea, pi):
     set, finite set and largest finite invariant element are exactly the
     restrictions of the parent's."""
     sub = dgea.summand(pi)
-    members = pi.summand
+    members = fixed_points(pi)
     pos = {e: i for i, e in enumerate(members)}
 
     def restrict(xi):
-        return ExoMap([pos[xi(e)] for e in members])
+        return tuple(pos[xi[e]] for e in members)
 
     gex, gex_sub = exocenter(dgea.E), exocenter(sub.E)
     if {restrict(xi) for xi in gex} != set(gex_sub.maps):
@@ -439,13 +439,13 @@ def check_restriction(dgea, pi):
     sub._require_der()  # the restriction is a dimension relation
     if {restrict(xi) for xi in dgea.sigma} != set(sub.sigma.maps):
         raise InternalInvariant("splitting algebra does not restrict correctly")
-    if set(sub.simple) != {pos[pi(k)] for k in dgea.simple}:
+    if set(sub.simple) != {pos[pi[k]] for k in dgea.simple}:
         raise InternalInvariant("simple elements do not restrict correctly")
-    if set(sub.finite) != {pos[pi(f)] for f in dgea.finite}:
+    if set(sub.finite) != {pos[pi[f]] for f in dgea.finite}:
         raise InternalInvariant("finite elements do not restrict correctly")
     ft, _ = dgea.finite_invariant
     ft_sub, _ = sub.finite_invariant
-    if ft_sub != pos[pi(ft)]:
+    if ft_sub != pos[pi[ft]]:
         raise InternalInvariant(
             "largest finite invariant element does not restrict correctly"
         )
@@ -494,8 +494,8 @@ def hereditary_sup(dgea, S):
             f"orthosum of maximal family ({E.names[c]}) is not the supremum"
         )
     H = dgea.hull
-    eta_join = dgea.sigma.join_all([H.eta(h) for h in S])
-    if eta_join != H.eta(c):
+    eta_join = dgea.sigma.join_all([H.maps[h] for h in S])
+    if eta_join != H.maps[c]:
         raise InternalInvariant("hull map of the supremum is not the join")
     flags = core.structure_predicates(E)
     central = None
@@ -524,13 +524,13 @@ class TypeFlags:
 
 @dataclass(frozen=True)
 class Decomposition:
-    pi_i: ExoMap
-    pi_ii: ExoMap
-    pi_iii: ExoMap
+    pi_i: tuple
+    pi_ii: tuple
+    pi_iii: tuple
     summands: dict
-    eta_k: ExoMap
-    eta_f: ExoMap
-    eta_ftilde: ExoMap
+    eta_k: tuple
+    eta_f: tuple
+    eta_ftilde: tuple
     f_tilde: int
     type_verdict: str
     finite_type: bool

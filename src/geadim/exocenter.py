@@ -1,5 +1,9 @@
 """The exocenter: idempotent decreasing endomorphisms, and the center.
 
+A map is its image tuple: ``pi[e]`` is the image of e, and
+``fixed_points(pi)`` is the direct summand pi(E).  An ``ExoSet`` holds
+such tuples and computes their meets and complements.
+
 The exocenter of a model is computed by enumerating complementary ideal
 pairs (every direct-sum decomposition E = H + K induces the coordinate
 projection onto H and vice versa).  An independent atom search, which
@@ -17,41 +21,13 @@ from . import _kernels, core
 from .errors import InternalInvariant
 
 
-class ExoMap:
-    """A decreasing idempotent endomorphism, stored as its image tuple."""
+def fixed_points(pi):
+    """The direct summand pi(E) of the map ``pi``: its fixed points."""
+    return tuple(e for e, v in enumerate(pi) if v == e)
 
-    __slots__ = ("image",)
 
-    def __init__(self, image):
-        self.image = tuple(image)
-
-    def __call__(self, e):
-        return self.image[e]
-
-    @property
-    def summand(self):
-        """The direct summand pi(E), i.e. the fixed points."""
-        return tuple(e for e, v in enumerate(self.image) if v == e)
-
-    @property
-    def is_zero(self):
-        return not any(self.image)
-
-    @property
-    def is_identity(self):
-        return all(v == e for e, v in enumerate(self.image))
-
-    def __eq__(self, other):
-        return isinstance(other, ExoMap) and self.image == other.image
-
-    def __lt__(self, other):
-        return self.image < other.image
-
-    def __hash__(self):
-        return hash(self.image)
-
-    def __repr__(self):
-        return f"ExoMap({list(self.image)})"
+def is_identity(pi):
+    return all(v == e for e, v in enumerate(pi))
 
 
 class ExoSet:
@@ -68,9 +44,9 @@ class ExoSet:
     def __init__(self, E, maps):
         self.E = E
         self.maps = tuple(sorted(set(maps)))
-        self._pos = {m.image: i for i, m in enumerate(self.maps)}
-        self.zero = ExoMap((0,) * E.n)
-        self.one = ExoMap(range(E.n))
+        self._pos = {m: i for i, m in enumerate(self.maps)}
+        self.zero = (0,) * E.n
+        self.one = tuple(range(E.n))
         self._meets = {}
         self._complements = {}
 
@@ -81,7 +57,7 @@ class ExoSet:
         return len(self.maps)
 
     def __contains__(self, m):
-        return isinstance(m, ExoMap) and m.image in self._pos
+        return m in self._pos
 
     def __eq__(self, other):
         return isinstance(other, ExoSet) and self.maps == other.maps
@@ -91,40 +67,39 @@ class ExoSet:
 
     def _member(self, image):
         """The member whose image is ``image`` (a list of element indices)."""
-        i = self._pos.get(tuple(image))
+        image = tuple(image)
+        i = self._pos.get(image)
         if i is None:
-            raise InternalInvariant(f"operation left the set: {ExoMap(image)!r}")
+            raise InternalInvariant(f"operation left the set: {image!r}")
         return self.maps[i]
 
     def complement(self, p):
-        out = self._complements.get(p.image)
+        out = self._complements.get(p)
         if out is None:
             sub = self.E.sub
-            out = self._member([sub(e, v) for e, v in enumerate(p.image)])
-            self._complements[p.image] = out
+            out = self._member([sub(e, v) for e, v in enumerate(p)])
+            self._complements[p] = out
         return out
 
     def meet(self, p, q):
-        pi, qi = p.image, q.image
-        out = self._meets.get((pi, qi))
+        out = self._meets.get((p, q))
         if out is None:
-            a = [pi[x] for x in qi]
-            if a != [qi[x] for x in pi]:
+            a = [p[x] for x in q]
+            if a != [q[x] for x in p]:
                 raise InternalInvariant("composition of exocenter maps is not commutative")
             out = self._member(a)
-            self._meets[(pi, qi)] = out
-            self._meets[(qi, pi)] = out
+            self._meets[(p, q)] = out
+            self._meets[(q, p)] = out
         return out
 
     def join(self, p, q):
         return self.complement(self.meet(self.complement(p), self.complement(q)))
 
     def leq(self, p, q):
-        pi = p.image
-        return all(pi[x] == y for x, y in zip(q.image, pi))
+        return all(p[x] == y for x, y in zip(q, p))
 
     def disjoint(self, p, q):
-        return self.meet(p, q).is_zero
+        return not any(self.meet(p, q))
 
     def meet_all(self, maps):
         out = self.one
@@ -195,7 +170,7 @@ def _projection(E, H, K):
             img[v] = h
     if -1 in img:
         return None
-    return ExoMap(img)
+    return tuple(img)
 
 
 @core.memo
@@ -206,7 +181,7 @@ def brute_force_exomaps(E):
     rows = _kernels.brute_exomaps(E.sum, E.leq)
     if not rows and E.n >= 1:
         raise InternalInvariant("brute-force exocenter search found nothing")
-    return ExoSet(E, (ExoMap(r) for r in rows))
+    return ExoSet(E, rows)
 
 
 @core.memo
@@ -221,7 +196,7 @@ def center(E):
     """
     via_gex = {}
     for pi in exocenter(E):
-        M = set(pi.summand)
+        M = set(fixed_points(pi))
         tops = [c for c in M if all(E.leq[m][c] for m in M)]
         if tops and M == set(E.below(tops[0])):
             via_gex[tops[0]] = pi
@@ -260,11 +235,11 @@ def _central_by_definition(E, c):
 
 def exocentral_cover(S, e):
     """The smallest map in S fixing e."""
-    fixing = [pi for pi in S if pi(e) == e]
+    fixing = [pi for pi in S if pi[e] == e]
     if not fixing:
         raise InternalInvariant(f"no exocenter map fixes element {e}")
     cover = S.meet_all(fixing)
-    if cover(e) != e:
+    if cover[e] != e:
         raise InternalInvariant("cover does not fix its element")
     return cover
 
@@ -309,7 +284,7 @@ def _is_boolean_algebra(S):
     try:
         for p in S:
             c = S.complement(p)
-            if not S.meet(p, c).is_zero or not S.join(p, c).is_identity:
+            if any(S.meet(p, c)) or not is_identity(S.join(p, c)):
                 return False
             for q in S:
                 S.meet(p, q)

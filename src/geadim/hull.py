@@ -2,8 +2,9 @@
 
 A hull system assigns to every element e a map eta_e in the exocenter
 with eta_0 = 0, eta_e(e) = e, and eta_{eta_e f} = eta_e o eta_f =
-eta_e ^ eta_f.  The relation e ~ f iff eta_e = eta_f behaves like a
-dimension equivalence when the system is divisible.
+eta_e ^ eta_f.  ``HullSystem.maps`` holds the maps as image tuples, so
+eta_e(f) reads ``H.maps[e][f]``.  The relation e ~ f iff eta_e = eta_f
+behaves like a dimension equivalence when the system is divisible.
 
 ``core.memo`` keeps the hull systems on their model, and the
 divisibility report and the table of type-determining subsets
@@ -33,9 +34,6 @@ class HullSystem:
             raise ValueError("need one map per element")
         self._cache = {}  # core.memo's store
 
-    def eta(self, e):
-        return self.maps[e]
-
     @property
     def theta(self):
         """The set of distinct hull maps (the eta-exocenter)."""
@@ -48,7 +46,7 @@ class HullSystem:
         return hash(self.maps)
 
     def __repr__(self):
-        return f"HullSystem({[list(m.image) for m in self.maps]})"
+        return f"HullSystem({[list(m) for m in self.maps]})"
 
 
 def check_hull_system(S, maps):
@@ -57,16 +55,15 @@ def check_hull_system(S, maps):
     for m in maps:
         if m not in S:
             raise MapNotInExocenter(f"{m!r}")
-    if not maps[0].is_zero:
+    if any(maps[0]):
         return False, "HS1: map at zero is not the zero map"
     for e in range(E.n):
-        if maps[e](e) != e:
+        if maps[e][e] != e:
             return False, f"HS2: map at {E.names[e]} does not fix it"
-    images = [m.image for m in maps]
-    for e, ie in enumerate(images):
-        for f, jf in enumerate(images):
+    for e, ie in enumerate(maps):
+        for f, jf in enumerate(maps):
             m1 = tuple(ie[v] for v in jf)  # eta_e o eta_f
-            if m1 != tuple(jf[v] for v in ie) or images[ie[f]] != m1:
+            if m1 != tuple(jf[v] for v in ie) or maps[ie[f]] != m1:
                 return False, f"HS3 fails at ({E.names[e]}, {E.names[f]})"
     return True, None
 
@@ -99,7 +96,7 @@ def hull_from_hd(E, theta):
                 )
     maps = []
     for e in range(E.n):
-        fixing = [t for t in theta if t(e) == e]
+        fixing = [t for t in theta if t[e] == e]
         smallest = [t for t in fixing if all(S.leq(t, u) for u in fixing)]
         if not smallest:
             raise NotHullDetermining(
@@ -127,7 +124,7 @@ def enumerate_hull_systems(E):
     n = E.n
     order = sorted(range(n), key=lambda e: (len(E.below(e)), e))
     assert order[0] == 0
-    fixing = {e: [m for m in S if m(e) == e] for e in range(n)}
+    fixing = {e: [m for m in S if m[e] == e] for e in range(n)}
     maps = [None] * n
     maps[0] = S.zero
     found = []
@@ -140,7 +137,7 @@ def enumerate_hull_systems(E):
         x = order[upto]
         for e in order[: upto + 1]:
             for a, b in ((x, e), (e, x)):
-                if maps[maps[a](b)] != S.meet(maps[a], maps[b]):
+                if maps[maps[a][b]] != S.meet(maps[a], maps[b]):
                     return False
         return True
 
@@ -156,7 +153,7 @@ def enumerate_hull_systems(E):
         maps[e] = None
 
     rec(1)
-    found.sort(key=lambda h: tuple(m.image for m in h.maps))
+    found.sort(key=lambda h: h.maps)
     return tuple(found)
 
 
@@ -164,20 +161,17 @@ def enumerate_hull_systems(E):
 # the relation eta_e = eta_f and its classification
 # ---------------------------------------------------------------------------
 
-def sim_eta(H, e, f):
-    return H.eta(e) == H.eta(f)
-
-
 def is_monad(H, p):
     """No element strictly below p has p's hull map."""
-    return all(e == p for e in H.E.below(p) if sim_eta(H, e, p))
+    eta = H.maps
+    return all(e == p for e in H.E.below(p) if eta[e] == eta[p])
 
 
 def is_dyad(H, p):
     """p is a sum e + f of two elements with equal hull maps."""
-    E = H.E
+    E, eta = H.E, H.maps
     return any(
-        E.sum_of(e, f) == p and sim_eta(H, e, f)
+        E.sum_of(e, f) == p and eta[e] == eta[f]
         for e in E.below(p)
         for f in E.below(p)
     )
@@ -210,7 +204,7 @@ def is_divisible(H):
                 if st is None or eta[p] != eta[st]:
                     continue
                 direct = (eta[s], eta[t]) in splits[p]
-                if direct != dyad[S.meet(eta[s], eta[t])(p)]:
+                if direct != dyad[S.meet(eta[s], eta[t])[p]]:
                     raise InternalInvariant(
                         f"divisibility checks disagree at "
                         f"({E.names[p]}, {E.names[s]}, {E.names[t]})"
@@ -259,14 +253,14 @@ def td_table(H):
         for T in range(size):
             if T & bit:
                 closure[T] |= closure[T ^ bit]
-    leq = H.exoset.leq
+    leq, eta = H.exoset.leq, H.maps
     down = E._masks[0]
     img = [0] * n
     under = [0] * n
     for t in range(n):
         for e in range(n):
-            img[t] |= 1 << H.eta(e)(t)
-            if leq(H.eta(e), H.eta(t)):
+            img[t] |= 1 << eta[e][t]
+            if leq(eta[e], eta[t]):
                 under[t] |= 1 << e
     image = [0] * size
     ideal = [0] * size
@@ -301,5 +295,5 @@ def eta_partition(H):
     """Partition of the elements by equal hull maps (the relation classes)."""
     groups = {}
     for e in range(H.E.n):
-        groups.setdefault(H.eta(e), []).append(e)
+        groups.setdefault(H.maps[e], []).append(e)
     return sorted(groups.values())

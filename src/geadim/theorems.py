@@ -32,6 +32,8 @@ from .exocenter import (
     cogea_check,
     disjoint_families,
     exocenter,
+    fixed_points,
+    is_identity,
 )
 
 REGISTRY = {}
@@ -102,7 +104,7 @@ def _exo_summand_bijection(E):
     out = []
     summands = {}
     for pi in S:
-        key = pi.summand
+        key = fixed_points(pi)
         if key in summands:
             out.append(f"two maps share summand {key}")
         summands[key] = pi
@@ -116,7 +118,7 @@ def _exo_summand_bijection(E):
         out.append("direct summands and map images differ")
     for p in S:
         for q in S:
-            if S.leq(p, q) != (set(p.summand) <= set(q.summand)):
+            if S.leq(p, q) != (set(fixed_points(p)) <= set(fixed_points(q))):
                 out.append("map order disagrees with summand inclusion")
     return out
 
@@ -131,11 +133,11 @@ def _exo_boolean_laws(E):
         for q in S:
             m, j = S.meet(p, q), S.join(p, q)
             for e in range(E.n):
-                pm = core.inf(E, (p(e), q(e)))
-                pj = core.sup(E, (p(e), q(e)))
-                if pm is None or m(e) != pm:
+                pm = core.inf(E, (p[e], q[e]))
+                pj = core.sup(E, (p[e], q[e]))
+                if pm is None or m[e] != pm:
                     out.append(f"pointwise meet fails at element {E.names[e]}")
-                if pj is None or j(e) != pj:
+                if pj is None or j[e] != pj:
                     out.append(f"pointwise join fails at element {E.names[e]}")
     return out
 
@@ -150,7 +152,7 @@ def _center_checks(E):
         if len(pairs) != len(S):
             out.append("unit model: center and exocenter sizes differ")
         for c, pi in pairs:
-            if pi(top) != c:
+            if pi[top] != c:
                 out.append(f"central element {E.names[c]} is not its map's top image")
     return out
 
@@ -182,14 +184,15 @@ def _hull_meet_projections(E):
     S = exocenter(E)
     out = []
     for H in hull_mod.enumerate_hull_systems(E):
+        eta = H.maps
         for e in range(E.n):
             for f in range(E.n):
-                e1 = H.eta(f)(e)
-                f1 = H.eta(e)(f)
-                if H.eta(e1) != H.eta(f1):
+                e1 = eta[f][e]
+                f1 = eta[e][f]
+                if eta[e1] != eta[f1]:
                     out.append(f"projected pair differs in hull at {_names(E, (e, f))}")
                 nonzero = e1 != 0 and f1 != 0
-                if nonzero != (not S.meet(H.eta(e), H.eta(f)).is_zero):
+                if nonzero != (not S.disjoint(eta[e], eta[f])):
                     out.append(f"nonzero-meet criterion fails at {_names(E, (e, f))}")
                 if not E.perp(e, f) and not nonzero:
                     out.append(f"non-orthogonal pair projects to zero at {_names(E, (e, f))}")
@@ -307,7 +310,7 @@ def _eta_rel_sk(E):
             for e in range(E.n):
                 for f in range(E.n):
                     rel = cg.related(R, e, f)
-                    meets = not S.meet(H.eta(e), H.eta(f)).is_zero
+                    meets = not S.disjoint(H.maps[e], H.maps[f])
                     if rel != meets:
                         out.append(f"relatedness vs hull meet fails at {_names(E, (e, f))}")
     return out
@@ -350,7 +353,7 @@ def _splitting_algebra(ctx):
     nonzero = range(1, E.n)
     literal = tuple(
         pi for pi in brute_force_exomaps(E)
-        if not any(R.sim(e, f) and pi(e) == e and pi(f) == 0
+        if not any(R.sim(e, f) and pi[e] == e and pi[f] == 0
                    for e in nonzero for f in nonzero)
     )
     if literal != ctx.sigma.maps:
@@ -367,7 +370,7 @@ def _split_coordinatewise(ctx):
         for e in range(E.n):
             for f in range(E.n):
                 lhs = R.sim(e, f)
-                rhs = R.sim(pi(e), pi(f)) and R.sim(pic(e), pic(f))
+                rhs = R.sim(pi[e], pi[f]) and R.sim(pic[e], pic[f])
                 if lhs != rhs:
                     out.append(f"coordinatewise equivalence fails at {_names(E, (e, f))}")
     return out
@@ -378,17 +381,17 @@ def _induced_hull_contract(ctx):
     # HS1-HS3 read off the map images, each map in the splitting algebra
     # and below every splitting map that fixes its element
     E, S, eta = ctx.E, ctx.sigma, ctx.hull.maps
-    out = [] if eta[0].is_zero else ["hull map at zero is not the zero map"]
+    out = ["hull map at zero is not the zero map"] if any(eta[0]) else []
     for e, m in enumerate(eta):
-        if m(e) != e:
+        if m[e] != e:
             out.append(f"hull map at {E.names[e]} does not fix it")
         if m not in S:
             out.append(f"hull map at {E.names[e]} is not a splitting map")
-        elif any(pi(e) == e and not S.leq(m, pi) for pi in S):
+        elif any(pi[e] == e and not S.leq(m, pi) for pi in S):
             out.append(f"hull map at {E.names[e]} is not below a splitting map fixing it")
         for f, k in enumerate(eta):
-            mk = tuple(m(k(x)) for x in range(E.n))
-            if not eta[m(f)].image == mk == tuple(k(m(x)) for x in range(E.n)):
+            mk = tuple(m[k[x]] for x in range(E.n))
+            if not eta[m[f]] == mk == tuple(k[m[x]] for x in range(E.n)):
                 out.append(f"hull maps do not compose at {_names(E, (e, f))}")
     return out
 
@@ -396,21 +399,21 @@ def _induced_hull_contract(ctx):
 @prop("splitting-preserves-subequiv", "relation")
 def _split_subequiv(ctx):
     E, R = ctx.E, ctx.R
-    H = ctx.hull
+    eta = ctx.hull.maps
     out = []
     for e in range(E.n):
         for f in range(E.n):
             if cg.subequiv(R, e, f):
-                if not ctx.sigma.leq(H.eta(e), H.eta(f)):
+                if not ctx.sigma.leq(eta[e], eta[f]):
                     out.append(f"hull order misses sub-equivalence at {_names(E, (e, f))}")
                 for pi in ctx.sigma:
-                    if not cg.subequiv(R, pi(e), pi(f)):
+                    if not cg.subequiv(R, pi[e], pi[f]):
                         out.append(f"projection breaks sub-equivalence at {_names(E, (e, f))}")
-            lhs = ctx.sigma.leq(H.eta(e), H.eta(f))
-            rhs = any(H.eta(e) == H.eta(f1) for f1 in E.below(f))
+            lhs = ctx.sigma.leq(eta[e], eta[f])
+            rhs = any(eta[e] == eta[f1] for f1 in E.below(f))
             if lhs != rhs:
                 out.append(f"hull order vs hull-equivalent subelement at {_names(E, (e, f))}")
-            if R.sim(e, f) and H.eta(e) != H.eta(f):
+            if R.sim(e, f) and eta[e] != eta[f]:
                 out.append(f"equivalent pair has different hull maps {_names(E, (e, f))}")
     return out
 
@@ -573,13 +576,13 @@ def _invariant_lattice(ctx):
             i = core.inf(E, fam)
             if i is None or i not in ge:
                 out.append(f"infimum missing or not invariant for {_names(E, fam)}")
-            elif ctx.sigma.meet_all([H.eta(c) for c in fam]) != H.eta(i):
+            elif ctx.sigma.meet_all([H.maps[c] for c in fam]) != H.maps[i]:
                 out.append(f"hull map of infimum is not the meet for {_names(E, fam)}")
             if any(all(E.leq[c][u] for c in fam) for u in range(E.n)):
                 s = core.sup(E, fam)
                 if s is None or s not in ge:
                     out.append(f"supremum missing or not invariant for {_names(E, fam)}")
-                elif ctx.sigma.join_all([H.eta(c) for c in fam]) != H.eta(s):
+                elif ctx.sigma.join_all([H.maps[c] for c in fam]) != H.maps[s]:
                     out.append(f"hull map of supremum is not the join for {_names(E, fam)}")
     return out
 
@@ -591,15 +594,15 @@ def _invariant_lattice(ctx):
 @prop("unrelated-five-way", "der")
 def _unrelated_five_way(ctx):
     E, R = ctx.E, ctx.R
-    S, H = ctx.sigma, ctx.hull
+    S, eta = ctx.sigma, ctx.hull.maps
     out = []
     for e in range(E.n):
         for f in range(E.n):
             c1 = not cg.related(R, e, f)
-            c2 = any(pi(e) == e and pi(f) == 0 for pi in S)
-            c3 = S.meet(H.eta(e), H.eta(f)).is_zero
-            c4 = H.eta(e)(f) == 0
-            c5 = not cg.related(R, H.eta(f)(e), H.eta(e)(f))
+            c2 = any(pi[e] == e and pi[f] == 0 for pi in S)
+            c3 = S.disjoint(eta[e], eta[f])
+            c4 = eta[e][f] == 0
+            c5 = not cg.related(R, eta[f][e], eta[e][f])
             if not (c1 == c2 == c3 == c4 == c5):
                 out.append(f"unrelatedness conditions disagree at {_names(E, (e, f))}")
     return out
@@ -610,12 +613,12 @@ def _descendent_summand(ctx):
     E, R = ctx.E, ctx.R
     out = []
     for e in range(E.n):
-        eta = ctx.hull.eta(e)
+        eta = ctx.hull.maps[e]
         desc = {d for d in range(E.n) if cg.is_descendent(R, d, e)}
-        if set(eta.summand) != desc:
+        if set(fixed_points(eta)) != desc:
             out.append(f"hull summand is not the descendent set of {E.names[e]}")
         unrel = {f for f in range(E.n) if not cg.related(R, f, e)}
-        if set(ctx.sigma.complement(eta).summand) != unrel:
+        if set(fixed_points(ctx.sigma.complement(eta))) != unrel:
             out.append(f"complement summand is not the unrelated set of {E.names[e]}")
     return out
 
@@ -687,26 +690,26 @@ def _hereditary_std_largest(ctx):
             out.append(f"{label} set is not strongly type-determining")
             continue
         star = td.t_star
-        estar = H.eta(star)
-        if S.join_all([H.eta(h) for h in hset]) != estar:
+        estar = H.maps[star]
+        if S.join_all([H.maps[h] for h in hset]) != estar:
             out.append(f"{label} set: largest map is not the join")
-        if not set(hset) <= set(estar.summand):
+        if not set(hset) <= set(fixed_points(estar)):
             out.append(f"{label} set escapes its own summand")
         for h in hset:
             for e in range(E.n):
-                he = H.eta(h)(e)
+                he = H.maps[h][e]
                 if he != 0 and not any(
                     x != 0 and E.leq[x][he] for x in hset
                 ):
                     out.append(f"{label} set misses a nonzero piece under {_names(E, (h, e))}")
-        has_faithful = any(H.eta(h).is_identity for h in hset)
-        if has_faithful != estar.is_identity:
+        has_faithful = any(is_identity(H.maps[h]) for h in hset)
+        if has_faithful != is_identity(estar):
             out.append(f"{label} set: faithful member test disagrees")
-        if not core.is_orthodense(E, set(hset), set(estar.summand)):
+        if not core.is_orthodense(E, set(hset), set(fixed_points(estar))):
             out.append(f"{label} set is not orthodense in its summand")
         for pi in exocenter(E):
-            lhs = set(hset) & set(pi.summand)
-            rhs = {pi(h) for h in hset}
+            lhs = set(hset) & set(fixed_points(pi))
+            rhs = {pi[h] for h in hset}
             if lhs != rhs:
                 out.append(f"{label} set does not project onto its trace")
     return out
@@ -719,10 +722,10 @@ def _summand_meets_hereditary(ctx):
     for label, hset in _kf_sets(ctx).items():
         star = hull_mod.td_sets(H, hset).t_star
         for pi in S:
-            a = set(hset) & set(pi.summand) == {0}
-            b = all(pi(h) == 0 for h in hset)
-            c = S.meet(pi, H.eta(star)).is_zero
-            d = all(S.meet(pi, H.eta(h)).is_zero for h in hset)
+            a = set(hset) & set(fixed_points(pi)) == {0}
+            b = all(pi[h] == 0 for h in hset)
+            c = S.disjoint(pi, H.maps[star])
+            d = all(S.disjoint(pi, H.maps[h]) for h in hset)
             if not (a == b == c == d):
                 out.append(f"{label} set: avoidance conditions disagree for {pi!r}")
     return out
@@ -736,22 +739,22 @@ def _summand_star_projection(ctx):
     for label, hset in _kf_sets(ctx).items():
         star = hull_mod.td_sets(H, hset).t_star
         for pi in set(H.maps):
-            hsharp = pi(star)
-            if hsharp not in hset or pi(hsharp) != hsharp:
+            hsharp = pi[star]
+            if hsharp not in hset or pi[hsharp] != hsharp:
                 out.append(f"{label}: projected star escapes the set under {pi!r}")
-            if H.eta(hsharp) != S.meet(H.eta(star), pi):
+            if H.maps[hsharp] != S.meet(H.maps[star], pi):
                 out.append(f"{label}: hull of projected star is not the meet under {pi!r}")
             for h in hset:
-                if pi(h) != h:
+                if pi[h] != h:
                     continue
-                lhs = S.meet(H.eta(h), pi)
-                rhs = S.meet(H.eta(hsharp), pi)
+                lhs = S.meet(H.maps[h], pi)
+                rhs = S.meet(H.maps[hsharp], pi)
                 if S.meet(lhs, rhs) != lhs:
                     out.append(f"{label}: projected star is not largest under {pi!r}")
             if not core.is_orthodense(
                 E,
-                set(hset) & set(pi.summand),
-                set(S.meet(H.eta(star), pi).summand),
+                set(hset) & set(fixed_points(pi)),
+                set(fixed_points(S.meet(H.maps[star], pi))),
             ):
                 out.append(f"{label}: trace not orthodense under {pi!r}")
     return out
@@ -763,10 +766,11 @@ def _faithful_in_summand(ctx):
     S, H = ctx.sigma, ctx.hull
     out = []
     for pi in S:
-        for p in pi.summand:
-            a = all(H.eta(p)(x) == x for x in pi.summand)
-            b = S.leq(pi, H.eta(p))
-            c = pi == H.eta(p)
+        summand = fixed_points(pi)
+        for p in summand:
+            a = all(H.maps[p][x] == x for x in summand)
+            b = S.leq(pi, H.maps[p])
+            c = pi == H.maps[p]
             if not (a == b == c):
                 out.append(f"faithfulness conditions disagree at {E.names[p]} in {pi!r}")
     return out
@@ -780,18 +784,17 @@ def _faithful_restriction(ctx):
     for label, hset in _kf_sets(ctx).items():
         star = hull_mod.td_sets(H, hset).t_star
         for pi in set(H.maps):
-            hsharp = pi(star)
-            a = any(H.eta(h) == pi for h in hset)
-            b = S.leq(pi, H.eta(star))
-            c = pi == H.eta(hsharp)
+            hsharp = pi[star]
+            a = any(H.maps[h] == pi for h in hset)
+            b = S.leq(pi, H.maps[star])
+            c = pi == H.maps[hsharp]
             d = any(
-                pi == H.eta(h) for h in hset if pi(h) == h
+                pi == H.maps[h] for h in hset if pi[h] == h
             )
             if not (a == b == c == d):
                 out.append(f"{label}: faithful-restriction conditions disagree for {pi!r}")
-            if a and not core.is_orthodense(
-                E, set(hset) & set(pi.summand), set(pi.summand)
-            ):
+            summand = set(fixed_points(pi))
+            if a and not core.is_orthodense(E, set(hset) & summand, summand):
                 out.append(f"{label}: trace not orthodense in summand for {pi!r}")
     return out
 
@@ -815,11 +818,11 @@ def _simple_criteria(ctx):
     K = ctx.simple
     for k in range(E.n):
         splits_ok = all(
-            S.meet(H.eta(k1), H.eta(E.sub(k, k1))).is_zero for k1 in E.below(k)
+            S.disjoint(H.maps[k1], H.maps[E.sub(k, k1)]) for k1 in E.below(k)
         )
         iv, embed = core.interval_ea(E, k), E.below(k)
         pairs_ok = all(
-            S.meet(H.eta(embed[a]), H.eta(embed[b])).is_zero
+            S.disjoint(H.maps[embed[a]], H.maps[embed[b]])
             for a in range(iv.n)
             for b in range(iv.n)
             if iv.perp(a, b)
@@ -839,9 +842,9 @@ def _simple_subequiv(ctx):
     K = ctx.simple
     for q in K:
         for k in K:
-            if S.leq(H.eta(q), H.eta(k)) != cg.subequiv(R, q, k):
+            if S.leq(H.maps[q], H.maps[k]) != cg.subequiv(R, q, k):
                 out.append(f"hull order vs sub-equivalence on simples {_names(E, (q, k))}")
-            if (H.eta(q) == H.eta(k)) != R.sim(q, k):
+            if (H.maps[q] == H.maps[k]) != R.sim(q, k):
                 out.append(f"hull equality vs equivalence on simples {_names(E, (q, k))}")
     return out
 
@@ -853,8 +856,8 @@ def _simple_finite(ctx):
     out = []
     if not set(K) <= set(F):
         out.append("a simple element is not finite")
-    ek = S.join_all([H.eta(k) for k in K])
-    ef = S.join_all([H.eta(f) for f in F])
+    ek = S.join_all([H.maps[k] for k in K])
+    ef = S.join_all([H.maps[f] for f in F])
     if S.meet(ek, ef) != ek:
         out.append("simple-set map is not below the finite-set map")
     return out
@@ -909,14 +912,15 @@ def _kf_orthodense(ctx):
     out = []
     theta = set(H.maps)
     for label, hset in _kf_sets(ctx).items():
-        join = S.join_all([H.eta(h) for h in hset])
+        join = S.join_all([H.maps[h] for h in hset])
         if join not in theta:
             out.append(f"{label}-set map is not a hull map")
-        if not set(hset) <= set(join.summand):
+        summand = set(fixed_points(join))
+        if not set(hset) <= summand:
             out.append(f"{label} set escapes its summand")
-        if not core.is_orthodense(E, set(hset), set(join.summand)):
+        if not core.is_orthodense(E, set(hset), summand):
             out.append(f"{label} set not orthodense in its summand")
-        if (set(hset) == {0}) != join.is_zero:
+        if (set(hset) == {0}) != (not any(join)):
             out.append(f"{label} set triviality disagrees with its map")
     return out
 
@@ -941,8 +945,8 @@ def _finite_invariant_faithful(ctx):
     H = ctx.hull
     out = []
     ft, ftset = ctx.finite_invariant
-    a = any(H.eta(f).is_identity for f in ftset)
-    b = H.eta(ft).is_identity
+    a = any(is_identity(H.maps[f]) for f in ftset)
+    b = is_identity(H.maps[ft])
     c = set(E.below(ft)) == set(range(E.n))
     if not (a == b == c):
         out.append("finite-type characterizations disagree")
@@ -960,17 +964,17 @@ def _type_criteria_global(ctx):
     out = []
     dec = ctx.decomposition
     flags = ctx.summand(ctx.sigma.one).type_flags
-    if flags.type_i != dec.eta_k.is_identity:
+    if flags.type_i != is_identity(dec.eta_k):
         out.append("global type-I criterion disagrees")
     if flags.type_i and not core.is_orthodense(E, set(ctx.simple), set(range(E.n))):
         out.append("type-I model whose simples are not orthodense")
-    if flags.type_ii != (dec.eta_f.is_identity and dec.eta_k.is_zero):
+    if flags.type_ii != (is_identity(dec.eta_f) and not any(dec.eta_k)):
         out.append("global type-II criterion disagrees")
     if flags.type_ii and not core.is_orthodense(E, set(ctx.finite), set(range(E.n))):
         out.append("type-II model whose finite elements are not orthodense")
-    if flags.type_iii != dec.eta_f.is_zero:
+    if flags.type_iii != (not any(dec.eta_f)):
         out.append("global type-III criterion disagrees")
-    if flags.finite_type != dec.eta_ftilde.is_identity:
+    if flags.finite_type != is_identity(dec.eta_ftilde):
         out.append("global finite-type criterion disagrees")
     if flags.properly_non_finite != (dec.f_tilde == 0):
         out.append("global properly-non-finite criterion disagrees")

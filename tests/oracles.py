@@ -338,7 +338,7 @@ def is_divisible(H):
     """Direct search for the defining splittings, cross-checked per triple
     against the equivalent dyad criterion (the meet-image of the target
     must be a dyad).  Not memoized."""
-    E, S = H.E, H.exoset
+    E, S, eta = H.E, H.exoset, H.maps
     witness = None
     divisible = True
     for p in range(E.n):
@@ -346,16 +346,16 @@ def is_divisible(H):
             for t in range(E.n):
                 if E.sum_of(s, t) is None:
                     continue
-                if not hull.sim_eta(H, p, E.sum_of(s, t)):
+                if eta[p] != eta[E.sum_of(s, t)]:
                     continue
                 direct = any(
                     E.sum_of(e, f) == p
-                    and H.eta(e) == H.eta(s)
-                    and H.eta(f) == H.eta(t)
+                    and eta[e] == eta[s]
+                    and eta[f] == eta[t]
                     for e in E.below(p)
                     for f in E.below(p)
                 )
-                target = S.meet(H.eta(s), H.eta(t))(p)
+                target = S.meet(eta[s], eta[t])[p]
                 via_dyad = hull.is_dyad(H, target)
                 if direct != via_dyad:
                     raise InternalInvariant(
@@ -435,7 +435,7 @@ def sk3e_split_eta(H, e, f, s, t):
             b = E.sum_of(e2, f2)
             if a is None or b is None:
                 continue
-            if H.eta(a) == H.eta(s) and H.eta(b) == H.eta(t):
+            if H.maps[a] == H.maps[s] and H.maps[b] == H.maps[t]:
                 return (e1, e2, f1, f2)
     raise InternalInvariant(
         f"no hull-matched refinement for {E.names[e]}+{E.names[f]}="
@@ -463,14 +463,14 @@ def td_sets(H, T):
                 f"eta-orthogonal family {pick} is not orthosummable"
             )
         closure.add(v)
-    image = {H.eta(e)(t) for e in range(E.n) for t in T}
+    image = {H.maps[e][t] for e in range(E.n) for t in T}
     ts = set(T)
     eta_td = ts == closure == image
     order_ideal = all(x in ts for t in T for x in E.below(t))
     eta_std = order_ideal and ts == closure
     t_star = None
     if eta_td:
-        best = [t for t in T if all(S.leq(H.eta(u), H.eta(t)) for u in T)]
+        best = [t for t in T if all(S.leq(H.maps[u], H.maps[t]) for u in T)]
         if not best:
             raise InternalInvariant("type-determining set has no largest hull map")
         t_star = best[0]

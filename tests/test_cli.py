@@ -267,6 +267,37 @@ def test_verify_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_verify_jobs_asks_for_at_most_one_worker_per_cpu(monkeypatch):
+    """``--jobs`` above the CPU count still sizes the pool at the CPU
+    count.  The pool is a fake that records its size and maps in this
+    process, so no worker is started."""
+    import multiprocessing
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    class Context:
+        Pool = InProcessPool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    _, many = run(["verify", "--max-size", "3", "--jobs", "1000", "--json"])
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    _, serial = run(["verify", "--max-size", "3", "--jobs", "1", "--json"])
+    assert many == serial
+
+
 def test_verify_filter_and_invert():
     code, text = run(
         ["verify", "--max-size", "3", "--theorems", "core-order-laws"]

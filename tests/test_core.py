@@ -328,7 +328,7 @@ def test_build_gea_on_random_partial_tables(drawn, data):
 
 def test_tables_are_immutable():
     C3 = core.c3()
-    rows = (C3.sum[0], C3.leq[0], C3.diff[0], exocenter(C3).one.image,
+    rows = (C3.sum[0], C3.leq[0], C3.diff[0], exocenter(C3).one,
             oracles.equality_relation(C3).class_of)
     for row in rows:
         with pytest.raises(TypeError):

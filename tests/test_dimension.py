@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import equality_relation
+from oracles import equality_relation, indiscrete_hull
 from geadim import catalog, congruence as cg, core, dimension as dm, theorems
 from geadim.errors import (
     InternalInvariant,
@@ -14,7 +14,7 @@ from geadim.errors import (
     NotSplitting,
     Unbounded,
 )
-from geadim.exocenter import exocenter
+from geadim.exocenter import exocenter, fixed_points, is_identity
 
 
 def _dgea(E, classes=None):
@@ -31,7 +31,7 @@ def test_invariant_sets():
     # the hull-image reading of invariance picks the same elements
     assert d_merge.invariants == tuple(
         c for c in range(B4.n)
-        if set(d_merge.hull.eta(c).summand) == set(B4.below(c))
+        if set(fixed_points(d_merge.hull.maps[c])) == set(B4.below(c))
     )
     assert 0 in d_merge.invariants
 
@@ -84,8 +84,8 @@ def test_decompose_types_c3():
     C3 = core.c3()
     _, eq = _dgea(C3)
     dec = dm.decompose_types(eq)
-    assert dec.pi_i.is_identity
-    assert dec.pi_ii.is_zero and dec.pi_iii.is_zero
+    assert is_identity(dec.pi_i)
+    assert not any(dec.pi_ii) and not any(dec.pi_iii)
     assert dec.type_verdict == "I" and dec.finite_type
     assert dec.unit == 2
     assert "unique-type-triple" in dec.cross_checks
@@ -95,7 +95,7 @@ def test_decompose_types_b4_merge():
     B4 = core.b4()
     _, merge = _dgea(B4, [["a", "b"]])
     dec = dm.decompose_types(merge)
-    assert dec.pi_i.is_identity and dec.type_verdict == "I"
+    assert is_identity(dec.pi_i) and dec.type_verdict == "I"
     assert dec.finite_type and dec.unit == 3
     assert dec.summands["I"] == (0, 1, 2, 3)
     assert dec.summands["II"] == (0,)
@@ -105,7 +105,7 @@ def test_decompose_types_trivial_model():
     one = core.build_gea(["0"], "0", [])
     _, eq = _dgea(one)
     dec = dm.decompose_types(eq)
-    assert dec.pi_i.is_identity and dec.pi_i.is_zero  # same map when n=1
+    assert is_identity(dec.pi_i) and not any(dec.pi_i)  # same map when n=1
     assert dec.type_verdict == "I"
 
 
@@ -119,13 +119,13 @@ def test_decompose_requires_der():
 def test_restrict_summand():
     B4 = core.b4()
     d_eq, _ = _dgea(B4)
-    pa = next(m for m in d_eq.sigma if m.summand == (0, 1))
+    pa = next(m for m in d_eq.sigma if fixed_points(m) == (0, 1))
     sub = d_eq.summand(pa)
     assert sub.E.names == ("0", "a")
     assert sub.R.classes == ((0,), (1,))
     full = d_eq.summand(d_eq.sigma.one)
     assert core.canonical_form(full.E) == core.canonical_form(B4)
-    pb = next(m for m in d_eq.sigma if m.summand == (0, 2))
+    pb = next(m for m in d_eq.sigma if fixed_points(m) == (0, 2))
     assert d_eq.summand(pb).E.names == ("0", "b")
 
 
@@ -133,7 +133,7 @@ def test_restrict_summand_rejects_non_splitting():
     B4 = core.b4()
     d_merge, _ = _dgea(B4, [["a", "b"]])
     S = exocenter(B4)
-    pa = next(m for m in S if m.summand == (0, 1))
+    pa = next(m for m in S if fixed_points(m) == (0, 1))
     with pytest.raises(NotSplitting):
         d_merge.summand(pa)
 
@@ -157,10 +157,11 @@ def test_summands_are_the_intervals_at_their_tops():
         for pi in d.sigma:
             sub = d.summand(pi)
             assert d.summand(pi) is sub
-            tops = [t for t in pi.summand if all(E.leq[x][t] for x in pi.summand)]
+            members = fixed_points(pi)
+            tops = [t for t in members if all(E.leq[x][t] for x in members)]
             assert len(tops) == 1
             assert sub.E == core.interval_ea(E, tops[0])
-            assert list(pi.summand) == E.below(tops[0])
+            assert list(members) == E.below(tops[0])
             checked += 1
         assert d.summand(d.sigma.one).E == E
     assert checked == 39
@@ -234,6 +235,24 @@ def test_identity_summand_is_the_dgea_itself():
 @pytest.mark.slow
 def test_identity_summand_is_the_dgea_itself_n7():
     assert _check_identity_summands(7) == (22, 0)
+
+
+def test_map_comparing_properties_fire_on_the_indiscrete_hull(monkeypatch):
+    # with a and b unrelated the hull maps of a and b are the projections
+    # p_a and p_b; the indiscrete hull maps both to the identity, so they
+    # meet although no splitting map is needed to separate them, and
+    # each projection is strictly below the hull map of its own element
+    d, _ = _dgea(core.b4())
+    five_way = theorems.REGISTRY["unrelated-five-way"].fn
+    faithful = theorems.REGISTRY["faithful-in-summand"].fn
+    assert five_way(d) == [] and faithful(d) == []
+    monkeypatch.setattr(d, "hull", indiscrete_hull(d.sigma))
+    assert five_way(d) == ["unrelatedness conditions disagree at (a, b)",
+                           "unrelatedness conditions disagree at (b, a)"]
+    assert faithful(d) == [
+        "faithfulness conditions disagree at b in (0, 0, 2, 2)",
+        "faithfulness conditions disagree at a in (0, 1, 0, 1)",
+    ]
 
 
 def test_type_decomposition_property_fires_on_wrong_summands(monkeypatch):

@@ -12,7 +12,6 @@ import oracles
 from geadim import catalog, congruence as cg, core, exocenter as exo, theorems
 from geadim.errors import InternalInvariant
 from geadim.exocenter import (
-    ExoMap,
     ExoSet,
     _central_by_definition,
     brute_force_exomaps,
@@ -20,6 +19,8 @@ from geadim.exocenter import (
     cogea_check,
     exocenter,
     exocentral_cover,
+    fixed_points,
+    is_identity,
 )
 
 
@@ -49,21 +50,31 @@ def test_exocenter_oracle_fires_on_a_missing_map(monkeypatch):
     real = brute_force_exomaps
 
     def short(E):
-        return ExoSet(E, [m for m in real(E) if m.summand != (0, 1)])
+        return ExoSet(E, [m for m in real(E) if fixed_points(m) != (0, 1)])
 
     monkeypatch.setattr(theorems, "brute_force_exomaps", short)
     out = theorems.REGISTRY["exocenter-oracle"].fn(core.b4())
     assert out == ["ideal-pair exocenter differs from brute-force filter"]
 
 
+def test_exocenter_summand_bijection_fires_on_a_missing_map(monkeypatch):
+    E = core.b4()
+    check = theorems.REGISTRY["exocenter-summand-bijection"].fn
+    assert check(E) == []
+    real = exocenter(E)
+    short = ExoSet(E, [m for m in real if fixed_points(m) != (0, 1)])
+    monkeypatch.setattr(theorems, "exocenter", lambda E: short)
+    assert check(E) == ["direct summands and map images differ"]
+
+
 def test_boolean_ops_b4():
     B4 = core.b4()
     S = exocenter(B4)
-    pa = next(m for m in S if m.summand == (0, 1))
-    pb = next(m for m in S if m.summand == (0, 2))
+    pa = next(m for m in S if fixed_points(m) == (0, 1))
+    pb = next(m for m in S if fixed_points(m) == (0, 2))
     assert S.complement(pa) == pb
-    assert S.meet(pa, pb).is_zero and S.disjoint(pa, pb)
-    assert S.join(pa, pb).is_identity
+    assert not any(S.meet(pa, pb)) and S.disjoint(pa, pb)
+    assert is_identity(S.join(pa, pb))
     assert not S.leq(pa, pb)
     assert S.meet(pa, pa) == pa and S.leq(pa, pa)
 
@@ -103,11 +114,11 @@ def test_central_by_definition_matches_the_literal_search_n8():
 def test_exocentral_cover():
     B4 = core.b4()
     S = exocenter(B4)
-    pa = next(m for m in S if m.summand == (0, 1))
+    pa = next(m for m in S if fixed_points(m) == (0, 1))
     assert exocentral_cover(S, 1) == pa
-    assert exocentral_cover(S, 0).is_zero
+    assert not any(exocentral_cover(S, 0))
     C3 = core.c3()
-    assert exocentral_cover(exocenter(C3), 1).is_identity
+    assert is_identity(exocentral_cover(exocenter(C3), 1))
 
 
 @pytest.mark.parametrize("name", ["T3", "C3", "B4"])
@@ -124,8 +135,8 @@ def test_pointwise_lattice_ops():
         for q in S:
             m, j = S.meet(p, q), S.join(p, q)
             for e in range(B4.n):
-                assert m(e) == core.inf(B4, (p(e), q(e)))
-                assert j(e) == core.sup(B4, (p(e), q(e)))
+                assert m[e] == core.inf(B4, (p[e], q[e]))
+                assert j[e] == core.sup(B4, (p[e], q[e]))
 
 
 def _oracle_ops(E, p, q):
@@ -139,8 +150,7 @@ def _oracle_ops(E, p, q):
     def meet(x, y):
         return [x[y[e]] for e in range(E.n)]
 
-    a, b = p.image, q.image
-    return comp(a), meet(a, b), comp(meet(comp(a), comp(b)))
+    return comp(p), meet(p, q), comp(meet(comp(p), comp(q)))
 
 
 def test_memoized_operations_match_composition():
@@ -160,21 +170,21 @@ def test_memoized_operations_match_composition():
                     want = _oracle_ops(E, p, q)
                     for _ in range(2):
                         got = (S.complement(p), S.meet(p, q), S.join(p, q))
-                        assert [list(m.image) for m in got] == list(want)
+                        assert [list(m) for m in got] == list(want)
                         checked += 1
     assert checked
 
 
 def test_failed_operations_raise_every_time():
     C3 = core.c3()
-    p, q = ExoMap([0, 1, 1]), ExoMap([0, 0, 2])  # decreasing, not commuting
+    p, q = (0, 1, 1), (0, 0, 2)  # decreasing, not commuting
     S = ExoSet(C3, [p, q])
     for _ in range(2):
         with pytest.raises(InternalInvariant, match="not commutative"):
             S.meet(p, q)
     B4 = core.b4()
-    pa = next(m for m in exocenter(B4) if m.summand == (0, 1))
-    pb = next(m for m in exocenter(B4) if m.summand == (0, 2))
+    pa = next(m for m in exocenter(B4) if fixed_points(m) == (0, 1))
+    pb = next(m for m in exocenter(B4) if fixed_points(m) == (0, 2))
     atoms_only = ExoSet(B4, [pa, pb])  # their meet, the zero map, is missing
     for _ in range(2):
         with pytest.raises(InternalInvariant, match="left the set"):

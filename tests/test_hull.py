@@ -9,7 +9,14 @@ import oracles
 from oracles import indiscrete_hull
 from geadim import catalog, core, hull, theorems
 from geadim.errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
-from geadim.exocenter import ExoSet, disjoint_families, exocentral_cover, exocenter
+from geadim.exocenter import (
+    ExoSet,
+    disjoint_families,
+    exocentral_cover,
+    exocenter,
+    fixed_points,
+    is_identity,
+)
 
 
 def _b4():
@@ -28,10 +35,10 @@ def test_gamma_and_indiscrete_are_hull_systems():
 
 def test_broken_family_rejected():
     _, S = _b4()
-    pb = next(m for m in S if m.summand == (0, 2))
+    pb = next(m for m in S if fixed_points(m) == (0, 2))
     ok, witness = hull.check_hull_system(S, [S.zero, S.zero, pb, S.one])
     assert not ok and "HS2" in witness
-    pa = next(m for m in S if m.summand == (0, 1))
+    pa = next(m for m in S if fixed_points(m) == (0, 1))
     # eta_a o eta_b = p_a, but eta_(eta_a b) = eta_0 = 0
     assert hull.check_hull_system(S, [S.zero, pa, S.one, S.one]) == (
         False, "HS3 fails at (a, b)")
@@ -45,9 +52,9 @@ def test_hs3_witness_is_the_least_failing_pair():
         [str(i) for i in range(8)],
         [[a | b if not a & b else -1 for b in range(8)] for a in range(8)])
     S = exocenter(cube)
-    project = {m.image: m for m in S}
-    maps = [project[tuple(x & mask for x in range(8))]
+    maps = [tuple(x & mask for x in range(8))
             for mask in (0, 1, 2, 3, 4, 7, 7, 7)]
+    assert all(m in S for m in maps)
     assert hull.check_hull_system(S, maps) == (False, "HS3 fails at (1, 6)")
 
 
@@ -63,7 +70,7 @@ def test_hull_from_hd():
     E, S = _b4()
     assert hull.hull_from_hd(E, [S.zero, S.one]) == indiscrete_hull(S)
     assert hull.hull_from_hd(E, list(S)) == hull.gamma_hull(S)
-    pa = next(m for m in S if m.summand == (0, 1))
+    pa = next(m for m in S if fixed_points(m) == (0, 1))
     with pytest.raises(NotHullDetermining) as err:
         hull.hull_from_hd(E, [pa, S.one])
     assert err.value.condition == "HD2"
@@ -84,7 +91,7 @@ def test_enumerate_hull_systems_matches_bruteforce():
     for entry in catalog.cached_entries(6):
         E = entry.table
         S = exocenter(E)
-        fixing = [[m for m in S if m(e) == e] for e in range(E.n)]
+        fixing = [[m for m in S if m[e] == e] for e in range(E.n)]
         brute = set()
         for maps in itertools.product(*fixing):
             if hull.check_hull_system(S, maps)[0]:
@@ -93,24 +100,50 @@ def test_enumerate_hull_systems_matches_bruteforce():
         assert fast == brute
 
 
+def test_hull_meet_projections_fires_on_swapped_maps(monkeypatch):
+    # the exocentral cover system of B4 with the maps of a and b swapped,
+    # so each of a and b is killed by its own hull map
+    E, S = _b4()
+    check = theorems.REGISTRY["hull-meet-projections"].fn
+    assert check(E) == []
+    zero, pa, pb, one = hull.gamma_hull(S).maps
+    swapped = hull.HullSystem(S, [zero, pb, pa, one])
+    monkeypatch.setattr(theorems.hull_mod, "enumerate_hull_systems",
+                        lambda E: (swapped,))
+    assert check(E) == [
+        "nonzero-meet criterion fails at (a, a)",
+        "non-orthogonal pair projects to zero at (a, a)",
+        "projected pair differs in hull at (a, b)",
+        "nonzero-meet criterion fails at (a, b)",
+        "projected pair differs in hull at (a, 1)",
+        "projected pair differs in hull at (b, a)",
+        "nonzero-meet criterion fails at (b, a)",
+        "nonzero-meet criterion fails at (b, b)",
+        "non-orthogonal pair projects to zero at (b, b)",
+        "projected pair differs in hull at (b, 1)",
+        "projected pair differs in hull at (1, a)",
+        "projected pair differs in hull at (1, b)",
+    ]
+
+
 def test_sim_eta():
     _, S = _b4()
     ind, gam = indiscrete_hull(S), hull.gamma_hull(S)
-    assert hull.sim_eta(ind, 1, 2)
-    assert not hull.sim_eta(gam, 1, 2)
-    assert hull.sim_eta(gam, 1, 1)
+    assert ind.maps[1] == ind.maps[2]
+    assert gam.maps[1] != gam.maps[2]
+    assert gam.maps[1] == gam.maps[1]
 
 
 def test_classify_eta():
     _, S = _b4()
     ind = indiscrete_hull(S)
     assert not hull.is_monad(ind, 3) and hull.is_dyad(ind, 3)
-    assert ind.eta(3).is_identity
+    assert is_identity(ind.maps[3])
     assert hull.is_monad(ind, 0) and hull.is_dyad(ind, 0)
-    assert not ind.eta(0).is_identity
+    assert not is_identity(ind.maps[0])
     C3 = core.c3()
     H = hull.enumerate_hull_systems(C3)[0]
-    assert not hull.is_monad(H, 2) and H.eta(2).is_identity
+    assert not hull.is_monad(H, 2) and is_identity(H.maps[2])
 
 
 def test_divisibility():
@@ -191,7 +224,7 @@ def _grid_verdicts_match_the_oracle(models, monkeypatch):
         for H in enumerate_systems(E):
             systems.append(H)
             for x in range(1, E.n):
-                if not H.maps[x].is_zero:
+                if any(H.maps[x]):
                     maps = list(H.maps)
                     maps[x] = S.zero
                     systems.append(hull.HullSystem(S, maps))
@@ -336,7 +369,7 @@ def _literal_disjoint_families(maps, elements):
     for mask in range(1 << len(elements)):
         pick = tuple(e for i, e in enumerate(elements) if mask >> i & 1)
         if all(
-            all(maps[a].image[maps[b].image[x]] == 0 for x in range(len(maps)))
+            all(maps[a][maps[b][x]] == 0 for x in range(len(maps)))
             for i, a in enumerate(pick)
             for b in pick[i + 1:]
         ):
