@@ -341,7 +341,7 @@ def cmd_verify(args):
     theorems_list = None if args.theorems is None else args.theorems.split(",")
     if theorems_list is not None and "" in theorems_list:
         raise GeadimError(f"--theorems has an empty name: {args.theorems!r}")
-    rep = theorems.run_theorem_suite(
+    results = theorems.run_theorem_suite(
         args.max_size, theorems=theorems_list, jobs=args.jobs, invert=args.invert
     )
     inputs = {
@@ -349,9 +349,9 @@ def cmd_verify(args):
         "theorems": sorted(theorems_list) if theorems_list else "all",
         "invert": args.invert,
     }
-    results, witnesses = rep.results_and_witnesses()
-    code = 0 if rep.status == "ok" else 1
-    return code, inputs, results, witnesses, rep.to_text()
+    witnesses = [v for p in results["properties"].values() for v in p["violations"]]
+    return (0 if results["status"] == "ok" else 1, inputs, results, witnesses,
+            theorems.suite_text(args.max_size, results))
 
 
 def cmd_search(args):

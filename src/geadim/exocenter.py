@@ -272,7 +272,7 @@ def cogea_check(E):
             continue
         for f in range(E.n):
             if all(E.perp(f, a) for a in pick) and not E.perp(f, total):
-                co2 = co2 and False
+                co2 = False
                 witness = witness or ("CO2", pick, f)
     boolean = _is_boolean_algebra(S)
     return CogeaReport(co1, co2, boolean, witness)

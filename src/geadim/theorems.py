@@ -19,7 +19,7 @@ instance, as a sanity control that the harness can actually fail.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from . import _kernels, catalog, congruence as cg, core, dimension as dm, hull as hull_mod
@@ -1064,68 +1064,6 @@ def _all_type_one(ctx):
 # the runner
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PropertyResult:
-    instances: int = 0
-    violations: list = field(default_factory=list)
-
-
-@dataclass
-class SuiteReport:
-    max_n: int
-    models: int
-    relations: int
-    results: dict  # name -> PropertyResult
-    review: list
-
-    @property
-    def violation_count(self):
-        return sum(len(r.violations) for r in self.results.values())
-
-    @property
-    def status(self):
-        if self.violation_count:
-            return "violations"
-        if self.review:
-            return "review"
-        return "ok"
-
-    def results_and_witnesses(self):
-        """The ``results`` and ``witnesses`` of the ``verify`` report."""
-        names = sorted(self.results)
-        results = {
-            "models": self.models,
-            "relations": self.relations,
-            "properties": {
-                name: {
-                    "instances": self.results[name].instances,
-                    "violations": self.results[name].violations,
-                }
-                for name in names
-            },
-            "review": self.review,
-            "status": self.status,
-        }
-        witnesses = [v for name in names for v in self.results[name].violations]
-        return results, witnesses
-
-    def to_text(self):
-        lines = [
-            f"theorem suite over models up to size {self.max_n}: "
-            f"{self.models} models, {self.relations} congruences"
-        ]
-        for name in sorted(self.results):
-            r = self.results[name]
-            mark = "ok" if not r.violations else f"{len(r.violations)} VIOLATIONS"
-            lines.append(f"  {name}: {r.instances} instances, {mark}")
-            for v in r.violations[:10]:
-                lines.append(f"    - {v['model']} (n={v['n']}): {v['detail']}")
-        for v in self.review:
-            lines.append(f"  REVIEW: {v['model']}: {v['detail']}")
-        lines.append(f"status: {self.status}")
-        return "\n".join(lines)
-
-
 def _evaluate_model(names, invert, key):
     """Evaluate the properties ``names`` on the model whose catalog key is
     ``key`` and on its congruences; returns the per-property (instances,
@@ -1171,8 +1109,9 @@ def _evaluate_model(names, invert, key):
 
 
 def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
-    """Evaluate the registered properties over the catalog; deterministic
-    regardless of worker count.
+    """Evaluate the registered properties over the catalog and return the
+    ``results`` payload of ``verify``, its properties in name order;
+    deterministic regardless of worker count.
 
     Each model and its congruences are built and evaluated in one call,
     in a worker when ``jobs`` is above 1, and dropped once its results
@@ -1194,20 +1133,39 @@ def run_theorem_suite(max_n, theorems=None, jobs=1, invert=None):
         raise GeadimError(f"inverted theorem {invert} is not among those selected")
     keys = catalog._catalog_tables(max_n)
     evaluate = partial(_evaluate_model, names, invert)
-    results = {name: PropertyResult() for name in names}
+    properties = {name: {"instances": 0, "violations": []} for name in sorted(names)}
     review = []
     models = relations = 0
     for per_prop, rev, congruences in catalog.ordered_map(evaluate, keys, jobs):
         for name, (instances, violations) in per_prop.items():
-            results[name].instances += instances
-            results[name].violations.extend(violations)
+            properties[name]["instances"] += instances
+            properties[name]["violations"].extend(violations)
         review.extend(rev)
         models += 1
         relations += congruences
-    return SuiteReport(
-        max_n=max_n,
-        models=models,
-        relations=relations,
-        results=results,
-        review=review,
-    )
+    violated = any(p["violations"] for p in properties.values())
+    return {
+        "models": models,
+        "relations": relations,
+        "properties": properties,
+        "review": review,
+        "status": "violations" if violated else "review" if review else "ok",
+    }
+
+
+def suite_text(max_n, results):
+    """The text report of ``verify`` over models up to size ``max_n``,
+    rendered from its ``results`` payload."""
+    lines = [
+        f"theorem suite over models up to size {max_n}: "
+        f"{results['models']} models, {results['relations']} congruences"
+    ]
+    for name, p in results["properties"].items():
+        mark = "ok" if not p["violations"] else f"{len(p['violations'])} VIOLATIONS"
+        lines.append(f"  {name}: {p['instances']} instances, {mark}")
+        for v in p["violations"][:10]:
+            lines.append(f"    - {v['model']} (n={v['n']}): {v['detail']}")
+    for v in results["review"]:
+        lines.append(f"  REVIEW: {v['model']}: {v['detail']}")
+    lines.append(f"status: {results['status']}")
+    return "\n".join(lines)

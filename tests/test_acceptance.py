@@ -129,14 +129,15 @@ def test_criterion_4_theorem_suite_size_5():
     """Full registered property list over every model and congruence with
     n <= 5: zero violations, within the five-minute budget."""
     t0 = time.perf_counter()
-    rep = theorems.run_theorem_suite(5, jobs=4)
+    results = theorems.run_theorem_suite(5, jobs=4)
     elapsed = time.perf_counter() - t0
-    ok = rep.violation_count == 0 and elapsed < 300.0
+    violations = sum(len(p["violations"]) for p in results["properties"].values())
+    ok = violations == 0 and elapsed < 300.0
     _record(
         4,
         ok,
-        f"{len(rep.results)} properties, {rep.models} models, "
-        f"{rep.relations} congruences, {rep.violation_count} violations, "
+        f"{len(results['properties'])} properties, {results['models']} models, "
+        f"{results['relations']} congruences, {violations} violations, "
         f"{elapsed:.1f}s",
     )
 
@@ -145,8 +146,8 @@ def test_criterion_5_type_distribution():
     """The decomposition formulas are asserted on every model; the
     observed distribution is recorded and any type II/III finite model
     flags review status."""
-    rep = theorems.run_theorem_suite(5, theorems=["type-decomposition",
-                                                  "all-finite-models-type-one"])
+    results = theorems.run_theorem_suite(5, theorems=["type-decomposition",
+                                                      "all-finite-models-type-one"])
     dist = {}
     for entry in catalog.cached_entries(5):
         for rec in entry.relations:
@@ -154,12 +155,12 @@ def test_criterion_5_type_distribution():
                 t = rec.decomposition["type"]
                 dist[t] = dist.get(t, 0) + 1
     ok = (
-        rep.violation_count == 0
-        and not rep.review
-        and rep.status == "ok"
+        not any(p["violations"] for p in results["properties"].values())
+        and not results["review"]
+        and results["status"] == "ok"
         and set(dist) == {"I"}
     )
-    _record(5, ok, f"type distribution {dist}, review entries: {len(rep.review)}")
+    _record(5, ok, f"type distribution {dist}, review entries: {len(results['review'])}")
 
 
 # sha256 of ``verify --max-size 5 --json``, recorded before the suite
@@ -213,7 +214,7 @@ def test_one_decomposition_per_dimension_relation(monkeypatch):
 
     monkeypatch.setattr(catalog, "congruences", collecting)
     monkeypatch.setattr(dm, "Decomposition", counted)
-    assert theorems.run_theorem_suite(5).status == "ok"
+    assert theorems.run_theorem_suite(5)["status"] == "ok"
     assert len(der) == 10
     assert len(built) == len(der)
 
@@ -235,7 +236,7 @@ def test_one_dgea_per_congruence_and_summand(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(dm.Dgea, "__init__", counted)
-    assert theorems.run_theorem_suite(6).status == "ok"
+    assert theorems.run_theorem_suite(6)["status"] == "ok"
     assert len(built) == congruences + summands
 
 
@@ -334,7 +335,7 @@ def test_one_splitting_algebra_per_congruence(monkeypatch):
     monkeypatch.setattr(cg, "sigma_sim", counted(cg.sigma_sim))
     monkeypatch.setattr(cg, "induced_hull", counted(cg.induced_hull))
     monkeypatch.setattr(catalog, "congruences", collecting)
-    assert theorems.run_theorem_suite(6).status == "ok"
+    assert theorems.run_theorem_suite(6)["status"] == "ok"
     ids = {id(R) for R in congruences}
     assert len(ids) == 18
     for name in ("sigma_sim", "induced_hull"):
@@ -358,7 +359,7 @@ def test_parallel_suite_builds_models_only_in_workers(monkeypatch, tmp_path):
 
     monkeypatch.setattr(catalog, "model", logged)
     serial = theorems.run_theorem_suite(5)
-    assert here == [os.getpid()] * serial.models == [os.getpid()] * 21
+    assert here == [os.getpid()] * serial["models"] == [os.getpid()] * 21
     here.clear()
     log.unlink()
     parallel = theorems.run_theorem_suite(5, jobs=2)
@@ -373,11 +374,11 @@ def test_criterion_7_negative_controls():
     violation at n <= 4."""
     bad = []
     for name in theorems.REGISTRY:
-        rep = theorems.run_theorem_suite(4, theorems=[name], invert=name)
+        results = theorems.run_theorem_suite(4, theorems=[name], invert=name)
         count = (
-            len(rep.results[name].violations)
+            len(results["properties"][name]["violations"])
             if not theorems.REGISTRY[name].review_only
-            else len(rep.review)
+            else len(results["review"])
         )
         if count == 0:
             bad.append(name)

@@ -1,5 +1,6 @@
 """The .gea grammar, command dispatch, exit codes, and JSON stability."""
 
+import dataclasses
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import run_geadim
 from geadim import catalog, cli, congruence as cg, core, errors, hull, theorems
+from geadim.exocenter import ExoSet
 from geadim.errors import (
     ConflictingEquation,
     InternalInvariant,
@@ -68,14 +70,31 @@ def test_parse_document():
     assert E.n == 4 and set(rels) == {"merge", "eq"}
 
 
-# Documents whose directive lines are malformed: (text, line, message).
+# Documents whose directive lines are malformed: (text, line, col, message).
+# A missing line or a zero outside the elements is reported at line 0, col 0.
 BAD_DIRECTIVES = [
-    ("elements: 0 a\nzero: 0\n: oops\n", 3, "empty directive"),
-    ("elements: 0 a b 1\nzero: 0\nsum: a + b = 1\nelements: 0 a b\n", 4,
+    ("elements: 0 a\nzero: 0\n: oops\n", 3, 1, "empty directive"),
+    ("elements: 0 a b 1\nzero: 0\nsum: a + b = 1\nelements: 0 a b\n", 4, 1,
      "repeated 'elements:' line"),
-    ("elements: 0 a\nzero: 0\nzero: a\n", 3, "repeated 'zero:' line"),
-    ("elements: 0 a b\nzero: 0\nrelation r: {a b}\nrelation r:\n", 4,
+    ("elements: 0 a\nzero: 0\nzero: a\n", 3, 1, "repeated 'zero:' line"),
+    ("elements: 0 a b\nzero: 0\nrelation r: {a b}\nrelation r:\n", 4, 1,
      "repeated 'relation r:' line"),
+    ("elements: 0 a\nzero: 0\n  oops\n", 3, 3, "expected 'directive: ...'"),
+    ("elements:\nzero: 0\n", 1, 1, "empty element list"),
+    ("elements: 0 a-b\nzero: 0\n", 1, 1, "bad identifier 'a-b'"),
+    ("elements: 0 a a\nzero: 0\n", 1, 1, "duplicate element names"),
+    ("elements: 0 a\nzero: 0-\n", 2, 1, "bad identifier '0-'"),
+    ("sum: a + a = b\nelements: 0 a b\nzero: 0\n", 1, 1,
+     "'elements:' must come first"),
+    ("elements: 0 a\nzero: 0\nrelation r-s: {a}\n", 3, 1,
+     "bad relation name 'r-s'"),
+    ("relation r: {a}\nelements: 0 a\nzero: 0\n", 1, 1,
+     "'elements:' must come first"),
+    ("elements: 0 a\nzero: 0\nrelation r: {a} junk\n", 3, 1,
+     "unexpected text 'junk'"),
+    ("zero: 0\n", 0, 0, "missing 'elements:' line"),
+    ("elements: 0 a\n", 0, 0, "missing 'zero:' line"),
+    ("elements: 0 a\nzero: b\n", 0, 0, "zero 'b' is not an element"),
 ]
 
 
@@ -89,26 +108,32 @@ def test_parse_errors():
     assert err.value.line == 3
     with pytest.raises(UnknownElement):
         cli.parse_gea_file("elements: 0 a\nzero: 0\nsum: a + b = a\n")
+    with pytest.raises(UnknownElement, match="line 3: 'b'"):
+        cli.parse_gea_file("elements: 0 a\nzero: 0\nrelation r: {a b}\n")
     with pytest.raises(ConflictingEquation):
         cli.parse_gea_file(
             "elements: 0 a b c d\nzero: 0\nsum: a + b = c\nsum: a + b = d\n"
         )
-    for text, line, message in BAD_DIRECTIVES:
+    for text, line, col, message in BAD_DIRECTIVES:
         with pytest.raises(ParseError) as err:
             cli.parse_gea_file(text)
-        assert (err.value.line, err.value.col) == (line, 1)
+        assert (err.value.line, err.value.col) == (line, col)
         assert str(err.value).endswith(message)
 
 
-@pytest.mark.parametrize("text,line,message", BAD_DIRECTIVES,
+@pytest.mark.parametrize("text,line,col,message", BAD_DIRECTIVES,
                          ids=["empty", "elements-twice", "zero-twice",
-                              "relation-twice"])
-def test_bad_directive_is_an_input_error(text, line, message, tmp_path):
+                              "relation-twice", "no-colon", "no-elements",
+                              "bad-element", "duplicate-elements", "bad-zero",
+                              "sum-first", "bad-relation-name", "relation-first",
+                              "relation-junk", "missing-elements", "missing-zero",
+                              "zero-not-element"])
+def test_bad_directive_is_an_input_error(text, line, col, message, tmp_path):
     p = tmp_path / "bad.gea"
     p.write_text(text, encoding="utf-8")
     code, out = run(["check", str(p)])
     assert code == 2
-    assert out == f"error: line {line}, col 1: {message}\n"
+    assert out == f"error: line {line}, col {col}: {message}\n"
 
 
 def test_element_count_is_bounded(tmp_path):
@@ -310,6 +335,8 @@ def test_verify_filter_and_invert():
     assert code == 1 and "inverted-check" in text
     code, _ = run(["verify", "--max-size", "3", "--theorems", "no-such"])
     assert code == 2
+    code, text = run(["verify", "--max-size", "3", "--invert", "no-such"])
+    assert (code, text) == (2, "error: unknown theorem: no-such\n")
     # inverting a property that is not selected would change nothing
     code, text = run(
         ["verify", "--max-size", "3", "--theorems", "core-order-laws",
@@ -317,6 +344,44 @@ def test_verify_filter_and_invert():
     )
     assert code == 2
     assert text.count("\n") == 1 and text.startswith("error: ")
+
+
+def test_verify_report_is_its_results(monkeypatch):
+    """The ``verify`` envelope of a violating run: its text is its
+    ``results`` rendered, and its witnesses are the properties' violations
+    in name order, not in the order the properties are registered."""
+    forced = theorems.REGISTRY["center-characterizations"]
+    monkeypatch.setitem(theorems.REGISTRY, forced.name,
+                        dataclasses.replace(forced, fn=lambda E: ["forced"]))
+    code, out = run(["verify", "--max-size", "3", "--theorems",
+                     "exocenter-boolean-laws,center-characterizations",
+                     "--invert", "exocenter-boolean-laws", "--json"])
+    assert code == 1
+    env = json.loads(out)
+    results = env["results"]
+    assert results["status"] == "violations"
+    assert env["text"] == theorems.suite_text(3, results)
+    assert env["text"].endswith("\nstatus: violations")
+    props = results["properties"]
+    assert list(props) == ["center-characterizations", "exocenter-boolean-laws"]
+    assert all(p["violations"] for p in props.values())
+    assert env["witnesses"] == (props["center-characterizations"]["violations"]
+                                + props["exocenter-boolean-laws"]["violations"])
+
+
+def test_verify_reports_an_exocenter_that_is_not_boolean(monkeypatch):
+    """``exocenter-boolean-laws`` fires on an exocenter without its zero
+    map: every model but the one-element one violates it."""
+    monkeypatch.setattr(theorems, "exocenter",
+                        lambda E: ExoSet(E, [tuple(range(E.n))]))
+    code, out = run(["verify", "--max-size", "3", "--theorems",
+                     "exocenter-boolean-laws", "--json"])
+    assert code == 1
+    env = json.loads(out)
+    violations = env["results"]["properties"]["exocenter-boolean-laws"]["violations"]
+    assert [v["n"] for v in violations] == [2, 3, 3]
+    assert all(v["detail"].startswith("operation left the set") for v in violations)
+    assert env["witnesses"] == violations
 
 
 def test_search_command():

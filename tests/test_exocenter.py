@@ -196,3 +196,22 @@ def test_cogea_conditions_fires_on_an_unsummable_family(monkeypatch):
                         lambda S, maps: [((), 0), ((1,), None)])
     out = theorems.REGISTRY["cogea-conditions"].fn(core.b4())
     assert out == ["central orthocompleteness fails: ('CO1', (1,))"]
+
+
+def test_cogea_conditions_fires_on_a_sum_that_is_not_orthogonal(monkeypatch):
+    # in C3 the element 1 is orthogonal to the family (1,) but not to 2,
+    # given here as the family's orthosum
+    monkeypatch.setattr(exo, "disjoint_families",
+                        lambda S, maps: [((), 0), ((1,), 2)])
+    out = theorems.REGISTRY["cogea-conditions"].fn(core.c3())
+    assert out == ["central orthocompleteness fails: ('CO2', (1,), 1)"]
+
+
+def test_is_boolean_algebra_refuses_sets_that_are_not_algebras():
+    B4 = core.b4()
+    S = exocenter(B4)
+    assert exo._is_boolean_algebra(S)
+    assert not exo._is_boolean_algebra(ExoSet(B4, [m for m in S if any(m)]))
+    pa = next(m for m in S if fixed_points(m) == (0, 1))
+    without_pb = ExoSet(B4, [S.zero, pa, S.one])  # pa's complement is pb
+    assert not exo._is_boolean_algebra(without_pb)

@@ -425,9 +425,10 @@ def test_roundtrip_properties_catch_only_package_errors(name, monkeypatch):
         raise NotHullDetermining("HD1", "forced")
 
     monkeypatch.setattr(hull, "hull_from_hd", not_determining)
-    rep = theorems.run_theorem_suite(4, theorems=[name])
-    assert rep.results[name].violations
-    assert all("forced" in v["detail"] for v in rep.results[name].violations)
+    results = theorems.run_theorem_suite(4, theorems=[name])
+    violations = results["properties"][name]["violations"]
+    assert violations
+    assert all("forced" in v["detail"] for v in violations)
 
     def broken(E, theta):
         raise TypeError("a programming error")
