@@ -29,9 +29,15 @@ property over those models, so it reads the memoized tables and times
 the checks per subset, and the ``hull-grid-refinement`` row runs that
 property over them.  The ``structure_predicates n<=7`` row computes the structure
 flags of each of the 175 models up to size 7, clearing the model's memo
-before each call.  The ``build_entry n<=6`` row builds the catalog entry
-of each of the 56 models up to size 6 from its catalog key, so each
-model and its caches are fresh: the structure flags, the partition sweep
+before each call, and the ``all_ideals n<=7`` row finds the ideals of
+each of them the same way.  The ``td_sets dgea n<=7`` row reads, for the
+``Dgea`` of each dimension relation among the congruences of those
+models, whether its simple, its finite and its finite-invariant elements
+are type-determining for its induced hull system, clearing the hull
+system's memo before each call, as a fresh ``Dgea`` would.  The
+``build_entry n<=6`` row builds the catalog entry of each of the 56
+models up to size 6 from its catalog key, so each model and its caches
+are fresh: the structure flags, the partition sweep
 and the decomposition of each dimension relation.  The ``build_entry n=8
 cube`` row does the same for the cube alone, and the ``decomposition
 n=8 cube`` row builds a fresh ``Dgea`` of each of the cube's 5
@@ -85,6 +91,26 @@ def _build_each(fn, items):
     for item in items:
         item._cache.clear()
         fn(item)
+
+
+def _td_sets_each(pairs):
+    """``hull.td_sets`` on each (hull system, set) with the hull system's
+    memo cleared, so its parts are built."""
+    for H, T in pairs:
+        H._cache.clear()
+        hull.td_sets(H, T)
+
+
+def _dgea_sets(models):
+    """The simple, finite and finite-invariant sets of the ``Dgea`` of
+    each dimension relation on ``models``, each with its hull system."""
+    out = []
+    for E in models:
+        for d in catalog.congruences(E):
+            if d.der:
+                for T in (d.simple, d.finite, d.finite_invariant[1]):
+                    out.append((d.hull, T))
+    return out
 
 
 def _sup_inf_each(models):
@@ -183,6 +209,10 @@ def main():
     sevens = [catalog.model(key) for key in catalog._catalog_tables(7)]
     bench("structure_predicates n<=7", _build_each,
           (core.structure_predicates, sevens), repeat=3)
+    bench("all_ideals n<=7", _build_each, (core.all_ideals, sevens),
+          repeat=3)
+    bench("td_sets dgea n<=7", _td_sets_each, (_dgea_sets(sevens),),
+          repeat=3)
     bench("build_entry n<=6", _build_entries,
           (list(catalog._catalog_tables(6)),), repeat=1)
     cube_key = core.canonical_form(cube)

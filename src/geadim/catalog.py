@@ -39,7 +39,7 @@ MAX_N = 9
 CATALOG_MAX_N = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class RelationRecord:
     class_of: tuple  # the dense class id of each element
     first_failure: object  # (axiom name, witness) or None

@@ -360,13 +360,48 @@ def structure_predicates(E):
 @memo
 def all_ideals(E):
     """Every ideal (down-set closed under defined sums), as a tuple of
-    frozensets, by size and then in ``itertools.combinations`` order."""
-    return tuple(
-        frozenset((0,) + pick)
-        for r in range(E.n)
-        for pick in itertools.combinations(range(1, E.n), r)
-        if _ideal_flags(E, (0,) + pick)
-    )
+    frozensets, by size and then by their sorted elements (the order of
+    ``itertools.combinations``).
+
+    Found by peeling, not by testing every subset.  Take the elements in a
+    linear extension of the order, 0 first; each prefix P is a down-set.
+    Call J an ideal of P when J holds 0, lies in P, is a down-set and holds
+    every sum of two of its members that lands in P; the ideals of the
+    whole model are then the ideals of its longest prefix.  Let P' be P
+    with the next element e added, so e is maximal in P'.  The ideals of
+    P' are exactly:
+
+    - each ideal J of P in which no two members sum to e;
+    - J with e added, for each ideal J of P that holds every element
+      strictly below e.
+
+    Proof.  Let J' be an ideal of P' and J = J' minus e.  J is a down-set,
+    since nothing in P' other than e lies above e, and it holds the sums of
+    its members that land in P, so it is an ideal of P.  If e is not in J',
+    then J' = J and no two members sum to e; if e is in J', J holds what
+    lies strictly below e.  Conversely, J is a down-set in either case, so
+    only the sums landing in P' need checking.  Sums landing in P stay in
+    J by assumption, and a sum landing on e needs e: in the first case no
+    such sum exists, in the second e is there.  A sum e + f with e in the
+    set lies above e, so it is e itself.  J' determines J and whether it
+    holds e, so no ideal is found twice."""
+    order = sorted(range(E.n), key=lambda e: (len(E.below(e)), e))
+    down, diff = E._masks[0], E.diff
+    ideals = [1]
+    for e in order[1:]:
+        # the pairs a + b = e are (a, e - a) for a <= e, by cancellation
+        pairs = [1 << a | 1 << diff[e][a] for a in E.below(e) if a not in (0, e)]
+        strictly = down[e] ^ 1 << e
+        grown = []
+        for J in ideals:
+            if not any(J & m == m for m in pairs):
+                grown.append(J)
+            if J & strictly == strictly:
+                grown.append(J | 1 << e)
+        ideals = grown
+    members = [tuple(x for x in range(E.n) if J >> x & 1) for J in ideals]
+    members.sort(key=lambda xs: (len(xs), xs))
+    return tuple(map(frozenset, members))
 
 
 def _ideal_flags(E, S):

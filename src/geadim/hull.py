@@ -6,11 +6,14 @@ eta_e ^ eta_f.  ``HullSystem.maps`` holds the maps as image tuples, so
 eta_e(f) reads ``H.maps[e][f]``.  The relation e ~ f iff eta_e = eta_f
 behaves like a dimension equivalence when the system is divisible.
 
-``core.memo`` keeps the hull systems on their model, and the
-divisibility report and the table of type-determining subsets
-(``td_table``, which ``td_sets`` reads) on their hull system;
-``tests/oracles.py`` keeps the literal searches as oracles, among them
-the search per splitting that ``hull-grid-refinement`` replaces.
+``core.memo`` keeps the hull systems on their model, and on each hull
+system its divisibility report and the parts that type-determining
+subsets are read from (``_td_parts``: one walk over the families with
+disjoint hull maps, plus per-element masks).  ``td_sets`` reads those
+parts at one subset; ``td_table`` spreads them over every subset for
+``td-largest-map``.  ``tests/oracles.py`` keeps the literal searches as
+oracles, among them the search per splitting that
+``hull-grid-refinement`` replaces.
 """
 
 from dataclasses import dataclass
@@ -225,43 +228,62 @@ class TdReport(NamedTuple):
 
 
 @memo
-def td_table(H):
-    """The closure, the hull image and the order ideal of every subset T
-    at once, as three lists of bitmasks indexed by the mask of T (bit x
-    for element x), and ``under``: per element t, the mask of the
+def _td_parts(H):
+    """What the type-determining reports of every subset T are read from,
+    as bitmasks (bit x for element x): the (family mask, orthosum bit) of
+    each eta-orthogonal family, and per element t the mask of the hull
+    images eta_e(t), of the elements below t, and (``under``) of the
     elements whose hull map lies below eta_t.
 
-    The eta-orthogonal families inside T are exactly the families of all
-    nonzero elements that lie in T, so each family's orthosum is placed at
-    the family's mask and a subset-OR transform spreads it to every
-    superset.  The image and the ideal of T extend those of T minus its
-    lowest element.  Memoized on the hull system; a family that is not
-    orthosummable raises ``InternalInvariant`` on every call.
-    """
-    E = H.E
+    The eta-orthogonal families inside T are exactly the families of
+    nonzero elements with pairwise disjoint hull maps that lie in T, so
+    the closure of T is the OR of the orthosum bits of the families whose
+    mask lies in T's; the empty family puts 0 in every closure.  The hull
+    image and the order ideal of T are the ORs over T's members.  Memoized
+    on the hull system; a family that is not orthosummable raises
+    ``InternalInvariant`` on every call."""
+    E, eta = H.E, H.maps
     n = E.n
-    size = 1 << n
-    closure = [0] * size
-    for pick, v in disjoint_families(H.exoset, H.maps):
+    families = []
+    for pick, v in disjoint_families(H.exoset, eta):
         if v is None:
             raise InternalInvariant(
                 f"eta-orthogonal family {pick} is not orthosummable"
             )
-        closure[sum(1 << t for t in pick)] |= 1 << v
+        families.append((sum(1 << t for t in pick), 1 << v))
+    carriers = {}  # each distinct hull map: the mask of its elements
+    for e, m in enumerate(eta):
+        carriers[m] = carriers.get(m, 0) | 1 << e
+    leq = H.exoset.leq
+    below = {q: sum(mask for p, mask in carriers.items() if leq(p, q))
+             for q in carriers}
+    img = [sum({1 << m[t] for m in carriers}) for t in range(n)]
+    return families, img, E._masks[0], [below[m] for m in eta]
+
+
+@memo
+def td_table(H):
+    """The closure, the hull image and the order ideal of every subset T
+    at once, as three lists of bitmasks indexed by the mask of T, and
+    ``under``, all spread from ``_td_parts``.
+
+    Each family's orthosum is placed at the family's mask and a subset-OR
+    transform spreads it to every superset; the image and the ideal of T
+    extend those of T minus its lowest element.  ``td-largest-map`` reads
+    every T; ``td_sets`` reads the parts at one T instead.  Memoized on
+    the hull system; a family that is not orthosummable raises
+    ``InternalInvariant`` on every call."""
+    families, img, down, under = _td_parts(H)
+    n = H.E.n
+    size = 1 << n
+    closure = [0] * size
+    for fam, bit in families:
+        closure[fam] |= bit
     for x in range(n):
         bit = 1 << x
         for T in range(size):
             if T & bit:
                 closure[T] |= closure[T ^ bit]
-    leq, eta = H.exoset.leq, H.maps
-    down = E._masks[0]
-    img = [0] * n
-    under = [0] * n
-    for t in range(n):
-        for e in range(n):
-            img[t] |= 1 << eta[e][t]
-            if leq(eta[e], eta[t]):
-                under[t] |= 1 << e
     image = [0] * size
     ideal = [0] * size
     for T in range(1, size):
@@ -275,14 +297,23 @@ def td_table(H):
 def td_sets(H, T):
     """Whether T is eta-type-determining (its closure and its hull image
     are T) and strongly so (its closure and its order ideal are T), and
-    the least t in T with the largest hull map, read from ``td_table``."""
-    closure, image, ideal, under = td_table(H)
-    mask = sum(1 << t for t in set(T))
-    eta_td = mask == closure[mask] == image[mask]
-    eta_std = mask == closure[mask] == ideal[mask]
+    the least t in T with the largest hull map, read from ``_td_parts`` at
+    T's mask alone."""
+    families, img, down, under = _td_parts(H)
+    ts = set(T)
+    mask = sum(1 << t for t in ts)
+    closure = image = ideal = 0
+    for fam, bit in families:
+        if fam & mask == fam:
+            closure |= bit
+    for t in ts:
+        image |= img[t]
+        ideal |= down[t]
+    eta_td = mask == closure == image
+    eta_std = mask == closure == ideal
     t_star = None
     if eta_td:
-        best = [t for t in range(H.E.n) if mask >> t & 1 and mask & ~under[t] == 0]
+        best = [t for t in sorted(ts) if mask & ~under[t] == 0]
         if not best:
             raise InternalInvariant("type-determining set has no largest hull map")
         t_star = best[0]

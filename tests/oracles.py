@@ -9,10 +9,11 @@ table stage the catalog replaced: every one-point top extension of every
 parent, filtered by ``axiom_violation``, where the catalog checks GEA2
 at the new element only and extends once per orbit of the parent's
 automorphisms.  ``is_divisible`` and ``td_sets`` are the literal searches
-that ``hull.is_divisible`` and ``hull.td_table`` replace: a search of
-``below(p)`` squared per triple, and a search of the families of one
-subset T.  ``disjoint_families`` filters every subset by its pairs, and
-``orthosum_family`` sums a multiset in every order; the package's
+that ``hull.is_divisible``, ``hull.td_sets`` and ``hull.td_table``
+replace: a search of ``below(p)`` squared per triple, and a search of
+the families of one subset T.  ``disjoint_families`` filters every
+subset by its pairs, and ``orthosum_family`` sums a multiset in every
+order; the package's
 ``exocenter.disjoint_families`` finds the families and their orthosums in
 one walk.  ``sk3e_split_eta`` searches the refinement grid of e + f once
 per splitting s + t, where ``hull-grid-refinement`` collects it once per
@@ -24,9 +25,11 @@ off ``orthosum_family`` per sub-multiset, where the package uses
 bitmasks.  ``sup``, ``inf``, ``ideals`` and ``central_by_definition``
 are the literal scans of the order and the sums that ``core.sup``,
 ``core.inf``, ``core.all_ideals`` and ``exocenter._central_by_definition``
-replace with the model's order bitmasks.  ``downset_exomaps`` filters
-every self-map below the identity by EXC1-EXC4, where
-``_kernels.brute_exomaps`` searches from the images of the atoms.
+replace with the model's order bitmasks; ``ideals`` tests every subset
+holding 0, where ``core.all_ideals`` peels one element at a time.
+``downset_exomaps`` filters every self-map below the identity by
+EXC1-EXC4, where ``_kernels.brute_exomaps`` searches from the images of
+the atoms.
 ``record`` builds a catalog record as a dict, field by field, where
 ``catalog._record_line`` joins per-size JSON fragments.
 """

@@ -172,6 +172,7 @@ def test_td_table_is_cached_but_failures_are_not(monkeypatch):
     _, S = _b4()
     gam = hull.gamma_hull(S)
     assert hull.td_table(gam) is hull.td_table(gam)
+    assert hull._td_parts(gam) is hull._td_parts(gam)
     ind = indiscrete_hull(S)
     real = hull.disjoint_families
     monkeypatch.setattr(hull, "disjoint_families", lambda *args: [
@@ -179,6 +180,9 @@ def test_td_table_is_cached_but_failures_are_not(monkeypatch):
     for _ in range(2):
         with pytest.raises(InternalInvariant, match="not orthosummable"):
             hull.td_table(ind)
+    for _ in range(2):
+        with pytest.raises(InternalInvariant, match="not orthosummable"):
+            hull.td_sets(ind, [0])
 
 
 def test_td_sets():
@@ -293,13 +297,17 @@ def _bits(xs):
 
 def _td_table_matches_td_sets(entries):
     """Compare ``td_table`` and ``td_sets`` with the oracle ``td_sets`` on
-    every (hull system, subset) of the models, and ``is_divisible`` with
-    the oracle on every hull system; returns the numbers of pairs and of
-    hull systems."""
-    pairs = systems = 0
+    every (hull system, subset), and ``is_divisible`` with the oracle on
+    every hull system.  The hull systems are those of each model and the
+    induced hull (over the splitting algebra) of each of its congruences.
+    Returns the numbers of pairs, of hull systems on the models and of
+    induced hulls."""
+    pairs = systems = induced = 0
     for entry in entries:
         E = entry.table
-        for H in hull.enumerate_hull_systems(E):
+        own = list(hull.enumerate_hull_systems(E))
+        hulls = [d.hull for d in catalog.congruences(E)]
+        for H in own + hulls:
             closure, image, ideal, _ = hull.td_table(H)
             for mask in range(1 << E.n):
                 T = [x for x in range(E.n) if mask >> x & 1]
@@ -311,17 +319,18 @@ def _td_table_matches_td_sets(entries):
                 assert hull.td_sets(H, T) == (rep.eta_td, rep.eta_std, rep.t_star)
                 pairs += 1
             assert hull.is_divisible(H) == oracles.is_divisible(H)
-            systems += 1
-    return pairs, systems
+        systems += len(own)
+        induced += len(hulls)
+    return pairs, systems, induced
 
 
 def test_td_table_matches_td_sets():
-    assert _td_table_matches_td_sets(catalog.cached_entries(6)) == (2870, 59)
+    assert _td_table_matches_td_sets(catalog.cached_entries(6)) == (3556, 59, 18)
 
 
 @pytest.mark.slow
 def test_td_table_matches_td_sets_n7():
-    assert _td_table_matches_td_sets(catalog.cached_entries(7)) == (18102, 178)
+    assert _td_table_matches_td_sets(catalog.cached_entries(7)) == (19300, 178, 22)
 
 
 def _td_largest_b4():
