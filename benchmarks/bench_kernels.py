@@ -42,6 +42,11 @@ and the decomposition of each dimension relation.  The ``build_entry n=8
 cube`` row does the same for the cube alone, and the ``decomposition
 n=8 cube`` row builds a fresh ``Dgea`` of each of the cube's 5
 congruences, on a fresh relation, and its type decomposition.  The
+``decomposition properties n=8 cube`` row builds the same fresh
+``Dgea``s and runs on each the six properties that compare the readings
+of its invariant, simple and finite elements, its factor test and its
+decomposition (``MOVED_CHECKS``); with the row before, it shows where
+that work runs and what it costs.  The
 ``record lines n<=7`` row writes the catalog file line of each of the
 175 models up to size 7 with ``catalog._record_line``, which builds the
 entry and joins the line from JSON fragments; the fragments of each
@@ -149,6 +154,22 @@ def _decompose_each(relations):
         dm.Dgea(cg.EquivRel(R.E, R.class_of)).decomposition
 
 
+MOVED_CHECKS = ("invariance-characterizations", "factor-characterizations",
+                "simple-element-criteria", "kf-std-sets",
+                "type-criteria-summands", "type-decomposition")
+
+
+def _moved_checks_each(relations):
+    """The ``MOVED_CHECKS`` properties on a fresh ``Dgea`` of each
+    relation, the der-scope ones only where it is a dimension relation."""
+    for R in relations:
+        d = dm.Dgea(cg.EquivRel(R.E, R.class_of))
+        for name in MOVED_CHECKS:
+            p = theorems.REGISTRY[name]
+            if p.scope == "relation" or d.der:
+                p.fn(d)
+
+
 def _table_stage(max_n):
     """The catalog key of every model up to size ``max_n``."""
     return list(catalog._catalog_tables(max_n))
@@ -221,6 +242,8 @@ def main():
     congruences = [d.R for d in catalog.congruences(catalog.model(cube_key))]
     bench("decomposition n=8 cube", _decompose_each, (congruences,),
           repeat=1)
+    bench("decomposition properties n=8 cube", _moved_checks_each,
+          (congruences,), repeat=1)
     bench("record lines n<=7", _record_lines,
           (list(catalog._catalog_tables(7)),), repeat=1)
     bench("run_theorem_suite n<=5", theorems.run_theorem_suite, (5,), repeat=1)

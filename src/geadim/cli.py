@@ -309,6 +309,13 @@ def cmd_decompose(args):
     type_label = dec.type_verdict
     if dec.type_verdict in ("I", "II") and dec.finite_type:
         type_label = dec.type_verdict + "_F"
+    checks = [p for p in theorems.REGISTRY.values()
+              if p.scope in ("relation", "der") and not p.review_only]
+    witnesses = [
+        {"property": p.name, "detail": detail}
+        for p in checks
+        for detail in theorems.run_property(p, d)
+    ]
     results = {
         "relation": args.relation,
         "type": type_label,
@@ -320,15 +327,17 @@ def cmd_decompose(args):
             name: [E.names[e] for e in summand]
             for name, summand in sorted(dec.summands.items())
         },
-        "cross_checks": list(dec.cross_checks),
+        "cross_checks": [p.name for p in checks],
     }
     lines = [f"type {type_label}; largest finite invariant element {results['f_tilde']}"]
     if dec.unit is not None:
         lines.append(f"finite type with unit {E.names[dec.unit]}")
     for name in ("I", "II", "III"):
         lines.append(f"  summand {name}: {{{', '.join(results['projections'][name])}}}")
-    lines.append(f"cross-checked: {', '.join(dec.cross_checks)}")
-    return 0, inputs, results, [], "\n".join(lines)
+    lines.append(f"cross-checked: {', '.join(results['cross_checks'])}")
+    for w in witnesses:
+        lines.append(f"  VIOLATION {w['property']}: {w['detail']}")
+    return (1 if witnesses else 0), inputs, results, witnesses, "\n".join(lines)
 
 
 def cmd_catalog(args):

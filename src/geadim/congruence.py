@@ -8,9 +8,11 @@ by a splitting map) is a dimension equivalence relation (DER).
 ``core.memo`` keeps on each relation its axiom report and one table of
 bitmasks per element (``_relation_masks``), which ``related``,
 ``subequiv`` and ``is_hereditary`` read; ``tests/oracles.py`` keeps
-their literal searches as oracles.  ``splits``, ``sigma_sim``'s characterization (b) and two
-readings in ``dimension.Dgea.invariants`` read ``sim`` directly, so their
-cross-checks compare the table against literal answers.
+their literal searches as oracles.  ``splits``, ``sigma_sim``'s
+characterization (b), the definition in ``dimension.Dgea.invariants`` and
+one more reading of invariance in ``invariance-characterizations`` read
+``sim`` directly, so their cross-checks compare the table against literal
+answers.
 """
 
 from typing import NamedTuple

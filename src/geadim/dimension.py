@@ -1,21 +1,21 @@
 """Invariant, simple, and finite elements; factors; the type decomposition.
 
-Every computation here carries its own cross-checks: invariant elements
-are recomputed through six equivalent characterizations, simple elements
-through three, and the decomposition's projection triple is verified
-unique by exhaustive search over the splitting algebra.  That search
-reads each summand's type off the model itself; the three type summands
-are also built as models of their own, which must agree.
+Each set and each map here is computed one way, by its definition or
+the paper's closed formula.  The equivalent characterizations and the
+cross-checks live in the registered properties of ``theorems``, one
+place each: the readings of invariant elements in
+``invariance-characterizations``, of simple elements in
+``simple-element-criteria``, of factors in ``factor-characterizations``,
+and the decomposition's splitting and uniqueness in
+``type-decomposition``.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from . import congruence as cg
 from . import core
-from . import hull as hull_mod
-from .exocenter import center, exocenter, fixed_points, is_identity
+from .exocenter import exocenter, fixed_points, is_identity
 from .errors import (
     InternalInvariant,
     NotDer,
@@ -33,8 +33,9 @@ class Dgea:
     builds the splitting algebra and the induced hull system and checks
     the separation axiom SK4a', each once; ``sk4a_prime`` is its witness,
     None when it holds, and ``der`` says whether it holds.  The simple and
-    finite elements and the type decomposition are derived on first use
-    and raise ``NotDer`` unless the relation is a dimension relation.
+    finite elements and the type decomposition are derived on first use,
+    each by one reading, and raise ``NotDer`` unless the relation is a
+    dimension relation.
     ``summand`` builds each summand once; element i of the summand of
     ``pi`` is ``fixed_points(pi)[i]``.  The summand of the identity map is the
     ``Dgea`` itself: same table, same relation.
@@ -92,238 +93,93 @@ class Dgea:
 
     @cached_property
     def simple(self):
-        """Elements all of whose interval-splittings are unrelated.
-
-        Three independent characterizations (definitional, hull monads, and
-        e = eta_e k on the interval) must coincide.
-        """
+        """Elements all of whose interval-splittings are unrelated, read by
+        that definition; ``simple-element-criteria`` compares it with the
+        hull-monad reading, e = eta_e k on the interval, and two readings
+        through disjoint hull maps."""
         self._require_der()
-        E, R, H = self.E, self.R, self.hull
-        direct, monads, crit = [], [], []
-        for k in range(E.n):
-            if all(
-                not cg.related(R, e, E.sub(k, e))
-                for e in E.below(k)
-            ):
-                direct.append(k)
-            if hull_mod.is_monad(H, k):
-                monads.append(k)
-            if all(H.maps[e][k] == e for e in E.below(k)):
-                crit.append(k)
-        if not (direct == monads == crit):
-            raise InternalInvariant(
-                f"simple-element characterizations disagree: "
-                f"{direct} vs {monads} vs {crit}"
-            )
-        return tuple(direct)
+        E, R = self.E, self.R
+        return tuple(
+            k
+            for k in range(E.n)
+            if all(not cg.related(R, e, E.sub(k, e)) for e in E.below(k))
+        )
 
     @cached_property
     def finite(self):
-        """Elements not equivalent to any proper subelement.
-
-        Verified to form a hereditary ideal that is strongly type-determining
-        for the hull system.
-        """
+        """Elements not equivalent to any proper subelement; ``kf-std-sets``
+        checks that they form a hereditary ideal that is strongly
+        type-determining for the hull system."""
         self._require_der()
         E, R = self.E, self.R
-        F = tuple(
+        return tuple(
             f
             for f in range(E.n)
             if all(e == f for e in E.below(f) if R.sim(e, f))
         )
-        if not cg.is_hereditary(R, F) or not core._ideal_flags(E, frozenset(F)):
-            raise InternalInvariant("finite elements do not form a hereditary ideal")
-        if not hull_mod.td_sets(self.hull, F).eta_std:
-            raise InternalInvariant("finite elements are not strongly type-determining")
-        return F
 
     @cached_property
     def invariants(self):
-        """The invariant elements, each computed six equivalent ways and
-        compared.
-
-        The definitional reading bounds the subelement by the candidate
-        itself: c is invariant iff c is principal and no nonzero subelement
-        of c is equivalent to anything orthogonal to c.
-        """
-        E, R, H = self.E, self.R, self.hull
-        cen = dict(center(E))
-        gamma = []
-        for c in range(E.n):
-            principal = core.is_principal(E, c)
-            # (3) definitional
-            inv = principal and not any(
+        """The invariant elements, read by the definition: c is invariant
+        iff c is principal and no nonzero subelement of c is equivalent to
+        anything orthogonal to c.  ``invariance-characterizations``
+        compares it with five equivalent readings."""
+        E, R = self.E, self.R
+        return tuple(
+            c
+            for c in range(E.n)
+            if core.is_principal(E, c) and not any(
                 R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0)
                 for c1 in E.below(c)
                 for f in range(E.n)
             )
-            # (2) hull image is the interval
-            eta_inv = set(fixed_points(H.maps[c])) == set(E.below(c))
-            # (1) central with splitting projection
-            central_split = c in cen and cg.splits(R, cen[c])
-            # (4) principal with hereditary interval
-            heredi = principal and cg.is_hereditary(R, E.below(c))
-            # (5) principal and equivalents stay below
-            below_only = principal and all(
-                E.leq[e][c] for e in range(E.n) if R.sim(e, c)
-            )
-            # (6) principal with hereditary orthogonal complement set
-            perp_hered = principal and cg.is_hereditary(
-                R, [f for f in range(E.n) if E.perp(f, c)]
-            )
-            if not (inv == eta_inv == central_split == heredi == below_only == perp_hered):
-                raise InternalInvariant(
-                    f"invariance characterizations disagree at {E.names[c]}: "
-                    f"{(central_split, eta_inv, inv, heredi, below_only, perp_hered)}"
-                )
-            if inv:
-                gamma.append(c)
-        return tuple(gamma)
+        )
 
     @cached_property
     def finite_invariant(self):
         """Largest finite invariant element, with the set it tops."""
-        E, H = self.E, self.hull
+        E = self.E
         ftset = sorted(set(self.finite) & set(self.invariants))
         tops = [m for m in ftset if all(E.leq[x][m] for x in ftset)]
         if not tops:
             raise InternalInvariant("finite invariant elements have no largest member")
-        ft = tops[0]
-        if not hull_mod.td_sets(H, ftset).eta_td:
-            raise InternalInvariant("finite invariant set is not type-determining")
-        if set(fixed_points(H.maps[ft])) != set(E.below(ft)):
-            raise InternalInvariant("largest finite invariant element is not eta-invariant")
-        return ft, tuple(ftset)
+        return tops[0], tuple(ftset)
 
     @cached_property
     def decomposition(self):
-        """The unique splitting of the model into type I, II, and III
-        summands.
+        """The splitting of the model into type I, II and III summands, from
+        the closed formulas: pi_I is the join eta_K of the simple elements'
+        hull maps, pi_II is eta_F meet eta_K', pi_III is eta_F', and the
+        largest finite invariant element's hull map splits types I and II
+        into their finite and non-finite parts.
 
-        Builds the three projections (and their finite refinements) from
-        the closed formulas, then verifies: the hull-map joins against the
-        largest-map elements of the corresponding type-determining sets,
-        the membership of each projection in the hull family, heredity of
-        every summand, the type of each type summand, read off this model
-        and as a model of its own, uniqueness of the triple by exhaustive
-        search over the splitting algebra, and the unit elements of the
-        finite-type parts.
+        ``type-decomposition`` checks the splitting and that it is the
+        only one, ``type-criteria-summands`` the summands' types read off
+        this model, and ``hereditary-std-largest`` and ``kf-std-sets`` the
+        joins against the largest maps of their sets.
         """
-        E, R, sigma, H = self.E, self.R, self.sigma, self.hull
-        K, F = self.simple, self.finite
-        if not set(K) <= set(F):
-            raise InternalInvariant("simple elements are not all finite")
-        ft, ftset = self.finite_invariant
-
-        eta_k = sigma.join_all([H.maps[k] for k in K])
-        eta_f = sigma.join_all([H.maps[f] for f in F])
+        sigma, H = self.sigma, self.hull
+        ft, _ = self.finite_invariant
+        eta_k = sigma.join_all([H.maps[k] for k in self.simple])
+        eta_f = sigma.join_all([H.maps[f] for f in self.finite])
         eta_ft = H.maps[ft]
-        checks = ["simple-set-three-way", "invariant-six-way", "finite-hereditary-ideal"]
-
-        # cross-check the joins against the largest-map elements
-        td_k = hull_mod.td_sets(H, K)
-        td_f = hull_mod.td_sets(H, F)
-        if not td_k.eta_std or H.maps[td_k.t_star] != eta_k:
-            raise InternalInvariant("simple-set join disagrees with its largest map")
-        if not td_f.eta_std or H.maps[td_f.t_star] != eta_f:
-            raise InternalInvariant("finite-set join disagrees with its largest map")
-        td_ft = hull_mod.td_sets(H, ftset)
-        if H.maps[td_ft.t_star] != eta_ft:
-            raise InternalInvariant("finite-invariant join disagrees with its largest map")
-        checks.append("hull-joins-vs-largest-maps")
-
-        comp = sigma.complement
-        meet = sigma.meet
-        pi_i = eta_k
+        comp, meet = sigma.complement, sigma.meet
         pi_ii = meet(eta_f, comp(eta_k))
-        pi_iii = comp(eta_f)
-        pi_i_f = meet(eta_k, eta_ft)
-        pi_i_nf = meet(eta_k, comp(eta_ft))
-        pi_ii_f = meet(pi_ii, eta_ft)
-        pi_ii_nf = meet(pi_ii, comp(eta_ft))
-
-        theta = set(H.maps)
-        for m in (pi_i, pi_ii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
-            if m not in theta:
-                raise InternalInvariant("projection escapes the hull family")
-        checks.append("projections-in-hull-family")
-
-        triple = (pi_i, pi_ii, pi_iii)
-        for a, b in itertools.combinations(triple, 2):
-            if not sigma.disjoint(a, b):
-                raise InternalInvariant("type projections are not pairwise disjoint")
-        if not is_identity(sigma.join_all(triple)):
-            raise InternalInvariant("type projections do not cover the identity")
-        if sigma.join(pi_i_f, pi_i_nf) != pi_i or sigma.join(pi_ii_f, pi_ii_nf) != pi_ii:
-            raise InternalInvariant("finite refinements do not cover their types")
-        checks.append("disjoint-cover")
-
-        for m in (pi_i, pi_ii, pi_iii, pi_i_f, pi_i_nf, pi_ii_f, pi_ii_nf):
-            s = set(fixed_points(m))
-            if not cg.is_hereditary(R, s) or not core._ideal_flags(E, frozenset(s)):
-                raise InternalInvariant("summand is not a hereditary ideal")
-        checks.append("summands-hereditary-ideals")
-
-        flags = {m: self.summand_types(m) for m in sigma}
-        for k, m in enumerate(triple):
-            own = self.summand(m).type_flags
-            if flags[m] != (own.type_i, own.type_ii, own.type_iii):
-                raise InternalInvariant(
-                    "summand types read off the model disagree with the summand's own"
-                )
-            if not flags[m][k]:
-                nth = ("first", "second", "third")[k]
-                raise InternalInvariant(f"{nth} summand is not of its type")
-        checks.append("summand-types-direct")
-
-        # in a boolean algebra the one map disjoint from s1 and s2 that
-        # completes a cover of the identity is (s1 v s2)'
-        for s1 in sigma:
-            for s2 in sigma:
-                if not sigma.disjoint(s1, s2):
-                    continue
-                s3 = comp(sigma.join(s1, s2))
-                if (
-                    flags[s1][0]
-                    and flags[s2][1]
-                    and flags[s3][2]
-                    and (s1, s2, s3) != triple
-                ):
-                    raise InternalInvariant(
-                        "alternative type triple found; decomposition not unique"
-                    )
-        checks.append("unique-type-triple")
-
-        for m, unit in ((pi_i_f, pi_i[ft]), (pi_ii_f, comp(pi_i)[ft])):
-            sub = self.summand(m)
-            top = sub.E.greatest()
-            if top is None or fixed_points(m)[top] != unit:
-                raise InternalInvariant("finite-type summand unit mismatch")
-        checks.append("finite-part-units")
-
-        if is_identity(pi_i):
-            verdict = "I"
-        elif is_identity(pi_ii):
-            verdict = "II"
-        elif is_identity(pi_iii):
-            verdict = "III"
-        else:
-            verdict = "mixed"
-        finite_type = is_identity(eta_ft)
-        summands = {
-            "I": fixed_points(pi_i),
-            "II": fixed_points(pi_ii),
-            "III": fixed_points(pi_iii),
-            "I_F": fixed_points(pi_i_f),
-            "I_notF": fixed_points(pi_i_nf),
-            "II_F": fixed_points(pi_ii_f),
-            "II_notF": fixed_points(pi_ii_nf),
+        projections = {
+            "I": eta_k,
+            "II": pi_ii,
+            "III": comp(eta_f),
+            "I_F": meet(eta_k, eta_ft),
+            "I_notF": meet(eta_k, comp(eta_ft)),
+            "II_F": meet(pi_ii, eta_ft),
+            "II_notF": meet(pi_ii, comp(eta_ft)),
         }
+        verdict = next(
+            (t for t in ("I", "II", "III") if is_identity(projections[t])), "mixed"
+        )
+        finite_type = is_identity(eta_ft)
         return Decomposition(
-            pi_i=pi_i,
-            pi_ii=pi_ii,
-            pi_iii=pi_iii,
-            summands=summands,
+            projections=projections,
             eta_k=eta_k,
             eta_f=eta_f,
             eta_ftilde=eta_ft,
@@ -332,7 +188,6 @@ class Dgea:
             finite_type=finite_type,
             properly_non_finite=ft == 0,
             unit=ft if finite_type else None,
-            cross_checks=tuple(checks),
         )
 
     def summand_types(self, m):
@@ -342,6 +197,7 @@ class Dgea:
         For x in the summand, eta_x lies below m, so x is faithful there
         exactly when eta_x is m; the summand's simple and finite elements
         are the images under m of this model's (``check_restriction``).
+        ``type-criteria-summands`` compares the flags with the summand's own.
         """
         ks = {m[k] for k in self.simple}
         fs = {m[f] for f in self.finite}
@@ -367,33 +223,12 @@ class Dgea:
 # ---------------------------------------------------------------------------
 
 def is_factor(dgea):
-    """Trivial splitting algebra, checked four equivalent ways."""
+    """Trivial splitting algebra; ``factor-characterizations`` compares it
+    with three equivalent readings."""
     if not dgea.der:
         raise NotDer("factor test needs a verified dimension relation")
-    E, R, sigma, H = dgea.E, dgea.R, dgea.sigma, dgea.hull
-    trivial = set(sigma.maps) == {sigma.zero, sigma.one}
-    hull_full = all(is_identity(H.maps[d]) for d in range(1, E.n))
-    comparable = all(
-        cg.subequiv(R, e, f) or cg.subequiv(R, f, e)
-        for e in range(E.n)
-        for f in range(E.n)
-    )
-    all_related = all(
-        cg.related(R, e, f)
-        for e in range(1, E.n)
-        for f in range(1, E.n)
-    )
-    if not (trivial == hull_full == comparable == all_related):
-        raise InternalInvariant("factor characterizations disagree")
-    if trivial:
-        for e in range(1, E.n):
-            atom = e in E.atoms
-            dyad = hull_mod.is_dyad(H, e)
-            if atom == dyad:
-                raise InternalInvariant(
-                    f"factor element {E.names[e]} is not exactly one of atom/dyad"
-                )
-    return trivial
+    sigma = dgea.sigma
+    return set(sigma.maps) == {sigma.zero, sigma.one}
 
 
 def comparability(dgea, e, f):
@@ -524,10 +359,7 @@ class TypeFlags:
 
 @dataclass(frozen=True)
 class Decomposition:
-    pi_i: tuple
-    pi_ii: tuple
-    pi_iii: tuple
-    summands: dict
+    projections: dict  # "I", "II", "III", "I_F", "I_notF", "II_F", "II_notF"
     eta_k: tuple
     eta_f: tuple
     eta_ftilde: tuple
@@ -536,7 +368,11 @@ class Decomposition:
     finite_type: bool
     properly_non_finite: bool
     unit: object  # element index of the unit when of finite type, else None
-    cross_checks: tuple
+
+    @cached_property
+    def summands(self):
+        """The elements of each projection's summand, by the same names."""
+        return {name: fixed_points(m) for name, m in self.projections.items()}
 
 
 def decompose_types(R):

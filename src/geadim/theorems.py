@@ -10,12 +10,16 @@ Each property is registered under a content-describing name with a scope:
                   verified dimension relation.
 
 A property returns a list of witness strings (empty when it holds).
-An ``InternalInvariant`` raised while a property runs, as by a broken
-derived part of a ``Dgea``, becomes a violation rather than aborting the
-run; one raised while a congruence's ``Dgea`` is constructed (the SK
-report, ``sigma_sim``, the induced hull, SK4a') comes before the runner
-and still ends it.  ``invert`` flips a single property's verdict per
-instance, as a sanity control that the harness can actually fail.
+Each characterization the paper proves equivalent is compared here, in
+the one property that states it: a ``Dgea`` computes each of its sets
+and its decomposition by one reading, so a broken reading is reported
+under its own property alone.  An ``InternalInvariant`` raised while a
+property runs (``run_property``) becomes a violation rather than
+aborting the run; one raised while a congruence's ``Dgea`` is
+constructed (the SK report, ``sigma_sim``, the induced hull, SK4a')
+comes before the runner and still ends it.  ``invert`` flips a single
+property's verdict per instance, as a sanity control that the harness
+can actually fail.
 """
 
 import itertools
@@ -126,9 +130,9 @@ def _exo_summand_bijection(E):
 @prop("exocenter-boolean-laws", "model")
 def _exo_boolean_laws(E):
     S = exocenter(E)
-    out = []
     if not _is_boolean_algebra(S):
-        out.append("exocenter is not a boolean algebra")
+        return ["exocenter is not a boolean algebra"]
+    out = []
     for p in S:
         for q in S:
             m, j = S.meet(p, q), S.join(p, q)
@@ -527,7 +531,7 @@ def _invariance_four_way(R, c):
 
 @prop("invariance-characterizations", "relation")
 def _invariance(ctx):
-    E, R = ctx.E, ctx.R
+    E, R, H = ctx.E, ctx.R, ctx.hull
     out = []
     centrals = dict(center(E))
     flags = core.structure_predicates(E)
@@ -546,19 +550,26 @@ def _invariance(ctx):
         )
         if a and decomposable and c not in centrals:
             out.append(f"decomposable invariant candidate not central: {E.names[c]}")
+        # readings (1), (2), (4), (5) and (6) of invariance against the
+        # definition (3), which ``Dgea.invariants`` reads
         principal = core.is_principal(E, c)
-        lhs = principal and cg.is_hereditary(R, E.below(c))
-        rhs = c in centrals and cg.splits(R, centrals[c])
-        if lhs != rhs:
-            out.append(f"principal-hereditary vs central-splitting at {E.names[c]}")
+        readings = (
+            c in centrals and cg.splits(R, centrals[c]),
+            set(fixed_points(H.maps[c])) == set(E.below(c)),
+            principal and cg.is_hereditary(R, E.below(c)),
+            principal and all(E.leq[e][c] for e in range(E.n) if R.sim(e, c)),
+            principal and cg.is_hereditary(
+                R, [f for f in range(E.n) if E.perp(f, c)]
+            ),
+        )
+        if any(r != (c in ctx.invariants) for r in readings):
+            out.append(
+                f"invariance characterizations disagree at {E.names[c]}: {readings}"
+            )
         if a and flags.directed and c not in centrals:
             out.append(f"directed model: invariant candidate not central {E.names[c]}")
         if a and flags.orthogonally_ordered and not principal:
             out.append(f"orthogonally ordered: candidate not principal {E.names[c]}")
-    try:
-        ctx.invariants
-    except InternalInvariant as exc:
-        out.append(str(exc))
     return out
 
 
@@ -671,8 +682,26 @@ def _comparability(ctx):
 
 @prop("factor-characterizations", "der")
 def _factor(ctx):
-    dm.is_factor(ctx)
-    return []
+    E, R, H = ctx.E, ctx.R, ctx.hull
+    trivial = dm.is_factor(ctx)
+    hull_full = all(is_identity(H.maps[d]) for d in range(1, E.n))
+    comparable = all(
+        cg.subequiv(R, e, f) or cg.subequiv(R, f, e)
+        for e in range(E.n)
+        for f in range(E.n)
+    )
+    all_related = all(
+        cg.related(R, e, f) for e in range(1, E.n) for f in range(1, E.n)
+    )
+    if not (trivial == hull_full == comparable == all_related):
+        return ["factor characterizations disagree"]
+    if not trivial:
+        return []
+    return [
+        f"factor element {E.names[e]} is not exactly one of atom/dyad"
+        for e in range(1, E.n)
+        if (e in E.atoms) == hull_mod.is_dyad(H, e)
+    ]
 
 
 def _kf_sets(ctx):
@@ -828,8 +857,10 @@ def _simple_criteria(ctx):
             if iv.perp(a, b)
             and (embed[a] != 0 or embed[b] != 0)
         )
+        monad = hull_mod.is_monad(H, k)
+        fixed = all(H.maps[e][k] == e for e in E.below(k))
         direct = k in K
-        if not (direct == splits_ok == pairs_ok):
+        if not (direct == splits_ok == pairs_ok == monad == fixed):
             out.append(f"simple-element conditions disagree at {E.names[k]}")
     return out
 
@@ -899,9 +930,12 @@ def _kf_std(ctx):
             out.append(f"{label} set is not strongly type-determining")
     if not core._ideal_flags(E, frozenset(ctx.finite)):
         out.append("finite set is not an ideal")
-    ft, ftset = ctx.finite_invariant
-    if not hull_mod.td_sets(H, ftset).eta_td:
+    _, ftset = ctx.finite_invariant
+    td = hull_mod.td_sets(H, ftset)
+    if not td.eta_td:
         out.append("finite invariant set is not type-determining")
+    elif H.maps[td.t_star] != ctx.decomposition.eta_ftilde:
+        out.append("finite-invariant join disagrees with its largest map")
     return out
 
 
@@ -990,6 +1024,10 @@ def _type_criteria_summands(ctx):
     comp = S.complement
     for pi in S:
         flags = ctx.summand(pi).type_flags
+        if ctx.summand_types(pi) != (flags.type_i, flags.type_ii, flags.type_iii):
+            out.append(
+                f"summand types read off the model disagree with its own for {pi!r}"
+            )
         in_theta = pi in theta
         if flags.type_i != (in_theta and S.leq(pi, dec.eta_k)):
             out.append(f"summand type-I criterion disagrees for {pi!r}")
@@ -1008,32 +1046,52 @@ def _type_criteria_summands(ctx):
 
 @prop("type-decomposition", "der")
 def _type_decomposition(ctx):
-    # the three type summands split the model, read off the table alone:
-    # they meet pairwise in zero, each is a down-set closed under the sums
-    # it defines, and every element is one sum of an element of each.
-    # Each summand, as a model of its own, is of its type.  The
-    # decomposition runs its own cross-checks, through the splitting
-    # algebra and the summand models, when a property first reads it.
-    E = ctx.E
+    # the projections of types I and II and of their finite and non-finite
+    # parts are hull maps; the three type projections are disjoint and
+    # cover the identity, and the two parts of each type cover it.  Read
+    # off the table alone, every summand is a down-set closed under the
+    # sums it defines, the three type summands meet pairwise in zero, and
+    # every element is one sum of an element of each.  Every summand is
+    # hereditary, each type summand is of its type as a model of its own,
+    # no other triple of splitting maps has the three types (read off this
+    # model), and the finite parts of types I and II have the units
+    # pi_I(f~) and pi_I'(f~).
+    E, R, S = ctx.E, ctx.R, ctx.sigma
     dec = ctx.decomposition
+    maps = dec.projections
     types = ("I", "II", "III")
-    parts = [dec.summands[t] for t in types]
+    triple = tuple(maps[t] for t in types)
     out = []
-    own = [ctx.summand(pi).type_flags for pi in (dec.pi_i, dec.pi_ii, dec.pi_iii)]
+    theta = set(ctx.hull.maps)
+    for name, m in maps.items():
+        if name != "III" and m not in theta:
+            out.append(f"projection {name} escapes the hull family")
+    if not all(S.disjoint(a, b) for a, b in itertools.combinations(triple, 2)):
+        out.append("type projections are not pairwise disjoint")
+    if not is_identity(S.join_all(triple)):
+        out.append("type projections do not cover the identity")
+    for t in ("I", "II"):
+        if S.join(maps[f"{t}_F"], maps[f"{t}_notF"]) != maps[t]:
+            out.append(f"finite parts do not cover type {t}")
+    own = [ctx.summand(pi).type_flags for pi in triple]
     for name, flags, is_type in zip(types, own, ("type_i", "type_ii", "type_iii")):
         if not getattr(flags, is_type):
             out.append(f"summand {name} is not of type {name}")
+    summands = dec.summands
+    parts = [summands[t] for t in types]
     for (a, s), (b, t) in itertools.combinations(zip(types, parts), 2):
         common = sorted(set(s) & set(t))
         if common != [0]:
             out.append(f"summands {a} and {b} meet in {_names(E, common)}")
-    for name, s in zip(types, parts):
+    for name, s in summands.items():
         inside = set(s)
         if any(E.leq[e][f] and e not in inside for f in s for e in range(E.n)):
             out.append(f"summand {name} is not a down-set")
         sums = (E.sum_of(e, f) for e in s for f in s)
         if any(v is not None and v not in inside for v in sums):
             out.append(f"summand {name} is not closed under sums")
+        if not cg.is_hereditary(R, s):
+            out.append(f"summand {name} is not hereditary")
     ways = [0] * E.n
     for s1, s2 in itertools.product(parts[0], parts[1]):
         v = E.sum_of(s1, s2)
@@ -1046,6 +1104,21 @@ def _type_decomposition(ctx):
     bad = [e for e in range(E.n) if ways[e] != 1]
     if bad:
         out.append(f"not one sum of the three summands: {_names(E, bad)}")
+    # in a boolean algebra the one map disjoint from s1 and s2 that
+    # completes a cover of the identity is (s1 v s2)'
+    flags = {m: ctx.summand_types(m) for m in S}
+    for s1 in S:
+        for s2 in S:
+            if not S.disjoint(s1, s2):
+                continue
+            s3 = S.complement(S.join(s1, s2))
+            if flags[s1][0] and flags[s2][1] and flags[s3][2] and (s1, s2, s3) != triple:
+                out.append(f"second type triple {s1!r}, {s2!r}, {s3!r}")
+    ft = dec.f_tilde
+    for name, unit in (("I_F", maps["I"][ft]), ("II_F", S.complement(maps["I"])[ft])):
+        top = ctx.summand(maps[name]).E.greatest()
+        if top is None or fixed_points(maps[name])[top] != unit:
+            out.append(f"summand {name} does not have the unit {E.names[unit]}")
     return out
 
 
@@ -1063,6 +1136,15 @@ def _all_type_one(ctx):
 # ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
+
+def run_property(p, ctx):
+    """The witnesses of the property ``p`` on ``ctx``, or the message of
+    the ``InternalInvariant`` it raised."""
+    try:
+        return p.fn(ctx)
+    except InternalInvariant as exc:
+        return [str(exc)]
+
 
 def _evaluate_model(names, invert, key):
     """Evaluate the properties ``names`` on the model whose catalog key is
@@ -1083,10 +1165,7 @@ def _evaluate_model(names, invert, key):
         violations = []
         for ctx in scopes[p.scope]:
             instances += 1
-            try:
-                details = p.fn(ctx)
-            except InternalInvariant as exc:
-                details = [str(exc)]
+            details = run_property(p, ctx)
             if invert == name:
                 details = [] if details else ["inverted-check: property held"]
             rel = None

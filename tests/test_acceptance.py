@@ -15,6 +15,7 @@ from conftest import ACCEPTANCE_LINES
 from oracles import canonical_tables, naive_class_count
 
 from geadim import catalog, cli, congruence as cg, core, dimension as dm, theorems
+from geadim import hull as hull_mod
 from geadim.exocenter import brute_force_exomaps, center, exocenter, is_identity
 
 
@@ -91,21 +92,23 @@ def test_criterion_3_decomposition_goldens():
     C3 = core.c3()
     eq = cg.build_equiv(C3, [])
     dec = dm.decompose_types(eq)
-    if not (is_identity(dec.pi_i) and dec.type_verdict == "I"
+    if not (is_identity(dec.projections["I"]) and dec.type_verdict == "I"
             and dec.finite_type and dec.unit == 2):
         failures.append("C3 equality decomposition")
     B4 = core.b4()
     merge = cg.build_equiv(B4, [["a", "b"]])
     dec2 = dm.decompose_types(merge)
-    if not (is_identity(dec2.pi_i) and dec2.type_verdict == "I"
+    if not (is_identity(dec2.projections["I"]) and dec2.type_verdict == "I"
             and dec2.finite_type and dec2.unit == 3):
         failures.append("B4 merge decomposition")
+    type_decomposition = theorems.REGISTRY["type-decomposition"].fn
     for dec_, R in ((dec, eq), (dec2, merge)):
-        if "unique-type-triple" not in dec_.cross_checks:
-            failures.append("uniqueness not exercised")
-        # independent exhaustive recheck of uniqueness over the algebra
         d = dm.Dgea(R)
-        triple = (dec_.pi_i, dec_.pi_ii, dec_.pi_iii)
+        # the property's search for a second type triple
+        if type_decomposition(d) != []:
+            failures.append("type-decomposition property fails")
+        # independent exhaustive recheck of uniqueness over the algebra
+        triple = tuple(dec_.projections[t] for t in ("I", "II", "III"))
         for s1 in d.sigma:
             for s2 in d.sigma:
                 for s3 in d.sigma:
@@ -238,6 +241,22 @@ def test_one_dgea_per_congruence_and_summand(monkeypatch):
     monkeypatch.setattr(dm.Dgea, "__init__", counted)
     assert theorems.run_theorem_suite(6)["status"] == "ok"
     assert len(built) == congruences + summands
+
+
+def test_a_broken_reading_is_reported_under_its_property_alone(monkeypatch):
+    """Every nonzero element claims to be a hull monad: only the monad
+    reading of simple elements breaks, and its violations are filed under
+    ``simple-element-criteria``, which compares the readings, and under
+    no property that merely reads the simple elements."""
+    real = hull_mod.is_monad
+    monkeypatch.setattr(hull_mod, "is_monad", lambda H, e: e != 0 or real(H, e))
+    results = theorems.run_theorem_suite(4)
+    violated = {name: [v["detail"] for v in p["violations"]]
+                for name, p in results["properties"].items() if p["violations"]}
+    assert list(violated) == ["simple-element-criteria"]
+    details = violated["simple-element-criteria"]
+    assert len(details) == 5
+    assert all(d.startswith("simple-element conditions disagree at ") for d in details)
 
 
 # sha256 of ``verify --max-size 6 --json`` and of the size-6 catalog

@@ -74,6 +74,7 @@ def test_bench_kernels_runs(capsys):
                   "hull-grid-refinement n<=6", "structure_predicates n<=7",
                   "all_ideals n<=7", "td_sets dgea n<=7",
                   "build_entry n<=6", "build_entry n=8 cube",
-                  "decomposition n=8 cube", "record lines n<=7",
+                  "decomposition n=8 cube",
+                  "decomposition properties n=8 cube", "record lines n<=7",
                   "run_theorem_suite n<=5"):
         assert label in out

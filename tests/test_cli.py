@@ -13,6 +13,7 @@ import pytest
 
 from conftest import run_geadim
 from geadim import catalog, cli, congruence as cg, core, errors, hull, theorems
+from geadim import dimension as dm
 from geadim.exocenter import ExoSet
 from geadim.errors import (
     ConflictingEquation,
@@ -380,7 +381,8 @@ def test_verify_reports_an_exocenter_that_is_not_boolean(monkeypatch):
     env = json.loads(out)
     violations = env["results"]["properties"]["exocenter-boolean-laws"]["violations"]
     assert [v["n"] for v in violations] == [2, 3, 3]
-    assert all(v["detail"].startswith("operation left the set") for v in violations)
+    assert all(v["detail"] == "exocenter is not a boolean algebra"
+               for v in violations)
     assert env["witnesses"] == violations
 
 
@@ -595,19 +597,34 @@ def test_verify_reports_a_raising_property_as_one_violation(monkeypatch):
 
 
 def test_verify_reports_a_broken_derived_part_as_violations(monkeypatch):
-    """A cross-check of a ``Dgea``'s derived parts fails inside the
-    properties that read them, so it is reported as their violations,
-    not as an error."""
+    """A broken reading of a ``Dgea``'s simple elements is reported as
+    violations of the property that compares the readings, not as an
+    error."""
     monkeypatch.setattr(hull, "is_monad", lambda H, e: False)
     code, text = run(["verify", "--max-size", "4", "--json"])
     assert code == 1
     assert not any(line.startswith("error:") for line in text.splitlines())
     properties = json.loads(text)["results"]["properties"]
-    for name in ("simple-element-criteria", "simple-implies-finite",
-                 "kf-std-sets"):
-        details = [v["detail"] for v in properties[name]["violations"]]
-        assert any("simple-element characterizations disagree" in d
-                   for d in details), name
+    details = [v["detail"] for v in properties["simple-element-criteria"]["violations"]]
+    assert details and all(d.startswith("simple-element conditions disagree at ")
+                           for d in details)
+
+
+def test_decompose_reports_the_violations_of_its_properties(docs, monkeypatch):
+    # read off the model, every summand claims all three types
+    monkeypatch.setattr(dm.Dgea, "summand_types",
+                        lambda self, m: (True, True, True))
+    code, text = run(["decompose", docs["b4"], "--relation", "eq", "--json"])
+    assert code == 1
+    payload = json.loads(text)
+    assert "type-criteria-summands" in payload["results"]["cross_checks"]
+    assert "all-finite-models-type-one" not in payload["results"]["cross_checks"]
+    assert {w["property"] for w in payload["witnesses"]} == {
+        "type-criteria-summands", "type-decomposition"}
+    assert {"property": "type-criteria-summands",
+            "detail": "summand types read off the model disagree with its "
+                      "own for (0, 1, 2, 3)"} in payload["witnesses"]
+    assert "VIOLATION type-decomposition: second type triple" in payload["text"]
 
 
 def test_verify_over_the_limit_builds_no_model(monkeypatch):
@@ -719,13 +736,13 @@ GOLDEN_SHA256 = {
     "hull b4 --relation bad --json":
         "fbd95e890908c3f13b46e8b5f6d4954e14d2568ff2f3f81d599a0cf4ceb49233",
     "decompose b4 --relation merge":
-        "86aac2ce0f450a36584b3c2a533933919d40bf7d1f220100615b9c63458a69bd",
+        "e71967e60dd34676ab73a9de36ee763ce27824a78027a301de633316deb0638f",
     "decompose b4 --relation merge --json":
-        "fb737857a3c994e1d119815997e9f2eca8fd400d7ad9dd85f9ad12835c29d962",
+        "05e7ffcdb8f20aaf57efb5cc88f58ac908a30b62ba96d811266b1336f06994df",
     "decompose b4 --relation eq":
-        "86aac2ce0f450a36584b3c2a533933919d40bf7d1f220100615b9c63458a69bd",
+        "e71967e60dd34676ab73a9de36ee763ce27824a78027a301de633316deb0638f",
     "decompose b4 --relation eq --json":
-        "2909e350d6009ef0598f4f2d399ecd8021f5db9c144616e66e132d84b168e876",
+        "b5a4ca2744b957be2ff43482c4afc97795f9eb044745686758fa82af3ec025ab",
     "decompose b4 --relation bad":
         "62b6c7e8d2c6c587afef5846e7df6f16468b25c03a4015316c6a8819e0cf4c72",
     "decompose b4 --relation bad --json":
@@ -755,9 +772,9 @@ GOLDEN_SHA256 = {
     "hull c3 --relation bad --json":
         "5156f64db710d83cb45f767c728bb7cce53e15ed3e48a225faaca064c68037e9",
     "decompose c3 --relation eq":
-        "493c0a1b6cf749d696d5ef3243054c80739fbe5a57cda572f384320142d9b719",
+        "4aa07d16575a0ffc4adc9c3340ce29f01961c697096449e13a478a15eb76d08d",
     "decompose c3 --relation eq --json":
-        "1a2bc7099327cb8566a00231aab0dbbee9f2eece496eab98c6e25016ed24fece",
+        "abd7027d81a4f5038f3f77f5df7c6518a35f0412335961ad7ca8d1d114887d5f",
     "decompose c3 --relation bad":
         "62b6c7e8d2c6c587afef5846e7df6f16468b25c03a4015316c6a8819e0cf4c72",
     "decompose c3 --relation bad --json":

@@ -1,14 +1,14 @@
 """Invariant/simple/finite elements, factors, restriction, suprema of
 hereditary ideals, and the type decomposition."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
 
 from oracles import equality_relation, indiscrete_hull
-from geadim import catalog, congruence as cg, core, dimension as dm, theorems
+from geadim import catalog, congruence as cg, core, dimension as dm, hull, theorems
 from geadim.errors import (
-    InternalInvariant,
     NotDer,
     NotHereditary,
     NotSplitting,
@@ -84,18 +84,18 @@ def test_decompose_types_c3():
     C3 = core.c3()
     _, eq = _dgea(C3)
     dec = dm.decompose_types(eq)
-    assert is_identity(dec.pi_i)
-    assert not any(dec.pi_ii) and not any(dec.pi_iii)
+    assert is_identity(dec.projections["I"])
+    assert not any(dec.projections["II"]) and not any(dec.projections["III"])
     assert dec.type_verdict == "I" and dec.finite_type
     assert dec.unit == 2
-    assert "unique-type-triple" in dec.cross_checks
+    assert theorems.REGISTRY["type-decomposition"].fn(dm.Dgea(eq)) == []
 
 
 def test_decompose_types_b4_merge():
     B4 = core.b4()
     _, merge = _dgea(B4, [["a", "b"]])
     dec = dm.decompose_types(merge)
-    assert is_identity(dec.pi_i) and dec.type_verdict == "I"
+    assert is_identity(dec.projections["I"]) and dec.type_verdict == "I"
     assert dec.finite_type and dec.unit == 3
     assert dec.summands["I"] == (0, 1, 2, 3)
     assert dec.summands["II"] == (0,)
@@ -105,7 +105,8 @@ def test_decompose_types_trivial_model():
     one = core.build_gea(["0"], "0", [])
     _, eq = _dgea(one)
     dec = dm.decompose_types(eq)
-    assert is_identity(dec.pi_i) and not any(dec.pi_i)  # same map when n=1
+    pi_i = dec.projections["I"]
+    assert is_identity(pi_i) and not any(pi_i)  # same map when n=1
     assert dec.type_verdict == "I"
 
 
@@ -287,26 +288,131 @@ def test_type_decomposition_property_fires_on_a_summand_of_the_wrong_type(
 
 
 def test_decomposition_rejects_a_second_type_triple(monkeypatch):
-    # every summand claims all three types, read off the model and as a
-    # model of its own alike, so (0, 0, 1) is a second type triple next
-    # to the real one, (1, 0, 0)
-    flags = dm.TypeFlags(True, True, True, False, False)
-    monkeypatch.setattr(dm.Dgea, "type_flags", property(lambda self: flags))
+    # read off the model, every summand claims all three types, so every
+    # cover of the identity by three disjoint splitting maps is a type
+    # triple next to the real one, (1, 0, 0)
+    check = theorems.REGISTRY["type-decomposition"].fn
+    d, _ = _dgea(core.b4())
+    assert check(d) == []
     monkeypatch.setattr(dm.Dgea, "summand_types",
                         lambda self, m: (True, True, True))
-    d, _ = _dgea(core.b4())
-    with pytest.raises(InternalInvariant, match="decomposition not unique"):
-        d.decomposition
+    second = check(d)
+    assert second[0] == (
+        "second type triple (0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 2, 3)")
+    assert len(second) == 8
+    assert "second type triple (0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0)" not in second
 
 
 def test_decomposition_rejects_summand_types_that_disagree(monkeypatch):
-    # read off the model, every summand claims all three types; the type
-    # I summand, the whole of b4, is of type I alone as a model of its own
+    # read off the model, every summand claims all three types; as a model
+    # of its own only the summand of the zero map, {0}, has all three
+    check = theorems.REGISTRY["type-criteria-summands"].fn
+    d, _ = _dgea(core.b4())
+    assert check(d) == []
     monkeypatch.setattr(dm.Dgea, "summand_types",
                         lambda self, m: (True, True, True))
+    assert check(d) == [
+        f"summand types read off the model disagree with its own for {pi}"
+        for pi in ((0, 0, 2, 2), (0, 1, 0, 1), (0, 1, 2, 3))
+    ]
+
+
+def _with_decomposition(d, **fields):
+    """``d`` with its decomposition built and then given ``fields``."""
+    d.__dict__["decomposition"] = dataclasses.replace(d.decomposition, **fields)
+    return d
+
+
+def test_type_decomposition_property_fires_on_wrong_projections(monkeypatch):
+    # b4 with a and b unrelated: every projection is the identity or zero
+    check = theorems.REGISTRY["type-decomposition"].fn
     d, _ = _dgea(core.b4())
-    with pytest.raises(InternalInvariant, match="disagree with the summand's own"):
-        d.decomposition
+    assert check(d) == []
+    real = d.decomposition.projections
+    p_a = (0, 1, 0, 1)
+    wrong = [
+        ({"II": p_a}, "type projections are not pairwise disjoint"),
+        ({"I": p_a}, "type projections do not cover the identity"),
+        ({"II": p_a}, "finite parts do not cover type II"),
+        ({"I_F": d.sigma.zero}, "finite parts do not cover type I"),
+        ({"II": p_a}, "second type triple (0, 1, 2, 3), (0, 0, 0, 0), (0, 0, 0, 0)"),
+    ]
+    for change, message in wrong:
+        fresh, _ = _dgea(core.b4())
+        projections = {**real, **change}
+        assert message in check(_with_decomposition(fresh, projections=projections))
+    fresh, _ = _dgea(core.b4())
+    assert check(_with_decomposition(fresh, f_tilde=1)) == [
+        "summand I_F does not have the unit a"]
+    # a hull system whose every map is zero holds neither the identity
+    # projection of type I nor its finite part
+    fresh, _ = _dgea(core.b4())
+    fresh.decomposition
+    monkeypatch.setattr(fresh, "hull", SimpleNamespace(maps=(fresh.sigma.zero,) * 4))
+    assert check(fresh)[:2] == ["projection I escapes the hull family",
+                                "projection I_F escapes the hull family"]
+
+
+def test_type_decomposition_property_fires_on_a_summand_that_is_not_hereditary(
+        monkeypatch):
+    # with a ~ b, {0, a} is a down-set closed under its sums, but b ~ a
+    # leaves it
+    check = theorems.REGISTRY["type-decomposition"].fn
+    d, _ = _dgea(core.b4(), [["a", "b"]])
+    assert check(d) == []
+    summands = {"I": (0, 1, 2, 3), "II": (0,), "III": (0,), "I_F": (0, 1)}
+    monkeypatch.setattr(dm.Decomposition, "summands",
+                        property(lambda self: summands))
+    assert check(d) == ["summand I_F is not hereditary"]
+
+
+def test_simple_element_criteria_compare_the_hull_readings(monkeypatch):
+    check = theorems.REGISTRY["simple-element-criteria"].fn
+    # with the hull maps of b4's unrelated atoms swapped, the maps stay as
+    # disjoint and as distinct as before, but eta_e(k) = e fails
+    d, _ = _dgea(core.b4())
+    assert d.simple == (0, 1, 2, 3) and check(d) == []
+    eta = d.hull.maps
+    monkeypatch.setattr(d, "hull",
+                        SimpleNamespace(E=d.E, maps=(eta[0], eta[2], eta[1], eta[3])))
+    assert check(d) == [f"simple-element conditions disagree at {x}"
+                        for x in ("a", "b", "1")]
+    d, _ = _dgea(core.c3())
+    assert d.simple == (0, 1) and check(d) == []
+    monkeypatch.setattr(hull, "is_monad", lambda H, e: False)
+    assert check(d) == ["simple-element conditions disagree at 0",
+                        "simple-element conditions disagree at 1"]
+
+
+def test_invariance_characterizations_compare_the_definition(monkeypatch):
+    check = theorems.REGISTRY["invariance-characterizations"].fn
+    d, _ = _dgea(core.b4())
+    assert d.invariants == (0, 1, 2, 3) and check(d) == []
+    monkeypatch.setattr(d, "invariants", (0, 3))
+    assert check(d) == [
+        f"invariance characterizations disagree at {x}: "
+        "(True, True, True, True, True)"
+        for x in ("a", "b")
+    ]
+
+
+def test_factor_characterizations_fire(monkeypatch):
+    check = theorems.REGISTRY["factor-characterizations"].fn
+    d, _ = _dgea(core.b4(), [["a", "b"]])
+    assert check(d) == []
+    monkeypatch.setattr(hull, "is_dyad", lambda H, e: True)
+    assert check(d) == [f"factor element {x} is not exactly one of atom/dyad"
+                        for x in ("a", "b")]
+    monkeypatch.setattr(dm, "is_factor", lambda dgea: False)
+    assert check(d) == ["factor characterizations disagree"]
+
+
+def test_kf_std_sets_compare_the_finite_invariant_map(monkeypatch):
+    check = theorems.REGISTRY["kf-std-sets"].fn
+    d, _ = _dgea(core.b4())
+    assert check(d) == []
+    _with_decomposition(d, eta_ftilde=d.sigma.zero)
+    assert check(d) == ["finite-invariant join disagrees with its largest map"]
 
 
 def _check_summand_types(max_n):
