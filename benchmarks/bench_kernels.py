@@ -34,7 +34,10 @@ each of them the same way.  The ``td_sets dgea n<=7`` row reads, for the
 ``Dgea`` of each dimension relation among the congruences of those
 models, whether its simple, its finite and its finite-invariant elements
 are type-determining for its induced hull system, clearing the hull
-system's memo before each call, as a fresh ``Dgea`` would.  The
+system's memo before each call, as a fresh ``Dgea`` would.  The ``Dgea
+n<=7`` row builds a fresh ``Dgea`` of each of the 22 congruences of
+those models, on a fresh relation: the SK report, the splitting
+algebra, the induced hull and SK4a'.  The
 ``build_entry n<=6`` row builds the catalog entry of each of the 56
 models up to size 6 from its catalog key, so each model and its caches
 are fresh: the structure flags, the partition sweep
@@ -148,6 +151,12 @@ def _record_lines(keys):
         catalog._record_line(key)
 
 
+def _dgea_each(relations):
+    """A fresh ``Dgea`` of each relation, on a fresh relation."""
+    for R in relations:
+        dm.Dgea(cg.EquivRel(R.E, R.class_of))
+
+
 def _decompose_each(relations):
     """The type decomposition of a fresh ``Dgea`` of each relation."""
     for R in relations:
@@ -234,6 +243,8 @@ def main():
           repeat=3)
     bench("td_sets dgea n<=7", _td_sets_each, (_dgea_sets(sevens),),
           repeat=3)
+    relations = [d.R for E in sevens for d in catalog.congruences(E)]
+    bench("Dgea n<=7", _dgea_each, (relations,), repeat=3)
     bench("build_entry n<=6", _build_entries,
           (list(catalog._catalog_tables(6)),), repeat=1)
     cube_key = core.canonical_form(cube)

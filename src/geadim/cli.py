@@ -236,6 +236,22 @@ def _sk_payload(R):
     return d, axioms, failing
 
 
+def _cross_check(d, scopes):
+    """Run every non-review property of the scopes ``scopes`` on the
+    ``Dgea`` ``d``; returns their names, their ``{property, detail}``
+    witnesses and the report lines naming both."""
+    checks = [p for p in theorems.REGISTRY.values()
+              if p.scope in scopes and not p.review_only]
+    witnesses = [
+        {"property": p.name, "detail": detail}
+        for p in checks
+        for detail in theorems.run_property(p, d)
+    ]
+    lines = [f"cross-checked: {', '.join(p.name for p in checks)}"]
+    lines += [f"  VIOLATION {w['property']}: {w['detail']}" for w in witnesses]
+    return [p.name for p in checks], witnesses, lines
+
+
 def _verdict(E, witness):
     return {
         "holds": witness is None,
@@ -246,16 +262,16 @@ def _verdict(E, witness):
 def cmd_sk(args):
     E, R = _load_relation(args)
     d, axioms, failing = _sk_payload(R)
+    checks, witnesses, check_lines = (
+        ([], [], []) if d is None else _cross_check(d, ("relation",))
+    )
     results = {
         "relation": args.relation,
         "classes": [[E.names[e] for e in c] for c in R.classes],
         "axioms": axioms,
         "sk": d is not None,
         "der": None if d is None else d.der,
-        "cross_checks": (
-            [] if d is None
-            else ["separation-direct-vs-hull-meet", "splitting-four-way"]
-        ),
+        "cross_checks": checks,
     }
     lines = [f"relation {args.relation}: congruence={d is not None}"]
     for name, rec in axioms.items():
@@ -263,8 +279,10 @@ def cmd_sk(args):
         lines.append(f"  {name}: {state}")
     if d is not None:
         lines.append(f"  dimension relation: {d.der}")
+    lines += check_lines
     inputs = {"file": args.file, "relation": args.relation}
-    return (0 if d is not None else 1), inputs, results, failing, "\n".join(lines)
+    code = 1 if d is None or witnesses else 0
+    return code, inputs, results, failing + witnesses, "\n".join(lines)
 
 
 def cmd_hull(args):
@@ -276,16 +294,13 @@ def cmd_hull(args):
         return (1, inputs, {"sk": False, "failed_axiom": name}, failing[:1],
                 f"not a congruence: {name} fails at {tuple(witness)}")
     sigma, H = d.sigma, d.hull
+    checks, witnesses, check_lines = _cross_check(d, ("relation",))
     results = {
         "relation": args.relation,
         "splitting_maps": [_map_repr(E, m) for m in sigma],
         "hull": {E.names[e]: _map_repr(E, H.maps[e]) for e in range(E.n)},
         "divisible": hull_mod.is_divisible(H).divisible,
-        "cross_checks": [
-            "hull-axioms",
-            "hull-maps-inside-splitting-algebra",
-            "divisibility-direct-vs-dyad-criterion",
-        ],
+        "cross_checks": checks,
     }
     lines = [
         f"splitting algebra has {len(sigma)} maps; hull system "
@@ -294,7 +309,8 @@ def cmd_hull(args):
     for e in range(E.n):
         img = " ".join(f"{E.names[x]}->{E.names[H.maps[e][x]]}" for x in range(E.n))
         lines.append(f"  eta[{E.names[e]}]: {img}")
-    return 0, inputs, results, [], "\n".join(lines)
+    lines += check_lines
+    return (1 if witnesses else 0), inputs, results, witnesses, "\n".join(lines)
 
 
 def cmd_decompose(args):
@@ -309,13 +325,7 @@ def cmd_decompose(args):
     type_label = dec.type_verdict
     if dec.type_verdict in ("I", "II") and dec.finite_type:
         type_label = dec.type_verdict + "_F"
-    checks = [p for p in theorems.REGISTRY.values()
-              if p.scope in ("relation", "der") and not p.review_only]
-    witnesses = [
-        {"property": p.name, "detail": detail}
-        for p in checks
-        for detail in theorems.run_property(p, d)
-    ]
+    checks, witnesses, check_lines = _cross_check(d, ("relation", "der"))
     results = {
         "relation": args.relation,
         "type": type_label,
@@ -327,16 +337,14 @@ def cmd_decompose(args):
             name: [E.names[e] for e in summand]
             for name, summand in sorted(dec.summands.items())
         },
-        "cross_checks": [p.name for p in checks],
+        "cross_checks": checks,
     }
     lines = [f"type {type_label}; largest finite invariant element {results['f_tilde']}"]
     if dec.unit is not None:
         lines.append(f"finite type with unit {E.names[dec.unit]}")
     for name in ("I", "II", "III"):
         lines.append(f"  summand {name}: {{{', '.join(results['projections'][name])}}}")
-    lines.append(f"cross-checked: {', '.join(results['cross_checks'])}")
-    for w in witnesses:
-        lines.append(f"  VIOLATION {w['property']}: {w['detail']}")
+    lines += check_lines
     return (1 if witnesses else 0), inputs, results, witnesses, "\n".join(lines)
 
 

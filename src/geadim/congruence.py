@@ -8,11 +8,17 @@ by a splitting map) is a dimension equivalence relation (DER).
 ``core.memo`` keeps on each relation its axiom report and one table of
 bitmasks per element (``_relation_masks``), which ``related``,
 ``subequiv`` and ``is_hereditary`` read; ``tests/oracles.py`` keeps
-their literal searches as oracles.  ``splits``, ``sigma_sim``'s
-characterization (b), the definition in ``dimension.Dgea.invariants`` and
-one more reading of invariance in ``invariance-characterizations`` read
-``sim`` directly, so their cross-checks compare the table against literal
-answers.
+their literal searches as oracles.  ``splits`` (the definition that
+``sigma_sim`` reads), the splitting characterization (b) in
+``splitting-algebra``, the definition in ``dimension.Dgea.invariants``
+and one more reading of invariance in ``invariance-characterizations``
+read ``sim`` directly, so their cross-checks compare the table against
+literal answers.
+
+Each function here computes its value by one reading.  The equivalent
+characterizations of splitting maps, of the induced hull system and of
+SK4a' are compared in the ``splitting-algebra`` and
+``induced-hull-contract`` properties of ``theorems``.
 """
 
 from typing import NamedTuple
@@ -46,16 +52,6 @@ class EquivRel:
 
     def sim(self, e, f):
         return self.class_of[e] == self.class_of[f]
-
-    def __eq__(self, other):
-        return isinstance(other, EquivRel) and self.classes == other.classes
-
-    def __hash__(self):
-        return hash(self.classes)
-
-    def __repr__(self):
-        named = [[self.E.names[e] for e in c] for c in self.classes]
-        return f"EquivRel({named})"
 
 
 def build_equiv(E, classes):
@@ -204,86 +200,40 @@ def splits(R, pi):
 
 
 def sigma_sim(R):
-    """The splitting members of the exocenter of a congruence, as a boolean
-    subalgebra; ``NotSkCongruence`` for a relation that is none.
-
-    The four equivalent characterizations of splitting are evaluated per
-    map and asserted to agree, and the result is checked to be a boolean
-    subalgebra containing 0 and 1.
-    """
+    """The splitting members of the exocenter of a congruence, read by the
+    definition (``splits``); ``NotSkCongruence`` for a relation that is
+    none.  ``splitting-algebra`` compares them with the three equivalent
+    characterizations and checks that they form a boolean subalgebra."""
     base = check_sk(R)
     if not base.sk:
         raise NotSkCongruence(str(base.first_failure()))
-    E = R.E
-    chosen = []
-    for pi in exocenter(E):
-        a = splits(R, pi)
-        summand = set(fixed_points(pi))
-        b = all(
-            f in summand
-            for e in summand
-            for f in range(E.n)
-            if R.sim(f, e)
-        )
-        c = is_hereditary(R, summand)
-        comp = [e for e in range(E.n) if pi[e] == 0]
-        d = all(not related(R, e, f) for e in summand for f in comp)
-        if not (a == b == c == d):
-            raise InternalInvariant(
-                f"splitting characterizations disagree for {pi!r}"
-            )
-        if a:
-            chosen.append(pi)
-    sigma = ExoSet(E, chosen)
-    if sigma.zero not in sigma or sigma.one not in sigma:
-        raise InternalInvariant("splitting algebra misses 0 or 1")
-    # each operation raises InternalInvariant when its result leaves sigma
-    for p in sigma:
-        sigma.complement(p)
-        for q in sigma:
-            sigma.meet(p, q)
-            sigma.join(p, q)
-    return sigma
+    return ExoSet(R.E, [pi for pi in exocenter(R.E) if splits(R, pi)])
 
 
-def induced_hull(R, sigma):
+def induced_hull(sigma):
     """Hull system eta_e = meet of splitting maps fixing e (the
-    exocentral cover system of the splitting algebra), validated."""
-    H = hull_mod.gamma_hull(sigma)
-    for pi in sigma:
-        for e in range(R.E.n):
-            if (pi[e] == 0) != sigma.disjoint(pi, H.maps[e]):
-                raise InternalInvariant("kill/disjointness equivalence fails")
-    return H
+    exocentral cover system of the splitting algebra ``sigma``);
+    ``induced-hull-contract`` checks it against the splitting maps."""
+    return hull_mod.gamma_hull(sigma)
 
 
-def check_der(R, sigma, H):
+def check_der(R, sigma):
     """The witness of the separation axiom SK4a' for a congruence, given
-    its splitting algebra and induced hull system: the lex-least unrelated
-    pair that no splitting map separates, or None when SK4a' holds.
-
-    Separation by a splitting map is computed directly and through the
-    equivalent hull-meet form; the two must agree pairwise.
-    """
+    its splitting algebra: the lex-least unrelated pair that no splitting
+    map separates, or None when SK4a' holds.  ``induced-hull-contract``
+    compares the separation with its hull-meet form on every unrelated
+    pair."""
     base = check_sk(R)
     if not base.sk:
         raise NotSkCongruence(str(base.first_failure()))
     E = R.E
-    witness = None
     for e in range(E.n):
         for f in range(E.n):
-            if related(R, e, f):
-                continue
-            direct = any(pi[e] == e and pi[f] == 0 for pi in sigma)
-            via_hull = sigma.disjoint(H.maps[e], H.maps[f])
-            if direct != via_hull:
-                raise InternalInvariant(
-                    "separation and hull-meet forms disagree at "
-                    f"({E.names[e]}, {E.names[f]})"
-                )
-            if not direct and witness is None:
-                witness = (e, f)
-    return witness
+            if not related(R, e, f) and not any(
+                pi[e] == e and pi[f] == 0 for pi in sigma
+            ):
+                return e, f
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ class Dgea:
         if not report.sk:
             raise NotDer(f"relation fails {report.first_failure()[0]}")
         self.sigma = cg.sigma_sim(R)
-        self.hull = cg.induced_hull(R, self.sigma)
-        self.sk4a_prime = cg.check_der(R, self.sigma, self.hull)
+        self.hull = cg.induced_hull(self.sigma)
+        self.sk4a_prime = cg.check_der(R, self.sigma)
         self._summands = {}
 
     @property

@@ -6,6 +6,11 @@ eta_e ^ eta_f.  ``HullSystem.maps`` holds the maps as image tuples, so
 eta_e(f) reads ``H.maps[e][f]``.  The relation e ~ f iff eta_e = eta_f
 behaves like a dimension equivalence when the system is divisible.
 
+Each query computes its value by one reading; the equivalent readings
+are compared in the properties of ``theorems`` (the dyad criterion of
+divisibility in ``divisibility-dyad-criterion``, the type-determining
+sets of every subset in ``td-largest-map``).
+
 ``core.memo`` keeps the hull systems on their model, and on each hull
 system its divisibility report and the parts that type-determining
 subsets are read from (``_td_parts``: one walk over the families with
@@ -44,12 +49,6 @@ class HullSystem:
 
     def __eq__(self, other):
         return isinstance(other, HullSystem) and self.maps == other.maps
-
-    def __hash__(self):
-        return hash(self.maps)
-
-    def __repr__(self):
-        return f"HullSystem({[list(m) for m in self.maps]})"
 
 
 def check_hull_system(S, maps):
@@ -191,30 +190,26 @@ def is_divisible(H):
     """Whether each p with eta_p = eta_(s+t) splits as p = e + f with
     eta_e = eta_s and eta_f = eta_t; the witness is the lex-least failing
     (p, s, t).  By cancellation the splittings of p are (e, p - e) for
-    e <= p, so the test is a lookup in p's pairs of hull maps.  Each triple
-    is cross-checked against the dyad criterion (the meet-image of p is a
-    dyad).  Memoized on the hull system; a failed cross-check is not, so
-    it raises again on every call.
-    """
-    E, S, eta = H.E, H.exoset, H.maps
-    splits = [{(eta[e], eta[E.sub(p, e)]) for e in E.below(p)} for p in range(E.n)]
-    dyad = [is_dyad(H, x) for x in range(E.n)]
-    witness = None
+    e <= p, so the test is a lookup in p's pairs of hull maps
+    (``split_pairs``).  ``divisibility-dyad-criterion`` compares it per
+    triple with the dyad criterion.  Memoized on the hull system."""
+    E, eta = H.E, H.maps
+    pairs = split_pairs(H)
     for p in range(E.n):
         for s in range(E.n):
             for t in range(E.n):
                 st = E.sum_of(s, t)
-                if st is None or eta[p] != eta[st]:
-                    continue
-                direct = (eta[s], eta[t]) in splits[p]
-                if direct != dyad[S.meet(eta[s], eta[t])[p]]:
-                    raise InternalInvariant(
-                        f"divisibility checks disagree at "
-                        f"({E.names[p]}, {E.names[s]}, {E.names[t]})"
-                    )
-                if not direct and witness is None:
-                    witness = (p, s, t)
-    return DivisibilityReport(witness is None, witness)
+                if st is not None and eta[p] == eta[st] and (
+                    (eta[s], eta[t]) not in pairs[p]
+                ):
+                    return DivisibilityReport(False, (p, s, t))
+    return DivisibilityReport(True, None)
+
+
+def split_pairs(H):
+    """Per element p, the set of (eta_e, eta_(p - e)) over e <= p."""
+    E, eta = H.E, H.maps
+    return [{(eta[e], eta[E.sub(p, e)]) for e in E.below(p)} for p in range(E.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +291,10 @@ def td_table(H):
 
 def td_sets(H, T):
     """Whether T is eta-type-determining (its closure and its hull image
-    are T) and strongly so (its closure and its order ideal are T), and
-    the least t in T with the largest hull map, read from ``_td_parts`` at
-    T's mask alone."""
+    are T) and strongly so (its closure and its order ideal are T), and,
+    when T is either, the least t in T with the largest hull map, read
+    from ``_td_parts`` at T's mask alone.  ``td-largest-map`` checks that
+    every strongly type-determining set is type-determining."""
     families, img, down, under = _td_parts(H)
     ts = set(T)
     mask = sum(1 << t for t in ts)
@@ -312,13 +308,11 @@ def td_sets(H, T):
     eta_td = mask == closure == image
     eta_std = mask == closure == ideal
     t_star = None
-    if eta_td:
+    if eta_td or eta_std:
         best = [t for t in sorted(ts) if mask & ~under[t] == 0]
         if not best:
             raise InternalInvariant("type-determining set has no largest hull map")
         t_star = best[0]
-    if eta_std and not eta_td:
-        raise InternalInvariant("strongly type-determining set is not type-determining")
     return TdReport(eta_td, eta_std, t_star)
 
 

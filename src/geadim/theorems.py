@@ -11,13 +11,16 @@ Each property is registered under a content-describing name with a scope:
 
 A property returns a list of witness strings (empty when it holds).
 Each characterization the paper proves equivalent is compared here, in
-the one property that states it: a ``Dgea`` computes each of its sets
-and its decomposition by one reading, so a broken reading is reported
+the one property that states it: a ``Dgea`` computes its splitting
+algebra, its induced hull, SK4a', each of its sets and its
+decomposition by one reading, and so do divisibility, the
+type-determining sets and the center, so a broken reading is reported
 under its own property alone.  An ``InternalInvariant`` raised while a
 property runs (``run_property``) becomes a violation rather than
-aborting the run; one raised while a congruence's ``Dgea`` is
-constructed (the SK report, ``sigma_sim``, the induced hull, SK4a')
-comes before the runner and still ends it.  ``invert`` flips a single
+aborting the run.  A congruence's ``Dgea`` is built before the runner,
+so a raise there still ends the run; only a value that cannot be
+computed raises there (a family of maps that is no hull system, or an
+operation that leaves its set of maps).  ``invert`` flips a single
 property's verdict per instance, as a sanity control that the harness
 can actually fail.
 """
@@ -29,6 +32,7 @@ from functools import partial
 from . import _kernels, catalog, congruence as cg, core, dimension as dm, hull as hull_mod
 from .errors import GeadimError, InternalInvariant, UnknownPredicate
 from .exocenter import (
+    _central_by_definition,
     _is_boolean_algebra,
     _projection,
     brute_force_exomaps,
@@ -151,6 +155,12 @@ def _center_checks(E):
     S = exocenter(E)
     out = []
     pairs = center(E)
+    via_gex = [c for c, _ in pairs]
+    via_def = [c for c in range(E.n) if _central_by_definition(E, c)]
+    if via_gex != via_def:
+        out.append(
+            f"central-element characterizations disagree: {via_gex} vs {via_def}"
+        )
     top = E.greatest()
     if top is not None:
         if len(pairs) != len(S):
@@ -205,12 +215,24 @@ def _hull_meet_projections(E):
 
 @prop("divisibility-dyad-criterion", "model")
 def _divisibility(E):
+    # p splits along s + t exactly when the meet-image of p under eta_s
+    # and eta_t is a dyad
     out = []
     for H in hull_mod.enumerate_hull_systems(E):
-        try:
-            hull_mod.is_divisible(H)
-        except InternalInvariant as exc:
-            out.append(str(exc))
+        S, eta = H.exoset, H.maps
+        pairs = hull_mod.split_pairs(H)
+        dyad = [hull_mod.is_dyad(H, x) for x in range(E.n)]
+        for p in range(E.n):
+            for s in range(E.n):
+                for t in range(E.n):
+                    st = E.sum_of(s, t)
+                    if st is None or eta[p] != eta[st]:
+                        continue
+                    direct = (eta[s], eta[t]) in pairs[p]
+                    if direct != dyad[S.meet(eta[s], eta[t])[p]]:
+                        out.append(
+                            f"divisibility checks disagree at {_names(E, (p, s, t))}"
+                        )
     return out
 
 
@@ -350,19 +372,43 @@ def _eta_sigma_roundtrip(E):
 @prop("splitting-algebra", "relation")
 def _splitting_algebra(ctx):
     # the literal definition over the brute-force exocenter: pi splits
-    # when no nonzero e ~ f has pi(e) = e and pi(f) = 0.  sigma_sim also
-    # checks its characterizations and the boolean subalgebra when the
-    # relation's Dgea is built.
-    E, R = ctx.E, ctx.R
+    # when no nonzero e ~ f has pi(e) = e and pi(f) = 0.  Per exocenter
+    # map, the definition (a) agrees with (b) its summand is closed under
+    # ~, (c) its summand is hereditary and (d) no summand element is
+    # related to one the map kills; the splitting maps hold 0 and 1 and
+    # are closed under complement, meet and join.
+    E, R, sigma = ctx.E, ctx.R, ctx.sigma
     nonzero = range(1, E.n)
     literal = tuple(
         pi for pi in brute_force_exomaps(E)
         if not any(R.sim(e, f) and pi[e] == e and pi[f] == 0
                    for e in nonzero for f in nonzero)
     )
-    if literal != ctx.sigma.maps:
-        return ["splitting algebra differs from the literal splitting filter"]
-    return []
+    out = []
+    if literal != sigma.maps:
+        out.append("splitting algebra differs from the literal splitting filter")
+    G = exocenter(E)
+    for pi in G:
+        summand = fixed_points(pi)
+        comp = [e for e in range(E.n) if pi[e] == 0]
+        a = cg.splits(R, pi)
+        b = all(pi[f] == f for e in summand for f in range(E.n) if R.sim(f, e))
+        c = cg.is_hereditary(R, summand)
+        d = not any(cg.related(R, e, f) for e in summand for f in comp)
+        if not (a == b == c == d):
+            out.append(f"splitting characterizations disagree for {pi!r}")
+    if sigma.zero not in sigma or sigma.one not in sigma:
+        out.append("splitting algebra misses 0 or 1")
+        return out
+    for p in sigma:
+        if G.complement(p) not in sigma:
+            out.append(f"splitting algebra is not closed under complement at {p!r}")
+    for p, q in itertools.combinations(sigma, 2):
+        if G.meet(p, q) not in sigma:
+            out.append(f"splitting algebra is not closed under meet at {p!r}, {q!r}")
+        if G.join(p, q) not in sigma:
+            out.append(f"splitting algebra is not closed under join at {p!r}, {q!r}")
+    return out
 
 
 @prop("splitting-coordinatewise", "relation")
@@ -383,8 +429,11 @@ def _split_coordinatewise(ctx):
 @prop("induced-hull-contract", "relation")
 def _induced_hull_contract(ctx):
     # HS1-HS3 read off the map images, each map in the splitting algebra
-    # and below every splitting map that fixes its element
-    E, S, eta = ctx.E, ctx.sigma, ctx.hull.maps
+    # and below every splitting map that fixes its element, a splitting
+    # map kills e exactly when it is disjoint from eta_e, and, on every
+    # unrelated pair (e, f) as SK4a' reads them, a splitting map fixes e
+    # and kills f exactly when eta_e and eta_f are disjoint
+    E, R, S, eta = ctx.E, ctx.R, ctx.sigma, ctx.hull.maps
     out = ["hull map at zero is not the zero map"] if any(eta[0]) else []
     for e, m in enumerate(eta):
         if m[e] != e:
@@ -393,10 +442,26 @@ def _induced_hull_contract(ctx):
             out.append(f"hull map at {E.names[e]} is not a splitting map")
         elif any(pi[e] == e and not S.leq(m, pi) for pi in S):
             out.append(f"hull map at {E.names[e]} is not below a splitting map fixing it")
+        else:
+            for pi in S:
+                if (pi[e] == 0) != (S.meet(pi, m) == S.zero):
+                    out.append(
+                        f"kill/disjointness equivalence fails at {E.names[e]} for {pi!r}"
+                    )
         for f, k in enumerate(eta):
             mk = tuple(m[k[x]] for x in range(E.n))
             if not eta[m[f]] == mk == tuple(k[m[x]] for x in range(E.n)):
                 out.append(f"hull maps do not compose at {_names(E, (e, f))}")
+    for e in range(E.n):
+        for f in range(E.n):
+            if cg.related(R, e, f) or eta[e] not in S or eta[f] not in S:
+                continue
+            direct = any(pi[e] == e and pi[f] == 0 for pi in S)
+            if direct != S.disjoint(eta[e], eta[f]):
+                out.append(
+                    "separation and hull-meet forms disagree at "
+                    f"{_names(E, (e, f))}"
+                )
     return out
 
 
@@ -722,8 +787,6 @@ def _hereditary_std_largest(ctx):
         estar = H.maps[star]
         if S.join_all([H.maps[h] for h in hset]) != estar:
             out.append(f"{label} set: largest map is not the join")
-        if not set(hset) <= set(fixed_points(estar)):
-            out.append(f"{label} set escapes its own summand")
         for h in hset:
             for e in range(E.n):
                 he = H.maps[h][e]
@@ -734,8 +797,6 @@ def _hereditary_std_largest(ctx):
         has_faithful = any(is_identity(H.maps[h]) for h in hset)
         if has_faithful != is_identity(estar):
             out.append(f"{label} set: faithful member test disagrees")
-        if not core.is_orthodense(E, set(hset), set(fixed_points(estar))):
-            out.append(f"{label} set is not orthodense in its summand")
         for pi in exocenter(E):
             lhs = set(hset) & set(fixed_points(pi))
             rhs = {pi[h] for h in hset}

@@ -334,33 +334,34 @@ def test_one_splitting_algebra_per_congruence(monkeypatch):
     """A whole suite run derives the splitting algebra and the induced hull
     of each catalog congruence once, in its ``Dgea``; no property derives
     its own."""
-    calls = []  # (function, relation); holds every relation alive
+    calls = []  # (function, relation or splitting algebra); holds each alive
 
     def counted(fn):
-        def wrapper(R, *args):
-            calls.append((fn.__name__, R))
-            return fn(R, *args)
+        def wrapper(first, *args):
+            calls.append((fn.__name__, first))
+            return fn(first, *args)
 
         return wrapper
 
-    congruences = []
+    congruences = []  # the Dgeas, which hold their relations and algebras
     real_congruences = catalog.congruences
 
     def collecting(E):
         found = real_congruences(E)
-        congruences.extend(d.R for d in found)
+        congruences.extend(found)
         return found
 
     monkeypatch.setattr(cg, "sigma_sim", counted(cg.sigma_sim))
     monkeypatch.setattr(cg, "induced_hull", counted(cg.induced_hull))
     monkeypatch.setattr(catalog, "congruences", collecting)
     assert theorems.run_theorem_suite(6)["status"] == "ok"
-    ids = {id(R) for R in congruences}
-    assert len(ids) == 18
-    for name in ("sigma_sim", "induced_hull"):
-        built = [R for fn, R in calls if fn == name and id(R) in ids]
-        assert len(built) == 18
-        assert {id(R) for R in built} == ids
+    assert len(congruences) == 18
+    for name, read in (("sigma_sim", lambda d: d.R),
+                       ("induced_hull", lambda d: d.sigma)):
+        ids = {id(read(d)) for d in congruences}
+        built = [x for fn, x in calls if fn == name and id(x) in ids]
+        assert len(ids) == len(built) == 18
+        assert {id(x) for x in built} == ids
 
 
 def test_parallel_suite_builds_models_only_in_workers(monkeypatch, tmp_path):

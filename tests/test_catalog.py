@@ -478,7 +478,7 @@ def test_congruence_failing_separation(monkeypatch, tmp_path):
 
     from geadim import cli
 
-    monkeypatch.setattr(cg, "check_der", lambda R, sigma, H: (1, 2))
+    monkeypatch.setattr(cg, "check_der", lambda R, sigma: (1, 2))
     E = core.b4()
     merge = next(rec for rec in catalog.enumerate_relations(E)
                  if rec.classes == ((0,), (1, 2), (3,)))

@@ -14,7 +14,7 @@ import pytest
 from conftest import run_geadim
 from geadim import catalog, cli, congruence as cg, core, errors, hull, theorems
 from geadim import dimension as dm
-from geadim.exocenter import ExoSet
+from geadim.exocenter import ExoSet, exocenter
 from geadim.errors import (
     ConflictingEquation,
     InternalInvariant,
@@ -253,6 +253,29 @@ def test_hull_and_exocenter_commands(docs):
     payload = json.loads(text)
     assert payload["results"]["size"] == 4
     assert payload["results"]["center"] == ["0", "a", "b", "1"]
+
+
+@pytest.mark.parametrize("command", ["sk", "hull"])
+def test_sk_and_hull_report_the_violations_of_their_properties(
+        command, docs, monkeypatch):
+    argv = [command, docs["b4"], "--relation", "merge", "--json"]
+    code, text = run(argv)
+    payload = json.loads(text)
+    assert code == 0 and payload["witnesses"] == []
+    assert payload["results"]["cross_checks"] == [
+        p.name for p in theorems.REGISTRY.values()
+        if p.scope == "relation" and not p.review_only]
+    monkeypatch.setattr(cg, "is_hereditary", lambda R, S: False)
+    code, text = run(argv)
+    payload = json.loads(text)
+    assert code == 1
+    assert {w["property"] for w in payload["witnesses"]} == {
+        "splitting-algebra", "invariance-characterizations"}
+    assert payload["witnesses"][0] == {
+        "property": "splitting-algebra",
+        "detail": "splitting characterizations disagree for (0, 0, 0, 0)"}
+    assert ("\n  VIOLATION splitting-algebra: splitting characterizations "
+            "disagree for (0, 0, 0, 0)\n") in payload["text"]
 
 
 def test_witnesses_use_names_not_indices(docs):
@@ -556,16 +579,15 @@ def test_catalog_resume_rejects_damaged_file(damage, tmp_path):
 
 
 def test_verify_reports_a_failure_in_the_catalog_build(monkeypatch):
-    """Building a congruence's ``Dgea`` runs the checks of the
-    splitting-algebra and induced-hull-contract properties before any
-    property does, so a failure there must end ``verify`` with an error
+    """A congruence's ``Dgea`` is built before any property runs, so a
+    value that cannot be computed there must end ``verify`` with an error
     rather than pass unseen, also when the build runs in a worker."""
     real = cg.induced_hull
 
-    def failing(R, sigma):
-        if any(len(c) > 1 for c in R.classes):  # the first merging relation
+    def failing(sigma):
+        if len(sigma) < len(exocenter(sigma.E)):  # a relation that merges
             raise InternalInvariant("induced hull broken for the test")
-        return real(R, sigma)
+        return real(sigma)
 
     monkeypatch.setattr(cg, "induced_hull", failing)
     for jobs in ("1", "2"):
@@ -607,6 +629,22 @@ def test_verify_reports_a_broken_derived_part_as_violations(monkeypatch):
     properties = json.loads(text)["results"]["properties"]
     details = [v["detail"] for v in properties["simple-element-criteria"]["violations"]]
     assert details and all(d.startswith("simple-element conditions disagree at ")
+                           for d in details)
+
+
+def test_verify_reports_a_broken_splitting_reading_as_violations(monkeypatch):
+    """No set is hereditary: the splitting algebra reads only the
+    definition, so every ``Dgea`` is built, and the broken reading is
+    reported by the properties that read heredity, not as an error."""
+    monkeypatch.setattr(cg, "is_hereditary", lambda R, S: False)
+    code, text = run(["verify", "--max-size", "5", "--json"])
+    assert code == 1
+    properties = json.loads(text)["results"]["properties"]
+    assert {name for name, p in properties.items() if p["violations"]} == {
+        "invariance-characterizations", "kf-std-sets", "splitting-algebra",
+        "type-decomposition"}
+    details = {v["detail"] for v in properties["splitting-algebra"]["violations"]}
+    assert details and all(d.startswith("splitting characterizations disagree for ")
                            for d in details)
 
 
@@ -712,25 +750,25 @@ GOLDEN_SHA256 = {
     "exocenter b4 --json":
         "33cd067a21fdadd8c3641d1d66675bf3b4e5ec7b579c224d71d089bd8c54dc67",
     "sk b4 --relation merge":
-        "d35f92fa34cab87454228c097f9b5c30e9da4e55ece8b13915b45b36f67f8166",
+        "ada81f1c956625ea31310c4c783106dd920bfa3e25ee75e7e8022499d0767b08",
     "sk b4 --relation merge --json":
-        "10f96594c34ccf5a64d4ca4626e42b541eb27158c87b9ffc62e97efc5c9ceba8",
+        "dca74aaba8dd254c409ba6d3e1af380fbc470e5df9d0542fb6e6ff4458e45d57",
     "sk b4 --relation eq":
-        "642776ae0ae628defacf033cc419e04969ebc2e1610f8256c1af92b0ac114b84",
+        "53437d364a38cf1417bf02ef2afd06339e6624ef0d9e9e1867f6718b54cc13e3",
     "sk b4 --relation eq --json":
-        "51209c5b71967c6280b30d5f89670ae1e3fa42fbd8f332dc903af97ad0b78a02",
+        "028b6f8d0604351c4e196290ef1542b8903d971c7ce786f89c6ee87a1f862d5d",
     "sk b4 --relation bad":
         "02f5ddbbe73956b2dd7df00172cf0dfab12e2a86c22be666b722a59d34a0cfb2",
     "sk b4 --relation bad --json":
         "8b8f0082a8215689ae08530c1e02d76a659207c53748084270f0a7c03f258f32",
     "hull b4 --relation merge":
-        "54de766a5509ad65c7c70bf6f3b45b5f67f77f8a11dffde2c816679485646d1b",
+        "d085f4ccc908d24c1af55124dbdd4730b64e27a43be93d890e4136c760f20358",
     "hull b4 --relation merge --json":
-        "febf9d376f8280b9e31dc7ceb322d7de34d08332c280b28cc47466929533e8f9",
+        "346f3770f7a75e4727ab2caced8da318b5caa3614ca87158c3720513fae96641",
     "hull b4 --relation eq":
-        "0f04edb2c55d9a28a3a86f4abae11aeb6172244ce29728d8a743e86400519e23",
+        "e54be7315f1ca690fecd48e3bbbf9631a8492541c77ca25154ecb74df2dbc507",
     "hull b4 --relation eq --json":
-        "8b255e1073827e3fe327ed4cb9bd85931c3369e56325b9036cb5bd7108297216",
+        "b81beec49e2b5c1b413fad9ec5445a5664e6b91078fee6012dd221e640b2c2fc",
     "hull b4 --relation bad":
         "1553868ba79f0a4e034400b0d9865dd20d30d90cbaa214475dea8b863f8bc7b4",
     "hull b4 --relation bad --json":
@@ -756,17 +794,17 @@ GOLDEN_SHA256 = {
     "exocenter c3 --json":
         "455d47b9938026f216dce0d67ac0aed4809aa54c7ea86515dc1e2e10be57e889",
     "sk c3 --relation eq":
-        "642776ae0ae628defacf033cc419e04969ebc2e1610f8256c1af92b0ac114b84",
+        "53437d364a38cf1417bf02ef2afd06339e6624ef0d9e9e1867f6718b54cc13e3",
     "sk c3 --relation eq --json":
-        "e0151190d9ddc577199960c3757514da6d67878a749eb5546801de5b2b43e5c3",
+        "cd7caf7e29885ee16ddb69619a4a26c887179afd6af2e897459eb2ee96172a39",
     "sk c3 --relation bad":
         "a7c799c7309b818cf8d51710b8626dba3174c08b5a734bac7f6058a82c2d11b4",
     "sk c3 --relation bad --json":
         "53ab4da07df80f16431526a6cc4bf29ce9ef3032425834b8fa4f6d52d643a981",
     "hull c3 --relation eq":
-        "77fe858b3a1f096840ddb2963202294163f451afc3cd9a0f51e33a6734ba9f41",
+        "d76dd891e89bd66ffd1d446369c5b5a577ba6813200489fb1a89dd687e12e09b",
     "hull c3 --relation eq --json":
-        "30515f04190dc89a398f79389166d66b0b5178d51be16e4ecf51df16a1c08992",
+        "70d2b3b08365247a2ee9758a47c309e91ee21e1f10dc474935d966d778374f30",
     "hull c3 --relation bad":
         "8401d43a74263282894ecc168eb415d58f666be35e23c23739e2dcee7a7cd418",
     "hull c3 --relation bad --json":

@@ -192,10 +192,13 @@ def test_splitting_algebra_property_fires_on_a_wrong_sigma(monkeypatch):
     check = theorems.REGISTRY["splitting-algebra"].fn
     d = dm.Dgea(merge)
     assert check(d) == []
-    for wrong in (S, ExoSet(E, [S.one])):
-        monkeypatch.setattr(d, "sigma", wrong)
-        assert check(d) == [
-            "splitting algebra differs from the literal splitting filter"]
+    monkeypatch.setattr(d, "sigma", S)
+    assert check(d) == [
+        "splitting algebra differs from the literal splitting filter"]
+    monkeypatch.setattr(d, "sigma", ExoSet(E, [S.one]))
+    assert check(d) == [
+        "splitting algebra differs from the literal splitting filter",
+        "splitting algebra misses 0 or 1"]
 
 
 def test_induced_hull_contract_fires_on_a_wrong_hull(monkeypatch):
@@ -208,22 +211,123 @@ def test_induced_hull_contract_fires_on_a_wrong_hull(monkeypatch):
     monkeypatch.setattr(d, "hull", hull.gamma_hull(S))
     assert check(d) == ["hull map at a is not a splitting map",
                         "hull map at b is not a splitting map"]
+    # eta_0 = 1 also meets every hull map, though 0 is unrelated to all
     monkeypatch.setattr(d, "hull", hull.HullSystem(d.sigma, [S.one] * 4))
-    assert check(d) == ["hull map at zero is not the zero map",
-                        "hull map at 0 is not below a splitting map fixing it"]
+    assert check(d) == [
+        "hull map at zero is not the zero map",
+        "hull map at 0 is not below a splitting map fixing it",
+    ] + [f"separation and hull-meet forms disagree at {pair}"
+         for pair in ("(0, 0)", "(0, a)", "(0, b)", "(0, 1)",
+                      "(a, 0)", "(b, 0)", "(1, 0)")]
     pa = hull.gamma_hull(S).maps[1]
     monkeypatch.setattr(d, "hull", hull.HullSystem(S, [S.zero, pa, pa, S.one]))
     assert "hull maps do not compose at (a, b)" in check(d)
     assert "hull map at b does not fix it" in check(d)
 
 
+def test_splitting_algebra_compares_the_four_characterizations(monkeypatch):
+    # with no hereditary summand, reading (c) denies the two splitting
+    # maps of the merge and agrees with (a), (b) and (d) on the others
+    E, merge = _b4_merge()
+    check = theorems.REGISTRY["splitting-algebra"].fn
+    d = dm.Dgea(merge)
+    assert check(d) == []
+    monkeypatch.setattr(cg, "is_hereditary", lambda R, S: False)
+    assert check(d) == ["splitting characterizations disagree for (0, 0, 0, 0)",
+                        "splitting characterizations disagree for (0, 1, 2, 3)"]
+
+
+def _split_only(monkeypatch, d, maps):
+    """Give ``d`` the splitting algebra ``maps`` and make the brute-force
+    exocenter the same set, so that the literal filter agrees with it."""
+    wrong = ExoSet(d.E, maps)
+    monkeypatch.setattr(d, "sigma", wrong)
+    monkeypatch.setattr(theorems, "brute_force_exomaps", lambda E: wrong)
+
+
+def test_splitting_algebra_fires_on_a_set_without_zero(monkeypatch):
+    E, merge = _b4_merge()
+    check = theorems.REGISTRY["splitting-algebra"].fn
+    d = dm.Dgea(merge)
+    assert check(d) == []
+    _split_only(monkeypatch, d, [exocenter(E).one])
+    assert check(d) == ["splitting algebra misses 0 or 1"]
+
+
+def test_splitting_algebra_fires_on_a_set_not_closed_under_complement(
+        monkeypatch):
+    E = core.b4()
+    S = exocenter(E)
+    check = theorems.REGISTRY["splitting-algebra"].fn
+    d = dm.Dgea(equality_relation(E))
+    assert check(d) == []
+    pa = (0, 1, 0, 1)  # the projection onto a; its complement is onto b
+    _split_only(monkeypatch, d, [S.zero, pa, S.one])
+    assert check(d) == [
+        "splitting algebra is not closed under complement at (0, 1, 0, 1)"]
+
+
+def test_splitting_algebra_fires_on_a_set_not_closed_under_meet_and_join(
+        monkeypatch):
+    # on the 2 x 2 x 2 cube (subsets of three atoms) the projection onto
+    # the atoms of a mask m is x -> x & m.  The projections onto atoms 1
+    # and 2 and their complements are closed under complement, but the
+    # complements meet in the projection onto atom 4, which is missing,
+    # and the two atoms join to its complement, which is missing too
+    E = core.GeaTable(
+        [str(i) for i in range(8)],
+        [[a | b if not a & b else -1 for b in range(8)] for a in range(8)])
+    onto = {m: tuple(x & m for x in range(8)) for m in range(8)}
+    check = theorems.REGISTRY["splitting-algebra"].fn
+    d = dm.Dgea(equality_relation(E))
+    assert check(d) == []
+    _split_only(monkeypatch, d, [onto[m] for m in (0, 1, 2, 5, 6, 7)])
+    assert check(d) == [
+        f"splitting algebra is not closed under join at {onto[2]!r}, {onto[1]!r}",
+        f"splitting algebra is not closed under meet at {onto[6]!r}, {onto[5]!r}",
+    ]
+
+
+def test_induced_hull_contract_compares_kills_with_disjointness(monkeypatch):
+    # a meet that wrongly makes p_a and p_b disjoint from eta_1 = 1
+    E = core.b4()
+    check = theorems.REGISTRY["induced-hull-contract"].fn
+    d = dm.Dgea(equality_relation(E))
+    assert check(d) == []
+    S = d.sigma
+    real = S.meet
+    monkeypatch.setattr(S, "meet", lambda p, q: S.zero if q == S.one and p != q
+                        else real(p, q))
+    assert check(d) == [
+        "kill/disjointness equivalence fails at 1 for (0, 0, 2, 2)",
+        "kill/disjointness equivalence fails at 1 for (0, 1, 0, 1)",
+    ]
+
+
+def test_induced_hull_contract_compares_separation_with_hull_meets(
+        monkeypatch):
+    # the unrelated a and b are separated by p_a, but their hull maps
+    # p_a and p_b are said to meet
+    E = core.b4()
+    check = theorems.REGISTRY["induced-hull-contract"].fn
+    d = dm.Dgea(equality_relation(E))
+    assert check(d) == []
+    S = d.sigma
+    real = S.disjoint
+    apart = {(0, 1, 0, 1), (0, 0, 2, 2)}
+    monkeypatch.setattr(S, "disjoint",
+                        lambda p, q: {p, q} != apart and real(p, q))
+    assert check(d) == ["separation and hull-meet forms disagree at (a, b)",
+                        "separation and hull-meet forms disagree at (b, a)"]
+
+
 def test_induced_hull():
     E, merge = _b4_merge()
     S = exocenter(E)
     eq = equality_relation(E)
-    h_eq = cg.induced_hull(eq, cg.sigma_sim(eq))
+    h_eq = cg.induced_hull(cg.sigma_sim(eq))
     assert h_eq.maps == hull.gamma_hull(S).maps
-    h_merge = cg.induced_hull(merge, cg.sigma_sim(merge))
+    h_merge = cg.induced_hull(cg.sigma_sim(merge))
     assert h_merge.maps == indiscrete_hull(S).maps
     assert not any(h_merge.maps[0])
 
@@ -231,12 +335,10 @@ def test_induced_hull():
 def test_check_der():
     E, merge = _b4_merge()
     for R in (equality_relation(E), merge):
-        sig = cg.sigma_sim(R)
-        assert cg.check_der(R, sig, cg.induced_hull(R, sig)) is None
+        assert cg.check_der(R, cg.sigma_sim(R)) is None
     C3 = core.c3()
     eq = equality_relation(C3)
-    sig = cg.sigma_sim(eq)
-    assert cg.check_der(eq, sig, cg.induced_hull(eq, sig)) is None
+    assert cg.check_der(eq, cg.sigma_sim(eq)) is None
 
 
 def test_check_der_requires_congruence():
@@ -246,7 +348,7 @@ def test_check_der_requires_congruence():
         cg.sigma_sim(eq)
     S = exocenter(T3)
     with pytest.raises(NotSkCongruence):
-        cg.check_der(eq, S, hull.gamma_hull(S))
+        cg.check_der(eq, S)
 
 
 def test_decompose_pair():

@@ -89,6 +89,15 @@ def test_center(name, expected):
     assert [E.names[c] for c, _ in cen] == expected
 
 
+def test_center_characterizations_compare_the_definition(monkeypatch):
+    E = core.b4()
+    check = theorems.REGISTRY["center-characterizations"].fn
+    assert check(E) == []
+    monkeypatch.setattr(theorems, "_central_by_definition", lambda E, c: c == 0)
+    assert check(E) == [
+        "central-element characterizations disagree: [0, 1, 2, 3] vs [0]"]
+
+
 def _check_central_elements(models):
     """``_central_by_definition`` against the literal search on every
     element; returns the number of central elements found."""

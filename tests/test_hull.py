@@ -157,15 +157,32 @@ def test_divisibility():
     assert hull.is_divisible(indiscrete_hull(ST)).divisible
 
 
-def test_divisibility_is_cached_but_failures_are_not(monkeypatch):
+def test_divisibility_is_cached_and_reads_no_dyads(monkeypatch):
+    # the dyad criterion is compared in divisibility-dyad-criterion, so a
+    # broken dyad reading leaves the report as it is
     _, S = _b4()
     gam = hull.gamma_hull(S)
     assert hull.is_divisible(gam) is hull.is_divisible(gam)
     ind = indiscrete_hull(S)
     monkeypatch.setattr(hull, "is_dyad", lambda H, p: False)
-    for _ in range(2):
-        with pytest.raises(InternalInvariant, match="divisibility checks disagree"):
-            hull.is_divisible(ind)
+    assert hull.is_divisible(ind) == hull.DivisibilityReport(False, (1, 1, 2))
+    assert hull.is_divisible(hull.gamma_hull(S)).divisible  # a fresh memo
+
+
+def test_divisibility_dyad_criterion_compares_each_triple(monkeypatch):
+    # with no dyads, every triple (p, s, t) at which p splits along
+    # s + t disagrees; in C3, 1 does not split as 1 + 1, so (1, 1, 1)
+    # agrees
+    E = core.c3()
+    check = theorems.REGISTRY["divisibility-dyad-criterion"].fn
+    assert check(E) == []
+    monkeypatch.setattr(hull, "is_dyad", lambda H, p: False)
+    assert check(E) == [
+        f"divisibility checks disagree at {t}"
+        for t in ("(0, 0, 0)", "(1, 0, 1)", "(1, 0, 2)", "(1, 1, 0)",
+                  "(1, 2, 0)", "(2, 0, 1)", "(2, 0, 2)", "(2, 1, 0)",
+                  "(2, 1, 1)", "(2, 2, 0)")
+    ]
 
 
 def test_td_table_is_cached_but_failures_are_not(monkeypatch):
