@@ -388,12 +388,20 @@ def cmd_search(args):
             [] if hit is None else [hit], text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line raises ``GeadimError``, reported in one line,
+    in place of argparse's usage on stderr; subparsers share the class."""
+
+    def error(self, message):
+        raise GeadimError(message)
+
+
 def make_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="geadim",
         description="finite-model toolkit for generalized effect algebras "
         "with dimension relations",
@@ -464,14 +472,12 @@ def run_command(argv, out=None):
     ``--json`` envelope, or its one-line error to ``out``; returns the
     exit code."""
     out = out if out is not None else sys.stdout
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = make_parser().parse_args(argv)
         _check_counts(args)
         code, inputs, results, witnesses, text = args.fn(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (GeadimError, OSError) as exc:
         out.write(f"error: {exc}\n")
         return 2

@@ -63,7 +63,7 @@ def build_equiv(E, classes):
             if i is None:
                 if x not in E.names:
                     raise UnknownElement(f"{x!r}")
-                i = E.index(x)
+                i = E.names.index(x)
             if i < 0 or i >= E.n:
                 raise UnknownElement(f"index {i}")
             if i in seen:
@@ -72,7 +72,7 @@ def build_equiv(E, classes):
     class_of = list(range(E.n))
     nxt = E.n
     for cls in classes:
-        ids = [x if isinstance(x, int) else E.index(x) for x in cls]
+        ids = [x if isinstance(x, int) else E.names.index(x) for x in cls]
         for i in ids:
             class_of[i] = nxt
         nxt += 1
@@ -144,7 +144,7 @@ def _relation_masks(R):
     for e, c in enumerate(R.class_of):
         members[c] |= 1 << e
     classes, reach = [], []
-    for below in R.E._below:
+    for below in R.E.below:
         cm = em = 0
         for x in below:
             c = R.class_of[x]
@@ -182,7 +182,7 @@ def is_hereditary(R, S):
 
 
 def is_descendent(R, d, e):
-    return all(related(R, x, e) for x in R.E.below(d) if x != 0)
+    return all(related(R, x, e) for x in R.E.below[d] if x != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +255,14 @@ def decompose_pair(R, p, q):
     while grown:
         grown = False
         for x in range(1, E.n):
-            ax = E.sum_of(a, x)
-            if ax is None or not E.leq[ax][p]:
+            ax = E.sum[a][x]
+            if ax < 0 or not E.leq[ax][p]:
                 continue
             for y in range(1, E.n):
                 if not R.sim(x, y):
                     continue
-                by = E.sum_of(b, y)
-                if by is None or not E.leq[by][q]:
+                by = E.sum[b][y]
+                if by < 0 or not E.leq[by][q]:
                     continue
                 a, b = ax, by
                 grown = True
@@ -270,7 +270,7 @@ def decompose_pair(R, p, q):
             if grown:
                 break
     p1, q1 = a, b
-    p2, q2 = E.sub(p, p1), E.sub(q, q1)
+    p2, q2 = E.diff[p][p1], E.diff[q][q1]
     if not R.sim(p1, q1) or related(R, p2, q2):
         raise InternalInvariant(
             f"pair decomposition contract fails for ({E.names[p]}, {E.names[q]})"

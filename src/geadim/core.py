@@ -4,8 +4,10 @@ An n-element model is stored as an n-by-n table of the partial
 orthosummation, a tuple of row tuples whose entry -1 means the sum is
 undefined, together with the derived order ``leq`` (e <= f iff e + d = f
 for some d) and difference table ``diff`` (``diff[f][e]`` is f - e when
-e <= f), in the same form.  Element 0 is always the zero element; the
-builders reorder inputs so this holds.
+e <= f), in the same form, and the tuple ``below`` (``below[p]`` lists
+the elements e <= p in ascending order).  Every layer reads these tables
+directly.  Element 0 is always the zero element; the builders reorder
+inputs so this holds.
 
 Everything here is immutable after construction and safe to share.
 """
@@ -41,7 +43,6 @@ class GeaTable:
     def __init__(self, names, sum_table, _validated=False):
         self.names = tuple(names)
         self.n = len(self.names)
-        self.zero = 0
         if self.n > MAX_ELEMENTS:
             raise ValueError(f"a model has at most {MAX_ELEMENTS} elements")
         table = tuple(map(tuple, sum_table))
@@ -79,7 +80,8 @@ class GeaTable:
         return _kernels.sk_plan(self.sum, self.diff, self.leq)
 
     @cached_property
-    def _below(self):
+    def below(self):
+        """Per element p, the tuple of the elements e <= p, ascending."""
         return tuple(
             tuple(e for e in range(self.n) if self.leq[e][p]) for p in range(self.n)
         )
@@ -88,30 +90,12 @@ class GeaTable:
     def _masks(self):
         """(down, up): per element, the bitmask of the elements below it
         and of those above it (bit x for element x)."""
-        down = tuple(sum(1 << d for d in below) for below in self._below)
+        down = tuple(sum(1 << d for d in below) for below in self.below)
         up = [0] * self.n
-        for p, below in enumerate(self._below):
+        for p, below in enumerate(self.below):
             for d in below:
                 up[d] |= 1 << p
         return down, tuple(up)
-
-    def sum_of(self, e, f):
-        v = self.sum[e][f]
-        return None if v < 0 else v
-
-    def sub(self, f, e):
-        """f - e for e <= f, else None."""
-        v = self.diff[f][e]
-        return None if v < 0 else v
-
-    def perp(self, e, f):
-        return self.sum[e][f] >= 0
-
-    def below(self, p):
-        return list(self._below[p])
-
-    def index(self, name):
-        return self.names.index(name)
 
     @cached_property
     def atoms(self):
@@ -133,7 +117,7 @@ class GeaTable:
         """Length of a longest chain (number of elements)."""
         n = self.n
         depth = [1] * n
-        order = sorted(range(n), key=lambda e: len(self._below[e]))
+        order = sorted(range(n), key=lambda e: len(self.below[e]))
         for e in order:
             for f in range(n):
                 if f != e and self.leq[f][e]:
@@ -249,8 +233,8 @@ def orthogonal_multisets(E):
     def extend(ms, total, start):
         out.append((ms, total))
         for e in range(start, E.n):
-            t = E.sum_of(total, e)
-            if t is not None:
+            t = E.sum[total][e]
+            if t >= 0:
                 extend(ms + (e,), t, e)
 
     extend((), 0, 1)
@@ -262,17 +246,17 @@ def orthogonal_multisets(E):
 # ---------------------------------------------------------------------------
 
 def is_principal(E, p):
-    for e in E.below(p):
-        for f in E.below(p):
-            s = E.sum_of(e, f)
-            if s is not None and not E.leq[s][p]:
+    for e in E.below[p]:
+        for f in E.below[p]:
+            s = E.sum[e][f]
+            if s >= 0 and not E.leq[s][p]:
                 return False
     return True
 
 
 def is_sharp(E, p):
-    for d in E.below(p):
-        if d != 0 and E.perp(d, p):
+    for d in E.below[p]:
+        if d != 0 and E.sum[d][p] >= 0:
             return False
     return True
 
@@ -331,7 +315,7 @@ def structure_predicates(E):
     oo = True
     for e in range(n):
         for f in range(n):
-            if all(E.perp(d, e) for d in range(n) if E.perp(d, f)):
+            if all(E.sum[d][e] >= 0 for d in range(n) if E.sum[d][f] >= 0):
                 if not E.leq[e][f]:
                     oo = False
     lattice = all(
@@ -385,12 +369,12 @@ def all_ideals(E):
     such sum exists, in the second e is there.  A sum e + f with e in the
     set lies above e, so it is e itself.  J' determines J and whether it
     holds e, so no ideal is found twice."""
-    order = sorted(range(E.n), key=lambda e: (len(E.below(e)), e))
+    order = sorted(range(E.n), key=lambda e: (len(E.below[e]), e))
     down, diff = E._masks[0], E.diff
     ideals = [1]
     for e in order[1:]:
         # the pairs a + b = e are (a, e - a) for a <= e, by cancellation
-        pairs = [1 << a | 1 << diff[e][a] for a in E.below(e) if a not in (0, e)]
+        pairs = [1 << a | 1 << diff[e][a] for a in E.below[e] if a not in (0, e)]
         strictly = down[e] ^ 1 << e
         grown = []
         for J in ideals:
@@ -430,8 +414,8 @@ def is_orthodense(E, D, P):
     while frontier:
         r = frontier.pop()
         for d in D:
-            v = E.sum_of(r, d)
-            if v is not None and v not in reach:
+            v = E.sum[r][d]
+            if v >= 0 and v not in reach:
                 reach.add(v)
                 frontier.append(v)
     return P <= reach
@@ -445,16 +429,16 @@ def interval_ea(E, p):
     """The interval E[0, p] organized as an effect algebra with unit p.
 
     Sums inside the interval are the parent sums that stay below p.  Its
-    element i is the parent's element ``E.below(p)[i]``.
+    element i is the parent's element ``E.below[p][i]``.
     """
-    members = E.below(p)
+    members = E.below[p]
     pos = {e: i for i, e in enumerate(members)}
     k = len(members)
     table = [[-1] * k for _ in range(k)]
     for a in members:
         for b in members:
-            v = E.sum_of(a, b)
-            if v is not None and E.leq[v][p]:
+            v = E.sum[a][b]
+            if v >= 0 and E.leq[v][p]:
                 table[pos[a]][pos[b]] = pos[v]
     try:
         sub = GeaTable([E.names[e] for e in members], table)

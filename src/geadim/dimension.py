@@ -81,8 +81,8 @@ class Dgea:
         table = [[-1] * k for _ in range(k)]
         for a in members:
             for b in members:
-                v = E.sum_of(a, b)
-                if v is not None:
+                v = E.sum[a][b]
+                if v >= 0:
                     if v not in pos:
                         raise InternalInvariant("summand is not closed under sums")
                     table[pos[a]][pos[b]] = pos[v]
@@ -102,7 +102,7 @@ class Dgea:
         return tuple(
             k
             for k in range(E.n)
-            if all(not cg.related(R, e, E.sub(k, e)) for e in E.below(k))
+            if all(not cg.related(R, e, E.diff[k][e]) for e in E.below[k])
         )
 
     @cached_property
@@ -115,7 +115,7 @@ class Dgea:
         return tuple(
             f
             for f in range(E.n)
-            if all(e == f for e in E.below(f) if R.sim(e, f))
+            if all(e == f for e in E.below[f] if R.sim(e, f))
         )
 
     @cached_property
@@ -129,8 +129,8 @@ class Dgea:
             c
             for c in range(E.n)
             if core.is_principal(E, c) and not any(
-                R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0)
-                for c1 in E.below(c)
+                R.sim(c1, f) and E.sum[f][c] >= 0 and (c1 != 0 or f != 0)
+                for c1 in E.below[c]
                 for f in range(E.n)
             )
         )
@@ -316,12 +316,12 @@ def hereditary_sup(dgea, S):
     total = 0
     while True:
         ext = next(
-            (h for h in sorted(S) if h != 0 and E.sum_of(total, h) is not None),
+            (h for h in sorted(S) if h != 0 and E.sum[total][h] >= 0),
             None,
         )
         if ext is None:
             break
-        total = E.sum_of(total, ext)
+        total = E.sum[total][ext]
     c = total
     sup = core.sup(E, sorted(S) or [0])
     if sup != c:
@@ -339,7 +339,7 @@ def hereditary_sup(dgea, S):
     return HereditarySupReport(
         c=c,
         sharp=core.is_sharp(E, c),
-        interval_hereditary=cg.is_hereditary(R, E.below(c)),
+        interval_hereditary=cg.is_hereditary(R, E.below[c]),
         central_if_directed=central,
     )
 

@@ -73,8 +73,8 @@ class ExoSet:
     def complement(self, p):
         out = self._complements.get(p)
         if out is None:
-            sub = self.E.sub
-            out = self._member([sub(e, v) for e, v in enumerate(p)])
+            diff = self.E.diff
+            out = self._member([diff[e][v] for e, v in enumerate(p)])
             self._complements[p] = out
         return out
 
@@ -159,8 +159,8 @@ def _projection(E, H, K):
     img = [-1] * E.n
     for h in H:
         for k in K:
-            v = E.sum_of(h, k)
-            if v is None:
+            v = E.sum[h][k]
+            if v < 0:
                 return None
             if img[v] >= 0:
                 return None  # decomposition not unique
@@ -191,7 +191,7 @@ def center(E):
     for pi in exocenter(E):
         M = set(fixed_points(pi))
         tops = [c for c in M if all(E.leq[m][c] for m in M)]
-        if tops and M == set(E.below(tops[0])):
+        if tops and M == set(E.below[tops[0]]):
             via_gex[tops[0]] = pi
     return tuple((c, via_gex[c]) for c in sorted(via_gex))
 
@@ -255,7 +255,7 @@ def cogea_check(E):
             co1, witness = False, ("CO1", pick)
             continue
         for f in range(E.n):
-            if all(E.perp(f, a) for a in pick) and not E.perp(f, total):
+            if all(E.sum[f][a] >= 0 for a in pick) and E.sum[f][total] < 0:
                 co2 = False
                 witness = witness or ("CO2", pick, f)
     boolean = _is_boolean_algebra(S)

@@ -124,7 +124,7 @@ def enumerate_hull_systems(E):
     """
     S = exocenter(E)
     n = E.n
-    order = sorted(range(n), key=lambda e: (len(E.below(e)), e))
+    order = sorted(range(n), key=lambda e: (len(E.below[e]), e))
     assert order[0] == 0
     fixing = {e: [m for m in S if m[e] == e] for e in range(n)}
     maps = [None] * n
@@ -166,16 +166,16 @@ def enumerate_hull_systems(E):
 def is_monad(H, p):
     """No element strictly below p has p's hull map."""
     eta = H.maps
-    return all(e == p for e in H.E.below(p) if eta[e] == eta[p])
+    return all(e == p for e in H.E.below[p] if eta[e] == eta[p])
 
 
 def is_dyad(H, p):
     """p is a sum e + f of two elements with equal hull maps."""
     E, eta = H.E, H.maps
     return any(
-        E.sum_of(e, f) == p and eta[e] == eta[f]
-        for e in E.below(p)
-        for f in E.below(p)
+        E.sum[e][f] == p and eta[e] == eta[f]
+        for e in E.below[p]
+        for f in E.below[p]
     )
 
 
@@ -198,8 +198,8 @@ def is_divisible(H):
     for p in range(E.n):
         for s in range(E.n):
             for t in range(E.n):
-                st = E.sum_of(s, t)
-                if st is not None and eta[p] == eta[st] and (
+                st = E.sum[s][t]
+                if st >= 0 and eta[p] == eta[st] and (
                     (eta[s], eta[t]) not in pairs[p]
                 ):
                     return DivisibilityReport(False, (p, s, t))
@@ -209,7 +209,7 @@ def is_divisible(H):
 def split_pairs(H):
     """Per element p, the set of (eta_e, eta_(p - e)) over e <= p."""
     E, eta = H.E, H.maps
-    return [{(eta[e], eta[E.sub(p, e)]) for e in E.below(p)} for p in range(E.n)]
+    return [{(eta[e], eta[E.diff[p][e]]) for e in E.below[p]} for p in range(E.n)]
 
 
 # ---------------------------------------------------------------------------

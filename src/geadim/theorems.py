@@ -78,8 +78,8 @@ def _core_order_laws(E):
     for d in range(E.n):
         for e in range(E.n):
             for f in range(E.n):
-                de, df = E.sum_of(d, e), E.sum_of(d, f)
-                if de is not None and df is not None and E.leq[de][df]:
+                de, df = E.sum[d][e], E.sum[d][f]
+                if de >= 0 and df >= 0 and E.leq[de][df]:
                     if not E.leq[e][f]:
                         out.append(f"order cancellation fails at {_names(E, (d, e, f))}")
     for p in range(E.n):
@@ -208,7 +208,7 @@ def _hull_meet_projections(E):
                 nonzero = e1 != 0 and f1 != 0
                 if nonzero != (not S.disjoint(eta[e], eta[f])):
                     out.append(f"nonzero-meet criterion fails at {_names(E, (e, f))}")
-                if not E.perp(e, f) and not nonzero:
+                if E.sum[e][f] < 0 and not nonzero:
                     out.append(f"non-orthogonal pair projects to zero at {_names(E, (e, f))}")
     return out
 
@@ -225,8 +225,8 @@ def _divisibility(E):
         for p in range(E.n):
             for s in range(E.n):
                 for t in range(E.n):
-                    st = E.sum_of(s, t)
-                    if st is None or eta[p] != eta[st]:
+                    st = E.sum[s][t]
+                    if st < 0 or eta[p] != eta[st]:
                         continue
                     direct = (eta[s], eta[t]) in pairs[p]
                     if direct != dyad[S.meet(eta[s], eta[t])[p]]:
@@ -262,13 +262,13 @@ def _hull_grid(E):
                 if v < 0:
                     continue
                 grid = set()
-                for e1 in E.below(e):
+                for e1 in E.below[e]:
                     r1, r2 = sums[e1], sums[diff[e][e1]]  # rows of e1, e2
-                    for f1 in E.below(f):
+                    for f1 in E.below[f]:
                         a, b = r1[f1], r2[diff[f][f1]]  # e1 + f1, e2 + f2
                         if a >= 0 and b >= 0:
                             grid.add((k[a], k[b]))
-                for s in E.below(v):
+                for s in E.below[v]:
                     t = diff[v][s]
                     if (k[s], k[t]) not in grid:
                         out.append(
@@ -479,7 +479,7 @@ def _split_subequiv(ctx):
                     if not cg.subequiv(R, pi[e], pi[f]):
                         out.append(f"projection breaks sub-equivalence at {_names(E, (e, f))}")
             lhs = ctx.sigma.leq(eta[e], eta[f])
-            rhs = any(eta[e] == eta[f1] for f1 in E.below(f))
+            rhs = any(eta[e] == eta[f1] for f1 in E.below[f])
             if lhs != rhs:
                 out.append(f"hull order vs hull-equivalent subelement at {_names(E, (e, f))}")
             if R.sim(e, f) and eta[e] != eta[f]:
@@ -493,12 +493,12 @@ def _equiv_sum_cancel(ctx):
     out = []
     for e in range(E.n):
         for f in range(E.n):
-            ef = E.sum_of(e, f)
-            if ef is None:
+            ef = E.sum[e][f]
+            if ef < 0:
                 continue
             for d in range(E.n):
-                efd = E.sum_of(ef, d)
-                if efd is None:
+                efd = E.sum[ef][d]
+                if efd < 0:
                     continue
                 if R.sim(e, efd) and not R.sim(e, ef):
                     out.append(f"sum cancellation fails at {_names(E, (e, f, d))}")
@@ -533,13 +533,13 @@ def _subequiv_additive(ctx):
     out = []
     for e1 in range(E.n):
         for e2 in range(E.n):
-            s = E.sum_of(e1, e2)
-            if s is None:
+            s = E.sum[e1][e2]
+            if s < 0:
                 continue
             for f1 in range(E.n):
                 for f2 in range(E.n):
-                    t = E.sum_of(f1, f2)
-                    if t is None:
+                    t = E.sum[f1][f2]
+                    if t < 0:
                         continue
                     if (
                         cg.subequiv(R, e1, f1)
@@ -571,11 +571,11 @@ def _hered_interval_disjoint(ctx):
     E, R = ctx.E, ctx.R
     out = []
     for c in range(E.n):
-        if not cg.is_hereditary(R, E.below(c)):
+        if not cg.is_hereditary(R, E.below[c]):
             continue
         for d in range(E.n):
             common = [x for x in range(1, E.n) if E.leq[x][d] and E.leq[x][c]]
-            if not common and not E.perp(d, c):
+            if not common and E.sum[d][c] < 0:
                 out.append(f"disjoint element not orthogonal at {_names(E, (c, d))}")
     return out
 
@@ -583,14 +583,14 @@ def _hered_interval_disjoint(ctx):
 def _invariance_four_way(R, c):
     E = R.E
     a = all(
-        not (E.leq[c1][c] and R.sim(c1, f) and E.perp(f, c) and (c1 != 0 or f != 0))
+        not (E.leq[c1][c] and R.sim(c1, f) and E.sum[f][c] >= 0 and (c1 != 0 or f != 0))
         for c1 in range(E.n)
         for f in range(E.n)
     )
     sharp = core.is_sharp(E, c)
-    b = sharp and cg.is_hereditary(R, E.below(c))
+    b = sharp and cg.is_hereditary(R, E.below[c])
     cc = sharp and all(E.leq[e][c] for e in range(E.n) if R.sim(e, c))
-    dd = sharp and cg.is_hereditary(R, [f for f in range(E.n) if E.perp(f, c)])
+    dd = sharp and cg.is_hereditary(R, [f for f in range(E.n) if E.sum[f][c] >= 0])
     return a, b, cc, dd
 
 
@@ -606,10 +606,10 @@ def _invariance(ctx):
             out.append(f"unboundedness characterizations disagree at {E.names[c]}")
         decomposable = all(
             any(
-                E.sum_of(e1, e2) == e
-                for e1 in E.below(c)
+                E.sum[e1][e2] == e
+                for e1 in E.below[c]
                 for e2 in range(E.n)
-                if E.perp(e2, c)
+                if E.sum[e2][c] >= 0
             )
             for e in range(E.n)
         )
@@ -620,11 +620,11 @@ def _invariance(ctx):
         principal = core.is_principal(E, c)
         readings = (
             c in centrals and cg.splits(R, centrals[c]),
-            set(fixed_points(H.maps[c])) == set(E.below(c)),
-            principal and cg.is_hereditary(R, E.below(c)),
+            set(fixed_points(H.maps[c])) == set(E.below[c]),
+            principal and cg.is_hereditary(R, E.below[c]),
             principal and all(E.leq[e][c] for e in range(E.n) if R.sim(e, c)),
             principal and cg.is_hereditary(
-                R, [f for f in range(E.n) if E.perp(f, c)]
+                R, [f for f in range(E.n) if E.sum[f][c] >= 0]
             ),
         )
         if any(r != (c in ctx.invariants) for r in readings):
@@ -781,8 +781,7 @@ def _hereditary_std_largest(ctx):
     for label, hset in _kf_sets(ctx).items():
         td = hull_mod.td_sets(H, hset)
         if not td.eta_std:
-            out.append(f"{label} set is not strongly type-determining")
-            continue
+            continue  # reported by kf-std-sets
         star = td.t_star
         estar = H.maps[star]
         if S.join_all([H.maps[h] for h in hset]) != estar:
@@ -811,6 +810,8 @@ def _summand_meets_hereditary(ctx):
     out = []
     for label, hset in _kf_sets(ctx).items():
         star = hull_mod.td_sets(H, hset).t_star
+        if star is None:
+            continue  # reported by kf-std-sets
         for pi in S:
             a = set(hset) & set(fixed_points(pi)) == {0}
             b = all(pi[h] == 0 for h in hset)
@@ -828,6 +829,8 @@ def _summand_star_projection(ctx):
     out = []
     for label, hset in _kf_sets(ctx).items():
         star = hull_mod.td_sets(H, hset).t_star
+        if star is None:
+            continue  # reported by kf-std-sets
         for pi in set(H.maps):
             hsharp = pi[star]
             if hsharp not in hset or pi[hsharp] != hsharp:
@@ -873,6 +876,8 @@ def _faithful_restriction(ctx):
     out = []
     for label, hset in _kf_sets(ctx).items():
         star = hull_mod.td_sets(H, hset).t_star
+        if star is None:
+            continue  # reported by kf-std-sets
         for pi in set(H.maps):
             hsharp = pi[star]
             a = any(H.maps[h] == pi for h in hset)
@@ -908,18 +913,18 @@ def _simple_criteria(ctx):
     K = ctx.simple
     for k in range(E.n):
         splits_ok = all(
-            S.disjoint(H.maps[k1], H.maps[E.sub(k, k1)]) for k1 in E.below(k)
+            S.disjoint(H.maps[k1], H.maps[E.diff[k][k1]]) for k1 in E.below[k]
         )
-        iv, embed = core.interval_ea(E, k), E.below(k)
+        iv, embed = core.interval_ea(E, k), E.below[k]
         pairs_ok = all(
             S.disjoint(H.maps[embed[a]], H.maps[embed[b]])
             for a in range(iv.n)
             for b in range(iv.n)
-            if iv.perp(a, b)
+            if iv.sum[a][b] >= 0
             and (embed[a] != 0 or embed[b] != 0)
         )
         monad = hull_mod.is_monad(H, k)
-        fixed = all(H.maps[e][k] == e for e in E.below(k))
+        fixed = all(H.maps[e][k] == e for e in E.below[k])
         direct = k in K
         if not (direct == splits_ok == pairs_ok == monad == fixed):
             out.append(f"simple-element conditions disagree at {E.names[k]}")
@@ -961,17 +966,17 @@ def _finite_subtraction(ctx):
     F = ctx.finite
     out = []
     for f in F:
-        for e in E.below(f):
+        for e in E.below[f]:
             if e not in F:
                 out.append(f"finite set is not an order ideal at {E.names[e]}")
     for e in F:
         for f in F:
             if not R.sim(e, f):
                 continue
-            for e1 in E.below(e):
-                e2 = E.sub(e, e1)
-                for f1 in E.below(f):
-                    f2 = E.sub(f, f1)
+            for e1 in E.below[e]:
+                e2 = E.diff[e][e1]
+                for f1 in E.below[f]:
+                    f2 = E.diff[f][f1]
                     if R.sim(e1, f1) and not R.sim(e2, f2):
                         out.append(
                             f"subtraction property fails at {_names(E, (e, f, e1, f1))}"
@@ -1026,7 +1031,7 @@ def _finite_invariant_largest(ctx):
     out = []
     ft, ftset = ctx.finite_invariant
     F = set(ctx.finite)
-    below = set(E.below(ft))
+    below = set(E.below[ft])
     if not set(ftset) <= below:
         out.append("finite invariant set escapes the interval of its largest member")
     if not below <= F:
@@ -1042,7 +1047,7 @@ def _finite_invariant_faithful(ctx):
     ft, ftset = ctx.finite_invariant
     a = any(is_identity(H.maps[f]) for f in ftset)
     b = is_identity(H.maps[ft])
-    c = set(E.below(ft)) == set(range(E.n))
+    c = set(E.below[ft]) == set(range(E.n))
     if not (a == b == c):
         out.append("finite-type characterizations disagree")
     if b:
@@ -1148,19 +1153,19 @@ def _type_decomposition(ctx):
         inside = set(s)
         if any(E.leq[e][f] and e not in inside for f in s for e in range(E.n)):
             out.append(f"summand {name} is not a down-set")
-        sums = (E.sum_of(e, f) for e in s for f in s)
-        if any(v is not None and v not in inside for v in sums):
+        sums = (E.sum[e][f] for e in s for f in s)
+        if any(v >= 0 and v not in inside for v in sums):
             out.append(f"summand {name} is not closed under sums")
         if not cg.is_hereditary(R, s):
             out.append(f"summand {name} is not hereditary")
     ways = [0] * E.n
     for s1, s2 in itertools.product(parts[0], parts[1]):
-        v = E.sum_of(s1, s2)
-        if v is None:
+        v = E.sum[s1][s2]
+        if v < 0:
             continue
         for s3 in parts[2]:
-            w = E.sum_of(v, s3)
-            if w is not None:
+            w = E.sum[v][s3]
+            if w >= 0:
                 ways[w] += 1
     bad = [e for e in range(E.n) if ways[e] != 1]
     if bad:

@@ -347,16 +347,16 @@ def is_divisible(H):
     for p in range(E.n):
         for s in range(E.n):
             for t in range(E.n):
-                if E.sum_of(s, t) is None:
+                if E.sum[s][t] < 0:
                     continue
-                if eta[p] != eta[E.sum_of(s, t)]:
+                if eta[p] != eta[E.sum[s][t]]:
                     continue
                 direct = any(
-                    E.sum_of(e, f) == p
+                    E.sum[e][f] == p
                     and eta[e] == eta[s]
                     and eta[f] == eta[t]
-                    for e in E.below(p)
-                    for f in E.below(p)
+                    for e in E.below[p]
+                    for f in E.below[p]
                 )
                 target = S.meet(eta[s], eta[t])[p]
                 via_dyad = hull.is_dyad(H, target)
@@ -394,7 +394,7 @@ def orthosum_family(E, family):
             seen.add(e)
             rest = ms[:k] + ms[k + 1:]
             r = rec(rest)
-            results.add(None if r is None else E.sum_of(e, r))
+            results.add(None if r is None or E.sum[e][r] < 0 else E.sum[e][r])
         if len(results) != 1:
             raise InternalInvariant(f"order-dependent orthosum for {ms}")
         out = results.pop()
@@ -428,15 +428,15 @@ def sk3e_split_eta(H, e, f, s, t):
     relation, found in lexicographic order.
     """
     E = H.E
-    if E.sum_of(e, f) is None or E.sum_of(e, f) != E.sum_of(s, t):
+    if E.sum[e][f] < 0 or E.sum[e][f] != E.sum[s][t]:
         raise ValueError("need e + f = s + t defined")
-    for e1 in E.below(e):
-        e2 = E.sub(e, e1)
-        for f1 in E.below(f):
-            f2 = E.sub(f, f1)
-            a = E.sum_of(e1, f1)
-            b = E.sum_of(e2, f2)
-            if a is None or b is None:
+    for e1 in E.below[e]:
+        e2 = E.diff[e][e1]
+        for f1 in E.below[f]:
+            f2 = E.diff[f][f1]
+            a = E.sum[e1][f1]
+            b = E.sum[e2][f2]
+            if a < 0 or b < 0:
                 continue
             if H.maps[a] == H.maps[s] and H.maps[b] == H.maps[t]:
                 return (e1, e2, f1, f2)
@@ -469,7 +469,7 @@ def td_sets(H, T):
     image = {H.maps[e][t] for e in range(E.n) for t in T}
     ts = set(T)
     eta_td = ts == closure == image
-    order_ideal = all(x in ts for t in T for x in E.below(t))
+    order_ideal = all(x in ts for t in T for x in E.below[t])
     eta_std = order_ideal and ts == closure
     t_star = None
     if eta_td:
@@ -485,12 +485,12 @@ def td_sets(H, T):
 def related(R, e, f):
     """Nonzero equivalent subelements exist below e and f respectively."""
     below = R.E.below
-    return any(R.sim(e1, f1) for e1 in below(e) if e1 for f1 in below(f) if f1)
+    return any(R.sim(e1, f1) for e1 in below[e] if e1 for f1 in below[f] if f1)
 
 
 def subequiv(R, e, f):
     """e is equivalent to some subelement of f."""
-    return any(R.sim(e, f1) for f1 in R.E.below(f))
+    return any(R.sim(e, f1) for f1 in R.E.below[f])
 
 
 def is_hereditary(R, S):
@@ -499,7 +499,7 @@ def is_hereditary(R, S):
     S = frozenset(S)
     return all(
         (e in S) for h in S for e in range(E.n) if subequiv(R, e, h)
-    ) and all(t in S for h in S for t in E.below(h))
+    ) and all(t in S for h in S for t in E.below[h])
 
 
 def structure_predicates(E):
@@ -514,7 +514,7 @@ def structure_predicates(E):
     oo = True
     for e in range(n):
         for f in range(n):
-            if all(E.perp(d, e) for d in range(n) if E.perp(d, f)):
+            if all(E.sum[d][e] >= 0 for d in range(n) if E.sum[d][f] >= 0):
                 if not E.leq[e][f]:
                     oo = False
     lattice = all(
@@ -526,8 +526,8 @@ def structure_predicates(E):
     for e in range(1, n):
         x, steps = e, 1
         while steps <= n:
-            nx = E.sum_of(x, e)
-            if nx is None:
+            nx = E.sum[x][e]
+            if nx < 0:
                 break
             x, steps = nx, steps + 1
         if steps > n:
@@ -581,12 +581,12 @@ def inf(E, fam):
 def is_ideal(E, S):
     """S is a down-set closed under defined sums."""
     for s in S:
-        for t in E.below(s):
+        for t in E.below[s]:
             if t not in S:
                 return False
         for t in S:
-            v = E.sum_of(s, t)
-            if v is not None and v not in S:
+            v = E.sum[s][t]
+            if v >= 0 and v not in S:
                 return False
     return True
 
@@ -611,17 +611,17 @@ def central_by_definition(E, c):
     for e in range(E.n):
         decomps = [
             (e1, e2)
-            for e1 in E.below(c)
+            for e1 in E.below[c]
             for e2 in range(E.n)
-            if E.perp(e2, c) and E.sum_of(e1, e2) == e
+            if E.sum[e2][c] >= 0 and E.sum[e1][e2] == e
         ]
         if len(decomps) != 1:
             return False
     for p in range(E.n):
         for q in range(E.n):
-            if E.perp(p, q) and E.perp(p, c) and E.perp(q, c):
-                s = E.sum_of(p, q)
-                if not E.perp(s, c):
+            if E.sum[p][q] >= 0 and E.sum[p][c] >= 0 and E.sum[q][c] >= 0:
+                s = E.sum[p][q]
+                if E.sum[s][c] < 0:
                     return False
     return True
 
@@ -639,7 +639,7 @@ def downset_exomaps(E):
     """
     rng = range(E.n)
     rows = []
-    for digits in itertools.product(*reversed(E._below)):
+    for digits in itertools.product(*reversed(E.below)):
         m = digits[::-1]
         if any(m[x] != x for x in m):  # EXC2
             continue

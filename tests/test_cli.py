@@ -188,6 +188,35 @@ def test_import_does_not_load_multiprocessing():
     assert not _loaded_by_fresh_import("multiprocessing")
 
 
+_NEW_MODULES_OF_COMMANDS = """\
+import sys
+before = set(sys.modules)  # site hooks may load third-party modules first
+import io, tempfile
+from pathlib import Path
+from geadim import cli
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in (["verify", "--max-size", "4", "--jobs", "2"],
+                 ["catalog", "--max-size", "3", "--out", str(Path(tmp) / "c.jsonl")],
+                 ["search", "--property", "non-type-i-dgea", "--max-size", "4"]):
+        assert cli.run_command(argv, out=io.StringIO()) == 0, argv
+# multiprocessing registers __main__ once more as __mp_main__
+known = sys.stdlib_module_names | {"geadim", "__mp_main__"}
+print(sorted(m for m in set(sys.modules) - before
+             if m.partition(".")[0] not in known))
+"""
+
+
+def test_commands_load_only_the_standard_library():
+    """The package has no runtime dependency: the commands load no module
+    outside ``geadim`` and the standard library."""
+    done = subprocess.run(
+        [sys.executable, "-c", _NEW_MODULES_OF_COMMANDS],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parent.parent)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
 def test_check_command(docs):
     code, text = run(["check", docs["c3"]])
     assert code == 0 and "valid model" in text
@@ -305,7 +334,7 @@ def test_json_is_an_option_of_each_command_only():
     """``--json`` before the command name is no option of ``geadim``: it is
     rejected as an input error rather than ignored."""
     code, text = run(["--json", "verify", "--max-size", "3"])
-    assert code == 2 and text == ""
+    assert (code, text) == (2, "error: unrecognized arguments: --json\n")
     code, text = run(["verify", "--max-size", "3", "--json"])
     assert code == 0 and json.loads(text)["command"] == "verify"
 
@@ -444,8 +473,21 @@ def test_catalog_takes_no_jobs(tmp_path):
     out = tmp_path / "models.jsonl"
     code, text = run(["catalog", "--max-size", "3", "--out", str(out),
                       "--jobs", "2"])
-    assert code == 2 and text == ""  # argparse writes its usage to stderr
+    assert (code, text) == (2, "error: unrecognized arguments: --jobs 2\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["verify", "--max-size", "x"],
+     "error: argument --max-size: invalid int value: 'x'\n"),
+    (["verify"], "error: the following arguments are required: --max-size\n"),
+    # how argparse lists the choices differs between Python versions
+    (["bogus"], "error: argument command: invalid choice: 'bogus' "),
+], ids=["not-an-int", "missing", "unknown-command"])
+def test_bad_flag_values_are_one_line_errors(argv, start, capsys):
+    code, text = run(argv)
+    assert code == 2 and text.startswith(start) and text.count("\n") == 1
+    assert capsys.readouterr() == ("", "")
 
 
 def _errors_with_fields():
@@ -503,10 +545,10 @@ def test_a_structured_error_in_a_worker_ends_the_command(tmp_path):
 
 
 def _render_gea(E):
-    """``E`` as a ``.gea`` document: its names, its zero and one line per
-    defined sum of two nonzero elements."""
+    """``E`` as a ``.gea`` document: its names, its zero (element 0) and one
+    line per defined sum of two nonzero elements."""
     names = E.names
-    lines = [f"elements: {' '.join(names)}", f"zero: {names[E.zero]}"]
+    lines = [f"elements: {' '.join(names)}", f"zero: {names[0]}"]
     for a in range(1, E.n):
         for b in range(a, E.n):
             if E.sum[a][b] >= 0:
@@ -646,6 +688,20 @@ def test_verify_reports_a_broken_splitting_reading_as_violations(monkeypatch):
     details = {v["detail"] for v in properties["splitting-algebra"]["violations"]}
     assert details and all(d.startswith("splitting characterizations disagree for ")
                            for d in details)
+
+
+def test_verify_reports_a_broken_type_determining_reading_once(monkeypatch):
+    """No set is type-determining, so no largest hull map: the properties
+    that read that map skip the set, and ``kf-std-sets`` alone reports it."""
+    monkeypatch.setattr(hull, "td_sets", lambda H, T: hull.TdReport(False, False, None))
+    code, text = run(["verify", "--max-size", "4", "--json"])
+    assert code == 1
+    properties = json.loads(text)["results"]["properties"]
+    assert {name: sorted({v["detail"] for v in p["violations"]})
+            for name, p in properties.items() if p["violations"]} == {
+        "kf-std-sets": ["finite invariant set is not type-determining",
+                        "finite set is not strongly type-determining",
+                        "simple set is not strongly type-determining"]}
 
 
 def test_decompose_reports_the_violations_of_its_properties(docs, monkeypatch):

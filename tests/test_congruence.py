@@ -134,7 +134,7 @@ def _subsets(E):
 
 
 def _down_sets_and_summands(E):
-    down = [S for S in _subsets(E) if all(set(E.below(h)) <= S for h in S)]
+    down = [S for S in _subsets(E) if all(set(E.below[h]) <= S for h in S)]
     return down + [set(fixed_points(pi)) for pi in exocenter(E)]
 
 

@@ -12,9 +12,9 @@ from geadim.errors import AxiomViolation, ConflictingEquation, InternalInvariant
 def test_fixtures_build():
     T3, C3, B4 = core.t3(), core.c3(), core.b4()
     assert T3.n == 3 and C3.n == 3 and B4.n == 4
-    assert C3.sum_of(1, 1) == 2
-    assert B4.sum_of(1, 2) == 3
-    assert T3.sum_of(1, 2) is None
+    assert C3.sum[1][1] == 2
+    assert B4.sum[1][2] == 3
+    assert T3.sum[1][2] == -1
 
 
 class _Owner:
@@ -74,13 +74,13 @@ def test_conflicting_equation():
 def test_duplicate_consistent_equation_allowed():
     E = core.build_gea(["0", "a", "b", "1"], "0",
                        [("a", "b", "1"), ("b", "a", "1")])
-    assert E.sum_of(1, 2) == 3
+    assert E.sum[1][2] == 3
 
 
 def test_zero_reordered_to_front():
     E = core.build_gea(["x", "z", "y"], "z", [])
     assert E.names[0] == "z"
-    assert E.zero == 0
+    assert E.sum[0] == (0, 1, 2)
 
 
 def test_order_queries_c3():
@@ -95,9 +95,9 @@ def test_order_queries_c3():
 def test_order_queries_t3():
     T3 = core.t3()
     assert not oracles.le(T3, 1, 2) and not oracles.le(T3, 2, 1)
-    assert not T3.perp(1, 2)
+    assert T3.sum[1][2] < 0
     assert T3.atoms == (1, 2)
-    assert all(T3.perp(e, 0) for e in range(3))
+    assert all(T3.sum[e][0] >= 0 for e in range(3))
     assert core.inf(T3, (1, 2)) == 0 and core.sup(T3, (1, 2)) is None
 
 
@@ -183,13 +183,15 @@ def test_structure_flags_match_the_literal_oracle_n8():
 
 
 def _check_order_queries(models, families_up_to):
-    """``sup`` and ``inf`` on every pair of elements, ``all_ideals`` and
-    ``_ideal_flags`` on every subset, all against the literal scans; on
-    models up to ``families_up_to`` elements also ``sup`` and ``inf`` on
-    every family.  Returns how many pairs have no join, no meet, and how
-    many subsets are ideals."""
+    """``below`` on every element, ``sup`` and ``inf`` on every pair of
+    elements, ``all_ideals`` and ``_ideal_flags`` on every subset, all
+    against the literal scans; on models up to ``families_up_to`` elements
+    also ``sup`` and ``inf`` on every family.  Returns how many pairs have
+    no join, no meet, and how many subsets are ideals."""
     no_join = no_meet = ideals = 0
     for E in models:
+        for p in range(E.n):
+            assert E.below[p] == tuple(x for x in range(E.n) if E.leq[x][p]), (E.sum, p)
         for e in range(E.n):
             for f in range(E.n):
                 join, meet = core.sup(E, (e, f)), core.inf(E, (e, f))
@@ -328,7 +330,7 @@ def test_build_gea_on_random_partial_tables(drawn, data):
 
 def test_tables_are_immutable():
     C3 = core.c3()
-    rows = (C3.sum[0], C3.leq[0], C3.diff[0], exocenter(C3).one,
+    rows = (C3.sum[0], C3.leq[0], C3.diff[0], C3.below[0], exocenter(C3).one,
             oracles.equality_relation(C3).class_of)
     for row in rows:
         with pytest.raises(TypeError):

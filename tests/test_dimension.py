@@ -31,7 +31,7 @@ def test_invariant_sets():
     # the hull-image reading of invariance picks the same elements
     assert d_merge.invariants == tuple(
         c for c in range(B4.n)
-        if set(fixed_points(d_merge.hull.maps[c])) == set(B4.below(c))
+        if set(fixed_points(d_merge.hull.maps[c])) == set(B4.below[c])
     )
     assert 0 in d_merge.invariants
 
@@ -162,7 +162,7 @@ def test_summands_are_the_intervals_at_their_tops():
             tops = [t for t in members if all(E.leq[x][t] for x in members)]
             assert len(tops) == 1
             assert sub.E == core.interval_ea(E, tops[0])
-            assert list(members) == E.below(tops[0])
+            assert members == E.below[tops[0]]
             checked += 1
         assert d.summand(d.sigma.one).E == E
     assert checked == 39
@@ -184,8 +184,7 @@ def _identity_summand_rebuilt(d):
     """The identity summand of ``d`` built as a model of its own: a fresh
     table read off ``d``'s sums, its relation and its ``Dgea``."""
     E, R = d.E, d.R
-    table = [[-1 if E.sum_of(a, b) is None else E.sum_of(a, b)
-              for b in range(E.n)] for a in range(E.n)]
+    table = [[E.sum[a][b] for b in range(E.n)] for a in range(E.n)]
     copy = core.GeaTable(list(E.names), table)
     return dm.Dgea(cg.EquivRel(copy, list(R.class_of)))
 

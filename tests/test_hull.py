@@ -253,11 +253,11 @@ def _grid_verdicts_match_the_oracle(models, monkeypatch):
         for H in systems:
             for e in range(E.n):
                 for f in range(E.n):
-                    v = E.sum_of(e, f)
-                    if v is None:
+                    v = E.sum[e][f]
+                    if v < 0:
                         continue
-                    for s in E.below(v):
-                        t = E.sub(v, s)
+                    for s in E.below[v]:
+                        t = E.diff[v][s]
                         checked += 1
                         try:
                             oracles.sk3e_split_eta(H, e, f, s, t)
@@ -286,7 +286,7 @@ def test_hull_grid_refinement_fires_on_a_swapped_map(monkeypatch):
     # grid matching b + b, whose terms keep the identity
     E = core.build_gea(["0", "u", "a", "b"], "0", [("a", "a", "u"), ("b", "b", "u")])
     S = exocenter(E)
-    a = E.index("a")
+    a = E.names.index("a")
     maps = list(indiscrete_hull(S).maps)
     maps[a] = S.zero
     swapped = hull.HullSystem(S, maps)

@@ -160,14 +160,14 @@ def _literal_exomaps(E):
     for digits in itertools.product(range(n), repeat=n):
         m = digits[::-1]
         exc1 = all(
-            E.sum_of(m[e], m[f]) == m[E.sum_of(e, f)]
+            E.sum[m[e]][m[f]] == m[E.sum[e][f]]
             for e in range(n) for f in range(n)
-            if E.sum_of(e, f) is not None
+            if E.sum[e][f] >= 0
         )
         exc2 = all(m[m[e]] == m[e] for e in range(n))
         exc3 = all(E.leq[m[e]][e] for e in range(n))
         exc4 = all(
-            E.sum_of(e, f) is not None
+            E.sum[e][f] >= 0
             for e in range(n) for f in range(n)
             if m[e] == e and m[f] == 0
         )
@@ -220,35 +220,35 @@ def _literal_sk_axioms(E, cls):
     holds(*w) says whether the axiom holds at the tuple w, by plain loops
     over the elements and the class list ``cls``."""
     rng = range(E.n)
-    add = E.sum_of
+    sums = E.sum  # -1 where undefined
 
     def sim(x, y):
-        return x is not None and y is not None and cls[x] == cls[y]
+        return x >= 0 and y >= 0 and cls[x] == cls[y]
 
     def sk1(e):  # e ~ 0 implies e = 0
         return e == 0 or not sim(e, 0)
 
     def sk2(e1, e2, f1, f2):  # e1 ~ f1 and e2 ~ f2 give e1+e2 ~ f1+f2
-        se, sf = add(e1, e2), add(f1, f2)
-        return (se is None or sf is None or not sim(e1, f1)
+        se, sf = sums[e1][e2], sums[f1][f2]
+        return (se < 0 or sf < 0 or not sim(e1, f1)
                 or not sim(e2, f2) or sim(se, sf))
 
     def sk3d(p, s, t):  # p ~ s+t gives p = e+f with e ~ s, f ~ t
-        return not sim(p, add(s, t)) or any(
-            add(e, f) == p and sim(e, s) and sim(f, t)
+        return not sim(p, sums[s][t]) or any(
+            sums[e][f] == p and sim(e, s) and sim(f, t)
             for e in rng for f in rng
         )
 
     def sk3e(e, f, s, t):  # e+f = s+t refines into a 2x2 grid
-        ef = add(e, f)
-        return ef is None or add(s, t) != ef or any(
-            sim(s, add(e1, f1)) and sim(t, add(e2, f2))
-            for e1 in rng for e2 in rng if add(e1, e2) == e
-            for f1 in rng for f2 in rng if add(f1, f2) == f
+        ef = sums[e][f]
+        return ef < 0 or sums[s][t] != ef or any(
+            sim(s, sums[e1][f1]) and sim(t, sums[e2][f2])
+            for e1 in rng for e2 in rng if sums[e1][e2] == e
+            for f1 in rng for f2 in rng if sums[f1][f2] == f
         )
 
     def sk4a(e, f):  # e+f undefined gives nonzero e1 <= e, f1 <= f, e1 ~ f1
-        return add(e, f) is not None or any(
+        return sums[e][f] >= 0 or any(
             sim(e1, f1)
             for e1 in rng if e1 and oracles.le(E, e1, e)
             for f1 in rng if f1 and oracles.le(E, f1, f)
@@ -258,7 +258,7 @@ def _literal_sk_axioms(E, cls):
         return oracles.le(E, e, f) or any(
             sim(e1, d)
             for e1 in rng if e1 and oracles.le(E, e1, e)
-            for d in rng if d and add(d, f) is not None
+            for d in rng if d and sums[d][f] >= 0
         )
 
     return ((1, sk1), (4, sk2), (3, sk3d), (4, sk3e), (2, sk4a), (2, sk4b))
