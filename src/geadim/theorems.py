@@ -30,7 +30,10 @@ from dataclasses import dataclass
 from functools import partial
 
 from . import _kernels, catalog, congruence as cg, core, dimension as dm, hull as hull_mod
-from .errors import GeadimError, InternalInvariant, UnknownPredicate
+from .errors import (
+    AxiomViolation, GeadimError, InternalInvariant, NotDer, NotHereditary,
+    NotSplitting, Unbounded, UnknownPredicate,
+)
 from .exocenter import (
     _central_by_definition,
     _is_boolean_algebra,
@@ -92,8 +95,25 @@ def _core_order_laws(E):
         out.append(f"{tag} fails at {_names(E, witness)}")
     top = E.greatest()
     if top is not None:
-        if core.interval_ea(E, top).sum != E.sum:
-            out.append("interval at the greatest element differs from the model")
+        # each interval is a GEA with top p and the restricted order, and
+        # the one at the top is the model itself; first failure per p
+        for p in range(E.n):
+            members = E.below[p]
+            try:
+                iv = core.interval_ea(E, p)
+            except AxiomViolation as exc:
+                out.append(f"interval at {E.names[p]} is not a GEA: {exc}")
+                continue
+            if iv.greatest() != members.index(p):
+                out.append("interval does not have its top as greatest element")
+            elif any(
+                iv.leq[i][j] != E.leq[a][b]
+                for i, a in enumerate(members)
+                for j, b in enumerate(members)
+            ):
+                out.append("interval order is not the restricted order")
+            elif p == top and iv.sum != E.sum:
+                out.append("interval at the greatest element differs from the model")
     return out
 
 
@@ -555,14 +575,16 @@ def _subequiv_additive(ctx):
 
 @prop("pair-decomposition", "relation")
 def _pair_decomposition(ctx):
+    # p = p1 + p2 and q = q1 + q2 with p1 ~ q1 and p2 unrelated to q2
     E, R = ctx.E, ctx.R
     out = []
     for p in range(E.n):
         for q in range(E.n):
-            try:
-                cg.decompose_pair(R, p, q)
-            except InternalInvariant as exc:
-                out.append(str(exc))
+            p1, p2, q1, q2 = cg.decompose_pair(R, p, q)
+            if not R.sim(p1, q1) or cg.related(R, p2, q2):
+                out.append(
+                    f"pair decomposition contract fails for ({E.names[p]}, {E.names[q]})"
+                )
     return out
 
 
@@ -713,18 +735,20 @@ def _unrelated_orthosum(ctx):
 
 @prop("hereditary-ideal-supremum", "der")
 def _hereditary_sup_prop(ctx):
-    E, R = ctx.E, ctx.R
+    # the orthosum of a maximal orthogonal family in a bounded hereditary
+    # ideal is its supremum, with the join of the members' hull maps
+    E, H = ctx.E, ctx.hull
     out = []
     for S in core.all_ideals(E):
-        if not cg.is_hereditary(R, S):
-            continue
-        if not any(all(E.leq[h][u] for h in S) for u in range(E.n)):
-            continue
         try:
             rep = dm.hereditary_sup(ctx, S)
-        except InternalInvariant as exc:
-            out.append(str(exc))
+        except (NotHereditary, Unbounded):
             continue
+        c = rep.c
+        if core.sup(E, S) != c:
+            out.append(f"orthosum of maximal family ({E.names[c]}) is not the supremum")
+        if ctx.sigma.join_all([H.maps[h] for h in S]) != H.maps[c]:
+            out.append("hull map of the supremum is not the join")
         if not (rep.sharp and rep.interval_hereditary):
             out.append(f"supremum of {sorted(S)} fails sharp/hereditary")
         if rep.central_if_directed is False:
@@ -734,14 +758,16 @@ def _hereditary_sup_prop(ctx):
 
 @prop("general-comparability", "der")
 def _comparability(ctx):
-    E = ctx.E
+    # eta_d e is sub-equivalent to eta_d f, and the other way round in
+    # the complement of eta_d
+    E, R, H = ctx.E, ctx.R, ctx.hull
     out = []
     for e in range(E.n):
         for f in range(E.n):
-            try:
-                dm.comparability(ctx, e, f)
-            except InternalInvariant as exc:
-                out.append(str(exc))
+            pi = H.maps[dm.comparability(ctx, e, f)]
+            pic = ctx.sigma.complement(pi)
+            if not cg.subequiv(R, pi[e], pi[f]) or not cg.subequiv(R, pic[f], pic[e]):
+                out.append("comparability contract fails")
     return out
 
 
@@ -894,14 +920,52 @@ def _faithful_restriction(ctx):
     return out
 
 
+def _restriction_failures(ctx, pi):
+    """The failures of ``summand-restriction-contract`` at the splitting
+    map ``pi``, in the order they are checked, computed lazily."""
+    try:
+        sub = ctx.summand(pi)
+        sub._require_der()
+    except (NotDer, NotSplitting) as exc:
+        yield f"summand is not a dimension relation: {exc}"
+        return
+    members = fixed_points(pi)
+    pos = {e: i for i, e in enumerate(members)}
+
+    def restrict(xi):
+        return tuple(pos[xi[e]] for e in members)
+
+    gex, gex_sub = exocenter(ctx.E), exocenter(sub.E)
+    if {restrict(xi) for xi in gex} != set(gex_sub.maps):
+        yield "restriction does not map onto the summand exocenter"
+    for a in gex:
+        ra = restrict(a)
+        if restrict(gex.complement(a)) != gex_sub.complement(ra):
+            yield "restriction does not preserve complement"
+        for b in gex:
+            if restrict(gex.meet(a, b)) != gex_sub.meet(ra, restrict(b)):
+                yield "restriction does not preserve meets"
+    if {restrict(xi) for xi in ctx.sigma} != set(sub.sigma.maps):
+        yield "splitting algebra does not restrict correctly"
+    if set(sub.simple) != {pos[pi[k]] for k in ctx.simple}:
+        yield "simple elements do not restrict correctly"
+    if set(sub.finite) != {pos[pi[f]] for f in ctx.finite}:
+        yield "finite elements do not restrict correctly"
+    if sub.finite_invariant[0] != pos[pi[ctx.finite_invariant[0]]]:
+        yield "largest finite invariant element does not restrict correctly"
+
+
 @prop("summand-restriction-contract", "der")
 def _summand_restriction(ctx):
+    # the summand of each splitting map carries a dimension relation, and
+    # its exocenter, splitting algebra, simple and finite sets and largest
+    # finite invariant element are the restrictions of the model's; each
+    # map reports its first failure
     out = []
     for pi in ctx.sigma:
-        try:
-            dm.check_restriction(ctx, pi)
-        except InternalInvariant as exc:
-            out.append(f"{exc} for {pi!r}")
+        failure = next(_restriction_failures(ctx, pi), None)
+        if failure is not None:
+            out.append(f"{failure} for {pi!r}")
     return out
 
 
@@ -915,13 +979,12 @@ def _simple_criteria(ctx):
         splits_ok = all(
             S.disjoint(H.maps[k1], H.maps[E.diff[k][k1]]) for k1 in E.below[k]
         )
-        iv, embed = core.interval_ea(E, k), E.below[k]
+        # the sums of the interval at k: a + b defined and at most k
         pairs_ok = all(
-            S.disjoint(H.maps[embed[a]], H.maps[embed[b]])
-            for a in range(iv.n)
-            for b in range(iv.n)
-            if iv.sum[a][b] >= 0
-            and (embed[a] != 0 or embed[b] != 0)
+            S.disjoint(H.maps[a], H.maps[b])
+            for a in E.below[k]
+            for b in E.below[k]
+            if (a != 0 or b != 0) and E.sum[a][b] >= 0 and E.leq[E.sum[a][b]][k]
         )
         monad = hull_mod.is_monad(H, k)
         fixed = all(H.maps[e][k] == e for e in E.below[k])

@@ -660,6 +660,28 @@ def test_verify_reports_a_raising_property_as_one_violation(monkeypatch):
     assert {v["detail"] for v in violations} == {"center broken for the test"}
 
 
+def test_verify_reports_a_summand_that_is_no_dimension_relation(monkeypatch):
+    """A summand whose relation fails SK4a' is a violation of the
+    restriction contract at its splitting map, not an error that ends
+    the run."""
+    real = dm.Dgea.summand
+
+    def failing(self, pi):
+        sub = real(self, pi)
+        if sub is not self:
+            sub.sk4a_prime = ("0", "0")
+        return sub
+
+    monkeypatch.setattr(dm.Dgea, "summand", failing)
+    code, text = run(["verify", "--max-size", "4", "--theorems",
+                      "summand-restriction-contract", "--json"])
+    results = json.loads(text)["results"]
+    violations = results["properties"]["summand-restriction-contract"]["violations"]
+    assert code == 1 and len(violations) == 8
+    assert {v["detail"].rsplit(" for ", 1)[0] for v in violations} == {
+        "summand is not a dimension relation: relation fails SK4a'"}
+
+
 def test_verify_reports_a_broken_derived_part_as_violations(monkeypatch):
     """A broken reading of a ``Dgea``'s simple elements is reported as
     violations of the property that compares the readings, not as an

@@ -2,6 +2,7 @@
 decomposition, and comparability, against hand-checked fixtures."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -383,6 +384,34 @@ def test_comparability_requires_der():
     d.sk4a_prime = (1, 2)  # as for a congruence that fails SK4a'
     with pytest.raises(NotDer):
         dm.comparability(d, 1, 2)
+
+
+def test_general_comparability_fires_on_a_wrong_hull(monkeypatch):
+    # with every hull map zero, f must be below-equivalent to e in the
+    # complement, the identity; on the chain that fails for each e < f
+    check = theorems.REGISTRY["general-comparability"].fn
+    d = dm.Dgea(equality_relation(core.c3()))
+    assert check(d) == []
+    monkeypatch.setattr(d, "hull", SimpleNamespace(maps=(d.sigma.zero,) * 3))
+    assert check(d) == ["comparability contract fails"] * 3
+
+
+def test_a_broken_pair_split_is_reported_under_pair_decomposition_alone(
+        monkeypatch):
+    # no equivalent part found, as when the greedy loop never grows: every
+    # related pair breaks the contract, and the comparability that reads
+    # the split does not repeat the message
+    pair = theorems.REGISTRY["pair-decomposition"].fn
+    comparability = theorems.REGISTRY["general-comparability"].fn
+    d = dm.Dgea(_b4_merge()[1])
+    assert pair(d) == [] and comparability(d) == []
+    monkeypatch.setattr(cg, "decompose_pair", lambda R, p, q: (0, p, 0, q))
+    assert pair(d) == [
+        f"pair decomposition contract fails for ({p}, {q})"
+        for p in "ab1"
+        for q in "ab1"
+    ]
+    assert not any("pair decomposition" in m for m in comparability(d))
 
 
 def test_induced_hull_is_the_meet_of_the_splitting_maps_fixing_each_element():

@@ -128,6 +128,36 @@ def test_interval_ea():
     assert core.interval_ea(B4, 1).n == 2
 
 
+def test_core_order_laws_check_every_interval(monkeypatch):
+    # ``interval_ea`` patched to give a wrong table at the top element:
+    # on c3 one where 1 + 1 = 0, then one where 2 + 2 = 1, so that 1 is
+    # its top; on b4 the four-element chain, whose top is right but
+    # where a lies below b; on the model with 2 + 4 = 3 + 3 = 1 the same
+    # model with 3 and 4 swapped, which has the same order
+    check = theorems.REGISTRY["core-order-laws"].fn
+    C3, B4 = core.c3(), core.b4()
+    M5 = core.GeaTable("01234", [[0, 1, 2, 3, 4], [1, -1, -1, -1, -1],
+                                 [2, -1, -1, -1, 1], [3, -1, -1, 1, -1],
+                                 [4, -1, 1, -1, -1]])
+    assert check(C3) == [] and check(B4) == [] and check(M5) == []
+    real = core.interval_ea
+    for E, rows, message in (
+        (C3, [[0, 1, 2], [1, 0, -1], [2, -1, -1]],
+         "interval at 2 is not a GEA: GEA5 fails at ('1', '1')"),
+        (C3, [[0, 1, 2], [1, -1, -1], [2, -1, 1]],
+         "interval does not have its top as greatest element"),
+        (B4, [[0, 1, 2, 3], [1, 2, 3, -1], [2, 3, -1, -1], [3, -1, -1, -1]],
+         "interval order is not the restricted order"),
+        (M5, [[0, 1, 2, 3, 4], [1, -1, -1, -1, -1], [2, -1, -1, 1, -1],
+              [3, -1, 1, -1, -1], [4, -1, -1, -1, 1]],
+         "interval at the greatest element differs from the model"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(core, "interval_ea", lambda F, p, rows=rows: (
+                core.GeaTable(F.names, rows) if p == F.greatest() else real(F, p)))
+            assert check(E) == [message]
+
+
 def test_structure_predicates():
     T3, C3, B4 = core.t3(), core.c3(), core.b4()
     st = core.structure_predicates(T3)

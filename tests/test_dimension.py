@@ -14,7 +14,7 @@ from geadim.errors import (
     NotSplitting,
     Unbounded,
 )
-from geadim.exocenter import exocenter, fixed_points, is_identity
+from geadim.exocenter import ExoSet, exocenter, fixed_points, is_identity
 
 
 def _dgea(E, classes=None):
@@ -406,6 +406,78 @@ def test_factor_characterizations_fire(monkeypatch):
     assert check(d) == ["factor characterizations disagree"]
 
 
+def _b4_summand_at_a():
+    """The equality relation's ``Dgea`` on b4, its splitting map onto
+    (0, a) and that map's summand."""
+    d, _ = _dgea(core.b4())
+    pa = next(m for m in d.sigma if fixed_points(m) == (0, 1))
+    return d, pa, d.summand(pa)
+
+
+def test_summand_restriction_contract_fires_on_a_wrong_exocenter(monkeypatch):
+    # with the model itself in place of every summand, no restriction
+    # maps onto the summand's exocenter, whose maps are too long
+    check = theorems.REGISTRY["summand-restriction-contract"].fn
+    d, _, _ = _b4_summand_at_a()
+    assert check(d) == []
+    monkeypatch.setattr(d, "summand", lambda pi: d)
+    assert check(d) == [
+        f"restriction does not map onto the summand exocenter for {pi!r}"
+        for pi in ((0, 0, 0, 0), (0, 0, 2, 2), (0, 1, 0, 1))
+    ]
+
+
+def test_summand_restriction_contract_fires_on_wrong_summand_operations(
+        monkeypatch):
+    # the summand's exocenter sends every complement, then every meet,
+    # to its zero map
+    check = theorems.REGISTRY["summand-restriction-contract"].fn
+    d, pa, sub = _b4_summand_at_a()
+    complement, meet = ExoSet.complement, ExoSet.meet
+    with monkeypatch.context() as m:
+        m.setattr(ExoSet, "complement", lambda self, p: (
+            self.zero if self.E is sub.E else complement(self, p)))
+        assert check(d) == [f"restriction does not preserve complement for {pa!r}"]
+    with monkeypatch.context() as m:
+        m.setattr(ExoSet, "meet", lambda self, p, q: (
+            self.zero if self.E is sub.E else meet(self, p, q)))
+        assert check(d) == [f"restriction does not preserve meets for {pa!r}"]
+    assert check(d) == []
+
+
+@pytest.mark.parametrize("attr, wrong, message", [
+    ("sigma", lambda sub: ExoSet(sub.E, [sub.sigma.one]),
+     "splitting algebra does not restrict correctly"),
+    ("simple", lambda sub: (0,), "simple elements do not restrict correctly"),
+    ("finite", lambda sub: (0,), "finite elements do not restrict correctly"),
+    ("finite_invariant", lambda sub: (0, (0,)),
+     "largest finite invariant element does not restrict correctly"),
+    ("sk4a_prime", lambda sub: ("0", "0"),
+     "summand is not a dimension relation: relation fails SK4a'"),
+])
+def test_summand_restriction_contract_fires_on_a_wrong_summand_part(
+        monkeypatch, attr, wrong, message):
+    # one part of the summand of (0, a) replaced; the summand of the
+    # identity is the model itself and is left alone
+    check = theorems.REGISTRY["summand-restriction-contract"].fn
+    d, pa, sub = _b4_summand_at_a()
+    monkeypatch.setattr(sub, attr, wrong(sub))
+    assert check(d) == [f"{message} for {pa!r}"]
+
+
+def test_summand_restriction_contract_reports_a_summand_it_cannot_build(
+        monkeypatch):
+    check = theorems.REGISTRY["summand-restriction-contract"].fn
+    d, _ = _dgea(core.b4())
+    pa = next(m for m in d.sigma if fixed_points(m) == (0, 1))
+    splits = cg.splits
+    monkeypatch.setattr(cg, "splits", lambda R, pi: pi != pa and splits(R, pi))
+    assert check(d) == [
+        f"summand is not a dimension relation: {pa!r} does not split the "
+        f"relation for {pa!r}"
+    ]
+
+
 def test_kf_std_sets_compare_the_finite_invariant_map(monkeypatch):
     check = theorems.REGISTRY["kf-std-sets"].fn
     d, _ = _dgea(core.b4())
@@ -493,6 +565,32 @@ def test_hereditary_sup_rejects_unbounded():
         dm.Dgea(eq)
     with pytest.raises(Unbounded):
         dm.hereditary_sup(SimpleNamespace(E=T3, R=eq), {0, 1, 2})
+
+
+def test_hereditary_ideal_supremum_fires_on_a_wrong_supremum(monkeypatch):
+    # every supremum read as 0, as when the greedy family stays empty: the
+    # ideals {0, a}, {0, b} and b4 itself each report both checks
+    check = theorems.REGISTRY["hereditary-ideal-supremum"].fn
+    d, _ = _dgea(core.b4())
+    assert check(d) == []
+    real = dm.hereditary_sup
+    monkeypatch.setattr(dm, "hereditary_sup", lambda dgea, S: dataclasses.replace(
+        real(dgea, S), c=0))
+    assert check(d) == [
+        "orthosum of maximal family (0) is not the supremum",
+        "hull map of the supremum is not the join",
+    ] * 3
+
+
+def test_hereditary_ideal_supremum_compares_the_hull_join(monkeypatch):
+    # a's hull map is the identity and the top's is the projection onto
+    # b, so only the whole model's join differs from its supremum's map
+    check = theorems.REGISTRY["hereditary-ideal-supremum"].fn
+    d, _ = _dgea(core.b4())
+    S = d.sigma
+    pb = next(m for m in S if fixed_points(m) == (0, 2))
+    monkeypatch.setattr(d, "hull", SimpleNamespace(maps=(S.zero, S.one, S.zero, pb)))
+    assert check(d) == ["hull map of the supremum is not the join"]
 
 
 def test_summand_type_flags_identity():
