@@ -37,7 +37,10 @@ are type-determining for its induced hull system, clearing the hull
 system's memo before each call, as a fresh ``Dgea`` would.  The ``Dgea
 n<=7`` row builds a fresh ``Dgea`` of each of the 22 congruences of
 those models, on a fresh relation: the SK report, the splitting
-algebra, the induced hull and SK4a'.  The
+algebra, the induced hull and SK4a'.  The ``enumerate_relations n<=7``
+row makes the record of every partition with zero alone of each of those
+models, the sweep and each congruence's fresh ``Dgea`` included, on
+models whose sweep plans are built already.  The
 ``build_entry n<=6`` row builds the catalog entry of each of the 56
 models up to size 6 from its catalog key, so each model and its caches
 are fresh: the structure flags, the partition sweep
@@ -151,6 +154,12 @@ def _record_lines(keys):
         catalog._record_line(key)
 
 
+def _relations_each(models):
+    """Every relation record of each model."""
+    for E in models:
+        tuple(catalog.enumerate_relations(E))
+
+
 def _dgea_each(relations):
     """A fresh ``Dgea`` of each relation, on a fresh relation."""
     for R in relations:
@@ -245,6 +254,7 @@ def main():
           repeat=3)
     relations = [d.R for E in sevens for d in catalog.congruences(E)]
     bench("Dgea n<=7", _dgea_each, (relations,), repeat=3)
+    bench("enumerate_relations n<=7", _relations_each, (sevens,), repeat=3)
     bench("build_entry n<=6", _build_entries,
           (list(catalog._catalog_tables(6)),), repeat=1)
     cube_key = core.canonical_form(cube)

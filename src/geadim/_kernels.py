@@ -5,10 +5,12 @@ row tuples, the form of a model's ``sum``: ``enumerate_tables`` reads
 and emits its tables so, ``relabeled`` and ``min_relabel`` return them
 so, and ``is_min_relabel`` compares against them.  ``axiom_violation``
 also reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
-tuples.  The congruence axioms SK1-SK4b have one check each, which reads
-the per-model ``SkPlan`` of ``sk_plan`` and the partitions' class
-relations as bit masks, one bit per partition.  ``sk_first_failures``
-runs the checks over many partitions at once; ``sk_witnesses`` runs each
+tuples.  The congruence axioms SK1-SK4b, named in ``AXES``, have one
+check each, which reads the per-model ``SkPlan`` of ``sk_plan`` and the
+partitions' class relations as bit masks, one bit per partition.  A check
+records each failure as one ``(axiom name, witness)`` tuple, shared by
+every partition that fails at that witness.  ``sk_first_failures`` runs
+the checks over many partitions at once; ``sk_witnesses`` runs each
 check alone on one partition.
 
 Table encoding: an n-element model is an n-by-n table where entry
@@ -20,6 +22,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 __all__ = [
+    "AXES",
     "axiom_violation",
     "enumerate_tables",
     "relabeled",
@@ -31,6 +34,10 @@ __all__ = [
     "class_masks",
     "sk_first_failures",
 ]
+
+# the congruence axioms, in the order their checks run
+AXES = ("SK1", "SK2", "SK3d", "SK3e", "SK4a", "SK4b")
+
 
 def axiom_violation(rows):
     """First violated axiom of GEA1-GEA5 on a complete table of rows.
@@ -351,8 +358,8 @@ def sk_witnesses(plan, cls):
     """First failing witness for each congruence axiom.
 
     ``plan`` is the model's ``sk_plan`` and ``cls`` maps element index to
-    class id.  Returns six witnesses for SK1, SK2, SK3d, SK3e, SK4a, SK4b
-    in that order, each None where the axiom holds and otherwise the
+    class id.  Returns six witnesses, one per axiom in ``AXES`` order,
+    each None where the axiom holds and otherwise the
     lexicographically least failing tuple.  SK2 is checked in its pair
     (finite additivity) form, which extends to all finite families by
     induction.  Each axiom's check runs alone on the one partition, over
@@ -372,11 +379,12 @@ def sk_first_failures(plan, eq):
     partitions of one model at once.
 
     ``plan`` is the model's ``sk_plan`` and ``eq`` the ``class_masks`` of
-    the partitions.  Returns a list in partition order of ``(k,
-    witness)``, where ``k`` indexes SK1, SK2, SK3d, SK3e, SK4a, SK4b and
-    ``witness`` is the one ``sk_witnesses`` gives for that axiom, or None
-    where all six hold.  The axioms' checks run in that order, each on
-    the partitions that passed the ones before.  Every partition that
+    the partitions.  Returns a list in partition order of ``(axiom,
+    witness)``, where ``axiom`` is the name in ``AXES`` of the first
+    failing axiom and ``witness`` the one ``sk_witnesses`` gives for it,
+    or None where all six hold.  The partitions that fail at one witness
+    share one such tuple.  The axioms' checks run in ``AXES`` order, each
+    on the partitions that passed the ones before.  Every partition that
     passes SK1 has zero alone in its class, and then no sum with a zero
     summand can fail SK2 or SK3d, so the checks walk only the others.
     """
@@ -392,15 +400,15 @@ def sk_first_failures(plan, eq):
 
 # Each check(plan, eq, live, out, pairs) walks its axiom's witnesses in
 # lex order over the defined sums (s, t, s + t) in pairs; the partitions
-# of live that fail one record it in out and drop out.  It returns the
-# partitions left, early once none are.
+# of live that fail one record (axiom name, witness) in out and drop
+# out.  It returns the partitions left, early once none are.
 
 def _zero_alone(plan, eq, live, out, pairs):
     # SK1: zero is alone in its class
     for e in range(1, len(eq)):
         hit = live & eq[0][e]
         if hit:
-            live = _take(out, live, hit, (0, (e,)))
+            live = _take(out, live, hit, ("SK1", (e,)))
             if not live:
                 break
     return live
@@ -421,7 +429,7 @@ def _sums_related(plan, eq, live, out, pairs):
             for f2, sf in group:
                 hit = near & r2[f2] & ~rs[sf]
                 if hit:
-                    live = _take(out, live, hit, (1, (e1, e2, f1, f2)))
+                    live = _take(out, live, hit, ("SK2", (e1, e2, f1, f2)))
                     if not live:
                         return live
                     near &= live
@@ -442,7 +450,7 @@ def _sums_split(plan, eq, live, out, pairs):
                 if not hit:
                     break
             else:
-                live = _take(out, live, hit, (2, (p, s, t)))
+                live = _take(out, live, hit, ("SK3d", (p, s, t)))
                 if not live:
                     return live
     return live
@@ -457,7 +465,7 @@ def _grids_refine(plan, eq, live, out, pairs):
             for a, b in grid:
                 hit &= ~(rs[a] & rt[b])
             if hit:
-                live = _take(out, live, hit, (3, (e, f, s, t)))
+                live = _take(out, live, hit, ("SK3e", (e, f, s, t)))
                 if not live:
                     return live
     return live
@@ -465,15 +473,17 @@ def _grids_refine(plan, eq, live, out, pairs):
 
 def _nonorth_related(plan, eq, live, out, pairs):
     # SK4a: e + f undefined gives nonzero e1 <= e, f1 <= f with e1 ~ f1
-    return _related_below(plan, eq, live, out, 4, plan.nonorth, plan.below)
+    return _related_below(plan, eq, live, out, "SK4a", plan.nonorth,
+                          plan.below)
 
 
 def _notleq_related(plan, eq, live, out, pairs):
     # SK4b: e not below f gives nonzero e1 <= e, d _|_ f with e1 ~ d
-    return _related_below(plan, eq, live, out, 5, plan.notleq, plan.orth)
+    return _related_below(plan, eq, live, out, "SK4b", plan.notleq,
+                          plan.orth)
 
 
-def _related_below(plan, eq, live, out, k, cands, near):
+def _related_below(plan, eq, live, out, axiom, cands, near):
     # (e, f) fails unless a nonzero x <= e is related to some y in near[f]
     for e, f in cands:
         hit = live
@@ -484,7 +494,7 @@ def _related_below(plan, eq, live, out, k, cands, near):
             if not hit:
                 break
         else:
-            live = _take(out, live, hit, (k, (e, f)))
+            live = _take(out, live, hit, (axiom, (e, f)))
             if not live:
                 break
     return live
@@ -495,8 +505,8 @@ _SK_CHECKS = (_zero_alone, _sums_related, _sums_split, _grids_refine,
 
 
 def _take(out, live, hit, failure):
-    # record the failure of every partition whose bit is set in the mask
-    # hit, and return the live partitions without them
+    # record the one failure tuple for every partition whose bit is set
+    # in the mask hit, and return the live partitions without them
     live ^= hit
     while hit:
         low = hit & -hit

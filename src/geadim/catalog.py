@@ -210,14 +210,28 @@ def _swept_partitions(n):
 
 def _sweep(E):
     """Each partition with zero alone of ``E``'s elements, with its first
-    failing congruence axiom and witness, or None for a congruence."""
+    failure, the ``(axiom name, witness)`` tuple that the sweep kernel
+    shares among the partitions failing at that witness, or None for a
+    congruence."""
     partitions, eq = _swept_partitions(E.n)
     return zip(partitions, _kernels.sk_first_failures(E._sk_plan, eq))
 
 
 def congruences(E):
     """The ``dm.Dgea`` of each congruence of ``E`` with zero alone in its
-    class, in partition order."""
+    class, in partition order.
+
+    A model without a unit (``E.greatest()`` None) has no congruence, so
+    it is not swept.  Lemma: SK4b, as ``_kernels`` checks it, asks for
+    each e not below f a nonzero x <= e related to a nonzero d orthogonal
+    to f.  A finite model without a unit has two maximal elements
+    m != m'.  Then m' is not below m, and no nonzero d is orthogonal to m,
+    since m + d would lie strictly above the maximal m.  So the pair
+    (m', m) fails SK4b under every partition.  ``enumerate_relations``
+    still sweeps every model, since each record needs its first failure.
+    """
+    if E.greatest() is None:
+        return []
     return [dm.Dgea(cg.EquivRel(E, class_of))
             for class_of, fail in _sweep(E) if fail is None]
 
@@ -226,28 +240,30 @@ def enumerate_relations(E):
     """Every partition with zero alone, with its congruence verdict, as
     the records of the catalog file.
 
-    A record that fails the sweep keeps its restricted growth string and
-    its first failing axiom and witness.  Each relation that passes gets
-    its ``dm.Dgea``, which checks the full report and the separation
-    axiom SK4a', and, when that passes, a summary of its type
-    decomposition; when SK4a' fails, it is the record's first failure.
-    The ``Dgea`` is dropped once its record is made; ``congruences``
-    keeps them instead.
+    A record that fails the sweep keeps its restricted growth string,
+    which is dense class ids already, and the sweep's failure tuple as
+    its first failure.  A relation that passes gets the record of
+    ``_congruence_record``.  Each record is built with positional
+    arguments and yielded as it is made.
     """
     for class_of, fail in _sweep(E):
-        if fail is not None:
-            # restricted growth strings are dense class ids already
-            yield RelationRecord(class_of, (cg.AXES[fail[0]], fail[1]), None,
-                                 sk=False, der=None)
-            continue
-        d = dm.Dgea(cg.EquivRel(E, class_of))
-        yield RelationRecord(
-            d.R.class_of,
-            None if d.der else ("SK4a'", d.sk4a_prime),
-            _decomposition_summary(E, d.decomposition) if d.der else None,
-            sk=True,
-            der=d.der,
-        )
+        yield (RelationRecord(class_of, fail, None, False, None)
+               if fail is not None else _congruence_record(E, class_of))
+
+
+def _congruence_record(E, class_of):
+    """The record of a congruence.  Its ``dm.Dgea`` checks the full report
+    and the separation axiom SK4a', and, when that passes, gives a summary
+    of its type decomposition; when SK4a' fails, it is the record's first
+    failure.  The ``Dgea`` is dropped once the record is made;
+    ``congruences`` keeps them instead."""
+    d = dm.Dgea(cg.EquivRel(E, class_of))
+    if d.der:
+        return RelationRecord(d.R.class_of, None,
+                              _decomposition_summary(E, d.decomposition),
+                              True, True)
+    return RelationRecord(d.R.class_of, ("SK4a'", d.sk4a_prime), None,
+                          True, False)
 
 
 def _decomposition_summary(E, dec):

@@ -24,11 +24,10 @@ SK4a' are compared in the ``splitting-algebra`` and
 from typing import NamedTuple
 
 from . import _kernels, hull as hull_mod
+from ._kernels import AXES
 from .core import memo
 from .exocenter import ExoSet, exocenter, fixed_points
 from .errors import NotSkCongruence, OverlappingClasses, UnknownElement
-
-AXES = ("SK1", "SK2", "SK3d", "SK3e", "SK4a", "SK4b")
 
 
 class EquivRel:

@@ -305,19 +305,17 @@ class StructureFlags:
 
 @memo
 def structure_predicates(E):
-    """The global structure flags of a model."""
+    """The global structure flags of a model, read off bitmasks: e and f
+    have an upper bound when their up-sets meet, and the model is
+    orthogonally ordered when e <= f for every pair with every element
+    orthogonal to f also orthogonal to e."""
     n = E.n
-    directed = all(
-        any(E.leq[e][d] and E.leq[f][d] for d in range(n))
-        for e in range(n)
-        for f in range(n)
-    )
-    oo = True
-    for e in range(n):
-        for f in range(n):
-            if all(E.sum[d][e] >= 0 for d in range(n) if E.sum[d][f] >= 0):
-                if not E.leq[e][f]:
-                    oo = False
+    up = E._masks[1]
+    directed = all(up[e] & up[f] for e in range(n) for f in range(e + 1, n))
+    # orth[e]: the elements d with d + e defined
+    orth = [sum(1 << d for d, v in enumerate(row) if v >= 0) for row in E.sum]
+    oo = all(E.leq[e][f] for e in range(n) for f in range(n)
+             if orth[f] & ~orth[e] == 0)
     lattice = all(
         sup(E, (e, f)) is not None and inf(E, (e, f)) is not None
         for e in range(n)

@@ -52,7 +52,12 @@ class HullSystem:
 
 
 def check_hull_system(S, maps):
-    """Verify HS1-HS3 for a candidate family; returns (ok, witness)."""
+    """Verify HS1-HS3 for a candidate family; returns (ok, witness).
+
+    HS3 asks, at each pair (e, f) in lex order, that eta_e and eta_f
+    commute and that eta_(eta_e f) is their composition.  Each pair of
+    distinct maps is composed once, so the pairs (e, f) read whether
+    their maps commute, and the composition, off a table."""
     E, maps = S.E, tuple(maps)
     for m in maps:
         if m not in S:
@@ -62,10 +67,23 @@ def check_hull_system(S, maps):
     for e in range(E.n):
         if maps[e][e] != e:
             return False, f"HS2: map at {E.names[e]} does not fix it"
+    distinct = list(dict.fromkeys(maps))
+    ids = {m: i for i, m in enumerate(distinct)}
+    # comp[i][j]: distinct[i] o distinct[j] when the two commute, else None
+    comp = [[None] * len(distinct) for _ in distinct]
+    for i, a in enumerate(distinct):
+        comp[i][i] = tuple(a[v] for v in a)
+        for j in range(i + 1, len(distinct)):
+            b = distinct[j]
+            ab = tuple(a[v] for v in b)
+            if ab == tuple(b[v] for v in a):
+                comp[i][j] = comp[j][i] = ab
+    at = [ids[m] for m in maps]
     for e, ie in enumerate(maps):
-        for f, jf in enumerate(maps):
-            m1 = tuple(ie[v] for v in jf)  # eta_e o eta_f
-            if m1 != tuple(jf[v] for v in ie) or maps[ie[f]] != m1:
+        row = comp[at[e]]
+        for f in range(E.n):
+            m1 = row[at[f]]
+            if m1 is None or maps[ie[f]] != m1:
                 return False, f"HS3 fails at ({E.names[e]}, {E.names[f]})"
     return True, None
 

@@ -955,6 +955,16 @@ def _restriction_failures(ctx, pi):
         yield "largest finite invariant element does not restrict correctly"
 
 
+def _der_summand(ctx, pi):
+    """The summand of the splitting map ``pi``, or None when it carries no
+    dimension relation, which ``summand-restriction-contract`` reports."""
+    try:
+        sub = ctx.summand(pi)
+    except (NotDer, NotSplitting):
+        return None
+    return sub if sub.der else None
+
+
 @prop("summand-restriction-contract", "der")
 def _summand_restriction(ctx):
     # the summand of each splitting map carries a dimension relation, and
@@ -1152,7 +1162,10 @@ def _type_criteria_summands(ctx):
     theta = set(ctx.hull.maps)
     comp = S.complement
     for pi in S:
-        flags = ctx.summand(pi).type_flags
+        sub = _der_summand(ctx, pi)
+        if sub is None:
+            continue
+        flags = sub.type_flags
         if ctx.summand_types(pi) != (flags.type_i, flags.type_ii, flags.type_iii):
             out.append(
                 f"summand types read off the model disagree with its own for {pi!r}"
@@ -1184,7 +1197,8 @@ def _type_decomposition(ctx):
     # hereditary, each type summand is of its type as a model of its own,
     # no other triple of splitting maps has the three types (read off this
     # model), and the finite parts of types I and II have the units
-    # pi_I(f~) and pi_I'(f~).
+    # pi_I(f~) and pi_I'(f~).  A summand that carries no dimension
+    # relation is skipped: summand-restriction-contract reports it.
     E, R, S = ctx.E, ctx.R, ctx.sigma
     dec = ctx.decomposition
     maps = dec.projections
@@ -1202,9 +1216,9 @@ def _type_decomposition(ctx):
     for t in ("I", "II"):
         if S.join(maps[f"{t}_F"], maps[f"{t}_notF"]) != maps[t]:
             out.append(f"finite parts do not cover type {t}")
-    own = [ctx.summand(pi).type_flags for pi in triple]
-    for name, flags, is_type in zip(types, own, ("type_i", "type_ii", "type_iii")):
-        if not getattr(flags, is_type):
+    subs = [_der_summand(ctx, pi) for pi in triple]
+    for name, sub, is_type in zip(types, subs, ("type_i", "type_ii", "type_iii")):
+        if sub is not None and not getattr(sub.type_flags, is_type):
             out.append(f"summand {name} is not of type {name}")
     summands = dec.summands
     parts = [summands[t] for t in types]
@@ -1245,7 +1259,10 @@ def _type_decomposition(ctx):
                 out.append(f"second type triple {s1!r}, {s2!r}, {s3!r}")
     ft = dec.f_tilde
     for name, unit in (("I_F", maps["I"][ft]), ("II_F", S.complement(maps["I"])[ft])):
-        top = ctx.summand(maps[name]).E.greatest()
+        sub = _der_summand(ctx, maps[name])
+        if sub is None:
+            continue
+        top = sub.E.greatest()
         if top is None or fixed_points(maps[name])[top] != unit:
             out.append(f"summand {name} does not have the unit {E.names[unit]}")
     return out

@@ -30,6 +30,9 @@ holding 0, where ``core.all_ideals`` peels one element at a time.
 ``downset_exomaps`` filters every self-map below the identity by
 EXC1-EXC4, where ``_kernels.brute_exomaps`` searches from the images of
 the atoms.
+``check_hull_system`` composes two hull maps afresh at every pair of
+elements, where ``hull.check_hull_system`` composes each pair of
+distinct maps once.
 ``record`` builds a catalog record as a dict, field by field, where
 ``catalog._record_line`` joins per-size JSON fragments.
 """
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 from conftest import table_rows
 from geadim import _kernels, congruence as cg, core, hull
-from geadim.errors import InternalInvariant
+from geadim.errors import InternalInvariant, MapNotInExocenter
 
 
 def le(E, e, f):
@@ -335,6 +338,28 @@ def naive_class_count(n):
                 orbit_min = key
         keys.add(orbit_min)
     return len(keys)
+
+
+def check_hull_system(S, maps):
+    """HS1-HS3 for a candidate family of maps in ``S``, read literally:
+    HS3 composes eta_e and eta_f afresh at every pair (e, f), where
+    ``hull.check_hull_system`` composes each pair of distinct maps once.
+    Returns (ok, witness) as the package does."""
+    E, maps = S.E, tuple(maps)
+    for m in maps:
+        if m not in S:
+            raise MapNotInExocenter(f"{m!r}")
+    if any(maps[0]):
+        return False, "HS1: map at zero is not the zero map"
+    for e in range(E.n):
+        if maps[e][e] != e:
+            return False, f"HS2: map at {E.names[e]} does not fix it"
+    for e, ie in enumerate(maps):
+        for f, jf in enumerate(maps):
+            m1 = tuple(ie[v] for v in jf)  # eta_e o eta_f
+            if m1 != tuple(jf[v] for v in ie) or maps[ie[f]] != m1:
+                return False, f"HS3 fails at ({E.names[e]}, {E.names[f]})"
+    return True, None
 
 
 def is_divisible(H):

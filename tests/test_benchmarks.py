@@ -73,6 +73,7 @@ def test_bench_kernels_runs(capsys):
                   "disjoint_families n<=6", "td-largest-map n<=6",
                   "hull-grid-refinement n<=6", "structure_predicates n<=7",
                   "all_ideals n<=7", "td_sets dgea n<=7", "Dgea n<=7",
+                  "enumerate_relations n<=7",
                   "build_entry n<=6", "build_entry n=8 cube",
                   "decomposition n=8 cube",
                   "decomposition properties n=8 cube", "record lines n<=7",

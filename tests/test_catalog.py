@@ -178,6 +178,33 @@ def test_relation_counts():
         assert sum(1 for r in recs if r.der) == der, name
 
 
+def _check_unit_shortcut(keys):
+    """The full sweep of each catalog model against ``catalog.congruences``,
+    which skips the models without a unit; returns the number of models
+    with a unit and of congruences."""
+    units = found = 0
+    for key in keys:
+        E = catalog.model(key)
+        swept = [c for c, fail in catalog._sweep(E) if fail is None]
+        if E.greatest() is None:
+            assert swept == [], key.hex()
+        else:
+            units += 1
+        assert [d.R.class_of for d in catalog.congruences(E)] == swept
+        found += len(swept)
+    return units, found
+
+
+def test_only_models_with_a_unit_have_congruences():
+    assert _check_unit_shortcut(catalog._catalog_tables(8)) == (74, 49)
+
+
+@pytest.mark.n9
+def test_only_models_with_a_unit_have_congruences_n9():
+    nines = (k for k in catalog._catalog_tables(9) if k[0] == 9)
+    assert _check_unit_shortcut(nines) == (60, 8)
+
+
 def test_full_sk_report_only_for_congruences(monkeypatch):
     """The sweep checks a partition only up to its first failing axiom:
     the full six-axiom report is built for the model's congruences alone,

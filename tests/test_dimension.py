@@ -2,12 +2,22 @@
 hereditary ideals, and the type decomposition."""
 
 import dataclasses
+import io
+import json
 from types import SimpleNamespace
 
 import pytest
 
 from oracles import equality_relation, indiscrete_hull
-from geadim import catalog, congruence as cg, core, dimension as dm, hull, theorems
+from geadim import (
+    catalog,
+    cli,
+    congruence as cg,
+    core,
+    dimension as dm,
+    hull,
+    theorems,
+)
 from geadim.errors import (
     NotDer,
     NotHereditary,
@@ -476,6 +486,33 @@ def test_summand_restriction_contract_reports_a_summand_it_cannot_build(
         f"summand is not a dimension relation: {pa!r} does not split the "
         f"relation for {pa!r}"
     ]
+
+
+def test_a_summand_failing_sk4a_prime_is_reported_under_one_property(
+        monkeypatch):
+    # every proper summand claims to fail SK4a': verify reports it under
+    # summand-restriction-contract alone, and the properties that read a
+    # summand's types skip it
+    real = dm.Dgea.summand
+
+    def summand(self, pi):
+        sub = real(self, pi)
+        if sub is not self:
+            sub.sk4a_prime = ("0", "0")
+        return sub
+
+    monkeypatch.setattr(dm.Dgea, "summand", summand)
+    buf = io.StringIO()
+    assert cli.run_command(["verify", "--max-size", "4", "--json"],
+                           out=buf) == 1
+    results = json.loads(buf.getvalue())["results"]
+    violated = {name: [v["detail"] for v in p["violations"]]
+                for name, p in results["properties"].items() if p["violations"]}
+    assert list(violated) == ["summand-restriction-contract"]
+    details = violated["summand-restriction-contract"]
+    assert details and all(
+        d.startswith("summand is not a dimension relation: relation fails "
+                     "SK4a' for ") for d in details)
 
 
 def test_kf_std_sets_compare_the_finite_invariant_map(monkeypatch):

@@ -86,18 +86,45 @@ def test_enumerate_hull_systems():
     assert len(hull.enumerate_hull_systems(C3)) == 1
 
 
+def _assignments(E):
+    """The exocenter of ``E`` and every assignment of one of its maps
+    fixing e to each element e."""
+    S = exocenter(E)
+    fixing = [[m for m in S if m[e] == e] for e in range(E.n)]
+    return S, itertools.product(*fixing)
+
+
 def test_enumerate_hull_systems_matches_bruteforce():
     # oracle: filter every assignment of exocenter maps to elements
     for entry in catalog.cached_entries(6):
         E = entry.table
-        S = exocenter(E)
-        fixing = [[m for m in S if m[e] == e] for e in range(E.n)]
+        S, assignments = _assignments(E)
         brute = set()
-        for maps in itertools.product(*fixing):
+        for maps in assignments:
             if hull.check_hull_system(S, maps)[0]:
                 brute.add(tuple(maps))
         fast = {h.maps for h in hull.enumerate_hull_systems(E)}
         assert fast == brute
+
+
+def test_check_hull_system_matches_the_literal_hs3():
+    # every assignment the filter above tries, passing or not
+    verdicts = set()
+    for entry in catalog.cached_entries(6):
+        S, assignments = _assignments(entry.table)
+        for maps in assignments:
+            got = hull.check_hull_system(S, maps)
+            assert got == oracles.check_hull_system(S, maps), maps
+            verdicts.add(got[1] is None or got[1][:3])
+    assert verdicts == {True, "HS1", "HS3"}
+    # two maps of the chain 0 < 1 < 2 that do not commute
+    E = core.c3()
+    a, b = (0, 1, 0), (0, 2, 2)
+    maps = [(0, 0, 0), a, b]
+    S = ExoSet(E, maps)
+    expected = (False, "HS3 fails at (1, 2)")
+    assert hull.check_hull_system(S, maps) == expected
+    assert oracles.check_hull_system(S, maps) == expected
 
 
 def test_hull_meet_projections_fires_on_swapped_maps(monkeypatch):

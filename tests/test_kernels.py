@@ -299,9 +299,10 @@ def test_sk_witnesses_match_the_literal_sk_axioms():
 
 
 def _first_witness(found):
-    """(index, witness) of the first failing axiom in ``sk_witnesses``
+    """(axiom name, witness) of the first failing axiom in ``sk_witnesses``
     order, or None."""
-    return next(((k, w) for k, w in enumerate(found) if w is not None), None)
+    return next(((name, w) for name, w in zip(K.AXES, found)
+                 if w is not None), None)
 
 
 def _check_first_failures(models):
@@ -312,7 +313,7 @@ def _check_first_failures(models):
         assert len(got) == len(partitions)
         for cls, fail in zip(partitions, got):
             assert fail == _first_witness(K.sk_witnesses(plan, cls)), (E.sum, cls)
-            firsts[6 if fail is None else fail[0]] += 1
+            firsts[6 if fail is None else K.AXES.index(fail[0])] += 1
     return firsts
 
 
@@ -344,7 +345,7 @@ def test_check_sk_witnesses_violate_their_axioms(data):
             assert len(v) == arity and not holds(*v)
     first = report.first_failure()
     got, = K.sk_first_failures(E._sk_plan, K.class_masks([cls]))
-    assert (None if got is None else (cg.AXES[got[0]], got[1])) == first
+    assert got == first
 
 
 def test_canonical_key_stable_under_full_relabeling():
