@@ -22,12 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _kernels, congruence as cg, core, dimension as dm, hull as hull_mod
-from .errors import (
-    CorruptCatalog,
-    InternalInvariant,
-    LimitExceeded,
-    UnknownPredicate,
-)
+from .errors import InternalInvariant, LimitExceeded, UnknownPredicate
 from .exocenter import center, exocenter
 
 FORMAT_VERSION = 1
@@ -287,16 +282,15 @@ def _dump(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_catalog(path, max_n, resume=False):
-    """Write (or resume) the catalog file; returns the number of entries.
+def write_catalog(path, max_n):
+    """Write the catalog file; returns the number of entries.
 
     Records go to ``<path>.part``, one flushed line each, and the file is
     moved onto ``path`` only when complete, so ``path`` never holds a
-    partial catalog written here.  A run that fails or is killed leaves
-    ``<path>.part`` behind; ``resume`` continues it, or, when there is
-    none, a partial ``path`` in place, after checking that it is a prefix
-    of the enumeration.  A directory at ``path`` or a size over the limit
-    raises before any table is built or any file is touched.
+    partial catalog.  A run that fails or is killed leaves ``<path>.part``
+    behind, and the next run writes it afresh.  A directory at ``path`` or
+    a size over the limit raises before any table is built or any file is
+    touched.
     """
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -307,34 +301,13 @@ def write_catalog(path, max_n, resume=False):
         "generator_version": GENERATOR_VERSION,
     }
     part = f"{path}.part"
-    source = part if os.path.exists(part) else path
-    existing = _resumable_keys(source, header) if resume else []
-    # a resumed file grows where it is; a new one is written as the .part
-    target = source if existing else part
-    with open(target, "a" if existing else "w", encoding="utf-8", buffering=1) as fh:
-        if not existing:
-            fh.write(_dump(header) + "\n")
-        count = _write_entries(fh, keys, existing)
-    os.replace(target, path)
-    return count
-
-
-def _write_entries(fh, keys, existing):
-    """Write the record of every model of ``keys`` after the ``existing``
-    hex keys, which must be a prefix of them; returns the number of
-    entries.
-
-    The models already written are checked by key and not built again.
-    """
-    for written in existing:
-        if next(keys, b"").hex() != written:
-            raise LimitExceeded(
-                "existing catalog is not a prefix of this enumeration"
-            )
-    count = len(existing)
-    for key in keys:
-        fh.write(_record_line(key) + "\n")
-        count += 1
+    count = 0
+    with open(part, "w", encoding="utf-8", buffering=1) as fh:
+        fh.write(_dump(header) + "\n")
+        for key in keys:
+            fh.write(_record_line(key) + "\n")
+            count += 1
+    os.replace(part, path)
     return count
 
 
@@ -391,57 +364,6 @@ def _failure_fields(fail):
     """``_relation_fields`` of a partition that fails the sweep with
     ``fail``, its (axiom name, witness)."""
     return _relation_fields(False, None, fail, None)
-
-
-def _catalog_lines(path):
-    """The JSON objects of a catalog file in file order: the header, then
-    one per model record.  A zero-byte file has none.
-
-    Raises ``CorruptCatalog`` as soon as the file turns out not to be
-    complete lines of catalog JSON: bytes that are not UTF-8, a last line
-    cut short, a line that is not JSON, or a record without a key.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        raise CorruptCatalog(f"{path} is not a catalog file") from None
-    if text and not text.endswith("\n"):
-        raise CorruptCatalog(f"{path} ends in the middle of a line")
-    for number, line in enumerate(text.splitlines(), 1):
-        if number > 1 and not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            raise CorruptCatalog(
-                f"{path} line {number} is not a JSON record"
-            ) from None
-        if number > 1 and not (
-            isinstance(obj, dict) and isinstance(obj.get("key"), str)
-        ):
-            raise CorruptCatalog(f"{path} line {number} is not a model record")
-        yield obj
-
-
-def _resumable_keys(path, header):
-    """Keys of the records already in a catalog file, in file order.
-
-    A missing or zero-byte file has none.  Raises ``LimitExceeded`` when the
-    header names other parameters and ``CorruptCatalog`` when the file is
-    damaged (see ``_catalog_lines``), so a damaged file is never appended
-    to.
-    """
-    lines = _catalog_lines(path)
-    try:
-        first = next(lines, None)
-    except FileNotFoundError:
-        return []
-    if first is None:
-        return []
-    if first != header:
-        raise LimitExceeded("existing catalog has different parameters")
-    return [obj["key"] for obj in lines]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ machine-readable schema {command, inputs, results, witnesses, text}, where
 """
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -349,7 +350,7 @@ def cmd_decompose(args):
 
 
 def cmd_catalog(args):
-    count = catalog.write_catalog(args.out, args.max_size, resume=args.resume)
+    count = catalog.write_catalog(args.out, args.max_size)
     return (0, {"max_size": args.max_size, "out": args.out}, {"models": count},
             [], f"wrote {count} models up to size {args.max_size} to {args.out}")
 
@@ -439,7 +440,6 @@ def make_parser():
                         help="enumerate models to a catalog file")
     sp.add_argument("--max-size", type=int, required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--resume", action="store_true")
     sp.set_defaults(fn=cmd_catalog)
 
     sp = sub.add_parser("verify", parents=[shared],
@@ -473,7 +473,8 @@ def run_command(argv, out=None):
     exit code."""
     out = out if out is not None else sys.stdout
     try:
-        args = make_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = make_parser().parse_args(argv)
         _check_counts(args)
         code, inputs, results, witnesses, text = args.fn(args)
     except SystemExit as exc:  # --help

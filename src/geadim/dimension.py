@@ -246,23 +246,14 @@ def comparability(dgea, e, f):
 # suprema of hereditary ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HereditarySupReport:
-    c: int
-    sharp: bool
-    interval_hereditary: bool
-    central_if_directed: object  # bool, or None when neither hypothesis holds
-
-
 def hereditary_sup(dgea, S):
     """Supremum of a bounded hereditary ideal via a maximal orthogonal family.
 
     Greedily accumulates elements of the ideal while the running sum stays
-    defined, and reports the theorem's conclusions (sharpness, hereditary
-    interval, invariance under a directedness hypothesis) at the result;
-    ``hereditary-ideal-supremum`` checks that it is the supremum and that
-    its hull map is the join of the members'.  The invariant elements are
-    read from ``dgea``.
+    defined, and returns the sum; ``hereditary-ideal-supremum`` checks
+    that it is the supremum, that its hull map is the join of the
+    members', and the theorem's conclusions at it (sharpness, hereditary
+    interval, invariance under a directedness hypothesis).
     """
     E, R = dgea.E, dgea.R
     S = frozenset(S)
@@ -277,18 +268,8 @@ def hereditary_sup(dgea, S):
             None,
         )
         if ext is None:
-            break
+            return c
         c = E.sum[c][ext]
-    flags = core.structure_predicates(E)
-    central = None
-    if flags.directed or flags.orthogonally_ordered:
-        central = c in dgea.invariants
-    return HereditarySupReport(
-        c=c,
-        sharp=core.is_sharp(E, c),
-        interval_hereditary=cg.is_hereditary(R, E.below[c]),
-        central_if_directed=central,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ class LimitExceeded(GeadimError):
     pass
 
 
-class CorruptCatalog(GeadimError):
-    """A catalog file to resume is cut short, blank or not a catalog."""
-
-
 class UnknownPredicate(GeadimError):
     pass
 

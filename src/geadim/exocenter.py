@@ -15,8 +15,6 @@ maps are pairwise disjoint, each with its orthosum, in one walk; the
 oracles filter every subset and sum it in every order.
 """
 
-from dataclasses import dataclass
-
 from . import _kernels, core
 from .errors import InternalInvariant
 
@@ -228,38 +226,27 @@ def exocentral_cover(S, e):
     return cover
 
 
-@dataclass(frozen=True)
-class CogeaReport:
-    co1: bool
-    co2: bool
-    gex_complete_boolean: bool
-    witness: object
-
-
 def cogea_check(E):
-    """Central orthocompleteness (CO1, CO2) and boolean completeness of
-    the exocenter.
+    """The first witness, in ``disjoint_families`` order, that central
+    orthocompleteness fails: ``("CO1", family)`` for a family whose
+    orthosum is undefined, ``("CO2", family, f)`` for an f orthogonal to
+    every member but not to the orthosum; None when CO1 and CO2 hold.
 
-    Finite models must pass all three; a failure flags a bug, but the
-    verdicts are computed honestly by exhaustion rather than assumed.  A
-    family with a repeated nonzero element can never be GEX-orthogonal,
-    so the subsets of nonzero elements whose exocentral covers are
-    disjoint (plus irrelevant zeros) are all GEX-orthogonal families of a
-    finite model.
+    Finite models must pass; a failure flags a bug, but the verdict is
+    computed honestly by exhaustion rather than assumed.  A family with a
+    repeated nonzero element can never be GEX-orthogonal, so the subsets
+    of nonzero elements whose exocentral covers are disjoint (plus
+    irrelevant zeros) are all GEX-orthogonal families of a finite model.
     """
     S = exocenter(E)
     covers = {e: exocentral_cover(S, e) for e in range(1, E.n)}
-    co1, co2, witness = True, True, None
     for pick, total in disjoint_families(S, covers):
         if total is None:
-            co1, witness = False, ("CO1", pick)
-            continue
+            return ("CO1", pick)
         for f in range(E.n):
             if all(E.sum[f][a] >= 0 for a in pick) and E.sum[f][total] < 0:
-                co2 = False
-                witness = witness or ("CO2", pick, f)
-    boolean = _is_boolean_algebra(S)
-    return CogeaReport(co1, co2, boolean, witness)
+                return ("CO2", pick, f)
+    return None
 
 
 def _is_boolean_algebra(S):

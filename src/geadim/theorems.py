@@ -193,10 +193,10 @@ def _center_checks(E):
 
 @prop("cogea-conditions", "model")
 def _cogea(E):
-    rep = cogea_check(E)
-    if rep.co1 and rep.co2 and rep.gex_complete_boolean:
+    witness = cogea_check(E)
+    if witness is None:
         return []
-    return [f"central orthocompleteness fails: {rep.witness}"]
+    return [f"central orthocompleteness fails: {witness}"]
 
 
 @prop("hull-roundtrip", "model")
@@ -736,22 +736,25 @@ def _unrelated_orthosum(ctx):
 @prop("hereditary-ideal-supremum", "der")
 def _hereditary_sup_prop(ctx):
     # the orthosum of a maximal orthogonal family in a bounded hereditary
-    # ideal is its supremum, with the join of the members' hull maps
+    # ideal is its supremum, with the join of the members' hull maps; the
+    # supremum is sharp, its interval hereditary, and, when the model is
+    # directed or orthogonally ordered, invariant
     E, H = ctx.E, ctx.hull
+    flags = core.structure_predicates(E)
+    directed = flags.directed or flags.orthogonally_ordered
     out = []
     for S in core.all_ideals(E):
         try:
-            rep = dm.hereditary_sup(ctx, S)
+            c = dm.hereditary_sup(ctx, S)
         except (NotHereditary, Unbounded):
             continue
-        c = rep.c
         if core.sup(E, S) != c:
             out.append(f"orthosum of maximal family ({E.names[c]}) is not the supremum")
         if ctx.sigma.join_all([H.maps[h] for h in S]) != H.maps[c]:
             out.append("hull map of the supremum is not the join")
-        if not (rep.sharp and rep.interval_hereditary):
+        if not (core.is_sharp(E, c) and cg.is_hereditary(ctx.R, E.below[c])):
             out.append(f"supremum of {sorted(S)} fails sharp/hereditary")
-        if rep.central_if_directed is False:
+        if directed and c not in ctx.invariants:
             out.append(f"supremum of {sorted(S)} not invariant under directedness")
     return out
 

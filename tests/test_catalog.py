@@ -8,7 +8,7 @@ import pytest
 import oracles
 from conftest import LABELED_COUNTS, degree_sorted, table_rows
 from geadim import _kernels, catalog, congruence as cg, core
-from geadim.errors import CorruptCatalog, LimitExceeded, UnknownPredicate
+from geadim.errors import LimitExceeded, UnknownPredicate
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 1), (3, 2)])
@@ -301,34 +301,6 @@ def test_persistence_roundtrip(tmp_path):
     assert path.read_bytes() == first
 
 
-def test_persistence_resume(tmp_path):
-    path = tmp_path / "models.cat"
-    catalog.write_catalog(str(path), 4)
-    full = path.read_bytes()
-    lines = full.decode().splitlines(keepends=True)
-    path.write_text("".join(lines[:3]), encoding="utf-8")
-    catalog.write_catalog(str(path), 4, resume=True)
-    assert path.read_bytes() == full
-
-
-@pytest.mark.parametrize("damage", [
-    pytest.param(lambda data: data[:-40], id="cut"),
-    pytest.param(lambda data: b"\n" + data.split(b"\n", 1)[1], id="blank-header"),
-    pytest.param(lambda data: b"just some notes\nnot a catalog\n", id="foreign"),
-    pytest.param(lambda data: data[:-1] + b"\xff\n", id="not-utf8"),
-])
-def test_read_catalog_rejects_damaged_file(damage, tmp_path):
-    # ``--resume`` is the one reader of a catalog file
-    path = tmp_path / "models.cat"
-    catalog.write_catalog(str(path), 4)
-    path.write_bytes(damage(path.read_bytes()))
-    before = path.read_bytes()
-    with pytest.raises(CorruptCatalog):
-        catalog.write_catalog(str(path), 4, resume=True)
-    assert path.read_bytes() == before
-    assert not (tmp_path / "models.cat.part").exists()
-
-
 def _stop_after_two(real, stop):
     calls = []
 
@@ -359,7 +331,7 @@ def test_failed_fresh_write_resumes(tmp_path, monkeypatch):
             catalog.write_catalog(str(path), 4)
     assert not path.exists()
     assert part.read_bytes().count(b"\n") == 3  # header and two records
-    catalog.write_catalog(str(path), 4, resume=True)
+    catalog.write_catalog(str(path), 4)
     assert path.read_bytes() == full.read_bytes()
     assert not part.exists()
 
@@ -397,28 +369,9 @@ def test_killed_fresh_write_resumes(tmp_path):
     assert not path.exists()
     part = tmp_path / "models.cat.part"
     assert part.read_bytes().count(b"\n") == 3  # every line reached the file
-    catalog.write_catalog(str(path), 4, resume=True)
+    catalog.write_catalog(str(path), 4)
     assert path.read_bytes() == full.read_bytes()
     assert not part.exists()
-
-
-def test_resume_builds_only_the_missing_entries(tmp_path, monkeypatch):
-    path = tmp_path / "models.cat"
-    catalog.write_catalog(str(path), 4)
-    full = path.read_bytes()
-    lines = full.splitlines(keepends=True)
-    path.write_bytes(b"".join(lines[:3]))  # header and two records
-    built = []
-    real = catalog.build_entry
-
-    def counting(n, flat):
-        built.append((bytes([n]) + flat).hex())
-        return real(n, flat)
-
-    monkeypatch.setattr(catalog, "build_entry", counting)
-    assert catalog.write_catalog(str(path), 4, resume=True) == len(lines) - 1
-    assert path.read_bytes() == full
-    assert built == [json.loads(line)["key"] for line in lines[3:]]
 
 
 def test_resume_prefers_the_partial_file(tmp_path, monkeypatch):
@@ -433,10 +386,14 @@ def test_resume_prefers_the_partial_file(tmp_path, monkeypatch):
         with pytest.raises(RuntimeError):
             catalog.write_catalog(str(path), 4)
     assert path.read_bytes() == older  # the complete file stays in place
-    catalog.write_catalog(str(path), 4, resume=True)
+    part = tmp_path / "models.cat.part"
+    assert part.read_bytes().count(b"\n") == 3  # header and two records
+    # the next run writes the partial file afresh and moves it onto path
+    catalog.write_catalog(str(path), 4)
     full = tmp_path / "full.cat"
     catalog.write_catalog(str(full), 4)
     assert path.read_bytes() == full.read_bytes()
+    assert not part.exists()
 
 
 def _oracle_line(key):

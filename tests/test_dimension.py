@@ -567,14 +567,11 @@ def test_summand_types_read_off_the_model_match_the_summands_n8():
 def test_hereditary_sup():
     B4 = core.b4()
     d, _ = _dgea(B4)
-    rep = dm.hereditary_sup(d, {0, 1})
-    assert rep.c == 1 and rep.sharp and rep.interval_hereditary
-    assert rep.central_if_directed
-    assert dm.hereditary_sup(d, {0}).c == 0
+    assert dm.hereditary_sup(d, {0, 1}) == 1
+    assert dm.hereditary_sup(d, {0}) == 0
     C3 = core.c3()
     dc, _ = _dgea(C3)
-    rep = dm.hereditary_sup(dc, {0, 1, 2})
-    assert rep.c == 2 and rep.sharp
+    assert dm.hereditary_sup(dc, {0, 1, 2}) == 2
 
 
 def test_hereditary_sup_rejects_non_ideal():
@@ -611,8 +608,12 @@ def test_hereditary_ideal_supremum_fires_on_a_wrong_supremum(monkeypatch):
     d, _ = _dgea(core.b4())
     assert check(d) == []
     real = dm.hereditary_sup
-    monkeypatch.setattr(dm, "hereditary_sup", lambda dgea, S: dataclasses.replace(
-        real(dgea, S), c=0))
+
+    def read_as_zero(dgea, S):
+        real(dgea, S)  # keeps its input errors
+        return 0
+
+    monkeypatch.setattr(dm, "hereditary_sup", read_as_zero)
     assert check(d) == [
         "orthosum of maximal family (0) is not the supremum",
         "hull map of the supremum is not the join",
@@ -628,6 +629,24 @@ def test_hereditary_ideal_supremum_compares_the_hull_join(monkeypatch):
     pb = next(m for m in S if fixed_points(m) == (0, 2))
     monkeypatch.setattr(d, "hull", SimpleNamespace(maps=(S.zero, S.one, S.zero, pb)))
     assert check(d) == ["hull map of the supremum is not the join"]
+
+
+def test_hereditary_ideal_supremum_fires_on_a_supremum_that_is_not_sharp(
+        monkeypatch):
+    check = theorems.REGISTRY["hereditary-ideal-supremum"].fn
+    d, _ = _dgea(core.b4())
+    monkeypatch.setattr(core, "is_sharp", lambda E, p: p != 3)
+    assert check(d) == ["supremum of [0, 1, 2, 3] fails sharp/hereditary"]
+
+
+def test_hereditary_ideal_supremum_fires_on_a_supremum_that_is_not_invariant(
+        monkeypatch):
+    # b4 has a unit, so it is directed and every supremum must be invariant
+    check = theorems.REGISTRY["hereditary-ideal-supremum"].fn
+    d, _ = _dgea(core.b4())
+    monkeypatch.setattr(d, "invariants", (0, 1, 2))
+    assert check(d) == [
+        "supremum of [0, 1, 2, 3] not invariant under directedness"]
 
 
 def test_summand_type_flags_identity():

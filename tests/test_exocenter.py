@@ -133,8 +133,7 @@ def test_exocentral_cover():
 @pytest.mark.parametrize("name", ["T3", "C3", "B4"])
 def test_cogea_conditions(name):
     E = dict(_fixture_sets())[name]
-    rep = cogea_check(E)
-    assert rep.co1 and rep.co2 and rep.gex_complete_boolean
+    assert cogea_check(E) is None
 
 
 def test_pointwise_lattice_ops():
@@ -212,6 +211,14 @@ def test_cogea_conditions_fires_on_a_sum_that_is_not_orthogonal(monkeypatch):
     # given here as the family's orthosum
     monkeypatch.setattr(exo, "disjoint_families",
                         lambda S, maps: [((), 0), ((1,), 2)])
+    out = theorems.REGISTRY["cogea-conditions"].fn(core.c3())
+    assert out == ["central orthocompleteness fails: ('CO2', (1,), 1)"]
+
+
+def test_cogea_conditions_reports_the_first_failure(monkeypatch):
+    # a CO1 failure after the CO2 failure leaves the first witness
+    monkeypatch.setattr(exo, "disjoint_families",
+                        lambda S, maps: [((), 0), ((1,), 2), ((2,), None)])
     out = theorems.REGISTRY["cogea-conditions"].fn(core.c3())
     assert out == ["central orthocompleteness fails: ('CO2', (1,), 1)"]
 
