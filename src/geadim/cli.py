@@ -19,7 +19,6 @@ import contextlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 
 from . import catalog, congruence as cg, core, dimension as dm, theorems
 from . import hull as hull_mod
@@ -38,25 +37,11 @@ _SUM_RE = re.compile(
 )
 
 
-@dataclass
-class GeaDocument:
-    elements: list
-    zero: str
-    equations: list
-    relations: dict = field(default_factory=dict)
-
-    def build(self):
-        E = core.build_gea(self.elements, self.zero, self.equations)
-        rels = {
-            name: cg.build_equiv(E, classes)
-            for name, classes in self.relations.items()
-        }
-        return E, rels
-
-
 def parse_gea_file(text):
-    """Parse a .gea document; raises ParseError / ConflictingEquation /
-    UnknownElement with positions."""
+    """Parse a .gea document into its model and its relations by name,
+    ``(E, relations)``; raises ParseError / ConflictingEquation /
+    UnknownElement with positions, and AxiomViolation for a model that
+    fails an axiom."""
     elements = None
     zero = None
     equations = []
@@ -140,7 +125,9 @@ def parse_gea_file(text):
         raise ParseError(0, 0, "missing 'zero:' line")
     if zero not in elements:
         raise ParseError(0, 0, f"zero {zero!r} is not an element")
-    return GeaDocument(elements, zero, equations, relations)
+    E = core.build_gea(elements, zero, equations)
+    return E, {name: cg.build_equiv(E, classes)
+               for name, classes in relations.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +153,7 @@ def _load(path):
 
 def _load_relation(args):
     """The model of ``args.file`` and its relation ``args.relation``."""
-    E, rels = _load(args.file).build()
+    E, rels = _load(args.file)
     if args.relation not in rels:
         known = ", ".join(sorted(rels)) or "none"
         raise GeadimError(f"unknown relation {args.relation!r} (known: {known})")
@@ -180,7 +167,7 @@ def _map_repr(E, m):
 def cmd_check(args):
     inputs = {"file": args.file}
     try:
-        E, rels = _load(args.file).build()
+        E, rels = _load(args.file)
     except AxiomViolation as exc:
         return (1, inputs, {"valid": False, "axiom": exc.axiom},
                 [list(exc.witness)],
@@ -203,7 +190,7 @@ def cmd_check(args):
 
 
 def cmd_exocenter(args):
-    E, _ = _load(args.file).build()
+    E, _ = _load(args.file)
     S = exocenter(E)
     cen = center(E)
     results = {
@@ -300,7 +287,7 @@ def cmd_hull(args):
         "relation": args.relation,
         "splitting_maps": [_map_repr(E, m) for m in sigma],
         "hull": {E.names[e]: _map_repr(E, H.maps[e]) for e in range(E.n)},
-        "divisible": hull_mod.is_divisible(H).divisible,
+        "divisible": hull_mod.is_divisible(H),
         "cross_checks": checks,
     }
     lines = [
@@ -493,7 +480,3 @@ def run_command(argv, out=None):
 
 def main():
     sys.exit(run_command(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import _kernels, hull as hull_mod
 from ._kernels import AXES
 from .core import memo
-from .exocenter import ExoSet, exocenter, fixed_points
+from .exocenter import ExoSet, exocenter, exocentral_cover, fixed_points
 from .errors import NotSkCongruence, OverlappingClasses, UnknownElement
 
 
@@ -208,7 +208,8 @@ def induced_hull(sigma):
     """Hull system eta_e = meet of splitting maps fixing e (the
     exocentral cover system of the splitting algebra ``sigma``);
     ``induced-hull-contract`` checks it against the splitting maps."""
-    return hull_mod.gamma_hull(sigma)
+    return hull_mod.hull_system(
+        sigma, [exocentral_cover(sigma, e) for e in range(sigma.E.n)])
 
 
 def check_der(R, sigma):

@@ -124,19 +124,6 @@ class GeaTable:
                     depth[e] = max(depth[e], depth[f] + 1)
         return max(depth)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GeaTable)
-            and self.names == other.names
-            and self.sum == other.sum
-        )
-
-    def __hash__(self):
-        return hash((self.names, self.sum))
-
-    def __repr__(self):
-        return f"GeaTable({list(self.names)}, n={self.n})"
-
 
 def _derive_leq(table):
     n = len(table)

@@ -180,7 +180,6 @@ class Dgea:
         finite_type = is_identity(eta_ft)
         return Decomposition(
             projections=projections,
-            eta_k=eta_k,
             eta_f=eta_f,
             eta_ftilde=eta_ft,
             f_tilde=ft,
@@ -288,7 +287,6 @@ class TypeFlags:
 @dataclass(frozen=True)
 class Decomposition:
     projections: dict  # "I", "II", "III", "I_F", "I_notF", "II_F", "II_notF"
-    eta_k: tuple
     eta_f: tuple
     eta_ftilde: tuple
     f_tilde: int

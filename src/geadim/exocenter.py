@@ -57,9 +57,6 @@ class ExoSet:
     def __contains__(self, m):
         return m in self._pos
 
-    def __eq__(self, other):
-        return isinstance(other, ExoSet) and self.maps == other.maps
-
     def _member(self, image):
         """The member whose image is ``image`` (a list of element indices)."""
         image = tuple(image)

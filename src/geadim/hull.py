@@ -12,7 +12,7 @@ divisibility in ``divisibility-dyad-criterion``, the type-determining
 sets of every subset in ``td-largest-map``).
 
 ``core.memo`` keeps the hull systems on their model, and on each hull
-system its divisibility report and the parts that type-determining
+system whether it is divisible and the parts that type-determining
 subsets are read from (``_td_parts``: one walk over the families with
 disjoint hull maps, plus per-element masks).  ``td_sets`` reads those
 parts at one subset; ``td_table`` spreads them over every subset for
@@ -21,12 +21,11 @@ oracles, among them the search per splitting that
 ``hull-grid-refinement`` replaces.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import memo
 from .errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
-from .exocenter import disjoint_families, exocentral_cover, exocenter
+from .exocenter import disjoint_families, exocenter
 
 
 class HullSystem:
@@ -46,9 +45,6 @@ class HullSystem:
     def theta(self):
         """The set of distinct hull maps (the eta-exocenter)."""
         return tuple(sorted(set(self.maps)))
-
-    def __eq__(self, other):
-        return isinstance(other, HullSystem) and self.maps == other.maps
 
 
 def check_hull_system(S, maps):
@@ -126,12 +122,6 @@ def hull_from_hd(E, theta):
     return hull_system(S, maps)
 
 
-def gamma_hull(S):
-    """The exocentral cover system: the smallest map in S fixing each
-    element."""
-    return hull_system(S, [exocentral_cover(S, e) for e in range(S.E.n)])
-
-
 @memo
 def enumerate_hull_systems(E):
     """All hull systems on the model in a fixed order, memoized on it.
@@ -143,7 +133,7 @@ def enumerate_hull_systems(E):
     S = exocenter(E)
     n = E.n
     order = sorted(range(n), key=lambda e: (len(E.below[e]), e))
-    assert order[0] == 0
+    # 0 comes first: it is the only element with one element below it
     fixing = {e: [m for m in S if m[e] == e] for e in range(n)}
     maps = [None] * n
     maps[0] = S.zero
@@ -197,20 +187,14 @@ def is_dyad(H, p):
     )
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
-    divisible: bool
-    witness: object
-
-
 @memo
 def is_divisible(H):
     """Whether each p with eta_p = eta_(s+t) splits as p = e + f with
-    eta_e = eta_s and eta_f = eta_t; the witness is the lex-least failing
-    (p, s, t).  By cancellation the splittings of p are (e, p - e) for
-    e <= p, so the test is a lookup in p's pairs of hull maps
-    (``split_pairs``).  ``divisibility-dyad-criterion`` compares it per
-    triple with the dyad criterion.  Memoized on the hull system."""
+    eta_e = eta_s and eta_f = eta_t, for every s + t defined.  By
+    cancellation the splittings of p are (e, p - e) for e <= p, so the
+    test is a lookup in p's pairs of hull maps (``split_pairs``).
+    ``divisibility-dyad-criterion`` compares it per triple with the dyad
+    criterion.  Memoized on the hull system."""
     E, eta = H.E, H.maps
     pairs = split_pairs(H)
     for p in range(E.n):
@@ -220,8 +204,8 @@ def is_divisible(H):
                 if st >= 0 and eta[p] == eta[st] and (
                     (eta[s], eta[t]) not in pairs[p]
                 ):
-                    return DivisibilityReport(False, (p, s, t))
-    return DivisibilityReport(True, None)
+                    return False
+    return True
 
 
 def split_pairs(H):

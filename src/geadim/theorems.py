@@ -121,7 +121,7 @@ def _core_order_laws(E):
 def _exocenter_oracle(E):
     fast = exocenter(E)
     brute = brute_force_exomaps(E)
-    if fast != brute:
+    if fast.maps != brute.maps:
         return ["ideal-pair exocenter differs from brute-force filter"]
     return []
 
@@ -208,7 +208,7 @@ def _hull_roundtrip(E):
         except GeadimError as exc:
             out.append(f"hull family is not hull-determining: {exc}")
             continue
-        if again != H:
+        if again.maps != H.maps:
             out.append("hull family does not re-determine itself")
     return out
 
@@ -261,7 +261,7 @@ def _no_monads_divisible(E):
     out = []
     for H in hull_mod.enumerate_hull_systems(E):
         monads = [e for e in range(1, E.n) if hull_mod.is_monad(H, e)]
-        if not monads and not hull_mod.is_divisible(H).divisible:
+        if not monads and not hull_mod.is_divisible(H):
             out.append("monad-free hull system is not divisible")
     return out
 
@@ -349,8 +349,7 @@ def _eta_rel_sk(E):
         classes = hull_mod.eta_partition(H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
         sk = cg.check_sk(R).sk
-        divisible = hull_mod.is_divisible(H).divisible
-        if sk != divisible:
+        if sk != hull_mod.is_divisible(H):
             out.append("hull relation congruence status differs from divisibility")
         if sk:
             for e in range(E.n):
@@ -368,7 +367,7 @@ def _eta_sigma_roundtrip(E):
         return []
     out = []
     for H in hull_mod.enumerate_hull_systems(E):
-        if not hull_mod.is_divisible(H).divisible:
+        if not hull_mod.is_divisible(H):
             continue
         classes = hull_mod.eta_partition(H)
         R = cg.build_equiv(E, [c for c in classes if len(c) > 1])
@@ -380,7 +379,7 @@ def _eta_sigma_roundtrip(E):
         except GeadimError as exc:
             out.append(f"splitting algebra is not hull-determining: {exc}")
             continue
-        if again != H:
+        if again.maps != H.maps:
             out.append("splitting algebra does not re-determine the hull system")
     return out
 
@@ -1140,11 +1139,11 @@ def _type_criteria_global(ctx):
     out = []
     dec = ctx.decomposition
     flags = ctx.summand(ctx.sigma.one).type_flags
-    if flags.type_i != is_identity(dec.eta_k):
+    if flags.type_i != is_identity(dec.projections["I"]):
         out.append("global type-I criterion disagrees")
     if flags.type_i and not core.is_orthodense(E, set(ctx.simple), set(range(E.n))):
         out.append("type-I model whose simples are not orthodense")
-    if flags.type_ii != (is_identity(dec.eta_f) and not any(dec.eta_k)):
+    if flags.type_ii != (is_identity(dec.eta_f) and not any(dec.projections["I"])):
         out.append("global type-II criterion disagrees")
     if flags.type_ii and not core.is_orthodense(E, set(ctx.finite), set(range(E.n))):
         out.append("type-II model whose finite elements are not orthodense")
@@ -1174,10 +1173,10 @@ def _type_criteria_summands(ctx):
                 f"summand types read off the model disagree with its own for {pi!r}"
             )
         in_theta = pi in theta
-        if flags.type_i != (in_theta and S.leq(pi, dec.eta_k)):
+        if flags.type_i != (in_theta and S.leq(pi, dec.projections["I"])):
             out.append(f"summand type-I criterion disagrees for {pi!r}")
         if flags.type_ii != (
-            in_theta and S.leq(pi, S.meet(dec.eta_f, comp(dec.eta_k)))
+            in_theta and S.leq(pi, S.meet(dec.eta_f, comp(dec.projections["I"])))
         ):
             out.append(f"summand type-II criterion disagrees for {pi!r}")
         if flags.type_iii != S.leq(pi, comp(dec.eta_f)):

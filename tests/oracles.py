@@ -367,7 +367,6 @@ def is_divisible(H):
     against the equivalent dyad criterion (the meet-image of the target
     must be a dyad).  Not memoized."""
     E, S, eta = H.E, H.exoset, H.maps
-    witness = None
     divisible = True
     for p in range(E.n):
         for s in range(E.n):
@@ -390,10 +389,9 @@ def is_divisible(H):
                         f"divisibility checks disagree at "
                         f"({E.names[p]}, {E.names[s]}, {E.names[t]})"
                     )
-                if not direct and divisible:
+                if not direct:
                     divisible = False
-                    witness = (p, s, t)
-    return hull.DivisibilityReport(divisible, witness)
+    return divisible
 
 
 def orthosum_family(E, family):

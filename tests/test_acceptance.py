@@ -33,7 +33,7 @@ def test_criterion_1_exocenter_oracle():
     checked = 0
     mismatches = 0
     for entry in catalog.cached_entries(4):
-        if exocenter(entry.table) != brute_force_exomaps(entry.table):
+        if exocenter(entry.table).maps != brute_force_exomaps(entry.table).maps:
             mismatches += 1
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -47,7 +47,7 @@ def test_criterion_1_exocenter_oracle():
 def test_criterion_1_extended_to_size_5():
     # the module contract extends the atom-search oracle to n <= 5
     for entry in catalog.cached_entries(5):
-        assert exocenter(entry.table) == brute_force_exomaps(entry.table)
+        assert exocenter(entry.table).maps == brute_force_exomaps(entry.table).maps
 
 
 def test_criterion_2_fixture_goldens():

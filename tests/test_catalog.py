@@ -444,6 +444,17 @@ def test_search_stops_at_the_first_hit(monkeypatch):
     assert sizes == [1, 2]
 
 
+def test_divisible_hull_search_skips_a_hull_that_is_not_divisible(monkeypatch):
+    # the only hull system of the 2-element model is divisible and has the
+    # monad 1; read as not divisible, it is skipped
+    E = catalog.model(bytes.fromhex("02000101ff"))
+    assert catalog._search_divisible_with_monads(E, []) == {
+        "hull": [[0, 0], [0, 1]], "monads": ["1"]}
+    monkeypatch.setattr(catalog.hull_mod, "is_divisible", lambda H: False)
+    assert catalog._search_divisible_with_monads(E, []) is None
+    assert catalog.search_counterexample("divisible-hull-with-monads", 5) is None
+
+
 def test_type_distribution_all_type_one():
     for e in catalog.cached_entries(5):
         for rec in e.relations:

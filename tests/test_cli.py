@@ -62,13 +62,11 @@ def docs(tmp_path):
 
 
 def test_parse_document():
-    doc = cli.parse_gea_file(B4_DOC)
-    assert doc.elements == ["0", "a", "b", "1"]
-    assert doc.zero == "0"
-    assert doc.equations == [("a", "b", "1")]
-    assert doc.relations == {"merge": [["a", "b"]], "eq": []}
-    E, rels = doc.build()
-    assert E.n == 4 and set(rels) == {"merge", "eq"}
+    E, rels = cli.parse_gea_file(B4_DOC)
+    assert E.names == ("0", "a", "b", "1")
+    assert E.sum[1][2] == 3  # a + b = 1
+    assert {name: R.classes for name, R in rels.items()} == {
+        "merge": ((0,), (1, 2), (3,)), "eq": ((0,), (1,), (2,), (3,))}
 
 
 # Documents whose directive lines are malformed: (text, line, col, message).
@@ -139,8 +137,8 @@ def test_bad_directive_is_an_input_error(text, line, col, message, tmp_path):
 
 def test_element_count_is_bounded(tmp_path):
     names = ["0"] + [f"e{i}" for i in range(1, core.MAX_ELEMENTS)]
-    doc = cli.parse_gea_file(f"elements: {' '.join(names)}\nzero: 0\n")
-    assert len(doc.elements) == core.MAX_ELEMENTS
+    E, _ = cli.parse_gea_file(f"elements: {' '.join(names)}\nzero: 0\n")
+    assert E.n == core.MAX_ELEMENTS
     p = tmp_path / "big.gea"
     p.write_text(f"zero: 0\nelements: {' '.join(names)} extra\n",
                  encoding="utf-8")
@@ -229,6 +227,23 @@ def test_check_invalid_model(tmp_path):
     p.write_text("elements: 0 a\nzero: 0\nsum: a + a = a\n", encoding="utf-8")
     code, text = run(["check", str(p)])
     assert code == 1 and "GEA4" in text
+
+
+@pytest.mark.parametrize("text, code", [
+    (C3_DOC, 0),
+    ("elements: 0 a\nzero: 0\nsum: a + a = a\n", 1),
+    (None, 2),
+], ids=["valid", "invalid-model", "missing-file"])
+def test_main_exits_with_the_command_code(text, code, tmp_path, monkeypatch,
+                                          capsys):
+    p = tmp_path / "m.gea"
+    if text is not None:
+        p.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["geadim", "check", str(p)])
+    with pytest.raises(SystemExit) as err:
+        cli.main()
+    assert err.value.code == code
+    assert (code, capsys.readouterr().out) == run(["check", str(p)])
 
 
 @pytest.mark.parametrize("command", [
@@ -571,7 +586,7 @@ def test_rendered_catalog_models_parse_back():
     assert len(keys) == 56
     for key in keys:
         E = catalog.model(key)
-        back, relations = cli.parse_gea_file(_render_gea(E)).build()
+        back, relations = cli.parse_gea_file(_render_gea(E))
         assert (back.names, back.sum, relations) == (E.names, E.sum, {})
 
 

@@ -29,6 +29,14 @@ def test_build_equiv():
         cg.build_equiv(E, [["a", "nope"]])
 
 
+@pytest.mark.parametrize("index", [4, -1])
+def test_build_equiv_rejects_an_index_out_of_range(index):
+    E, _ = _b4_merge()
+    with pytest.raises(UnknownElement) as err:
+        cg.build_equiv(E, [[1, index]])
+    assert str(err.value) == f"index {index}"
+
+
 def test_relabeling_matches_sorted_groups():
     """Classes and ids agree with grouping the labels, sorting the groups
     and numbering them in that order, on labelings that are not dense."""
@@ -209,7 +217,7 @@ def test_induced_hull_contract_fires_on_a_wrong_hull(monkeypatch):
     d = dm.Dgea(merge)
     assert check(d) == []
     # the exocentral cover system of the whole exocenter, not of {0, 1}
-    monkeypatch.setattr(d, "hull", hull.gamma_hull(S))
+    monkeypatch.setattr(d, "hull", cg.induced_hull(S))
     assert check(d) == ["hull map at a is not a splitting map",
                         "hull map at b is not a splitting map"]
     # eta_0 = 1 also meets every hull map, though 0 is unrelated to all
@@ -220,7 +228,7 @@ def test_induced_hull_contract_fires_on_a_wrong_hull(monkeypatch):
     ] + [f"separation and hull-meet forms disagree at {pair}"
          for pair in ("(0, 0)", "(0, a)", "(0, b)", "(0, 1)",
                       "(a, 0)", "(b, 0)", "(1, 0)")]
-    pa = hull.gamma_hull(S).maps[1]
+    pa = cg.induced_hull(S).maps[1]
     monkeypatch.setattr(d, "hull", hull.HullSystem(S, [S.zero, pa, pa, S.one]))
     assert "hull maps do not compose at (a, b)" in check(d)
     assert "hull map at b does not fix it" in check(d)
@@ -327,7 +335,7 @@ def test_induced_hull():
     S = exocenter(E)
     eq = equality_relation(E)
     h_eq = cg.induced_hull(cg.sigma_sim(eq))
-    assert h_eq.maps == hull.gamma_hull(S).maps
+    assert h_eq.maps == cg.induced_hull(S).maps
     h_merge = cg.induced_hull(cg.sigma_sim(merge))
     assert h_merge.maps == indiscrete_hull(S).maps
     assert not any(h_merge.maps[0])

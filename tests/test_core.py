@@ -71,6 +71,25 @@ def test_conflicting_equation():
         )
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: core.GeaTable(["0", "a"], [[0, 1]]),
+     "sum table shape does not match element count"),
+    (lambda: core.build_gea(["0", "a", "a"], "0", []),
+     "element names must be distinct"),
+    (lambda: core.build_gea(["0", "a"], "z", []),
+     "zero element 'z' not among names"),
+    (lambda: core.build_gea(["0", "a"], "0", [("a", "a", "b")]),
+     "equation references unknown element 'b'"),
+    (lambda: core.is_orthodense(core.b4(), {1}, {2}),
+     "D must be a subset of P"),
+], ids=["table-shape", "duplicate-names", "unknown-zero", "unknown-element",
+        "orthodense-subset"])
+def test_bad_inputs_are_value_errors(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
 def test_duplicate_consistent_equation_allowed():
     E = core.build_gea(["0", "a", "b", "1"], "0",
                        [("a", "b", "1"), ("b", "a", "1")])

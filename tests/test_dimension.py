@@ -90,6 +90,19 @@ def test_is_factor():
     assert dm.is_factor(d1)
 
 
+@pytest.mark.parametrize("query, message", [
+    (dm.is_factor, "factor test needs a verified dimension relation"),
+    (lambda d: dm.comparability(d, 1, 2),
+     "comparability needs a verified dimension relation"),
+], ids=["is-factor", "comparability"])
+def test_queries_need_a_dimension_relation(query, message):
+    d, _ = _dgea(core.b4(), [["a", "b"]])
+    d.sk4a_prime = (1, 2)  # SK4a' read as failing at (a, b)
+    with pytest.raises(NotDer) as err:
+        query(d)
+    assert str(err.value) == message
+
+
 def test_decompose_types_c3():
     C3 = core.c3()
     _, eq = _dgea(C3)
@@ -171,10 +184,12 @@ def test_summands_are_the_intervals_at_their_tops():
             members = fixed_points(pi)
             tops = [t for t in members if all(E.leq[x][t] for x in members)]
             assert len(tops) == 1
-            assert sub.E == core.interval_ea(E, tops[0])
+            iv = core.interval_ea(E, tops[0])
+            assert (sub.E.names, sub.E.sum) == (iv.names, iv.sum)
             assert members == E.below[tops[0]]
             checked += 1
-        assert d.summand(d.sigma.one).E == E
+        whole = d.summand(d.sigma.one).E
+        assert (whole.names, whole.sum) == (E.names, E.sum)
     assert checked == 39
 
 
@@ -330,6 +345,16 @@ def _with_decomposition(d, **fields):
     """``d`` with its decomposition built and then given ``fields``."""
     d.__dict__["decomposition"] = dataclasses.replace(d.decomposition, **fields)
     return d
+
+
+def test_non_type_i_search_reports_the_verdict():
+    # every finite dimension relation is of type I, so the search hits
+    # only on a decomposition given another verdict
+    d, _ = _dgea(core.b4(), [["a", "b"]])
+    assert catalog._search_non_type_i(d.E, [d]) is None
+    _with_decomposition(d, type_verdict="II")
+    assert catalog._search_non_type_i(d.E, [d]) == {
+        "relation": [[0], [1, 2], [3]], "type": "II"}
 
 
 def test_type_decomposition_property_fires_on_wrong_projections(monkeypatch):

@@ -33,7 +33,7 @@ def test_exocenter_sizes_against_oracle(name, expected):
     E = dict(_fixture_sets())[name]
     fast = exocenter(E)
     brute = brute_force_exomaps(E)
-    assert fast == brute
+    assert fast.maps == brute.maps
     assert len(fast) == expected
 
 
@@ -42,7 +42,7 @@ def test_brute_force_exomaps_is_cached():
     assert brute_force_exomaps(E) is brute_force_exomaps(E)
     # the two searches keep separate memos, so the oracle never compares
     # one value with itself
-    assert exocenter(E) == brute_force_exomaps(E)
+    assert exocenter(E).maps == brute_force_exomaps(E).maps
     assert exocenter(E) is not brute_force_exomaps(E)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from oracles import indiscrete_hull
-from geadim import catalog, core, hull, theorems
+from geadim import catalog, congruence as cg, core, hull, theorems
 from geadim.errors import InternalInvariant, MapNotInExocenter, NotHullDetermining
 from geadim.exocenter import (
     ExoSet,
@@ -27,7 +27,7 @@ def _b4():
 
 def test_gamma_and_indiscrete_are_hull_systems():
     _, S = _b4()
-    ok, _ = hull.check_hull_system(S, hull.gamma_hull(S).maps)
+    ok, _ = hull.check_hull_system(S, cg.induced_hull(S).maps)
     assert ok
     ok, _ = hull.check_hull_system(S, indiscrete_hull(S).maps)
     assert ok
@@ -66,10 +66,25 @@ def test_alien_map_rejected():
         hull.check_hull_system(S, [S.zero, alien, S.one, S.one])
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda E, S: hull.HullSystem(S, [S.zero]), ValueError,
+     "need one map per element"),
+    (lambda E, S: hull.hull_from_hd(E, [exocenter(core.c3()).one]),
+     MapNotInExocenter, "(0, 1, 2)"),
+    (lambda E, S: hull.hull_from_hd(E, []), NotHullDetermining,
+     "HD1 fails: no smallest map fixing 0"),
+], ids=["map-count", "alien-map", "no-map-fixes-zero"])
+def test_bad_inputs_are_rejected(build, error, message):
+    E, S = _b4()
+    with pytest.raises(error) as err:
+        build(E, S)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_hull_from_hd():
     E, S = _b4()
-    assert hull.hull_from_hd(E, [S.zero, S.one]) == indiscrete_hull(S)
-    assert hull.hull_from_hd(E, list(S)) == hull.gamma_hull(S)
+    assert hull.hull_from_hd(E, [S.zero, S.one]).maps == indiscrete_hull(S).maps
+    assert hull.hull_from_hd(E, list(S)).maps == cg.induced_hull(S).maps
     pa = next(m for m in S if fixed_points(m) == (0, 1))
     with pytest.raises(NotHullDetermining) as err:
         hull.hull_from_hd(E, [pa, S.one])
@@ -78,10 +93,10 @@ def test_hull_from_hd():
 
 def test_enumerate_hull_systems():
     E, S = _b4()
-    systems = hull.enumerate_hull_systems(E)
+    systems = [H.maps for H in hull.enumerate_hull_systems(E)]
     assert len(systems) == 2
-    assert hull.gamma_hull(S) in systems
-    assert indiscrete_hull(S) in systems
+    assert cg.induced_hull(S).maps in systems
+    assert indiscrete_hull(S).maps in systems
     C3 = core.c3()
     assert len(hull.enumerate_hull_systems(C3)) == 1
 
@@ -133,7 +148,7 @@ def test_hull_meet_projections_fires_on_swapped_maps(monkeypatch):
     E, S = _b4()
     check = theorems.REGISTRY["hull-meet-projections"].fn
     assert check(E) == []
-    zero, pa, pb, one = hull.gamma_hull(S).maps
+    zero, pa, pb, one = cg.induced_hull(S).maps
     swapped = hull.HullSystem(S, [zero, pb, pa, one])
     monkeypatch.setattr(theorems.hull_mod, "enumerate_hull_systems",
                         lambda E: (swapped,))
@@ -155,7 +170,7 @@ def test_hull_meet_projections_fires_on_swapped_maps(monkeypatch):
 
 def test_sim_eta():
     _, S = _b4()
-    ind, gam = indiscrete_hull(S), hull.gamma_hull(S)
+    ind, gam = indiscrete_hull(S), cg.induced_hull(S)
     assert ind.maps[1] == ind.maps[2]
     assert gam.maps[1] != gam.maps[2]
     assert gam.maps[1] == gam.maps[1]
@@ -175,25 +190,26 @@ def test_classify_eta():
 
 def test_divisibility():
     _, S = _b4()
-    assert hull.is_divisible(hull.gamma_hull(S)).divisible
-    rep = hull.is_divisible(indiscrete_hull(S))
-    assert not rep.divisible
-    assert rep.witness == (1, 1, 2)  # the atom cannot split the top's class
+    assert hull.is_divisible(cg.induced_hull(S))
+    assert not hull.is_divisible(indiscrete_hull(S))
     T3 = core.t3()
     ST = exocenter(T3)
-    assert hull.is_divisible(indiscrete_hull(ST)).divisible
+    assert hull.is_divisible(indiscrete_hull(ST))
 
 
 def test_divisibility_is_cached_and_reads_no_dyads(monkeypatch):
     # the dyad criterion is compared in divisibility-dyad-criterion, so a
-    # broken dyad reading leaves the report as it is
+    # broken dyad reading leaves the verdict as it is
     _, S = _b4()
-    gam = hull.gamma_hull(S)
-    assert hull.is_divisible(gam) is hull.is_divisible(gam)
+    gam = cg.induced_hull(S)
+    assert hull.is_divisible(gam) is True
     ind = indiscrete_hull(S)
     monkeypatch.setattr(hull, "is_dyad", lambda H, p: False)
-    assert hull.is_divisible(ind) == hull.DivisibilityReport(False, (1, 1, 2))
-    assert hull.is_divisible(hull.gamma_hull(S)).divisible  # a fresh memo
+    assert hull.is_divisible(ind) is False
+    assert hull.is_divisible(cg.induced_hull(S)) is True  # a fresh memo
+    # the verdict is kept on the hull system: a second call reads no pairs
+    monkeypatch.setattr(hull, "split_pairs", None)
+    assert hull.is_divisible(gam) is True
 
 
 def test_divisibility_dyad_criterion_compares_each_triple(monkeypatch):
@@ -214,7 +230,7 @@ def test_divisibility_dyad_criterion_compares_each_triple(monkeypatch):
 
 def test_td_table_is_cached_but_failures_are_not(monkeypatch):
     _, S = _b4()
-    gam = hull.gamma_hull(S)
+    gam = cg.induced_hull(S)
     assert hull.td_table(gam) is hull.td_table(gam)
     assert hull._td_parts(gam) is hull._td_parts(gam)
     ind = indiscrete_hull(S)
@@ -235,7 +251,7 @@ def test_td_sets():
     rep = hull.td_sets(H, [0, 1])
     assert rep.eta_std and rep.eta_td and rep.t_star == 1
     _, S = _b4()
-    gam = hull.gamma_hull(S)
+    gam = cg.induced_hull(S)
     rep = hull.td_sets(gam, [0, 1])
     assert rep.eta_td and rep.t_star == 1
     assert hull.td_sets(gam, [0]).eta_td
@@ -246,7 +262,7 @@ def test_td_sets():
 
 def test_sk3e_split_eta():
     _, S = _b4()
-    gam = hull.gamma_hull(S)
+    gam = cg.induced_hull(S)
     assert oracles.sk3e_split_eta(gam, 1, 2, 1, 2) == (1, 0, 0, 2)
     assert oracles.sk3e_split_eta(gam, 1, 2, 2, 1) == (0, 1, 2, 0)
     C3 = core.c3()
