@@ -11,9 +11,15 @@ disturbed by other load on the machine.  The table rows time the
 one-point top extensions of the 35 catalog tables of size 6, one per
 orbit of each table's automorphisms (found once, outside the timing),
 and the whole table stage up to size 8, which builds each size from the
-one below.  The ``brute_exomaps`` rows find the exocenter maps of the 5-,
-6- and 8-chain from the images of their atoms; on the 8-chain the
-filter that the atom search replaced visited 8! maps.  The ``sup/inf
+one below.  The ``canonical_rows n<=7`` row reduces the 321 extensions
+the table stage keeps up to size 7 to their canonical tables, the
+``is_canonical_table n<=7`` row checks the 175 catalog tables up to size
+7, as ``catalog.model`` does, and the ``automorphisms n<=6`` row finds
+the automorphisms of the 56 parents up to size 6; the ``min_relabel``
+and ``is_min_relabel`` rows time the literal path that relabels B4 under
+every candidate permutation.  The ``brute_exomaps`` rows find the
+exocenter maps of the 5-, 6- and 8-chain from the images of their atoms;
+on the 8-chain the filter that the atom search replaced visited 8! maps.  The ``sup/inf
 n<=6`` row takes the join and the meet of every pair of elements of the
 56 models up to size 6, from the order bitmasks each model builds on
 first use.  The ``sk_first_failures`` rows sweep all 52 partitions with zero
@@ -229,6 +235,16 @@ def main():
     _, eq8 = catalog._swept_partitions(8)
     bench("sk_first_failures n=8 cube", K.sk_first_failures,
           (cube._sk_plan, eq8), repeat=5)
+    tables = [catalog._rows(key) for key in catalog._catalog_tables(7)]
+    parents = [rows for rows in tables if len(rows) < 7]
+    children = [child for rows in parents
+                for child in K.enumerate_tables(rows, core.automorphisms(rows))]
+    bench("canonical_rows n<=7", _each, (core.canonical_rows, children),
+          repeat=3)
+    bench("is_canonical_table n<=7", _each, (core.is_canonical_table, tables),
+          repeat=3)
+    bench("automorphisms n<=6", _each, (core.automorphisms, parents),
+          repeat=3)
     rows = core.b4().sum
     perms = list(core._candidate_perms(core._refine_colors(rows)))
     bench("min_relabel n=4", K.min_relabel, (rows, perms), repeat=500)

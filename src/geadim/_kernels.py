@@ -2,8 +2,12 @@
 
 Every kernel loops over plain Python sequences.  A table is a tuple of
 row tuples, the form of a model's ``sum``: ``enumerate_tables`` reads
-and emits its tables so, ``relabeled`` and ``min_relabel`` return them
-so, and ``is_min_relabel`` compares against them.  ``axiom_violation``
+and emits its tables so, ``relabeled``, ``min_relabel`` and
+``least_relabel`` return them so, and ``is_min_relabel`` compares
+against them.  ``least_relabel`` finds the least relabeling over the
+candidate permutations of a coloring by a pruned search; ``min_relabel``
+and ``is_min_relabel`` relabel the table under every candidate, the
+literal path the tests compare it with.  ``axiom_violation``
 also reads list rows.  ``brute_exomaps`` and ``sk_plan`` read the model's
 tuples.  The congruence axioms SK1-SK4b, named in ``AXES``, have one
 check each, which reads the per-model ``SkPlan`` of ``sk_plan`` and the
@@ -28,6 +32,7 @@ __all__ = [
     "relabeled",
     "min_relabel",
     "is_min_relabel",
+    "least_relabel",
     "brute_exomaps",
     "sk_plan",
     "sk_witnesses",
@@ -112,6 +117,128 @@ def is_min_relabel(rows, perms):
             return False
         achieved = achieved or other == rows
     return achieved
+
+
+def least_relabel(rows, classes, stop=False):
+    """The least relabeling over the candidate permutations of a coloring,
+    found by an exact depth-first search, and automorphisms it met.
+
+    ``rows`` is a table as tuple rows and ``classes`` its color classes
+    in color order, each a list of elements; class i takes the slots
+    after those of the classes before it, and a candidate sends each
+    element to a slot of its class.  This is the minimum ``min_relabel``
+    takes over ``core._candidate_perms``, with the same row-major order.
+
+    The search fills the slots in order.  A class of one element is
+    placed at the start and never branched on; each other slot tries
+    every unused element of its class, in label order.  A leaf whose
+    table equals the best one so far gives the automorphism
+    ``s[x] = best_inv[perm[x]]``.  Two cuts are exact (B. D. McKay and
+    A. Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 60
+    (2014)).  Let an automorphism s fix every placed element and send a
+    to b.  Then q -> q o s maps the leaves that place b at this slot onto
+    leaves that place a there, with equal tables.  So a choice b is
+    skipped when the automorphisms found that fix every placed element
+    move it onto a choice already explored.  And a leaf that gives s ends
+    the subtree of the first choice it does not share with the best leaf,
+    since s maps that subtree into the one explored before it.  Every
+    leaf is thus the image of a visited leaf under the group the found
+    automorphisms generate, so no table is lost, and every automorphism
+    of the table lies in that group.  A leaf is compared with the best
+    table row by row, up to the first row that differs.
+
+    Returns ``(least, auts)``: the least table as tuple rows and the
+    automorphisms found, as tuples sending old index to new.  With
+    ``stop`` the search returns None at the first leaf smaller than the
+    first leaf; when the colors are sorted in label order the first leaf
+    is the identity, so the table is its own least relabeling exactly
+    when None is not returned.
+    """
+    n = len(rows)
+    perm = [0] * n + [-1]  # old index -> slot; perm[-1] keeps -1 undefined
+    inv = [0] * n  # slot -> old index
+    slots = []  # (slot, its class) where the class has several elements
+    base = 0
+    for cls in classes:
+        if len(cls) == 1:
+            perm[cls[0]] = base
+            inv[base] = cls[0]
+        else:
+            slots.extend((base + i, cls) for i in range(len(cls)))
+        base += len(cls)
+    if not slots:
+        return tuple(tuple([perm[rows[a][b]] for b in inv]) for a in inv), []
+    depth = len(slots)
+    used = [False] * n
+    chosen = []  # the element placed at each open slot so far
+    auts = []
+    best = best_inv = None
+
+    def leaf():
+        # the open-slot index the search returns to: depth to go on, -1
+        # to stop
+        nonlocal best, best_inv
+        k = 0
+        if best is not None:
+            for k, a in enumerate(inv):
+                row = rows[a]
+                new = tuple([perm[row[b]] for b in inv])
+                if new != best[k]:
+                    break
+            else:
+                auts.append(tuple([best_inv[perm[x]] for x in range(n)]))
+                return next(i for i, x in enumerate(chosen)
+                            if x != best_inv[slots[i][0]])
+            if new > best[k]:
+                return depth
+            if stop:
+                return -1
+        best = (best[:k] if best else ()) + tuple(
+            tuple([perm[rows[a][b]] for b in inv]) for a in inv[k:])
+        best_inv = inv[:]
+        return depth
+
+    def moved_onto(b, explored):
+        # whether the automorphisms fixing every placed element move b
+        # onto an explored choice
+        fixing = [s for s in auts if all(s[x] == x for x in chosen)]
+        orbit = {b}
+        frontier = [b]
+        while frontier:
+            x = frontier.pop()
+            for s in fixing:
+                y = s[x]
+                if y in explored:
+                    return True
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        return False
+
+    def search(i):
+        # fills the open slots from i on; returns what leaf returns
+        if i == depth:
+            return leaf()
+        k, cls = slots[i]
+        explored = set()
+        for b in cls:
+            if used[b] or explored and moved_onto(b, explored):
+                continue
+            used[b] = True
+            perm[b] = k
+            inv[k] = b
+            chosen.append(b)
+            back = search(i + 1)
+            chosen.pop()
+            used[b] = False
+            if back < i:
+                return back
+            explored.add(b)
+        return depth
+
+    if search(0) < 0:
+        return None
+    return best, auts
 
 
 def enumerate_tables(rows, auts=()):

@@ -439,40 +439,60 @@ def _refine_colors(rows):
     """Iterated structural coloring of a table given as rows.
 
     Color ids are ranks of label-invariant signatures, so relabeling the
-    table permutes the colors the same way.  The order is read off the
-    rows: f <= e iff e is in row f.  This is the partition-refinement
-    scheme of McKay and Piperno, "Practical graph isomorphism, II",
-    J. Symbolic Comput. 60 (2014).
+    table permutes the colors the same way.  This is the
+    partition-refinement scheme of McKay and Piperno, "Practical graph
+    isomorphism, II", J. Symbolic Comput. 60 (2014).  The first round
+    ranks zero first and every other element e by (k_e, b_e): the
+    nonzero f with e + f defined, and the elements below e.  Each later
+    round ranks the signature of e: its color, the colors of its sums
+    (f, e + f) as ``colors[f] * n + colors[e + f]``, which keeps their
+    order, and the colors of the elements below it.  It stops once the
+    colors no longer change, or once they are all distinct, since each
+    signature starts with the color.  The order is read off the rows:
+    f <= e iff e is in row f, which holds e at most once by cancellation.
     """
-    rng = range(len(rows))
+    n = len(rows)
+    rng = range(n)
     sums = [[(f, v) for f, v in enumerate(row) if v >= 0] for row in rows]
-    below = [[f for f in rng if e in rows[f]] for e in rng]
-    colors = [0 if e == 0 else 1 for e in rng]
-    for _ in rng:
-        sigs = [
-            (colors[e],
-             tuple(sorted((colors[f], colors[v]) for f, v in sums[e])),
-             tuple(sorted(colors[f] for f in below[e])))
-            for e in rng
-        ]
+    below = [[] for _ in rng]
+    for f, row in enumerate(rows):
+        for v in row:
+            if v >= 0:
+                below[v].append(f)
+    sigs = [(0,)] + [(1, len(sums[e]) - 1, len(below[e]))
+                     for e in range(1, n)]
+    colors = None
+    while True:
         ranking = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
         new = [ranking[s] for s in sigs]
-        if new == colors:
-            break
+        if new == colors or len(ranking) == n:
+            return new
         colors = new
-    return colors
+        sigs = [
+            (colors[e],
+             tuple(sorted([colors[f] * n + colors[v] for f, v in sums[e]])),
+             tuple(sorted([colors[f] for f in below[e]])))
+            for e in rng
+        ]
+
+
+def _color_classes(colors):
+    """The classes of a coloring in color order, each a list of its
+    elements in label order."""
+    classes = {}
+    for e, c in enumerate(colors):
+        classes.setdefault(c, []).append(e)
+    return [classes[c] for c in sorted(classes)]
 
 
 def _candidate_perms(colors):
-    """Permutations compatible with a refined coloring, as lists, lazily.
+    """Permutations compatible with a refined coloring, as lists, lazily:
+    the literal path that ``_kernels.least_relabel`` searches.
 
     Elements of each color class may only move within the class's slot
     range; classes are laid out in color order (zero's class first).
     """
-    classes = {}
-    for e, c in enumerate(colors):
-        classes.setdefault(c, []).append(e)
-    ordered = [classes[c] for c in sorted(classes)]
+    ordered = _color_classes(colors)
     slots = []
     base = 0
     for cls in ordered:
@@ -490,23 +510,38 @@ def canonical_rows(rows):
     """The canonical representative of a table given as tuple rows: its
     least relabeling over the candidate permutations, the same table for
     every labeling of one model."""
-    return _kernels.min_relabel(rows, _candidate_perms(_refine_colors(rows)))
+    classes = _color_classes(_refine_colors(rows))
+    return _kernels.least_relabel(rows, classes)[0]
 
 
 def automorphisms(rows):
     """The zero-fixing automorphisms of a table given as tuple rows, other
-    than the identity, as lists: the candidate permutations that
-    reproduce it.
+    than the identity, as lists in sorted order: the candidate
+    permutations that reproduce it.
 
     Refined colors are invariant under isomorphism, so an automorphism
-    maps each color class onto itself.  When the colors are sorted in
-    label order, as a canonical table's are, each class is its own slot
-    range and every automorphism is a candidate; otherwise the list may
-    miss some.
+    maps each color class onto itself.  A candidate that reproduces the
+    table maps each class also into its slot range, so the colors are
+    sorted in label order, and a table with unsorted colors has none.
+    With sorted colors every automorphism is a candidate, and the group
+    is generated by the automorphisms the search meets.
     """
-    identity = list(range(len(rows)))
-    return [p for p in _candidate_perms(_refine_colors(rows))
-            if p != identity and _kernels.relabeled(rows, p) == rows]
+    colors = _refine_colors(rows)
+    if colors != sorted(colors):
+        return []
+    identity = tuple(range(len(rows)))
+    group = {identity}
+    frontier = [identity]
+    gens = _kernels.least_relabel(rows, _color_classes(colors))[1]
+    while frontier:
+        g = frontier.pop()
+        for s in gens:
+            h = tuple([s[x] for x in g])
+            if h not in group:
+                group.add(h)
+                frontier.append(h)
+    group.remove(identity)
+    return sorted(map(list, group))
 
 
 def canonical_form(E):
@@ -529,15 +564,17 @@ def is_canonical_table(rows):
     permutations.
 
     A table whose refined colors are not sorted in label order is never
-    canonical, and is rejected before any permutation is built.  Colors
-    are invariant under isomorphism, so a candidate permutation that
-    reproduces the table maps each color class onto itself; being a
-    candidate, it also maps the class into the class's slot range, so
-    every class sits on its own slots.  Then the colors are sorted, which
-    holds exactly when the identity is a candidate.
+    canonical, and is rejected before any search.  Colors are invariant
+    under isomorphism, so a candidate permutation that reproduces the
+    table maps each color class onto itself; being a candidate, it also
+    maps the class into the class's slot range, so every class sits on
+    its own slots.  Then the colors are sorted, which holds exactly when
+    the identity is a candidate, and the identity is the search's first
+    leaf; the table is canonical when no leaf is smaller.
     """
     colors = _refine_colors(rows)
     if colors != sorted(colors):
         return False
     rows = tuple(map(tuple, rows))  # the kernels' row type
-    return _kernels.is_min_relabel(rows, _candidate_perms(colors))
+    return _kernels.least_relabel(rows, _color_classes(colors),
+                                  stop=True) is not None

@@ -8,7 +8,17 @@ pruning at all.  ``top_extensions`` and ``canonical_tables`` are the
 table stage the catalog replaced: every one-point top extension of every
 parent, filtered by ``axiom_violation``, where the catalog checks GEA2
 at the new element only and extends once per orbit of the parent's
-automorphisms.  ``is_divisible`` and ``td_sets`` are the literal searches
+automorphisms.  ``refine_colors``, ``canonical_rows`` and
+``canonical_readings`` are the canonical forms the catalog replaced:
+the color refinement by its literal rounds, and the least relabeling,
+the canonical verdict and the automorphisms read off the table relabeled
+under every candidate permutation (``_kernels.min_relabel`` and
+``_kernels.is_min_relabel``), where ``core`` searches the candidates with
+``_kernels.least_relabel``.  ``natural_counts`` checks the catalog's
+keys and automorphism lists by counting alone: the labeled tables whose
+label order is a linear extension (``linear_extensions``), counted over
+the classes of one size and over the extensions of the size below.
+``is_divisible`` and ``td_sets`` are the literal searches
 that ``hull.is_divisible``, ``hull.td_sets`` and ``hull.td_table``
 replace: a search of ``below(p)`` squared per triple, and a search of
 the families of one subset T.  ``disjoint_families`` filters every
@@ -40,6 +50,7 @@ distinct maps once.
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from conftest import table_rows
 from geadim import _kernels, congruence as cg, core, hull
@@ -93,15 +104,108 @@ def top_extensions(rows):
     return out
 
 
+def refine_colors(rows):
+    """The colors ``core._refine_colors`` gives, by the literal rounds:
+    every element starts with color 0 for zero and 1 for the others, and
+    each round ranks the signatures (color, sorted (color of f, color of
+    e + f) over the defined sums, sorted colors of the f with e in row
+    f) until the colors stop changing."""
+    rng = range(len(rows))
+    sums = [[(f, v) for f, v in enumerate(row) if v >= 0] for row in rows]
+    below = [[f for f in rng if e in rows[f]] for e in rng]
+    colors = [0 if e == 0 else 1 for e in rng]
+    for _ in rng:
+        sigs = [
+            (colors[e],
+             tuple(sorted((colors[f], colors[v]) for f, v in sums[e])),
+             tuple(sorted(colors[f] for f in below[e])))
+            for e in rng
+        ]
+        ranking = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def canonical_rows(rows):
+    """The least relabeling of a table over every candidate permutation of
+    its ``refine_colors``, one relabeled table per candidate."""
+    return _kernels.min_relabel(rows, core._candidate_perms(refine_colors(rows)))
+
+
+def canonical_readings(rows):
+    """What ``core`` reads off a table given as tuple rows, by relabeling
+    it under every candidate permutation: its ``refine_colors``, its
+    least relabeling, whether it is that relabeling, and the candidates
+    other than the identity that reproduce it, in candidate order."""
+    colors = refine_colors(rows)
+    perms = list(core._candidate_perms(colors))
+    tables = [_kernels.relabeled(rows, p) for p in perms]
+    identity = list(range(len(rows)))
+    return (colors, min(tables), _kernels.is_min_relabel(rows, perms),
+            [p for p, t in zip(perms, tables) if t == rows and p != identity])
+
+
+def linear_extensions(rows):
+    """The number of linear extensions of the order of a table given as
+    rows: the orders of its elements in which each element follows every
+    element below it, counted over the down-sets, each grown by one
+    element all of whose lower elements it holds."""
+    n = len(rows)
+    lower = [0] * n  # lower[e]: the mask of the elements strictly below e
+    for f, row in enumerate(rows):
+        for e in row:
+            if e >= 0 and e != f:
+                lower[e] |= 1 << f
+    ways = {0: 1}
+    for _ in range(n):
+        grown = {}
+        for mask, w in ways.items():
+            for e in range(n):
+                if not mask >> e & 1 and lower[e] & ~mask == 0:
+                    bigger = mask | 1 << e
+                    grown[bigger] = grown.get(bigger, 0) + w
+        ways = grown
+    return ways[(1 << n) - 1]
+
+
+def natural_counts(classes, parents):
+    """Both sides of the orbit-count identity at one size n, as exact
+    fractions: the sum of L(E) / |Aut(E)| over ``classes``, one table of
+    each model of size n, and of L(P) x(P) / |Aut(P)| over ``parents``,
+    one table of each model of size n - 1.  L is ``linear_extensions``,
+    |Aut| one more than the length of ``core.automorphisms`` and x(P) the
+    number of unpruned one-point top extensions of P.
+
+    Both sides count the labeled tables of size n whose label order
+    extends the order of the model.  The automorphisms of E permute its
+    L(E) linear extensions freely, so E has L(E) / |Aut(E)| such tables.
+    The last label of such a table is a maximal element, and deleting it
+    leaves such a table of size n - 1, which the table extends; each of
+    those has x(P) extensions, all of them such tables.  So a class
+    counted twice or missed, or a wrong automorphism list, on either
+    side, shows as unequal sides or as a count off its pin.
+    """
+    def tables(rows):
+        return Fraction(linear_extensions(rows),
+                        len(core.automorphisms(rows)) + 1)
+
+    return (sum(tables(rows) for rows in classes),
+            sum(tables(rows) * len(_kernels.enumerate_tables(rows))
+                for rows in parents))
+
+
 @functools.lru_cache(maxsize=None)
 def canonical_tables(n):
     """The canonical sum tables for size n, as ``core.table_bytes``,
-    sorted: the distinct canonical forms of every ``top_extensions`` of
-    the tables for size n - 1, with no orbit step."""
+    sorted: the distinct ``canonical_rows`` of every ``top_extensions``
+    of the tables for size n - 1, with no orbit step."""
     if n == 1:
         return [core.table_bytes(((0,),))]
     return sorted({
-        core.table_bytes(core.canonical_rows(child))
+        core.table_bytes(canonical_rows(child))
         for flat in canonical_tables(n - 1)
         for child in top_extensions(table_rows(flat, n - 1))
     })

@@ -65,7 +65,9 @@ def test_bench_kernels_runs(capsys):
     bench.ROUNDS = 1
     bench.main()
     out = capsys.readouterr().out
-    for label in ("axiom_violation n=6", "min_relabel n=4",
+    for label in ("axiom_violation n=6", "canonical_rows n<=7",
+                  "is_canonical_table n<=7", "automorphisms n<=6",
+                  "min_relabel n=4",
                   "is_min_relabel n=4", "brute_exomaps n=8 chain",
                   "sup/inf n<=6", "sk_witnesses n=6", "sk_first_failures n=6",
                   "sk_first_failures n=8 cube", "td_table n<=6",

@@ -146,6 +146,36 @@ def test_table_stage_matches_the_unpruned_oracle_n8():
     assert _catalog_table_sizes(8)[7] == oracles.canonical_tables(8)
 
 
+# the labeled tables of each size 1-8 whose label order extends the order
+# of the model, and the models of each size
+NATURAL_COUNTS = (1, 1, 2, 7, 37, 301, 3644, 68069)
+CLASS_COUNTS = (1, 1, 2, 5, 12, 35, 119, 496)
+
+
+def _table_stage_rows(max_n):
+    """The catalog tables of each size up to ``max_n``, as tuple rows."""
+    return [[catalog._rows(key) for key in keys]
+            for keys in itertools.islice(catalog._table_sizes(), max_n)]
+
+
+def test_orbit_counts_certify_the_table_stage():
+    # the canonical keys and the automorphism lists, checked by counting
+    # and without reading the search that finds them
+    sizes = _table_stage_rows(8)
+    assert tuple(map(len, sizes)) == CLASS_COUNTS
+    assert oracles.natural_counts(sizes[0], [])[0] == NATURAL_COUNTS[0]
+    for n in range(2, 9):
+        assert oracles.natural_counts(sizes[n - 1], sizes[n - 2]) == (
+            NATURAL_COUNTS[n - 1], NATURAL_COUNTS[n - 1]), n
+
+
+@pytest.mark.n9
+def test_orbit_counts_certify_the_table_stage_n9():
+    sizes = _table_stage_rows(9)
+    assert len(sizes[8]) == 2699
+    assert oracles.natural_counts(sizes[8], sizes[7]) == (2013006, 2013006)
+
+
 def test_fixtures_appear_in_catalog():
     keys = {e.key for e in catalog.enumerate_geas(4)}
     for E in (core.t3(), core.c3(), core.b4()):

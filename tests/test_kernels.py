@@ -380,12 +380,43 @@ def test_model_sum_is_a_canonical_table():
     assert rigid > 0
 
 
-def test_sorted_colors_shortcut_is_exact():
-    # is_canonical_table rejects unsorted colors before building any
-    # permutation; on every labeled table it must agree with the full
-    # comparison over all candidate permutations
-    for n in range(1, 7):
-        for rows in _labeled_tables(n):
-            perms = core._candidate_perms(core._refine_colors(rows))
-            assert core.is_canonical_table(rows) == (
-                K.min_relabel(rows, perms) == rows), rows
+def _check_canonical_search(tables):
+    """The colors, least relabeling, canonical verdict and automorphisms
+    ``core`` finds by its search against the literal path of
+    ``oracles.canonical_readings``, on each table; returns how many of
+    the tables are canonical and how many have an automorphism."""
+    canonical = symmetric = 0
+    for rows in tables:
+        colors, least, verdict, auts = oracles.canonical_readings(rows)
+        assert core._refine_colors(rows) == colors, rows
+        assert core.canonical_rows(rows) == least, rows
+        assert core.is_canonical_table(rows) == verdict, rows
+        assert core.automorphisms(rows) == auts, rows
+        canonical += verdict
+        symmetric += bool(auts)
+    return canonical, symmetric
+
+
+def _extensions(size):
+    """Every unpruned one-point top extension of every parent of one
+    size."""
+    return [t for rows in _parents(size) for t in K.enumerate_tables(rows)]
+
+
+def test_canonical_search_matches_the_literal_path():
+    # every labeled table up to size 6, one canonical table per class, and
+    # every extension up to size 7
+    labeled = [rows for n in range(1, 7) for rows in _labeled_tables(n)]
+    assert _check_canonical_search(labeled) == (56, 57)
+    extended = [t for size in range(1, 7) for t in _extensions(size)]
+    assert _check_canonical_search(extended) == (6, 5)
+
+
+@pytest.mark.slow
+def test_canonical_search_matches_the_literal_path_n8():
+    assert _check_canonical_search(_extensions(7)) == (1, 1)
+
+
+@pytest.mark.n9
+def test_canonical_search_matches_the_literal_path_n9():
+    assert _check_canonical_search(_extensions(8)) == (1, 1)
